@@ -2,12 +2,9 @@
 
 from .fem1d import (
     BandedMatrix,
-    BlockTriDiag,
     Grid,
     NodalCurve,
     SingularSystem,
-    solve_banded,
-    solve_block_tridiagonal,
 )
 from .geometry import (
     DegenerateUpdate,
@@ -31,8 +28,6 @@ from .newton import (
     ZeroStep,
     compute_theta,
     damped_newton,
-    newton_direction,
-    norm_inf_nodal,
     simplified_rhs,
     update_alpha,
 )
@@ -40,12 +35,9 @@ from . import problems
 
 __all__ = [
     "BandedMatrix",
-    "BlockTriDiag",
     "Grid",
     "NodalCurve",
     "SingularSystem",
-    "solve_banded",
-    "solve_block_tridiagonal",
     "DegenerateUpdate",
     "SingularConstraint",
     "TangentBasis",
@@ -65,8 +57,6 @@ __all__ = [
     "ZeroStep",
     "compute_theta",
     "damped_newton",
-    "newton_direction",
-    "norm_inf_nodal",
     "simplified_rhs",
     "update_alpha",
     "problems",

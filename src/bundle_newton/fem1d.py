@@ -1,27 +1,40 @@
 """One-dimensional P1/P0 discretization layer.
 
-Uniform grids, nodal curves on the sphere, block-tridiagonal and banded
-matrices with direct solvers, trapezoidal quadrature helpers, and the
-element-loop assembly used by the curve problems.
+Uniform grids, nodal curves on the sphere, one banded matrix type with its
+LU solver (LAPACK ``gbtrf``/``gbtrs``), and the interval assembly used by
+the curve problems.
 
-Solver convention: the ``solve_*`` functions return the Newton-style
-solution of ``A xi + b = 0``; the factorization objects solve the plain
+Array-first: nodal and element data are stacked ``(n, ...)`` arrays, and
+assembly scatters whole arrays into band storage at once.  Every Newton
+matrix of the package, a block-tridiagonal curve Jacobian as much as the
+rod's saddle-point matrix, is a :class:`BandedMatrix` and is factorized by
+the same banded LU with partial pivoting.  Factorizations solve the plain
 system ``A x = rhs``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
 
-PIVOT_CONDITION_LIMIT = 1e14
+from .geometry import TangentBasis, tangent_basis
+
+CONDITION_LIMIT = 1e14
 
 
 class SingularSystem(Exception):
-    """Raised when a direct solver meets a (near) singular pivot."""
+    """Raised when a direct solver meets a (near) singular matrix."""
+
+
+def check_condition(rcond: float, what: str) -> None:
+    """Raise :class:`SingularSystem` unless ``1 / rcond`` stays below the limit."""
+    if not rcond * CONDITION_LIMIT > 1.0:  # also rejects rcond = 0 and NaN
+        cond = 1.0 / rcond if rcond > 0.0 else math.inf
+        raise SingularSystem(f"{what} is near singular (condition estimate {cond:.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -81,128 +94,10 @@ class NodalCurve:
     def interior(self) -> np.ndarray:
         return self.points[1:-1]
 
-
-def fd_slope(a, b, h) -> np.ndarray:
-    """Forward difference slope ``(b - a) / h`` of a P1 field on one interval."""
-    return (np.asarray(b, dtype=float) - np.asarray(a, dtype=float)) / h
-
-
-def trapezoid_accumulate(f_left, f_right, h):
-    """Trapezoidal contribution ``h * (f_left + f_right) / 2`` of one interval."""
-    return 0.5 * h * (np.asarray(f_left) + np.asarray(f_right))
-
-
-# ---------------------------------------------------------------------------
-# block tridiagonal matrices and the block Thomas solver
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BlockTriDiag:
-    """Block tridiagonal matrix with square blocks of one fixed size."""
-
-    diag: np.ndarray  # (n, m, m)
-    lower: np.ndarray  # (n - 1, m, m)
-    upper: np.ndarray  # (n - 1, m, m)
-
-    def __post_init__(self):
-        n, m, m2 = self.diag.shape
-        if m != m2:
-            raise ValueError("diagonal blocks must be square")
-        if self.lower.shape != (n - 1, m, m) or self.upper.shape != (n - 1, m, m):
-            raise ValueError("off-diagonal block arrays have inconsistent shapes")
-
-    @classmethod
-    def zeros(cls, n_blocks: int, block_dim: int) -> "BlockTriDiag":
-        return cls(
-            diag=np.zeros((n_blocks, block_dim, block_dim)),
-            lower=np.zeros((max(n_blocks - 1, 0), block_dim, block_dim)),
-            upper=np.zeros((max(n_blocks - 1, 0), block_dim, block_dim)),
-        )
-
-    @property
-    def n_blocks(self) -> int:
-        return self.diag.shape[0]
-
-    @property
-    def block_dim(self) -> int:
-        return self.diag.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.n_blocks * self.block_dim
-
-    def matvec(self, x) -> np.ndarray:
-        xb = np.asarray(x, dtype=float).reshape(self.n_blocks, self.block_dim)
-        out = np.einsum("nij,nj->ni", self.diag, xb)
-        if self.n_blocks > 1:
-            out[:-1] += np.einsum("nij,nj->ni", self.upper, xb[1:])
-            out[1:] += np.einsum("nij,nj->ni", self.lower, xb[:-1])
-        return out.ravel()
-
-    def to_dense(self) -> np.ndarray:
-        n, m = self.n_blocks, self.block_dim
-        dense = np.zeros((n * m, n * m))
-        for i in range(n):
-            dense[i * m : (i + 1) * m, i * m : (i + 1) * m] = self.diag[i]
-        for i in range(n - 1):
-            dense[i * m : (i + 1) * m, (i + 1) * m : (i + 2) * m] = self.upper[i]
-            dense[(i + 1) * m : (i + 2) * m, i * m : (i + 1) * m] = self.lower[i]
-        return dense
-
-    def scaled(self, s: float) -> "BlockTriDiag":
-        return BlockTriDiag(s * self.diag, s * self.lower, s * self.upper)
-
-    def factorize(self) -> "BlockThomasFactorization":
-        return BlockThomasFactorization(self)
-
-
-class BlockThomasFactorization:
-    """Block Thomas (LU) sweep without pivoting across blocks.
-
-    Pivoting happens only inside the small dense block factorizations; a
-    (near) singular pivot block raises :class:`SingularSystem` instead of
-    degrading silently.  The factorization is reusable for many right-hand
-    sides.
-    """
-
-    def __init__(self, A: BlockTriDiag):
-        n, m = A.n_blocks, A.block_dim
-        self._upper = A.upper
-        self._n, self._m = n, m
-        self._block_lu = []
-        self._multipliers = []
-        pivot = A.diag[0].copy()
-        for i in range(n):
-            if i > 0:
-                # multiplier L_i with L_i * pivot_{i-1} = lower_{i-1}
-                lu_prev = self._block_lu[i - 1]
-                mult = sla.lu_solve(lu_prev, A.lower[i - 1].T, trans=1).T
-                self._multipliers.append(mult)
-                pivot = A.diag[i] - mult @ A.upper[i - 1]
-            cond = np.linalg.cond(pivot)
-            if not np.isfinite(cond) or cond > PIVOT_CONDITION_LIMIT:
-                raise SingularSystem(
-                    f"pivot block {i} is near singular (condition estimate {cond:.2e})"
-                )
-            self._block_lu.append(sla.lu_factor(pivot))
-
-    def solve(self, rhs) -> np.ndarray:
-        """Solve ``A x = rhs`` using the stored factorization."""
-        n, m = self._n, self._m
-        z = np.asarray(rhs, dtype=float).reshape(n, m).copy()
-        for i in range(1, n):
-            z[i] -= self._multipliers[i - 1] @ z[i - 1]
-        x = np.empty_like(z)
-        x[n - 1] = sla.lu_solve(self._block_lu[n - 1], z[n - 1])
-        for i in range(n - 2, -1, -1):
-            x[i] = sla.lu_solve(self._block_lu[i], z[i] - self._upper[i] @ x[i + 1])
-        return x.ravel()
-
-
-def solve_block_tridiagonal(A: BlockTriDiag, b) -> np.ndarray:
-    """Solve ``A xi + b = 0`` by the block Thomas algorithm."""
-    return A.factorize().solve(-np.asarray(b, dtype=float))
+    @cached_property
+    def basis(self) -> TangentBasis:
+        """Tangent bases at the interior nodes, computed once per curve."""
+        return tangent_basis(self.interior)
 
 
 # ---------------------------------------------------------------------------
@@ -228,48 +123,45 @@ class BandedMatrix:
         self.upper_bw = upper_bw
         self._ab = np.zeros((2 * lower_bw + upper_bw + 1, dim))
 
-    def _row(self, i: int, j: int) -> int:
-        return self.lower_bw + self.upper_bw + i - j
+    def add(self, i, j, value) -> None:
+        """Add ``value`` to the entries ``(i, j)``.
 
-    def add(self, i: int, j: int, value: float) -> None:
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise IndexError(f"entry ({i}, {j}) outside the matrix")
-        if i - j > self.lower_bw or j - i > self.upper_bw:
-            raise ValueError(f"entry ({i}, {j}) lies outside the stored band")
-        self._ab[self._row(i, j), j] += value
+        Indices and values are broadcast against each other; repeated index
+        pairs accumulate.
+        """
+        i, j, value = np.broadcast_arrays(i, j, value)
+        outside = (i < 0) | (i >= self.dim) | (j < 0) | (j >= self.dim)
+        if outside.any():
+            k = np.argmax(outside)
+            raise IndexError(f"entry ({i.flat[k]}, {j.flat[k]}) outside the matrix")
+        offset = i - j
+        off_band = (offset > self.lower_bw) | (offset < -self.upper_bw)
+        if off_band.any():
+            k = np.argmax(off_band)
+            raise ValueError(f"entry ({i.flat[k]}, {j.flat[k]}) lies outside the stored band")
+        np.add.at(self._ab, (self.lower_bw + self.upper_bw + offset, j), value)
 
-    def add_block(self, rows, cols, block) -> None:
-        block = np.asarray(block, dtype=float)
-        for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                self.add(i, j, block[a, b])
-
-    def entry(self, i: int, j: int) -> float:
-        if i - j > self.lower_bw or j - i > self.upper_bw:
-            return 0.0
-        return self._ab[self._row(i, j), j]
+    def _diagonals(self):
+        """``(offset, j_lo, values)`` of each stored diagonal ``i - j = offset``,
+        whose first entry sits in column ``j_lo``."""
+        for offset in range(-self.upper_bw, self.lower_bw + 1):
+            j_lo = max(0, -offset)
+            j_hi = min(self.dim, self.dim - offset)
+            if j_lo < j_hi:
+                yield offset, j_lo, self._ab[self.lower_bw + self.upper_bw + offset, j_lo:j_hi]
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros(self.dim)
-        n = self.dim
-        for offset in range(-self.upper_bw, self.lower_bw + 1):
-            row = self.lower_bw + self.upper_bw + offset
-            j_lo = max(0, -offset)
-            j_hi = min(n, n - offset)
-            if j_lo < j_hi:
-                js = slice(j_lo, j_hi)
-                is_ = slice(j_lo + offset, j_hi + offset)
-                out[is_] += self._ab[row, js] * x[js]
+        for offset, j_lo, values in self._diagonals():
+            j_hi = j_lo + len(values)
+            out[j_lo + offset : j_hi + offset] += values * x[j_lo:j_hi]
         return out
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dim, self.dim))
-        for j in range(self.dim):
-            i_lo = max(0, j - self.upper_bw)
-            i_hi = min(self.dim - 1, j + self.lower_bw)
-            for i in range(i_lo, i_hi + 1):
-                dense[i, j] = self._ab[self._row(i, j), j]
+        for offset, _, values in self._diagonals():
+            dense += np.diag(values, k=-offset)
         return dense
 
     def scaled(self, s: float) -> "BandedMatrix":
@@ -286,24 +178,24 @@ class BandedMatrix:
 
 
 class BandedFactorization:
-    """Banded LU with partial pivoting (LAPACK ``gbtrf``/``gbtrs``)."""
+    """Banded LU with partial pivoting (LAPACK ``gbtrf``/``gbtrs``).
+
+    Near singularity is judged by the 1-norm condition estimate of LAPACK
+    ``gbcon`` on the computed factors.
+    """
 
     def __init__(self, A: BandedMatrix):
         ab = np.asfortranarray(A._ab.copy())
-        gbtrf, = get_lapack_funcs(("gbtrf",), (ab,))
+        gbtrf, gbcon = get_lapack_funcs(("gbtrf", "gbcon"), (ab,))
         lu, ipiv, info = gbtrf(ab, A.lower_bw, A.upper_bw)
         if info > 0:
             raise SingularSystem(f"zero pivot at column {info} in banded LU")
         if info < 0:
             raise ValueError(f"illegal argument {-info} passed to gbtrf")
-        # crude condition estimate from the pivot growth of U
-        udiag = np.abs(lu[A.lower_bw + A.upper_bw, :])
-        anorm = A.norm1()
-        if anorm > 0 and (udiag.min() == 0.0 or anorm / udiag.min() > PIVOT_CONDITION_LIMIT):
-            raise SingularSystem(
-                "banded LU pivot is near singular "
-                f"(condition estimate {anorm / max(udiag.min(), 1e-300):.2e})"
-            )
+        rcond, info = gbcon(A.lower_bw, A.upper_bw, lu, ipiv, A.norm1())
+        if info != 0:
+            raise ValueError(f"illegal argument {-info} passed to gbcon")
+        check_condition(rcond, "banded LU")
         self._lu = lu
         self._ipiv = ipiv
         self._kl = A.lower_bw
@@ -319,68 +211,47 @@ class BandedFactorization:
         return np.asarray(x, dtype=float).reshape(rhs.shape)
 
 
-def solve_banded(A: BandedMatrix, b) -> np.ndarray:
-    """Solve ``A xi + b = 0`` by banded LU with partial pivoting."""
-    return A.factorize().solve(-np.asarray(b, dtype=float))
-
-
 # ---------------------------------------------------------------------------
-# element-loop assembly for nodal curve problems
+# interval assembly for nodal curve problems
 # ---------------------------------------------------------------------------
 
 
-def assemble_intervals_vector(n_interior, contract, kernel) -> np.ndarray:
-    """Assemble the residual vector of a P1 nodal problem by an element loop.
+def assemble_intervals_vector(contract, r_left, r_right) -> np.ndarray:
+    """Assemble the residual vector of a P1 nodal problem from interval data.
 
     Parameters
     ----------
-    n_interior : int
-        Number of interior (dof carrying) nodes; nodes 0 and ``n_interior+1``
-        are boundary nodes whose test functions are eliminated.
     contract : (n_interior, m, d) array
         Per interior node contraction taking Euclidean covector
         contributions (length ``d``) to dof coefficients (length ``m``).
-    kernel : callable
-        ``kernel(i)`` returns the pair ``(r_left, r_right)`` of Euclidean
-        covector contributions of interval ``[t_i, t_{i+1}]`` to its two end
-        nodes, under the trapezoidal rule.
+    r_left, r_right : (n_interior + 1, d) arrays
+        Euclidean covector contributions of interval ``[t_i, t_{i+1}]`` to
+        its left and right end node, under the trapezoidal rule.  Nodes 0
+        and ``n_interior + 1`` are boundary nodes whose test functions are
+        eliminated, so ``r_left[0]`` and ``r_right[-1]`` are dropped.
     """
-    m = contract.shape[1]
-    b = np.zeros(n_interior * m)
-    for i in range(n_interior + 1):
-        r_left, r_right = kernel(i)
-        if i >= 1:
-            b[(i - 1) * m : i * m] += contract[i - 1] @ r_left
-        if i + 1 <= n_interior:
-            b[i * m : (i + 1) * m] += contract[i] @ r_right
-    return b
+    nodal = np.asarray(r_left)[1:] + np.asarray(r_right)[:-1]
+    return np.einsum("kmd,kd->km", contract, nodal).ravel()
 
 
-def assemble_intervals(n_interior, contract, kernel):
-    """Assemble matrix and residual of a P1 nodal problem by an element loop.
+def assemble_intervals(contract, J) -> BandedMatrix:
+    """Assemble the Newton matrix of a P1 nodal problem from interval data.
 
-    ``kernel(i)`` returns ``(r_left, r_right, J)`` where ``J`` has shape
-    ``(2, 2, d, d)`` and holds the Euclidean Jacobian contributions of
-    interval ``i`` indexed by (test node, trial node) in ``{i, i+1}``.
-    Boundary rows and columns are eliminated, so the result is an
-    ``n_interior x n_interior`` block system with blocks of size ``m``.
+    ``J`` has shape ``(n_interior + 1, 2, 2, d, d)``; ``J[i, a, b]`` is the
+    Euclidean Jacobian contribution of interval ``i`` for test node
+    ``i + a`` and trial node ``i + b``.  Boundary rows and columns are
+    eliminated, so the result is an ``n_interior x n_interior`` block
+    tridiagonal system with blocks of size ``m``, held in band storage with
+    bandwidths ``2 m - 1``.
     """
-    m = contract.shape[1]
-    A = BlockTriDiag.zeros(n_interior, m)
-    b = np.zeros(n_interior * m)
-    for i in range(n_interior + 1):
-        r_left, r_right, J = kernel(i)
-        left_dof = i >= 1
-        right_dof = i + 1 <= n_interior
-        if left_dof:
-            C = contract[i - 1]
-            b[(i - 1) * m : i * m] += C @ r_left
-            A.diag[i - 1] += C @ J[0, 0] @ C.T
-        if right_dof:
-            C = contract[i]
-            b[i * m : (i + 1) * m] += C @ r_right
-            A.diag[i] += C @ J[1, 1] @ C.T
-        if left_dof and right_dof:
-            A.upper[i - 1] += contract[i - 1] @ J[0, 1] @ contract[i].T
-            A.lower[i - 1] += contract[i] @ J[1, 0] @ contract[i - 1].T
-    return A, b
+    n, m, _ = contract.shape
+    A = BandedMatrix(n * m, 2 * m - 1, 2 * m - 1)
+    dofs = np.arange(n * m).reshape(n, m)
+    for a in (0, 1):
+        for b in (0, 1):
+            # intervals whose test node i + a and trial node i + b are interior
+            i = np.arange(1 - min(a, b), n + 1 - max(a, b))
+            p, q = i + a - 1, i + b - 1
+            blocks = contract[p] @ J[i, a, b] @ np.swapaxes(contract[q], -1, -2)
+            A.add(dofs[p][:, :, None], dofs[q][:, None, :], blocks)
+    return A

@@ -1,9 +1,11 @@
 """Geometric primitives for the unit sphere embedded in R^3.
 
-Points are plain numpy arrays of shape (3,); covectors are represented by
-their coefficient arrays with respect to the Euclidean pairing.  All
-functions are pure and carry no state, so values can be shared freely
-across threads.
+Array-first: points, tangent vectors and covectors are numpy arrays of
+shape ``(..., 3)``, and every function acts row by row on the leading axes,
+so a single ``(3,)`` point is just the one-node case of a stacked
+``(n, 3)`` array of nodes.  Covectors are represented by their coefficient
+arrays with respect to the Euclidean pairing.  All functions are pure and
+carry no state, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ class SingularConstraint(Exception):
     """Raised when a constraint Jacobian is rank deficient."""
 
 
+def dot(a, b) -> np.ndarray:
+    """Row-wise Euclidean pairing of ``(..., 3)`` arrays, keeping a trailing axis."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
+
+
 def unit_vector(coords) -> np.ndarray:
     """Return ``coords`` as a validated unit vector of shape (3,)."""
     y = np.asarray(coords, dtype=float).reshape(3)
@@ -35,11 +42,11 @@ def unit_vector(coords) -> np.ndarray:
 
 
 def normalized(vec) -> np.ndarray:
-    """Normalize ``vec``, raising :class:`DegenerateUpdate` near zero."""
+    """Normalize each row of ``vec``, raising :class:`DegenerateUpdate` near zero."""
     v = np.asarray(vec, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm <= DEGENERATE_NORM:
-        raise DegenerateUpdate(f"cannot normalize a vector of norm {nrm:.2e}")
+    nrm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(nrm <= DEGENERATE_NORM):
+        raise DegenerateUpdate(f"cannot normalize a vector of norm {nrm.min():.2e}")
     return v / nrm
 
 
@@ -47,7 +54,7 @@ def tangent_project(y, h) -> np.ndarray:
     """Orthogonal projection of ``h`` onto the tangent plane at ``y``."""
     y = np.asarray(y, dtype=float)
     h = np.asarray(h, dtype=float)
-    return h - y * (y @ h)
+    return h - y * dot(y, h)
 
 
 def tangent_project_deriv(y, v, u) -> np.ndarray:
@@ -60,22 +67,21 @@ def tangent_project_deriv(y, v, u) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    return -y * (v @ u) - v * (y @ u)
+    return -y * dot(v, u) - v * dot(y, u)
 
 
 def retract_sphere(y, d) -> np.ndarray:
     """Move from ``y`` along ``d`` and renormalize back onto the sphere."""
-    y = np.asarray(y, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if not d.any():
-        return y.copy()  # retraction at zero is the exact identity
+    y, d = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(d, dtype=float))
+    moved = d.any(axis=-1, keepdims=True)
     w = y + d
-    nrm = np.linalg.norm(w)
-    if nrm <= DEGENERATE_NORM:
+    nrm = np.linalg.norm(w, axis=-1, keepdims=True)
+    if np.any(moved & (nrm <= DEGENERATE_NORM)):
         raise DegenerateUpdate(
-            f"update direction collapses the point to norm {nrm:.2e}"
+            f"update direction collapses the point to norm {nrm[moved].min():.2e}"
         )
-    return w / nrm
+    # retraction at a zero step is the exact identity
+    return np.where(moved, w / nrm, y)
 
 
 def transport_vector(src, dst, u) -> np.ndarray:
@@ -90,7 +96,10 @@ def transport_vector(src, dst, u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TangentBasis:
-    """Orthonormal basis ``(v1, v2)`` of the tangent plane at ``base``."""
+    """Orthonormal bases ``(v1, v2)`` of the tangent planes at ``base``.
+
+    All three fields have shape ``(..., 3)``, one basis per point.
+    """
 
     base: np.ndarray
     v1: np.ndarray
@@ -98,25 +107,29 @@ class TangentBasis:
 
     @property
     def matrix(self) -> np.ndarray:
-        """3x2 matrix with the basis vectors as columns."""
-        return np.column_stack((self.v1, self.v2))
+        """``(..., 3, 2)`` matrices with the basis vectors as columns."""
+        return np.stack((self.v1, self.v2), axis=-1)
+
+    def vector(self, coeffs) -> np.ndarray:
+        """Tangent vectors ``c1 v1 + c2 v2`` from ``(..., 2)`` coefficients."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        return coeffs[..., :1] * self.v1 + coeffs[..., 1:] * self.v2
 
 
 def tangent_basis(y) -> TangentBasis:
-    """Deterministic orthonormal tangent basis at the unit vector ``y``.
+    """Deterministic orthonormal tangent basis at each unit vector ``y``.
 
     The two coordinate axes least aligned with ``y`` are orthogonalized
     against ``y`` (and against each other) by a single Gram-Schmidt sweep.
     No continuity across nearby base points is promised, or needed.
     """
     y = np.asarray(y, dtype=float)
-    order = np.argsort(np.abs(y), kind="stable")
-    e_a = np.zeros(3)
-    e_a[order[0]] = 1.0
-    e_b = np.zeros(3)
-    e_b[order[1]] = 1.0
-    v1 = normalized(e_a - y * (y @ e_a))
-    v2 = normalized(e_b - y * (y @ e_b) - v1 * (v1 @ e_b))
+    order = np.argsort(np.abs(y), axis=-1, kind="stable")
+    axes = np.eye(3)
+    e_a = axes[order[..., 0]]
+    e_b = axes[order[..., 1]]
+    v1 = normalized(e_a - y * dot(y, e_a))
+    v2 = normalized(e_b - y * dot(y, e_b) - v1 * dot(v1, e_b))
     return TangentBasis(base=y, v1=v1, v2=v2)
 
 

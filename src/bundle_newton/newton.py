@@ -18,8 +18,9 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import get_lapack_funcs
 
-from .fem1d import SingularSystem
+from .fem1d import SingularSystem, check_condition
 
 
 class ZeroStep(Exception):
@@ -109,18 +110,19 @@ class ProblemInterface(ABC):
     @abstractmethod
     def norm_inf(self, xi) -> float: ...
 
-    @property
-    @abstractmethod
-    def dof_count(self) -> int: ...
-
 
 class _DenseFactorization:
+    """Dense LU with partial pivoting (LAPACK ``getrf``), judged by ``gecon``."""
+
     def __init__(self, A):
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise SingularSystem(f"dense system is near singular (cond {cond:.2e})")
-        self._lu = sla.lu_factor(A)
+        getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (A,))
+        lu, piv, info = getrf(A)
+        if info > 0:
+            raise SingularSystem(f"zero pivot at column {info} in dense LU")
+        rcond, _ = gecon(lu, np.linalg.norm(A, 1))
+        check_condition(rcond, "dense system")
+        self._lu = (lu, piv)
 
     def solve(self, rhs):
         return sla.lu_solve(self._lu, np.asarray(rhs, dtype=float))
@@ -131,11 +133,6 @@ def factorize(A):
     if hasattr(A, "factorize"):
         return A.factorize()
     return _DenseFactorization(A)
-
-
-def newton_direction(A, b) -> np.ndarray:
-    """Solve the Newton equation ``A xi + b = 0`` for the coefficients xi."""
-    return factorize(A).solve(-np.asarray(b, dtype=float))
 
 
 def simplified_rhs(r_transported, r_old, alpha: float) -> np.ndarray:
@@ -161,23 +158,6 @@ def compute_theta(dx_bar, dx_scaled, norm_inf) -> float:
 def update_alpha(alpha: float, theta: float, theta_des: float) -> float:
     """Step-size update ``min(1, alpha * theta_des / theta)``."""
     return min(1.0, alpha * theta_des / theta)
-
-
-def norm_inf_nodal(xi, bases) -> float:
-    """Max over nodes of the Euclidean norm of the reconstructed tangent vector.
-
-    ``bases`` is the per-node list of :class:`~bundle_newton.geometry.TangentBasis`
-    objects; for orthonormal bases the result equals the max of the per-node
-    coefficient 2-norms.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if len(xi) != 2 * len(bases):
-        raise ValueError("coefficient vector does not match the per-node dof count")
-    best = 0.0
-    for k, basis in enumerate(bases):
-        vec = xi[2 * k] * basis.v1 + xi[2 * k + 1] * basis.v2
-        best = max(best, float(np.linalg.norm(vec)))
-    return best
 
 
 def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfig()):

@@ -5,7 +5,6 @@ from .geodesic import (
     GeodesicForceProblem,
     PoleSingularity,
     winding_force,
-    winding_force_deriv,
     winding_force_jacobian,
 )
 from .obstacle import (
@@ -24,7 +23,6 @@ __all__ = [
     "GeodesicForceProblem",
     "PoleSingularity",
     "winding_force",
-    "winding_force_deriv",
     "winding_force_jacobian",
     "ObstacleProblem",
     "PathFollowResult",

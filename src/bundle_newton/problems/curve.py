@@ -2,9 +2,10 @@
 
 A curve problem looks for a piecewise-linear curve of unit vectors whose
 Dirichlet stiffness balances a nodal force covector field.  Subclasses only
-provide the force field and its Euclidean Jacobian; residual and Jacobian
-assembly in per-node tangent bases, the projection transport of test
-functions, the pointwise retraction and the nodal max-norm are shared.
+provide the force field and its Euclidean Jacobian, evaluated on stacked
+``(n, 3)`` node arrays; residual and Jacobian assembly in per-node tangent
+bases, the projection transport of test functions, the pointwise retraction
+and the nodal max-norm are shared.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from ..fem1d import (
     assemble_intervals,
     assemble_intervals_vector,
 )
-from ..geometry import DegenerateUpdate, retract_sphere, tangent_basis, unit_vector
+from ..geometry import DegenerateUpdate, dot, retract_sphere, transport_vector, unit_vector
 from ..newton import ProblemInterface
 
 
@@ -45,8 +46,8 @@ def connecting_geodesic_points(grid: Grid, a, b) -> np.ndarray:
 
 
 def _connection_block(y, g) -> np.ndarray:
-    """Bilinear form ``(u, dv) -> <g, -y<dv,u> - dv<y,u>>`` as a 3x3 matrix."""
-    return -(g @ y) * np.eye(3) - np.outer(y, g)
+    """Bilinear forms ``(u, dv) -> <g, -y<dv,u> - dv<y,u>>`` as ``(..., 3, 3)`` matrices."""
+    return -dot(g, y)[..., None] * np.eye(3) - y[..., :, None] * g[..., None, :]
 
 
 class SphereCurveProblem(ProblemInterface):
@@ -62,14 +63,14 @@ class SphereCurveProblem(ProblemInterface):
     # -- force interface, provided by subclasses ---------------------------
 
     def force_at(self, y) -> np.ndarray:
-        """Coefficients of the force covector at the point ``y``."""
+        """Coefficients of the force covectors at the points ``y`` (``(..., 3)``)."""
         raise NotImplementedError
 
     def force_jacobian_at(self, y) -> np.ndarray:
-        """3x3 Euclidean Jacobian of the force covector field at ``y``."""
+        """``(..., 3, 3)`` Euclidean Jacobians of the force covector field at ``y``."""
         raise NotImplementedError
 
-    # -- states and bases ---------------------------------------------------
+    # -- states and element data ---------------------------------------------
 
     @property
     def dof_count(self) -> int:
@@ -79,85 +80,52 @@ class SphereCurveProblem(ProblemInterface):
         """Connecting geodesic between the boundary points."""
         return NodalCurve(self.grid, connecting_geodesic_points(self.grid, self.gamma0, self.gammaT))
 
-    def bases(self, curve: NodalCurve):
-        """Tangent bases at the interior nodes."""
-        return [tangent_basis(p) for p in curve.interior]
+    def _nodal(self, field, points, shape) -> np.ndarray:
+        """``field`` at the interior nodes; boundary rows are zero (no dofs)."""
+        out = np.zeros((len(points),) + shape)
+        out[1:-1] = field(points[1:-1])
+        return out
 
-    def _contraction(self, bases) -> np.ndarray:
-        """(N, 2, 3) array mapping Euclidean covectors to dof coefficients."""
-        return np.stack([b.matrix.T for b in bases])
-
-    def _nodal_forces(self, points) -> np.ndarray:
-        """Force covectors at all nodes; boundary rows are zero (no dofs)."""
-        w = np.zeros_like(points)
-        for i in range(1, len(points) - 1):
-            w[i] = self.force_at(points[i])
-        return w
-
-    def _residual_kernel(self, points, forces):
+    def _element_covectors(self, points):
+        """``(r_left, r_right)``: each interval's Euclidean covectors at its end nodes."""
         h = self.grid.h
-        half_h = 0.5 * h
-
-        def kernel(i):
-            slope = (points[i + 1] - points[i]) / h
-            return (-slope + half_h * forces[i], slope + half_h * forces[i + 1])
-
-        return kernel
+        slope = np.diff(points, axis=0) / h
+        forces = self._nodal(self.force_at, points, (3,))
+        return -slope + 0.5 * h * forces[:-1], slope + 0.5 * h * forces[1:]
 
     # -- driver contract ----------------------------------------------------
 
     def assemble_residual(self, curve: NodalCurve) -> np.ndarray:
-        contract = self._contraction(self.bases(curve))
-        forces = self._nodal_forces(curve.points)
-        kernel = self._residual_kernel(curve.points, forces)
-        return assemble_intervals_vector(self.grid.n_interior, contract, kernel)
+        contract = np.swapaxes(curve.basis.matrix, -1, -2)
+        return assemble_intervals_vector(contract, *self._element_covectors(curve.points))
 
     def assemble_transported_residual(self, curve_old: NodalCurve, curve_new: NodalCurve) -> np.ndarray:
         # test bases of the old iterate, transported to the new base points
         # by orthogonal projection before contraction
-        contract = self._contraction(self.bases(curve_old)).copy()
-        new_interior = curve_new.interior
-        for k in range(self.grid.n_interior):
-            y = new_interior[k]
-            contract[k] = contract[k] - np.outer(contract[k] @ y, y)
-        forces = self._nodal_forces(curve_new.points)
-        kernel = self._residual_kernel(curve_new.points, forces)
-        return assemble_intervals_vector(self.grid.n_interior, contract, kernel)
+        contract = transport_vector(
+            curve_old.interior[:, None],
+            curve_new.interior[:, None],
+            np.swapaxes(curve_old.basis.matrix, -1, -2),
+        )
+        return assemble_intervals_vector(contract, *self._element_covectors(curve_new.points))
 
     def assemble_jacobian(self, curve: NodalCurve):
         h = self.grid.h
-        half_h = 0.5 * h
         points = curve.points
-        forces = self._nodal_forces(points)
-        n_nodes = len(points)
-        force_jacs = np.zeros((n_nodes, 3, 3))
-        for i in range(1, n_nodes - 1):
-            force_jacs[i] = self.force_jacobian_at(points[i])
+        r_left, r_right = self._element_covectors(points)
+        force_jacs = 0.5 * h * self._nodal(self.force_jacobian_at, points, (3, 3))
         eye_h = np.eye(3) / h
-
-        def kernel(i):
-            slope = (points[i + 1] - points[i]) / h
-            r_left = -slope + half_h * forces[i]
-            r_right = slope + half_h * forces[i + 1]
-            J = np.empty((2, 2, 3, 3))
-            J[0, 0] = eye_h + half_h * force_jacs[i] + _connection_block(points[i], r_left)
-            J[1, 1] = eye_h + half_h * force_jacs[i + 1] + _connection_block(
-                points[i + 1], r_right
-            )
-            J[0, 1] = -eye_h
-            J[1, 0] = -eye_h
-            return r_left, r_right, J
-
-        contract = self._contraction(self.bases(curve))
-        A, _ = assemble_intervals(self.grid.n_interior, contract, kernel)
-        return A
+        J = np.empty((self.grid.n_intervals, 2, 2, 3, 3))
+        J[:, 0, 0] = eye_h + force_jacs[:-1] + _connection_block(points[:-1], r_left)
+        J[:, 1, 1] = eye_h + force_jacs[1:] + _connection_block(points[1:], r_right)
+        J[:, 0, 1] = -eye_h
+        J[:, 1, 0] = -eye_h
+        return assemble_intervals(np.swapaxes(curve.basis.matrix, -1, -2), J)
 
     def retract(self, curve: NodalCurve, xi, alpha: float) -> NodalCurve:
         xi = np.asarray(xi, dtype=float).reshape(self.grid.n_interior, 2)
         points = curve.points.copy()
-        for k, basis in enumerate(self.bases(curve)):
-            step = alpha * (xi[k, 0] * basis.v1 + xi[k, 1] * basis.v2)
-            points[k + 1] = retract_sphere(points[k + 1], step)
+        points[1:-1] = retract_sphere(points[1:-1], alpha * curve.basis.vector(xi))
         return NodalCurve(self.grid, points)
 
     def norm_inf(self, xi) -> float:

@@ -28,38 +28,45 @@ class PoleSingularity(Exception):
     """Winding force evaluated too close to a pole."""
 
 
+def _prefactor(y, scale: float):
+    """``scale * y3 / (y1^2 + y2^2)`` and ``y1^2 + y2^2`` per point; rejects the poles."""
+    y = np.asarray(y, dtype=float)
+    rho2 = y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1]
+    if np.any(rho2 <= POLE_MARGIN):
+        raise PoleSingularity(f"winding force undefined at |y1^2+y2^2| = {rho2.min():.2e}")
+    return scale * y[..., 2] / rho2, rho2
+
+
+def _azimuthal(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    return np.stack((-y[..., 1], y[..., 0], np.zeros_like(y[..., 0])), axis=-1)
+
+
 def winding_force(y, scale: float = 3.0) -> np.ndarray:
-    """Coefficients of the winding force covector at ``y``.
+    """Coefficients of the winding force covector at each point ``y``.
 
     ``scale * y3 / (y1^2 + y2^2)`` times the azimuthal direction
     ``(-y2, y1, 0)``; annihilates the radial direction by construction.
     """
-    y = np.asarray(y, dtype=float)
-    rho2 = y[0] * y[0] + y[1] * y[1]
-    if rho2 <= POLE_MARGIN:
-        raise PoleSingularity(f"winding force undefined at |y1^2+y2^2| = {rho2:.2e}")
-    prefactor = scale * y[2] / rho2
-    return prefactor * np.array([-y[1], y[0], 0.0])
+    prefactor, _ = _prefactor(y, scale)
+    return prefactor[..., None] * _azimuthal(y)
 
 
 def winding_force_jacobian(y, scale: float = 3.0) -> np.ndarray:
-    """Euclidean 3x3 Jacobian of the winding force coefficients at ``y``."""
+    """Euclidean ``(..., 3, 3)`` Jacobians of the winding force coefficients at ``y``."""
     y = np.asarray(y, dtype=float)
-    rho2 = y[0] * y[0] + y[1] * y[1]
-    if rho2 <= POLE_MARGIN:
-        raise PoleSingularity(f"winding force undefined at |y1^2+y2^2| = {rho2:.2e}")
-    azimuthal = np.array([-y[1], y[0], 0.0])
-    prefactor = scale * y[2] / rho2
-    grad_prefactor = scale * np.array(
-        [-2.0 * y[0] * y[2] / rho2**2, -2.0 * y[1] * y[2] / rho2**2, 1.0 / rho2]
+    prefactor, rho2 = _prefactor(y, scale)
+    grad_prefactor = scale * np.stack(
+        (
+            -2.0 * y[..., 0] * y[..., 2] / rho2**2,
+            -2.0 * y[..., 1] * y[..., 2] / rho2**2,
+            1.0 / rho2,
+        ),
+        axis=-1,
     )
     d_azimuthal = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    return np.outer(azimuthal, grad_prefactor) + prefactor * d_azimuthal
-
-
-def winding_force_deriv(y, dy, scale: float = 3.0) -> np.ndarray:
-    """Directional derivative of the winding force coefficients along ``dy``."""
-    return winding_force_jacobian(y, scale) @ np.asarray(dy, dtype=float)
+    outer = _azimuthal(y)[..., :, None] * grad_prefactor[..., None, :]
+    return outer + prefactor[..., None, None] * d_azimuthal
 
 
 class GeodesicForceProblem(SphereCurveProblem):
@@ -79,10 +86,10 @@ class GeodesicForceProblem(SphereCurveProblem):
 
     def force_at(self, y) -> np.ndarray:
         if self.force_scale == 0.0:
-            return np.zeros(3)
+            return np.zeros(np.shape(y))
         return winding_force(y, self.force_scale)
 
     def force_jacobian_at(self, y) -> np.ndarray:
         if self.force_scale == 0.0:
-            return np.zeros((3, 3))
+            return np.zeros(np.shape(y) + (3,))
         return winding_force_jacobian(y, self.force_scale)

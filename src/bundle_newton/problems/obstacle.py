@@ -24,14 +24,14 @@ _E3 = np.array([0.0, 0.0, 1.0])
 _E33 = np.outer(_E3, _E3)
 
 
-def penalty_activation(x: float) -> float:
-    """``max(0, x)``, the scalar penalty kernel."""
-    return x if x > 0.0 else 0.0
+def penalty_activation(x):
+    """``max(0, x)`` elementwise, the penalty kernel."""
+    return np.where(x > 0.0, x, 0.0)
 
 
-def penalty_activation_slope(x: float) -> float:
-    """Newton-derivative of ``max(0, x)``; the kink value is fixed to 0."""
-    return 1.0 if x > 0.0 else 0.0
+def penalty_activation_slope(x):
+    """Newton-derivative of ``max(0, x)`` elementwise; the kink value is fixed to 0."""
+    return np.where(x > 0.0, 1.0, 0.0)
 
 
 class ObstacleProblem(SphereCurveProblem):
@@ -61,9 +61,9 @@ class ObstacleProblem(SphereCurveProblem):
         self.p_growth = float(p_growth)
         self.violation_tol = float(violation_tol)
 
-    def gap(self, y) -> float:
-        """Constraint value ``y3 - 1 + h_ref``; positive above the cap."""
-        return float(y[2] - 1.0 + self.h_ref)
+    def gap(self, y):
+        """Constraint values ``y3 - 1 + h_ref`` per point; positive above the cap."""
+        return np.asarray(y)[..., 2] - 1.0 + self.h_ref
 
     def with_penalty(self, p: float) -> "ObstacleProblem":
         return ObstacleProblem(
@@ -78,15 +78,15 @@ class ObstacleProblem(SphereCurveProblem):
 
     def violation(self, curve: NodalCurve) -> float:
         """Largest nodal cap violation ``max_i max(0, gap(y_i))``."""
-        return float(max(penalty_activation(self.gap(p)) for p in curve.points))
+        return float(np.max(penalty_activation(self.gap(curve.points))))
 
     # -- force interface -----------------------------------------------------
 
     def force_at(self, y) -> np.ndarray:
-        return self.p * penalty_activation(self.gap(y)) * _E3
+        return self.p * penalty_activation(self.gap(y))[..., None] * _E3
 
     def force_jacobian_at(self, y) -> np.ndarray:
-        return self.p * penalty_activation_slope(self.gap(y)) * _E33
+        return self.p * penalty_activation_slope(self.gap(y))[..., None, None] * _E33
 
 
 @dataclass(frozen=True)

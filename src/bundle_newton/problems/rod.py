@@ -6,16 +6,27 @@ enforcing the constraint ``y' = v``.  Boundary values of ``y`` and ``v`` are
 prescribed.  Per interior node the dofs are interleaved as
 ``(y_i, v_i, lambda_i)`` behind a leading ``lambda_0`` group, which keeps the
 assembled Newton matrix banded with bandwidths 9/9 independent of the grid.
+The group of node ``i`` occupies entries ``8 i - 5 .. 8 i + 2``, so that
+``lambda_j`` starts at entry ``8 j`` for every interval ``j``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..fem1d import BandedMatrix, Grid
-from ..geometry import normalized, retract_sphere, tangent_basis, unit_vector
+from ..geometry import (
+    TangentBasis,
+    dot,
+    normalized,
+    retract_sphere,
+    tangent_basis,
+    transport_vector,
+    unit_vector,
+)
 from ..newton import ProblemInterface
 
 BANDWIDTH = 9
@@ -58,6 +69,11 @@ class RodState:
         h = self.grid.h
         return np.diff(self.y, axis=0) / h - 0.5 * (self.v[:-1] + self.v[1:])
 
+    @cached_property
+    def basis(self) -> TangentBasis:
+        """Tangent bases of the interior directions, computed once per state."""
+        return tangent_basis(self.v[1:-1])
+
 
 def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
     """Affine positions, nodewise-normalized affine directions, zero multiplier."""
@@ -67,7 +83,7 @@ def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
     v1 = unit_vector(v1)
     s = (grid.nodes / grid.t_end)[:, None]
     y = (1.0 - s) * y0 + s * y1
-    v = np.array([normalized(w) for w in (1.0 - s) * v0 + s * v1])
+    v = normalized((1.0 - s) * v0 + s * v1)
     v[0] = v0
     v[-1] = v1
     lam = np.zeros((grid.n_intervals, 3))
@@ -79,7 +95,9 @@ class RodProblem(ProblemInterface):
 
     ``sigma`` is the flexural stiffness, a scalar or one value per interval;
     ``force`` is an optional pair ``(force_at, force_jacobian_at)`` of
-    callables describing an external force covector field on the positions.
+    callables describing an external force covector field on the positions;
+    both take stacked ``(n, 3)`` positions and return ``(n, 3)`` covectors
+    and ``(n, 3, 3)`` Jacobians.
     """
 
     def __init__(self, grid: Grid, y0=None, y1=None, v0=None, v1=None,
@@ -105,25 +123,29 @@ class RodProblem(ProblemInterface):
     def dof_count(self) -> int:
         return 8 * self.grid.n_interior + 3
 
-    def _y_slice(self, i: int) -> slice:
-        base = 3 + (i - 1) * 8
-        return slice(base, base + 3)
+    @staticmethod
+    def _y_dofs(i):
+        """Dof indices of the positions at interior node(s) ``i``, shape ``(..., 3)``."""
+        return 8 * np.asarray(i)[..., None] - 5 + np.arange(3)
 
-    def _v_slice(self, i: int) -> slice:
-        base = 3 + (i - 1) * 8
-        return slice(base + 3, base + 5)
+    @staticmethod
+    def _v_dofs(i):
+        """Dof indices of the direction at interior node(s) ``i``, shape ``(..., 2)``."""
+        return 8 * np.asarray(i)[..., None] - 2 + np.arange(2)
 
-    def _lam_slice(self, j: int) -> slice:
-        if j == 0:
-            return slice(0, 3)
-        base = 3 + (j - 1) * 8
-        return slice(base + 5, base + 8)
+    @staticmethod
+    def _lam_dofs(j):
+        """Dof indices of the multiplier on interval(s) ``j``, shape ``(..., 3)``."""
+        return 8 * np.asarray(j)[..., None] + np.arange(3)
+
+    def _split(self, xi):
+        """``(y, v, lam)`` parts of a coefficient vector: ``(n, 3)``, ``(n, 2)``, ``(n + 1, 3)``."""
+        xi = np.asarray(xi, dtype=float)
+        groups = xi[3:].reshape(self.grid.n_interior, 8)
+        return groups[:, :3], groups[:, 3:5], np.vstack((xi[:3], groups[:, 5:]))
 
     def initial_state(self) -> RodState:
         return rod_initial_guess(self.grid, self.y0, self.y1, self.v0, self.v1)
-
-    def bases(self, state: RodState):
-        return [tangent_basis(p) for p in state.v[1:-1]]
 
     # -- nodal residual covectors ---------------------------------------------
 
@@ -131,8 +153,7 @@ class RodProblem(ProblemInterface):
         """Euclidean covectors paired with the interior position tests."""
         r = state.lam[:-1] - state.lam[1:]
         if self.force is not None:
-            force_at = self.force[0]
-            r = r + self.grid.h * np.stack([force_at(p) for p in state.y[1:-1]])
+            r = r + self.grid.h * self.force[0](state.y[1:-1])
         return r
 
     def _v_covectors(self, state: RodState) -> np.ndarray:
@@ -145,31 +166,24 @@ class RodProblem(ProblemInterface):
         return r
 
     def _residual_from(self, state: RodState, contract) -> np.ndarray:
-        b = np.zeros(self.dof_count)
-        r_y = self._y_covectors(state)
-        r_v = self._v_covectors(state)
+        r_v = np.einsum("kmd,kd->km", contract, self._v_covectors(state))
         r_lam = self.grid.h * state.constraint_residuals()
-        for i in range(1, self.grid.n_interior + 1):
-            b[self._y_slice(i)] = r_y[i - 1]
-            b[self._v_slice(i)] = contract[i - 1] @ r_v[i - 1]
-        for j in range(self.grid.n_intervals):
-            b[self._lam_slice(j)] = r_lam[j]
-        return b
+        groups = np.hstack((self._y_covectors(state), r_v, r_lam[1:]))
+        return np.concatenate((r_lam[0], groups.ravel()))
 
     # -- driver contract -------------------------------------------------------
 
     def assemble_residual(self, state: RodState) -> np.ndarray:
-        contract = np.stack([b.matrix.T for b in self.bases(state)])
-        return self._residual_from(state, contract)
+        return self._residual_from(state, np.swapaxes(state.basis.matrix, -1, -2))
 
     def assemble_transported_residual(self, state_old: RodState, state_new: RodState) -> np.ndarray:
         # position and multiplier tests live in fixed linear spaces; only the
         # direction tests are transported, by projection onto the new tangents
-        contract = np.stack([b.matrix.T for b in self.bases(state_old)])
-        new_v = state_new.v[1:-1]
-        for k in range(self.grid.n_interior):
-            y = new_v[k]
-            contract[k] = contract[k] - np.outer(contract[k] @ y, y)
+        contract = transport_vector(
+            state_old.v[1:-1, None],
+            state_new.v[1:-1, None],
+            np.swapaxes(state_old.basis.matrix, -1, -2),
+        )
         return self._residual_from(state_new, contract)
 
     def assemble_jacobian(self, state: RodState) -> BandedMatrix:
@@ -177,67 +191,47 @@ class RodProblem(ProblemInterface):
         h = self.grid.h
         sig = self.sigma
         A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
-        bases = self.bases(state)
-        vmats = [b.matrix for b in bases]  # (3, 2) each
+        V = state.basis.matrix  # (n, 3, 2)
+        VT = np.swapaxes(V, -1, -2)
         eye3 = np.eye(3)
-        r_v = self._v_covectors(state)
+        nodes = np.arange(1, n + 1)
+        y_dofs, v_dofs = self._y_dofs(nodes), self._v_dofs(nodes)
+        lam_left, lam_right = self._lam_dofs(nodes - 1), self._lam_dofs(nodes)
 
-        def add(rows, cols, block):
-            A.add_block(range(rows.start, rows.stop), range(cols.start, cols.stop), block)
+        def add(rows, cols, blocks):
+            A.add(rows[..., :, None], cols[..., None, :], blocks)
 
-        for i in range(1, n + 1):
-            # position rows: multiplier difference, optional force derivative
-            add(self._y_slice(i), self._lam_slice(i - 1), eye3)
-            add(self._y_slice(i), self._lam_slice(i), -eye3)
-            if self.force is not None:
-                force_jac_at = self.force[1]
-                add(self._y_slice(i), self._y_slice(i), h * force_jac_at(state.y[i]))
+        # position rows: multiplier difference, optional force derivative
+        add(y_dofs, lam_left, eye3)
+        add(y_dofs, lam_right, -eye3)
+        if self.force is not None:
+            add(y_dofs, y_dofs, h * self.force[1](state.y[1:-1]))
 
-            # direction rows: stiffness, connection correction, multiplier
-            V = vmats[i - 1]
-            vi = state.v[i]
-            ri = r_v[i - 1]
-            conn = -(ri @ vi) * eye3 - np.outer(vi, ri)
-            diag = ((sig[i - 1] + sig[i]) / h) * eye3 + conn
-            add(self._v_slice(i), self._v_slice(i), V.T @ diag @ V)
-            if i - 1 >= 1:
-                add(self._v_slice(i), self._v_slice(i - 1), -(sig[i - 1] / h) * V.T @ vmats[i - 2])
-            if i + 1 <= n:
-                add(self._v_slice(i), self._v_slice(i + 1), -(sig[i] / h) * V.T @ vmats[i])
-            add(self._v_slice(i), self._lam_slice(i - 1), -0.5 * h * V.T)
-            add(self._v_slice(i), self._lam_slice(i), -0.5 * h * V.T)
+        # direction rows: stiffness, connection correction, multiplier
+        vi = state.v[1:-1]
+        ri = self._v_covectors(state)
+        conn = -dot(ri, vi)[..., None] * eye3 - vi[:, :, None] * ri[:, None, :]
+        diag = ((sig[:-1] + sig[1:]) / h)[:, None, None] * eye3 + conn
+        add(v_dofs, v_dofs, VT @ diag @ V)
+        add(v_dofs[1:], v_dofs[:-1], -(sig[1:-1] / h)[:, None, None] * VT[1:] @ V[:-1])
+        add(v_dofs[:-1], v_dofs[1:], -(sig[1:-1] / h)[:, None, None] * VT[:-1] @ V[1:])
+        add(v_dofs, lam_left, -0.5 * h * VT)
+        add(v_dofs, lam_right, -0.5 * h * VT)
 
-        for j in range(self.grid.n_intervals):
-            # constraint rows: position difference minus interval mean direction
-            if j >= 1:
-                add(self._lam_slice(j), self._y_slice(j), -eye3)
-                add(self._lam_slice(j), self._v_slice(j), -0.5 * h * vmats[j - 1])
-            if j + 1 <= n:
-                add(self._lam_slice(j), self._y_slice(j + 1), eye3)
-                add(self._lam_slice(j), self._v_slice(j + 1), -0.5 * h * vmats[j])
+        # constraint rows: position difference minus interval mean direction
+        add(lam_right, y_dofs, -eye3)
+        add(lam_right, v_dofs, -0.5 * h * V)
+        add(lam_left, y_dofs, eye3)
+        add(lam_left, v_dofs, -0.5 * h * V)
         return A
 
     def retract(self, state: RodState, xi, alpha: float) -> RodState:
-        xi = np.asarray(xi, dtype=float)
+        dy, dv, dlam = self._split(xi)
         y = state.y.copy()
         v = state.v.copy()
-        lam = state.lam.copy()
-        bases = self.bases(state)
-        for i in range(1, self.grid.n_interior + 1):
-            y[i] += alpha * xi[self._y_slice(i)]
-            dv = xi[self._v_slice(i)]
-            basis = bases[i - 1]
-            v[i] = retract_sphere(v[i], alpha * (dv[0] * basis.v1 + dv[1] * basis.v2))
-        for j in range(self.grid.n_intervals):
-            lam[j] += alpha * xi[self._lam_slice(j)]
-        return RodState(self.grid, y, v, lam)
+        y[1:-1] += alpha * dy
+        v[1:-1] = retract_sphere(v[1:-1], alpha * state.basis.vector(dv))
+        return RodState(self.grid, y, v, state.lam + alpha * dlam)
 
     def norm_inf(self, xi) -> float:
-        xi = np.asarray(xi, dtype=float)
-        best = 0.0
-        for i in range(1, self.grid.n_interior + 1):
-            best = max(best, float(np.linalg.norm(xi[self._y_slice(i)])))
-            best = max(best, float(np.linalg.norm(xi[self._v_slice(i)])))
-        for j in range(self.grid.n_intervals):
-            best = max(best, float(np.linalg.norm(xi[self._lam_slice(j)])))
-        return best
+        return max(float(np.max(np.linalg.norm(part, axis=1))) for part in self._split(xi))

@@ -81,18 +81,26 @@ def jacobian_fd_error(problem, state, rng, n_directions=5, step=1e-5):
     return worst
 
 
+def block_tridiag(diag, lower, upper):
+    """Band storage of the block tridiagonal matrix with the given
+    ``(n, m, m)`` diagonal and ``(n - 1, m, m)`` off-diagonal blocks."""
+    from bundle_newton import BandedMatrix
+
+    n, m, _ = diag.shape
+    A = BandedMatrix(n * m, 2 * m - 1, 2 * m - 1)
+    dofs = np.arange(n * m).reshape(n, m)
+    A.add(dofs[:, :, None], dofs[:, None, :], diag)
+    A.add(dofs[:-1, :, None], dofs[1:, None, :], upper)
+    A.add(dofs[1:, :, None], dofs[:-1, None, :], lower)
+    return A
+
+
 def random_block_tridiag(rng, n_blocks, m):
     """Well conditioned random block tridiagonal matrix (diagonally boosted)."""
-    from bundle_newton import BlockTriDiag
-
-    A = BlockTriDiag(
-        diag=rng.standard_normal((n_blocks, m, m)),
-        lower=rng.standard_normal((max(n_blocks - 1, 0), m, m)),
-        upper=rng.standard_normal((max(n_blocks - 1, 0), m, m)),
-    )
-    for i in range(n_blocks):
-        A.diag[i] += 4.0 * m * np.eye(m)
-    return A
+    diag = rng.standard_normal((n_blocks, m, m))
+    lower = rng.standard_normal((max(n_blocks - 1, 0), m, m))
+    upper = rng.standard_normal((max(n_blocks - 1, 0), m, m))
+    return block_tridiag(diag + 4.0 * m * np.eye(m), lower, upper)
 
 
 def random_banded(rng, dim, kl, ku):

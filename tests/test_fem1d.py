@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundle_newton import (
-    BandedMatrix,
-    BlockTriDiag,
-    Grid,
-    NodalCurve,
-    SingularSystem,
-    solve_banded,
-    solve_block_tridiagonal,
-)
-from bundle_newton.fem1d import fd_slope, trapezoid_accumulate
-from conftest import random_banded, random_block_tridiag
+from bundle_newton import BandedMatrix, Grid, NodalCurve, SingularSystem
+from bundle_newton.fem1d import assemble_intervals_vector
+from bundle_newton.newton import factorize
+from conftest import block_tridiag, random_banded, random_block_tridiag
 
 
 # -- grid and curve types -------------------------------------------------------
@@ -40,58 +33,78 @@ def test_nodal_curve_validates_unit_norm():
         NodalCurve(grid, np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1.0]]))
 
 
-# -- local quadrature helpers ----------------------------------------------------
+# -- interval assembly: P1 slopes and trapezoidal loads -----------------------------
+
+
+def stiffness_residual(u, h):
+    """Interior-node residual ``sum_intervals u' phi_k'`` of the nodal field ``u``,
+    assembled as the curve problems do (identity contraction)."""
+    slope = np.diff(np.asarray(u, dtype=float), axis=0) / h
+    n, d = len(u) - 2, slope.shape[1]
+    return assemble_intervals_vector(np.broadcast_to(np.eye(d), (n, d, d)), -slope, slope)
+
+
+def trapezoid_load(f, h):
+    """Interior-node loads ``int f phi_k`` of the nodal values ``f`` under the
+    trapezoidal rule, assembled as the curve problems assemble their forces."""
+    f = np.asarray(f, dtype=float)[:, None]
+    return assemble_intervals_vector(np.ones((len(f) - 2, 1, 1)), 0.5 * h * f[:-1], 0.5 * h * f[1:])
 
 
 def test_fd_slope_constant():
     a = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(fd_slope(a, a, 0.3), np.zeros(3))
+    assert np.array_equal(stiffness_residual([a, a, a], 0.3), np.zeros(3))
 
 
 def test_fd_slope_unit():
-    assert np.allclose(fd_slope(np.zeros(3), np.array([0.5, 0, 0]), 0.5), [1, 0, 0])
+    # the second interval is flat, so the residual is the slope of the first
+    b = np.array([0.5, 0, 0])
+    assert np.allclose(stiffness_residual([np.zeros(3), b, b], 0.5), [1, 0, 0])
 
 
 def test_fd_slope_generic():
-    assert np.allclose(fd_slope([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], 0.5), [4.0, 0.0, -4.0])
+    b = [3.0, 2.0, 1.0]
+    assert np.allclose(stiffness_residual([[1.0, 2.0, 3.0], b, b], 0.5), [4.0, 0.0, -4.0])
 
 
 def test_trapezoid_constant():
-    assert trapezoid_accumulate(3.0, 3.0, 0.25) == pytest.approx(0.75, abs=1e-16)
+    assert trapezoid_load([3.0, 3.0, 3.0], 0.25)[0] == pytest.approx(0.75, abs=1e-16)
 
 
 def test_trapezoid_exact_on_affine():
-    # integral of t over [0, 1] with a single interval
-    assert trapezoid_accumulate(0.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-16)
+    # integral of t / 2 against the hat function at t = 1 on [0, 2]
+    assert trapezoid_load([0.0, 0.5, 1.0], 1.0)[0] == pytest.approx(0.5, abs=1e-16)
 
 
 @settings(max_examples=50)
 @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(1e-3, 2.0))
 def test_trapezoid_affine_identity(fa, fb, h):
-    assert trapezoid_accumulate(fa, fb, h) == pytest.approx(0.5 * h * (fa + fb), rel=1e-15)
+    # each interval hands h/2 of an end value to that end node
+    load = trapezoid_load([fa, fb, fa, fb], h)
+    assert load == pytest.approx([h * fb, h * fa], rel=1e-15)
 
 
 def test_trapezoid_second_order_convergence():
-    # f(t) = t^2 on [0, 1]; the composite error must shrink like 1/N^2
-    def composite(n):
+    # f(t) = t^2 on [0, 1]; the summed load error must shrink like 1/N^2,
+    # against the exact moments int t^2 phi_k = h t_k^2 + h^3 / 6
+    def error(n):
         t = np.linspace(0.0, 1.0, n + 1)
-        f = t**2
-        return sum(trapezoid_accumulate(f[i], f[i + 1], 1.0 / n) for i in range(n))
+        h = 1.0 / n
+        exact = h * t[1:-1] ** 2 + h**3 / 6.0
+        return abs(trapezoid_load(t**2, h).sum() - exact.sum())
 
-    errors = [abs(composite(n) - 1.0 / 3.0) for n in (16, 32, 64)]
+    errors = [error(n) for n in (16, 32, 64)]
     ratios = [errors[i] / errors[i + 1] for i in range(2)]
     assert all(3.5 < r < 4.5 for r in ratios)
 
 
-# -- block tridiagonal solver -----------------------------------------------------
+# -- block tridiagonal systems in band storage --------------------------------------
 
 
 def test_block_identity_solve():
-    A = BlockTriDiag.zeros(4, 2)
-    for i in range(4):
-        A.diag[i] = np.eye(2)
+    A = block_tridiag(np.tile(np.eye(2), (4, 1, 1)), np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
     b = np.arange(8.0)
-    assert np.allclose(solve_block_tridiagonal(A, b), -b, atol=1e-15)
+    assert np.allclose(factorize(A).solve(-b), -b, atol=1e-15)
 
 
 def test_block_solver_matches_dense_oracle():
@@ -101,7 +114,7 @@ def test_block_solver_matches_dense_oracle():
         m = int(rng.choice([2, 3]))
         A = random_block_tridiag(rng, n, m)
         b = rng.standard_normal(n * m)
-        xi = solve_block_tridiagonal(A, b)
+        xi = factorize(A).solve(-b)
         oracle = np.linalg.solve(A.to_dense(), -b)
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
         assert np.abs(A.matvec(xi) + b).max() <= 1e-10 * (1.0 + np.abs(b).max())
@@ -110,16 +123,14 @@ def test_block_solver_matches_dense_oracle():
 def test_block_solver_zero_rhs():
     rng = np.random.default_rng(11)
     A = random_block_tridiag(rng, 6, 2)
-    assert np.array_equal(solve_block_tridiagonal(A, np.zeros(12)), np.zeros(12))
+    assert np.array_equal(factorize(A).solve(-np.zeros(12)), np.zeros(12))
 
 
 def test_block_solver_singular_pivot():
-    A = BlockTriDiag.zeros(3, 2)
-    A.diag[0] = np.eye(2)
-    A.diag[1] = np.zeros((2, 2))  # exactly singular pivot block
-    A.diag[2] = np.eye(2)
+    diag = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])  # exactly singular block row
+    A = block_tridiag(diag, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(SingularSystem):
-        solve_block_tridiagonal(A, np.ones(6))
+        factorize(A).solve(-np.ones(6))
 
 
 def test_block_matvec_against_dense():
@@ -147,7 +158,7 @@ def test_banded_diagonal_solve():
     for i in range(5):
         A.add(i, i, d[i])
     b = np.arange(5.0) + 1.0
-    assert np.allclose(solve_banded(A, b), -b / d, atol=1e-14)
+    assert np.allclose(factorize(A).solve(-b), -b / d, atol=1e-14)
 
 
 def test_banded_matches_dense_oracle():
@@ -158,7 +169,7 @@ def test_banded_matches_dense_oracle():
         ku = int(rng.integers(1, 6))
         A = random_banded(rng, dim, kl, ku)
         b = rng.standard_normal(dim)
-        xi = solve_banded(A, b)
+        xi = factorize(A).solve(-b)
         oracle = np.linalg.solve(A.to_dense(), -b)
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
 
@@ -173,7 +184,7 @@ def test_banded_saddle_point_pattern():
         A.add(k + 1, k, 1.0)
     rng = np.random.default_rng(15)
     b = rng.standard_normal(dim)
-    xi = solve_banded(A, b)
+    xi = factorize(A).solve(-b)
     oracle = np.linalg.solve(A.to_dense(), -b)
     assert np.abs(xi - oracle).max() < 1e-10 * (1 + np.abs(oracle).max())
 
@@ -184,12 +195,40 @@ def test_banded_rejects_out_of_band_entry():
         A.add(0, 3, 1.0)
 
 
+def test_banded_array_add_accumulates_and_checks_band():
+    A = BandedMatrix(4, 1, 1)
+    i = np.array([0, 1, 1, 3])
+    A.add(i, i, np.array([1.0, 2.0, 3.0, 4.0]))
+    A.add(np.arange(3), np.arange(1, 4), -1.0)
+    expected = np.diag([1.0, 5.0, 0.0, 4.0]) + np.diag([-1.0, -1.0, -1.0], k=1)
+    assert np.array_equal(A.to_dense(), expected)
+    with pytest.raises(ValueError):
+        A.add(np.array([0, 3]), np.array([1, 0]), 1.0)
+    with pytest.raises(IndexError):
+        A.add(np.array([0, 4]), np.array([0, 4]), 1.0)
+    assert np.array_equal(A.to_dense(), expected)  # a rejected add writes nothing
+
+
 def test_banded_singular_raises():
     A = BandedMatrix(3, 1, 1)
     A.add(0, 0, 1.0)
     A.add(2, 2, 1.0)  # middle row entirely zero
     with pytest.raises(SingularSystem):
-        solve_banded(A, np.ones(3))
+        factorize(A).solve(-np.ones(3))
+
+
+def test_banded_near_singular_bidiagonal_raises():
+    # unit diagonal, -2 above it: every pivot is 1, yet the 1-norm condition
+    # number is 3 * (2^60 - 1) = 3.46e18
+    n = 60
+    A = BandedMatrix(n, 0, 1)
+    A.add(np.arange(n), np.arange(n), 1.0)
+    A.add(np.arange(n - 1), np.arange(1, n), -2.0)
+    assert np.linalg.cond(A.to_dense(), 1) > 1e18
+    with pytest.raises(SingularSystem, match="3.46e"):
+        A.factorize()
+    with pytest.raises(SingularSystem, match="3.46e"):
+        factorize(A.to_dense())
 
 
 def test_banded_matvec_against_dense():

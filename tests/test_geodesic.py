@@ -6,7 +6,7 @@ from bundle_newton.problems import (
     GeodesicForceProblem,
     PoleSingularity,
     winding_force,
-    winding_force_deriv,
+    winding_force_jacobian,
 )
 from conftest import jacobian_fd_error, random_sphere_curve, random_tangent, random_unit
 
@@ -70,7 +70,19 @@ def test_winding_force_pole_singularity():
     with pytest.raises(PoleSingularity):
         winding_force([0.0, 0.0, 1.0])
     with pytest.raises(PoleSingularity):
-        winding_force_deriv([0.0, 0.0, -1.0], [1.0, 0.0, 0.0])
+        winding_force_jacobian([0.0, 0.0, -1.0]) @ [1.0, 0.0, 0.0]
+
+
+def test_winding_force_stacked_points_match_one_node_calls():
+    rng = np.random.default_rng(3)
+    y = np.array([random_unit(rng, z_margin=0.05) for _ in range(20)])
+    forces, jacobians = winding_force(y), winding_force_jacobian(y)
+    for k in range(len(y)):
+        assert np.array_equal(forces[k], winding_force(y[k]))
+        assert np.array_equal(jacobians[k], winding_force_jacobian(y[k]))
+    y[5] = [0.0, 0.0, 1.0]
+    with pytest.raises(PoleSingularity):
+        winding_force(y)
 
 
 def test_winding_force_deriv_matches_fd():
@@ -83,7 +95,7 @@ def test_winding_force_deriv_matches_fd():
         plus = winding_force(retract_sphere(y, step * dy)) @ u
         minus = winding_force(retract_sphere(y, -step * dy)) @ u
         fd = (plus - minus) / (2 * step)
-        exact = winding_force_deriv(y, dy) @ u
+        exact = winding_force_jacobian(y) @ dy @ u
         assert abs(fd - exact) < 1e-5 * (1.0 + abs(exact))
 
 
@@ -92,10 +104,10 @@ def test_winding_force_deriv_on_equator():
     phi = 0.7
     y = np.array([np.cos(phi), np.sin(phi), 0.0])
     dy_flat = np.array([-np.sin(phi), np.cos(phi), 0.0])
-    assert np.allclose(winding_force_deriv(y, dy_flat), 0.0, atol=1e-14)
+    assert np.allclose(winding_force_jacobian(y) @ dy_flat, 0.0, atol=1e-14)
     dy_up = np.array([0.0, 0.0, 1.0])
     expected = 3.0 * np.array([-y[1], y[0], 0.0])
-    assert np.allclose(winding_force_deriv(y, dy_up), expected, atol=1e-12)
+    assert np.allclose(winding_force_jacobian(y) @ dy_up, expected, atol=1e-12)
 
 
 # -- residual ---------------------------------------------------------------------
@@ -155,14 +167,16 @@ def test_jacobian_stiffness_only_on_constant_curve():
     y = random_unit(np.random.default_rng(6))
     problem = GeodesicForceProblem(grid, gamma0=y, gammaT=y, force_scale=0.0)
     curve = NodalCurve(grid, np.tile(y, (grid.n_nodes, 1)))
-    A = problem.assemble_jacobian(curve)
+    A = problem.assemble_jacobian(curve).to_dense()
     h = grid.h
     basis = tangent_basis(y)
     V = basis.matrix
     for i in range(grid.n_interior):
-        assert np.abs(A.diag[i] - (2.0 / h) * np.eye(2)).max() < 1e-12 / h
+        diag = A[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
+        assert np.abs(diag - (2.0 / h) * np.eye(2)).max() < 1e-12 / h
     for i in range(grid.n_interior - 1):
-        assert np.abs(A.upper[i] - (-(1.0 / h) * V.T @ V)).max() < 1e-12 / h
+        upper = A[2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4]
+        assert np.abs(upper - (-(1.0 / h) * V.T @ V)).max() < 1e-12 / h
 
 
 def test_jacobian_single_interior_node_formula():
@@ -177,7 +191,7 @@ def test_jacobian_single_interior_node_formula():
     h = grid.h
     second_diff = pts[2] - 2.0 * pts[1] + pts[0]
     expected = (2.0 / h + (second_diff / h) @ pts[1]) * np.eye(2)
-    assert np.abs(A.diag[0] - expected).max() < 1e-12 / h
+    assert np.abs(A.to_dense() - expected).max() < 1e-12 / h
     assert jacobian_fd_error(problem, curve, rng) < 1e-6
 
 

@@ -174,6 +174,31 @@ def test_basis_deterministic():
     assert np.array_equal(b1.v1, b2.v1) and np.array_equal(b1.v2, b2.v2)
 
 
+def test_stacked_points_match_one_node_calls():
+    # a (3,) point is the one-node case of the same code: stacking nodes
+    # must not change a single bit, zero steps included
+    rng = np.random.default_rng(11)
+    y = np.array([random_unit(rng) for _ in range(50)])
+    d = np.array([random_tangent(rng, p) for p in y])
+    d[::7] = 0.0
+    basis = tangent_basis(y)
+    moved = retract_sphere(y, d)
+    for k in range(len(y)):
+        one = tangent_basis(y[k])
+        assert np.array_equal(basis.v1[k], one.v1) and np.array_equal(basis.v2[k], one.v2)
+        assert np.array_equal(basis.matrix[k], one.matrix)
+        assert np.array_equal(moved[k], retract_sphere(y[k], d[k]))
+        assert np.array_equal(tangent_project(y, d)[k], tangent_project(y[k], d[k]))
+    assert np.array_equal(moved[::7], y[::7])
+
+
+def test_stacked_retract_rejects_one_collapsing_row():
+    y = np.array([E1, E2, E3])
+    d = np.array([E2, -E2, np.zeros(3)])
+    with pytest.raises(DegenerateUpdate):
+        retract_sphere(y, d)
+
+
 # -- product rule of the projection transport ----------------------------------
 
 

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from bundle_newton import (
     Grid,
     NewtonConfig,
+    TangentBasis,
     Termination,
     ZeroStep,
     compute_theta,
     damped_newton,
-    newton_direction,
-    norm_inf_nodal,
     simplified_rhs,
     tangent_basis,
     update_alpha,
 )
+import bundle_newton.fem1d as fem1d
+import bundle_newton.problems.rod as rod
 from bundle_newton.newton import ProblemInterface, factorize
 from bundle_newton.problems import GeodesicForceProblem, ObstacleProblem, RodProblem
 from conftest import (
@@ -34,13 +35,13 @@ from conftest import (
 
 def test_direction_identity_system():
     v = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(newton_direction(np.eye(3), -v), v, atol=1e-15)
+    assert np.allclose(factorize(np.eye(3)).solve(v), v, atol=1e-15)
 
 
 def test_direction_zero_rhs():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    assert np.array_equal(newton_direction(A, np.zeros(4)), np.zeros(4))
+    assert np.array_equal(factorize(A).solve(-np.zeros(4)), np.zeros(4))
 
 
 def test_direction_matches_dense_oracle():
@@ -48,7 +49,7 @@ def test_direction_matches_dense_oracle():
     for _ in range(10):
         A = rng.standard_normal((6, 6)) + 6 * np.eye(6)
         b = rng.standard_normal(6)
-        xi = newton_direction(A, b)
+        xi = factorize(A).solve(-b)
         assert np.abs(A @ xi + b).max() <= 1e-10 * (1 + np.abs(b).max())
         assert np.allclose(xi, np.linalg.solve(A, -b), atol=1e-10)
 
@@ -57,7 +58,7 @@ def test_direction_block_tridiagonal_dispatch():
     rng = np.random.default_rng(2)
     A = random_block_tridiag(rng, 5, 2)
     b = rng.standard_normal(10)
-    xi = newton_direction(A, b)
+    xi = factorize(A).solve(-b)
     assert np.abs(A.matvec(xi) + b).max() <= 1e-10 * (1 + np.abs(b).max())
 
 
@@ -121,17 +122,18 @@ def test_update_alpha_bounds(alpha, theta, theta_des):
 
 
 def test_norm_inf_nodal_zero():
-    bases = [tangent_basis(random_unit(np.random.default_rng(3))) for _ in range(4)]
-    assert norm_inf_nodal(np.zeros(8), bases) == 0.0
+    problem = GeodesicForceProblem(Grid(1.0, 4))
+    assert problem.norm_inf(np.zeros(8)) == 0.0
 
 
 def test_norm_inf_nodal_pythagoras():
-    bases = [tangent_basis(np.array([0.0, 0.0, 1.0]))]
-    assert norm_inf_nodal(np.array([3.0, 4.0]), bases) == pytest.approx(5.0)
+    problem = GeodesicForceProblem(Grid(1.0, 1))
+    assert problem.norm_inf(np.array([3.0, 4.0])) == pytest.approx(5.0)
 
 
 def test_norm_inf_nodal_basis_invariance():
     rng = np.random.default_rng(4)
+    problem = GeodesicForceProblem(Grid(1.0, 1))
     for _ in range(10):
         y = random_unit(rng)
         basis = tangent_basis(y)
@@ -139,13 +141,11 @@ def test_norm_inf_nodal_basis_invariance():
         # rotate the basis in the tangent plane and re-express the coefficients
         phi = rng.uniform(0, 2 * np.pi)
         c, s = np.cos(phi), np.sin(phi)
-        from bundle_newton import TangentBasis
-
         rotated = TangentBasis(y, c * basis.v1 + s * basis.v2, -s * basis.v1 + c * basis.v2)
-        vec = xi[0] * basis.v1 + xi[1] * basis.v2
+        vec = basis.vector(xi)
         xi_rot = np.array([vec @ rotated.v1, vec @ rotated.v2])
-        a = norm_inf_nodal(xi, [basis])
-        b = norm_inf_nodal(xi_rot, [rotated])
+        a = problem.norm_inf(xi)
+        b = problem.norm_inf(xi_rot)
         assert abs(a - b) < 1e-12 * (1 + a)
 
 
@@ -169,10 +169,6 @@ class ScalarLinearProblem(ProblemInterface):
 
     def norm_inf(self, xi):
         return float(np.abs(xi).max())
-
-    @property
-    def dof_count(self):
-        return 1
 
 
 class StubbornProblem(ScalarLinearProblem):
@@ -361,3 +357,69 @@ def test_affine_covariance_of_the_iteration(scale):
     assert len(reference.retract_log) == len(scaled.retract_log)
     for xa, xb in zip(reference.retract_log, scaled.retract_log):
         assert np.abs(xa - xb).max() <= 1e-12 * (1.0 + np.abs(xa).max())
+
+
+# -- independence of the per-node tangent bases --------------------------------------
+
+
+class StepRecorder:
+    """Delegates to a problem and records the Euclidean form of every step:
+    ``V @ xi`` per node for sphere-valued unknowns, ``xi`` itself otherwise."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.steps = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def retract(self, state, xi, alpha):
+        if isinstance(self.inner, RodProblem):
+            dy, dv, dlam = self.inner._split(xi)
+            step = np.concatenate([dy, state.basis.vector(dv), dlam])
+        else:
+            step = state.basis.vector(np.reshape(xi, (-1, 2)))
+        self.steps.append(alpha * step)
+        return self.inner.retract(state, xi, alpha)
+
+
+def _solve_recorded(problem):
+    """Solve from a fresh start state, whose bases are not cached yet."""
+    rod_problem = isinstance(problem, RodProblem)
+    x0 = problem.initial_state() if rod_problem else problem.initial_curve()
+    recorder = StepRecorder(problem)
+    state, trace = damped_newton(recorder, x0, NewtonConfig())
+    values = np.vstack([state.y, state.v, state.lam]) if rod_problem else state.points
+    return values, trace, recorder.steps
+
+
+@pytest.mark.parametrize("problem_class", [GeodesicForceProblem, RodProblem])
+def test_iterates_independent_of_tangent_basis(problem_class, monkeypatch):
+    # turning each node's tangent basis by a fixed random angle changes every
+    # coefficient vector but must leave the iteration itself unchanged
+    grid = Grid(1.0, 20)
+    problem = problem_class(grid)
+    ref_values, ref_trace, ref_steps = _solve_recorded(problem)
+
+    phi = np.random.default_rng(20).uniform(0.0, 2.0 * np.pi, grid.n_interior)[:, None]
+
+    def rotated_basis(y):
+        assert np.shape(y) == (grid.n_interior, 3)
+        b = tangent_basis(y)
+        c, s = np.cos(phi), np.sin(phi)
+        return TangentBasis(b.base, c * b.v1 + s * b.v2, -s * b.v1 + c * b.v2)
+
+    monkeypatch.setattr(fem1d, "tangent_basis", rotated_basis)
+    monkeypatch.setattr(rod, "tangent_basis", rotated_basis)
+    values, trace, steps = _solve_recorded(problem)
+
+    assert trace.terminated is ref_trace.terminated is Termination.CONVERGED
+    assert trace.n_outer == ref_trace.n_outer
+    for a, b in zip(trace.iterations, ref_trace.iterations):
+        assert a.inner_trials == b.inner_trials
+        # damped alphas are ratios of round-off-perturbed contraction estimates
+        assert a.accepted_alpha == pytest.approx(b.accepted_alpha, rel=1e-12)
+    assert np.abs(values - ref_values).max() <= 1e-12
+    assert len(steps) == len(ref_steps)
+    for a, b in zip(steps, ref_steps):
+        assert np.abs(a - b).max() <= 1e-12 * (1.0 + np.abs(b).max())

@@ -69,7 +69,7 @@ def test_constraint_rows_formula():
         expected = h * (
             (state.y[j + 1] - state.y[j]) / h - 0.5 * (state.v[j] + state.v[j + 1])
         )
-        assert np.abs(b[problem._lam_slice(j)] - expected).max() < 1e-14
+        assert np.abs(b[problem._lam_dofs(j)] - expected).max() < 1e-14
 
 
 def test_multiplier_enters_linearly():
@@ -86,7 +86,7 @@ def test_multiplier_enters_linearly():
     assert np.abs(diff - linear_part).max() < 1e-12
     # constraint rows do not depend on the multiplier
     for j in range(grid.n_intervals):
-        assert np.abs(diff[problem._lam_slice(j)]).max() == 0.0
+        assert np.abs(diff[problem._lam_dofs(j)]).max() == 0.0
 
 
 # -- Jacobian -------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_jacobian_position_block_vanishes_without_force():
     dense = problem.assemble_jacobian(state).to_dense()
     for i in range(1, grid.n_interior + 1):
         for j in range(1, grid.n_interior + 1):
-            block = dense[problem._y_slice(i), problem._y_slice(j)]
+            block = dense[np.ix_(problem._y_dofs(i), problem._y_dofs(j))]
             assert np.abs(block).max() == 0.0
 
 
@@ -114,10 +114,10 @@ def test_jacobian_direction_block_is_pure_stiffness_at_straight_state():
 
     vmats = [tangent_basis(p).matrix for p in state.v[1:-1]]
     for i in range(1, grid.n_interior + 1):
-        diag = dense[problem._v_slice(i), problem._v_slice(i)]
+        diag = dense[np.ix_(problem._v_dofs(i), problem._v_dofs(i))]
         assert np.abs(diag - (2.0 / h) * np.eye(2)).max() < 1e-12 / h
         if i + 1 <= grid.n_interior:
-            off = dense[problem._v_slice(i), problem._v_slice(i + 1)]
+            off = dense[np.ix_(problem._v_dofs(i), problem._v_dofs(i + 1))]
             expected = -(1.0 / h) * vmats[i - 1].T @ vmats[i]
             assert np.abs(off - expected).max() < 1e-12 / h
 
@@ -149,6 +149,16 @@ def test_variable_stiffness_profile():
     grid = Grid(1.0, 6)
     sigma = 1.0 + 0.5 * rng.random(grid.n_intervals)
     problem = RodProblem(grid, sigma=sigma)
+    state = random_rod_state(grid, rng)
+    assert jacobian_fd_error(problem, state, rng) < 1e-6
+
+
+def test_external_force_jacobian_matches_fd():
+    # a linear spring pulling the positions to the origin, on stacked nodes
+    rng = np.random.default_rng(6)
+    grid = Grid(1.0, 6)
+    spring = (lambda y: -0.7 * y, lambda y: -0.7 * np.broadcast_to(np.eye(3), y.shape + (3,)))
+    problem = RodProblem(grid, force=spring)
     state = random_rod_state(grid, rng)
     assert jacobian_fd_error(problem, state, rng) < 1e-6
 
@@ -189,7 +199,7 @@ def test_rod_norm_groups():
     grid = Grid(1.0, 4)
     problem = RodProblem(grid)
     xi = np.zeros(problem.dof_count)
-    xi[problem._v_slice(2)] = [3.0, 4.0]
+    xi[problem._v_dofs(2)] = [3.0, 4.0]
     assert problem.norm_inf(xi) == pytest.approx(5.0)
-    xi[problem._lam_slice(0)] = [0.0, 0.0, 7.0]
+    xi[problem._lam_dofs(0)] = [0.0, 0.0, 7.0]
     assert problem.norm_inf(xi) == pytest.approx(7.0)
