@@ -6,9 +6,8 @@ import sys
 from bundle_newton.cli import main
 
 if __name__ == "__main__":
-    code = 0
-    for h_ref in ("0.1", "0.2"):
-        code |= main(
+    codes = [
+        main(
             [
                 "obstacle",
                 "--n",
@@ -19,4 +18,7 @@ if __name__ == "__main__":
                 f"out/obstacle_href{h_ref}",
             ]
         )
-    sys.exit(code)
+        for h_ref in ("0.1", "0.2")
+    ]
+    # every case runs; the first failure decides the exit code
+    sys.exit(next((code for code in codes if code), 0))

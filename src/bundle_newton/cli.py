@@ -8,8 +8,15 @@ writes three artifacts into the output directory:
 - ``meta.txt``: every resolved parameter plus ``result_*`` summary keys; the
   file doubles as a ``--config`` input that reproduces the run.
 
-Exit codes: 0 converged, 2 damping failed, 3 iteration limit, 4 bad
-configuration, 1 unexpected runtime failure.
+The fields of :class:`RunConfig` are the one list of run parameters: each
+field is a flag (``t_end`` is ``--t-end``), a ``key = value`` line of a
+``--config`` file and, in declaration order, a line of ``meta.txt``.  The
+Newton parameters are the fields that share a name with ``NewtonConfig``.
+
+Exit codes: 0 converged, 2 damping failed, 3 iteration limit (also the
+obstacle's penalty stage limit), 4 configuration or usage error (bad flag or
+file values, unknown flags or keys, invalid boundary data), 1 unexpected
+runtime failure.
 """
 
 from __future__ import annotations
@@ -54,16 +61,18 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
+    """Run parameters in ``meta.txt`` order; a ``None`` triple takes the problem default."""
+
     problem: str = ""
     n: int = 100
+    max_outer: int = 50
+    max_inner: int = 20
     t_end: float = 1.0
     tol: float = 1e-10
     theta_des: float = 0.5
     theta_acc: float = 0.9
     alpha0: float = 1.0
     alpha_fail: float = 1e-8
-    max_outer: int = 50
-    max_inner: int = 20
     force_scale: float = 3.0
     h_ref: float = 0.1
     p0: float = 1.0
@@ -77,56 +86,48 @@ class RunConfig:
     v0: tuple | None = None
     v1: tuple | None = None
     out_dir: str = "out"
-    seed: int = 0
 
     def validate(self):
+        """Checks that no constructor of :func:`_build` makes."""
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
-        try:
-            self.newton_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.problem == "obstacle" and not 0.0 < self.h_ref < 1.0:
-            raise ConfigError("h_ref must lie in (0, 1)")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
-
-    def newton_config(self) -> NewtonConfig:
-        return NewtonConfig(
-            tol=self.tol,
-            theta_des=self.theta_des,
-            theta_acc=self.theta_acc,
-            alpha0=self.alpha0,
-            alpha_fail=self.alpha_fail,
-            max_outer=self.max_outer,
-            max_inner=self.max_inner,
-        )
-
-
-_TRIPLE_KEYS = {"gamma0", "gammaT", "y0", "y1", "v0", "v1"}
-_INT_KEYS = {"n", "max_outer", "max_inner", "seed"}
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_triple(text: str) -> tuple:
+def triple(text: str) -> tuple:
+    """Parse three comma separated numbers, optionally in parentheses.
+
+    argparse names this function in its errors ("invalid triple value").
+    """
     parts = [p for p in text.replace("(", "").replace(")", "").split(",") if p.strip()]
     if len(parts) != 3:
-        raise ConfigError(f"expected three comma separated numbers, got {text!r}")
+        raise ValueError(f"expected three comma separated numbers, got {text!r}")
     return tuple(float(p) for p in parts)
+
+
+# field annotation (a string under the __future__ import) -> (parse, format)
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, _fmt),
+    "tuple | None": (triple, lambda value: ",".join(_fmt(c) for c in value)),
+}
+_FIELDS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:
     """Parse a flat ``key = value`` file; ``result_*`` keys are ignored."""
-    known = {f.name for f in fields(RunConfig)}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read configuration file: {exc}") from exc
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -135,78 +136,97 @@ def parse_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("result_"):
             continue
-        if key not in known:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        if key == "problem" or key == "out_dir":
-            out[key] = value
-        elif key in _TRIPLE_KEYS:
-            out[key] = _parse_triple(value)
-        elif key in _INT_KEYS:
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
+        try:
+            out[key] = _FIELDS[key][0](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: invalid value {value!r} for {key}") from exc
     return out
 
 
-def _resolved_entries(cfg: RunConfig) -> list:
-    """All parameters as (key, value-string) pairs, defaults resolved."""
-    entries = [("problem", cfg.problem)]
-    for name in ("n", "max_outer", "max_inner", "seed"):
-        entries.append((name, str(getattr(cfg, name))))
-    for name in (
-        "t_end", "tol", "theta_des", "theta_acc", "alpha0", "alpha_fail",
-        "force_scale", "h_ref", "p0", "p_growth", "violation_tol", "sigma",
-    ):
-        entries.append((name, _fmt(getattr(cfg, name))))
+def _with_default_boundary(cfg: RunConfig) -> RunConfig:
+    """``cfg`` with every unset boundary triple replaced by its default."""
+    curve = _geodesic_defaults if cfg.problem == "geodesic-force" else _obstacle_defaults
     defaults = {
-        "gamma0": _geodesic_defaults.DEFAULT_GAMMA0
-        if cfg.problem == "geodesic-force"
-        else _obstacle_defaults.DEFAULT_GAMMA0,
-        "gammaT": _geodesic_defaults.DEFAULT_GAMMAT
-        if cfg.problem == "geodesic-force"
-        else _obstacle_defaults.DEFAULT_GAMMAT,
+        "gamma0": curve.DEFAULT_GAMMA0,
+        "gammaT": curve.DEFAULT_GAMMAT,
         "y0": _rod_defaults.DEFAULT_Y0,
         "y1": _rod_defaults.DEFAULT_Y1,
         "v0": _rod_defaults.DEFAULT_V0,
         "v1": _rod_defaults.DEFAULT_V1,
     }
-    for name in ("gamma0", "gammaT", "y0", "y1", "v0", "v1"):
-        value = getattr(cfg, name)
-        if value is None:
-            value = defaults[name]
-        entries.append((name, ",".join(_fmt(c) for c in value)))
-    entries.append(("out_dir", cfg.out_dir))
-    return entries
+    return replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
 
 
-def _write_iterates(path, rows) -> None:
-    header = "outer_iter,norm_dx_inf,accepted_alpha,inner_trials,theta_final,residual_inf"
-    lines = [header]
-    for k, it in enumerate(rows, start=1):
-        lines.append(
-            f"{k},{_fmt(it.norm_dx)},{_fmt(it.accepted_alpha)},"
-            f"{it.inner_trials},{_fmt(it.theta_final)},{_fmt(it.residual_inf)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_curve(path, ts, columns, header) -> None:
-    lines = [header]
-    for k, t in enumerate(ts):
-        vals = [t] + [col[k] for col in columns]
-        lines.append(",".join(_fmt(v) for v in vals))
+def _write_csv(path, header: str, rows) -> None:
+    """Write numeric rows; ``_fmt`` prints small integers exactly."""
+    lines = [header, *(",".join(_fmt(v) for v in row) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _write_meta(path, cfg: RunConfig, results: dict) -> None:
-    lines = [f"{key} = {value}" for key, value in _resolved_entries(cfg)]
+    lines = [f"{name} = {fmt(getattr(cfg, name))}" for name, (_, fmt) in _FIELDS.items()]
     lines.extend(f"result_{key} = {value}" for key, value in results.items())
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _build(cfg: RunConfig) -> tuple:
+    """Grid, Newton parameters and problem of ``cfg``.
+
+    The constructors check their arguments; a ``ValueError`` from them is a
+    configuration error.
+    """
+    try:
+        grid = Grid(cfg.t_end, cfg.n)
+        newton_cfg = NewtonConfig(**{f.name: getattr(cfg, f.name) for f in fields(NewtonConfig)})
+        if cfg.problem == "geodesic-force":
+            problem = GeodesicForceProblem(
+                grid, cfg.gamma0, cfg.gammaT, force_scale=cfg.force_scale
+            )
+        elif cfg.problem == "obstacle":
+            problem = ObstacleProblem(
+                grid, cfg.gamma0, cfg.gammaT, h_ref=cfg.h_ref, p=cfg.p0,
+                p_growth=cfg.p_growth, violation_tol=cfg.violation_tol,
+            )
+        else:
+            problem = RodProblem(grid, cfg.y0, cfg.y1, cfg.v0, cfg.v1, sigma=cfg.sigma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return grid, newton_cfg, problem
+
+
+def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
+    """``(iterations, termination, message, curve columns, extra results)``."""
+    if isinstance(problem, ObstacleProblem):
+        result = obstacle_path_follow(problem, newton_cfg)
+        extra = {
+            "stage_count": str(len(result.stages)),
+            "final_p": _fmt(result.final_penalty),
+            "violation": _fmt(result.violation),
+        }
+        iterations = [it for stage in result.stages for it in stage.trace.iterations]
+        columns = dict(zip("xyz", result.curve.points.T))
+        return iterations, result.terminated, result.message, columns, extra
+    if isinstance(problem, RodProblem):
+        final, trace = damped_newton(problem, problem.initial_state(), newton_cfg)
+        # the P0 multiplier is repeated at the right node of its interval;
+        # node 0 repeats the first interval
+        lam_at_nodes = np.vstack([final.lam[:1], final.lam])
+        names = ("x", "y", "z", "vx", "vy", "vz", "lx", "ly", "lz")
+        columns = dict(zip(names, np.hstack([final.y, final.v, lam_at_nodes]).T))
+        extra = {"constraint_inf": _fmt(np.abs(final.constraint_residuals()).max())}
+    else:
+        final, trace = damped_newton(problem, problem.initial_curve(), newton_cfg)
+        columns, extra = dict(zip("xyz", final.points.T)), {}
+    return trace.iterations, trace.terminated, trace.message, columns, extra
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configured solver run and write the output artifacts."""
     cfg.validate()
+    cfg = _with_default_boundary(cfg)
+    grid, newton_cfg, problem = _build(cfg)
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,61 +236,7 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory {cfg.out_dir!r} is not writable: {exc}") from exc
 
-    grid = Grid(cfg.t_end, cfg.n)
-    newton_cfg = cfg.newton_config()
-    results: dict = {}
-
-    if cfg.problem == "geodesic-force":
-        problem = GeodesicForceProblem(
-            grid, gamma0=cfg.gamma0, gammaT=cfg.gammaT, force_scale=cfg.force_scale
-        )
-        final, trace = damped_newton(problem, problem.initial_curve(), newton_cfg)
-        iterations = trace.iterations
-        termination = trace.terminated
-        message = trace.message
-        curve_cols = [final.points[:, k] for k in range(3)]
-        curve_header = "t,x,y,z"
-    elif cfg.problem == "obstacle":
-        problem = ObstacleProblem(
-            grid,
-            gamma0=cfg.gamma0,
-            gammaT=cfg.gammaT,
-            h_ref=cfg.h_ref,
-            p=cfg.p0,
-            p_growth=cfg.p_growth,
-            violation_tol=cfg.violation_tol,
-        )
-        result = obstacle_path_follow(problem, newton_cfg)
-        final = result.curve
-        iterations = [it for stage in result.stages for it in stage.trace.iterations]
-        termination = (
-            Termination.CONVERGED if result.converged else result.stages[-1].trace.terminated
-        )
-        message = result.message
-        curve_cols = [final.points[:, k] for k in range(3)]
-        curve_header = "t,x,y,z"
-        results["stage_count"] = str(len(result.stages))
-        results["final_p"] = _fmt(result.final_penalty)
-        results["violation"] = _fmt(result.violation)
-    else:
-        problem = RodProblem(
-            grid, y0=cfg.y0, y1=cfg.y1, v0=cfg.v0, v1=cfg.v1, sigma=cfg.sigma
-        )
-        final, trace = damped_newton(problem, problem.initial_state(), newton_cfg)
-        iterations = trace.iterations
-        termination = trace.terminated
-        message = trace.message
-        # the P0 multiplier is repeated at the right node of its interval;
-        # node 0 repeats the first interval
-        lam_at_nodes = np.vstack([final.lam[:1], final.lam])
-        curve_cols = (
-            [final.y[:, k] for k in range(3)]
-            + [final.v[:, k] for k in range(3)]
-            + [lam_at_nodes[:, k] for k in range(3)]
-        )
-        curve_header = "t,x,y,z,vx,vy,vz,lx,ly,lz"
-        results["constraint_inf"] = _fmt(np.abs(final.constraint_residuals()).max())
-
+    iterations, termination, message, columns, results = _solve(problem, newton_cfg)
     results["status"] = termination.value
     results["outer_iterations"] = str(len(iterations))
     if iterations:
@@ -279,80 +245,61 @@ def run(cfg: RunConfig) -> int:
     if message:
         results["message"] = message
 
-    _write_iterates(out_dir / "iterates.csv", iterations)
-    _write_curve(out_dir / "curve.csv", grid.nodes, curve_cols, curve_header)
+    _write_csv(
+        out_dir / "iterates.csv",
+        "outer_iter,norm_dx_inf,accepted_alpha,inner_trials,theta_final,residual_inf",
+        ((k, it.norm_dx, it.accepted_alpha, it.inner_trials, it.theta_final, it.residual_inf)
+         for k, it in enumerate(iterations, start=1)),
+    )
+    _write_csv(out_dir / "curve.csv", ",".join(["t", *columns]), zip(grid.nodes, *columns.values()))
     _write_meta(out_dir / "meta.txt", cfg, results)
 
-    exit_code = _EXIT_BY_TERMINATION[termination]
     print(
         f"{cfg.problem}: {termination.value} after {len(iterations)} outer iterations"
         + (f" ({message})" if message else "")
     )
     print(f"artifacts written to {out_dir}")
-    return exit_code
+    return _EXIT_BY_TERMINATION[termination]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports usage errors as :class:`ConfigError`."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bundle-newton",
         description="Damped Newton solver for the built-in manifold variational problems.",
     )
     parser.add_argument("problem", choices=PROBLEMS)
-    parser.add_argument("--config", type=str, default=None, help="flat key=value file; flags override it")
-    parser.add_argument("--n", type=int, default=None, help="number of interior grid nodes")
-    parser.add_argument("--t-end", dest="t_end", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--theta-des", dest="theta_des", type=float, default=None)
-    parser.add_argument("--theta-acc", dest="theta_acc", type=float, default=None)
-    parser.add_argument("--alpha0", type=float, default=None)
-    parser.add_argument("--alpha-fail", dest="alpha_fail", type=float, default=None)
-    parser.add_argument("--max-outer", dest="max_outer", type=int, default=None)
-    parser.add_argument("--max-inner", dest="max_inner", type=int, default=None)
-    parser.add_argument("--force-scale", dest="force_scale", type=float, default=None)
-    parser.add_argument("--h-ref", dest="h_ref", type=float, default=None)
-    parser.add_argument("--p0", type=float, default=None)
-    parser.add_argument("--p-growth", dest="p_growth", type=float, default=None)
-    parser.add_argument("--violation-tol", dest="violation_tol", type=float, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
-    parser.add_argument("--gamma0", type=str, default=None, help="boundary point, e.g. 0.8,0,0.6")
-    parser.add_argument("--gammaT", dest="gammaT", type=str, default=None)
-    parser.add_argument("--y0", type=str, default=None, help="rod start position")
-    parser.add_argument("--y1", type=str, default=None, help="rod end position")
-    parser.add_argument("--v0", type=str, default=None, help="rod start direction")
-    parser.add_argument("--v1", type=str, default=None, help="rod end direction")
-    parser.add_argument("--out-dir", dest="out_dir", type=str, default=None)
-    parser.add_argument("--seed", type=int, default=None, help="recorded for randomized tooling; unused by the solver")
+    parser.add_argument("--config", help="flat key=value file; flags override it")
+    for f in fields(RunConfig):
+        if f.name != "problem":
+            default = "per problem" if f.default is None else f.default
+            parser.add_argument(
+                "--" + f.name.replace("_", "-"), dest=f.name, type=_FIELDS[f.name][0],
+                help=f"default: {default}",
+            )
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(problem=args.problem)
-    if args.config is not None:
-        file_values = parse_config_file(args.config)
-        cfg = replace(cfg, **{k: v for k, v in file_values.items() if k != "problem"})
-        if "problem" in file_values and file_values["problem"] != args.problem:
-            raise ConfigError(
-                f"config file names problem {file_values['problem']!r}, "
-                f"command line says {args.problem!r}"
-            )
-    for field_ in fields(RunConfig):
-        if field_.name in ("problem",):
-            continue
-        value = getattr(args, field_.name, None)
-        if value is None:
-            continue
-        if field_.name in _TRIPLE_KEYS:
-            value = _parse_triple(value)
-        setattr(cfg, field_.name, value)
-    return cfg
+    values = parse_config_file(args.config) if args.config is not None else {}
+    if values.get("problem", args.problem) != args.problem:
+        raise ConfigError(
+            f"config file names problem {values['problem']!r}, "
+            f"command line says {args.problem!r}"
+        )
+    values.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return run(cfg)
+        return run(config_from_args(build_parser().parse_args(argv)))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -37,7 +37,9 @@ def unit_vector(coords) -> np.ndarray:
     y = np.asarray(coords, dtype=float).reshape(3)
     nrm = np.linalg.norm(y)
     if abs(nrm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"not a unit vector: norm deviates by {abs(nrm - 1.0):.2e}")
+        raise ValueError(
+            f"not a unit vector: {y.tolist()} (norm deviates by {abs(nrm - 1.0):.2e})"
+        )
     return y
 
 

@@ -58,7 +58,10 @@ class SphereCurveProblem(ProblemInterface):
         self.gamma0 = unit_vector(gamma0)
         self.gammaT = unit_vector(gammaT)
         if np.linalg.norm(self.gamma0 + self.gammaT) <= 1e-12:
-            raise ValueError("boundary points must not be exactly antipodal")
+            raise ValueError(
+                f"boundary points {self.gamma0.tolist()} and {self.gammaT.tolist()} "
+                "must not be exactly antipodal"
+            )
 
     # -- force interface, provided by subclasses ---------------------------
 

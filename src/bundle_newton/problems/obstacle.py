@@ -55,7 +55,9 @@ class ObstacleProblem(SphereCurveProblem):
         if not 0.0 < h_ref < 1.0:
             raise ValueError("h_ref must lie in (0, 1)")
         if p < 0.0:
-            raise ValueError("penalty weight must be nonnegative")
+            raise ValueError(f"penalty weight must be nonnegative, got {p!r}")
+        if p_growth <= 1.0:
+            raise ValueError(f"penalty growth factor must exceed 1, got {p_growth!r}")
         self.h_ref = float(h_ref)
         self.p = float(p)
         self.p_growth = float(p_growth)
@@ -100,8 +102,12 @@ class PenaltyStage:
 class PathFollowResult:
     curve: NodalCurve
     stages: list = field(default_factory=list)
-    converged: bool = False
+    terminated: Termination = Termination.MAX_ITERATIONS
     message: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.terminated is Termination.CONVERGED
 
     @property
     def final_penalty(self) -> float:
@@ -124,7 +130,9 @@ def obstacle_path_follow(
     the cap by more than ``problem.violation_tol``, the penalized problem is
     re-solved with the weight grown by ``problem.p_growth`` per stage, warm
     started from the previous stage.  A failed stage aborts with the curve of
-    the last successful stage and a diagnostic message.
+    the last successful stage, the failed stage's termination and a diagnostic
+    message; running out of ``max_stages`` ends with
+    ``Termination.MAX_ITERATIONS``.
     """
     curve = problem.initial_curve() if initial is None else initial
     stages = []
@@ -133,7 +141,7 @@ def obstacle_path_follow(
     stages.append(PenaltyStage(0.0, problem.violation(new_curve), trace))
     if trace.terminated is not Termination.CONVERGED:
         return PathFollowResult(
-            curve, stages, False, f"penalty-free geodesic solve failed: {trace.message}"
+            curve, stages, trace.terminated, f"penalty-free geodesic solve failed: {trace.message}"
         )
     curve = new_curve
 
@@ -141,7 +149,10 @@ def obstacle_path_follow(
     while stages[-1].violation > problem.violation_tol:
         if len(stages) > max_stages:
             return PathFollowResult(
-                curve, stages, False, f"no convergence within {max_stages} penalty stages"
+                curve,
+                stages,
+                Termination.MAX_ITERATIONS,
+                f"no convergence within {max_stages} penalty stages",
             )
         new_curve, trace = damped_newton(problem.with_penalty(p), curve, cfg)
         if trace.terminated is not Termination.CONVERGED:
@@ -149,11 +160,11 @@ def obstacle_path_follow(
             return PathFollowResult(
                 curve,
                 stages,
-                False,
+                trace.terminated,
                 f"stage with penalty {p:g} failed ({trace.terminated.value}): {trace.message}",
             )
         curve = new_curve
         stages.append(PenaltyStage(p, problem.violation(curve), trace))
         p *= problem.p_growth
 
-    return PathFollowResult(curve, stages, True, "")
+    return PathFollowResult(curve, stages, Termination.CONVERGED, "")

@@ -1,11 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from bundle_newton.cli import (
     EXIT_CONFIG,
+    EXIT_MAX_ITERATIONS,
     EXIT_OK,
     ConfigError,
     RunConfig,
+    build_parser,
+    config_from_args,
     main,
     parse_config_file,
     run,
@@ -111,19 +116,72 @@ def test_unknown_problem_is_config_error(capsys):
         run(RunConfig(problem="nonsense"))
 
 
-def test_bad_flag_value_exits_with_config_code(tmp_path):
+def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
     assert main(["geodesic-force", "--n", "0", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert main(["obstacle", "--h-ref", "1.5", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert (
         main(["geodesic-force", "--gamma0", "1,2", "--out-dir", str(tmp_path)])
         == EXIT_CONFIG
     )
+    # (argv, the bad value as the error message must name it)
+    cases = [
+        (["geodesic-force", "--gamma0", "1,2,3"], "[1.0, 2.0, 3.0]"),
+        (["geodesic-force", "--gamma0", "0,0,1", "--gammaT", "0,0,-1"], "[0.0, 0.0, -1.0]"),
+        (["rod", "--v0", "1,1,0"], "[1.0, 1.0, 0.0]"),
+        (["obstacle", "--p0", "-1"], "-1.0"),
+        (["obstacle", "--p-growth", "1.0"], "1.0"),
+        (["geodesic-force", "--n", "abc"], "'abc'"),
+    ]
+    capsys.readouterr()
+    for argv, bad in cases:
+        assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG, argv
+        assert bad in capsys.readouterr().err, argv
 
 
-def test_config_file_unknown_key_rejected(tmp_path):
+def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 10\nwibble = 3\n")
     assert main(["geodesic-force", "--config", str(cfg)]) == EXIT_CONFIG
+    # bad values in a file, unknown flags (--seed was removed), no file
+    (tmp_path / "frac.cfg").write_text("n = 12.5\n")
+    (tmp_path / "word.cfg").write_text("tol = abc\n")
+    cases = [
+        (["--config", str(tmp_path / "frac.cfg")], "'12.5'"),
+        (["--config", str(tmp_path / "word.cfg")], "'abc'"),
+        (["--wibble", "3"], "--wibble"),
+        (["--seed", "3"], "--seed"),
+        (["--config", str(tmp_path / "missing.cfg")], "missing.cfg"),
+    ]
+    capsys.readouterr()
+    for argv, bad in cases:
+        assert main(["geodesic-force", *argv, "--out-dir", str(tmp_path)]) == EXIT_CONFIG, argv
+        assert bad in capsys.readouterr().err, argv
+
+
+def test_every_field_round_trips_through_flags_and_meta(tmp_path):
+    # one non-default value per RunConfig field, some needing all 17 digits;
+    # a field missing from the flags, the converters or meta.txt breaks the
+    # round trip
+    values = {
+        "n": 7, "max_outer": 1, "max_inner": 7, "t_end": 2.5000000000000004, "tol": 3e-9,
+        "theta_des": 0.375, "theta_acc": 0.95, "alpha0": 0.75, "alpha_fail": 1e-7,
+        "force_scale": 2.5, "h_ref": 0.3, "p0": 2.0, "p_growth": 1.5,
+        "violation_tol": 1e-4, "sigma": 0.10000000000000002, "gamma0": (0.6, 0.0, -0.8),
+        "gammaT": (0.0, 0.6, -0.8), "y0": (0.1, 0.2, 0.30000000000000004),
+        "y1": (1.0, 0.0, 0.5), "v0": (0.0, 1.0, 0.0), "v1": (0.0, 0.0, 1.0),
+        "out_dir": str(tmp_path / "out"),
+    }
+    assert set(values) == {f.name for f in fields(RunConfig)} - {"problem"}
+    expected = RunConfig(problem="geodesic-force", **values)
+    default = RunConfig()
+    assert all(getattr(expected, name) != getattr(default, name) for name in values)
+    argv = ["geodesic-force"]
+    for name, value in values.items():
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+        argv.append(f"--{name.replace('_', '-')}={text}")
+    assert config_from_args(build_parser().parse_args(argv)) == expected
+    assert main(argv) == EXIT_MAX_ITERATIONS  # max_outer = 1
+    assert RunConfig(**parse_config_file(tmp_path / "out" / "meta.txt")) == expected
 
 
 def test_config_file_parsing(tmp_path):

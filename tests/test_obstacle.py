@@ -196,3 +196,19 @@ def test_path_following_warm_start_cheaper_than_cold():
     # warm-started penalty stages settle in a few iterations each
     late = [s.trace.n_outer for s in result.stages[5:]]
     assert max(late) <= 6
+
+
+def test_path_following_stage_limit_is_iteration_limit():
+    # the default cap needs dozens of stages; two are not enough, and the
+    # result must say so instead of reporting the last stage's success
+    obs = ObstacleProblem(Grid(1.0, 20), h_ref=0.1)
+    result = obstacle_path_follow(obs, NewtonConfig(), max_stages=2)
+    assert result.terminated is Termination.MAX_ITERATIONS
+    assert not result.converged
+    assert result.violation > obs.violation_tol
+
+
+@pytest.mark.parametrize("p_growth", [1.0, 0.5])
+def test_penalty_growth_must_exceed_one(p_growth):
+    with pytest.raises(ValueError, match="growth"):
+        ObstacleProblem(Grid(1.0, 5), p_growth=p_growth)
