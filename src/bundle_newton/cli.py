@@ -91,8 +91,8 @@ class RunConfig:
         """Checks that no constructor of :func:`_build` makes."""
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma!r}")
 
 
 def _fmt(x: float) -> str:

@@ -1,15 +1,14 @@
 """One-dimensional P1/P0 discretization layer.
 
 Uniform grids, nodal curves on the sphere, one banded matrix type with its
-LU solver (LAPACK ``gbtrf``/``gbtrs``), and the interval assembly used by
-the curve problems.
+LU solver (LAPACK ``gbtrf``/``gbtrs``), and the P1 assembly of unit-vector
+fields shared by the curve and rod problems.
 
-Array-first: nodal and element data are stacked ``(n, ...)`` arrays, and
-assembly scatters whole arrays into band storage at once.  Every Newton
-matrix of the package, a block-tridiagonal curve Jacobian as much as the
-rod's saddle-point matrix, is a :class:`BandedMatrix` and is factorized by
-the same banded LU with partial pivoting.  Factorizations solve the plain
-system ``A x = rhs``.
+Array-first: nodal data are stacked ``(n, ...)`` arrays, and assembly
+scatters whole arrays into band storage at once.  Every Newton matrix of the
+package, a block-tridiagonal curve Jacobian as much as the rod's
+saddle-point matrix, is a :class:`BandedMatrix` and is factorized by the
+same banded LU with partial pivoting.
 """
 
 from __future__ import annotations
@@ -21,20 +20,11 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .geometry import TangentBasis, tangent_basis
-
-CONDITION_LIMIT = 1e14
+from .geometry import CONDITION_LIMIT, TangentBasis, dot, tangent_basis
 
 
 class SingularSystem(Exception):
     """Raised when a direct solver meets a (near) singular matrix."""
-
-
-def check_condition(rcond: float, what: str) -> None:
-    """Raise :class:`SingularSystem` unless ``1 / rcond`` stays below the limit."""
-    if not rcond * CONDITION_LIMIT > 1.0:  # also rejects rcond = 0 and NaN
-        cond = 1.0 / rcond if rcond > 0.0 else math.inf
-        raise SingularSystem(f"{what} is near singular (condition estimate {cond:.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +40,8 @@ class Grid:
     n_interior: int
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
         if self.n_interior < 1:
             raise ValueError("need at least one interior node")
 
@@ -195,7 +185,9 @@ class BandedFactorization:
         rcond, info = gbcon(A.lower_bw, A.upper_bw, lu, ipiv, A.norm1())
         if info != 0:
             raise ValueError(f"illegal argument {-info} passed to gbcon")
-        check_condition(rcond, "banded LU")
+        if not rcond * CONDITION_LIMIT > 1.0:  # also rejects rcond = 0 and NaN
+            cond = 1.0 / rcond if rcond > 0.0 else math.inf
+            raise SingularSystem(f"banded LU is near singular (condition estimate {cond:.2e})")
         self._lu = lu
         self._ipiv = ipiv
         self._kl = A.lower_bw
@@ -212,46 +204,54 @@ class BandedFactorization:
 
 
 # ---------------------------------------------------------------------------
-# interval assembly for nodal curve problems
+# P1 assembly for nodal curve problems
 # ---------------------------------------------------------------------------
 
 
-def assemble_intervals_vector(contract, r_left, r_right) -> np.ndarray:
-    """Assemble the residual vector of a P1 nodal problem from interval data.
+def p1_covectors(u, h: float, load, stiffness=1.0) -> np.ndarray:
+    """Covectors of ``int k u'.w' + load.w`` at the ``n`` interior nodes.
 
-    Parameters
-    ----------
-    contract : (n_interior, m, d) array
-        Per interior node contraction taking Euclidean covector
-        contributions (length ``d``) to dof coefficients (length ``m``).
-    r_left, r_right : (n_interior + 1, d) arrays
-        Euclidean covector contributions of interval ``[t_i, t_{i+1}]`` to
-        its left and right end node, under the trapezoidal rule.  Nodes 0
-        and ``n_interior + 1`` are boundary nodes whose test functions are
-        eliminated, so ``r_left[0]`` and ``r_right[-1]`` are dropped.
+    ``u`` holds all ``n + 2`` nodal values, ``load`` the interior ones of the
+    load (trapezoidal rule), ``stiffness`` one ``k`` or one per interval.
     """
-    nodal = np.asarray(r_left)[1:] + np.asarray(r_right)[:-1]
-    return np.einsum("kmd,kd->km", contract, nodal).ravel()
+    u = np.asarray(u, dtype=float)
+    k = np.broadcast_to(np.asarray(stiffness, dtype=float), (len(u) - 1,))[:, None]
+    flux = k * (np.diff(u, axis=0) / h)
+    return flux[:-1] - flux[1:] + h * np.asarray(load, dtype=float)
 
 
-def assemble_intervals(contract, J) -> BandedMatrix:
-    """Assemble the Newton matrix of a P1 nodal problem from interval data.
+def sphere_field_blocks(basis: TangentBasis, g, h: float, stiffness=1.0, nodal=None):
+    """Jacobian blocks of a P1 unit-vector field ``y = basis.base`` in its tangent bases.
 
-    ``J`` has shape ``(n_interior + 1, 2, 2, d, d)``; ``J[i, a, b]`` is the
-    Euclidean Jacobian contribution of interval ``i`` for test node
-    ``i + a`` and trial node ``i + b``.  Boundary rows and columns are
-    eliminated, so the result is an ``n_interior x n_interior`` block
-    tridiagonal system with blocks of size ``m``, held in band storage with
-    bandwidths ``2 m - 1``.
+    The residual pairs the ``(n, 3)`` covectors ``g`` of :func:`p1_covectors`
+    with test vectors that follow ``y`` by projection.  Its covariant
+    derivative is the projected Euclidean Jacobian (stiffness plus the
+    optional ``(n, 3, 3)`` Jacobian ``nodal`` of further nodal terms) plus
+    the Weingarten term ``-<g, y> I``.  Returns the ``(n, 2, 2)`` diagonal
+    and ``(n - 1, 2, 2)`` upper blocks; the lower blocks are their transposes.
     """
-    n, m, _ = contract.shape
+    V = basis.matrix
+    VT = np.swapaxes(V, -1, -2)
+    k = np.broadcast_to(np.asarray(stiffness, dtype=float), (len(V) + 1,))
+    scalar = (k[:-1] + k[1:]) / h - dot(g, basis.base)[:, 0]
+    diag = scalar[:, None, None] * np.eye(2)
+    if nodal is not None:
+        diag = diag + VT @ nodal @ V
+    upper = -(k[1:-1] / h)[:, None, None] * (VT[:-1] @ V[1:])
+    return diag, upper
+
+
+def assemble_intervals_vector(contract, g) -> np.ndarray:
+    """Residual vector ``contract[p] @ g[p]`` of the ``(n, d)`` nodal covectors ``g``."""
+    return np.einsum("kmd,kd->km", contract, g).ravel()
+
+
+def assemble_intervals(diag, upper) -> BandedMatrix:
+    """Band storage of the block tridiagonal matrix of :func:`sphere_field_blocks`."""
+    n, m, _ = diag.shape
     A = BandedMatrix(n * m, 2 * m - 1, 2 * m - 1)
     dofs = np.arange(n * m).reshape(n, m)
-    for a in (0, 1):
-        for b in (0, 1):
-            # intervals whose test node i + a and trial node i + b are interior
-            i = np.arange(1 - min(a, b), n + 1 - max(a, b))
-            p, q = i + a - 1, i + b - 1
-            blocks = contract[p] @ J[i, a, b] @ np.swapaxes(contract[q], -1, -2)
-            A.add(dofs[p][:, :, None], dofs[q][:, None, :], blocks)
+    A.add(dofs[:, :, None], dofs[:, None, :], diag)
+    A.add(dofs[:-1, :, None], dofs[1:, None, :], upper)
+    A.add(dofs[1:, :, None], dofs[:-1, None, :], np.swapaxes(upper, -1, -2))
     return A

@@ -36,7 +36,7 @@ def unit_vector(coords) -> np.ndarray:
     """Return ``coords`` as a validated unit vector of shape (3,)."""
     y = np.asarray(coords, dtype=float).reshape(3)
     nrm = np.linalg.norm(y)
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+    if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # also rejects NaN
         raise ValueError(
             f"not a unit vector: {y.tolist()} (norm deviates by {abs(nrm - 1.0):.2e})"
         )

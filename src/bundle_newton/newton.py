@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import get_lapack_funcs
 
-from .fem1d import SingularSystem, check_condition
+from .fem1d import BandedMatrix
 
 
 class ZeroStep(Exception):
@@ -49,7 +47,9 @@ class NewtonConfig:
             raise ValueError("need 0 < theta_des < theta_acc")
         if not 0.0 < self.alpha_fail < self.alpha0 <= 1.0:
             raise ValueError("need 0 < alpha_fail < alpha0 <= 1")
-        if self.tol <= 0.0 or self.max_outer < 1 or self.max_inner < 1:
+        if not self.tol > 0.0:
+            raise ValueError(f"tolerance must be positive, got {self.tol!r}")
+        if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("invalid iteration limits")
 
 
@@ -99,7 +99,7 @@ class ProblemInterface(ABC):
     def assemble_residual(self, state) -> np.ndarray: ...
 
     @abstractmethod
-    def assemble_jacobian(self, state): ...
+    def assemble_jacobian(self, state) -> BandedMatrix: ...
 
     @abstractmethod
     def assemble_transported_residual(self, state_old, state_new) -> np.ndarray: ...
@@ -109,30 +109,6 @@ class ProblemInterface(ABC):
 
     @abstractmethod
     def norm_inf(self, xi) -> float: ...
-
-
-class _DenseFactorization:
-    """Dense LU with partial pivoting (LAPACK ``getrf``), judged by ``gecon``."""
-
-    def __init__(self, A):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (A,))
-        lu, piv, info = getrf(A)
-        if info > 0:
-            raise SingularSystem(f"zero pivot at column {info} in dense LU")
-        rcond, _ = gecon(lu, np.linalg.norm(A, 1))
-        check_condition(rcond, "dense system")
-        self._lu = (lu, piv)
-
-    def solve(self, rhs):
-        return sla.lu_solve(self._lu, np.asarray(rhs, dtype=float))
-
-
-def factorize(A):
-    """Factorize a Newton matrix for repeated right-hand side solves."""
-    if hasattr(A, "factorize"):
-        return A.factorize()
-    return _DenseFactorization(A)
 
 
 def simplified_rhs(r_transported, r_old, alpha: float) -> np.ndarray:
@@ -183,7 +159,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         b = problem.assemble_residual(x)
         residual_inf = float(np.max(np.abs(b))) if len(b) else 0.0
         A = problem.assemble_jacobian(x)
-        fact = factorize(A)
+        fact = A.factorize()
         dx = fact.solve(-b)
         norm_dx = problem.norm_inf(dx)
 

@@ -3,9 +3,9 @@
 A curve problem looks for a piecewise-linear curve of unit vectors whose
 Dirichlet stiffness balances a nodal force covector field.  Subclasses only
 provide the force field and its Euclidean Jacobian, evaluated on stacked
-``(n, 3)`` node arrays; residual and Jacobian assembly in per-node tangent
-bases, the projection transport of test functions, the pointwise retraction
-and the nodal max-norm are shared.
+``(n, 3)`` node arrays.  Per interior node the residual contracts the
+covector ``slope[:-1] - slope[1:] + h f(y)`` with a tangent basis, and the
+Jacobian is :func:`fem1d.sphere_field_blocks` with unit stiffness.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from ..fem1d import (
     NodalCurve,
     assemble_intervals,
     assemble_intervals_vector,
+    p1_covectors,
+    sphere_field_blocks,
 )
-from ..geometry import DegenerateUpdate, dot, retract_sphere, transport_vector, unit_vector
+from ..geometry import DegenerateUpdate, retract_sphere, transport_vector, unit_vector
 from ..newton import ProblemInterface
 
 
@@ -45,11 +47,6 @@ def connecting_geodesic_points(grid: Grid, a, b) -> np.ndarray:
     return pts
 
 
-def _connection_block(y, g) -> np.ndarray:
-    """Bilinear forms ``(u, dv) -> <g, -y<dv,u> - dv<y,u>>`` as ``(..., 3, 3)`` matrices."""
-    return -dot(g, y)[..., None] * np.eye(3) - y[..., :, None] * g[..., None, :]
-
-
 class SphereCurveProblem(ProblemInterface):
     """Base class implementing the Newton driver contract for curve problems."""
 
@@ -73,7 +70,7 @@ class SphereCurveProblem(ProblemInterface):
         """``(..., 3, 3)`` Euclidean Jacobians of the force covector field at ``y``."""
         raise NotImplementedError
 
-    # -- states and element data ---------------------------------------------
+    # -- states and nodal covectors -------------------------------------------
 
     @property
     def dof_count(self) -> int:
@@ -83,24 +80,15 @@ class SphereCurveProblem(ProblemInterface):
         """Connecting geodesic between the boundary points."""
         return NodalCurve(self.grid, connecting_geodesic_points(self.grid, self.gamma0, self.gammaT))
 
-    def _nodal(self, field, points, shape) -> np.ndarray:
-        """``field`` at the interior nodes; boundary rows are zero (no dofs)."""
-        out = np.zeros((len(points),) + shape)
-        out[1:-1] = field(points[1:-1])
-        return out
-
-    def _element_covectors(self, points):
-        """``(r_left, r_right)``: each interval's Euclidean covectors at its end nodes."""
-        h = self.grid.h
-        slope = np.diff(points, axis=0) / h
-        forces = self._nodal(self.force_at, points, (3,))
-        return -slope + 0.5 * h * forces[:-1], slope + 0.5 * h * forces[1:]
+    def _covectors(self, curve: NodalCurve) -> np.ndarray:
+        """Euclidean residual covectors at the interior nodes."""
+        return p1_covectors(curve.points, self.grid.h, self.force_at(curve.interior))
 
     # -- driver contract ----------------------------------------------------
 
     def assemble_residual(self, curve: NodalCurve) -> np.ndarray:
         contract = np.swapaxes(curve.basis.matrix, -1, -2)
-        return assemble_intervals_vector(contract, *self._element_covectors(curve.points))
+        return assemble_intervals_vector(contract, self._covectors(curve))
 
     def assemble_transported_residual(self, curve_old: NodalCurve, curve_new: NodalCurve) -> np.ndarray:
         # test bases of the old iterate, transported to the new base points
@@ -110,20 +98,14 @@ class SphereCurveProblem(ProblemInterface):
             curve_new.interior[:, None],
             np.swapaxes(curve_old.basis.matrix, -1, -2),
         )
-        return assemble_intervals_vector(contract, *self._element_covectors(curve_new.points))
+        return assemble_intervals_vector(contract, self._covectors(curve_new))
 
     def assemble_jacobian(self, curve: NodalCurve):
         h = self.grid.h
-        points = curve.points
-        r_left, r_right = self._element_covectors(points)
-        force_jacs = 0.5 * h * self._nodal(self.force_jacobian_at, points, (3, 3))
-        eye_h = np.eye(3) / h
-        J = np.empty((self.grid.n_intervals, 2, 2, 3, 3))
-        J[:, 0, 0] = eye_h + force_jacs[:-1] + _connection_block(points[:-1], r_left)
-        J[:, 1, 1] = eye_h + force_jacs[1:] + _connection_block(points[1:], r_right)
-        J[:, 0, 1] = -eye_h
-        J[:, 1, 0] = -eye_h
-        return assemble_intervals(np.swapaxes(curve.basis.matrix, -1, -2), J)
+        nodal = h * self.force_jacobian_at(curve.interior)
+        return assemble_intervals(
+            *sphere_field_blocks(curve.basis, self._covectors(curve), h, nodal=nodal)
+        )
 
     def retract(self, curve: NodalCurve, xi, alpha: float) -> NodalCurve:
         xi = np.asarray(xi, dtype=float).reshape(self.grid.n_interior, 2)

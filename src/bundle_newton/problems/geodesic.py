@@ -82,6 +82,8 @@ class GeodesicForceProblem(SphereCurveProblem):
             DEFAULT_GAMMA0 if gamma0 is None else gamma0,
             DEFAULT_GAMMAT if gammaT is None else gammaT,
         )
+        if not np.isfinite(force_scale):
+            raise ValueError(f"force scale must be finite, got {force_scale!r}")
         self.force_scale = float(force_scale)
 
     def force_at(self, y) -> np.ndarray:

@@ -53,11 +53,15 @@ class ObstacleProblem(SphereCurveProblem):
             DEFAULT_GAMMAT if gammaT is None else gammaT,
         )
         if not 0.0 < h_ref < 1.0:
-            raise ValueError("h_ref must lie in (0, 1)")
-        if p < 0.0:
-            raise ValueError(f"penalty weight must be nonnegative, got {p!r}")
-        if p_growth <= 1.0:
-            raise ValueError(f"penalty growth factor must exceed 1, got {p_growth!r}")
+            raise ValueError(f"h_ref must lie in (0, 1), got {h_ref!r}")
+        if not 0.0 <= p < np.inf:
+            raise ValueError(f"penalty weight must be nonnegative and finite, got {p!r}")
+        if not 1.0 < p_growth < np.inf:
+            raise ValueError(f"penalty growth factor must exceed 1 and be finite, got {p_growth!r}")
+        if not 0.0 <= violation_tol < np.inf:
+            raise ValueError(
+                f"violation tolerance must be nonnegative and finite, got {violation_tol!r}"
+            )
         self.h_ref = float(h_ref)
         self.p = float(p)
         self.p_growth = float(p_growth)

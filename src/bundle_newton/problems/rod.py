@@ -8,6 +8,9 @@ prescribed.  Per interior node the dofs are interleaved as
 assembled Newton matrix banded with bandwidths 9/9 independent of the grid.
 The group of node ``i`` occupies entries ``8 i - 5 .. 8 i + 2``, so that
 ``lambda_j`` starts at entry ``8 j`` for every interval ``j``.
+
+The direction rows are a unit-vector field of stiffness ``sigma`` loaded by
+the multiplier, assembled by :mod:`fem1d` as for the curve problems.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..fem1d import BandedMatrix, Grid
+from ..fem1d import BandedMatrix, Grid, p1_covectors, sphere_field_blocks
 from ..geometry import (
     TangentBasis,
-    dot,
     normalized,
     retract_sphere,
     tangent_basis,
@@ -105,6 +107,10 @@ class RodProblem(ProblemInterface):
         self.grid = grid
         self.y0 = np.asarray(DEFAULT_Y0 if y0 is None else y0, dtype=float)
         self.y1 = np.asarray(DEFAULT_Y1 if y1 is None else y1, dtype=float)
+        if not np.all(np.isfinite([self.y0, self.y1])):
+            raise ValueError(
+                f"end positions must be finite, got {self.y0.tolist()} and {self.y1.tolist()}"
+            )
         self.v0 = unit_vector(DEFAULT_V0 if v0 is None else v0)
         self.v1 = unit_vector(DEFAULT_V1 if v1 is None else v1)
         sig = np.asarray(sigma, dtype=float)
@@ -112,8 +118,8 @@ class RodProblem(ProblemInterface):
             sig = np.full(grid.n_intervals, float(sig))
         if sig.shape != (grid.n_intervals,):
             raise ValueError("sigma must be scalar or one value per interval")
-        if np.any(sig <= 0.0):
-            raise ValueError("flexural stiffness must be positive")
+        if not np.all((sig > 0.0) & (sig < np.inf)):
+            raise ValueError(f"flexural stiffness must be positive and finite, got {sigma!r}")
         self.sigma = sig
         self.force = force
 
@@ -158,12 +164,8 @@ class RodProblem(ProblemInterface):
 
     def _v_covectors(self, state: RodState) -> np.ndarray:
         """Euclidean covectors paired with the interior direction tests."""
-        h = self.grid.h
-        slopes = np.diff(state.v, axis=0) / h
-        sig = self.sigma[:, None]
-        r = sig[:-1] * slopes[:-1] - sig[1:] * slopes[1:]
-        r -= 0.5 * h * (state.lam[:-1] + state.lam[1:])
-        return r
+        load = -0.5 * (state.lam[:-1] + state.lam[1:])
+        return p1_covectors(state.v, self.grid.h, load, self.sigma)
 
     def _residual_from(self, state: RodState, contract) -> np.ndarray:
         r_v = np.einsum("kmd,kd->km", contract, self._v_covectors(state))
@@ -189,7 +191,6 @@ class RodProblem(ProblemInterface):
     def assemble_jacobian(self, state: RodState) -> BandedMatrix:
         n = self.grid.n_interior
         h = self.grid.h
-        sig = self.sigma
         A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
         V = state.basis.matrix  # (n, 3, 2)
         VT = np.swapaxes(V, -1, -2)
@@ -207,14 +208,11 @@ class RodProblem(ProblemInterface):
         if self.force is not None:
             add(y_dofs, y_dofs, h * self.force[1](state.y[1:-1]))
 
-        # direction rows: stiffness, connection correction, multiplier
-        vi = state.v[1:-1]
-        ri = self._v_covectors(state)
-        conn = -dot(ri, vi)[..., None] * eye3 - vi[:, :, None] * ri[:, None, :]
-        diag = ((sig[:-1] + sig[1:]) / h)[:, None, None] * eye3 + conn
-        add(v_dofs, v_dofs, VT @ diag @ V)
-        add(v_dofs[1:], v_dofs[:-1], -(sig[1:-1] / h)[:, None, None] * VT[1:] @ V[:-1])
-        add(v_dofs[:-1], v_dofs[1:], -(sig[1:-1] / h)[:, None, None] * VT[:-1] @ V[1:])
+        # direction rows: the unit-vector field's blocks, multiplier
+        diag, upper = sphere_field_blocks(state.basis, self._v_covectors(state), h, self.sigma)
+        add(v_dofs, v_dofs, diag)
+        add(v_dofs[:-1], v_dofs[1:], upper)
+        add(v_dofs[1:], v_dofs[:-1], np.swapaxes(upper, -1, -2))
         add(v_dofs, lam_left, -0.5 * h * VT)
         add(v_dofs, lam_right, -0.5 * h * VT)
 

@@ -95,6 +95,18 @@ def block_tridiag(diag, lower, upper):
     return A
 
 
+def banded_from_dense(dense):
+    """The square matrix ``dense`` in band storage with full bandwidths."""
+    from bundle_newton import BandedMatrix
+
+    dense = np.asarray(dense, dtype=float)
+    n = len(dense)
+    A = BandedMatrix(n, n - 1, n - 1)
+    i, j = np.indices(dense.shape)
+    A.add(i, j, dense)
+    return A
+
+
 def random_block_tridiag(rng, n_blocks, m):
     """Well conditioned random block tridiagonal matrix (diagonally boosted)."""
     diag = rng.standard_normal((n_blocks, m, m))

@@ -131,6 +131,20 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         (["obstacle", "--p0", "-1"], "-1.0"),
         (["obstacle", "--p-growth", "1.0"], "1.0"),
         (["geodesic-force", "--n", "abc"], "'abc'"),
+        # NaN and inf fail every range check
+        (["obstacle", "--n", "10", "--violation-tol", "nan"], "nan"),
+        (["geodesic-force", "--t-end", "nan"], "nan"),
+        (["rod", "--sigma", "nan"], "nan"),
+        (["geodesic-force", "--force-scale", "nan"], "nan"),
+        (["geodesic-force", "--force-scale", "inf"], "inf"),
+        (["obstacle", "--p0", "nan"], "nan"),
+        (["obstacle", "--p0", "inf"], "inf"),
+        (["obstacle", "--p-growth", "nan"], "nan"),
+        (["obstacle", "--h-ref", "nan"], "nan"),
+        (["geodesic-force", "--tol", "nan"], "nan"),
+        (["geodesic-force", "--n", "10", "--gamma0", "nan,0,1"], "[nan, 0.0, 1.0]"),
+        (["rod", "--n", "10", "--y0", "nan,0,0"], "[nan, 0.0, 0.0]"),
+        (["rod", "--n", "10", "--y1", "inf,0,0"], "[inf, 0.0, 0.0]"),
     ]
     capsys.readouterr()
     for argv, bad in cases:

@@ -3,10 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundle_newton import BandedMatrix, Grid, NodalCurve, SingularSystem
-from bundle_newton.fem1d import assemble_intervals_vector
-from bundle_newton.newton import factorize
-from conftest import block_tridiag, random_banded, random_block_tridiag
+from bundle_newton import (
+    BandedMatrix,
+    Grid,
+    NodalCurve,
+    SingularSystem,
+    constrained_hessian_apply,
+    normal_multiplier,
+    tangent_basis,
+)
+from bundle_newton.fem1d import assemble_intervals_vector, p1_covectors, sphere_field_blocks
+from conftest import block_tridiag, random_banded, random_block_tridiag, random_unit
 
 
 # -- grid and curve types -------------------------------------------------------
@@ -33,22 +40,23 @@ def test_nodal_curve_validates_unit_norm():
         NodalCurve(grid, np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1.0]]))
 
 
-# -- interval assembly: P1 slopes and trapezoidal loads -----------------------------
+# -- P1 assembly: slopes and trapezoidal loads ---------------------------------------
 
 
 def stiffness_residual(u, h):
     """Interior-node residual ``sum_intervals u' phi_k'`` of the nodal field ``u``,
     assembled as the curve problems do (identity contraction)."""
-    slope = np.diff(np.asarray(u, dtype=float), axis=0) / h
-    n, d = len(u) - 2, slope.shape[1]
-    return assemble_intervals_vector(np.broadcast_to(np.eye(d), (n, d, d)), -slope, slope)
+    g = p1_covectors(u, h, 0.0)
+    n, d = g.shape
+    return assemble_intervals_vector(np.broadcast_to(np.eye(d), (n, d, d)), g)
 
 
 def trapezoid_load(f, h):
     """Interior-node loads ``int f phi_k`` of the nodal values ``f`` under the
     trapezoidal rule, assembled as the curve problems assemble their forces."""
     f = np.asarray(f, dtype=float)[:, None]
-    return assemble_intervals_vector(np.ones((len(f) - 2, 1, 1)), 0.5 * h * f[:-1], 0.5 * h * f[1:])
+    g = p1_covectors(np.zeros_like(f), h, f[1:-1])
+    return assemble_intervals_vector(np.ones((len(g), 1, 1)), g)
 
 
 def test_fd_slope_constant():
@@ -98,13 +106,44 @@ def test_trapezoid_second_order_convergence():
     assert all(3.5 < r < 4.5 for r in ratios)
 
 
+# -- unit-vector field blocks against the constrained-Hessian oracle -----------------
+
+
+def test_sphere_field_blocks_match_constrained_hessian_oracle():
+    # the sphere is the constraint |y|^2 / 2 = 1/2: c'(y) = y, c''(y) = I, and
+    # the covariant derivative of the pairing with g on the tangent planes is
+    # the constrained Hessian of the Euclidean Jacobian with multiplier -<g, y>
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        n = int(rng.integers(1, 8))
+        h = float(rng.uniform(0.05, 1.0))
+        y = np.array([random_unit(rng) for _ in range(n)])
+        g = rng.standard_normal((n, 3))
+        nodal = rng.standard_normal((n, 3, 3))
+        nodal = nodal + np.swapaxes(nodal, -1, -2)
+        k = rng.uniform(0.1, 3.0, n + 1)
+        basis = tangent_basis(y)
+        diag, upper = sphere_field_blocks(basis, g, h, k, nodal)
+        assert upper.shape == (n - 1, 2, 2)
+        for p in range(n):
+            V = basis.matrix[p]
+            fpp = nodal[p] + (k[p] + k[p + 1]) / h * np.eye(3)
+            lam = normal_multiplier(g[p], y[p][None])
+            oracle = np.stack(
+                [constrained_hessian_apply(fpp, y[p][None], np.eye(3)[None], lam, V[:, c])
+                 for c in range(2)],
+                axis=-1,
+            )
+            assert np.abs(diag[p] - V.T @ oracle).max() <= 1e-12
+
+
 # -- block tridiagonal systems in band storage --------------------------------------
 
 
 def test_block_identity_solve():
     A = block_tridiag(np.tile(np.eye(2), (4, 1, 1)), np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
     b = np.arange(8.0)
-    assert np.allclose(factorize(A).solve(-b), -b, atol=1e-15)
+    assert np.allclose(A.factorize().solve(-b), -b, atol=1e-15)
 
 
 def test_block_solver_matches_dense_oracle():
@@ -114,7 +153,7 @@ def test_block_solver_matches_dense_oracle():
         m = int(rng.choice([2, 3]))
         A = random_block_tridiag(rng, n, m)
         b = rng.standard_normal(n * m)
-        xi = factorize(A).solve(-b)
+        xi = A.factorize().solve(-b)
         oracle = np.linalg.solve(A.to_dense(), -b)
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
         assert np.abs(A.matvec(xi) + b).max() <= 1e-10 * (1.0 + np.abs(b).max())
@@ -123,14 +162,14 @@ def test_block_solver_matches_dense_oracle():
 def test_block_solver_zero_rhs():
     rng = np.random.default_rng(11)
     A = random_block_tridiag(rng, 6, 2)
-    assert np.array_equal(factorize(A).solve(-np.zeros(12)), np.zeros(12))
+    assert np.array_equal(A.factorize().solve(-np.zeros(12)), np.zeros(12))
 
 
 def test_block_solver_singular_pivot():
     diag = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])  # exactly singular block row
     A = block_tridiag(diag, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(SingularSystem):
-        factorize(A).solve(-np.ones(6))
+        A.factorize().solve(-np.ones(6))
 
 
 def test_block_matvec_against_dense():
@@ -158,7 +197,7 @@ def test_banded_diagonal_solve():
     for i in range(5):
         A.add(i, i, d[i])
     b = np.arange(5.0) + 1.0
-    assert np.allclose(factorize(A).solve(-b), -b / d, atol=1e-14)
+    assert np.allclose(A.factorize().solve(-b), -b / d, atol=1e-14)
 
 
 def test_banded_matches_dense_oracle():
@@ -169,7 +208,7 @@ def test_banded_matches_dense_oracle():
         ku = int(rng.integers(1, 6))
         A = random_banded(rng, dim, kl, ku)
         b = rng.standard_normal(dim)
-        xi = factorize(A).solve(-b)
+        xi = A.factorize().solve(-b)
         oracle = np.linalg.solve(A.to_dense(), -b)
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
 
@@ -184,7 +223,7 @@ def test_banded_saddle_point_pattern():
         A.add(k + 1, k, 1.0)
     rng = np.random.default_rng(15)
     b = rng.standard_normal(dim)
-    xi = factorize(A).solve(-b)
+    xi = A.factorize().solve(-b)
     oracle = np.linalg.solve(A.to_dense(), -b)
     assert np.abs(xi - oracle).max() < 1e-10 * (1 + np.abs(oracle).max())
 
@@ -214,7 +253,7 @@ def test_banded_singular_raises():
     A.add(0, 0, 1.0)
     A.add(2, 2, 1.0)  # middle row entirely zero
     with pytest.raises(SingularSystem):
-        factorize(A).solve(-np.ones(3))
+        A.factorize().solve(-np.ones(3))
 
 
 def test_banded_near_singular_bidiagonal_raises():
@@ -227,8 +266,6 @@ def test_banded_near_singular_bidiagonal_raises():
     assert np.linalg.cond(A.to_dense(), 1) > 1e18
     with pytest.raises(SingularSystem, match="3.46e"):
         A.factorize()
-    with pytest.raises(SingularSystem, match="3.46e"):
-        factorize(A.to_dense())
 
 
 def test_banded_matvec_against_dense():

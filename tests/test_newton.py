@@ -19,9 +19,10 @@ from bundle_newton import (
 )
 import bundle_newton.fem1d as fem1d
 import bundle_newton.problems.rod as rod
-from bundle_newton.newton import ProblemInterface, factorize
+from bundle_newton.newton import ProblemInterface
 from bundle_newton.problems import GeodesicForceProblem, ObstacleProblem, RodProblem
 from conftest import (
+    banded_from_dense,
     random_block_tridiag,
     random_obstacle_curve,
     random_rod_state,
@@ -35,13 +36,13 @@ from conftest import (
 
 def test_direction_identity_system():
     v = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(factorize(np.eye(3)).solve(v), v, atol=1e-15)
+    assert np.allclose(banded_from_dense(np.eye(3)).factorize().solve(v), v, atol=1e-15)
 
 
 def test_direction_zero_rhs():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    assert np.array_equal(factorize(A).solve(-np.zeros(4)), np.zeros(4))
+    assert np.array_equal(banded_from_dense(A).factorize().solve(-np.zeros(4)), np.zeros(4))
 
 
 def test_direction_matches_dense_oracle():
@@ -49,7 +50,7 @@ def test_direction_matches_dense_oracle():
     for _ in range(10):
         A = rng.standard_normal((6, 6)) + 6 * np.eye(6)
         b = rng.standard_normal(6)
-        xi = factorize(A).solve(-b)
+        xi = banded_from_dense(A).factorize().solve(-b)
         assert np.abs(A @ xi + b).max() <= 1e-10 * (1 + np.abs(b).max())
         assert np.allclose(xi, np.linalg.solve(A, -b), atol=1e-10)
 
@@ -58,7 +59,7 @@ def test_direction_block_tridiagonal_dispatch():
     rng = np.random.default_rng(2)
     A = random_block_tridiag(rng, 5, 2)
     b = rng.standard_normal(10)
-    xi = factorize(A).solve(-b)
+    xi = A.factorize().solve(-b)
     assert np.abs(A.matvec(xi) + b).max() <= 1e-10 * (1 + np.abs(b).max())
 
 
@@ -159,7 +160,7 @@ class ScalarLinearProblem(ProblemInterface):
         return np.array([state])
 
     def assemble_jacobian(self, state):
-        return np.array([[1.0]])
+        return banded_from_dense([[1.0]])
 
     def assemble_transported_residual(self, state_old, state_new):
         return np.array([state_new])
@@ -212,7 +213,7 @@ def test_driver_max_iterations():
             return np.array([state**3 + state])
 
         def assemble_jacobian(self, state):
-            return np.array([[3 * state**2 + 1.0]])
+            return banded_from_dense([[3 * state**2 + 1.0]])
 
         def assemble_transported_residual(self, state_old, state_new):
             return self.assemble_residual(state_new)
@@ -264,7 +265,7 @@ def test_newton_path_theta_decays_with_alpha():
     problem = GeodesicForceProblem(grid)
     state = problem.initial_curve()
     b = problem.assemble_residual(state)
-    fact = factorize(problem.assemble_jacobian(state))
+    fact = problem.assemble_jacobian(state).factorize()
     dx = fact.solve(-b)
     thetas = []
     for alpha in (0.5, 0.05, 0.005):
