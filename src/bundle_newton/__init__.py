@@ -9,14 +9,12 @@ from .fem1d import (
 from .geometry import (
     DegenerateUpdate,
     SingularConstraint,
-    TangentBasis,
     constrained_hessian_apply,
     normal_multiplier,
     retract_sphere,
     tangent_basis,
     tangent_project,
     tangent_project_deriv,
-    transport_vector,
     unit_vector,
 )
 from .newton import (
@@ -40,14 +38,12 @@ __all__ = [
     "SingularSystem",
     "DegenerateUpdate",
     "SingularConstraint",
-    "TangentBasis",
     "constrained_hessian_apply",
     "normal_multiplier",
     "retract_sphere",
     "tangent_basis",
     "tangent_project",
     "tangent_project_deriv",
-    "transport_vector",
     "unit_vector",
     "NewtonConfig",
     "NewtonIteration",

@@ -208,8 +208,8 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
         iterations = [it for stage in result.stages for it in stage.trace.iterations]
         columns = dict(zip("xyz", result.curve.points.T))
         return iterations, result.terminated, result.message, columns, extra
+    final, trace = damped_newton(problem, problem.initial_state(), newton_cfg)
     if isinstance(problem, RodProblem):
-        final, trace = damped_newton(problem, problem.initial_state(), newton_cfg)
         # the P0 multiplier is repeated at the right node of its interval;
         # node 0 repeats the first interval
         lam_at_nodes = np.vstack([final.lam[:1], final.lam])
@@ -217,7 +217,6 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
         columns = dict(zip(names, np.hstack([final.y, final.v, lam_at_nodes]).T))
         extra = {"constraint_inf": _fmt(np.abs(final.constraint_residuals()).max())}
     else:
-        final, trace = damped_newton(problem, problem.initial_curve(), newton_cfg)
         columns, extra = dict(zip("xyz", final.points.T)), {}
     return trace.iterations, trace.terminated, trace.message, columns, extra
 

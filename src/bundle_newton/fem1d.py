@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .geometry import CONDITION_LIMIT, TangentBasis, dot, tangent_basis
+from .geometry import CONDITION_LIMIT, dot, tangent_basis, tangent_project
 
 
 class SingularSystem(Exception):
@@ -77,7 +77,7 @@ class NodalCurve:
                 f"expected {self.grid.n_nodes} nodal points, got shape {pts.shape}"
             )
         err = np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0))
-        if err > 1e-12:
+        if not err <= 1e-12:  # also rejects NaN
             raise ValueError(f"nodal points leave the sphere by {err:.2e}")
 
     @property
@@ -85,8 +85,8 @@ class NodalCurve:
         return self.points[1:-1]
 
     @cached_property
-    def basis(self) -> TangentBasis:
-        """Tangent bases at the interior nodes, computed once per curve."""
+    def basis(self) -> np.ndarray:
+        """``(n, 3, 2)`` tangent frames at the interior nodes, computed once per curve."""
         return tangent_basis(self.interior)
 
 
@@ -220,8 +220,8 @@ def p1_covectors(u, h: float, load, stiffness=1.0) -> np.ndarray:
     return flux[:-1] - flux[1:] + h * np.asarray(load, dtype=float)
 
 
-def sphere_field_blocks(basis: TangentBasis, g, h: float, stiffness=1.0, nodal=None):
-    """Jacobian blocks of a P1 unit-vector field ``y = basis.base`` in its tangent bases.
+def sphere_field_blocks(y, V, g, h: float, stiffness=1.0, nodal=None):
+    """Jacobian blocks of a P1 unit-vector field ``y`` in its tangent frames ``V``.
 
     The residual pairs the ``(n, 3)`` covectors ``g`` of :func:`p1_covectors`
     with test vectors that follow ``y`` by projection.  Its covariant
@@ -230,10 +230,9 @@ def sphere_field_blocks(basis: TangentBasis, g, h: float, stiffness=1.0, nodal=N
     the Weingarten term ``-<g, y> I``.  Returns the ``(n, 2, 2)`` diagonal
     and ``(n - 1, 2, 2)`` upper blocks; the lower blocks are their transposes.
     """
-    V = basis.matrix
     VT = np.swapaxes(V, -1, -2)
     k = np.broadcast_to(np.asarray(stiffness, dtype=float), (len(V) + 1,))
-    scalar = (k[:-1] + k[1:]) / h - dot(g, basis.base)[:, 0]
+    scalar = (k[:-1] + k[1:]) / h - dot(g, y)[:, 0]
     diag = scalar[:, None, None] * np.eye(2)
     if nodal is not None:
         diag = diag + VT @ nodal @ V
@@ -241,8 +240,15 @@ def sphere_field_blocks(basis: TangentBasis, g, h: float, stiffness=1.0, nodal=N
     return diag, upper
 
 
-def assemble_intervals_vector(contract, g) -> np.ndarray:
-    """Residual vector ``contract[p] @ g[p]`` of the ``(n, d)`` nodal covectors ``g``."""
+def assemble_intervals_vector(V, g, y=None) -> np.ndarray:
+    """Residual vector ``V[p]^T g[p]`` of the ``(n, d)`` nodal covectors ``g``.
+
+    ``V`` holds ``(n, d, m)`` test frames.  Given trial points ``y``, the frame
+    columns are first projected onto the tangent planes at ``y`` (vector transport).
+    """
+    contract = np.swapaxes(V, -1, -2)
+    if y is not None:
+        contract = tangent_project(y[:, None], contract)
     return np.einsum("kmd,kd->km", contract, g).ravel()
 
 

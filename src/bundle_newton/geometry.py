@@ -1,16 +1,15 @@
 """Geometric primitives for the unit sphere embedded in R^3.
 
 Array-first: points, tangent vectors and covectors are numpy arrays of
-shape ``(..., 3)``, and every function acts row by row on the leading axes,
-so a single ``(3,)`` point is just the one-node case of a stacked
-``(n, 3)`` array of nodes.  Covectors are represented by their coefficient
-arrays with respect to the Euclidean pairing.  All functions are pure and
-carry no state, so values can be shared freely across threads.
+shape ``(..., 3)``, tangent frames ``(..., 3, 2)``, and every function acts
+row by row on the leading axes, so a single ``(3,)`` point is just the
+one-node case of a stacked ``(n, 3)`` array of nodes.  Covectors are
+represented by their coefficient arrays with respect to the Euclidean
+pairing.  All functions are pure and carry no state, so values can be
+shared freely across threads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,44 +85,14 @@ def retract_sphere(y, d) -> np.ndarray:
     return np.where(moved, w / nrm, y)
 
 
-def transport_vector(src, dst, u) -> np.ndarray:
-    """Transport a tangent vector ``u`` at ``src`` to ``dst`` by projection.
+def tangent_basis(y) -> np.ndarray:
+    """Deterministic orthonormal tangent frames at each unit vector ``y``.
 
-    The transport may lose rank when ``u`` is parallel to ``dst``; the result
-    is then (close to) zero and callers must cope.
-    """
-    del src  # the projection transport only depends on the target point
-    return tangent_project(dst, u)
-
-
-@dataclass(frozen=True)
-class TangentBasis:
-    """Orthonormal bases ``(v1, v2)`` of the tangent planes at ``base``.
-
-    All three fields have shape ``(..., 3)``, one basis per point.
-    """
-
-    base: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """``(..., 3, 2)`` matrices with the basis vectors as columns."""
-        return np.stack((self.v1, self.v2), axis=-1)
-
-    def vector(self, coeffs) -> np.ndarray:
-        """Tangent vectors ``c1 v1 + c2 v2`` from ``(..., 2)`` coefficients."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        return coeffs[..., :1] * self.v1 + coeffs[..., 1:] * self.v2
-
-
-def tangent_basis(y) -> TangentBasis:
-    """Deterministic orthonormal tangent basis at each unit vector ``y``.
-
-    The two coordinate axes least aligned with ``y`` are orthogonalized
-    against ``y`` (and against each other) by a single Gram-Schmidt sweep.
-    No continuity across nearby base points is promised, or needed.
+    Returns ``(..., 3, 2)`` frames ``V`` with columns ``v1, v2``; ``V @ c`` is
+    the tangent vector of coefficients ``c``.  The two coordinate axes least
+    aligned with ``y`` are orthogonalized against ``y`` (and against each
+    other) by a single Gram-Schmidt sweep.  No continuity across nearby base
+    points is promised, or needed.
     """
     y = np.asarray(y, dtype=float)
     order = np.argsort(np.abs(y), axis=-1, kind="stable")
@@ -132,7 +101,7 @@ def tangent_basis(y) -> TangentBasis:
     e_b = axes[order[..., 1]]
     v1 = normalized(e_a - y * dot(y, e_a))
     v2 = normalized(e_b - y * dot(y, e_b) - v1 * dot(v1, e_b))
-    return TangentBasis(base=y, v1=v1, v2=v2)
+    return np.stack((v1, v2), axis=-1)
 
 
 def normal_multiplier(fp, cp) -> np.ndarray:

@@ -88,21 +88,19 @@ class NewtonTrace:
 class ProblemInterface(ABC):
     """Operations a problem supplies to the Newton driver.
 
-    Coefficient vectors refer to the per-node bases of the state they were
-    assembled at.  ``assemble_transported_residual(old, new)`` evaluates the
-    residual at ``new`` against the test bases of ``old`` transported
-    forward, so that its output is comparable with ``assemble_residual(old)``;
-    at coincident states the two agree up to round-off.
+    Coefficient vectors refer to the per-node tangent frames of the state
+    they were assembled at.  ``assemble_residual(state, trial)`` evaluates the
+    residual at ``trial`` against the test frames of ``state``, projected
+    onto the tangent planes at ``trial`` (the vector transport), so that its
+    output is comparable with ``assemble_residual(state)``; at coincident
+    states the two agree up to round-off.
     """
 
     @abstractmethod
-    def assemble_residual(self, state) -> np.ndarray: ...
+    def assemble_residual(self, state, trial=None) -> np.ndarray: ...
 
     @abstractmethod
     def assemble_jacobian(self, state) -> BandedMatrix: ...
-
-    @abstractmethod
-    def assemble_transported_residual(self, state_old, state_new) -> np.ndarray: ...
 
     @abstractmethod
     def retract(self, state, xi, alpha: float): ...
@@ -132,7 +130,14 @@ def compute_theta(dx_bar, dx_scaled, norm_inf) -> float:
 
 
 def update_alpha(alpha: float, theta: float, theta_des: float) -> float:
-    """Step-size update ``min(1, alpha * theta_des / theta)``."""
+    """Step-size update ``min(1, alpha * theta_des / theta)``, 1 at ``theta = 0``.
+
+    A non-finite ``theta`` halves ``alpha``, its value at ``theta = 2 theta_des``.
+    """
+    if theta == 0.0:
+        return 1.0
+    if not math.isfinite(theta):
+        return 0.5 * alpha
     return min(1.0, alpha * theta_des / theta)
 
 
@@ -172,19 +177,15 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
             return x, trace
 
         thetas = []
-        accepted = False
-        x_plus = None
-        alpha_used = alpha
-        theta = math.inf
         for _trial in range(cfg.max_inner):
             x_plus = problem.retract(x, dx, alpha)
-            r_bar = problem.assemble_transported_residual(x, x_plus)
+            r_bar = problem.assemble_residual(x, x_plus)
             dx_bar = fact.solve(-simplified_rhs(r_bar, b, alpha))
             theta = compute_theta(dx_bar, alpha * dx, problem.norm_inf)
             thetas.append(theta)
             alpha_used = alpha
             if not pin_alpha:
-                alpha = 1.0 if theta == 0.0 else update_alpha(alpha, theta, cfg.theta_des)
+                alpha = update_alpha(alpha, theta, cfg.theta_des)
                 if alpha < cfg.alpha_fail:
                     trace.terminated = Termination.DAMPING_FAILED
                     trace.message = (
@@ -193,9 +194,8 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
                     )
                     return x, trace
             if theta <= cfg.theta_acc:
-                accepted = True
                 break
-        if not accepted:
+        else:
             trace.terminated = Termination.DAMPING_FAILED
             trace.message = (
                 f"no acceptable step within {cfg.max_inner} trials "

@@ -1,6 +1,6 @@
 """Built-in benchmark problems for the damped Newton driver."""
 
-from .curve import SphereCurveProblem, connecting_geodesic_points
+from .curve import SphereCurveProblem
 from .geodesic import (
     GeodesicForceProblem,
     PoleSingularity,
@@ -19,7 +19,6 @@ from .rod import RodProblem, RodState, rod_initial_guess
 
 __all__ = [
     "SphereCurveProblem",
-    "connecting_geodesic_points",
     "GeodesicForceProblem",
     "PoleSingularity",
     "winding_force",

@@ -4,7 +4,8 @@ A curve problem looks for a piecewise-linear curve of unit vectors whose
 Dirichlet stiffness balances a nodal force covector field.  Subclasses only
 provide the force field and its Euclidean Jacobian, evaluated on stacked
 ``(n, 3)`` node arrays.  Per interior node the residual contracts the
-covector ``slope[:-1] - slope[1:] + h f(y)`` with a tangent basis, and the
+covector ``slope[:-1] - slope[1:] + h f(y)`` with the node's tangent frame
+(projected onto the trial's tangent plane for a trial residual), and the
 Jacobian is :func:`fem1d.sphere_field_blocks` with unit stiffness.
 """
 
@@ -20,7 +21,7 @@ from ..fem1d import (
     p1_covectors,
     sphere_field_blocks,
 )
-from ..geometry import DegenerateUpdate, retract_sphere, transport_vector, unit_vector
+from ..geometry import DegenerateUpdate, retract_sphere, unit_vector
 from ..newton import ProblemInterface
 
 
@@ -76,7 +77,7 @@ class SphereCurveProblem(ProblemInterface):
     def dof_count(self) -> int:
         return 2 * self.grid.n_interior
 
-    def initial_curve(self) -> NodalCurve:
+    def initial_state(self) -> NodalCurve:
         """Connecting geodesic between the boundary points."""
         return NodalCurve(self.grid, connecting_geodesic_points(self.grid, self.gamma0, self.gammaT))
 
@@ -86,31 +87,21 @@ class SphereCurveProblem(ProblemInterface):
 
     # -- driver contract ----------------------------------------------------
 
-    def assemble_residual(self, curve: NodalCurve) -> np.ndarray:
-        contract = np.swapaxes(curve.basis.matrix, -1, -2)
-        return assemble_intervals_vector(contract, self._covectors(curve))
-
-    def assemble_transported_residual(self, curve_old: NodalCurve, curve_new: NodalCurve) -> np.ndarray:
-        # test bases of the old iterate, transported to the new base points
-        # by orthogonal projection before contraction
-        contract = transport_vector(
-            curve_old.interior[:, None],
-            curve_new.interior[:, None],
-            np.swapaxes(curve_old.basis.matrix, -1, -2),
-        )
-        return assemble_intervals_vector(contract, self._covectors(curve_new))
+    def assemble_residual(self, curve: NodalCurve, trial: NodalCurve | None = None) -> np.ndarray:
+        at, y = (curve, None) if trial is None else (trial, trial.interior)
+        return assemble_intervals_vector(curve.basis, self._covectors(at), y)
 
     def assemble_jacobian(self, curve: NodalCurve):
-        h = self.grid.h
-        nodal = h * self.force_jacobian_at(curve.interior)
-        return assemble_intervals(
-            *sphere_field_blocks(curve.basis, self._covectors(curve), h, nodal=nodal)
-        )
+        h, y = self.grid.h, curve.interior
+        nodal = h * self.force_jacobian_at(y)
+        blocks = sphere_field_blocks(y, curve.basis, self._covectors(curve), h, nodal=nodal)
+        return assemble_intervals(*blocks)
 
     def retract(self, curve: NodalCurve, xi, alpha: float) -> NodalCurve:
         xi = np.asarray(xi, dtype=float).reshape(self.grid.n_interior, 2)
         points = curve.points.copy()
-        points[1:-1] = retract_sphere(points[1:-1], alpha * curve.basis.vector(xi))
+        step = np.einsum("nij,nj->ni", curve.basis, xi)
+        points[1:-1] = retract_sphere(points[1:-1], alpha * step)
         return NodalCurve(self.grid, points)
 
     def norm_inf(self, xi) -> float:

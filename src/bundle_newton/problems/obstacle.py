@@ -130,7 +130,7 @@ def obstacle_path_follow(
 ) -> PathFollowResult:
     """Penalty path following for the obstacle problem.
 
-    Solves the penalty-free geodesic first; while the solution still violates
+    Stage 0 solves the penalty-free geodesic; while the solution still violates
     the cap by more than ``problem.violation_tol``, the penalized problem is
     re-solved with the weight grown by ``problem.p_growth`` per stage, warm
     started from the previous stage.  A failed stage aborts with the curve of
@@ -138,19 +138,10 @@ def obstacle_path_follow(
     message; running out of ``max_stages`` ends with
     ``Termination.MAX_ITERATIONS``.
     """
-    curve = problem.initial_curve() if initial is None else initial
+    curve = problem.initial_state() if initial is None else initial
     stages = []
-
-    new_curve, trace = damped_newton(problem.with_penalty(0.0), curve, cfg)
-    stages.append(PenaltyStage(0.0, problem.violation(new_curve), trace))
-    if trace.terminated is not Termination.CONVERGED:
-        return PathFollowResult(
-            curve, stages, trace.terminated, f"penalty-free geodesic solve failed: {trace.message}"
-        )
-    curve = new_curve
-
-    p = problem.p
-    while stages[-1].violation > problem.violation_tol:
+    p = 0.0
+    while not stages or stages[-1].violation > problem.violation_tol:
         if len(stages) > max_stages:
             return PathFollowResult(
                 curve,
@@ -159,16 +150,14 @@ def obstacle_path_follow(
                 f"no convergence within {max_stages} penalty stages",
             )
         new_curve, trace = damped_newton(problem.with_penalty(p), curve, cfg)
+        stages.append(PenaltyStage(p, problem.violation(new_curve), trace))
         if trace.terminated is not Termination.CONVERGED:
-            stages.append(PenaltyStage(p, problem.violation(new_curve), trace))
-            return PathFollowResult(
-                curve,
-                stages,
-                trace.terminated,
-                f"stage with penalty {p:g} failed ({trace.terminated.value}): {trace.message}",
+            message = (
+                f"penalty-free geodesic solve failed: {trace.message}" if len(stages) == 1
+                else f"stage with penalty {p:g} failed ({trace.terminated.value}): {trace.message}"
             )
+            return PathFollowResult(curve, stages, trace.terminated, message)
         curve = new_curve
-        stages.append(PenaltyStage(p, problem.violation(curve), trace))
-        p *= problem.p_growth
+        p = problem.p if len(stages) == 1 else p * problem.p_growth
 
     return PathFollowResult(curve, stages, Termination.CONVERGED, "")

@@ -10,7 +10,9 @@ The group of node ``i`` occupies entries ``8 i - 5 .. 8 i + 2``, so that
 ``lambda_j`` starts at entry ``8 j`` for every interval ``j``.
 
 The direction rows are a unit-vector field of stiffness ``sigma`` loaded by
-the multiplier, assembled by :mod:`fem1d` as for the curve problems.
+the multiplier, assembled by :mod:`fem1d` as for the curve problems: the
+residual by ``assemble_intervals_vector`` in the tangent frames of the
+interior directions, the Jacobian blocks by ``sphere_field_blocks``.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ..fem1d import BandedMatrix, Grid, p1_covectors, sphere_field_blocks
-from ..geometry import (
-    TangentBasis,
-    normalized,
-    retract_sphere,
-    tangent_basis,
-    transport_vector,
-    unit_vector,
+from ..fem1d import (
+    BandedMatrix,
+    Grid,
+    assemble_intervals_vector,
+    p1_covectors,
+    sphere_field_blocks,
 )
+from ..geometry import normalized, retract_sphere, tangent_basis, unit_vector
 from ..newton import ProblemInterface
 
 BANDWIDTH = 9
@@ -63,7 +64,7 @@ class RodState:
         if lam.shape != (self.grid.n_intervals, 3):
             raise ValueError("lam must hold one 3-vector per interval")
         err = np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0))
-        if err > 1e-12:
+        if not err <= 1e-12:  # also rejects NaN
             raise ValueError(f"direction field leaves the sphere by {err:.2e}")
 
     def constraint_residuals(self) -> np.ndarray:
@@ -72,8 +73,8 @@ class RodState:
         return np.diff(self.y, axis=0) / h - 0.5 * (self.v[:-1] + self.v[1:])
 
     @cached_property
-    def basis(self) -> TangentBasis:
-        """Tangent bases of the interior directions, computed once per state."""
+    def basis(self) -> np.ndarray:
+        """``(n, 3, 2)`` tangent frames of the interior directions, computed once per state."""
         return tangent_basis(self.v[1:-1])
 
 
@@ -167,32 +168,22 @@ class RodProblem(ProblemInterface):
         load = -0.5 * (state.lam[:-1] + state.lam[1:])
         return p1_covectors(state.v, self.grid.h, load, self.sigma)
 
-    def _residual_from(self, state: RodState, contract) -> np.ndarray:
-        r_v = np.einsum("kmd,kd->km", contract, self._v_covectors(state))
-        r_lam = self.grid.h * state.constraint_residuals()
-        groups = np.hstack((self._y_covectors(state), r_v, r_lam[1:]))
-        return np.concatenate((r_lam[0], groups.ravel()))
-
     # -- driver contract -------------------------------------------------------
 
-    def assemble_residual(self, state: RodState) -> np.ndarray:
-        return self._residual_from(state, np.swapaxes(state.basis.matrix, -1, -2))
-
-    def assemble_transported_residual(self, state_old: RodState, state_new: RodState) -> np.ndarray:
+    def assemble_residual(self, state: RodState, trial: RodState | None = None) -> np.ndarray:
         # position and multiplier tests live in fixed linear spaces; only the
-        # direction tests are transported, by projection onto the new tangents
-        contract = transport_vector(
-            state_old.v[1:-1, None],
-            state_new.v[1:-1, None],
-            np.swapaxes(state_old.basis.matrix, -1, -2),
-        )
-        return self._residual_from(state_new, contract)
+        # direction tests follow a trial, by projection onto its tangents
+        at, v = (state, None) if trial is None else (trial, trial.v[1:-1])
+        r_v = assemble_intervals_vector(state.basis, self._v_covectors(at), v)
+        r_lam = self.grid.h * at.constraint_residuals()
+        groups = np.hstack((self._y_covectors(at), r_v.reshape(-1, 2), r_lam[1:]))
+        return np.concatenate((r_lam[0], groups.ravel()))
 
     def assemble_jacobian(self, state: RodState) -> BandedMatrix:
         n = self.grid.n_interior
         h = self.grid.h
         A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
-        V = state.basis.matrix  # (n, 3, 2)
+        V = state.basis  # (n, 3, 2)
         VT = np.swapaxes(V, -1, -2)
         eye3 = np.eye(3)
         nodes = np.arange(1, n + 1)
@@ -209,7 +200,7 @@ class RodProblem(ProblemInterface):
             add(y_dofs, y_dofs, h * self.force[1](state.y[1:-1]))
 
         # direction rows: the unit-vector field's blocks, multiplier
-        diag, upper = sphere_field_blocks(state.basis, self._v_covectors(state), h, self.sigma)
+        diag, upper = sphere_field_blocks(state.v[1:-1], V, self._v_covectors(state), h, self.sigma)
         add(v_dofs, v_dofs, diag)
         add(v_dofs[:-1], v_dofs[1:], upper)
         add(v_dofs[1:], v_dofs[:-1], np.swapaxes(upper, -1, -2))
@@ -228,7 +219,7 @@ class RodProblem(ProblemInterface):
         y = state.y.copy()
         v = state.v.copy()
         y[1:-1] += alpha * dy
-        v[1:-1] = retract_sphere(v[1:-1], alpha * state.basis.vector(dv))
+        v[1:-1] = retract_sphere(v[1:-1], alpha * np.einsum("nij,nj->ni", state.basis, dv))
         return RodState(self.grid, y, v, state.lam + alpha * dlam)
 
     def norm_inf(self, xi) -> float:

@@ -74,8 +74,8 @@ def jacobian_fd_error(problem, state, rng, n_directions=5, step=1e-5):
         xi = rng.standard_normal(problem.dof_count)
         xi /= np.abs(xi).max()
         jxi = A.matvec(xi)
-        plus = problem.assemble_transported_residual(state, problem.retract(state, xi, step))
-        minus = problem.assemble_transported_residual(state, problem.retract(state, xi, -step))
+        plus = problem.assemble_residual(state, problem.retract(state, xi, step))
+        minus = problem.assemble_residual(state, problem.retract(state, xi, -step))
         fd = (plus - minus) / (2.0 * step)
         worst = max(worst, np.abs(jxi - fd).max() / (1.0 + np.abs(jxi).max()))
     return worst

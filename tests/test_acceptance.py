@@ -69,12 +69,8 @@ def test_criterion_1_jacobian_consistency():
             xi = rng.standard_normal(problem.dof_count)
             xi /= np.abs(xi).max()
             jxi = A.matvec(xi)
-            plus = problem.assemble_transported_residual(
-                state, problem.retract(state, xi, step)
-            )
-            minus = problem.assemble_transported_residual(
-                state, problem.retract(state, xi, -step)
-            )
+            plus = problem.assemble_residual(state, problem.retract(state, xi, step))
+            minus = problem.assemble_residual(state, problem.retract(state, xi, -step))
             fd = (plus - minus) / (2.0 * step)
             worst = max(worst, np.abs(jxi - fd).max() / (1.0 + np.abs(jxi).max()))
     elapsed = time.monotonic() - t0
@@ -111,7 +107,7 @@ def test_criterion_2_force_free_geodesic():
     for n in (50, 100):
         grid = Grid(1.0, n)
         problem = GeodesicForceProblem(grid, force_scale=0.0)
-        start = problem.initial_curve()
+        start = problem.initial_state()
         pts = start.points.copy()
         for i in range(1, grid.n_nodes - 1):
             pts[i] = pts[i] + 1e-3 * random_tangent(rng, pts[i])
@@ -153,7 +149,7 @@ def test_criterion_3_mesh_independent_convergence():
         grid = Grid(1.0, n)
         problem = GeodesicForceProblem(grid)
         t0 = time.monotonic()
-        _, trace = damped_newton(problem, problem.initial_curve(), NewtonConfig())
+        _, trace = damped_newton(problem, problem.initial_state(), NewtonConfig())
         elapsed[n] = time.monotonic() - t0
         assert trace.terminated is Termination.CONVERGED
         counts[n] = trace.n_outer
@@ -303,7 +299,7 @@ def test_criterion_8_structural_invariants():
     # an exactly stationary state: the connecting geodesic of the force-free
     # problem; the Newton direction vanishes and the driver stops immediately
     problem = GeodesicForceProblem(grid, force_scale=0.0)
-    start = problem.initial_curve()
+    start = problem.initial_state()
     solution, trace = damped_newton(problem, start, NewtonConfig())
     immediate = (
         trace.terminated is Termination.CONVERGED
@@ -330,14 +326,11 @@ class _ScaledProblem(ProblemInterface):
         self.scale = scale
         self.directions = []
 
-    def assemble_residual(self, state):
-        return self.scale * self.inner.assemble_residual(state)
+    def assemble_residual(self, state, trial=None):
+        return self.scale * self.inner.assemble_residual(state, trial)
 
     def assemble_jacobian(self, state):
         return self.inner.assemble_jacobian(state).scaled(self.scale)
-
-    def assemble_transported_residual(self, old, new):
-        return self.scale * self.inner.assemble_transported_residual(old, new)
 
     def retract(self, state, xi, alpha):
         self.directions.append(np.asarray(xi).copy())
@@ -353,7 +346,7 @@ class _ScaledProblem(ProblemInterface):
 
 def test_criterion_9_affine_covariance():
     grid = Grid(1.0, 50)
-    x0 = GeodesicForceProblem(grid).initial_curve()
+    x0 = GeodesicForceProblem(grid).initial_state()
     runs = {}
     for scale in (1.0, 1e-6, 1e6):
         wrapped = _ScaledProblem(GeodesicForceProblem(grid), scale)

@@ -57,10 +57,19 @@ def test_geodesic_reference_run_full_steps(tmp_path):
     assert np.all(rows[:, 2] == 1.0)  # accepted_alpha
 
 
-def test_geodesic_run_deterministic(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geodesic-force", "--n", "25"],
+        ["rod", "--n", "20"],
+        ["obstacle", "--n", "25", "--h-ref", "0.2"],
+    ],
+    ids=["geodesic-force", "rod", "obstacle"],
+)
+def test_geodesic_run_deterministic(tmp_path, argv):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["geodesic-force", "--n", "25", "--out-dir", str(out1)]) == EXIT_OK
-    assert main(["geodesic-force", "--n", "25", "--out-dir", str(out2)]) == EXIT_OK
+    assert main([*argv, "--out-dir", str(out1)]) == EXIT_OK
+    assert main([*argv, "--out-dir", str(out2)]) == EXIT_OK
     assert (out1 / "iterates.csv").read_text() == (out2 / "iterates.csv").read_text()
     assert (out1 / "curve.csv").read_text() == (out2 / "curve.csv").read_text()
 

@@ -38,6 +38,8 @@ def test_nodal_curve_validates_unit_norm():
     grid = Grid(1.0, 1)
     with pytest.raises(ValueError):
         NodalCurve(grid, np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1.0]]))
+    with pytest.raises(ValueError):
+        NodalCurve(grid, np.array([[1.0, 0, 0], [np.nan, np.nan, np.nan], [0, 0, 1.0]]))
 
 
 # -- P1 assembly: slopes and trapezoidal loads ---------------------------------------
@@ -122,11 +124,11 @@ def test_sphere_field_blocks_match_constrained_hessian_oracle():
         nodal = rng.standard_normal((n, 3, 3))
         nodal = nodal + np.swapaxes(nodal, -1, -2)
         k = rng.uniform(0.1, 3.0, n + 1)
-        basis = tangent_basis(y)
-        diag, upper = sphere_field_blocks(basis, g, h, k, nodal)
+        frames = tangent_basis(y)
+        diag, upper = sphere_field_blocks(y, frames, g, h, k, nodal)
         assert upper.shape == (n - 1, 2, 2)
         for p in range(n):
-            V = basis.matrix[p]
+            V = frames[p]
             fpp = nodal[p] + (k[p] + k[p + 1]) / h * np.eye(3)
             lam = normal_multiplier(g[p], y[p][None])
             oracle = np.stack(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bundle_newton import (
     Grid,
     NewtonConfig,
-    TangentBasis,
     Termination,
     ZeroStep,
     compute_theta,
@@ -106,10 +105,14 @@ def test_update_alpha_fixed_point():
 
 def test_update_alpha_halves():
     assert update_alpha(1.0, 1.0, 0.5) == pytest.approx(0.5)
+    # a non-finite theta counts as theta = 2 theta_des
+    assert update_alpha(0.5, math.nan, 0.5) == 0.25
+    assert update_alpha(0.5, math.inf, 0.5) == 0.25
 
 
 def test_update_alpha_caps_at_one():
     assert update_alpha(0.5, 0.125, 0.5) == 1.0
+    assert update_alpha(0.5, 0.0, 0.5) == 1.0
 
 
 @settings(max_examples=100)
@@ -137,14 +140,13 @@ def test_norm_inf_nodal_basis_invariance():
     problem = GeodesicForceProblem(Grid(1.0, 1))
     for _ in range(10):
         y = random_unit(rng)
-        basis = tangent_basis(y)
+        V = tangent_basis(y)
         xi = rng.standard_normal(2)
         # rotate the basis in the tangent plane and re-express the coefficients
         phi = rng.uniform(0, 2 * np.pi)
         c, s = np.cos(phi), np.sin(phi)
-        rotated = TangentBasis(y, c * basis.v1 + s * basis.v2, -s * basis.v1 + c * basis.v2)
-        vec = basis.vector(xi)
-        xi_rot = np.array([vec @ rotated.v1, vec @ rotated.v2])
+        rotated = V @ np.array([[c, -s], [s, c]])
+        xi_rot = rotated.T @ (V @ xi)
         a = problem.norm_inf(xi)
         b = problem.norm_inf(xi_rot)
         assert abs(a - b) < 1e-12 * (1 + a)
@@ -156,14 +158,11 @@ def test_norm_inf_nodal_basis_invariance():
 class ScalarLinearProblem(ProblemInterface):
     """F(x) = x on the real line (trivial bundle, identity transport)."""
 
-    def assemble_residual(self, state):
-        return np.array([state])
+    def assemble_residual(self, state, trial=None):
+        return np.array([state if trial is None else trial])
 
     def assemble_jacobian(self, state):
         return banded_from_dense([[1.0]])
-
-    def assemble_transported_residual(self, state_old, state_new):
-        return np.array([state_new])
 
     def retract(self, state, xi, alpha):
         return state + alpha * float(xi[0])
@@ -173,10 +172,10 @@ class ScalarLinearProblem(ProblemInterface):
 
 
 class StubbornProblem(ScalarLinearProblem):
-    """Transported residual rigged so no damping factor is ever acceptable."""
+    """Trial residual rigged so no damping factor is ever acceptable."""
 
-    def assemble_transported_residual(self, state_old, state_new):
-        return np.array([1e3])
+    def assemble_residual(self, state, trial=None):
+        return np.array([state if trial is None else 1e3])
 
 
 def test_driver_scalar_linear_problem():
@@ -186,6 +185,33 @@ def test_driver_scalar_linear_problem():
     assert trace.n_outer == 2  # one full step plus the stationarity certificate
     assert trace.iterations[0].thetas == (0.0,)
     assert trace.iterations[0].accepted_alpha == 1.0
+
+
+class NaNTrialProblem(ScalarLinearProblem):
+    """Every trial residual is NaN, as at a trial point the residual cannot be
+    evaluated at; records the damping factor of each trial."""
+
+    def __init__(self):
+        self.alphas = []
+
+    def assemble_residual(self, state, trial=None):
+        return np.array([state if trial is None else math.nan])
+
+    def retract(self, state, xi, alpha):
+        self.alphas.append(alpha)
+        return super().retract(state, xi, alpha)
+
+
+@pytest.mark.parametrize("max_inner", [20, 100])
+def test_driver_nan_trial_shrinks_the_step(max_inner):
+    # a NaN theta rejects the trial and halves alpha; retrying the same full
+    # step would never get anywhere
+    problem = NaNTrialProblem()
+    x, trace = damped_newton(problem, 1.0, NewtonConfig(max_inner=max_inner))
+    assert trace.terminated is Termination.DAMPING_FAILED
+    assert x == 1.0
+    assert problem.alphas[:2] == [1.0, 0.5]
+    assert all(b < a for a, b in zip(problem.alphas, problem.alphas[1:]))
 
 
 def test_driver_root_at_start():
@@ -209,14 +235,12 @@ def test_driver_inner_exhaustion_reported_as_damping_failure():
 
 def test_driver_max_iterations():
     class Cubic(ScalarLinearProblem):
-        def assemble_residual(self, state):
-            return np.array([state**3 + state])
+        def assemble_residual(self, state, trial=None):
+            x = state if trial is None else trial
+            return np.array([x**3 + x])
 
         def assemble_jacobian(self, state):
             return banded_from_dense([[3 * state**2 + 1.0]])
-
-        def assemble_transported_residual(self, state_old, state_new):
-            return self.assemble_residual(state_new)
 
     _, trace = damped_newton(Cubic(), 10.0, NewtonConfig(max_outer=2))
     assert trace.terminated is Termination.MAX_ITERATIONS
@@ -227,7 +251,7 @@ def test_driver_undamped_mode_pins_alpha():
     grid = Grid(1.0, 20)
     problem = GeodesicForceProblem(grid)
     cfg = NewtonConfig(theta_acc=math.inf)
-    x, trace = damped_newton(problem, problem.initial_curve(), cfg)
+    x, trace = damped_newton(problem, problem.initial_state(), cfg)
     assert trace.terminated is Termination.CONVERGED
     assert all(it.accepted_alpha == 1.0 for it in trace.iterations)
 
@@ -249,7 +273,7 @@ def _builtin_problem_states(seed=5):
 def test_transport_consistency_at_coincident_states():
     for problem, state in _builtin_problem_states():
         b = problem.assemble_residual(state)
-        bt = problem.assemble_transported_residual(state, state)
+        bt = problem.assemble_residual(state, state)
         assert np.abs(b - bt).max() <= 1e-12 * (1.0 + np.abs(b).max())
 
 
@@ -263,14 +287,14 @@ def test_newton_path_theta_decays_with_alpha():
     # theta measured along the Newton path tends to zero with the step size
     grid = Grid(1.0, 12)
     problem = GeodesicForceProblem(grid)
-    state = problem.initial_curve()
+    state = problem.initial_state()
     b = problem.assemble_residual(state)
     fact = problem.assemble_jacobian(state).factorize()
     dx = fact.solve(-b)
     thetas = []
     for alpha in (0.5, 0.05, 0.005):
         x_plus = problem.retract(state, dx, alpha)
-        rhs = simplified_rhs(problem.assemble_transported_residual(state, x_plus), b, alpha)
+        rhs = simplified_rhs(problem.assemble_residual(state, x_plus), b, alpha)
         dx_bar = fact.solve(-rhs)
         thetas.append(compute_theta(dx_bar, alpha * dx, problem.norm_inf))
     assert thetas[1] < thetas[0] and thetas[2] < thetas[1]
@@ -281,7 +305,7 @@ def test_root_certificate_on_builtin_problems():
     # a converged run leaves a residual negligible against the initial one
     grid = Grid(1.0, 25)
     for problem in (GeodesicForceProblem(grid), RodProblem(grid)):
-        x0 = problem.initial_curve() if hasattr(problem, "initial_curve") else problem.initial_state()
+        x0 = problem.initial_state()
         final, trace = damped_newton(problem, x0, NewtonConfig())
         assert trace.terminated is Termination.CONVERGED
         r0 = np.abs(problem.assemble_residual(x0)).max()
@@ -292,14 +316,8 @@ def test_root_certificate_on_builtin_problems():
 def test_monotone_acceptance_on_traces():
     grid = Grid(1.0, 30)
     cfg = NewtonConfig()
-    for problem, x0 in (
-        (GeodesicForceProblem(grid), None),
-        (RodProblem(grid), None),
-    ):
-        start = problem.initial_curve() if x0 is None and hasattr(problem, "initial_curve") else x0
-        if start is None:
-            start = problem.initial_state()
-        _, trace = damped_newton(problem, start, cfg)
+    for problem in (GeodesicForceProblem(grid), RodProblem(grid)):
+        _, trace = damped_newton(problem, problem.initial_state(), cfg)
         assert trace.terminated is Termination.CONVERGED
         for it in trace.iterations:
             if it.thetas:
@@ -318,14 +336,11 @@ class ScaledProblem(ProblemInterface):
         self.scale = scale
         self.retract_log = []
 
-    def assemble_residual(self, state):
-        return self.scale * self.inner.assemble_residual(state)
+    def assemble_residual(self, state, trial=None):
+        return self.scale * self.inner.assemble_residual(state, trial)
 
     def assemble_jacobian(self, state):
         return self.inner.assemble_jacobian(state).scaled(self.scale)
-
-    def assemble_transported_residual(self, state_old, state_new):
-        return self.scale * self.inner.assemble_transported_residual(state_old, state_new)
 
     def retract(self, state, xi, alpha):
         self.retract_log.append(np.array(xi))
@@ -344,7 +359,7 @@ def test_affine_covariance_of_the_iteration(scale):
     grid = Grid(1.0, 20)
     reference = ScaledProblem(GeodesicForceProblem(grid), 1.0)
     scaled = ScaledProblem(GeodesicForceProblem(grid), scale)
-    x0 = GeodesicForceProblem(grid).initial_curve()
+    x0 = GeodesicForceProblem(grid).initial_state()
     _, trace_ref = damped_newton(reference, x0, NewtonConfig())
     _, trace_scaled = damped_newton(scaled, x0, NewtonConfig())
     assert trace_ref.n_outer == trace_scaled.n_outer
@@ -377,9 +392,9 @@ class StepRecorder:
     def retract(self, state, xi, alpha):
         if isinstance(self.inner, RodProblem):
             dy, dv, dlam = self.inner._split(xi)
-            step = np.concatenate([dy, state.basis.vector(dv), dlam])
+            step = np.concatenate([dy, np.einsum("nij,nj->ni", state.basis, dv), dlam])
         else:
-            step = state.basis.vector(np.reshape(xi, (-1, 2)))
+            step = np.einsum("nij,nj->ni", state.basis, np.reshape(xi, (-1, 2)))
         self.steps.append(alpha * step)
         return self.inner.retract(state, xi, alpha)
 
@@ -387,7 +402,7 @@ class StepRecorder:
 def _solve_recorded(problem):
     """Solve from a fresh start state, whose bases are not cached yet."""
     rod_problem = isinstance(problem, RodProblem)
-    x0 = problem.initial_state() if rod_problem else problem.initial_curve()
+    x0 = problem.initial_state()
     recorder = StepRecorder(problem)
     state, trace = damped_newton(recorder, x0, NewtonConfig())
     values = np.vstack([state.y, state.v, state.lam]) if rod_problem else state.points
@@ -406,9 +421,9 @@ def test_iterates_independent_of_tangent_basis(problem_class, monkeypatch):
 
     def rotated_basis(y):
         assert np.shape(y) == (grid.n_interior, 3)
-        b = tangent_basis(y)
+        V = tangent_basis(y)
         c, s = np.cos(phi), np.sin(phi)
-        return TangentBasis(b.base, c * b.v1 + s * b.v2, -s * b.v1 + c * b.v2)
+        return np.stack((c * V[..., 0] + s * V[..., 1], -s * V[..., 0] + c * V[..., 1]), axis=-1)
 
     monkeypatch.setattr(fem1d, "tangent_basis", rotated_basis)
     monkeypatch.setattr(rod, "tangent_basis", rotated_basis)

@@ -71,10 +71,10 @@ def test_single_violating_node_penalty_contribution():
     pts[node] = lifted
     curve = NodalCurve(grid, pts)
     diff = obs.assemble_residual(curve) - geo.assemble_residual(curve)
-    basis = tangent_basis(pts[node])
+    V = tangent_basis(pts[node])
     expected = np.zeros_like(diff)
-    expected[2 * (node - 1)] = grid.h * p * delta * basis.v1[2]
-    expected[2 * (node - 1) + 1] = grid.h * p * delta * basis.v2[2]
+    expected[2 * (node - 1)] = grid.h * p * delta * V[2, 0]
+    expected[2 * (node - 1) + 1] = grid.h * p * delta * V[2, 1]
     assert np.abs(diff - expected).max() < 1e-13
 
 
@@ -113,7 +113,7 @@ def test_fully_active_jacobian_difference():
     e3 = np.array([0.0, 0.0, 1.0])
     for i in range(1, grid.n_interior + 1):
         y = curve.points[i]
-        V = tangent_basis(y).matrix
+        V = tangent_basis(y)
         w = p * penalty_activation(obs.gap(y)) * e3
         euclid = h * p * np.outer(e3, e3)
         connection = -(h * w @ y) * np.eye(3) - np.outer(y, h * w)

@@ -48,6 +48,23 @@ def test_initial_guess_antipodal_directions_degenerate():
         rod_initial_guess(grid, (0, 0, 0), (1, 0, 0), (1, 0, 0), (-1, 0, 0))
 
 
+def test_rod_state_validates_shapes_and_unit_directions():
+    grid = Grid(1.0, 1)
+    y = np.zeros((3, 3))
+    v = np.tile([1.0, 0.0, 0.0], (3, 1))
+    lam = np.zeros((2, 3))
+    RodState(grid, y, v, lam)
+    with pytest.raises(ValueError):
+        RodState(grid, y[:2], v, lam)
+    with pytest.raises(ValueError):
+        RodState(grid, y, v, lam[:1])
+    for bad_row in ([0.0, 2.0, 0.0], [np.nan, np.nan, np.nan]):
+        bad = v.copy()
+        bad[1] = bad_row
+        with pytest.raises(ValueError):
+            RodState(grid, y, bad, lam)
+
+
 # -- residual ------------------------------------------------------------------------
 
 
@@ -112,7 +129,7 @@ def test_jacobian_direction_block_is_pure_stiffness_at_straight_state():
     h = grid.h
     from bundle_newton import tangent_basis
 
-    vmats = [tangent_basis(p).matrix for p in state.v[1:-1]]
+    vmats = [tangent_basis(p) for p in state.v[1:-1]]
     for i in range(1, grid.n_interior + 1):
         diag = dense[np.ix_(problem._v_dofs(i), problem._v_dofs(i))]
         assert np.abs(diag - (2.0 / h) * np.eye(2)).max() < 1e-12 / h
