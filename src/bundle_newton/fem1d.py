@@ -95,6 +95,13 @@ class NodalCurve:
 # ---------------------------------------------------------------------------
 
 
+def _first_entry(i, j, flagged) -> str:
+    """``"(i, j)"`` of the first entry set in ``flagged``, for error messages."""
+    i, j, flagged = np.broadcast_arrays(i, j, flagged)
+    k = np.argmax(flagged)
+    return f"({i.flat[k]}, {j.flat[k]})"
+
+
 class BandedMatrix:
     """General banded matrix in LAPACK band storage.
 
@@ -116,20 +123,21 @@ class BandedMatrix:
     def add(self, i, j, value) -> None:
         """Add ``value`` to the entries ``(i, j)``.
 
-        Indices and values are broadcast against each other; repeated index
-        pairs accumulate.
+        The index arrays are broadcast against each other and ``value`` against
+        their shape; repeated index pairs accumulate.
         """
-        i, j, value = np.broadcast_arrays(i, j, value)
-        outside = (i < 0) | (i >= self.dim) | (j < 0) | (j >= self.dim)
-        if outside.any():
-            k = np.argmax(outside)
-            raise IndexError(f"entry ({i.flat[k]}, {j.flat[k]}) outside the matrix")
-        offset = i - j
-        off_band = (offset > self.lower_bw) | (offset < -self.upper_bw)
-        if off_band.any():
-            k = np.argmax(off_band)
-            raise ValueError(f"entry ({i.flat[k]}, {j.flat[k]}) lies outside the stored band")
-        np.add.at(self._ab, (self.lower_bw + self.upper_bw + offset, j), value)
+        i, j = np.asarray(i), np.asarray(j)
+        row = self.lower_bw + self.upper_bw + i - j
+        if row.size == 0:
+            return
+        if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.dim:
+            outside = (i < 0) | (i >= self.dim) | (j < 0) | (j >= self.dim)
+            raise IndexError(f"entry {_first_entry(i, j, outside)} outside the matrix")
+        row_hi = 2 * self.lower_bw + self.upper_bw
+        if row.min() < self.lower_bw or row.max() > row_hi:
+            off_band = (row < self.lower_bw) | (row > row_hi)
+            raise ValueError(f"entry {_first_entry(i, j, off_band)} lies outside the stored band")
+        np.add.at(self._ab, (row, j), value)
 
     def _diagonals(self):
         """``(offset, j_lo, values)`` of each stored diagonal ``i - j = offset``,
@@ -161,7 +169,7 @@ class BandedMatrix:
 
     def norm1(self) -> float:
         """Maximum absolute column sum."""
-        return float(np.max(np.sum(np.abs(self._ab[self.lower_bw :, :]), axis=0)))
+        return float(np.abs(self._ab[self.lower_bw :]).sum(axis=0).max())
 
     def factorize(self) -> "BandedFactorization":
         return BandedFactorization(self)
@@ -170,37 +178,63 @@ class BandedMatrix:
 class BandedFactorization:
     """Banded LU with partial pivoting (LAPACK ``gbtrf``/``gbtrs``).
 
-    Near singularity is judged by the 1-norm condition estimate of LAPACK
-    ``gbcon`` on the computed factors.
+    Near singularity is judged by the 1-norm condition number, with
+    ``||A^-1||_1`` estimated by Hager's method (:meth:`inverse_norm1`) from a
+    few solves on the stored factors, at O(n) cost like the LU itself.
     """
 
     def __init__(self, A: BandedMatrix):
-        ab = np.asfortranarray(A._ab.copy())
-        gbtrf, gbcon = get_lapack_funcs(("gbtrf", "gbcon"), (ab,))
-        lu, ipiv, info = gbtrf(ab, A.lower_bw, A.upper_bw)
+        ab = np.array(A._ab, order="F")
+        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        lu, ipiv, info = gbtrf(ab, A.lower_bw, A.upper_bw, overwrite_ab=True)
         if info > 0:
             raise SingularSystem(f"zero pivot at column {info} in banded LU")
         if info < 0:
             raise ValueError(f"illegal argument {-info} passed to gbtrf")
-        rcond, info = gbcon(A.lower_bw, A.upper_bw, lu, ipiv, A.norm1())
-        if info != 0:
-            raise ValueError(f"illegal argument {-info} passed to gbcon")
-        if not rcond * CONDITION_LIMIT > 1.0:  # also rejects rcond = 0 and NaN
-            cond = 1.0 / rcond if rcond > 0.0 else math.inf
-            raise SingularSystem(f"banded LU is near singular (condition estimate {cond:.2e})")
         self._lu = lu
         self._ipiv = ipiv
         self._kl = A.lower_bw
         self._ku = A.upper_bw
+        cond = A.norm1() * self.inverse_norm1()
+        if not cond < CONDITION_LIMIT:  # also rejects inf and NaN
+            raise SingularSystem(f"banded LU is near singular (condition estimate {cond:.2e})")
+
+    def _solve(self, rhs, trans: int = 0) -> np.ndarray:
+        x, info = self._gbtrs(self._lu, self._kl, self._ku, rhs, self._ipiv, trans=trans)
+        if info != 0:
+            raise SingularSystem(f"banded back substitution failed (info={info})")
+        return x
 
     def solve(self, rhs) -> np.ndarray:
         """Solve ``A x = rhs`` using the stored factorization."""
         rhs = np.asarray(rhs, dtype=float)
-        gbtrs, = get_lapack_funcs(("gbtrs",), (self._lu,))
-        x, info = gbtrs(self._lu, self._kl, self._ku, rhs, self._ipiv)
-        if info != 0:
-            raise SingularSystem(f"banded back substitution failed (info={info})")
-        return np.asarray(x, dtype=float).reshape(rhs.shape)
+        return self._solve(rhs).reshape(rhs.shape)
+
+    def inverse_norm1(self) -> float:
+        """Lower estimate of ``||A^-1||_1``: the ``dlacn2`` iteration of Hager,
+        SIAM J. Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign
+        safeguard, ACM TOMS 14 (1988).  Overflow yields ``inf``."""
+        n = self._lu.shape[1]
+        alt = 1.0 + np.arange(n) / max(n - 1, 1)
+        alt[1::2] *= -1.0
+        y, y_alt = self._solve(np.array([np.full(n, 1.0 / n), alt]).T).T
+        est = np.abs(y).sum()
+        sign = np.where(y >= 0.0, 1.0, -1.0)
+        z = self._solve(sign, trans=1)
+        j = int(np.argmax(np.abs(z)))
+        for _ in range(4):  # dlacn2's ITMAX = 5 counts the start as one step
+            y = self._solve(np.eye(1, n, j)[0])
+            est_old, est = est, np.abs(y).sum()
+            new_sign = np.where(y >= 0.0, 1.0, -1.0)
+            if np.array_equal(new_sign, sign) or est <= est_old:
+                break
+            sign = new_sign
+            z = self._solve(sign, trans=1)
+            j_last, j = j, int(np.argmax(np.abs(z)))
+            if z[j_last] == abs(z[j]):  # Hager's test ||z||_inf <= z^T e_j
+                break
+        alt_est = 2.0 * np.abs(y_alt).sum() / (3.0 * n)
+        return float(alt_est if alt_est > est else est)
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,12 @@ def random_block_tridiag(rng, n_blocks, m):
 
 
 def random_banded(rng, dim, kl, ku):
+    """Random banded matrix, diagonally boosted; entries drawn column by column."""
     from bundle_newton import BandedMatrix
 
     A = BandedMatrix(dim, kl, ku)
-    for j in range(dim):
-        for i in range(max(0, j - ku), min(dim, j + kl + 1)):
-            A.add(i, j, rng.standard_normal())
-    for i in range(dim):
-        A.add(i, i, 4.0 * (kl + ku + 1))
+    j, i = np.indices((dim, dim))  # row-major order runs j-major, i-minor
+    in_band = (i - j <= kl) & (j - i <= ku)
+    A.add(i[in_band], j[in_band], rng.standard_normal(np.count_nonzero(in_band)))
+    A.add(np.arange(dim), np.arange(dim), 4.0 * (kl + ku + 1))
     return A

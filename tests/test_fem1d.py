@@ -12,7 +12,13 @@ from bundle_newton import (
     normal_multiplier,
     tangent_basis,
 )
-from bundle_newton.fem1d import assemble_intervals_vector, p1_covectors, sphere_field_blocks
+from bundle_newton.fem1d import (
+    assemble_intervals,
+    assemble_intervals_vector,
+    p1_covectors,
+    sphere_field_blocks,
+)
+from bundle_newton.geometry import CONDITION_LIMIT
 from conftest import block_tridiag, random_banded, random_block_tridiag, random_unit
 
 
@@ -268,6 +274,57 @@ def test_banded_near_singular_bidiagonal_raises():
     assert np.linalg.cond(A.to_dense(), 1) > 1e18
     with pytest.raises(SingularSystem, match="3.46e"):
         A.factorize()
+
+
+def test_banded_overflowing_inverse_raises_with_inf():
+    # unit diagonal, -4 above it: ||A^-1||_1 = (4^2000 - 1) / 3 overflows
+    n = 2000
+    A = BandedMatrix(n, 0, 1)
+    A.add(np.arange(n), np.arange(n), 1.0)
+    A.add(np.arange(n - 1), np.arange(1, n), -4.0)
+    with pytest.raises(SingularSystem, match="inf"):
+        A.factorize()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_banded_non_finite_entry_raises(bad):
+    A = BandedMatrix(5, 1, 1)
+    A.add(np.arange(5), np.arange(5), 4.0)
+    A.add(2, 3, bad)
+    with pytest.raises(SingularSystem):
+        A.factorize()
+
+
+def test_condition_estimate_bounds_exact_condition_from_below():
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        dim = int(rng.integers(1, 81))
+        kl = int(rng.integers(0, 5))
+        ku = int(rng.integers(0, 5))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        A = BandedMatrix(dim, kl, ku)
+        j, i = np.indices((dim, dim))
+        in_band = (i - j <= kl) & (j - i <= ku)
+        A.add(i[in_band], j[in_band], scale * rng.standard_normal(np.count_nonzero(in_band)))
+        A.add(np.arange(dim), np.arange(dim), scale * rng.uniform(0.0, 2.0) * (kl + ku + 1))
+        exact = np.linalg.cond(A.to_dense(), 1)
+        try:
+            estimate = A.norm1() * A.factorize().inverse_norm1()
+        except SingularSystem:
+            # the estimate reached the limit, and it never exceeds the exact value
+            assert exact >= 0.3 * CONDITION_LIMIT
+            continue
+        assert estimate >= 0.3 * exact
+
+
+def test_banded_zero_size_add_is_a_no_op():
+    A = BandedMatrix(2, 1, 1)
+    A.add(np.empty(0, dtype=int), np.empty(0, dtype=int), 1.0)
+    A.add(np.empty((0, 2, 1), dtype=int), np.empty((0, 1, 2), dtype=int), np.empty((0, 2, 2)))
+    assert not A._ab.any()
+    # one interior node: the curve Jacobian has no off-diagonal blocks
+    B = assemble_intervals(np.eye(2)[None], np.empty((0, 2, 2)))
+    assert np.array_equal(B.to_dense(), np.eye(2))
 
 
 def test_banded_matvec_against_dense():
