@@ -222,7 +222,7 @@ class BandedFactorization:
         sign = np.where(y >= 0.0, 1.0, -1.0)
         z = self._solve(sign, trans=1)
         j = int(np.argmax(np.abs(z)))
-        for _ in range(4):  # dlacn2's ITMAX = 5 counts the start as one step
+        for _ in range(4):  # at most 4 unit-vector solves, as in dlacn2 (ITMAX = 5)
             y = self._solve(np.eye(1, n, j)[0])
             est_old, est = est, np.abs(y).sum()
             new_sign = np.where(y >= 0.0, 1.0, -1.0)

@@ -321,7 +321,7 @@ def test_banded_zero_size_add_is_a_no_op():
     A = BandedMatrix(2, 1, 1)
     A.add(np.empty(0, dtype=int), np.empty(0, dtype=int), 1.0)
     A.add(np.empty((0, 2, 1), dtype=int), np.empty((0, 1, 2), dtype=int), np.empty((0, 2, 2)))
-    assert not A._ab.any()
+    assert not A.to_dense().any()
     # one interior node: the curve Jacobian has no off-diagonal blocks
     B = assemble_intervals(np.eye(2)[None], np.empty((0, 2, 2)))
     assert np.array_equal(B.to_dense(), np.eye(2))
