@@ -8,13 +8,9 @@ from .fem1d import (
 )
 from .geometry import (
     DegenerateUpdate,
-    SingularConstraint,
-    constrained_hessian_apply,
-    normal_multiplier,
     retract_sphere,
     tangent_basis,
     tangent_project,
-    tangent_project_deriv,
     unit_vector,
 )
 from .newton import (
@@ -23,10 +19,7 @@ from .newton import (
     NewtonTrace,
     ProblemInterface,
     Termination,
-    ZeroStep,
-    compute_theta,
     damped_newton,
-    simplified_rhs,
     update_alpha,
 )
 from . import problems
@@ -37,23 +30,16 @@ __all__ = [
     "NodalCurve",
     "SingularSystem",
     "DegenerateUpdate",
-    "SingularConstraint",
-    "constrained_hessian_apply",
-    "normal_multiplier",
     "retract_sphere",
     "tangent_basis",
     "tangent_project",
-    "tangent_project_deriv",
     "unit_vector",
     "NewtonConfig",
     "NewtonIteration",
     "NewtonTrace",
     "ProblemInterface",
     "Termination",
-    "ZeroStep",
-    "compute_theta",
     "damped_newton",
-    "simplified_rhs",
     "update_alpha",
     "problems",
 ]

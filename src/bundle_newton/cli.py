@@ -200,10 +200,11 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
     """``(iterations, termination, message, curve columns, extra results)``."""
     if isinstance(problem, ObstacleProblem):
         result = obstacle_path_follow(problem, newton_cfg)
+        last = result.stages[-1]
         extra = {
             "stage_count": str(len(result.stages)),
-            "final_p": _fmt(result.final_penalty),
-            "violation": _fmt(result.violation),
+            "final_p": _fmt(last.penalty),
+            "violation": _fmt(last.violation),
         }
         iterations = [it for stage in result.stages for it in stage.trace.iterations]
         columns = dict(zip("xyz", result.curve.points.T))

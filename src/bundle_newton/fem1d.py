@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .geometry import CONDITION_LIMIT, dot, tangent_basis, tangent_project
+from .geometry import CONDITION_LIMIT, UNIT_NORM_TOL, dot, tangent_basis, tangent_project
 
 
 class SingularSystem(Exception):
@@ -77,7 +77,7 @@ class NodalCurve:
                 f"expected {self.grid.n_nodes} nodal points, got shape {pts.shape}"
             )
         err = np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0))
-        if not err <= 1e-12:  # also rejects NaN
+        if not err <= UNIT_NORM_TOL:  # also rejects NaN
             raise ValueError(f"nodal points leave the sphere by {err:.2e}")
 
     @property
@@ -139,33 +139,12 @@ class BandedMatrix:
             raise ValueError(f"entry {_first_entry(i, j, off_band)} lies outside the stored band")
         np.add.at(self._ab, (row, j), value)
 
-    def _diagonals(self):
-        """``(offset, j_lo, values)`` of each stored diagonal ``i - j = offset``,
-        whose first entry sits in column ``j_lo``."""
-        for offset in range(-self.upper_bw, self.lower_bw + 1):
-            j_lo = max(0, -offset)
-            j_hi = min(self.dim, self.dim - offset)
-            if j_lo < j_hi:
-                yield offset, j_lo, self._ab[self.lower_bw + self.upper_bw + offset, j_lo:j_hi]
-
-    def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.dim)
-        for offset, j_lo, values in self._diagonals():
-            j_hi = j_lo + len(values)
-            out[j_lo + offset : j_hi + offset] += values * x[j_lo:j_hi]
-        return out
-
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.dim, self.dim))
-        for offset, _, values in self._diagonals():
-            dense += np.diag(values, k=-offset)
-        return dense
-
-    def scaled(self, s: float) -> "BandedMatrix":
-        out = BandedMatrix(self.dim, self.lower_bw, self.upper_bw)
-        out._ab = s * self._ab
-        return out
+        """The matrix as a dense ``(dim, dim)`` array."""
+        i, j = np.indices((self.dim, self.dim))
+        row = self.lower_bw + self.upper_bw + i - j
+        in_band = (row >= self.lower_bw) & (row <= 2 * self.lower_bw + self.upper_bw)
+        return np.where(in_band, self._ab[np.clip(row, 0, len(self._ab) - 1), j], 0.0)
 
     def norm1(self) -> float:
         """Maximum absolute column sum."""
@@ -242,19 +221,17 @@ class BandedFactorization:
 # ---------------------------------------------------------------------------
 
 
-def p1_covectors(u, h: float, load, stiffness=1.0) -> np.ndarray:
+def p1_covectors(u, h: float, load, stiffness: float = 1.0) -> np.ndarray:
     """Covectors of ``int k u'.w' + load.w`` at the ``n`` interior nodes.
 
     ``u`` holds all ``n + 2`` nodal values, ``load`` the interior ones of the
-    load (trapezoidal rule), ``stiffness`` one ``k`` or one per interval.
+    load (trapezoidal rule), ``stiffness`` the scalar ``k``.
     """
-    u = np.asarray(u, dtype=float)
-    k = np.broadcast_to(np.asarray(stiffness, dtype=float), (len(u) - 1,))[:, None]
-    flux = k * (np.diff(u, axis=0) / h)
+    flux = stiffness * (np.diff(np.asarray(u, dtype=float), axis=0) / h)
     return flux[:-1] - flux[1:] + h * np.asarray(load, dtype=float)
 
 
-def sphere_field_blocks(y, V, g, h: float, stiffness=1.0, nodal=None):
+def sphere_field_blocks(y, V, g, h: float, stiffness: float = 1.0, nodal=None):
     """Jacobian blocks of a P1 unit-vector field ``y`` in its tangent frames ``V``.
 
     The residual pairs the ``(n, 3)`` covectors ``g`` of :func:`p1_covectors`
@@ -265,12 +242,11 @@ def sphere_field_blocks(y, V, g, h: float, stiffness=1.0, nodal=None):
     and ``(n - 1, 2, 2)`` upper blocks; the lower blocks are their transposes.
     """
     VT = np.swapaxes(V, -1, -2)
-    k = np.broadcast_to(np.asarray(stiffness, dtype=float), (len(V) + 1,))
-    scalar = (k[:-1] + k[1:]) / h - dot(g, y)[:, 0]
+    scalar = 2.0 * stiffness / h - dot(g, y)[:, 0]
     diag = scalar[:, None, None] * np.eye(2)
     if nodal is not None:
         diag = diag + VT @ nodal @ V
-    upper = -(k[1:-1] / h)[:, None, None] * (VT[:-1] @ V[1:])
+    upper = -(stiffness / h) * (VT[:-1] @ V[1:])
     return diag, upper
 
 

@@ -21,10 +21,6 @@ import numpy as np
 from .fem1d import BandedMatrix
 
 
-class ZeroStep(Exception):
-    """Contraction ratio requested for an exactly zero step."""
-
-
 @dataclass(frozen=True)
 class NewtonConfig:
     """Parameters of the damped Newton iteration.
@@ -80,10 +76,6 @@ class NewtonTrace:
     terminated: Termination = Termination.MAX_ITERATIONS
     message: str = ""
 
-    @property
-    def n_outer(self) -> int:
-        return len(self.iterations)
-
 
 class ProblemInterface(ABC):
     """Operations a problem supplies to the Newton driver.
@@ -107,26 +99,6 @@ class ProblemInterface(ABC):
 
     @abstractmethod
     def norm_inf(self, xi) -> float: ...
-
-
-def simplified_rhs(r_transported, r_old, alpha: float) -> np.ndarray:
-    """Right-hand side of the simplified Newton step at damping ``alpha``.
-
-    The transported trial residual minus ``(1 - alpha)`` times the residual
-    at the current iterate; it vanishes identically along the exact Newton
-    path.
-    """
-    return np.asarray(r_transported, dtype=float) - (1.0 - alpha) * np.asarray(
-        r_old, dtype=float
-    )
-
-
-def compute_theta(dx_bar, dx_scaled, norm_inf) -> float:
-    """Contraction estimate ``|simplified step| / |alpha * Newton step|``."""
-    denom = norm_inf(dx_scaled)
-    if denom == 0.0:
-        raise ZeroStep("scaled Newton step has zero norm; test convergence first")
-    return norm_inf(dx_bar) / denom
 
 
 def update_alpha(alpha: float, theta: float, theta_des: float) -> float:
@@ -180,8 +152,9 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         for _trial in range(cfg.max_inner):
             x_plus = problem.retract(x, dx, alpha)
             r_bar = problem.assemble_residual(x, x_plus)
-            dx_bar = fact.solve(-simplified_rhs(r_bar, b, alpha))
-            theta = compute_theta(dx_bar, alpha * dx, problem.norm_inf)
+            # simplified Newton step: its right-hand side vanishes along the exact Newton path
+            dx_bar = fact.solve((1.0 - alpha) * b - r_bar)
+            theta = problem.norm_inf(dx_bar) / problem.norm_inf(alpha * dx)
             thetas.append(theta)
             alpha_used = alpha
             if not pin_alpha:

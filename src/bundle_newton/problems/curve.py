@@ -73,10 +73,6 @@ class SphereCurveProblem(ProblemInterface):
 
     # -- states and nodal covectors -------------------------------------------
 
-    @property
-    def dof_count(self) -> int:
-        return 2 * self.grid.n_interior
-
     def initial_state(self) -> NodalCurve:
         """Connecting geodesic between the boundary points."""
         return NodalCurve(self.grid, connecting_geodesic_points(self.grid, self.gamma0, self.gammaT))

@@ -20,6 +20,8 @@ from .curve import SphereCurveProblem
 DEFAULT_GAMMA0 = (0.8, 0.0, 0.6)
 DEFAULT_GAMMAT = (-0.8 * np.cos(0.2), 0.8 * np.sin(0.2), 0.6)
 
+MAX_STAGES = 500
+
 _E3 = np.array([0.0, 0.0, 1.0])
 _E33 = np.outer(_E3, _E3)
 
@@ -109,25 +111,9 @@ class PathFollowResult:
     terminated: Termination = Termination.MAX_ITERATIONS
     message: str = ""
 
-    @property
-    def converged(self) -> bool:
-        return self.terminated is Termination.CONVERGED
 
-    @property
-    def final_penalty(self) -> float:
-        return self.stages[-1].penalty if self.stages else 0.0
-
-    @property
-    def violation(self) -> float:
-        return self.stages[-1].violation if self.stages else float("nan")
-
-
-def obstacle_path_follow(
-    problem: ObstacleProblem,
-    cfg: NewtonConfig = NewtonConfig(),
-    initial: NodalCurve | None = None,
-    max_stages: int = 500,
-) -> PathFollowResult:
+def obstacle_path_follow(problem: ObstacleProblem,
+                         cfg: NewtonConfig = NewtonConfig()) -> PathFollowResult:
     """Penalty path following for the obstacle problem.
 
     Stage 0 solves the penalty-free geodesic; while the solution still violates
@@ -135,19 +121,18 @@ def obstacle_path_follow(
     re-solved with the weight grown by ``problem.p_growth`` per stage, warm
     started from the previous stage.  A failed stage aborts with the curve of
     the last successful stage, the failed stage's termination and a diagnostic
-    message; running out of ``max_stages`` ends with
-    ``Termination.MAX_ITERATIONS``.
+    message; running out of ``MAX_STAGES`` ends with ``Termination.MAX_ITERATIONS``.
     """
-    curve = problem.initial_state() if initial is None else initial
+    curve = problem.initial_state()
     stages = []
     p = 0.0
     while not stages or stages[-1].violation > problem.violation_tol:
-        if len(stages) > max_stages:
+        if len(stages) > MAX_STAGES:
             return PathFollowResult(
                 curve,
                 stages,
                 Termination.MAX_ITERATIONS,
-                f"no convergence within {max_stages} penalty stages",
+                f"no convergence within {MAX_STAGES} penalty stages",
             )
         new_curve, trace = damped_newton(problem.with_penalty(p), curve, cfg)
         stages.append(PenaltyStage(p, problem.violation(new_curve), trace))

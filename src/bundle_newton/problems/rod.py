@@ -29,7 +29,7 @@ from ..fem1d import (
     p1_covectors,
     sphere_field_blocks,
 )
-from ..geometry import normalized, retract_sphere, tangent_basis, unit_vector
+from ..geometry import UNIT_NORM_TOL, normalized, retract_sphere, tangent_basis, unit_vector
 from ..newton import ProblemInterface
 
 BANDWIDTH = 9
@@ -64,7 +64,7 @@ class RodState:
         if lam.shape != (self.grid.n_intervals, 3):
             raise ValueError("lam must hold one 3-vector per interval")
         err = np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0))
-        if not err <= 1e-12:  # also rejects NaN
+        if not err <= UNIT_NORM_TOL:  # also rejects NaN
             raise ValueError(f"direction field leaves the sphere by {err:.2e}")
 
     def constraint_residuals(self) -> np.ndarray:
@@ -96,15 +96,10 @@ def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
 class RodProblem(ProblemInterface):
     """Equilibrium system of the inextensible rod for the Newton driver.
 
-    ``sigma`` is the flexural stiffness, a scalar or one value per interval;
-    ``force`` is an optional pair ``(force_at, force_jacobian_at)`` of
-    callables describing an external force covector field on the positions;
-    both take stacked ``(n, 3)`` positions and return ``(n, 3)`` covectors
-    and ``(n, 3, 3)`` Jacobians.
+    ``sigma`` is the scalar flexural stiffness.
     """
 
-    def __init__(self, grid: Grid, y0=None, y1=None, v0=None, v1=None,
-                 sigma=1.0, force=None):
+    def __init__(self, grid: Grid, y0=None, y1=None, v0=None, v1=None, sigma: float = 1.0):
         self.grid = grid
         self.y0 = np.asarray(DEFAULT_Y0 if y0 is None else y0, dtype=float)
         self.y1 = np.asarray(DEFAULT_Y1 if y1 is None else y1, dtype=float)
@@ -114,15 +109,9 @@ class RodProblem(ProblemInterface):
             )
         self.v0 = unit_vector(DEFAULT_V0 if v0 is None else v0)
         self.v1 = unit_vector(DEFAULT_V1 if v1 is None else v1)
-        sig = np.asarray(sigma, dtype=float)
-        if sig.ndim == 0:
-            sig = np.full(grid.n_intervals, float(sig))
-        if sig.shape != (grid.n_intervals,):
-            raise ValueError("sigma must be scalar or one value per interval")
-        if not np.all((sig > 0.0) & (sig < np.inf)):
+        if not 0.0 < sigma < np.inf:
             raise ValueError(f"flexural stiffness must be positive and finite, got {sigma!r}")
-        self.sigma = sig
-        self.force = force
+        self.sigma = float(sigma)
 
     # -- dof layout ----------------------------------------------------------
 
@@ -156,13 +145,6 @@ class RodProblem(ProblemInterface):
 
     # -- nodal residual covectors ---------------------------------------------
 
-    def _y_covectors(self, state: RodState) -> np.ndarray:
-        """Euclidean covectors paired with the interior position tests."""
-        r = state.lam[:-1] - state.lam[1:]
-        if self.force is not None:
-            r = r + self.grid.h * self.force[0](state.y[1:-1])
-        return r
-
     def _v_covectors(self, state: RodState) -> np.ndarray:
         """Euclidean covectors paired with the interior direction tests."""
         load = -0.5 * (state.lam[:-1] + state.lam[1:])
@@ -176,7 +158,8 @@ class RodProblem(ProblemInterface):
         at, v = (state, None) if trial is None else (trial, trial.v[1:-1])
         r_v = assemble_intervals_vector(state.basis, self._v_covectors(at), v)
         r_lam = self.grid.h * at.constraint_residuals()
-        groups = np.hstack((self._y_covectors(at), r_v.reshape(-1, 2), r_lam[1:]))
+        r_y = at.lam[:-1] - at.lam[1:]
+        groups = np.hstack((r_y, r_v.reshape(-1, 2), r_lam[1:]))
         return np.concatenate((r_lam[0], groups.ravel()))
 
     def assemble_jacobian(self, state: RodState) -> BandedMatrix:
@@ -193,11 +176,9 @@ class RodProblem(ProblemInterface):
         def add(rows, cols, blocks):
             A.add(rows[..., :, None], cols[..., None, :], blocks)
 
-        # position rows: multiplier difference, optional force derivative
+        # position rows: multiplier difference
         add(y_dofs, lam_left, eye3)
         add(y_dofs, lam_right, -eye3)
-        if self.force is not None:
-            add(y_dofs, y_dofs, h * self.force[1](state.y[1:-1]))
 
         # direction rows: the unit-vector field's blocks, multiplier
         diag, upper = sphere_field_blocks(state.v[1:-1], V, self._v_covectors(state), h, self.sigma)

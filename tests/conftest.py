@@ -69,11 +69,12 @@ def jacobian_fd_error(problem, state, rng, n_directions=5, step=1e-5):
     """Worst relative error of the Jacobian action against a central
     difference of the transported residual along random directions."""
     A = problem.assemble_jacobian(state)
+    dense = A.to_dense()
     worst = 0.0
     for _ in range(n_directions):
-        xi = rng.standard_normal(problem.dof_count)
+        xi = rng.standard_normal(A.dim)
         xi /= np.abs(xi).max()
-        jxi = A.matvec(xi)
+        jxi = dense @ xi
         plus = problem.assemble_residual(state, problem.retract(state, xi, step))
         minus = problem.assemble_residual(state, problem.retract(state, xi, -step))
         fd = (plus - minus) / (2.0 * step)
@@ -95,15 +96,20 @@ def block_tridiag(diag, lower, upper):
     return A
 
 
-def banded_from_dense(dense):
-    """The square matrix ``dense`` in band storage with full bandwidths."""
+def banded_from_dense(dense, lower_bw=None, upper_bw=None):
+    """The square matrix ``dense`` in band storage, with full bandwidths unless
+    given; entries outside the band must be zero."""
     from bundle_newton import BandedMatrix
 
     dense = np.asarray(dense, dtype=float)
     n = len(dense)
-    A = BandedMatrix(n, n - 1, n - 1)
+    kl = n - 1 if lower_bw is None else lower_bw
+    ku = n - 1 if upper_bw is None else upper_bw
+    A = BandedMatrix(n, kl, ku)
     i, j = np.indices(dense.shape)
-    A.add(i, j, dense)
+    in_band = (i - j <= kl) & (j - i <= ku)
+    assert not dense[~in_band].any(), "nonzero entry outside the band"
+    A.add(i[in_band], j[in_band], dense[in_band])
     return A
 
 

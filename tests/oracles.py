@@ -1,0 +1,91 @@
+"""Reference formulas of constrained differential geometry, numpy only.
+
+The tests check the package's sphere-field assembly and the acceptance
+criterion on the constrained Hessian against these general formulas.  They
+stay independent of the code they check: nothing here imports
+``bundle_newton`` (``test_geometry.py`` guards this).
+"""
+
+import numpy as np
+
+CONDITION_LIMIT = 1e14
+
+
+class SingularConstraint(Exception):
+    """Raised when a constraint Jacobian is rank deficient."""
+
+
+def _dot(a, b) -> np.ndarray:
+    """Row-wise Euclidean pairing of ``(..., 3)`` arrays, keeping a trailing axis."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
+
+
+def tangent_project_deriv(y, v, u) -> np.ndarray:
+    """Derivative of the tangent projection at ``y`` along ``v``, applied to ``u``.
+
+    Evaluates ``-y <v, u> - v <y, u>`` for arbitrary ``v`` and ``u``; for a
+    pair of tangent vectors the second term vanishes and the result is
+    radial.
+    """
+    y = np.asarray(y, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u = np.asarray(u, dtype=float)
+    return -y * _dot(v, u) - v * _dot(y, u)
+
+
+def normal_multiplier(fp, cp) -> np.ndarray:
+    """Multiplier ``lam`` for which ``fp + lam @ cp`` vanishes on the normal space.
+
+    ``fp`` is the gradient covector of the objective, ``cp`` the constraint
+    Jacobian (one row per constraint).  Solves the Gram system
+    ``(cp cp^T) lam = -cp fp``.
+    """
+    cp = np.atleast_2d(np.asarray(cp, dtype=float))
+    fp = np.asarray(fp, dtype=float)
+    gram = cp @ cp.T
+    if np.linalg.cond(gram) > CONDITION_LIMIT:
+        raise SingularConstraint("constraint Jacobian is (near) rank deficient")
+    return -np.linalg.solve(gram, cp @ fp)
+
+
+def constrained_hessian_apply(fpp, cp, cpp, lam, dx) -> np.ndarray:
+    """Covariant Hessian action ``fpp @ dx + sum_k lam[k] * cpp[k] @ dx``.
+
+    Parameters
+    ----------
+    fpp : (n, n) array
+        Second derivative of the objective.
+    cp : (l, n) array
+        Constraint Jacobian rows; must have full row rank.
+    cpp : (l, n, n) array
+        Second derivatives of the constraint components.
+    lam : (l,) array
+        Multiplier covector solving the normal-space stationarity system,
+        see :func:`normal_multiplier`.
+    dx : (n,) array
+        Direction tangent to the constraint set (``cp @ dx`` vanishes).
+
+    Returns
+    -------
+    (n,) array
+        Coefficients of the output covector.  Restricted to the kernel of
+        ``cp`` it agrees with the projection-based covariant derivative of
+        the constrained gradient.
+    """
+    fpp = np.asarray(fpp, dtype=float)
+    cp = np.atleast_2d(np.asarray(cp, dtype=float))
+    cpp = np.asarray(cpp, dtype=float)
+    if cpp.ndim == 2:
+        cpp = cpp[None, :, :]
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    dx = np.asarray(dx, dtype=float)
+    if np.linalg.matrix_rank(cp) < cp.shape[0]:
+        raise SingularConstraint(
+            "constraint Jacobian is rank deficient; the multiplier is not unique"
+        )
+    tangency = np.max(np.abs(cp @ dx))
+    if tangency > 1e-10 * (1.0 + np.max(np.abs(dx))):
+        raise ValueError(
+            f"dx is not tangent to the constraint set: |c'(y) dx| = {tangency:.2e}"
+        )
+    return fpp @ dx + np.einsum("k,kij,j->i", lam, cpp, dx)

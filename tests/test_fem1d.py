@@ -8,8 +8,6 @@ from bundle_newton import (
     Grid,
     NodalCurve,
     SingularSystem,
-    constrained_hessian_apply,
-    normal_multiplier,
     tangent_basis,
 )
 from bundle_newton.fem1d import (
@@ -19,7 +17,14 @@ from bundle_newton.fem1d import (
     sphere_field_blocks,
 )
 from bundle_newton.geometry import CONDITION_LIMIT
-from conftest import block_tridiag, random_banded, random_block_tridiag, random_unit
+from conftest import (
+    banded_from_dense,
+    block_tridiag,
+    random_banded,
+    random_block_tridiag,
+    random_unit,
+)
+from oracles import constrained_hessian_apply, normal_multiplier
 
 
 # -- grid and curve types -------------------------------------------------------
@@ -129,13 +134,13 @@ def test_sphere_field_blocks_match_constrained_hessian_oracle():
         g = rng.standard_normal((n, 3))
         nodal = rng.standard_normal((n, 3, 3))
         nodal = nodal + np.swapaxes(nodal, -1, -2)
-        k = rng.uniform(0.1, 3.0, n + 1)
+        k = rng.uniform(0.1, 3.0)
         frames = tangent_basis(y)
         diag, upper = sphere_field_blocks(y, frames, g, h, k, nodal)
         assert upper.shape == (n - 1, 2, 2)
         for p in range(n):
             V = frames[p]
-            fpp = nodal[p] + (k[p] + k[p + 1]) / h * np.eye(3)
+            fpp = nodal[p] + (k + k) / h * np.eye(3)
             lam = normal_multiplier(g[p], y[p][None])
             oracle = np.stack(
                 [constrained_hessian_apply(fpp, y[p][None], np.eye(3)[None], lam, V[:, c])
@@ -162,9 +167,10 @@ def test_block_solver_matches_dense_oracle():
         A = random_block_tridiag(rng, n, m)
         b = rng.standard_normal(n * m)
         xi = A.factorize().solve(-b)
-        oracle = np.linalg.solve(A.to_dense(), -b)
+        dense = A.to_dense()
+        oracle = np.linalg.solve(dense, -b)
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
-        assert np.abs(A.matvec(xi) + b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+        assert np.abs(dense @ xi + b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
 
 def test_block_solver_zero_rhs():
@@ -180,20 +186,14 @@ def test_block_solver_singular_pivot():
         A.factorize().solve(-np.ones(6))
 
 
-def test_block_matvec_against_dense():
-    rng = np.random.default_rng(12)
-    A = random_block_tridiag(rng, 5, 3)
-    x = rng.standard_normal(15)
-    assert np.allclose(A.matvec(x), A.to_dense() @ x, atol=1e-12)
-
-
 def test_block_factorization_reuse():
     rng = np.random.default_rng(13)
     A = random_block_tridiag(rng, 7, 2)
     fact = A.factorize()
+    dense = A.to_dense()
     for _ in range(3):
         rhs = rng.standard_normal(14)
-        assert np.abs(A.matvec(fact.solve(rhs)) - rhs).max() < 1e-10
+        assert np.abs(dense @ fact.solve(rhs) - rhs).max() < 1e-10
 
 
 # -- banded solver ------------------------------------------------------------------
@@ -317,6 +317,20 @@ def test_condition_estimate_bounds_exact_condition_from_below():
         assert estimate >= 0.3 * exact
 
 
+def test_condition_estimate_alternating_sign_safeguard():
+    # A = B^-1 where the rows of B sum to about zero: Hager's iteration alone
+    # stops at 0.17 ||A^-1||_1, Higham's alternating-sign vector reaches 0.54
+    B = np.array([
+        [1.311566, -0.228539, -1.530263, 0.445692],
+        [-0.953816, 0.275581, 0.640484, 0.038656],
+        [0.004213, -0.115955, 1.811726, -1.700214],
+        [2.120065, 0.105539, -0.245973, -1.978773],
+    ])
+    A = banded_from_dense(np.linalg.inv(B))
+    exact = np.linalg.norm(np.linalg.inv(A.to_dense()), 1)
+    assert A.factorize().inverse_norm1() >= 0.3 * exact
+
+
 def test_banded_zero_size_add_is_a_no_op():
     A = BandedMatrix(2, 1, 1)
     A.add(np.empty(0, dtype=int), np.empty(0, dtype=int), 1.0)
@@ -325,22 +339,3 @@ def test_banded_zero_size_add_is_a_no_op():
     # one interior node: the curve Jacobian has no off-diagonal blocks
     B = assemble_intervals(np.eye(2)[None], np.empty((0, 2, 2)))
     assert np.array_equal(B.to_dense(), np.eye(2))
-
-
-def test_banded_matvec_against_dense():
-    rng = np.random.default_rng(16)
-    A = random_banded(rng, 12, 2, 3)
-    x = rng.standard_normal(12)
-    assert np.allclose(A.matvec(x), A.to_dense() @ x, atol=1e-12)
-
-
-def test_scaled_matrices():
-    rng = np.random.default_rng(17)
-    B = random_block_tridiag(rng, 4, 2)
-    A = random_banded(rng, 10, 2, 2)
-    x = rng.standard_normal(8)
-    assert np.allclose(B.scaled(-2.5).matvec(x), -2.5 * B.matvec(x), atol=1e-12)
-    y = rng.standard_normal(10)
-    assert np.allclose(A.scaled(3.0).matvec(y), 3.0 * A.matvec(y), atol=1e-12)
-    # scaling returns a copy; the original stays untouched
-    assert np.allclose(A.matvec(y), A.to_dense() @ y, atol=1e-12)

@@ -9,10 +9,7 @@ from bundle_newton import (
     Grid,
     NewtonConfig,
     Termination,
-    ZeroStep,
-    compute_theta,
     damped_newton,
-    simplified_rhs,
     tangent_basis,
     update_alpha,
 )
@@ -59,44 +56,7 @@ def test_direction_block_tridiagonal_dispatch():
     A = random_block_tridiag(rng, 5, 2)
     b = rng.standard_normal(10)
     xi = A.factorize().solve(-b)
-    assert np.abs(A.matvec(xi) + b).max() <= 1e-10 * (1 + np.abs(b).max())
-
-
-def test_simplified_rhs_full_step():
-    r_t = np.array([1.0, 2.0])
-    assert np.array_equal(simplified_rhs(r_t, np.array([5.0, -1.0]), 1.0), r_t)
-
-
-def test_simplified_rhs_path_start():
-    r = np.array([2.0, 0.0])
-    assert np.array_equal(simplified_rhs(r, r, 0.0), np.zeros(2))
-
-
-def test_simplified_rhs_half_step():
-    out = simplified_rhs(np.array([2.0, 0.0]), np.array([2.0, 0.0]), 0.5)
-    assert np.allclose(out, [1.0, 0.0])
-
-
-def _max_norm(x):
-    return float(np.abs(np.asarray(x)).max())
-
-
-def test_theta_zero_numerator():
-    assert compute_theta(np.zeros(3), np.array([0.5, 0, 0]), _max_norm) == 0.0
-
-
-def test_theta_equal_norms():
-    x = np.array([0.2, -0.1])
-    assert compute_theta(x, x, _max_norm) == pytest.approx(1.0)
-
-
-def test_theta_direct_ratio():
-    assert compute_theta(np.array([0.3]), np.array([0.6]), _max_norm) == pytest.approx(0.5)
-
-
-def test_theta_zero_denominator():
-    with pytest.raises(ZeroStep):
-        compute_theta(np.ones(2), np.zeros(2), _max_norm)
+    assert np.abs(A.to_dense() @ xi + b).max() <= 1e-10 * (1 + np.abs(b).max())
 
 
 def test_update_alpha_fixed_point():
@@ -182,7 +142,7 @@ def test_driver_scalar_linear_problem():
     x, trace = damped_newton(ScalarLinearProblem(), 1.0, NewtonConfig())
     assert trace.terminated is Termination.CONVERGED
     assert abs(x) <= 1e-10
-    assert trace.n_outer == 2  # one full step plus the stationarity certificate
+    assert len(trace.iterations) == 2  # one full step plus the stationarity certificate
     assert trace.iterations[0].thetas == (0.0,)
     assert trace.iterations[0].accepted_alpha == 1.0
 
@@ -217,7 +177,7 @@ def test_driver_nan_trial_shrinks_the_step(max_inner):
 def test_driver_root_at_start():
     x, trace = damped_newton(ScalarLinearProblem(), 0.0, NewtonConfig())
     assert trace.terminated is Termination.CONVERGED
-    assert trace.n_outer == 1
+    assert len(trace.iterations) == 1
     assert x == 0.0
     assert trace.iterations[0].norm_dx == 0.0
 
@@ -277,12 +237,6 @@ def test_transport_consistency_at_coincident_states():
         assert np.abs(b - bt).max() <= 1e-12 * (1.0 + np.abs(b).max())
 
 
-def test_simplified_rhs_vanishes_at_path_start():
-    for problem, state in _builtin_problem_states(seed=6):
-        b = problem.assemble_residual(state)
-        assert np.array_equal(simplified_rhs(b, b, 0.0), np.zeros_like(b))
-
-
 def test_newton_path_theta_decays_with_alpha():
     # theta measured along the Newton path tends to zero with the step size
     grid = Grid(1.0, 12)
@@ -294,9 +248,9 @@ def test_newton_path_theta_decays_with_alpha():
     thetas = []
     for alpha in (0.5, 0.05, 0.005):
         x_plus = problem.retract(state, dx, alpha)
-        rhs = simplified_rhs(problem.assemble_residual(state, x_plus), b, alpha)
-        dx_bar = fact.solve(-rhs)
-        thetas.append(compute_theta(dx_bar, alpha * dx, problem.norm_inf))
+        # the simplified Newton step of the driver, and its contraction ratio
+        dx_bar = fact.solve((1.0 - alpha) * b - problem.assemble_residual(state, x_plus))
+        thetas.append(problem.norm_inf(dx_bar) / problem.norm_inf(alpha * dx))
     assert thetas[1] < thetas[0] and thetas[2] < thetas[1]
     assert thetas[2] < 0.01
 
@@ -340,7 +294,8 @@ class ScaledProblem(ProblemInterface):
         return self.scale * self.inner.assemble_residual(state, trial)
 
     def assemble_jacobian(self, state):
-        return self.inner.assemble_jacobian(state).scaled(self.scale)
+        A = self.inner.assemble_jacobian(state)
+        return banded_from_dense(self.scale * A.to_dense(), A.lower_bw, A.upper_bw)
 
     def retract(self, state, xi, alpha):
         self.retract_log.append(np.array(xi))
@@ -348,10 +303,6 @@ class ScaledProblem(ProblemInterface):
 
     def norm_inf(self, xi):
         return self.inner.norm_inf(xi)
-
-    @property
-    def dof_count(self):
-        return self.inner.dof_count
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6])
@@ -362,7 +313,7 @@ def test_affine_covariance_of_the_iteration(scale):
     x0 = GeodesicForceProblem(grid).initial_state()
     _, trace_ref = damped_newton(reference, x0, NewtonConfig())
     _, trace_scaled = damped_newton(scaled, x0, NewtonConfig())
-    assert trace_ref.n_outer == trace_scaled.n_outer
+    assert len(trace_ref.iterations) == len(trace_scaled.iterations)
     for a, b in zip(trace_ref.iterations, trace_scaled.iterations):
         assert a.inner_trials == b.inner_trials
         assert a.accepted_alpha == pytest.approx(b.accepted_alpha, rel=1e-12)
@@ -430,7 +381,7 @@ def test_iterates_independent_of_tangent_basis(problem_class, monkeypatch):
     values, trace, steps = _solve_recorded(problem)
 
     assert trace.terminated is ref_trace.terminated is Termination.CONVERGED
-    assert trace.n_outer == ref_trace.n_outer
+    assert len(trace.iterations) == len(ref_trace.iterations)
     for a, b in zip(trace.iterations, ref_trace.iterations):
         assert a.inner_trials == b.inner_trials
         # damped alphas are ratios of round-off-perturbed contraction estimates

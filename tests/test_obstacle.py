@@ -11,6 +11,7 @@ from bundle_newton.problems import (
     penalty_activation,
     penalty_activation_slope,
 )
+from bundle_newton.problems import obstacle
 from conftest import jacobian_fd_error, random_obstacle_curve, random_unit
 
 
@@ -161,9 +162,9 @@ def test_path_following_trivial_when_cap_unreachable():
         grid, gamma0=(0.6, 0.0, -0.8), gammaT=(0.0, 0.6, -0.8), h_ref=0.5
     )
     result = obstacle_path_follow(obs, NewtonConfig())
-    assert result.converged
+    assert result.terminated is Termination.CONVERGED
     assert all(stage.penalty == 0.0 for stage in result.stages)
-    assert result.violation == 0.0
+    assert result.stages[-1].violation == 0.0
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     assert np.abs(geo.assemble_residual(result.curve)).max() < 1e-10
 
@@ -172,7 +173,7 @@ def test_path_following_reaches_cap_band():
     grid = Grid(1.0, 40)
     obs = ObstacleProblem(grid, h_ref=0.2)
     result = obstacle_path_follow(obs, NewtonConfig())
-    assert result.converged
+    assert result.terminated is Termination.CONVERGED
     cap = 1.0 - obs.h_ref
     zmax = result.curve.points[:, 2].max()
     assert zmax <= cap + obs.violation_tol
@@ -194,18 +195,18 @@ def test_path_following_warm_start_cheaper_than_cold():
     obs = ObstacleProblem(grid, h_ref=0.2)
     result = obstacle_path_follow(obs, NewtonConfig())
     # warm-started penalty stages settle in a few iterations each
-    late = [s.trace.n_outer for s in result.stages[5:]]
+    late = [len(s.trace.iterations) for s in result.stages[5:]]
     assert max(late) <= 6
 
 
-def test_path_following_stage_limit_is_iteration_limit():
+def test_path_following_stage_limit_is_iteration_limit(monkeypatch):
     # the default cap needs dozens of stages; two are not enough, and the
     # result must say so instead of reporting the last stage's success
+    monkeypatch.setattr(obstacle, "MAX_STAGES", 2)
     obs = ObstacleProblem(Grid(1.0, 20), h_ref=0.1)
-    result = obstacle_path_follow(obs, NewtonConfig(), max_stages=2)
+    result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.MAX_ITERATIONS
-    assert not result.converged
-    assert result.violation > obs.violation_tol
+    assert result.stages[-1].violation > obs.violation_tol
 
 
 @pytest.mark.parametrize("p_growth", [1.0, 0.5])
