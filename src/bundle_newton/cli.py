@@ -91,12 +91,21 @@ class RunConfig:
         """Checks that no constructor of :func:`_build` makes."""
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
-        if not 0.0 < self.sigma < np.inf:
-            raise ConfigError(f"sigma must be positive and finite, got {self.sigma!r}")
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def number(text: str) -> float:
+    """Parse a float that is not NaN; ``inf`` parses (``theta_acc = inf`` is plain Newton).
+
+    argparse names this function in its errors ("invalid number value").
+    """
+    value = float(text)
+    if np.isnan(value):
+        raise ValueError(f"NaN is not a valid value, got {text!r}")
+    return value
 
 
 def triple(text: str) -> tuple:
@@ -107,14 +116,15 @@ def triple(text: str) -> tuple:
     parts = [p for p in text.replace("(", "").replace(")", "").split(",") if p.strip()]
     if len(parts) != 3:
         raise ValueError(f"expected three comma separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(number(p) for p in parts)
 
 
-# field annotation (a string under the __future__ import) -> (parse, format)
+# field annotation (a string under the __future__ import) -> (parse, format);
+# the parsers reject NaN for every field, whichever problem reads it
 _CODECS = {
     "str": (str, str),
     "int": (int, str),
-    "float": (float, _fmt),
+    "float": (number, _fmt),
     "tuple | None": (triple, lambda value: ",".join(_fmt(c) for c in value)),
 }
 _FIELDS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
@@ -159,10 +169,15 @@ def _with_default_boundary(cfg: RunConfig) -> RunConfig:
     return replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """Write numeric rows; ``_fmt`` prints small integers exactly."""
-    lines = [header, *(",".join(_fmt(v) for v in row) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_csv(path, header: str, block: np.ndarray) -> None:
+    """Write the rows of the 2-D float array ``block`` below ``header``.
+
+    The whole table is one C-level ``%`` format: ``"%.17g" % v`` is
+    ``_fmt(v)`` for every double, so numbers round-trip and small integers
+    print exactly.
+    """
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    Path(path).write_text(header + "\n" + (row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_meta(path, cfg: RunConfig, results: dict) -> None:
@@ -248,10 +263,17 @@ def run(cfg: RunConfig) -> int:
     _write_csv(
         out_dir / "iterates.csv",
         "outer_iter,norm_dx_inf,accepted_alpha,inner_trials,theta_final,residual_inf",
-        ((k, it.norm_dx, it.accepted_alpha, it.inner_trials, it.theta_final, it.residual_inf)
-         for k, it in enumerate(iterations, start=1)),
+        np.array(
+            [(k, it.norm_dx, it.accepted_alpha, it.inner_trials, it.theta_final, it.residual_inf)
+             for k, it in enumerate(iterations, start=1)],
+            dtype=float,
+        ).reshape(-1, 6),
     )
-    _write_csv(out_dir / "curve.csv", ",".join(["t", *columns]), zip(grid.nodes, *columns.values()))
+    _write_csv(
+        out_dir / "curve.csv",
+        ",".join(["t", *columns]),
+        np.column_stack([grid.nodes, *columns.values()]),
+    )
     _write_meta(out_dir / "meta.txt", cfg, results)
 
     print(

@@ -4,11 +4,12 @@ Uniform grids, nodal curves on the sphere, one banded matrix type with its
 LU solver (LAPACK ``gbtrf``/``gbtrs``), and the P1 assembly of unit-vector
 fields shared by the curve and rod problems.
 
-Array-first: nodal data are stacked ``(n, ...)`` arrays, and assembly
-scatters whole arrays into band storage at once.  Every Newton matrix of the
-package, a block-tridiagonal curve Jacobian as much as the rod's
-saddle-point matrix, is a :class:`BandedMatrix` and is factorized by the
-same banded LU with partial pivoting.
+Array-first: nodal data are stacked ``(n, ...)`` arrays.  The curve
+Jacobian is written into band storage by strided slices, one per block
+entry; :meth:`BandedMatrix.add` is the general scatter, which the rod uses.
+Every Newton matrix of the package, a block-tridiagonal curve Jacobian as
+much as the rod's saddle-point matrix, is a :class:`BandedMatrix` and is
+factorized by the same banded LU with partial pivoting.
 """
 
 from __future__ import annotations
@@ -263,11 +264,20 @@ def assemble_intervals_vector(V, g, y=None) -> np.ndarray:
 
 
 def assemble_intervals(diag, upper) -> BandedMatrix:
-    """Band storage of the block tridiagonal matrix of :func:`sphere_field_blocks`."""
+    """Band storage of the block tridiagonal matrix of :func:`sphere_field_blocks`.
+
+    Entry ``(a, b)`` of the diagonal, upper or lower blocks lies on one band
+    diagonal, in every ``m``-th column, so it is one strided slice of the
+    storage.  No two blocks share an entry, and ``+=`` on the zero storage
+    gives the sums of :meth:`BandedMatrix.add` (``-0.0`` becomes ``+0.0``).
+    """
     n, m, _ = diag.shape
     A = BandedMatrix(n * m, 2 * m - 1, 2 * m - 1)
-    dofs = np.arange(n * m).reshape(n, m)
-    A.add(dofs[:, :, None], dofs[:, None, :], diag)
-    A.add(dofs[:-1, :, None], dofs[1:, None, :], upper)
-    A.add(dofs[1:, :, None], dofs[:-1, None, :], np.swapaxes(upper, -1, -2))
+    mid = A.lower_bw + A.upper_bw  # storage row of the main diagonal
+    for a in range(m):
+        for b in range(m):
+            row = mid + a - b
+            A._ab[row, b::m] += diag[:, a, b]
+            A._ab[row - m, m + b :: m] += upper[:, a, b]
+            A._ab[row + m, b : (n - 1) * m : m] += upper[:, b, a]
     return A

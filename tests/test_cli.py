@@ -9,6 +9,7 @@ from bundle_newton.cli import (
     EXIT_OK,
     ConfigError,
     RunConfig,
+    _write_csv,
     build_parser,
     config_from_args,
     main,
@@ -89,9 +90,38 @@ def test_numbers_round_trip_losslessly(tmp_path):
     out = tmp_path / "g"
     assert main(["geodesic-force", "--n", "20", "--out-dir", str(out)]) == EXIT_OK
     # 17 significant digits: parsing and re-formatting is the identity
-    for line in (out / "curve.csv").read_text().splitlines()[1:3]:
-        for token in line.split(","):
-            assert format(float(token), ".17g") == token
+    for name in ("curve.csv", "iterates.csv"):
+        lines = (out / name).read_text().splitlines()[1:]
+        assert lines, name
+        for line in lines:
+            for token in line.split(","):
+                assert format(float(token), ".17g") == token
+
+
+def per_value_csv(header, rows):
+    """The CSV text of one ``format(float(v), ".17g")`` call per value."""
+    lines = [header, *(",".join(format(float(v), ".17g") for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+            1.0, 3.0, 199.0, 2.0**53, 0.1, 1 / 3, 2.2250738585072014e-308]
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        np.array(_SPECIAL).reshape(-1, 4),
+        np.random.default_rng(8).standard_normal((50, 3)) * 10.0 ** np.arange(-6, 9, 7),
+        np.array([_SPECIAL[:6]]),  # a single row
+        np.empty((0, 6)),  # no rows: the header alone
+    ],
+    ids=["special", "random", "one-row", "no-rows"],
+)
+def test_write_csv_matches_per_value_format(tmp_path, block):
+    header = ",".join(f"c{k}" for k in range(block.shape[1]))
+    _write_csv(tmp_path / "t.csv", header, block)
+    assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, block).encode()
 
 
 def test_obstacle_meta_records_penalty(tmp_path):
@@ -151,9 +181,13 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         (["obstacle", "--p-growth", "nan"], "nan"),
         (["obstacle", "--h-ref", "nan"], "nan"),
         (["geodesic-force", "--tol", "nan"], "nan"),
-        (["geodesic-force", "--n", "10", "--gamma0", "nan,0,1"], "[nan, 0.0, 1.0]"),
-        (["rod", "--n", "10", "--y0", "nan,0,0"], "[nan, 0.0, 0.0]"),
+        (["geodesic-force", "--n", "10", "--gamma0", "nan,0,1"], "'nan,0,1'"),
+        (["rod", "--n", "10", "--y0", "nan,0,0"], "'nan,0,0'"),
         (["rod", "--n", "10", "--y1", "inf,0,0"], "[inf, 0.0, 0.0]"),
+        # NaN is refused for every field, also one the problem does not read
+        (["rod", "--force-scale", "nan"], "nan"),
+        (["rod", "--p-growth", "nan"], "nan"),
+        (["obstacle", "--sigma", "nan"], "nan"),
     ]
     capsys.readouterr()
     for argv, bad in cases:
@@ -168,9 +202,11 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     # bad values in a file, unknown flags (--seed was removed), no file
     (tmp_path / "frac.cfg").write_text("n = 12.5\n")
     (tmp_path / "word.cfg").write_text("tol = abc\n")
+    (tmp_path / "nan.cfg").write_text("sigma = nan\n")
     cases = [
         (["--config", str(tmp_path / "frac.cfg")], "'12.5'"),
         (["--config", str(tmp_path / "word.cfg")], "'abc'"),
+        (["--config", str(tmp_path / "nan.cfg")], "'nan'"),
         (["--wibble", "3"], "--wibble"),
         (["--seed", "3"], "--seed"),
         (["--config", str(tmp_path / "missing.cfg")], "missing.cfg"),

@@ -331,6 +331,22 @@ def test_condition_estimate_alternating_sign_safeguard():
     assert A.factorize().inverse_norm1() >= 0.3 * exact
 
 
+def test_assemble_intervals_equals_add_scatter_bitwise():
+    # oracle: conftest.block_tridiag, the three BandedMatrix.add scatters;
+    # -0.0 entries must come out as the +0.0 sums of np.add.at
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 3):
+        for n in (1, 2, 7):
+            diag = rng.standard_normal((n, m, m))
+            upper = rng.standard_normal((n - 1, m, m))
+            for blocks in (diag, upper):
+                blocks[rng.random(blocks.shape) < 0.3] = -0.0
+            A = assemble_intervals(diag, upper)
+            B = block_tridiag(diag, np.swapaxes(upper, -1, -2), upper)
+            assert (A.dim, A.lower_bw, A.upper_bw) == (B.dim, B.lower_bw, B.upper_bw)
+            assert A._ab.tobytes() == B._ab.tobytes(), (m, n)
+
+
 def test_banded_zero_size_add_is_a_no_op():
     A = BandedMatrix(2, 1, 1)
     A.add(np.empty(0, dtype=int), np.empty(0, dtype=int), 1.0)
