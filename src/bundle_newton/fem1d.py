@@ -4,12 +4,12 @@ Uniform grids, nodal curves on the sphere, one banded matrix type with its
 LU solver (LAPACK ``gbtrf``/``gbtrs``), and the P1 assembly of unit-vector
 fields shared by the curve and rod problems.
 
-Array-first: nodal data are stacked ``(n, ...)`` arrays.  The curve
-Jacobian is written into band storage by strided slices, one per block
-entry; :meth:`BandedMatrix.add` is the general scatter, which the rod uses.
-Every Newton matrix of the package, a block-tridiagonal curve Jacobian as
-much as the rod's saddle-point matrix, is a :class:`BandedMatrix` and is
-factorized by the same banded LU with partial pivoting.
+Array-first: nodal data are stacked ``(n, ...)`` arrays.  Every Newton
+matrix of the package, a block-tridiagonal curve Jacobian as much as the
+rod's saddle-point matrix, is a :class:`BandedMatrix`, filled by
+:meth:`BandedMatrix.add_blocks` (runs of equally spaced dense blocks, one
+strided band slice per block entry) and factorized by the same banded LU
+with partial pivoting.  :meth:`BandedMatrix.add` is the general scatter.
 """
 
 from __future__ import annotations
@@ -140,6 +140,41 @@ class BandedMatrix:
             raise ValueError(f"entry {_first_entry(i, j, off_band)} lies outside the stored band")
         np.add.at(self._ab, (row, j), value)
 
+    def add_blocks(self, row0: int, col0: int, blocks: np.ndarray, stride: int) -> None:
+        """Add the ``(K, p, q)`` array ``blocks``, block ``k`` at rows
+        ``row0 + k stride + [0, p)`` and columns ``col0 + k stride + [0, q)``.
+
+        Entry ``(a, b)`` of every block lies on one band diagonal, in every
+        ``stride``-th column, so it is one strided slice of the storage.
+        Adding in place gives the sums of :meth:`add` bit for bit, overlapping
+        blocks included: rows are written last first, so each entry sums its
+        blocks in block order.  Nothing is written unless the whole run lies
+        in the matrix and in the band.
+        """
+        if blocks.size == 0:
+            return
+        K, p, q = blocks.shape
+        if stride < 1:
+            raise ValueError(f"stride must be positive, got {stride}")
+        span = (K - 1) * stride
+        if row0 < 0 or col0 < 0 or max(row0 + p, col0 + q) + span > self.dim:
+            raise IndexError(
+                f"{K} blocks of shape {p}x{q} at ({row0}, {col0}) + k * {stride} "
+                f"leave the {self.dim}x{self.dim} matrix"
+            )
+        if row0 - col0 + p - 1 > self.lower_bw or col0 - row0 + q - 1 > self.upper_bw:
+            raise ValueError(
+                f"blocks of shape {p}x{q} at ({row0}, {col0}) leave the stored band "
+                f"(bandwidths {self.lower_bw}/{self.upper_bw})"
+            )
+        ab = self._ab
+        mid = self.lower_bw + self.upper_bw + row0 - col0  # storage row of entry (0, 0)
+        stop = col0 + span + 1
+        for a in range(p - 1, -1, -1):
+            for b in range(q):
+                band = ab[mid + a - b, col0 + b : stop + b : stride]
+                np.add(band, blocks[:, a, b], out=band)
+
     def to_dense(self) -> np.ndarray:
         """The matrix as a dense ``(dim, dim)`` array."""
         i, j = np.indices((self.dim, self.dim))
@@ -266,18 +301,13 @@ def assemble_intervals_vector(V, g, y=None) -> np.ndarray:
 def assemble_intervals(diag, upper) -> BandedMatrix:
     """Band storage of the block tridiagonal matrix of :func:`sphere_field_blocks`.
 
-    Entry ``(a, b)`` of the diagonal, upper or lower blocks lies on one band
-    diagonal, in every ``m``-th column, so it is one strided slice of the
-    storage.  No two blocks share an entry, and ``+=`` on the zero storage
-    gives the sums of :meth:`BandedMatrix.add` (``-0.0`` becomes ``+0.0``).
+    Three block runs of stride ``m``: diagonal, upper and transposed upper.
+    Adding onto the zero storage turns ``-0.0`` entries into ``+0.0``, as
+    :meth:`BandedMatrix.add` does.
     """
     n, m, _ = diag.shape
     A = BandedMatrix(n * m, 2 * m - 1, 2 * m - 1)
-    mid = A.lower_bw + A.upper_bw  # storage row of the main diagonal
-    for a in range(m):
-        for b in range(m):
-            row = mid + a - b
-            A._ab[row, b::m] += diag[:, a, b]
-            A._ab[row - m, m + b :: m] += upper[:, a, b]
-            A._ab[row + m, b : (n - 1) * m : m] += upper[:, b, a]
+    A.add_blocks(0, 0, diag, m)
+    A.add_blocks(0, m, upper, m)
+    A.add_blocks(m, 0, upper.transpose(0, 2, 1), m)
     return A

@@ -43,8 +43,8 @@ class NewtonConfig:
             raise ValueError("need 0 < theta_des < theta_acc")
         if not 0.0 < self.alpha_fail < self.alpha0 <= 1.0:
             raise ValueError("need 0 < alpha_fail < alpha0 <= 1")
-        if not self.tol > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("invalid iteration limits")
 

@@ -7,7 +7,10 @@ prescribed.  Per interior node the dofs are interleaved as
 ``(y_i, v_i, lambda_i)`` behind a leading ``lambda_0`` group, which keeps the
 assembled Newton matrix banded with bandwidths 9/9 independent of the grid.
 The group of node ``i`` occupies entries ``8 i - 5 .. 8 i + 2``, so that
-``lambda_j`` starts at entry ``8 j`` for every interval ``j``.
+``lambda_j`` starts at entry ``8 j`` for every interval ``j``.  Every block of
+the Jacobian therefore repeats from node to node with stride 8, and the
+Jacobian is assembled as 11 block runs of
+:meth:`~bundle_newton.fem1d.BandedMatrix.add_blocks`.
 
 The direction rows are a unit-vector field of stiffness ``sigma`` loaded by
 the multiplier, assembled by :mod:`fem1d` as for the curve problems: the
@@ -119,21 +122,6 @@ class RodProblem(ProblemInterface):
     def dof_count(self) -> int:
         return 8 * self.grid.n_interior + 3
 
-    @staticmethod
-    def _y_dofs(i):
-        """Dof indices of the positions at interior node(s) ``i``, shape ``(..., 3)``."""
-        return 8 * np.asarray(i)[..., None] - 5 + np.arange(3)
-
-    @staticmethod
-    def _v_dofs(i):
-        """Dof indices of the direction at interior node(s) ``i``, shape ``(..., 2)``."""
-        return 8 * np.asarray(i)[..., None] - 2 + np.arange(2)
-
-    @staticmethod
-    def _lam_dofs(j):
-        """Dof indices of the multiplier on interval(s) ``j``, shape ``(..., 3)``."""
-        return 8 * np.asarray(j)[..., None] + np.arange(3)
-
     def _split(self, xi):
         """``(y, v, lam)`` parts of a coefficient vector: ``(n, 3)``, ``(n, 2)``, ``(n + 1, 3)``."""
         xi = np.asarray(xi, dtype=float)
@@ -167,32 +155,35 @@ class RodProblem(ProblemInterface):
         h = self.grid.h
         A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
         V = state.basis  # (n, 3, 2)
-        VT = np.swapaxes(V, -1, -2)
-        eye3 = np.eye(3)
-        nodes = np.arange(1, n + 1)
-        y_dofs, v_dofs = self._y_dofs(nodes), self._v_dofs(nodes)
-        lam_left, lam_right = self._lam_dofs(nodes - 1), self._lam_dofs(nodes)
+        eye3 = np.broadcast_to(np.eye(3), (n, 3, 3))
+        minus_eye3 = np.broadcast_to(-np.eye(3), (n, 3, 3))
 
-        def add(rows, cols, blocks):
-            A.add(rows[..., :, None], cols[..., None, :], blocks)
+        def add(row0, col0, blocks):
+            A.add_blocks(row0, col0, blocks, 8)
+
+        # first dofs of the node-1 groups: multipliers left and right of the
+        # node, position, direction
+        lam_left, y, v, lam_right = 0, 3, 6, 8
 
         # position rows: multiplier difference
-        add(y_dofs, lam_left, eye3)
-        add(y_dofs, lam_right, -eye3)
+        add(y, lam_left, eye3)
+        add(y, lam_right, minus_eye3)
 
         # direction rows: the unit-vector field's blocks, multiplier
         diag, upper = sphere_field_blocks(state.v[1:-1], V, self._v_covectors(state), h, self.sigma)
-        add(v_dofs, v_dofs, diag)
-        add(v_dofs[:-1], v_dofs[1:], upper)
-        add(v_dofs[1:], v_dofs[:-1], np.swapaxes(upper, -1, -2))
-        add(v_dofs, lam_left, -0.5 * h * VT)
-        add(v_dofs, lam_right, -0.5 * h * VT)
+        add(v, v, diag)
+        add(v, v + 8, upper)
+        add(v + 8, v, upper.transpose(0, 2, 1))
+        mean_VT = -0.5 * h * V.transpose(0, 2, 1)
+        add(v, lam_left, mean_VT)
+        add(v, lam_right, mean_VT)
 
         # constraint rows: position difference minus interval mean direction
-        add(lam_right, y_dofs, -eye3)
-        add(lam_right, v_dofs, -0.5 * h * V)
-        add(lam_left, y_dofs, eye3)
-        add(lam_left, v_dofs, -0.5 * h * V)
+        mean_V = -0.5 * h * V
+        add(lam_right, y, minus_eye3)
+        add(lam_right, v, mean_V)
+        add(lam_left, y, eye3)
+        add(lam_left, v, mean_V)
         return A
 
     def retract(self, state: RodState, xi, alpha: float) -> RodState:

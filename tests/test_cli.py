@@ -181,6 +181,7 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         (["obstacle", "--p-growth", "nan"], "nan"),
         (["obstacle", "--h-ref", "nan"], "nan"),
         (["geodesic-force", "--tol", "nan"], "nan"),
+        (["geodesic-force", "--n", "5", "--tol", "inf"], "inf"),
         (["geodesic-force", "--n", "10", "--gamma0", "nan,0,1"], "'nan,0,1'"),
         (["rod", "--n", "10", "--y0", "nan,0,0"], "'nan,0,0'"),
         (["rod", "--n", "10", "--y1", "inf,0,0"], "[inf, 0.0, 0.0]"),

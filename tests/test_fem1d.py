@@ -347,6 +347,70 @@ def test_assemble_intervals_equals_add_scatter_bitwise():
             assert A._ab.tobytes() == B._ab.tobytes(), (m, n)
 
 
+def add_scatter_blocks(A, row0, col0, blocks, stride):
+    """Oracle of ``BandedMatrix.add_blocks``: the same blocks by ``BandedMatrix.add``."""
+    K, p, q = blocks.shape
+    start = stride * np.arange(K)[:, None, None]
+    A.add(start + row0 + np.arange(p)[:, None], start + col0 + np.arange(q), blocks)
+
+
+def test_add_blocks_equals_add_scatter_bitwise():
+    # three runs per matrix, so that runs also accumulate onto earlier ones.
+    # Strides below the block size give runs whose blocks overlap; in the
+    # first run, 3x3 blocks of stride 1, an entry sums three blocks, and a
+    # summation order other than the oracle's shows in the last bits.
+    rng = np.random.default_rng(21)
+    shapes = ((1, 1), (2, 2), (3, 2), (2, 3), (3, 3))
+    dim = 60
+    for trial in range(100):
+        A = BandedMatrix(dim, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+        B = BandedMatrix(dim, A.lower_bw, A.upper_bw)
+        for run in range(3):
+            p, q = shapes[rng.integers(len(shapes))]
+            stride = int(rng.integers(1, 9))
+            K = int(rng.choice([0, 1, rng.integers(2, 7)]))
+            if run == 0:
+                p, q, stride, K = 3, 3, 1, 6
+            # row0 - col0 within the band, often nonzero
+            d = int(rng.integers(q - 1 - A.upper_bw, A.lower_bw - p + 2))
+            col0 = max(0, -d) + int(rng.integers(0, 5))
+            row0 = col0 + d
+            if rng.random() < 0.3:  # last block at the bottom-right edge
+                shift = dim - max(row0 + p, col0 + q) - max(K - 1, 0) * stride
+                row0, col0 = row0 + shift, col0 + shift
+            blocks = rng.standard_normal((K, p, q))
+            blocks[rng.random(blocks.shape) < 0.3] = -0.0
+            A.add_blocks(row0, col0, blocks, stride)
+            add_scatter_blocks(B, row0, col0, blocks, stride)
+            assert A._ab.tobytes() == B._ab.tobytes(), (trial, row0, col0, K, p, q, stride)
+
+
+def test_add_blocks_outside_matrix_or_band_writes_nothing():
+    A = BandedMatrix(20, 3, 2)
+    A.add_blocks(0, 0, np.ones((5, 2, 2)), 4)
+    before = A._ab.tobytes()
+    runs = [
+        # (row0, col0, K, p, q, stride, error)
+        (-1, 0, 1, 2, 2, 1, IndexError),
+        (0, -1, 1, 1, 1, 1, IndexError),
+        (0, 0, 7, 3, 3, 3, IndexError),  # last block at rows/columns 18..20
+        (2, 1, 3, 3, 2, 8, IndexError),  # last block at rows 18..20
+        (0, 0, 1, 5, 1, 1, ValueError),  # entry (4, 0): too far below the diagonal
+        (3, 0, 1, 2, 2, 1, ValueError),  # entry (4, 0)
+        (0, 1, 1, 1, 3, 1, ValueError),  # entry (0, 3): too far above the diagonal
+        (0, 3, 2, 1, 1, 5, ValueError),  # entries (0, 3) and (5, 8)
+        (0, 0, 2, 1, 1, 0, ValueError),  # stride 0
+    ]
+    for row0, col0, K, p, q, stride, error in runs:
+        with pytest.raises(error):
+            A.add_blocks(row0, col0, np.ones((K, p, q)), stride)
+        assert A._ab.tobytes() == before, (row0, col0, K, p, q, stride)
+    # the edges themselves are admissible: last block at rows/columns 18..19
+    A.add_blocks(0, 0, np.ones((7, 2, 2)), 3)
+    A.add_blocks(2, 0, np.ones((1, 2, 1)), 1)
+    A.add_blocks(0, 2, np.ones((1, 1, 1)), 1)
+
+
 def test_banded_zero_size_add_is_a_no_op():
     A = BandedMatrix(2, 1, 1)
     A.add(np.empty(0, dtype=int), np.empty(0, dtype=int), 1.0)

@@ -1,11 +1,34 @@
 import numpy as np
 import pytest
 
-from bundle_newton import DegenerateUpdate, Grid, NewtonConfig, Termination, damped_newton
+from bundle_newton import (
+    BandedMatrix,
+    DegenerateUpdate,
+    Grid,
+    NewtonConfig,
+    Termination,
+    damped_newton,
+)
+from bundle_newton.fem1d import sphere_field_blocks
 from bundle_newton.problems import RodProblem, RodState, rod_initial_guess
 from conftest import jacobian_fd_error, random_rod_state
 
 SQRT5 = np.sqrt(5.0)
+
+
+def y_dofs(i):
+    """Dof indices of the positions at interior node(s) ``i``, shape ``(..., 3)``."""
+    return 8 * np.asarray(i)[..., None] - 5 + np.arange(3)
+
+
+def v_dofs(i):
+    """Dof indices of the direction at interior node(s) ``i``, shape ``(..., 2)``."""
+    return 8 * np.asarray(i)[..., None] - 2 + np.arange(2)
+
+
+def lam_dofs(j):
+    """Dof indices of the multiplier on interval(s) ``j``, shape ``(..., 3)``."""
+    return 8 * np.asarray(j)[..., None] + np.arange(3)
 
 
 def straight_rod_problem(grid):
@@ -86,7 +109,7 @@ def test_constraint_rows_formula():
         expected = h * (
             (state.y[j + 1] - state.y[j]) / h - 0.5 * (state.v[j] + state.v[j + 1])
         )
-        assert np.abs(b[problem._lam_dofs(j)] - expected).max() < 1e-14
+        assert np.abs(b[lam_dofs(j)] - expected).max() < 1e-14
 
 
 def test_multiplier_enters_linearly():
@@ -103,7 +126,7 @@ def test_multiplier_enters_linearly():
     assert np.abs(diff - linear_part).max() < 1e-12
     # constraint rows do not depend on the multiplier
     for j in range(grid.n_intervals):
-        assert np.abs(diff[problem._lam_dofs(j)]).max() == 0.0
+        assert np.abs(diff[lam_dofs(j)]).max() == 0.0
 
 
 # -- Jacobian -------------------------------------------------------------------------
@@ -117,7 +140,7 @@ def test_jacobian_position_block_vanishes_without_force():
     dense = problem.assemble_jacobian(state).to_dense()
     for i in range(1, grid.n_interior + 1):
         for j in range(1, grid.n_interior + 1):
-            block = dense[np.ix_(problem._y_dofs(i), problem._y_dofs(j))]
+            block = dense[np.ix_(y_dofs(i), y_dofs(j))]
             assert np.abs(block).max() == 0.0
 
 
@@ -131,10 +154,10 @@ def test_jacobian_direction_block_is_pure_stiffness_at_straight_state():
 
     vmats = [tangent_basis(p) for p in state.v[1:-1]]
     for i in range(1, grid.n_interior + 1):
-        diag = dense[np.ix_(problem._v_dofs(i), problem._v_dofs(i))]
+        diag = dense[np.ix_(v_dofs(i), v_dofs(i))]
         assert np.abs(diag - (2.0 / h) * np.eye(2)).max() < 1e-12 / h
         if i + 1 <= grid.n_interior:
-            off = dense[np.ix_(problem._v_dofs(i), problem._v_dofs(i + 1))]
+            off = dense[np.ix_(v_dofs(i), v_dofs(i + 1))]
             expected = -(1.0 / h) * vmats[i - 1].T @ vmats[i]
             assert np.abs(off - expected).max() < 1e-12 / h
 
@@ -160,6 +183,52 @@ def test_jacobian_respects_declared_bandwidth():
         for j in range(n):
             if abs(i - j) > 9:
                 assert dense[i, j] == 0.0
+
+
+def add_scatter_jacobian(problem, state):
+    """Reference assembly: the rod Jacobian as 11 ``BandedMatrix.add`` scatters
+    over per-node dof index arrays."""
+    n, h = problem.grid.n_interior, problem.grid.h
+    A = BandedMatrix(problem.dof_count, 9, 9)
+    V = state.basis
+    VT = np.swapaxes(V, -1, -2)
+    eye3 = np.eye(3)
+    nodes = np.arange(1, n + 1)
+    y, v = y_dofs(nodes), v_dofs(nodes)
+    lam_left, lam_right = lam_dofs(nodes - 1), lam_dofs(nodes)
+
+    def add(rows, cols, blocks):
+        A.add(rows[..., :, None], cols[..., None, :], blocks)
+
+    add(y, lam_left, eye3)
+    add(y, lam_right, -eye3)
+    diag, upper = sphere_field_blocks(
+        state.v[1:-1], V, problem._v_covectors(state), h, problem.sigma
+    )
+    add(v, v, diag)
+    add(v[:-1], v[1:], upper)
+    add(v[1:], v[:-1], np.swapaxes(upper, -1, -2))
+    add(v, lam_left, -0.5 * h * VT)
+    add(v, lam_right, -0.5 * h * VT)
+    add(lam_right, y, -eye3)
+    add(lam_right, v, -0.5 * h * V)
+    add(lam_left, y, eye3)
+    add(lam_left, v, -0.5 * h * V)
+    return A
+
+
+def test_jacobian_block_runs_equal_add_scatter_bitwise():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7):
+        grid = Grid(1.0, n)
+        for sigma in (1.0, 2.5):
+            problem = RodProblem(grid, sigma=sigma)
+            state = random_rod_state(grid, rng)
+            assert np.abs(state.lam).min() > 0.0
+            A = problem.assemble_jacobian(state)
+            B = add_scatter_jacobian(problem, state)
+            assert (A.dim, A.lower_bw, A.upper_bw) == (B.dim, B.lower_bw, B.upper_bw)
+            assert A._ab.tobytes() == B._ab.tobytes(), (n, sigma)
 
 
 # -- solve ----------------------------------------------------------------------------
@@ -198,7 +267,7 @@ def test_rod_norm_groups():
     grid = Grid(1.0, 4)
     problem = RodProblem(grid)
     xi = np.zeros(problem.dof_count)
-    xi[problem._v_dofs(2)] = [3.0, 4.0]
+    xi[v_dofs(2)] = [3.0, 4.0]
     assert problem.norm_inf(xi) == pytest.approx(5.0)
-    xi[problem._lam_dofs(0)] = [0.0, 0.0, 7.0]
+    xi[lam_dofs(0)] = [0.0, 0.0, 7.0]
     assert problem.norm_inf(xi) == pytest.approx(7.0)
