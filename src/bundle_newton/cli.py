@@ -230,7 +230,7 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
         # node 0 repeats the first interval
         lam_at_nodes = np.vstack([final.lam[:1], final.lam])
         names = ("x", "y", "z", "vx", "vy", "vz", "lx", "ly", "lz")
-        columns = dict(zip(names, np.hstack([final.y, final.v, lam_at_nodes]).T))
+        columns = dict(zip(names, np.hstack([final.y, final.v.points, lam_at_nodes]).T))
         extra = {"constraint_inf": _fmt(np.abs(final.constraint_residuals()).max())}
     else:
         columns, extra = dict(zip("xyz", final.points.T)), {}

@@ -21,7 +21,9 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .geometry import CONDITION_LIMIT, UNIT_NORM_TOL, dot, tangent_basis, tangent_project
+from .geometry import (
+    CONDITION_LIMIT, UNIT_NORM_TOL, dot, retract_sphere, tangent_basis, tangent_project,
+)
 
 
 class SingularSystem(Exception):
@@ -65,7 +67,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class NodalCurve:
-    """Piecewise-linear interpolant of unit vectors at the grid nodes."""
+    """Piecewise-linear interpolant of unit vectors at the grid nodes.
+
+    The sphere-valued unknown of every problem (a curve problem's curve, the
+    rod's directions): fixed end points, framed and retracted interior nodes.
+    """
 
     grid: Grid
     points: np.ndarray  # (n_nodes, 3)
@@ -89,6 +95,14 @@ class NodalCurve:
     def basis(self) -> np.ndarray:
         """``(n, 3, 2)`` tangent frames at the interior nodes, computed once per curve."""
         return tangent_basis(self.interior)
+
+    def retract(self, xi, alpha: float) -> "NodalCurve":
+        """The curve moved by ``alpha`` times the tangent step of frame
+        coefficients ``xi`` (two per interior node); the end points stay fixed."""
+        step = np.einsum("nij,nj->ni", self.basis, np.reshape(xi, (-1, 2)))
+        points = self.points.copy()
+        points[1:-1] = retract_sphere(self.interior, alpha * step)
+        return NodalCurve(self.grid, points)
 
 
 # ---------------------------------------------------------------------------

@@ -21,22 +21,22 @@ from ..fem1d import (
     p1_covectors,
     sphere_field_blocks,
 )
-from ..geometry import DegenerateUpdate, retract_sphere, unit_vector
+from ..geometry import unit_vector
 from ..newton import ProblemInterface
 
 
+def _arc_angle(a, b) -> float:
+    """Angle between the unit vectors ``a`` and ``b``."""
+    return float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+
+
 def connecting_geodesic_points(grid: Grid, a, b) -> np.ndarray:
-    """Great-circle arc from ``a`` to ``b`` sampled at the grid nodes."""
+    """Great-circle arc from ``a`` to ``b``, not antipodal, sampled at the grid nodes."""
     a = unit_vector(a)
     b = unit_vector(b)
-    cosw = float(np.clip(a @ b, -1.0, 1.0))
-    omega = np.arccos(cosw)
+    omega = _arc_angle(a, b)
     s = grid.nodes / grid.t_end
-    if np.sin(omega) <= 1e-12:
-        if cosw < 0.0:
-            raise DegenerateUpdate(
-                "antipodal boundary points have no unique connecting geodesic"
-            )
+    if np.sin(omega) <= 1e-12:  # coincident end points
         pts = np.tile(a, (grid.n_nodes, 1))
     else:
         pts = (
@@ -55,10 +55,11 @@ class SphereCurveProblem(ProblemInterface):
         self.grid = grid
         self.gamma0 = unit_vector(gamma0)
         self.gammaT = unit_vector(gammaT)
-        if np.linalg.norm(self.gamma0 + self.gammaT) <= 1e-12:
+        omega = _arc_angle(self.gamma0, self.gammaT)
+        if omega > np.pi / 2 and np.sin(omega) <= 1e-12:
             raise ValueError(
                 f"boundary points {self.gamma0.tolist()} and {self.gammaT.tolist()} "
-                "must not be exactly antipodal"
+                "are (nearly) antipodal and have no unique connecting geodesic"
             )
 
     # -- force interface, provided by subclasses ---------------------------
@@ -94,11 +95,7 @@ class SphereCurveProblem(ProblemInterface):
         return assemble_intervals(*blocks)
 
     def retract(self, curve: NodalCurve, xi, alpha: float) -> NodalCurve:
-        xi = np.asarray(xi, dtype=float).reshape(self.grid.n_interior, 2)
-        points = curve.points.copy()
-        step = np.einsum("nij,nj->ni", curve.basis, xi)
-        points[1:-1] = retract_sphere(points[1:-1], alpha * step)
-        return NodalCurve(self.grid, points)
+        return curve.retract(xi, alpha)
 
     def norm_inf(self, xi) -> float:
         xi = np.asarray(xi, dtype=float).reshape(self.grid.n_interior, 2)

@@ -8,6 +8,7 @@ path-following loop with warm starts.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,8 @@ class ObstacleProblem(SphereCurveProblem):
         )
         if not 0.0 < h_ref < 1.0:
             raise ValueError(f"h_ref must lie in (0, 1), got {h_ref!r}")
-        if not 0.0 <= p < np.inf:
-            raise ValueError(f"penalty weight must be nonnegative and finite, got {p!r}")
+        if not 0.0 < p < np.inf:
+            raise ValueError(f"penalty weight must be positive and finite, got {p!r}")
         if not 1.0 < p_growth < np.inf:
             raise ValueError(f"penalty growth factor must exceed 1 and be finite, got {p_growth!r}")
         if not 0.0 <= violation_tol < np.inf:
@@ -74,15 +75,11 @@ class ObstacleProblem(SphereCurveProblem):
         return np.asarray(y)[..., 2] - 1.0 + self.h_ref
 
     def with_penalty(self, p: float) -> "ObstacleProblem":
-        return ObstacleProblem(
-            self.grid,
-            self.gamma0,
-            self.gammaT,
-            h_ref=self.h_ref,
-            p=p,
-            p_growth=self.p_growth,
-            violation_tol=self.violation_tol,
-        )
+        """This problem with penalty weight ``p``; ``p = 0`` is the penalty-free
+        stage 0 of the path, which the constructor's positive weight excludes."""
+        stage = copy.copy(self)
+        stage.p = float(p)
+        return stage
 
     def violation(self, curve: NodalCurve) -> float:
         """Largest nodal cap violation ``max_i max(0, gap(y_i))``."""

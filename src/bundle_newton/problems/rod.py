@@ -12,27 +12,27 @@ the Jacobian therefore repeats from node to node with stride 8, and the
 Jacobian is assembled as 11 block runs of
 :meth:`~bundle_newton.fem1d.BandedMatrix.add_blocks`.
 
-The direction rows are a unit-vector field of stiffness ``sigma`` loaded by
-the multiplier, assembled by :mod:`fem1d` as for the curve problems: the
-residual by ``assemble_intervals_vector`` in the tangent frames of the
-interior directions, the Jacobian blocks by ``sphere_field_blocks``.
+The directions are a :class:`~bundle_newton.fem1d.NodalCurve` as in the curve
+problems, framed and retracted by it, and their rows are assembled by
+:mod:`fem1d` as there: a unit-vector field of stiffness ``sigma`` loaded by
+the multiplier.  ``y`` and ``lambda`` retract linearly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ..fem1d import (
     BandedMatrix,
     Grid,
+    NodalCurve,
     assemble_intervals_vector,
     p1_covectors,
     sphere_field_blocks,
 )
-from ..geometry import UNIT_NORM_TOL, normalized, retract_sphere, tangent_basis, unit_vector
+from ..geometry import normalized, unit_vector
 from ..newton import ProblemInterface
 
 BANDWIDTH = 9
@@ -47,38 +47,31 @@ DEFAULT_V1 = (1.0 / np.sqrt(1.64), 0.0, 0.8 / np.sqrt(1.64))
 
 @dataclass(frozen=True)
 class RodState:
-    """Nodal rod configuration: positions, unit directions, multipliers."""
+    """Nodal rod configuration: positions, unit directions, multipliers.  The
+    directions are a :class:`NodalCurve`, with the frames and the state's grid."""
 
-    grid: Grid
     y: np.ndarray  # (n_nodes, 3)
-    v: np.ndarray  # (n_nodes, 3), unit rows
+    v: NodalCurve
     lam: np.ndarray  # (n_intervals, 3)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        v = np.asarray(self.v, dtype=float)
         lam = np.asarray(self.lam, dtype=float)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "v", v)
         object.__setattr__(self, "lam", lam)
-        n_nodes = self.grid.n_nodes
-        if y.shape != (n_nodes, 3) or v.shape != (n_nodes, 3):
-            raise ValueError("y and v must hold one 3-vector per node")
+        if y.shape != (self.grid.n_nodes, 3):
+            raise ValueError("y must hold one 3-vector per node")
         if lam.shape != (self.grid.n_intervals, 3):
             raise ValueError("lam must hold one 3-vector per interval")
-        err = np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0))
-        if not err <= UNIT_NORM_TOL:  # also rejects NaN
-            raise ValueError(f"direction field leaves the sphere by {err:.2e}")
+
+    @property
+    def grid(self) -> Grid:
+        return self.v.grid
 
     def constraint_residuals(self) -> np.ndarray:
         """Per-interval values of ``(y_{i+1} - y_i)/h - (v_i + v_{i+1})/2``."""
-        h = self.grid.h
-        return np.diff(self.y, axis=0) / h - 0.5 * (self.v[:-1] + self.v[1:])
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """``(n, 3, 2)`` tangent frames of the interior directions, computed once per state."""
-        return tangent_basis(self.v[1:-1])
+        v = self.v.points
+        return np.diff(self.y, axis=0) / self.grid.h - 0.5 * (v[:-1] + v[1:])
 
 
 def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
@@ -93,7 +86,7 @@ def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
     v[0] = v0
     v[-1] = v1
     lam = np.zeros((grid.n_intervals, 3))
-    return RodState(grid, y, v, lam)
+    return RodState(y, NodalCurve(grid, v), lam)
 
 
 class RodProblem(ProblemInterface):
@@ -136,15 +129,15 @@ class RodProblem(ProblemInterface):
     def _v_covectors(self, state: RodState) -> np.ndarray:
         """Euclidean covectors paired with the interior direction tests."""
         load = -0.5 * (state.lam[:-1] + state.lam[1:])
-        return p1_covectors(state.v, self.grid.h, load, self.sigma)
+        return p1_covectors(state.v.points, self.grid.h, load, self.sigma)
 
     # -- driver contract -------------------------------------------------------
 
     def assemble_residual(self, state: RodState, trial: RodState | None = None) -> np.ndarray:
         # position and multiplier tests live in fixed linear spaces; only the
         # direction tests follow a trial, by projection onto its tangents
-        at, v = (state, None) if trial is None else (trial, trial.v[1:-1])
-        r_v = assemble_intervals_vector(state.basis, self._v_covectors(at), v)
+        at, v = (state, None) if trial is None else (trial, trial.v.interior)
+        r_v = assemble_intervals_vector(state.v.basis, self._v_covectors(at), v)
         r_lam = self.grid.h * at.constraint_residuals()
         r_y = at.lam[:-1] - at.lam[1:]
         groups = np.hstack((r_y, r_v.reshape(-1, 2), r_lam[1:]))
@@ -154,7 +147,7 @@ class RodProblem(ProblemInterface):
         n = self.grid.n_interior
         h = self.grid.h
         A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
-        V = state.basis  # (n, 3, 2)
+        V = state.v.basis  # (n, 3, 2)
         eye3 = np.broadcast_to(np.eye(3), (n, 3, 3))
         minus_eye3 = np.broadcast_to(-np.eye(3), (n, 3, 3))
 
@@ -170,7 +163,7 @@ class RodProblem(ProblemInterface):
         add(y, lam_right, minus_eye3)
 
         # direction rows: the unit-vector field's blocks, multiplier
-        diag, upper = sphere_field_blocks(state.v[1:-1], V, self._v_covectors(state), h, self.sigma)
+        diag, upper = sphere_field_blocks(state.v.interior, V, self._v_covectors(state), h, self.sigma)
         add(v, v, diag)
         add(v, v + 8, upper)
         add(v + 8, v, upper.transpose(0, 2, 1))
@@ -189,10 +182,8 @@ class RodProblem(ProblemInterface):
     def retract(self, state: RodState, xi, alpha: float) -> RodState:
         dy, dv, dlam = self._split(xi)
         y = state.y.copy()
-        v = state.v.copy()
         y[1:-1] += alpha * dy
-        v[1:-1] = retract_sphere(v[1:-1], alpha * np.einsum("nij,nj->ni", state.basis, dv))
-        return RodState(self.grid, y, v, state.lam + alpha * dlam)
+        return RodState(y, state.v.retract(dv, alpha), state.lam + alpha * dlam)
 
     def norm_inf(self, xi) -> float:
         return max(float(np.max(np.linalg.norm(part, axis=1))) for part in self._split(xi))

@@ -49,12 +49,12 @@ def random_obstacle_curve(grid, rng, problem, kink_margin=1e-4):
 def random_rod_state(grid, rng, base=None):
     base = base if base is not None else _straight_rod(grid)
     y = base.y + 0.2 * rng.standard_normal(base.y.shape)
-    v = base.v + 0.3 * rng.standard_normal(base.v.shape)
+    v = base.v.points + 0.3 * rng.standard_normal(base.v.points.shape)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     lam = 0.5 * rng.standard_normal(base.lam.shape)
     y[0], y[-1] = base.y[0], base.y[-1]
-    v[0], v[-1] = base.v[0], base.v[-1]
-    return RodState(grid, y, v, lam)
+    v[0], v[-1] = base.v.points[0], base.v.points[-1]
+    return RodState(y, NodalCurve(grid, v), lam)
 
 
 def _straight_rod(grid):

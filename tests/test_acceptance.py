@@ -232,7 +232,7 @@ def test_criterion_6_rod():
     damped_early = any(a < 1.0 for a in alphas[: first_full or len(alphas)])
     full_after = first_full is not None and all(a == 1.0 for a in alphas[first_full:])
     constraint = float(np.abs(state.constraint_residuals()).max())
-    vnorm_err = float(np.abs(np.linalg.norm(state.v, axis=1) - 1.0).max())
+    vnorm_err = float(np.abs(np.linalg.norm(state.v.points, axis=1) - 1.0).max())
     ok = (
         trace.terminated is Termination.CONVERGED
         and trace.iterations[-1].norm_dx <= 1e-10

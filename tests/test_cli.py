@@ -166,8 +166,15 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
     cases = [
         (["geodesic-force", "--gamma0", "1,2,3"], "[1.0, 2.0, 3.0]"),
         (["geodesic-force", "--gamma0", "0,0,1", "--gammaT", "0,0,-1"], "[0.0, 0.0, -1.0]"),
+        # nearly antipodal: a @ b rounds to -1, no unique connecting geodesic
+        (["geodesic-force", "--n", "5", "--gamma0", "1,0,0", "--gammaT=-1,1e-10,0"],
+         "[-1.0, 1e-10, 0.0]"),
+        (["obstacle", "--n", "5", "--gamma0", "1,0,0", "--gammaT=-1,1e-10,0"],
+         "[-1.0, 1e-10, 0.0]"),
         (["rod", "--v0", "1,1,0"], "[1.0, 1.0, 0.0]"),
         (["obstacle", "--p0", "-1"], "-1.0"),
+        # a zero weight would never grow along the penalty path
+        (["obstacle", "--n", "20", "--p0", "0"], "0.0"),
         (["obstacle", "--p-growth", "1.0"], "1.0"),
         (["geodesic-force", "--n", "abc"], "'abc'"),
         # NaN and inf fail every range check

@@ -6,6 +6,7 @@ from bundle_newton import (
     DegenerateUpdate,
     Grid,
     NewtonConfig,
+    NodalCurve,
     Termination,
     damped_newton,
 )
@@ -43,17 +44,17 @@ def test_initial_guess_reference_boundary_data():
     grid = Grid(1.0, 10)
     problem = RodProblem(grid)
     state = problem.initial_state()
-    assert np.abs(np.linalg.norm(state.v, axis=1) - 1.0).max() < 1e-12
+    assert np.abs(np.linalg.norm(state.v.points, axis=1) - 1.0).max() < 1e-12
     assert np.array_equal(state.lam, np.zeros((grid.n_intervals, 3)))
     assert np.allclose(state.y[0], [0, 0, 0]) and np.allclose(state.y[-1], [0.8, 0, 0])
-    assert np.allclose(state.v[0], [1 / SQRT5, 0, 2 / SQRT5])
+    assert np.allclose(state.v.points[0], [1 / SQRT5, 0, 2 / SQRT5])
 
 
 def test_initial_guess_constant_directions():
     grid = Grid(1.0, 5)
     v = np.array([0.0, 0.6, 0.8])
     state = rod_initial_guess(grid, (0, 0, 0), (0, 0.6, 0.8), v, v)
-    assert np.abs(state.v - v).max() < 1e-15
+    assert np.abs(state.v.points - v).max() < 1e-15
 
 
 def test_initial_guess_single_interior_node():
@@ -62,7 +63,7 @@ def test_initial_guess_single_interior_node():
     v1 = np.array([0.0, 1.0, 0.0])
     state = rod_initial_guess(grid, (0, 0, 0), (1, 0, 0), v0, v1)
     mid = 0.5 * (v0 + v1)
-    assert np.allclose(state.v[1], mid / np.linalg.norm(mid))
+    assert np.allclose(state.v.points[1], mid / np.linalg.norm(mid))
 
 
 def test_initial_guess_antipodal_directions_degenerate():
@@ -76,16 +77,16 @@ def test_rod_state_validates_shapes_and_unit_directions():
     y = np.zeros((3, 3))
     v = np.tile([1.0, 0.0, 0.0], (3, 1))
     lam = np.zeros((2, 3))
-    RodState(grid, y, v, lam)
+    RodState(y, NodalCurve(grid, v), lam)
     with pytest.raises(ValueError):
-        RodState(grid, y[:2], v, lam)
+        RodState(y[:2], NodalCurve(grid, v), lam)
     with pytest.raises(ValueError):
-        RodState(grid, y, v, lam[:1])
+        RodState(y, NodalCurve(grid, v), lam[:1])
     for bad_row in ([0.0, 2.0, 0.0], [np.nan, np.nan, np.nan]):
         bad = v.copy()
         bad[1] = bad_row
         with pytest.raises(ValueError):
-            RodState(grid, y, bad, lam)
+            RodState(y, NodalCurve(grid, bad), lam)
 
 
 # -- residual ------------------------------------------------------------------------
@@ -104,11 +105,9 @@ def test_constraint_rows_formula():
     problem = RodProblem(grid)
     state = random_rod_state(grid, rng)
     b = problem.assemble_residual(state)
-    h = grid.h
+    h, v = grid.h, state.v.points
     for j in range(grid.n_intervals):
-        expected = h * (
-            (state.y[j + 1] - state.y[j]) / h - 0.5 * (state.v[j] + state.v[j + 1])
-        )
+        expected = h * ((state.y[j + 1] - state.y[j]) / h - 0.5 * (v[j] + v[j + 1]))
         assert np.abs(b[lam_dofs(j)] - expected).max() < 1e-14
 
 
@@ -118,9 +117,9 @@ def test_multiplier_enters_linearly():
     problem = RodProblem(grid)
     state = random_rod_state(grid, rng)
     dlam = rng.standard_normal(state.lam.shape)
-    shifted = RodState(grid, state.y, state.v, state.lam + dlam)
-    zero_lam = RodState(grid, state.y, state.v, np.zeros_like(state.lam))
-    only_dlam = RodState(grid, state.y, state.v, dlam)
+    shifted = RodState(state.y, state.v, state.lam + dlam)
+    zero_lam = RodState(state.y, state.v, np.zeros_like(state.lam))
+    only_dlam = RodState(state.y, state.v, dlam)
     diff = problem.assemble_residual(shifted) - problem.assemble_residual(state)
     linear_part = problem.assemble_residual(only_dlam) - problem.assemble_residual(zero_lam)
     assert np.abs(diff - linear_part).max() < 1e-12
@@ -152,7 +151,7 @@ def test_jacobian_direction_block_is_pure_stiffness_at_straight_state():
     h = grid.h
     from bundle_newton import tangent_basis
 
-    vmats = [tangent_basis(p) for p in state.v[1:-1]]
+    vmats = [tangent_basis(p) for p in state.v.interior]
     for i in range(1, grid.n_interior + 1):
         diag = dense[np.ix_(v_dofs(i), v_dofs(i))]
         assert np.abs(diag - (2.0 / h) * np.eye(2)).max() < 1e-12 / h
@@ -190,7 +189,7 @@ def add_scatter_jacobian(problem, state):
     over per-node dof index arrays."""
     n, h = problem.grid.n_interior, problem.grid.h
     A = BandedMatrix(problem.dof_count, 9, 9)
-    V = state.basis
+    V = state.v.basis
     VT = np.swapaxes(V, -1, -2)
     eye3 = np.eye(3)
     nodes = np.arange(1, n + 1)
@@ -203,7 +202,7 @@ def add_scatter_jacobian(problem, state):
     add(y, lam_left, eye3)
     add(y, lam_right, -eye3)
     diag, upper = sphere_field_blocks(
-        state.v[1:-1], V, problem._v_covectors(state), h, problem.sigma
+        state.v.interior, V, problem._v_covectors(state), h, problem.sigma
     )
     add(v, v, diag)
     add(v[:-1], v[1:], upper)
@@ -231,6 +230,25 @@ def test_jacobian_block_runs_equal_add_scatter_bitwise():
             assert A._ab.tobytes() == B._ab.tobytes(), (n, sigma)
 
 
+# -- retraction -----------------------------------------------------------------------
+
+
+def test_retract_keeps_boundary_fixed():
+    rng = np.random.default_rng(6)
+    grid = Grid(1.0, 5)
+    problem = RodProblem(grid)
+    state = random_rod_state(grid, rng)
+    new = problem.retract(state, rng.standard_normal(problem.dof_count), 0.7)
+    for before, after in ((state.y, new.y), (state.v.points, new.v.points)):
+        assert after[[0, -1]].tobytes() == before[[0, -1]].tobytes()
+        assert not np.array_equal(after[1:-1], before[1:-1])
+    # a zero step is the exact identity
+    same = problem.retract(state, np.zeros(problem.dof_count), 0.7)
+    for before, after in ((state.y, same.y), (state.v.points, same.v.points),
+                          (state.lam, same.lam)):
+        assert after.tobytes() == before.tobytes()
+
+
 # -- solve ----------------------------------------------------------------------------
 
 
@@ -241,7 +259,7 @@ def test_rod_converges_with_damping():
     assert trace.terminated is Termination.CONVERGED
     assert trace.iterations[0].accepted_alpha < 1.0
     assert np.abs(state.constraint_residuals()).max() <= 1e-8
-    assert np.abs(np.linalg.norm(state.v, axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(np.linalg.norm(state.v.points, axis=1) - 1.0).max() <= 1e-12
     # the converged positions trace the directions: |y'| = 1 up to the scheme
     slopes = np.diff(state.y, axis=0) / grid.h
     assert np.abs(np.linalg.norm(slopes, axis=1) - 1.0).max() < 0.01
@@ -257,8 +275,8 @@ def test_rod_solution_mesh_convergence_second_order():
         solutions[n] = state
     dy1 = np.linalg.norm(solutions[24].y - solutions[49].y[::2], axis=1).max()
     dy2 = np.linalg.norm(solutions[49].y - solutions[99].y[::2], axis=1).max()
-    dv1 = np.linalg.norm(solutions[24].v - solutions[49].v[::2], axis=1).max()
-    dv2 = np.linalg.norm(solutions[49].v - solutions[99].v[::2], axis=1).max()
+    dv1 = np.linalg.norm(solutions[24].v.points - solutions[49].v.points[::2], axis=1).max()
+    dv2 = np.linalg.norm(solutions[49].v.points - solutions[99].v.points[::2], axis=1).max()
     assert 3.2 <= dy1 / dy2 <= 4.8
     assert 3.2 <= dv1 / dv2 <= 4.8
 
