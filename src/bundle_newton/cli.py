@@ -3,10 +3,20 @@
 Runs one of the named benchmark problems with the damped Newton driver and
 writes three artifacts into the output directory:
 
-- ``iterates.csv``: one row per outer iteration,
-- ``curve.csv``: the final nodal data,
+- ``iterates.csv``: one row per outer iteration, the rows of the obstacle's
+  penalty stages or of the nested iteration's grid levels concatenated,
+- ``curve.csv``: the final nodal data, on the grid of the final state,
 - ``meta.txt``: every resolved parameter plus ``result_*`` summary keys; the
   file doubles as a ``--config`` input that reproduces the run.
+
+The obstacle follows its penalty path on the ``--n`` grid.  Geodesic-force
+and the rod are solved by nested iteration on the grid ladder ``n //
+10**k``, coarsest first, for every ``k`` that leaves at least 10 interior
+nodes (``problems.grid_ladder``): ``--n 1000`` solves on 10, 100 and 1000
+nodes, and any ``n`` below 100 is the single direct solve.  ``meta.txt``
+records the levels run as ``result_levels``.  A level that does not
+converge ends the run; on a coarse level its message is prefixed
+``level n=<its n>:`` and ``curve.csv`` holds that level's state.
 
 The fields of :class:`RunConfig` are the one list of run parameters: each
 field is a flag (``t_end`` is ``--t-end``), a ``key = value`` line of a
@@ -29,11 +39,12 @@ from pathlib import Path
 import numpy as np
 
 from .fem1d import Grid
-from .newton import NewtonConfig, Termination, damped_newton
+from .newton import NewtonConfig, Termination
 from .problems import (
     GeodesicForceProblem,
     ObstacleProblem,
     RodProblem,
+    nested_iteration,
     obstacle_path_follow,
 )
 from .problems import geodesic as _geodesic_defaults
@@ -187,7 +198,7 @@ def _write_meta(path, cfg: RunConfig, results: dict) -> None:
 
 
 def _build(cfg: RunConfig) -> tuple:
-    """Grid, Newton parameters and problem of ``cfg``.
+    """Newton parameters and problem of ``cfg``.
 
     The constructors check their arguments; a ``ValueError`` from them is a
     configuration error.
@@ -208,11 +219,12 @@ def _build(cfg: RunConfig) -> tuple:
             problem = RodProblem(grid, cfg.y0, cfg.y1, cfg.v0, cfg.v1, sigma=cfg.sigma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return grid, newton_cfg, problem
+    return newton_cfg, problem
 
 
 def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
-    """``(iterations, termination, message, curve columns, extra results)``."""
+    """``(iterations, termination, message, curve columns, extra results)``;
+    the curve columns start with ``t``, the nodes of the final state's grid."""
     if isinstance(problem, ObstacleProblem):
         result = obstacle_path_follow(problem, newton_cfg)
         last = result.stages[-1]
@@ -222,26 +234,32 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
             "violation": _fmt(last.violation),
         }
         iterations = [it for stage in result.stages for it in stage.trace.iterations]
-        columns = dict(zip("xyz", result.curve.points.T))
+        columns = dict(zip("txyz", [result.curve.grid.nodes, *result.curve.points.T]))
         return iterations, result.terminated, result.message, columns, extra
-    final, trace = damped_newton(problem, problem.initial_state(), newton_cfg)
+    final, levels = nested_iteration(problem, newton_cfg)
+    last = levels[-1]
+    message = last.trace.message
+    if last.n != problem.grid.n_interior:
+        message = f"level n={last.n}: {message}"
+    extra = {"levels": ",".join(str(level.n) for level in levels)}
     if isinstance(problem, RodProblem):
         # the P0 multiplier is repeated at the right node of its interval;
         # node 0 repeats the first interval
         lam_at_nodes = np.vstack([final.lam[:1], final.lam])
         names = ("x", "y", "z", "vx", "vy", "vz", "lx", "ly", "lz")
         columns = dict(zip(names, np.hstack([final.y, final.v.points, lam_at_nodes]).T))
-        extra = {"constraint_inf": _fmt(np.abs(final.constraint_residuals()).max())}
+        extra["constraint_inf"] = _fmt(np.abs(final.constraint_residuals()).max())
     else:
-        columns, extra = dict(zip("xyz", final.points.T)), {}
-    return trace.iterations, trace.terminated, trace.message, columns, extra
+        columns = dict(zip("xyz", final.points.T))
+    iterations = [it for level in levels for it in level.trace.iterations]
+    return iterations, last.trace.terminated, message, {"t": final.grid.nodes, **columns}, extra
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configured solver run and write the output artifacts."""
     cfg.validate()
     cfg = _with_default_boundary(cfg)
-    grid, newton_cfg, problem = _build(cfg)
+    newton_cfg, problem = _build(cfg)
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,11 +287,7 @@ def run(cfg: RunConfig) -> int:
             dtype=float,
         ).reshape(-1, 6),
     )
-    _write_csv(
-        out_dir / "curve.csv",
-        ",".join(["t", *columns]),
-        np.column_stack([grid.nodes, *columns.values()]),
-    )
+    _write_csv(out_dir / "curve.csv", ",".join(columns), np.column_stack(list(columns.values())))
     _write_meta(out_dir / "meta.txt", cfg, results)
 
     print(

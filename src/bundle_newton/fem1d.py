@@ -9,7 +9,11 @@ matrix of the package, a block-tridiagonal curve Jacobian as much as the
 rod's saddle-point matrix, is a :class:`BandedMatrix`, filled by
 :meth:`BandedMatrix.add_blocks` (runs of equally spaced dense blocks, one
 strided band slice per block entry) and factorized by the same banded LU
-with partial pivoting.  :meth:`BandedMatrix.add` is the general scatter.
+with partial pivoting.
+
+Nested iteration moves a solution to a finer grid of the same interval:
+:func:`interpolate_rows` is the piecewise-linear interpolation it is made
+of, and :meth:`NodalCurve.prolong` adds the step back onto the sphere.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .geometry import (
-    CONDITION_LIMIT, UNIT_NORM_TOL, dot, retract_sphere, tangent_basis, tangent_project,
+    CONDITION_LIMIT, UNIT_NORM_TOL, dot, normalized, retract_sphere, tangent_basis,
+    tangent_project,
 )
 
 
@@ -65,6 +70,13 @@ class Grid:
         return np.linspace(0.0, self.t_end, self.n_nodes)
 
 
+def interpolate_rows(t, t_data, data) -> np.ndarray:
+    """Rows at the points ``t`` of the piecewise-linear interpolant of the rows
+    of ``data`` given at the increasing points ``t_data``; constant beyond
+    the first and last of them.  A constant column stays constant bit for bit."""
+    return np.column_stack([np.interp(t, t_data, column) for column in np.asarray(data).T])
+
+
 @dataclass(frozen=True)
 class NodalCurve:
     """Piecewise-linear interpolant of unit vectors at the grid nodes.
@@ -104,17 +116,20 @@ class NodalCurve:
         points[1:-1] = retract_sphere(self.interior, alpha * step)
         return NodalCurve(self.grid, points)
 
+    def prolong(self, grid: Grid) -> "NodalCurve":
+        """The curve on ``grid``, a grid of the same interval: the P1 interpolant
+        at its nodes, normalized back onto the sphere, with the end points
+        copied bit for bit."""
+        if grid.t_end != self.grid.t_end:
+            raise ValueError(f"cannot prolong from [0, {self.grid.t_end}] to [0, {grid.t_end}]")
+        points = normalized(interpolate_rows(grid.nodes, self.grid.nodes, self.points))
+        points[0], points[-1] = self.points[0], self.points[-1]
+        return NodalCurve(grid, points)
+
 
 # ---------------------------------------------------------------------------
 # banded matrices (LAPACK storage) and banded LU
 # ---------------------------------------------------------------------------
-
-
-def _first_entry(i, j, flagged) -> str:
-    """``"(i, j)"`` of the first entry set in ``flagged``, for error messages."""
-    i, j, flagged = np.broadcast_arrays(i, j, flagged)
-    k = np.argmax(flagged)
-    return f"({i.flat[k]}, {j.flat[k]})"
 
 
 class BandedMatrix:
@@ -135,35 +150,16 @@ class BandedMatrix:
         self.upper_bw = upper_bw
         self._ab = np.zeros((2 * lower_bw + upper_bw + 1, dim))
 
-    def add(self, i, j, value) -> None:
-        """Add ``value`` to the entries ``(i, j)``.
-
-        The index arrays are broadcast against each other and ``value`` against
-        their shape; repeated index pairs accumulate.
-        """
-        i, j = np.asarray(i), np.asarray(j)
-        row = self.lower_bw + self.upper_bw + i - j
-        if row.size == 0:
-            return
-        if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= self.dim:
-            outside = (i < 0) | (i >= self.dim) | (j < 0) | (j >= self.dim)
-            raise IndexError(f"entry {_first_entry(i, j, outside)} outside the matrix")
-        row_hi = 2 * self.lower_bw + self.upper_bw
-        if row.min() < self.lower_bw or row.max() > row_hi:
-            off_band = (row < self.lower_bw) | (row > row_hi)
-            raise ValueError(f"entry {_first_entry(i, j, off_band)} lies outside the stored band")
-        np.add.at(self._ab, (row, j), value)
-
     def add_blocks(self, row0: int, col0: int, blocks: np.ndarray, stride: int) -> None:
         """Add the ``(K, p, q)`` array ``blocks``, block ``k`` at rows
         ``row0 + k stride + [0, p)`` and columns ``col0 + k stride + [0, q)``.
 
         Entry ``(a, b)`` of every block lies on one band diagonal, in every
         ``stride``-th column, so it is one strided slice of the storage.
-        Adding in place gives the sums of :meth:`add` bit for bit, overlapping
-        blocks included: rows are written last first, so each entry sums its
-        blocks in block order.  Nothing is written unless the whole run lies
-        in the matrix and in the band.
+        Adding in place sums overlapping blocks in block order (rows are
+        written last first), as a scatter of the blocks one by one would.
+        Nothing is written unless the whole run lies in the matrix and in
+        the band.
         """
         if blocks.size == 0:
             return
@@ -188,13 +184,6 @@ class BandedMatrix:
             for b in range(q):
                 band = ab[mid + a - b, col0 + b : stop + b : stride]
                 np.add(band, blocks[:, a, b], out=band)
-
-    def to_dense(self) -> np.ndarray:
-        """The matrix as a dense ``(dim, dim)`` array."""
-        i, j = np.indices((self.dim, self.dim))
-        row = self.lower_bw + self.upper_bw + i - j
-        in_band = (row >= self.lower_bw) & (row <= 2 * self.lower_bw + self.upper_bw)
-        return np.where(in_band, self._ab[np.clip(row, 0, len(self._ab) - 1), j], 0.0)
 
     def norm1(self) -> float:
         """Maximum absolute column sum."""
@@ -316,8 +305,7 @@ def assemble_intervals(diag, upper) -> BandedMatrix:
     """Band storage of the block tridiagonal matrix of :func:`sphere_field_blocks`.
 
     Three block runs of stride ``m``: diagonal, upper and transposed upper.
-    Adding onto the zero storage turns ``-0.0`` entries into ``+0.0``, as
-    :meth:`BandedMatrix.add` does.
+    Adding onto the zero storage turns ``-0.0`` entries into ``+0.0``.
     """
     n, m, _ = diag.shape
     A = BandedMatrix(n * m, 2 * m - 1, 2 * m - 1)

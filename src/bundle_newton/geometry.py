@@ -47,6 +47,23 @@ def normalized(vec) -> np.ndarray:
     return v / nrm
 
 
+def arc_angle(a, b) -> float:
+    """Angle between the unit vectors ``a`` and ``b``."""
+    return float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+
+
+def check_not_antipodal(a, b, what: str) -> None:
+    """Raise ``ValueError`` naming the unit vectors ``a`` and ``b`` (the
+    ``what`` of a problem) if they are (nearly) antipodal: no unique great
+    circle arc joins them."""
+    omega = arc_angle(a, b)
+    if omega > np.pi / 2 and np.sin(omega) <= 1e-12:
+        raise ValueError(
+            f"{what} {a.tolist()} and {b.tolist()} are (nearly) antipodal "
+            "and have no unique connecting geodesic"
+        )
+
+
 def tangent_project(y, h) -> np.ndarray:
     """Orthogonal projection of ``h`` onto the tangent plane at ``y``."""
     y = np.asarray(y, dtype=float)

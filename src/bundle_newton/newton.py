@@ -11,6 +11,7 @@ unchanged (affine covariance).
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -99,6 +100,13 @@ class ProblemInterface(ABC):
 
     @abstractmethod
     def norm_inf(self, xi) -> float: ...
+
+    def with_grid(self, grid):
+        """A copy of this problem on ``grid``; every problem keeps its grid in
+        ``self.grid``."""
+        problem = copy.copy(self)
+        problem.grid = grid
+        return problem
 
 
 def update_alpha(alpha: float, theta: float, theta_des: float) -> float:

@@ -8,9 +8,12 @@ from .geodesic import (
     winding_force_jacobian,
 )
 from .obstacle import (
+    GridLevel,
     ObstacleProblem,
     PathFollowResult,
     PenaltyStage,
+    grid_ladder,
+    nested_iteration,
     obstacle_path_follow,
     penalty_activation,
     penalty_activation_slope,
@@ -23,9 +26,12 @@ __all__ = [
     "PoleSingularity",
     "winding_force",
     "winding_force_jacobian",
+    "GridLevel",
     "ObstacleProblem",
     "PathFollowResult",
     "PenaltyStage",
+    "grid_ladder",
+    "nested_iteration",
     "obstacle_path_follow",
     "penalty_activation",
     "penalty_activation_slope",

@@ -21,20 +21,15 @@ from ..fem1d import (
     p1_covectors,
     sphere_field_blocks,
 )
-from ..geometry import unit_vector
+from ..geometry import arc_angle, check_not_antipodal, unit_vector
 from ..newton import ProblemInterface
-
-
-def _arc_angle(a, b) -> float:
-    """Angle between the unit vectors ``a`` and ``b``."""
-    return float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
 
 
 def connecting_geodesic_points(grid: Grid, a, b) -> np.ndarray:
     """Great-circle arc from ``a`` to ``b``, not antipodal, sampled at the grid nodes."""
     a = unit_vector(a)
     b = unit_vector(b)
-    omega = _arc_angle(a, b)
+    omega = arc_angle(a, b)
     s = grid.nodes / grid.t_end
     if np.sin(omega) <= 1e-12:  # coincident end points
         pts = np.tile(a, (grid.n_nodes, 1))
@@ -55,12 +50,7 @@ class SphereCurveProblem(ProblemInterface):
         self.grid = grid
         self.gamma0 = unit_vector(gamma0)
         self.gammaT = unit_vector(gammaT)
-        omega = _arc_angle(self.gamma0, self.gammaT)
-        if omega > np.pi / 2 and np.sin(omega) <= 1e-12:
-            raise ValueError(
-                f"boundary points {self.gamma0.tolist()} and {self.gammaT.tolist()} "
-                "are (nearly) antipodal and have no unique connecting geodesic"
-            )
+        check_not_antipodal(self.gamma0, self.gammaT, "boundary points")
 
     # -- force interface, provided by subclasses ---------------------------
 

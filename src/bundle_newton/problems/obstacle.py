@@ -1,9 +1,14 @@
-"""Obstacle-avoiding geodesics via a quadratic (Moreau-Yosida) penalty.
+"""Obstacle-avoiding geodesics via a quadratic (Moreau-Yosida) penalty, and
+the two continuation loops around the damped Newton driver.
 
 The curve must stay below the polar cap ``y3 <= 1 - h_ref``.  Violations
 are penalized quadratically; the resulting stationarity condition is only
 Newton-differentiable, and the penalty weight is driven up by a simple
-path-following loop with warm starts.
+path-following loop with warm starts (:func:`obstacle_path_follow`).
+
+:func:`nested_iteration` solves the geodesic-force and rod problems on a
+ladder of grids, coarse to fine, each level started from the previous
+level's solution moved to its grid by ``prolong``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,11 @@ DEFAULT_GAMMA0 = (0.8, 0.0, 0.6)
 DEFAULT_GAMMAT = (-0.8 * np.cos(0.2), 0.8 * np.sin(0.2), 0.6)
 
 MAX_STAGES = 500
+
+# grid ladder of the nested iteration: each coarse level has 1/COARSENING of
+# the next level's interior nodes, and none has fewer than COARSEST_N
+COARSENING = 10
+COARSEST_N = 10
 
 _E3 = np.array([0.0, 0.0, 1.0])
 _E33 = np.outer(_E3, _E3)
@@ -143,3 +153,44 @@ def obstacle_path_follow(problem: ObstacleProblem,
         p = problem.p if len(stages) == 1 else p * problem.p_growth
 
     return PathFollowResult(curve, stages, Termination.CONVERGED, "")
+
+
+@dataclass(frozen=True)
+class GridLevel:
+    n: int  # interior nodes
+    trace: NewtonTrace
+
+
+def grid_ladder(n: int) -> list:
+    """Interior node counts of the nested iteration on ``n`` nodes, coarsest
+    first: ``n // COARSENING**k`` for every ``k`` that leaves at least
+    ``COARSEST_N`` nodes.  Below ``COARSENING * COARSEST_N`` it is ``[n]``."""
+    ladder = [n]
+    while ladder[0] // COARSENING >= COARSEST_N:
+        ladder.insert(0, ladder[0] // COARSENING)
+    return ladder
+
+
+def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig()) -> tuple:
+    """Damped Newton on the grids of :func:`grid_ladder`, ending on ``problem.grid``.
+
+    The coarsest level starts from ``initial_state()`` of the problem on its
+    grid, every finer one from the previous solution prolonged to its grid
+    (Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 8).  The
+    iteration counts are mesh independent, so the damped phase runs on the
+    coarsest grid and the finer levels start in the fast local phase.
+    ``cfg`` applies to each level.  A level that does not converge ends the
+    ladder.  Returns ``(state, levels)``: the last level's final state and
+    one :class:`GridLevel` per level run.
+    """
+    t_end = problem.grid.t_end
+    state, levels = None, []
+    for n in grid_ladder(problem.grid.n_interior):
+        grid = Grid(t_end, n)
+        level = problem.with_grid(grid)
+        start = level.initial_state() if state is None else state.prolong(grid)
+        state, trace = damped_newton(level, start, cfg)
+        levels.append(GridLevel(n, trace))
+        if trace.terminated is not Termination.CONVERGED:
+            break
+    return state, levels

@@ -16,6 +16,9 @@ The directions are a :class:`~bundle_newton.fem1d.NodalCurve` as in the curve
 problems, framed and retracted by it, and their rows are assembled by
 :mod:`fem1d` as there: a unit-vector field of stiffness ``sigma`` loaded by
 the multiplier.  ``y`` and ``lambda`` retract linearly.
+:meth:`RodState.prolong` moves a state to a finer grid for nested
+iteration: ``y`` and ``v`` as P1 interpolants, ``lambda`` between interval
+midpoints.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ from ..fem1d import (
     Grid,
     NodalCurve,
     assemble_intervals_vector,
+    interpolate_rows,
     p1_covectors,
     sphere_field_blocks,
 )
-from ..geometry import normalized, unit_vector
+from ..geometry import check_not_antipodal, normalized, unit_vector
 from ..newton import ProblemInterface
 
 BANDWIDTH = 9
@@ -67,6 +71,18 @@ class RodState:
     @property
     def grid(self) -> Grid:
         return self.v.grid
+
+    def prolong(self, grid: Grid) -> "RodState":
+        """The state on ``grid``, a grid of the same interval: P1 interpolants of
+        ``y`` (end points kept bit for bit) and of ``v`` (by
+        :meth:`NodalCurve.prolong`), and ``lam`` interpolated between the
+        interval midpoints."""
+        v = self.v.prolong(grid)
+        y = interpolate_rows(grid.nodes, self.grid.nodes, self.y)
+        y[0], y[-1] = self.y[0], self.y[-1]
+        mid = grid.nodes[:-1] + 0.5 * grid.h
+        lam = interpolate_rows(mid, self.grid.nodes[:-1] + 0.5 * self.grid.h, self.lam)
+        return RodState(y, v, lam)
 
     def constraint_residuals(self) -> np.ndarray:
         """Per-interval values of ``(y_{i+1} - y_i)/h - (v_i + v_{i+1})/2``."""
@@ -105,6 +121,7 @@ class RodProblem(ProblemInterface):
             )
         self.v0 = unit_vector(DEFAULT_V0 if v0 is None else v0)
         self.v1 = unit_vector(DEFAULT_V1 if v1 is None else v1)
+        check_not_antipodal(self.v0, self.v1, "end directions")
         if not 0.0 < sigma < np.inf:
             raise ValueError(f"flexural stiffness must be positive and finite, got {sigma!r}")
         self.sigma = float(sigma)

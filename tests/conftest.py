@@ -1,9 +1,47 @@
-"""Shared helpers for the test suite: random points, states, FD oracles."""
+"""Shared helpers for the test suite: random points, states, FD oracles, and
+the reference scatter and dense view of band matrices."""
 
 import numpy as np
 
 from bundle_newton import Grid, NodalCurve
 from bundle_newton.problems import RodState
+
+
+def _first_entry(i, j, flagged) -> str:
+    """``"(i, j)"`` of the first entry set in ``flagged``, for error messages."""
+    i, j, flagged = np.broadcast_arrays(i, j, flagged)
+    k = np.argmax(flagged)
+    return f"({i.flat[k]}, {j.flat[k]})"
+
+
+def band_add(A, i, j, value) -> None:
+    """Add ``value`` to the entries ``(i, j)`` of the ``BandedMatrix`` ``A``.
+
+    The reference scatter: the index arrays are broadcast against each other
+    and ``value`` against their shape, and repeated index pairs accumulate
+    (``np.add.at``).  Nothing is written if an entry lies outside the matrix
+    (``IndexError``) or outside the stored band (``ValueError``).
+    """
+    i, j = np.asarray(i), np.asarray(j)
+    row = A.lower_bw + A.upper_bw + i - j
+    if row.size == 0:
+        return
+    if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= A.dim:
+        outside = (i < 0) | (i >= A.dim) | (j < 0) | (j >= A.dim)
+        raise IndexError(f"entry {_first_entry(i, j, outside)} outside the matrix")
+    row_hi = 2 * A.lower_bw + A.upper_bw
+    if row.min() < A.lower_bw or row.max() > row_hi:
+        off_band = (row < A.lower_bw) | (row > row_hi)
+        raise ValueError(f"entry {_first_entry(i, j, off_band)} lies outside the stored band")
+    np.add.at(A._ab, (row, j), value)
+
+
+def to_dense(A) -> np.ndarray:
+    """The ``BandedMatrix`` ``A`` as a dense ``(dim, dim)`` array."""
+    i, j = np.indices((A.dim, A.dim))
+    row = A.lower_bw + A.upper_bw + i - j
+    in_band = (row >= A.lower_bw) & (row <= 2 * A.lower_bw + A.upper_bw)
+    return np.where(in_band, A._ab[np.clip(row, 0, len(A._ab) - 1), j], 0.0)
 
 
 def random_unit(rng, z_margin=None):
@@ -69,7 +107,7 @@ def jacobian_fd_error(problem, state, rng, n_directions=5, step=1e-5):
     """Worst relative error of the Jacobian action against a central
     difference of the transported residual along random directions."""
     A = problem.assemble_jacobian(state)
-    dense = A.to_dense()
+    dense = to_dense(A)
     worst = 0.0
     for _ in range(n_directions):
         xi = rng.standard_normal(A.dim)
@@ -90,9 +128,9 @@ def block_tridiag(diag, lower, upper):
     n, m, _ = diag.shape
     A = BandedMatrix(n * m, 2 * m - 1, 2 * m - 1)
     dofs = np.arange(n * m).reshape(n, m)
-    A.add(dofs[:, :, None], dofs[:, None, :], diag)
-    A.add(dofs[:-1, :, None], dofs[1:, None, :], upper)
-    A.add(dofs[1:, :, None], dofs[:-1, None, :], lower)
+    band_add(A, dofs[:, :, None], dofs[:, None, :], diag)
+    band_add(A, dofs[:-1, :, None], dofs[1:, None, :], upper)
+    band_add(A, dofs[1:, :, None], dofs[:-1, None, :], lower)
     return A
 
 
@@ -109,7 +147,7 @@ def banded_from_dense(dense, lower_bw=None, upper_bw=None):
     i, j = np.indices(dense.shape)
     in_band = (i - j <= kl) & (j - i <= ku)
     assert not dense[~in_band].any(), "nonzero entry outside the band"
-    A.add(i[in_band], j[in_band], dense[in_band])
+    band_add(A, i[in_band], j[in_band], dense[in_band])
     return A
 
 
@@ -128,6 +166,6 @@ def random_banded(rng, dim, kl, ku):
     A = BandedMatrix(dim, kl, ku)
     j, i = np.indices((dim, dim))  # row-major order runs j-major, i-minor
     in_band = (i - j <= kl) & (j - i <= ku)
-    A.add(i[in_band], j[in_band], rng.standard_normal(np.count_nonzero(in_band)))
-    A.add(np.arange(dim), np.arange(dim), 4.0 * (kl + ku + 1))
+    band_add(A, i[in_band], j[in_band], rng.standard_normal(np.count_nonzero(in_band)))
+    band_add(A, np.arange(dim), np.arange(dim), 4.0 * (kl + ku + 1))
     return A

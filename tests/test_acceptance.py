@@ -33,6 +33,7 @@ from conftest import (
     random_sphere_curve,
     random_tangent,
     random_unit,
+    to_dense,
 )
 from oracles import constrained_hessian_apply, normal_multiplier
 
@@ -65,7 +66,7 @@ def test_criterion_1_jacobian_consistency():
 
     for problem, state in states():
         A = problem.assemble_jacobian(state)
-        dense = A.to_dense()
+        dense = to_dense(A)
         for _ in range(10):
             xi = rng.standard_normal(A.dim)
             xi /= np.abs(xi).max()
@@ -263,7 +264,7 @@ def test_criterion_7_solver_oracles():
         A = random_block_tridiag(rng, n, m)
         b = rng.standard_normal(n * m)
         xi = A.factorize().solve(-b)
-        oracle = np.linalg.solve(A.to_dense(), -b)
+        oracle = np.linalg.solve(to_dense(A), -b)
         worst = max(worst, np.abs(xi - oracle).max() / (1.0 + np.abs(oracle).max()))
     for _ in range(200):
         dim = int(rng.integers(4, 201))
@@ -272,7 +273,7 @@ def test_criterion_7_solver_oracles():
         A = random_banded(rng, dim, kl, ku)
         b = rng.standard_normal(dim)
         xi = A.factorize().solve(-b)
-        oracle = np.linalg.solve(A.to_dense(), -b)
+        oracle = np.linalg.solve(to_dense(A), -b)
         worst = max(worst, np.abs(xi - oracle).max() / (1.0 + np.abs(oracle).max()))
     report(
         7,
@@ -291,11 +292,11 @@ def test_criterion_8_structural_invariants():
     curve = random_sphere_curve(grid, rng, z_margin=0.1)
 
     free = GeodesicForceProblem(grid, force_scale=0.0)
-    A0 = free.assemble_jacobian(curve).to_dense()
+    A0 = to_dense(free.assemble_jacobian(curve))
     sym_err = np.abs(A0 - A0.T).max() / np.abs(A0).max()
 
     forced = GeodesicForceProblem(grid, force_scale=3.0)
-    A3 = forced.assemble_jacobian(curve).to_dense()
+    A3 = to_dense(forced.assemble_jacobian(curve))
     asym = np.abs(A3 - A3.T).max() / np.abs(A3).max()
 
     # an exactly stationary state: the connecting geodesic of the force-free
@@ -333,7 +334,7 @@ class _ScaledProblem(ProblemInterface):
 
     def assemble_jacobian(self, state):
         A = self.inner.assemble_jacobian(state)
-        return banded_from_dense(self.scale * A.to_dense(), A.lower_bw, A.upper_bw)
+        return banded_from_dense(self.scale * to_dense(A), A.lower_bw, A.upper_bw)
 
     def retract(self, state, xi, alpha):
         self.directions.append(np.asarray(xi).copy())

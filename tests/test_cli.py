@@ -172,6 +172,11 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         (["obstacle", "--n", "5", "--gamma0", "1,0,0", "--gammaT=-1,1e-10,0"],
          "[-1.0, 1e-10, 0.0]"),
         (["rod", "--v0", "1,1,0"], "[1.0, 1.0, 0.0]"),
+        # antipodal end directions, at both parities of the node count
+        (["rod", "--n", "4", "--v0", "1,0,0", "--v1=-1,0,0"],
+         "[1.0, 0.0, 0.0] and [-1.0, 0.0, 0.0]"),
+        (["rod", "--n", "5", "--v0", "1,0,0", "--v1=-1,0,0"],
+         "[1.0, 0.0, 0.0] and [-1.0, 0.0, 0.0]"),
         (["obstacle", "--p0", "-1"], "-1.0"),
         # a zero weight would never grow along the penalty path
         (["obstacle", "--n", "20", "--p0", "0"], "0.0"),

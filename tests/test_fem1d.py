@@ -18,11 +18,13 @@ from bundle_newton.fem1d import (
 )
 from bundle_newton.geometry import CONDITION_LIMIT
 from conftest import (
+    band_add,
     banded_from_dense,
     block_tridiag,
     random_banded,
     random_block_tridiag,
     random_unit,
+    to_dense,
 )
 from oracles import constrained_hessian_apply, normal_multiplier
 
@@ -51,6 +53,39 @@ def test_nodal_curve_validates_unit_norm():
         NodalCurve(grid, np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1.0]]))
     with pytest.raises(ValueError):
         NodalCurve(grid, np.array([[1.0, 0, 0], [np.nan, np.nan, np.nan], [0, 0, 1.0]]))
+
+
+def great_circle_arc(grid, omega=2.5):
+    """Unit-speed samples of a tilted great circle arc of angle ``omega``."""
+    s = omega * grid.nodes / grid.t_end
+    return np.outer(np.cos(s), [0.6, 0.0, 0.8]) + np.outer(np.sin(s), [0.0, 1.0, 0.0])
+
+
+def test_prolong_keeps_end_points_and_reproduces_an_arc_to_second_order():
+    fine = Grid(2.0, 399)
+    exact = great_circle_arc(fine)
+    errors = []
+    for n in (9, 19, 39):
+        coarse = Grid(2.0, n)
+        points = great_circle_arc(coarse)
+        # end points off the sphere by round-off: copied, not renormalized
+        points[0] *= 1.0 + 2e-16
+        curve = NodalCurve(coarse, points).prolong(fine)
+        assert curve.grid == fine
+        assert np.array_equal(curve.points[[0, -1]], points[[0, -1]])
+        assert np.abs(np.linalg.norm(curve.interior, axis=1) - 1.0).max() <= 1e-15
+        errors.append(np.linalg.norm(curve.points - exact, axis=1).max())
+        # the P1 interpolation bound h^2 |y''| / 8 of the chord, in arc units
+        assert errors[-1] <= (2.5 * coarse.h / coarse.t_end) ** 2 / 8
+    assert errors[0] / errors[1] >= 4.0 and errors[1] / errors[2] >= 4.0
+
+
+def test_prolong_onto_the_same_grid_is_the_identity_and_other_intervals_are_refused():
+    grid = Grid(2.0, 9)
+    curve = NodalCurve(grid, great_circle_arc(grid))
+    assert np.abs(curve.prolong(grid).points - curve.points).max() <= 1e-15
+    with pytest.raises(ValueError, match="cannot prolong"):
+        curve.prolong(Grid(1.0, 99))
 
 
 # -- P1 assembly: slopes and trapezoidal loads ---------------------------------------
@@ -167,7 +202,7 @@ def test_block_solver_matches_dense_oracle():
         A = random_block_tridiag(rng, n, m)
         b = rng.standard_normal(n * m)
         xi = A.factorize().solve(-b)
-        dense = A.to_dense()
+        dense = to_dense(A)
         oracle = np.linalg.solve(dense, -b)
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
         assert np.abs(dense @ xi + b).max() <= 1e-10 * (1.0 + np.abs(b).max())
@@ -190,7 +225,7 @@ def test_block_factorization_reuse():
     rng = np.random.default_rng(13)
     A = random_block_tridiag(rng, 7, 2)
     fact = A.factorize()
-    dense = A.to_dense()
+    dense = to_dense(A)
     for _ in range(3):
         rhs = rng.standard_normal(14)
         assert np.abs(dense @ fact.solve(rhs) - rhs).max() < 1e-10
@@ -203,7 +238,7 @@ def test_banded_diagonal_solve():
     A = BandedMatrix(5, 0, 0)
     d = np.array([2.0, -1.0, 4.0, 0.5, 3.0])
     for i in range(5):
-        A.add(i, i, d[i])
+        band_add(A, i, i, d[i])
     b = np.arange(5.0) + 1.0
     assert np.allclose(A.factorize().solve(-b), -b / d, atol=1e-14)
 
@@ -217,7 +252,7 @@ def test_banded_matches_dense_oracle():
         A = random_banded(rng, dim, kl, ku)
         b = rng.standard_normal(dim)
         xi = A.factorize().solve(-b)
-        oracle = np.linalg.solve(A.to_dense(), -b)
+        oracle = np.linalg.solve(to_dense(A), -b)
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
 
 
@@ -226,40 +261,40 @@ def test_banded_saddle_point_pattern():
     dim = 8
     A = BandedMatrix(dim, 1, 1)
     for k in range(0, dim, 2):
-        A.add(k, k, 1.0)
-        A.add(k, k + 1, 1.0)
-        A.add(k + 1, k, 1.0)
+        band_add(A, k, k, 1.0)
+        band_add(A, k, k + 1, 1.0)
+        band_add(A, k + 1, k, 1.0)
     rng = np.random.default_rng(15)
     b = rng.standard_normal(dim)
     xi = A.factorize().solve(-b)
-    oracle = np.linalg.solve(A.to_dense(), -b)
+    oracle = np.linalg.solve(to_dense(A), -b)
     assert np.abs(xi - oracle).max() < 1e-10 * (1 + np.abs(oracle).max())
 
 
 def test_banded_rejects_out_of_band_entry():
     A = BandedMatrix(6, 1, 1)
     with pytest.raises(ValueError):
-        A.add(0, 3, 1.0)
+        band_add(A, 0, 3, 1.0)
 
 
 def test_banded_array_add_accumulates_and_checks_band():
     A = BandedMatrix(4, 1, 1)
     i = np.array([0, 1, 1, 3])
-    A.add(i, i, np.array([1.0, 2.0, 3.0, 4.0]))
-    A.add(np.arange(3), np.arange(1, 4), -1.0)
+    band_add(A, i, i, np.array([1.0, 2.0, 3.0, 4.0]))
+    band_add(A, np.arange(3), np.arange(1, 4), -1.0)
     expected = np.diag([1.0, 5.0, 0.0, 4.0]) + np.diag([-1.0, -1.0, -1.0], k=1)
-    assert np.array_equal(A.to_dense(), expected)
+    assert np.array_equal(to_dense(A), expected)
     with pytest.raises(ValueError):
-        A.add(np.array([0, 3]), np.array([1, 0]), 1.0)
+        band_add(A, np.array([0, 3]), np.array([1, 0]), 1.0)
     with pytest.raises(IndexError):
-        A.add(np.array([0, 4]), np.array([0, 4]), 1.0)
-    assert np.array_equal(A.to_dense(), expected)  # a rejected add writes nothing
+        band_add(A, np.array([0, 4]), np.array([0, 4]), 1.0)
+    assert np.array_equal(to_dense(A), expected)  # a rejected add writes nothing
 
 
 def test_banded_singular_raises():
     A = BandedMatrix(3, 1, 1)
-    A.add(0, 0, 1.0)
-    A.add(2, 2, 1.0)  # middle row entirely zero
+    band_add(A, 0, 0, 1.0)
+    band_add(A, 2, 2, 1.0)  # middle row entirely zero
     with pytest.raises(SingularSystem):
         A.factorize().solve(-np.ones(3))
 
@@ -269,9 +304,9 @@ def test_banded_near_singular_bidiagonal_raises():
     # number is 3 * (2^60 - 1) = 3.46e18
     n = 60
     A = BandedMatrix(n, 0, 1)
-    A.add(np.arange(n), np.arange(n), 1.0)
-    A.add(np.arange(n - 1), np.arange(1, n), -2.0)
-    assert np.linalg.cond(A.to_dense(), 1) > 1e18
+    band_add(A, np.arange(n), np.arange(n), 1.0)
+    band_add(A, np.arange(n - 1), np.arange(1, n), -2.0)
+    assert np.linalg.cond(to_dense(A), 1) > 1e18
     with pytest.raises(SingularSystem, match="3.46e"):
         A.factorize()
 
@@ -280,8 +315,8 @@ def test_banded_overflowing_inverse_raises_with_inf():
     # unit diagonal, -4 above it: ||A^-1||_1 = (4^2000 - 1) / 3 overflows
     n = 2000
     A = BandedMatrix(n, 0, 1)
-    A.add(np.arange(n), np.arange(n), 1.0)
-    A.add(np.arange(n - 1), np.arange(1, n), -4.0)
+    band_add(A, np.arange(n), np.arange(n), 1.0)
+    band_add(A, np.arange(n - 1), np.arange(1, n), -4.0)
     with pytest.raises(SingularSystem, match="inf"):
         A.factorize()
 
@@ -289,8 +324,8 @@ def test_banded_overflowing_inverse_raises_with_inf():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_banded_non_finite_entry_raises(bad):
     A = BandedMatrix(5, 1, 1)
-    A.add(np.arange(5), np.arange(5), 4.0)
-    A.add(2, 3, bad)
+    band_add(A, np.arange(5), np.arange(5), 4.0)
+    band_add(A, 2, 3, bad)
     with pytest.raises(SingularSystem):
         A.factorize()
 
@@ -305,9 +340,9 @@ def test_condition_estimate_bounds_exact_condition_from_below():
         A = BandedMatrix(dim, kl, ku)
         j, i = np.indices((dim, dim))
         in_band = (i - j <= kl) & (j - i <= ku)
-        A.add(i[in_band], j[in_band], scale * rng.standard_normal(np.count_nonzero(in_band)))
-        A.add(np.arange(dim), np.arange(dim), scale * rng.uniform(0.0, 2.0) * (kl + ku + 1))
-        exact = np.linalg.cond(A.to_dense(), 1)
+        band_add(A, i[in_band], j[in_band], scale * rng.standard_normal(np.count_nonzero(in_band)))
+        band_add(A, np.arange(dim), np.arange(dim), scale * rng.uniform(0.0, 2.0) * (kl + ku + 1))
+        exact = np.linalg.cond(to_dense(A), 1)
         try:
             estimate = A.norm1() * A.factorize().inverse_norm1()
         except SingularSystem:
@@ -327,12 +362,12 @@ def test_condition_estimate_alternating_sign_safeguard():
         [2.120065, 0.105539, -0.245973, -1.978773],
     ])
     A = banded_from_dense(np.linalg.inv(B))
-    exact = np.linalg.norm(np.linalg.inv(A.to_dense()), 1)
+    exact = np.linalg.norm(np.linalg.inv(to_dense(A)), 1)
     assert A.factorize().inverse_norm1() >= 0.3 * exact
 
 
 def test_assemble_intervals_equals_add_scatter_bitwise():
-    # oracle: conftest.block_tridiag, the three BandedMatrix.add scatters;
+    # oracle: conftest.block_tridiag, the three band_add scatters;
     # -0.0 entries must come out as the +0.0 sums of np.add.at
     rng = np.random.default_rng(12)
     for m in (1, 2, 3):
@@ -348,10 +383,10 @@ def test_assemble_intervals_equals_add_scatter_bitwise():
 
 
 def add_scatter_blocks(A, row0, col0, blocks, stride):
-    """Oracle of ``BandedMatrix.add_blocks``: the same blocks by ``BandedMatrix.add``."""
+    """Oracle of ``BandedMatrix.add_blocks``: the same blocks by ``band_add``."""
     K, p, q = blocks.shape
     start = stride * np.arange(K)[:, None, None]
-    A.add(start + row0 + np.arange(p)[:, None], start + col0 + np.arange(q), blocks)
+    band_add(A, start + row0 + np.arange(p)[:, None], start + col0 + np.arange(q), blocks)
 
 
 def test_add_blocks_equals_add_scatter_bitwise():
@@ -413,9 +448,11 @@ def test_add_blocks_outside_matrix_or_band_writes_nothing():
 
 def test_banded_zero_size_add_is_a_no_op():
     A = BandedMatrix(2, 1, 1)
-    A.add(np.empty(0, dtype=int), np.empty(0, dtype=int), 1.0)
-    A.add(np.empty((0, 2, 1), dtype=int), np.empty((0, 1, 2), dtype=int), np.empty((0, 2, 2)))
-    assert not A.to_dense().any()
+    band_add(A, np.empty(0, dtype=int), np.empty(0, dtype=int), 1.0)
+    band_add(
+        A, np.empty((0, 2, 1), dtype=int), np.empty((0, 1, 2), dtype=int), np.empty((0, 2, 2))
+    )
+    assert not to_dense(A).any()
     # one interior node: the curve Jacobian has no off-diagonal blocks
     B = assemble_intervals(np.eye(2)[None], np.empty((0, 2, 2)))
-    assert np.array_equal(B.to_dense(), np.eye(2))
+    assert np.array_equal(to_dense(B), np.eye(2))

@@ -8,7 +8,7 @@ from bundle_newton.problems import (
     winding_force,
     winding_force_jacobian,
 )
-from conftest import jacobian_fd_error, random_sphere_curve, random_tangent, random_unit
+from conftest import jacobian_fd_error, random_sphere_curve, random_tangent, random_unit, to_dense
 
 
 def great_circle_curve(grid, axis_angle=0.0, arc=2.0):
@@ -147,7 +147,7 @@ def test_jacobian_symmetric_without_force():
     grid = Grid(1.0, 10)
     problem = GeodesicForceProblem(grid, force_scale=0.0)
     curve = random_sphere_curve(grid, rng)
-    A = problem.assemble_jacobian(curve).to_dense()
+    A = to_dense(problem.assemble_jacobian(curve))
     assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
 
 
@@ -156,7 +156,7 @@ def test_jacobian_asymmetric_with_winding_force():
     grid = Grid(1.0, 10)
     problem = GeodesicForceProblem(grid, force_scale=3.0)
     curve = random_sphere_curve(grid, rng, z_margin=0.1)
-    A = problem.assemble_jacobian(curve).to_dense()
+    A = to_dense(problem.assemble_jacobian(curve))
     assert np.abs(A - A.T).max() > 1e-8 * np.abs(A).max()
 
 
@@ -166,7 +166,7 @@ def test_jacobian_stiffness_only_on_constant_curve():
     y = random_unit(np.random.default_rng(6))
     problem = GeodesicForceProblem(grid, gamma0=y, gammaT=y, force_scale=0.0)
     curve = NodalCurve(grid, np.tile(y, (grid.n_nodes, 1)))
-    A = problem.assemble_jacobian(curve).to_dense()
+    A = to_dense(problem.assemble_jacobian(curve))
     h = grid.h
     V = tangent_basis(y)
     for i in range(grid.n_interior):
@@ -189,7 +189,7 @@ def test_jacobian_single_interior_node_formula():
     h = grid.h
     second_diff = pts[2] - 2.0 * pts[1] + pts[0]
     expected = (2.0 / h + (second_diff / h) @ pts[1]) * np.eye(2)
-    assert np.abs(A.to_dense() - expected).max() < 1e-12 / h
+    assert np.abs(to_dense(A) - expected).max() < 1e-12 / h
     assert jacobian_fd_error(problem, curve, rng) < 1e-6
 
 
@@ -208,7 +208,7 @@ def test_jacobian_is_exactly_block_tridiagonal():
     grid = Grid(1.0, 8)
     problem = GeodesicForceProblem(grid)
     curve = random_sphere_curve(grid, rng, z_margin=0.1)
-    dense = problem.assemble_jacobian(curve).to_dense()
+    dense = to_dense(problem.assemble_jacobian(curve))
     n, m = grid.n_interior, 2
     for bi in range(n):
         for bj in range(n):

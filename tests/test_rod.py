@@ -12,7 +12,7 @@ from bundle_newton import (
 )
 from bundle_newton.fem1d import sphere_field_blocks
 from bundle_newton.problems import RodProblem, RodState, rod_initial_guess
-from conftest import jacobian_fd_error, random_rod_state
+from conftest import band_add, jacobian_fd_error, random_rod_state, to_dense
 
 SQRT5 = np.sqrt(5.0)
 
@@ -70,6 +70,12 @@ def test_initial_guess_antipodal_directions_degenerate():
     grid = Grid(1.0, 3)
     with pytest.raises(DegenerateUpdate):
         rod_initial_guess(grid, (0, 0, 0), (1, 0, 0), (1, 0, 0), (-1, 0, 0))
+
+
+def test_rod_rejects_antipodal_end_directions():
+    # the initial guess would pass through the origin: no unique interpolant
+    with pytest.raises(ValueError, match=r"\[1.0, 0.0, 0.0\] and \[-1.0, 0.0, 0.0\] are"):
+        RodProblem(Grid(1.0, 4), v0=(1.0, 0.0, 0.0), v1=(-1.0, 0.0, 0.0))
 
 
 def test_rod_state_validates_shapes_and_unit_directions():
@@ -136,7 +142,7 @@ def test_jacobian_position_block_vanishes_without_force():
     grid = Grid(1.0, 5)
     problem = RodProblem(grid)
     state = random_rod_state(grid, rng)
-    dense = problem.assemble_jacobian(state).to_dense()
+    dense = to_dense(problem.assemble_jacobian(state))
     for i in range(1, grid.n_interior + 1):
         for j in range(1, grid.n_interior + 1):
             block = dense[np.ix_(y_dofs(i), y_dofs(j))]
@@ -147,7 +153,7 @@ def test_jacobian_direction_block_is_pure_stiffness_at_straight_state():
     grid = Grid(1.0, 6)
     problem = straight_rod_problem(grid)
     state = problem.initial_state()  # constant v, zero multiplier
-    dense = problem.assemble_jacobian(state).to_dense()
+    dense = to_dense(problem.assemble_jacobian(state))
     h = grid.h
     from bundle_newton import tangent_basis
 
@@ -176,7 +182,7 @@ def test_jacobian_respects_declared_bandwidth():
     grid = Grid(1.0, 6)
     problem = RodProblem(grid)
     state = random_rod_state(grid, rng)
-    dense = problem.assemble_jacobian(state).to_dense()
+    dense = to_dense(problem.assemble_jacobian(state))
     n = problem.dof_count
     for i in range(n):
         for j in range(n):
@@ -185,7 +191,7 @@ def test_jacobian_respects_declared_bandwidth():
 
 
 def add_scatter_jacobian(problem, state):
-    """Reference assembly: the rod Jacobian as 11 ``BandedMatrix.add`` scatters
+    """Reference assembly: the rod Jacobian as 11 ``band_add`` scatters
     over per-node dof index arrays."""
     n, h = problem.grid.n_interior, problem.grid.h
     A = BandedMatrix(problem.dof_count, 9, 9)
@@ -197,7 +203,7 @@ def add_scatter_jacobian(problem, state):
     lam_left, lam_right = lam_dofs(nodes - 1), lam_dofs(nodes)
 
     def add(rows, cols, blocks):
-        A.add(rows[..., :, None], cols[..., None, :], blocks)
+        band_add(A, rows[..., :, None], cols[..., None, :], blocks)
 
     add(y, lam_left, eye3)
     add(y, lam_right, -eye3)
@@ -247,6 +253,42 @@ def test_retract_keeps_boundary_fixed():
     for before, after in ((state.y, same.y), (state.v.points, same.v.points),
                           (state.lam, same.lam)):
         assert after.tobytes() == before.tobytes()
+
+
+# -- prolongation ---------------------------------------------------------------------
+
+
+def test_prolong_reproduces_affine_positions_and_keeps_the_ends():
+    rng = np.random.default_rng(8)
+    coarse, fine = Grid(1.3, 7), Grid(1.3, 50)
+    state = random_rod_state(coarse, rng)
+    new = state.prolong(fine)
+    assert new.grid == fine
+    for before, after in ((state.y, new.y), (state.v.points, new.v.points)):
+        assert after[[0, -1]].tobytes() == before[[0, -1]].tobytes()
+    assert np.abs(np.linalg.norm(new.v.points, axis=1) - 1.0).max() <= 1e-15
+    y0, slope = rng.standard_normal(3), rng.standard_normal(3)
+    affine = RodState(y0 + np.outer(coarse.nodes, slope), state.v, state.lam)
+    y = affine.prolong(fine).y
+    assert np.abs(y - (y0 + np.outer(fine.nodes, slope))).max() <= 1e-14
+
+
+def test_prolong_interpolates_the_multiplier_between_interval_midpoints():
+    rng = np.random.default_rng(9)
+    coarse, fine = Grid(1.0, 4), Grid(1.0, 49)
+    state = random_rod_state(coarse, rng)
+    constant = np.tile(rng.standard_normal(3), (coarse.n_intervals, 1))
+    lam = RodState(state.y, state.v, constant).prolong(fine).lam
+    assert lam.shape == (fine.n_intervals, 3)
+    assert lam.tobytes() == np.tile(constant[0], (fine.n_intervals, 1)).tobytes()
+    # affine in t between the first and last coarse midpoints, constant beyond
+    mid_c, mid_f = coarse.nodes[:-1] + 0.5 * coarse.h, fine.nodes[:-1] + 0.5 * fine.h
+    affine = np.outer(mid_c, [1.0, -2.0, 0.5])
+    lam = RodState(state.y, state.v, affine).prolong(fine).lam
+    inside = (mid_f >= mid_c[0]) & (mid_f <= mid_c[-1])
+    assert np.abs(lam[inside] - np.outer(mid_f[inside], [1.0, -2.0, 0.5])).max() <= 1e-14
+    assert np.array_equal(lam[mid_f < mid_c[0]], np.tile(affine[0], (5, 1)))
+    assert np.array_equal(lam[mid_f > mid_c[-1]], np.tile(affine[-1], (5, 1)))
 
 
 # -- solve ----------------------------------------------------------------------------
