@@ -1,15 +1,21 @@
 """Command line front end.
 
 Runs one of the named benchmark problems with the damped Newton driver and
-writes three artifacts into the output directory:
+writes four artifacts into the output directory:
 
 - ``iterates.csv``: one row per outer iteration, the rows of the obstacle's
-  penalty stages or of the nested iteration's grid levels concatenated,
+  accepted penalty stages or of the nested iteration's grid levels
+  concatenated,
 - ``curve.csv``: the final nodal data, on the grid of the final state,
+- ``stages.csv``: one row per stage solve of the obstacle's penalty path,
+  rejected attempts included, or per grid level of the nested iteration,
+  with its Newton counts and termination,
 - ``meta.txt``: every resolved parameter plus ``result_*`` summary keys; the
   file doubles as a ``--config`` input that reproduces the run.
 
-The obstacle follows its penalty path on the ``--n`` grid.  Geodesic-force
+The obstacle follows its penalty path on the ``--n`` grid; ``--p-growth``
+caps the per-stage factor of the penalty weight, which the path adapts
+(``problems.obstacle_path_follow``).  Geodesic-force
 and the rod are solved by nested iteration on the grid ladder ``n //
 10**k``, coarsest first, for every ``k`` that leaves at least 10 interior
 nodes (``problems.grid_ladder``): ``--n 1000`` solves on 10, 100 and 1000
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +93,9 @@ class RunConfig:
     force_scale: float = 3.0
     h_ref: float = 0.1
     p0: float = 1.0
-    p_growth: float = 1.2
+    p_growth: float = field(
+        default=4.0, metadata={"help": "cap on the obstacle's per-stage penalty factor"}
+    )
     violation_tol: float = 1e-3
     sigma: float = 1.0
     gamma0: tuple | None = None
@@ -180,15 +188,20 @@ def _with_default_boundary(cfg: RunConfig) -> RunConfig:
     return replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
 
 
-def _write_csv(path, header: str, block: np.ndarray) -> None:
-    """Write the rows of the 2-D float array ``block`` below ``header``.
+def _write_csv(path, header: str, rows, row: str | None = None) -> None:
+    """Write ``rows`` below ``header``, each through the ``%`` format ``row``.
 
-    The whole table is one C-level ``%`` format: ``"%.17g" % v`` is
-    ``_fmt(v)`` for every double, so numbers round-trip and small integers
-    print exactly.
+    ``rows`` is a 2-D float array, written with ``"%.17g"`` per column, or
+    a list of tuples with their own ``row`` format.  The whole table is one
+    C-level ``%`` format: ``"%.17g" % v`` is ``_fmt(v)`` for every double,
+    so numbers round-trip and small integers print exactly.
     """
-    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    Path(path).write_text(header + "\n" + (row * len(block)) % tuple(block.ravel().tolist()))
+    if row is None:
+        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        values = tuple(rows.ravel().tolist())
+    else:
+        values = tuple(value for r in rows for value in r)
+    Path(path).write_text(header + "\n" + (row * len(rows)) % values)
 
 
 def _write_meta(path, cfg: RunConfig, results: dict) -> None:
@@ -222,20 +235,39 @@ def _build(cfg: RunConfig) -> tuple:
     return newton_cfg, problem
 
 
+# ``stages.csv`` of the obstacle's penalty path and of the nested iteration:
+# (header, row format); every row ends with its trace's counts
+_PATH_STAGES = ("penalty,violation,outer_iterations,inner_trials,termination,accepted",
+                "%.17g,%.17g,%d,%d,%s,%d\n")
+_GRID_LEVELS = ("n,outer_iterations,inner_trials,termination", "%d,%d,%d,%s\n")
+
+
+def _counts(trace) -> tuple:
+    """``(outer iterations, inner trials, termination)`` of a Newton trace."""
+    trials = sum(it.inner_trials for it in trace.iterations)
+    return len(trace.iterations), trials, trace.terminated.value
+
+
 def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
-    """``(iterations, termination, message, curve columns, extra results)``;
-    the curve columns start with ``t``, the nodes of the final state's grid."""
+    """``(iterations, termination, message, curve columns, extra results,
+    stage table)``; the curve columns start with ``t``, the nodes of the
+    final state's grid, and the stage table is ``(header, row format, rows)``."""
     if isinstance(problem, ObstacleProblem):
         result = obstacle_path_follow(problem, newton_cfg)
-        last = result.stages[-1]
-        extra = {
-            "stage_count": str(len(result.stages)),
-            "final_p": _fmt(last.penalty),
-            "violation": _fmt(last.violation),
-        }
-        iterations = [it for stage in result.stages for it in stage.trace.iterations]
+        stages = result.stages
+        extra = {"stage_count": str(len(stages))}
+        if stages:  # empty only when the penalty-free stage failed
+            extra["final_p"] = _fmt(stages[-1].penalty)
+            extra["violation"] = _fmt(stages[-1].violation)
+        extra["rejected_stages"] = str(len(result.attempts) - len(stages))
+        iterations = [it for stage in stages for it in stage.trace.iterations]
         columns = dict(zip("txyz", [result.curve.grid.nodes, *result.curve.points.T]))
-        return iterations, result.terminated, result.message, columns, extra
+        table = [
+            (s.penalty, s.violation, *_counts(s.trace), int(s.accepted))
+            for s in result.attempts
+        ]
+        return (iterations, result.terminated, result.message, columns, extra,
+                (*_PATH_STAGES, table))
     final, levels = nested_iteration(problem, newton_cfg)
     last = levels[-1]
     message = last.trace.message
@@ -252,7 +284,9 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
     else:
         columns = dict(zip("xyz", final.points.T))
     iterations = [it for level in levels for it in level.trace.iterations]
-    return iterations, last.trace.terminated, message, {"t": final.grid.nodes, **columns}, extra
+    table = [(level.n, *_counts(level.trace)) for level in levels]
+    return (iterations, last.trace.terminated, message, {"t": final.grid.nodes, **columns},
+            extra, (*_GRID_LEVELS, table))
 
 
 def run(cfg: RunConfig) -> int:
@@ -269,7 +303,7 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory {cfg.out_dir!r} is not writable: {exc}") from exc
 
-    iterations, termination, message, columns, results = _solve(problem, newton_cfg)
+    iterations, termination, message, columns, results, stages = _solve(problem, newton_cfg)
     results["status"] = termination.value
     results["outer_iterations"] = str(len(iterations))
     if iterations:
@@ -288,6 +322,8 @@ def run(cfg: RunConfig) -> int:
         ).reshape(-1, 6),
     )
     _write_csv(out_dir / "curve.csv", ",".join(columns), np.column_stack(list(columns.values())))
+    header, row, table = stages
+    _write_csv(out_dir / "stages.csv", header, table, row)
     _write_meta(out_dir / "meta.txt", cfg, results)
 
     print(
@@ -317,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
             default = "per problem" if f.default is None else f.default
             parser.add_argument(
                 "--" + f.name.replace("_", "-"), dest=f.name, type=_FIELDS[f.name][0],
-                help=f"default: {default}",
+                help="; ".join([*f.metadata.values(), f"default: {default}"]),
             )
     return parser
 

@@ -3,8 +3,12 @@ the two continuation loops around the damped Newton driver.
 
 The curve must stay below the polar cap ``y3 <= 1 - h_ref``.  Violations
 are penalized quadratically; the resulting stationarity condition is only
-Newton-differentiable, and the penalty weight is driven up by a simple
-path-following loop with warm starts (:func:`obstacle_path_follow`).
+Newton-differentiable, and :func:`obstacle_path_follow` drives the penalty
+weight up along a path of warm-started stages.  The growth factor per stage
+is step-controlled in ``log p``: it shrinks after a stage that needed
+damping, grows back to its cap ``p_growth`` after an easy one, and a stage
+that fails or lets the violation rise is retried from the last accepted
+curve with a smaller factor.
 
 :func:`nested_iteration` solves the geodesic-force and rod problems on a
 ladder of grids, coarse to fine, each level started from the previous
@@ -14,6 +18,7 @@ level's solution moved to its grid by ``prolong``.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +31,12 @@ from .curve import SphereCurveProblem
 DEFAULT_GAMMA0 = (0.8, 0.0, 0.6)
 DEFAULT_GAMMAT = (-0.8 * np.cos(0.2), 0.8 * np.sin(0.2), 0.6)
 
+# penalty path: at most MAX_STAGES stage solves; the step in log p doubles
+# after a stage of at most FAST_STAGE_STEPS full Newton steps, and the path
+# fails once rejections shrink the per-stage factor below MIN_GROWTH
 MAX_STAGES = 500
+FAST_STAGE_STEPS = 4
+MIN_GROWTH = 1.001
 
 # grid ladder of the nested iteration: each coarse level has 1/COARSENING of
 # the next level's interior nodes, and none has fewer than COARSEST_N
@@ -57,7 +67,7 @@ class ObstacleProblem(SphereCurveProblem):
         gammaT=None,
         h_ref: float = 0.1,
         p: float = 1.0,
-        p_growth: float = 1.2,
+        p_growth: float = 4.0,
         violation_tol: float = 1e-3,
     ):
         super().__init__(
@@ -106,53 +116,103 @@ class ObstacleProblem(SphereCurveProblem):
 
 @dataclass(frozen=True)
 class PenaltyStage:
+    """One stage solve of the penalty path; ``accepted`` is False for a
+    rejected attempt, which the path retried with a smaller step."""
+
     penalty: float
     violation: float
     trace: NewtonTrace
+    accepted: bool
 
 
 @dataclass
 class PathFollowResult:
     curve: NodalCurve
-    stages: list = field(default_factory=list)
+    attempts: list = field(default_factory=list)  # every stage solve, in order
     terminated: Termination = Termination.MAX_ITERATIONS
     message: str = ""
+
+    @property
+    def stages(self) -> list:
+        """The accepted stages, in order; ``curve`` is the last one's."""
+        return [stage for stage in self.attempts if stage.accepted]
 
 
 def obstacle_path_follow(problem: ObstacleProblem,
                          cfg: NewtonConfig = NewtonConfig()) -> PathFollowResult:
-    """Penalty path following for the obstacle problem.
+    """Penalty path following for the obstacle problem, with the per-stage
+    growth of the penalty weight under step-size control.
 
-    Stage 0 solves the penalty-free geodesic; while the solution still violates
-    the cap by more than ``problem.violation_tol``, the penalized problem is
-    re-solved with the weight grown by ``problem.p_growth`` per stage, warm
-    started from the previous stage.  A failed stage aborts with the curve of
-    the last successful stage, the failed stage's termination and a diagnostic
-    message; running out of ``MAX_STAGES`` ends with ``Termination.MAX_ITERATIONS``.
+    Stage 0 solves the penalty-free geodesic and stage 1 the penalized
+    problem at ``problem.p``.  While the last accepted stage still violates
+    the cap by more than ``problem.violation_tol``, the next stage's weight
+    is the last accepted one times a factor ``growth``, warm started from
+    its curve.  The factor starts at its cap ``problem.p_growth``.  Its
+    logarithm, the step in ``log p``, halves after a stage that needed a
+    damped Newton step and doubles, up to the cap, after one that converged
+    in at most ``FAST_STAGE_STEPS`` full steps (continuation step-size
+    control, Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 5).
+
+    An attempt is rejected when its Newton solve does not converge or its
+    violation exceeds the last accepted stage's (the warm start jumped to
+    another branch); it is retried from the last accepted curve with half
+    the step.  A rejected stage 0 or 1 ends the path with its termination
+    (``DAMPING_FAILED`` for a rising violation); a factor below
+    ``MIN_GROWTH`` ends it as ``DAMPING_FAILED``; ``MAX_STAGES`` stage
+    solves, rejected ones included, end it as ``MAX_ITERATIONS``.  The
+    result holds the last accepted curve and every attempt.
     """
-    curve = problem.initial_state()
-    stages = []
-    p = 0.0
-    while not stages or stages[-1].violation > problem.violation_tol:
-        if len(stages) > MAX_STAGES:
-            return PathFollowResult(
-                curve,
-                stages,
-                Termination.MAX_ITERATIONS,
-                f"no convergence within {MAX_STAGES} penalty stages",
+    result = PathFollowResult(problem.initial_state())
+    growth, p, rejected = problem.p_growth, 0.0, 0
+    while not result.stages or result.stages[-1].violation > problem.violation_tol:
+        if len(result.attempts) == MAX_STAGES:
+            result.terminated = Termination.MAX_ITERATIONS
+            result.message = (
+                f"no convergence within {MAX_STAGES} penalty stage solves "
+                f"({rejected} rejected)"
             )
-        new_curve, trace = damped_newton(problem.with_penalty(p), curve, cfg)
-        stages.append(PenaltyStage(p, problem.violation(new_curve), trace))
-        if trace.terminated is not Termination.CONVERGED:
-            message = (
-                f"penalty-free geodesic solve failed: {trace.message}" if len(stages) == 1
-                else f"stage with penalty {p:g} failed ({trace.terminated.value}): {trace.message}"
+            return result
+        last = result.stages[-1] if result.stages else None
+        trial = 0.0 if last is None else problem.p if p == 0.0 else p * growth
+        curve, trace = damped_newton(problem.with_penalty(trial), result.curve, cfg)
+        violation = problem.violation(curve)
+        accepted = trace.terminated is Termination.CONVERGED and (
+            last is None or violation <= last.violation
+        )
+        result.attempts.append(PenaltyStage(trial, violation, trace, accepted))
+        if accepted:
+            result.curve, p = curve, trial
+            alphas = [it.accepted_alpha for it in trace.iterations if it.inner_trials]
+            if min(alphas, default=1.0) < 1.0:
+                growth = math.sqrt(growth)
+            elif len(alphas) <= FAST_STAGE_STEPS:
+                growth = min(growth * growth, problem.p_growth)
+            continue
+        rejected += 1
+        growth = math.sqrt(growth)
+        if p > 0.0 and growth >= MIN_GROWTH:
+            continue
+        # no smaller step left: the path ends here
+        converged = trace.terminated is Termination.CONVERGED
+        reason = (
+            f"violation rose from {last.violation:.3g} to {violation:.3g}" if converged
+            else f"{trace.terminated.value}: {trace.message}"
+        )
+        if p > 0.0:
+            result.terminated = Termination.DAMPING_FAILED
+            result.message = (
+                f"penalty growth fell below {MIN_GROWTH:g} after {rejected} rejected "
+                f"attempts: last accepted penalty {p:g}, attempted {trial:g} ({reason})"
             )
-            return PathFollowResult(curve, stages, trace.terminated, message)
-        curve = new_curve
-        p = problem.p if len(stages) == 1 else p * problem.p_growth
-
-    return PathFollowResult(curve, stages, Termination.CONVERGED, "")
+        else:  # stages 0 and 1 have fixed penalties
+            result.terminated = Termination.DAMPING_FAILED if converged else trace.terminated
+            result.message = (
+                f"penalty-free geodesic solve failed: {trace.message}" if last is None
+                else f"stage with penalty {trial:g} failed ({reason})"
+            )
+        return result
+    result.terminated = Termination.CONVERGED
+    return result
 
 
 @dataclass(frozen=True)

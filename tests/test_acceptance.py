@@ -196,7 +196,7 @@ def test_criterion_5_obstacle_path_following():
     ok = True
     for h_ref in (0.1, 0.2):
         grid = Grid(1.0, 100)
-        problem = ObstacleProblem(grid, h_ref=h_ref)  # p0 = 1, growth 1.2
+        problem = ObstacleProblem(grid, h_ref=h_ref)  # p0 = 1, growth cap 4
         result = obstacle_path_follow(problem, NewtonConfig())
         zmax = float(result.curve.points[:, 2].max())
         stage_ok = all(

@@ -71,8 +71,8 @@ def test_geodesic_run_deterministic(tmp_path, argv):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main([*argv, "--out-dir", str(out1)]) == EXIT_OK
     assert main([*argv, "--out-dir", str(out2)]) == EXIT_OK
-    assert (out1 / "iterates.csv").read_text() == (out2 / "iterates.csv").read_text()
-    assert (out1 / "curve.csv").read_text() == (out2 / "curve.csv").read_text()
+    for name in ("iterates.csv", "curve.csv", "stages.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_meta_round_trip_reproduces_trace(tmp_path):

@@ -84,6 +84,14 @@ def test_levels_concatenate_their_rows_and_round_trip(tmp_path):
     meta = (out1 / "meta.txt").read_text()
     assert "result_levels = 10,100\n" in meta
     assert f"result_outer_iterations = {len(norms)}\n" in meta
+    # stages.csv: one row per level with its trace's counts
+    rows = [
+        f"{level.n},{len(level.trace.iterations)},"
+        f"{sum(it.inner_trials for it in level.trace.iterations)},converged"
+        for level in levels
+    ]
+    stages = (out1 / "stages.csv").read_text().splitlines()
+    assert stages == ["n,outer_iterations,inner_trials,termination", *rows]
 
 
 def test_a_failed_coarse_level_ends_the_run_on_its_grid(tmp_path, capsys):

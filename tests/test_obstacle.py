@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundle_newton import Grid, NewtonConfig, NodalCurve, Termination, tangent_basis
+from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_OK, main
+from bundle_newton.newton import NewtonTrace
 from bundle_newton.problems import (
     GeodesicForceProblem,
     ObstacleProblem,
@@ -184,10 +186,11 @@ def test_path_following_reaches_cap_band():
     assert all(s.trace.terminated is Termination.CONVERGED for s in result.stages)
     viols = [s.violation for s in result.stages]
     assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
-    # the penalty grows by the configured factor per stage
+    # the penalty grows by at most the configured cap per stage
     ps = [s.penalty for s in result.stages[1:]]
+    assert ps[0] == obs.p
     for a, b in zip(ps, ps[1:]):
-        assert b == pytest.approx(a * obs.p_growth, rel=1e-12)
+        assert 1.0 < b / a <= obs.p_growth
 
 
 def test_path_following_warm_start_cheaper_than_cold():
@@ -200,13 +203,136 @@ def test_path_following_warm_start_cheaper_than_cold():
 
 
 def test_path_following_stage_limit_is_iteration_limit(monkeypatch):
-    # the default cap needs dozens of stages; two are not enough, and the
+    # the default cap needs about ten stages; two are not enough, and the
     # result must say so instead of reporting the last stage's success
     monkeypatch.setattr(obstacle, "MAX_STAGES", 2)
+    solves = record_solves(monkeypatch)
     obs = ObstacleProblem(Grid(1.0, 20), h_ref=0.1)
     result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.MAX_ITERATIONS
+    assert solves == [0.0, obs.p]
+    assert len(result.attempts) == 2
+    assert result.message == "no convergence within 2 penalty stage solves (0 rejected)"
     assert result.stages[-1].violation > obs.violation_tol
+
+
+@pytest.mark.parametrize("h_ref", [0.1, 0.2])
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_path_following_takes_few_stages(n, h_ref):
+    obs = ObstacleProblem(Grid(1.0, n), h_ref=h_ref)
+    result = obstacle_path_follow(obs, NewtonConfig())
+    assert result.terminated is Termination.CONVERGED
+    assert len(result.stages) <= 15
+    assert sum(len(s.trace.iterations) for s in result.stages) <= 60
+    zmax = result.curve.points[:, 2].max()
+    assert 1.0 - h_ref - 1e-3 <= zmax <= 1.0 - h_ref + 1e-3
+    viols = [s.violation for s in result.stages]
+    assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
+
+
+def read_table(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_rising_violation_is_retried_with_a_smaller_factor(tmp_path):
+    # at p = 64 the warm start jumps to a curve that violates the cap more
+    # than the p = 16 stage did; the attempt is rejected and retried at p = 32
+    out = tmp_path / "o"
+    argv = ["obstacle", "--n", "100", "--h-ref", "0.3", "--p-growth", "4"]
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+    rows = read_table(out / "stages.csv")
+    rejected = [row for row in rows if row["accepted"] == "0"]
+    assert rejected and all(row["termination"] == "converged" for row in rejected)
+    accepted = [row for row in rows if row["accepted"] == "1"]
+    meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+    assert int(meta["result_rejected_stages"]) == len(rejected)
+    assert int(meta["result_stage_count"]) == len(accepted)
+    # iterates.csv holds the rows of the accepted stages only
+    iterates = (out / "iterates.csv").read_text().splitlines()[1:]
+    assert len(iterates) == sum(int(row["outer_iterations"]) for row in accepted)
+    z = [float(line.split(",")[3]) for line in (out / "curve.csv").read_text().splitlines()[1:]]
+    assert 0.7 - 1e-3 <= max(z) <= 0.7 + 1e-3
+
+    result = obstacle_path_follow(ObstacleProblem(Grid(1.0, 100), h_ref=0.3, p_growth=4.0))
+    assert all(s.accepted for s in result.stages)
+    assert len(result.attempts) - len(result.stages) == len(rejected)
+    assert [s.penalty for s in result.stages] == [float(row["penalty"]) for row in accepted]
+
+
+def record_solves(monkeypatch, fail_above=np.inf, failures=np.inf):
+    """Record the penalty of every stage solve; the first ``failures`` solves
+    above ``fail_above`` end as damping failures without iterating."""
+    solves, damped_newton = [], obstacle.damped_newton
+
+    def solve(problem, x0, cfg):
+        solves.append(problem.p)
+        if problem.p > fail_above and sum(p > fail_above for p in solves) <= failures:
+            return x0, NewtonTrace([], Termination.DAMPING_FAILED, "forced failure")
+        return damped_newton(problem, x0, cfg)
+
+    monkeypatch.setattr(obstacle, "damped_newton", solve)
+    return solves
+
+
+def test_failed_stage_is_retried_with_a_smaller_factor(monkeypatch):
+    solves = record_solves(monkeypatch, fail_above=16.0, failures=1)
+    obs = ObstacleProblem(Grid(1.0, 40), h_ref=0.2)
+    result = obstacle_path_follow(obs, NewtonConfig())
+    assert result.terminated is Termination.CONVERGED
+    # the step in log p halves: factor 2 instead of 4 from the accepted p = 16
+    assert solves[:6] == [0.0, 1.0, 4.0, 16.0, 64.0, 32.0]
+    rejected = [s for s in result.attempts if not s.accepted]
+    assert [s.penalty for s in rejected] == [64.0]
+    assert rejected[0].trace.terminated is Termination.DAMPING_FAILED
+    assert all(s.accepted for s in result.stages)
+    assert result.stages[-1].violation <= obs.violation_tol
+
+
+def test_step_floor_ends_the_path_as_damping_failed(monkeypatch):
+    solves = record_solves(monkeypatch, fail_above=16.0)
+    obs = ObstacleProblem(Grid(1.0, 40), h_ref=0.2)
+    result = obstacle_path_follow(obs, NewtonConfig())
+    assert result.terminated is Termination.DAMPING_FAILED
+    assert result.stages[-1].penalty == 16.0
+    # every retry takes the square root of the last factor, until the next
+    # one would drop below the floor
+    tried = solves[4:]
+    factors = [p / 16.0 for p in tried]
+    assert factors[0] == 4.0
+    for a, b in zip(factors, factors[1:]):
+        assert b == pytest.approx(np.sqrt(a), rel=1e-14)
+    assert factors[-1] >= obstacle.MIN_GROWTH > np.sqrt(factors[-1])
+    assert len(result.attempts) - len(result.stages) == len(tried)
+    assert result.message == (
+        f"penalty growth fell below {obstacle.MIN_GROWTH:g} after {len(tried)} rejected "
+        f"attempts: last accepted penalty 16, attempted {tried[-1]:g} "
+        "(damping_failed: forced failure)"
+    )
+
+
+@pytest.mark.parametrize(
+    "fail_above, message",
+    [
+        (-1.0, "penalty-free geodesic solve failed: forced failure"),
+        (0.5, "stage with penalty 1 failed (damping_failed: forced failure)"),
+    ],
+    ids=["stage-0", "stage-1"],
+)
+def test_failed_first_stages_end_the_path(monkeypatch, tmp_path, fail_above, message):
+    # stages 0 and 1 have fixed penalties 0 and p0, so there is no step to shrink
+    record_solves(monkeypatch, fail_above=fail_above, failures=1)
+    out = tmp_path / "o"
+    assert main(["obstacle", "--n", "10", "--out-dir", str(out)]) == EXIT_DAMPING_FAILED
+    meta = (out / "meta.txt").read_text()
+    assert f"result_message = {message}\n" in meta
+    rows = read_table(out / "stages.csv")
+    assert rows[-1]["accepted"] == "0" and rows[-1]["termination"] == "damping_failed"
+    accepted = [row for row in rows if row["accepted"] == "1"]
+    assert f"result_stage_count = {len(accepted)}\n" in meta
+    assert ("result_final_p = " in meta) == bool(accepted)
+    iterates = (out / "iterates.csv").read_text().splitlines()[1:]
+    assert len(iterates) == sum(int(row["outer_iterations"]) for row in accepted)
 
 
 @pytest.mark.parametrize("p_growth", [1.0, 0.5])
