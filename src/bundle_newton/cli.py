@@ -22,7 +22,9 @@ nodes (``problems.grid_ladder``): ``--n 1000`` solves on 10, 100 and 1000
 nodes, and any ``n`` below 100 is the single direct solve.  ``meta.txt``
 records the levels run as ``result_levels``.  A level that does not
 converge ends the run; on a coarse level its message is prefixed
-``level n=<its n>:`` and ``curve.csv`` holds that level's state.
+``level n=<its n>:`` and ``curve.csv`` holds that level's state.  Both
+loops return a ``problems.Continuation``: ``iterates.csv`` holds the rows
+of its ``stages``, ``stages.csv`` one row per entry of its ``attempts``.
 
 The fields of :class:`RunConfig` are the one list of run parameters: each
 field is a flag (``t_end`` is ``--t-end``), a ``key = value`` line of a
@@ -249,9 +251,10 @@ def _counts(trace) -> tuple:
 
 
 def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
-    """``(iterations, termination, message, curve columns, extra results,
-    stage table)``; the curve columns start with ``t``, the nodes of the
-    final state's grid, and the stage table is ``(header, row format, rows)``."""
+    """``(continuation, extra results, stage table, curve columns)``: the
+    obstacle follows its penalty path, the other problems run the nested
+    iteration.  The stage table is ``(header, row format, rows)``, and the
+    curve columns start with ``t``, the nodes of the final state's grid."""
     if isinstance(problem, ObstacleProblem):
         result = obstacle_path_follow(problem, newton_cfg)
         stages = result.stages
@@ -260,33 +263,23 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
             extra["final_p"] = _fmt(stages[-1].penalty)
             extra["violation"] = _fmt(stages[-1].violation)
         extra["rejected_stages"] = str(len(result.attempts) - len(stages))
-        iterations = [it for stage in stages for it in stage.trace.iterations]
-        columns = dict(zip("txyz", [result.curve.grid.nodes, *result.curve.points.T]))
-        table = [
-            (s.penalty, s.violation, *_counts(s.trace), int(s.accepted))
-            for s in result.attempts
-        ]
-        return (iterations, result.terminated, result.message, columns, extra,
-                (*_PATH_STAGES, table))
-    final, levels = nested_iteration(problem, newton_cfg)
-    last = levels[-1]
-    message = last.trace.message
-    if last.n != problem.grid.n_interior:
-        message = f"level n={last.n}: {message}"
-    extra = {"levels": ",".join(str(level.n) for level in levels)}
+        table = (*_PATH_STAGES, [(s.penalty, s.violation, *_counts(s.trace), int(s.accepted))
+                                 for s in result.attempts])
+    else:
+        result = nested_iteration(problem, newton_cfg)
+        extra = {"levels": ",".join(str(level.n) for level in result.attempts)}
+        table = (*_GRID_LEVELS, [(level.n, *_counts(level.trace)) for level in result.attempts])
+    state = result.state
     if isinstance(problem, RodProblem):
         # the P0 multiplier is repeated at the right node of its interval;
         # node 0 repeats the first interval
-        lam_at_nodes = np.vstack([final.lam[:1], final.lam])
+        lam_at_nodes = np.vstack([state.lam[:1], state.lam])
         names = ("x", "y", "z", "vx", "vy", "vz", "lx", "ly", "lz")
-        columns = dict(zip(names, np.hstack([final.y, final.v.points, lam_at_nodes]).T))
-        extra["constraint_inf"] = _fmt(np.abs(final.constraint_residuals()).max())
+        columns = dict(zip(names, np.hstack([state.y, state.v.points, lam_at_nodes]).T))
+        extra["constraint_inf"] = _fmt(np.abs(state.constraint_residuals()).max())
     else:
-        columns = dict(zip("xyz", final.points.T))
-    iterations = [it for level in levels for it in level.trace.iterations]
-    table = [(level.n, *_counts(level.trace)) for level in levels]
-    return (iterations, last.trace.terminated, message, {"t": final.grid.nodes, **columns},
-            extra, (*_GRID_LEVELS, table))
+        columns = dict(zip("xyz", state.points.T))
+    return result, extra, table, {"t": state.grid.nodes, **columns}
 
 
 def run(cfg: RunConfig) -> int:
@@ -303,14 +296,15 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory {cfg.out_dir!r} is not writable: {exc}") from exc
 
-    iterations, termination, message, columns, results, stages = _solve(problem, newton_cfg)
-    results["status"] = termination.value
+    result, results, stages, columns = _solve(problem, newton_cfg)
+    iterations = [it for stage in result.stages for it in stage.trace.iterations]
+    results["status"] = result.terminated.value
     results["outer_iterations"] = str(len(iterations))
     if iterations:
         results["final_norm_dx"] = _fmt(iterations[-1].norm_dx)
         results["final_residual_inf"] = _fmt(iterations[-1].residual_inf)
-    if message:
-        results["message"] = message
+    if result.message:
+        results["message"] = result.message
 
     _write_csv(
         out_dir / "iterates.csv",
@@ -327,11 +321,11 @@ def run(cfg: RunConfig) -> int:
     _write_meta(out_dir / "meta.txt", cfg, results)
 
     print(
-        f"{cfg.problem}: {termination.value} after {len(iterations)} outer iterations"
-        + (f" ({message})" if message else "")
+        f"{cfg.problem}: {result.terminated.value} after {len(iterations)} outer iterations"
+        + (f" ({result.message})" if result.message else "")
     )
     print(f"artifacts written to {out_dir}")
-    return _EXIT_BY_TERMINATION[termination]
+    return _EXIT_BY_TERMINATION[result.terminated]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -101,11 +101,12 @@ class ProblemInterface(ABC):
     @abstractmethod
     def norm_inf(self, xi) -> float: ...
 
-    def with_grid(self, grid):
-        """A copy of this problem on ``grid``; every problem keeps its grid in
-        ``self.grid``."""
+    def replace(self, **changes):
+        """A copy of this problem with the attributes ``changes`` set, such as
+        ``grid``.  No constructor check runs: the obstacle's penalty-free stage
+        has ``p = 0``."""
         problem = copy.copy(self)
-        problem.grid = grid
+        vars(problem).update(changes)
         return problem
 
 
@@ -142,7 +143,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
 
     for _ in range(cfg.max_outer):
         b = problem.assemble_residual(x)
-        residual_inf = float(np.max(np.abs(b))) if len(b) else 0.0
+        residual_inf = float(np.max(np.abs(b)))
         A = problem.assemble_jacobian(x)
         fact = A.factorize()
         dx = fact.solve(-b)

@@ -8,9 +8,9 @@ from .geodesic import (
     winding_force_jacobian,
 )
 from .obstacle import (
+    Continuation,
     GridLevel,
     ObstacleProblem,
-    PathFollowResult,
     PenaltyStage,
     grid_ladder,
     nested_iteration,
@@ -26,9 +26,9 @@ __all__ = [
     "PoleSingularity",
     "winding_force",
     "winding_force_jacobian",
+    "Continuation",
     "GridLevel",
     "ObstacleProblem",
-    "PathFollowResult",
     "PenaltyStage",
     "grid_ladder",
     "nested_iteration",

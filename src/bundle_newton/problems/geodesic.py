@@ -76,12 +76,9 @@ class GeodesicForceProblem(SphereCurveProblem):
     which case curves may pass through the poles.
     """
 
-    def __init__(self, grid: Grid, gamma0=None, gammaT=None, force_scale: float = 3.0):
-        super().__init__(
-            grid,
-            DEFAULT_GAMMA0 if gamma0 is None else gamma0,
-            DEFAULT_GAMMAT if gammaT is None else gammaT,
-        )
+    def __init__(self, grid: Grid, gamma0=DEFAULT_GAMMA0, gammaT=DEFAULT_GAMMAT,
+                 force_scale: float = 3.0):
+        super().__init__(grid, gamma0, gammaT)
         if not np.isfinite(force_scale):
             raise ValueError(f"force scale must be finite, got {force_scale!r}")
         self.force_scale = float(force_scale)

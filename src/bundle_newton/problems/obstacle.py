@@ -12,12 +12,12 @@ curve with a smaller factor.
 
 :func:`nested_iteration` solves the geodesic-force and rod problems on a
 ladder of grids, coarse to fine, each level started from the previous
-level's solution moved to its grid by ``prolong``.
+level's solution moved to its grid by ``prolong``.  Both loops return a
+:class:`Continuation` of :class:`PenaltyStage` or :class:`GridLevel` solves.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -63,18 +63,14 @@ class ObstacleProblem(SphereCurveProblem):
     def __init__(
         self,
         grid: Grid,
-        gamma0=None,
-        gammaT=None,
+        gamma0=DEFAULT_GAMMA0,
+        gammaT=DEFAULT_GAMMAT,
         h_ref: float = 0.1,
         p: float = 1.0,
         p_growth: float = 4.0,
         violation_tol: float = 1e-3,
     ):
-        super().__init__(
-            grid,
-            DEFAULT_GAMMA0 if gamma0 is None else gamma0,
-            DEFAULT_GAMMAT if gammaT is None else gammaT,
-        )
+        super().__init__(grid, gamma0, gammaT)
         if not 0.0 < h_ref < 1.0:
             raise ValueError(f"h_ref must lie in (0, 1), got {h_ref!r}")
         if not 0.0 < p < np.inf:
@@ -94,13 +90,6 @@ class ObstacleProblem(SphereCurveProblem):
         """Constraint values ``y3 - 1 + h_ref`` per point; positive above the cap."""
         return np.asarray(y)[..., 2] - 1.0 + self.h_ref
 
-    def with_penalty(self, p: float) -> "ObstacleProblem":
-        """This problem with penalty weight ``p``; ``p = 0`` is the penalty-free
-        stage 0 of the path, which the constructor's positive weight excludes."""
-        stage = copy.copy(self)
-        stage.p = float(p)
-        return stage
-
     def violation(self, curve: NodalCurve) -> float:
         """Largest nodal cap violation ``max_i max(0, gap(y_i))``."""
         return float(np.max(penalty_activation(self.gap(curve.points))))
@@ -114,6 +103,22 @@ class ObstacleProblem(SphereCurveProblem):
         return self.p * penalty_activation_slope(self.gap(y))[..., None, None] * _E33
 
 
+@dataclass
+class Continuation:
+    """Result of a continuation loop around :func:`damped_newton`: the final
+    state, every stage solve in order, and how the loop ended."""
+
+    state: object
+    attempts: list = field(default_factory=list)
+    terminated: Termination = Termination.MAX_ITERATIONS
+    message: str = ""
+
+    @property
+    def stages(self) -> list:
+        """The accepted stage solves, in order: the run's outer iterations."""
+        return [stage for stage in self.attempts if stage.accepted]
+
+
 @dataclass(frozen=True)
 class PenaltyStage:
     """One stage solve of the penalty path; ``accepted`` is False for a
@@ -125,21 +130,8 @@ class PenaltyStage:
     accepted: bool
 
 
-@dataclass
-class PathFollowResult:
-    curve: NodalCurve
-    attempts: list = field(default_factory=list)  # every stage solve, in order
-    terminated: Termination = Termination.MAX_ITERATIONS
-    message: str = ""
-
-    @property
-    def stages(self) -> list:
-        """The accepted stages, in order; ``curve`` is the last one's."""
-        return [stage for stage in self.attempts if stage.accepted]
-
-
 def obstacle_path_follow(problem: ObstacleProblem,
-                         cfg: NewtonConfig = NewtonConfig()) -> PathFollowResult:
+                         cfg: NewtonConfig = NewtonConfig()) -> Continuation:
     """Penalty path following for the obstacle problem, with the per-stage
     growth of the penalty weight under step-size control.
 
@@ -160,9 +152,9 @@ def obstacle_path_follow(problem: ObstacleProblem,
     (``DAMPING_FAILED`` for a rising violation); a factor below
     ``MIN_GROWTH`` ends it as ``DAMPING_FAILED``; ``MAX_STAGES`` stage
     solves, rejected ones included, end it as ``MAX_ITERATIONS``.  The
-    result holds the last accepted curve and every attempt.
+    result's state is the last accepted curve.
     """
-    result = PathFollowResult(problem.initial_state())
+    result = Continuation(problem.initial_state())
     growth, p, rejected = problem.p_growth, 0.0, 0
     while not result.stages or result.stages[-1].violation > problem.violation_tol:
         if len(result.attempts) == MAX_STAGES:
@@ -174,14 +166,14 @@ def obstacle_path_follow(problem: ObstacleProblem,
             return result
         last = result.stages[-1] if result.stages else None
         trial = 0.0 if last is None else problem.p if p == 0.0 else p * growth
-        curve, trace = damped_newton(problem.with_penalty(trial), result.curve, cfg)
+        curve, trace = damped_newton(problem.replace(p=trial), result.state, cfg)
         violation = problem.violation(curve)
         accepted = trace.terminated is Termination.CONVERGED and (
             last is None or violation <= last.violation
         )
         result.attempts.append(PenaltyStage(trial, violation, trace, accepted))
         if accepted:
-            result.curve, p = curve, trial
+            result.state, p = curve, trial
             alphas = [it.accepted_alpha for it in trace.iterations if it.inner_trials]
             if min(alphas, default=1.0) < 1.0:
                 growth = math.sqrt(growth)
@@ -219,6 +211,7 @@ def obstacle_path_follow(problem: ObstacleProblem,
 class GridLevel:
     n: int  # interior nodes
     trace: NewtonTrace
+    accepted = True  # a failing level ends the ladder, but its rows count
 
 
 def grid_ladder(n: int) -> list:
@@ -231,7 +224,7 @@ def grid_ladder(n: int) -> list:
     return ladder
 
 
-def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig()) -> tuple:
+def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig()) -> Continuation:
     """Damped Newton on the grids of :func:`grid_ladder`, ending on ``problem.grid``.
 
     The coarsest level starts from ``initial_state()`` of the problem on its
@@ -240,17 +233,20 @@ def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig()) -> tuple:
     iteration counts are mesh independent, so the damped phase runs on the
     coarsest grid and the finer levels start in the fast local phase.
     ``cfg`` applies to each level.  A level that does not converge ends the
-    ladder.  Returns ``(state, levels)``: the last level's final state and
-    one :class:`GridLevel` per level run.
+    ladder with its termination; on a coarse level its message is prefixed
+    ``level n=<its n>: ``.  The result's state is the last level's final
+    state, and it holds one :class:`GridLevel` per level run.
     """
-    t_end = problem.grid.t_end
-    state, levels = None, []
-    for n in grid_ladder(problem.grid.n_interior):
-        grid = Grid(t_end, n)
-        level = problem.with_grid(grid)
-        start = level.initial_state() if state is None else state.prolong(grid)
-        state, trace = damped_newton(level, start, cfg)
-        levels.append(GridLevel(n, trace))
+    fine = problem.grid
+    result = Continuation(None)
+    for n in grid_ladder(fine.n_interior):
+        grid = Grid(fine.t_end, n)
+        level = problem.replace(grid=grid)
+        start = level.initial_state() if result.state is None else result.state.prolong(grid)
+        result.state, trace = damped_newton(level, start, cfg)
+        result.attempts.append(GridLevel(n, trace))
+        prefix = "" if n == fine.n_interior else f"level n={n}: "
+        result.terminated, result.message = trace.terminated, prefix + trace.message
         if trace.terminated is not Termination.CONVERGED:
             break
-    return state, levels
+    return result

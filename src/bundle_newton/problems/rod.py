@@ -111,16 +111,17 @@ class RodProblem(ProblemInterface):
     ``sigma`` is the scalar flexural stiffness.
     """
 
-    def __init__(self, grid: Grid, y0=None, y1=None, v0=None, v1=None, sigma: float = 1.0):
+    def __init__(self, grid: Grid, y0=DEFAULT_Y0, y1=DEFAULT_Y1, v0=DEFAULT_V0, v1=DEFAULT_V1,
+                 sigma: float = 1.0):
         self.grid = grid
-        self.y0 = np.asarray(DEFAULT_Y0 if y0 is None else y0, dtype=float)
-        self.y1 = np.asarray(DEFAULT_Y1 if y1 is None else y1, dtype=float)
+        self.y0 = np.asarray(y0, dtype=float)
+        self.y1 = np.asarray(y1, dtype=float)
         if not np.all(np.isfinite([self.y0, self.y1])):
             raise ValueError(
                 f"end positions must be finite, got {self.y0.tolist()} and {self.y1.tolist()}"
             )
-        self.v0 = unit_vector(DEFAULT_V0 if v0 is None else v0)
-        self.v1 = unit_vector(DEFAULT_V1 if v1 is None else v1)
+        self.v0 = unit_vector(v0)
+        self.v1 = unit_vector(v1)
         check_not_antipodal(self.v0, self.v1, "end directions")
         if not 0.0 < sigma < np.inf:
             raise ValueError(f"flexural stiffness must be positive and finite, got {sigma!r}")

@@ -198,13 +198,13 @@ def test_criterion_5_obstacle_path_following():
         grid = Grid(1.0, 100)
         problem = ObstacleProblem(grid, h_ref=h_ref)  # p0 = 1, growth cap 4
         result = obstacle_path_follow(problem, NewtonConfig())
-        zmax = float(result.curve.points[:, 2].max())
+        zmax = float(result.state.points[:, 2].max())
         stage_ok = all(
             s.trace.terminated is Termination.CONVERGED for s in result.stages
         )
         endpoints_ok = np.array_equal(
-            result.curve.points[0], problem.gamma0
-        ) and np.array_equal(result.curve.points[-1], problem.gammaT)
+            result.state.points[0], problem.gamma0
+        ) and np.array_equal(result.state.points[-1], problem.gammaT)
         violations = [s.violation for s in result.stages]
         monotone = all(b <= a + 1e-15 for a, b in zip(violations, violations[1:]))
         converged = result.terminated is Termination.CONVERGED

@@ -7,6 +7,7 @@ import pytest
 from bundle_newton import Grid, NewtonConfig, Termination, cli, damped_newton
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_OK, main
 from bundle_newton.problems import (
+    Continuation,
     GeodesicForceProblem,
     GridLevel,
     RodProblem,
@@ -40,7 +41,8 @@ def test_nested_solution_matches_the_direct_one(make):
     cfg = NewtonConfig()
     problem = make(Grid(1.0, 1000))
     direct, trace = damped_newton(problem, problem.initial_state(), cfg)
-    nested, levels = nested_iteration(problem, cfg)
+    result = nested_iteration(problem, cfg)
+    nested, levels = result.state, result.attempts
     assert trace.terminated is Termination.CONVERGED
     assert [level.n for level in levels] == [10, 100, 1000]
     assert all(level.trace.terminated is Termination.CONVERGED for level in levels)
@@ -60,7 +62,8 @@ def test_one_level_ladder_writes_the_direct_run(tmp_path, monkeypatch, argv):
 
     def direct_run(problem, cfg):
         state, trace = damped_newton(problem, problem.initial_state(), cfg)
-        return state, [GridLevel(problem.grid.n_interior, trace)]
+        return Continuation(state, [GridLevel(problem.grid.n_interior, trace)],
+                            trace.terminated, trace.message)
 
     monkeypatch.setattr(cli, "nested_iteration", direct_run)
     assert main([*argv, "--out-dir", str(tmp_path / "direct")]) == EXIT_OK
@@ -76,7 +79,7 @@ def test_levels_concatenate_their_rows_and_round_trip(tmp_path):
     assert main(["rod", "--config", str(out1 / "meta.txt"), "--out-dir", str(out2)]) == EXIT_OK
     for name in ("iterates.csv", "curve.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    _, levels = nested_iteration(RodProblem(Grid(1.0, 100)))
+    levels = nested_iteration(RodProblem(Grid(1.0, 100))).attempts
     norms = [it.norm_dx for level in levels for it in level.trace.iterations]
     rows = read_rows(out1 / "iterates.csv")
     assert np.array_equal(rows[:, 0], np.arange(1, len(norms) + 1))
@@ -103,3 +106,14 @@ def test_a_failed_coarse_level_ends_the_run_on_its_grid(tmp_path, capsys):
     assert "result_levels = 10\n" in meta
     assert "result_message = level n=10: " in meta
     assert np.array_equal(read_rows(out / "curve.csv")[:, 0], Grid(1.0, 10).nodes)
+
+
+@pytest.mark.parametrize("n, levels, prefix", [(1000, [10], "level n=10: "), (50, [50], "")])
+def test_a_failed_level_ends_the_continuation_with_its_termination(n, levels, prefix):
+    # only a coarse level's message names the level; a one-level ladder is the direct solve
+    result = nested_iteration(GeodesicForceProblem(Grid(1.0, n), force_scale=10.0))
+    assert result.terminated is Termination.DAMPING_FAILED
+    assert [level.n for level in result.attempts] == levels
+    assert result.stages == result.attempts  # a failing level keeps its rows
+    assert result.message.startswith(prefix + "step size collapsed")
+    assert result.state.grid == Grid(1.0, levels[0])

@@ -85,11 +85,22 @@ def test_penalty_part_linear_in_p():
     grid = Grid(1.0, 8)
     rng_curve = random_obstacle_curve(grid, np.random.default_rng(2), ObstacleProblem(grid, h_ref=0.4))
     obs1 = ObstacleProblem(grid, h_ref=0.4, p=1.3)
-    obs2 = obs1.with_penalty(2.6)
+    obs2 = obs1.replace(p=2.6)
     geo = GeodesicForceProblem(grid, gamma0=obs1.gamma0, gammaT=obs1.gammaT, force_scale=0.0)
     pen1 = obs1.assemble_residual(rng_curve) - geo.assemble_residual(rng_curve)
     pen2 = obs2.assemble_residual(rng_curve) - geo.assemble_residual(rng_curve)
     assert np.abs(pen2 - 2.0 * pen1).max() < 1e-14 * (1 + np.abs(pen1).max())
+
+
+def test_replace_copies_without_the_constructor_checks():
+    # the penalty-free stage 0 has p = 0, which the constructor refuses
+    obs = ObstacleProblem(Grid(1.0, 8))
+    stage = obs.replace(p=0.0)
+    assert stage.p == 0.0 and obs.p == 1.0
+    assert not stage.force_at(np.array([0.0, 0.0, 1.0])).any()
+    coarse = obs.replace(grid=Grid(1.0, 10))
+    assert coarse.grid == Grid(1.0, 10) and obs.grid == Grid(1.0, 8)
+    assert coarse.h_ref == obs.h_ref and coarse.gamma0 is obs.gamma0
 
 
 # -- Jacobian ----------------------------------------------------------------------
@@ -168,7 +179,7 @@ def test_path_following_trivial_when_cap_unreachable():
     assert all(stage.penalty == 0.0 for stage in result.stages)
     assert result.stages[-1].violation == 0.0
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
-    assert np.abs(geo.assemble_residual(result.curve)).max() < 1e-10
+    assert np.abs(geo.assemble_residual(result.state)).max() < 1e-10
 
 
 def test_path_following_reaches_cap_band():
@@ -177,11 +188,11 @@ def test_path_following_reaches_cap_band():
     result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.CONVERGED
     cap = 1.0 - obs.h_ref
-    zmax = result.curve.points[:, 2].max()
+    zmax = result.state.points[:, 2].max()
     assert zmax <= cap + obs.violation_tol
     # endpoints untouched
-    assert np.array_equal(result.curve.points[0], obs.gamma0)
-    assert np.array_equal(result.curve.points[-1], obs.gammaT)
+    assert np.array_equal(result.state.points[0], obs.gamma0)
+    assert np.array_equal(result.state.points[-1], obs.gammaT)
     # all stages converged, violations never increase
     assert all(s.trace.terminated is Termination.CONVERGED for s in result.stages)
     viols = [s.violation for s in result.stages]
@@ -224,7 +235,7 @@ def test_path_following_takes_few_stages(n, h_ref):
     assert result.terminated is Termination.CONVERGED
     assert len(result.stages) <= 15
     assert sum(len(s.trace.iterations) for s in result.stages) <= 60
-    zmax = result.curve.points[:, 2].max()
+    zmax = result.state.points[:, 2].max()
     assert 1.0 - h_ref - 1e-3 <= zmax <= 1.0 - h_ref + 1e-3
     viols = [s.violation for s in result.stages]
     assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
