@@ -13,8 +13,9 @@ writes four artifacts into the output directory:
 - ``meta.txt``: every resolved parameter plus ``result_*`` summary keys; the
   file doubles as a ``--config`` input that reproduces the run.
 
-The obstacle follows its penalty path on the ``--n`` grid; ``--p-growth``
-caps the per-stage factor of the penalty weight, which the path adapts
+The obstacle follows its penalty path on the ``--n`` grid, from the
+connecting geodesic, with its first stage at ``--p0``; ``--p-growth`` caps
+the per-stage factor of the penalty weight, which the path adapts
 (``problems.obstacle_path_follow``).  Geodesic-force
 and the rod are solved by nested iteration on the grid ladder ``n //
 10**k``, coarsest first, for every ``k`` that leaves at least 10 interior
@@ -152,15 +153,16 @@ _FIELDS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; ``result_*`` keys are ignored."""
+    """Parse a flat ``key = value`` file; a line starting with ``#`` is a comment
+    (a later ``#`` is part of the value), and ``result_*`` keys are ignored."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file: {exc}") from exc
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
@@ -259,7 +261,7 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
         result = obstacle_path_follow(problem, newton_cfg)
         stages = result.stages
         extra = {"stage_count": str(len(stages))}
-        if stages:  # empty only when the penalty-free stage failed
+        if stages:  # empty only when the first stage failed
             extra["final_p"] = _fmt(stages[-1].penalty)
             extra["violation"] = _fmt(stages[-1].violation)
         extra["rejected_stages"] = str(len(result.attempts) - len(stages))

@@ -103,8 +103,7 @@ class ProblemInterface(ABC):
 
     def replace(self, **changes):
         """A copy of this problem with the attributes ``changes`` set, such as
-        ``grid``.  No constructor check runs: the obstacle's penalty-free stage
-        has ``p = 0``."""
+        ``grid`` or the obstacle's ``p``; no constructor check runs on them."""
         problem = copy.copy(self)
         vars(problem).update(changes)
         return problem

@@ -4,7 +4,8 @@ the two continuation loops around the damped Newton driver.
 The curve must stay below the polar cap ``y3 <= 1 - h_ref``.  Violations
 are penalized quadratically; the resulting stationarity condition is only
 Newton-differentiable, and :func:`obstacle_path_follow` drives the penalty
-weight up along a path of warm-started stages.  The growth factor per stage
+weight up along a path of warm-started stages, starting from the connecting
+geodesic.  The growth factor per stage
 is step-controlled in ``log p``: it shrinks after a stage that needed
 damping, grows back to its cap ``p_growth`` after an easy one, and a stage
 that fails or lets the violation rise is retried from the last accepted
@@ -135,8 +136,9 @@ def obstacle_path_follow(problem: ObstacleProblem,
     """Penalty path following for the obstacle problem, with the per-stage
     growth of the penalty weight under step-size control.
 
-    Stage 0 solves the penalty-free geodesic and stage 1 the penalized
-    problem at ``problem.p``.  While the last accepted stage still violates
+    The path starts from the connecting geodesic ``problem.initial_state()``,
+    the penalty-free solution, and its first stage solves the penalized
+    problem at ``problem.p``.  While the last accepted curve still violates
     the cap by more than ``problem.violation_tol``, the next stage's weight
     is the last accepted one times a factor ``growth``, warm started from
     its curve.  The factor starts at its cap ``problem.p_growth``.  Its
@@ -146,9 +148,9 @@ def obstacle_path_follow(problem: ObstacleProblem,
     control, Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 5).
 
     An attempt is rejected when its Newton solve does not converge or its
-    violation exceeds the last accepted stage's (the warm start jumped to
+    violation exceeds the last accepted curve's (the warm start jumped to
     another branch); it is retried from the last accepted curve with half
-    the step.  A rejected stage 0 or 1 ends the path with its termination
+    the step.  A rejected first stage ends the path with its termination
     (``DAMPING_FAILED`` for a rising violation); a factor below
     ``MIN_GROWTH`` ends it as ``DAMPING_FAILED``; ``MAX_STAGES`` stage
     solves, rejected ones included, end it as ``MAX_ITERATIONS``.  The
@@ -156,7 +158,8 @@ def obstacle_path_follow(problem: ObstacleProblem,
     """
     result = Continuation(problem.initial_state())
     growth, p, rejected = problem.p_growth, 0.0, 0
-    while not result.stages or result.stages[-1].violation > problem.violation_tol:
+    violation = problem.violation(result.state)
+    while not result.stages or violation > problem.violation_tol:
         if len(result.attempts) == MAX_STAGES:
             result.terminated = Termination.MAX_ITERATIONS
             result.message = (
@@ -164,16 +167,14 @@ def obstacle_path_follow(problem: ObstacleProblem,
                 f"({rejected} rejected)"
             )
             return result
-        last = result.stages[-1] if result.stages else None
-        trial = 0.0 if last is None else problem.p if p == 0.0 else p * growth
+        trial = p * growth if p > 0.0 else problem.p
         curve, trace = damped_newton(problem.replace(p=trial), result.state, cfg)
-        violation = problem.violation(curve)
-        accepted = trace.terminated is Termination.CONVERGED and (
-            last is None or violation <= last.violation
-        )
-        result.attempts.append(PenaltyStage(trial, violation, trace, accepted))
+        trial_violation = problem.violation(curve)
+        converged = trace.terminated is Termination.CONVERGED
+        accepted = converged and trial_violation <= violation
+        result.attempts.append(PenaltyStage(trial, trial_violation, trace, accepted))
         if accepted:
-            result.state, p = curve, trial
+            result.state, p, violation = curve, trial, trial_violation
             alphas = [it.accepted_alpha for it in trace.iterations if it.inner_trials]
             if min(alphas, default=1.0) < 1.0:
                 growth = math.sqrt(growth)
@@ -185,9 +186,8 @@ def obstacle_path_follow(problem: ObstacleProblem,
         if p > 0.0 and growth >= MIN_GROWTH:
             continue
         # no smaller step left: the path ends here
-        converged = trace.terminated is Termination.CONVERGED
         reason = (
-            f"violation rose from {last.violation:.3g} to {violation:.3g}" if converged
+            f"violation rose from {violation:.3g} to {trial_violation:.3g}" if converged
             else f"{trace.terminated.value}: {trace.message}"
         )
         if p > 0.0:
@@ -196,12 +196,9 @@ def obstacle_path_follow(problem: ObstacleProblem,
                 f"penalty growth fell below {MIN_GROWTH:g} after {rejected} rejected "
                 f"attempts: last accepted penalty {p:g}, attempted {trial:g} ({reason})"
             )
-        else:  # stages 0 and 1 have fixed penalties
+        else:  # the first stage has the fixed penalty problem.p
             result.terminated = Termination.DAMPING_FAILED if converged else trace.terminated
-            result.message = (
-                f"penalty-free geodesic solve failed: {trace.message}" if last is None
-                else f"stage with penalty {trial:g} failed ({reason})"
-            )
+            result.message = f"stage with penalty {trial:g} failed ({reason})"
         return result
     result.terminated = Termination.CONVERGED
     return result

@@ -1,14 +1,17 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from bundle_newton import NewtonConfig
 from bundle_newton.cli import (
     EXIT_CONFIG,
     EXIT_MAX_ITERATIONS,
     EXIT_OK,
     ConfigError,
     RunConfig,
+    _with_default_boundary,
     _write_csv,
     build_parser,
     config_from_args,
@@ -16,6 +19,7 @@ from bundle_newton.cli import (
     parse_config_file,
     run,
 )
+from bundle_newton.problems import GeodesicForceProblem, ObstacleProblem, RodProblem
 
 
 def read_csv(path):
@@ -256,6 +260,33 @@ def test_every_field_round_trips_through_flags_and_meta(tmp_path):
     assert RunConfig(**parse_config_file(tmp_path / "out" / "meta.txt")) == expected
 
 
+def keyword_defaults(cls) -> dict:
+    return {name: param.default for name, param in inspect.signature(cls).parameters.items()
+            if param.default is not inspect.Parameter.empty}
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    # the command line with no flags solves the problems the constructors
+    # build with no keywords, under the default NewtonConfig
+    cfg = RunConfig()
+    newton = NewtonConfig()
+    for f in fields(NewtonConfig):
+        assert getattr(cfg, f.name) == getattr(newton, f.name), f.name
+    geodesic = keyword_defaults(GeodesicForceProblem)
+    obstacle = keyword_defaults(ObstacleProblem)
+    rod = keyword_defaults(RodProblem)
+    assert cfg.force_scale == geodesic["force_scale"]
+    assert (cfg.h_ref, cfg.p0, cfg.p_growth, cfg.violation_tol) == (
+        obstacle["h_ref"], obstacle["p"], obstacle["p_growth"], obstacle["violation_tol"]
+    )
+    assert cfg.sigma == rod["sigma"]
+    for problem, defaults in [("geodesic-force", geodesic), ("obstacle", obstacle), ("rod", rod)]:
+        filled = _with_default_boundary(RunConfig(problem=problem))
+        names = ("y0", "y1", "v0", "v1") if problem == "rod" else ("gamma0", "gammaT")
+        for name in names:
+            assert getattr(filled, name) == defaults[name], (problem, name)
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -267,6 +298,18 @@ def test_config_file_parsing(tmp_path):
     )
     values = parse_config_file(cfg)
     assert values == {"n": 12, "tol": 1e-9, "gamma0": (0.8, 0.0, 0.6)}
+
+
+def test_meta_replays_an_out_dir_containing_a_hash(tmp_path, monkeypatch):
+    # only a line that starts with "#" is a comment, so the replay of
+    # "out_dir = rt#x" writes into rt#x again, not into rt
+    monkeypatch.chdir(tmp_path)
+    assert main(["geodesic-force", "--n", "8", "--out-dir", "rt#x"]) == EXIT_OK
+    meta = (tmp_path / "rt#x" / "meta.txt").read_text()
+    assert "out_dir = rt#x\n" in meta
+    assert main(["geodesic-force", "--config", "rt#x/meta.txt"]) == EXIT_OK
+    assert not (tmp_path / "rt").exists()
+    assert (tmp_path / "rt#x" / "meta.txt").read_text() == meta
 
 
 def test_flags_override_config_file(tmp_path):

@@ -93,7 +93,7 @@ def test_penalty_part_linear_in_p():
 
 
 def test_replace_copies_without_the_constructor_checks():
-    # the penalty-free stage 0 has p = 0, which the constructor refuses
+    # p = 0 is refused by the constructor but not by replace
     obs = ObstacleProblem(Grid(1.0, 8))
     stage = obs.replace(p=0.0)
     assert stage.p == 0.0 and obs.p == 1.0
@@ -169,15 +169,17 @@ def test_jacobian_fd_consistency_away_from_kink():
 
 def test_path_following_trivial_when_cap_unreachable():
     # both boundary points in the southern hemisphere: the geodesic never
-    # gets close to the cap and no penalty stage is needed
+    # gets close to the cap, so the first stage is stationary at its start
     grid = Grid(1.0, 20)
     obs = ObstacleProblem(
         grid, gamma0=(0.6, 0.0, -0.8), gammaT=(0.0, 0.6, -0.8), h_ref=0.5
     )
     result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.CONVERGED
-    assert all(stage.penalty == 0.0 for stage in result.stages)
+    assert all(stage.penalty == obs.p for stage in result.stages)
     assert result.stages[-1].violation == 0.0
+    assert [len(stage.trace.iterations) for stage in result.attempts] == [1]
+    assert np.array_equal(result.state.points, obs.initial_state().points)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     assert np.abs(geo.assemble_residual(result.state)).max() < 1e-10
 
@@ -198,7 +200,7 @@ def test_path_following_reaches_cap_band():
     viols = [s.violation for s in result.stages]
     assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
     # the penalty grows by at most the configured cap per stage
-    ps = [s.penalty for s in result.stages[1:]]
+    ps = [s.penalty for s in result.stages]
     assert ps[0] == obs.p
     for a, b in zip(ps, ps[1:]):
         assert 1.0 < b / a <= obs.p_growth
@@ -221,7 +223,7 @@ def test_path_following_stage_limit_is_iteration_limit(monkeypatch):
     obs = ObstacleProblem(Grid(1.0, 20), h_ref=0.1)
     result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.MAX_ITERATIONS
-    assert solves == [0.0, obs.p]
+    assert solves == [1.0, 4.0]
     assert len(result.attempts) == 2
     assert result.message == "no convergence within 2 penalty stage solves (0 rejected)"
     assert result.stages[-1].violation > obs.violation_tol
@@ -292,7 +294,7 @@ def test_failed_stage_is_retried_with_a_smaller_factor(monkeypatch):
     result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.CONVERGED
     # the step in log p halves: factor 2 instead of 4 from the accepted p = 16
-    assert solves[:6] == [0.0, 1.0, 4.0, 16.0, 64.0, 32.0]
+    assert solves[:5] == [1.0, 4.0, 16.0, 64.0, 32.0]
     rejected = [s for s in result.attempts if not s.accepted]
     assert [s.penalty for s in rejected] == [64.0]
     assert rejected[0].trace.terminated is Termination.DAMPING_FAILED
@@ -308,7 +310,7 @@ def test_step_floor_ends_the_path_as_damping_failed(monkeypatch):
     assert result.stages[-1].penalty == 16.0
     # every retry takes the square root of the last factor, until the next
     # one would drop below the floor
-    tried = solves[4:]
+    tried = solves[3:]
     factors = [p / 16.0 for p in tried]
     assert factors[0] == 4.0
     for a, b in zip(factors, factors[1:]):
@@ -322,20 +324,13 @@ def test_step_floor_ends_the_path_as_damping_failed(monkeypatch):
     )
 
 
-@pytest.mark.parametrize(
-    "fail_above, message",
-    [
-        (-1.0, "penalty-free geodesic solve failed: forced failure"),
-        (0.5, "stage with penalty 1 failed (damping_failed: forced failure)"),
-    ],
-    ids=["stage-0", "stage-1"],
-)
-def test_failed_first_stages_end_the_path(monkeypatch, tmp_path, fail_above, message):
-    # stages 0 and 1 have fixed penalties 0 and p0, so there is no step to shrink
-    record_solves(monkeypatch, fail_above=fail_above, failures=1)
+def test_failed_first_stage_ends_the_path(monkeypatch, tmp_path):
+    # the first stage has the fixed penalty p0, so there is no step to shrink
+    record_solves(monkeypatch, fail_above=0.5, failures=1)
     out = tmp_path / "o"
     assert main(["obstacle", "--n", "10", "--out-dir", str(out)]) == EXIT_DAMPING_FAILED
     meta = (out / "meta.txt").read_text()
+    message = "stage with penalty 1 failed (damping_failed: forced failure)"
     assert f"result_message = {message}\n" in meta
     rows = read_table(out / "stages.csv")
     assert rows[-1]["accepted"] == "0" and rows[-1]["termination"] == "damping_failed"
@@ -344,6 +339,34 @@ def test_failed_first_stages_end_the_path(monkeypatch, tmp_path, fail_above, mes
     assert ("result_final_p = " in meta) == bool(accepted)
     iterates = (out / "iterates.csv").read_text().splitlines()[1:]
     assert len(iterates) == sum(int(row["outer_iterations"]) for row in accepted)
+
+
+def test_first_stage_raising_the_violation_ends_the_path(monkeypatch):
+    # a first stage that converges to a curve violating the cap more than
+    # the connecting geodesic is rejected, and its penalty is fixed
+    obs = ObstacleProblem(Grid(1.0, 20), h_ref=0.1)
+    start = obs.initial_state()
+    points = start.points.copy()
+    points[1:-1, 2] += 0.05
+    points[1:-1] /= np.linalg.norm(points[1:-1], axis=1, keepdims=True)
+    higher = NodalCurve(start.grid, points)
+    solves = []
+
+    def solve(problem, x0, cfg):
+        solves.append(problem.p)
+        return higher, NewtonTrace([], Termination.CONVERGED, "forced")
+
+    monkeypatch.setattr(obstacle, "damped_newton", solve)
+    result = obstacle_path_follow(obs, NewtonConfig())
+    assert solves == [obs.p]
+    assert result.terminated is Termination.DAMPING_FAILED
+    assert result.stages == [] and not result.attempts[0].accepted
+    assert np.array_equal(result.state.points, start.points)
+    assert obs.violation(higher) > obs.violation(start)
+    assert result.message == (
+        f"stage with penalty 1 failed (violation rose from {obs.violation(start):.3g} "
+        f"to {obs.violation(higher):.3g})"
+    )
 
 
 @pytest.mark.parametrize("p_growth", [1.0, 0.5])

@@ -1,0 +1,29 @@
+"""Smoke test of the experiment scripts: each runs in-process from a fresh
+working directory, exits 0 and leaves the four artifacts of every case."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ARTIFACTS = {"iterates.csv", "curve.csv", "stages.csv", "meta.txt"}
+
+
+@pytest.mark.parametrize(
+    "script, cases",
+    [
+        ("run_geodesic_force.py",
+         ["geodesic_force_n100", "geodesic_force_n1000", "geodesic_force_n10000"]),
+        ("run_obstacle.py", ["obstacle_href0.1", "obstacle_href0.2"]),
+        ("run_rod.py", ["rod_n100"]),
+    ],
+)
+def test_experiment_script_writes_every_case(tmp_path, monkeypatch, script, cases):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert exit_info.value.code == 0
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == sorted(cases)
+    for case in cases:
+        assert {path.name for path in (tmp_path / "out" / case).iterdir()} == ARTIFACTS
