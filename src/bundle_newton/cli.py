@@ -273,9 +273,9 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
         table = (*_GRID_LEVELS, [(level.n, *_counts(level.trace)) for level in result.attempts])
     state = result.state
     if isinstance(problem, RodProblem):
-        # the P0 multiplier is repeated at the right node of its interval;
-        # node 0 repeats the first interval
-        lam_at_nodes = np.vstack([state.lam[:1], state.lam])
+        # the P0 multiplier, scaled from unit rigidity to sigma, is repeated at
+        # the right node of its interval; node 0 repeats the first interval
+        lam_at_nodes = problem.sigma * np.vstack([state.lam[:1], state.lam])
         names = ("x", "y", "z", "vx", "vy", "vz", "lx", "ly", "lz")
         columns = dict(zip(names, np.hstack([state.y, state.v.points, lam_at_nodes]).T))
         extra["constraint_inf"] = _fmt(np.abs(state.constraint_residuals()).max())

@@ -260,32 +260,32 @@ class BandedFactorization:
 # ---------------------------------------------------------------------------
 
 
-def p1_covectors(u, h: float, load, stiffness: float = 1.0) -> np.ndarray:
-    """Covectors of ``int k u'.w' + load.w`` at the ``n`` interior nodes.
+def p1_covectors(u, h: float, load) -> np.ndarray:
+    """Covectors of ``int u'.w' + load.w`` at the ``n`` interior nodes.
 
     ``u`` holds all ``n + 2`` nodal values, ``load`` the interior ones of the
-    load (trapezoidal rule), ``stiffness`` the scalar ``k``.
+    load (trapezoidal rule).
     """
-    flux = stiffness * (np.diff(np.asarray(u, dtype=float), axis=0) / h)
+    flux = np.diff(np.asarray(u, dtype=float), axis=0) / h
     return flux[:-1] - flux[1:] + h * np.asarray(load, dtype=float)
 
 
-def sphere_field_blocks(y, V, g, h: float, stiffness: float = 1.0, nodal=None):
+def sphere_field_blocks(y, V, g, h: float, nodal=None):
     """Jacobian blocks of a P1 unit-vector field ``y`` in its tangent frames ``V``.
 
     The residual pairs the ``(n, 3)`` covectors ``g`` of :func:`p1_covectors`
     with test vectors that follow ``y`` by projection.  Its covariant
-    derivative is the projected Euclidean Jacobian (stiffness plus the
-    optional ``(n, 3, 3)`` Jacobian ``nodal`` of further nodal terms) plus
-    the Weingarten term ``-<g, y> I``.  Returns the ``(n, 2, 2)`` diagonal
-    and ``(n - 1, 2, 2)`` upper blocks; the lower blocks are their transposes.
+    derivative is the projected Euclidean Jacobian (``2 / h``, ``-1 / h`` and
+    the optional ``(n, 3, 3)`` Jacobian ``nodal`` of nodal terms) plus the
+    Weingarten term ``-<g, y> I``.  Returns the ``(n, 2, 2)`` diagonal and
+    ``(n - 1, 2, 2)`` upper blocks; the lower blocks are their transposes.
     """
     VT = np.swapaxes(V, -1, -2)
-    scalar = 2.0 * stiffness / h - dot(g, y)[:, 0]
+    scalar = 2 / h - dot(g, y)[:, 0]
     diag = scalar[:, None, None] * np.eye(2)
     if nodal is not None:
         diag = diag + VT @ nodal @ V
-    upper = -(stiffness / h) * (VT[:-1] @ V[1:])
+    upper = -(1 / h) * (VT[:-1] @ V[1:])
     return diag, upper
 
 

@@ -43,7 +43,8 @@ def normalized(vec) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     nrm = np.linalg.norm(v, axis=-1, keepdims=True)
     if np.any(nrm <= DEGENERATE_NORM):
-        raise DegenerateUpdate(f"cannot normalize a vector of norm {nrm.min():.2e}")
+        i = np.argmin(nrm)
+        raise DegenerateUpdate(f"cannot normalize a vector of norm {nrm.flat[i]:.2e} at row {i}")
     return v / nrm
 
 
@@ -78,8 +79,9 @@ def retract_sphere(y, d) -> np.ndarray:
     w = y + d
     nrm = np.linalg.norm(w, axis=-1, keepdims=True)
     if np.any(moved & (nrm <= DEGENERATE_NORM)):
+        i = np.argmin(np.where(moved, nrm, np.inf))
         raise DegenerateUpdate(
-            f"update direction collapses the point to norm {nrm[moved].min():.2e}"
+            f"update direction collapses the point to norm {nrm.flat[i]:.2e} at row {i}"
         )
     # retraction at a zero step is the exact identity
     return np.where(moved, w / nrm, y)

@@ -149,9 +149,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         norm_dx = problem.norm_inf(dx)
 
         if norm_dx <= cfg.tol:
-            trace.iterations.append(
-                NewtonIteration(norm_dx, 1.0, (), 0, residual_inf)
-            )
+            trace.iterations.append(NewtonIteration(norm_dx, 1.0, (), 0, residual_inf))
             trace.terminated = Termination.CONVERGED
             trace.message = "stationary within tolerance"
             return x, trace

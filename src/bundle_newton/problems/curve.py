@@ -1,12 +1,12 @@
 """Shared machinery of the sphere-curve problems.
 
 A curve problem looks for a piecewise-linear curve of unit vectors whose
-Dirichlet stiffness balances a nodal force covector field.  Subclasses only
+Dirichlet term balances a nodal force covector field.  Subclasses only
 provide the force field and its Euclidean Jacobian, evaluated on stacked
 ``(n, 3)`` node arrays.  Per interior node the residual contracts the
 covector ``slope[:-1] - slope[1:] + h f(y)`` with the node's tangent frame
 (projected onto the trial's tangent plane for a trial residual), and the
-Jacobian is :func:`fem1d.sphere_field_blocks` with unit stiffness.
+Jacobian is :func:`fem1d.sphere_field_blocks`.
 """
 
 from __future__ import annotations

@@ -157,14 +157,14 @@ def obstacle_path_follow(problem: ObstacleProblem,
     result's state is the last accepted curve.
     """
     result = Continuation(problem.initial_state())
-    growth, p, rejected = problem.p_growth, 0.0, 0
+    growth, p = problem.p_growth, 0.0
     violation = problem.violation(result.state)
     while not result.stages or violation > problem.violation_tol:
         if len(result.attempts) == MAX_STAGES:
             result.terminated = Termination.MAX_ITERATIONS
             result.message = (
                 f"no convergence within {MAX_STAGES} penalty stage solves "
-                f"({rejected} rejected)"
+                f"({len(result.attempts) - len(result.stages)} rejected)"
             )
             return result
         trial = p * growth if p > 0.0 else problem.p
@@ -181,7 +181,6 @@ def obstacle_path_follow(problem: ObstacleProblem,
             elif len(alphas) <= FAST_STAGE_STEPS:
                 growth = min(growth * growth, problem.p_growth)
             continue
-        rejected += 1
         growth = math.sqrt(growth)
         if p > 0.0 and growth >= MIN_GROWTH:
             continue
@@ -193,8 +192,9 @@ def obstacle_path_follow(problem: ObstacleProblem,
         if p > 0.0:
             result.terminated = Termination.DAMPING_FAILED
             result.message = (
-                f"penalty growth fell below {MIN_GROWTH:g} after {rejected} rejected "
-                f"attempts: last accepted penalty {p:g}, attempted {trial:g} ({reason})"
+                f"penalty growth fell below {MIN_GROWTH:g} after "
+                f"{len(result.attempts) - len(result.stages)} rejected attempts: "
+                f"last accepted penalty {p:g}, attempted {trial:g} ({reason})"
             )
         else:  # the first stage has the fixed penalty problem.p
             result.terminated = Termination.DAMPING_FAILED if converged else trace.terminated

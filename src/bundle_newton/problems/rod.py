@@ -1,23 +1,23 @@
 """Inextensible elastic rod as a saddle-point system.
 
 Unknowns are the rod position ``y`` (P1 in R^3), its unit direction field
-``v`` (P1 on the sphere) and the multiplier ``lambda`` (P0 per interval)
-enforcing the constraint ``y' = v``.  Boundary values of ``y`` and ``v`` are
-prescribed.  Per interior node the dofs are interleaved as
-``(y_i, v_i, lambda_i)`` behind a leading ``lambda_0`` group, which keeps the
-assembled Newton matrix banded with bandwidths 9/9 independent of the grid.
-The group of node ``i`` occupies entries ``8 i - 5 .. 8 i + 2``, so that
-``lambda_j`` starts at entry ``8 j`` for every interval ``j``.  Every block of
-the Jacobian therefore repeats from node to node with stride 8, and the
-Jacobian is assembled as 11 block runs of
+``v`` (P1 on the sphere) and the multiplier ``mu`` (P0 per interval) of the
+constraint ``y' = v``, at unit flexural rigidity (see :class:`RodProblem`).
+Boundary values of ``y`` and ``v`` are prescribed.  Per interior node the
+dofs are interleaved as ``(y_i, v_i, mu_i)`` behind a leading ``mu_0`` group,
+which keeps the assembled Newton matrix banded with bandwidths 9/9
+independent of the grid.  The group of node ``i`` occupies entries
+``8 i - 5 .. 8 i + 2``, so that ``mu_j`` starts at entry ``8 j`` for every
+interval ``j``.  Every block of the Jacobian therefore repeats from node to
+node with stride 8, and the Jacobian is assembled as 11 block runs of
 :meth:`~bundle_newton.fem1d.BandedMatrix.add_blocks`.
 
 The directions are a :class:`~bundle_newton.fem1d.NodalCurve` as in the curve
 problems, framed and retracted by it, and their rows are assembled by
-:mod:`fem1d` as there: a unit-vector field of stiffness ``sigma`` loaded by
-the multiplier.  ``y`` and ``lambda`` retract linearly.
+:mod:`fem1d` as there: a unit-vector field loaded by the multiplier.  ``y``
+and ``mu`` retract linearly.
 :meth:`RodState.prolong` moves a state to a finer grid for nested
-iteration: ``y`` and ``v`` as P1 interpolants, ``lambda`` between interval
+iteration: ``y`` and ``v`` as P1 interpolants, ``mu`` between interval
 midpoints.
 """
 
@@ -56,7 +56,7 @@ class RodState:
 
     y: np.ndarray  # (n_nodes, 3)
     v: NodalCurve
-    lam: np.ndarray  # (n_intervals, 3)
+    lam: np.ndarray  # (n_intervals, 3), the multiplier mu at unit rigidity
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -99,8 +99,7 @@ def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
     s = (grid.nodes / grid.t_end)[:, None]
     y = (1.0 - s) * y0 + s * y1
     v = normalized((1.0 - s) * v0 + s * v1)
-    v[0] = v0
-    v[-1] = v1
+    v[0], v[-1] = v0, v1
     lam = np.zeros((grid.n_intervals, 3))
     return RodState(y, NodalCurve(grid, v), lam)
 
@@ -108,7 +107,8 @@ def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
 class RodProblem(ProblemInterface):
     """Equilibrium system of the inextensible rod for the Newton driver.
 
-    ``sigma`` is the scalar flexural stiffness.
+    ``sigma`` is the flexural rigidity; unloaded, it only scales the multiplier,
+    so the system is that of ``sigma = 1`` and ``sigma * lam`` the multiplier.
     """
 
     def __init__(self, grid: Grid, y0=DEFAULT_Y0, y1=DEFAULT_Y1, v0=DEFAULT_V0, v1=DEFAULT_V1,
@@ -124,7 +124,7 @@ class RodProblem(ProblemInterface):
         self.v1 = unit_vector(v1)
         check_not_antipodal(self.v0, self.v1, "end directions")
         if not 0.0 < sigma < np.inf:
-            raise ValueError(f"flexural stiffness must be positive and finite, got {sigma!r}")
+            raise ValueError(f"flexural rigidity must be positive and finite, got {sigma!r}")
         self.sigma = float(sigma)
 
     # -- dof layout ----------------------------------------------------------
@@ -147,7 +147,7 @@ class RodProblem(ProblemInterface):
     def _v_covectors(self, state: RodState) -> np.ndarray:
         """Euclidean covectors paired with the interior direction tests."""
         load = -0.5 * (state.lam[:-1] + state.lam[1:])
-        return p1_covectors(state.v.points, self.grid.h, load, self.sigma)
+        return p1_covectors(state.v.points, self.grid.h, load)
 
     # -- driver contract -------------------------------------------------------
 
@@ -167,7 +167,6 @@ class RodProblem(ProblemInterface):
         A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
         V = state.v.basis  # (n, 3, 2)
         eye3 = np.broadcast_to(np.eye(3), (n, 3, 3))
-        minus_eye3 = np.broadcast_to(-np.eye(3), (n, 3, 3))
 
         def add(row0, col0, blocks):
             A.add_blocks(row0, col0, blocks, 8)
@@ -178,10 +177,10 @@ class RodProblem(ProblemInterface):
 
         # position rows: multiplier difference
         add(y, lam_left, eye3)
-        add(y, lam_right, minus_eye3)
+        add(y, lam_right, -eye3)
 
         # direction rows: the unit-vector field's blocks, multiplier
-        diag, upper = sphere_field_blocks(state.v.interior, V, self._v_covectors(state), h, self.sigma)
+        diag, upper = sphere_field_blocks(state.v.interior, V, self._v_covectors(state), h)
         add(v, v, diag)
         add(v, v + 8, upper)
         add(v + 8, v, upper.transpose(0, 2, 1))
@@ -191,7 +190,7 @@ class RodProblem(ProblemInterface):
 
         # constraint rows: position difference minus interval mean direction
         mean_V = -0.5 * h * V
-        add(lam_right, y, minus_eye3)
+        add(lam_right, y, -eye3)
         add(lam_right, v, mean_V)
         add(lam_left, y, eye3)
         add(lam_left, v, mean_V)

@@ -153,6 +153,25 @@ def test_rod_curve_columns(tmp_path):
     assert alphas[0] < 1.0 and alphas[-1] == 1.0
 
 
+def test_rod_sigma_only_scales_the_written_multiplier(tmp_path):
+    # with no external load the rigidity scales the multiplier and nothing
+    # else: the Newton iterates are those of sigma = 1 whatever sigma is
+    def run_rod(sigma):
+        out = tmp_path / f"rod_{sigma!r}"
+        assert main(["rod", "--n", "100", "--sigma", repr(sigma), "--out-dir", str(out)]) == EXIT_OK
+        return out
+
+    ref = run_rod(1.0)
+    _, ref_curve = read_csv(ref / "curve.csv")
+    for sigma in (0.01, 100.0, 1e4, 1e6):
+        out = run_rod(sigma)
+        for name in ("iterates.csv", "stages.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (sigma, name)
+        _, curve = read_csv(out / "curve.csv")
+        assert curve[:, :7].tobytes() == ref_curve[:, :7].tobytes(), sigma
+        assert curve[:, 7:].tobytes() == (sigma * ref_curve[:, 7:]).tobytes(), sigma
+
+
 def test_unknown_problem_is_config_error(capsys):
     # argparse rejects the positional before our validation, so call run()
     with pytest.raises(ConfigError):

@@ -169,13 +169,12 @@ def test_sphere_field_blocks_match_constrained_hessian_oracle():
         g = rng.standard_normal((n, 3))
         nodal = rng.standard_normal((n, 3, 3))
         nodal = nodal + np.swapaxes(nodal, -1, -2)
-        k = rng.uniform(0.1, 3.0)
         frames = tangent_basis(y)
-        diag, upper = sphere_field_blocks(y, frames, g, h, k, nodal)
+        diag, upper = sphere_field_blocks(y, frames, g, h, nodal)
         assert upper.shape == (n - 1, 2, 2)
         for p in range(n):
             V = frames[p]
-            fpp = nodal[p] + (k + k) / h * np.eye(3)
+            fpp = nodal[p] + 2 / h * np.eye(3)
             lam = normal_multiplier(g[p], y[p][None])
             oracle = np.stack(
                 [constrained_hessian_apply(fpp, y[p][None], np.eye(3)[None], lam, V[:, c])

@@ -13,6 +13,7 @@ from bundle_newton import (
     tangent_project,
     unit_vector,
 )
+from bundle_newton.geometry import normalized
 from conftest import random_tangent, random_unit
 from oracles import (
     SingularConstraint,
@@ -197,6 +198,19 @@ def test_stacked_retract_rejects_one_collapsing_row():
     d = np.array([E2, -E2, np.zeros(3)])
     with pytest.raises(DegenerateUpdate):
         retract_sphere(y, d)
+
+
+def test_degenerate_update_names_the_row_of_smallest_norm():
+    # rows 1 and 3 collapse; row 3 (norm 0) is smaller than row 1 (about 1e-13)
+    y = np.array([E1, E2, E3, E1])
+    d = np.array([E2, -(1.0 - 1e-13) * E2, np.zeros(3), -E1])
+    with pytest.raises(DegenerateUpdate, match=r"norm 0\.00e\+00 at row 3$"):
+        retract_sphere(y, d)
+    vec = np.array([E1, 1e-13 * E1, np.zeros(3), 2.0 * E2])
+    with pytest.raises(DegenerateUpdate, match=r"norm 0\.00e\+00 at row 2$"):
+        normalized(vec)
+    with pytest.raises(DegenerateUpdate, match=r"at row 0$"):
+        normalized(np.zeros(3))
 
 
 # -- product rule of the projection transport ----------------------------------

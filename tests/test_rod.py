@@ -207,9 +207,7 @@ def add_scatter_jacobian(problem, state):
 
     add(y, lam_left, eye3)
     add(y, lam_right, -eye3)
-    diag, upper = sphere_field_blocks(
-        state.v.interior, V, problem._v_covectors(state), h, problem.sigma
-    )
+    diag, upper = sphere_field_blocks(state.v.interior, V, problem._v_covectors(state), h)
     add(v, v, diag)
     add(v[:-1], v[1:], upper)
     add(v[1:], v[:-1], np.swapaxes(upper, -1, -2))
