@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .geometry import (
-    CONDITION_LIMIT, UNIT_NORM_TOL, dot, normalized, retract_sphere, tangent_basis,
-    tangent_project,
-)
+from .geometry import UNIT_NORM_TOL, dot, normalized, retract_sphere, tangent_basis, tangent_project
+
+CONDITION_LIMIT = 1e14
 
 
 class SingularSystem(Exception):
@@ -185,74 +185,77 @@ class BandedMatrix:
                 band = ab[mid + a - b, col0 + b : stop + b : stride]
                 np.add(band, blocks[:, a, b], out=band)
 
-    def norm1(self) -> float:
-        """Maximum absolute column sum."""
-        return float(np.abs(self._ab[self.lower_bw :]).sum(axis=0).max())
-
-    def factorize(self) -> "BandedFactorization":
-        return BandedFactorization(self)
+    def factorize(self, rhs) -> tuple["BandedFactorization", np.ndarray]:
+        """The banded LU of the matrix and the solution ``x`` of ``A x = rhs``.
+        Raises :class:`SingularSystem` at a zero pivot, or when the estimate of
+        Skeel's condition number (:meth:`BandedFactorization.condition`) is not
+        below ``CONDITION_LIMIT``; no row scaling of the system changes it."""
+        fact = BandedFactorization(self)
+        cond, x = fact.condition(rhs)
+        if not cond < CONDITION_LIMIT:  # also rejects inf and NaN
+            raise SingularSystem(f"banded LU is near singular (condition estimate {cond:.2e})")
+        return fact, x
 
 
 class BandedFactorization:
-    """Banded LU with partial pivoting (LAPACK ``gbtrf``/``gbtrs``).
-
-    Near singularity is judged by the 1-norm condition number, with
-    ``||A^-1||_1`` estimated by Hager's method (:meth:`inverse_norm1`) from a
-    few solves on the stored factors, at O(n) cost like the LU itself.
-    """
+    """Banded LU with partial pivoting (LAPACK ``gbtrf``/``gbtrs``)."""
 
     def __init__(self, A: BandedMatrix):
-        ab = np.array(A._ab, order="F")
-        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        lu, ipiv, info = gbtrf(ab, A.lower_bw, A.upper_bw, overwrite_ab=True)
+        n, kl, ku = A.dim, A.lower_bw, A.upper_bw
+        # |A| e in the LU's buffer: dgbmv reads its kl zero rows as more upper band,
+        # and scipy asks for at least len(ab) result rows, those past n being 0
+        ab = np.abs(A._ab, order="F")
+        self._row_sums = dgbmv(max(n, len(ab)), n, kl, kl + ku, 1.0, ab, np.ones(n))[:n]
+        np.copyto(ab, A._ab)
+        self._lu, self._ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info > 0:
             raise SingularSystem(f"zero pivot at column {info} in banded LU")
         if info < 0:
             raise ValueError(f"illegal argument {-info} passed to gbtrf")
-        self._lu = lu
-        self._ipiv = ipiv
-        self._kl = A.lower_bw
-        self._ku = A.upper_bw
-        cond = A.norm1() * self.inverse_norm1()
-        if not cond < CONDITION_LIMIT:  # also rejects inf and NaN
-            raise SingularSystem(f"banded LU is near singular (condition estimate {cond:.2e})")
+        self._kl, self._ku = kl, ku
 
-    def _solve(self, rhs, trans: int = 0) -> np.ndarray:
-        x, info = self._gbtrs(self._lu, self._kl, self._ku, rhs, self._ipiv, trans=trans)
+    def solve(self, rhs, trans: int = 0) -> np.ndarray:
+        """Solve ``A x = rhs``, or ``A^T x = rhs`` for ``trans=1``, using the
+        stored factorization; ``x`` has the shape of ``rhs``."""
+        x, info = dgbtrs(self._lu, self._kl, self._ku, rhs, self._ipiv, trans=trans)
         if info != 0:
             raise SingularSystem(f"banded back substitution failed (info={info})")
         return x
 
-    def solve(self, rhs) -> np.ndarray:
-        """Solve ``A x = rhs`` using the stored factorization."""
-        rhs = np.asarray(rhs, dtype=float)
-        return self._solve(rhs).reshape(rhs.shape)
+    def condition(self, rhs) -> tuple[float, np.ndarray]:
+        """Lower estimate of Skeel's condition number ``|| |A^-1| |A| ||_inf``
+        (Skeel, J. ACM 26, 1979) and the solution ``x`` of ``A x = rhs``.
 
-    def inverse_norm1(self) -> float:
-        """Lower estimate of ``||A^-1||_1``: the ``dlacn2`` iteration of Hager,
-        SIAM J. Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign
-        safeguard, ACM TOMS 14 (1988).  Overflow yields ``inf``."""
-        n = self._lu.shape[1]
+        The condition number is ``||D A^-T||_1`` with ``D = diag(|A| e)``, estimated
+        as LAPACK's ``dla_gbrcond`` does: the ``dlacn2`` iteration of Hager, SIAM J.
+        Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign safeguard, ACM
+        TOMS 14 (1988).  ``rhs`` rides in the first forward solve; overflow gives ``inf``."""
+        d = self._row_sums
+        n = d.size
         alt = 1.0 + np.arange(n) / max(n - 1, 1)
         alt[1::2] *= -1.0
-        y, y_alt = self._solve(np.array([np.full(n, 1.0 / n), alt]).T).T
-        est = np.abs(y).sum()
-        sign = np.where(y >= 0.0, 1.0, -1.0)
-        z = self._solve(sign, trans=1)
-        j = int(np.argmax(np.abs(z)))
-        for _ in range(4):  # at most 4 unit-vector solves, as in dlacn2 (ITMAX = 5)
-            y = self._solve(np.eye(1, n, j)[0])
-            est_old, est = est, np.abs(y).sum()
-            new_sign = np.where(y >= 0.0, 1.0, -1.0)
-            if np.array_equal(new_sign, sign) or est <= est_old:
-                break
-            sign = new_sign
-            z = self._solve(sign, trans=1)
-            j_last, j = j, int(np.argmax(np.abs(z)))
-            if z[j_last] == abs(z[j]):  # Hager's test ||z||_inf <= z^T e_j
-                break
-        alt_est = 2.0 * np.abs(y_alt).sum() / (3.0 * n)
-        return float(alt_est if alt_est > est else est)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = self.solve(np.array([np.full(n, 1.0 / n), alt]).T, trans=1)
+            y *= d[:, None]
+            alt_est = 2.0 * np.abs(y[:, 1]).sum() / (3.0 * n)
+            est = np.abs(y[:, 0]).sum()
+            sign = np.where(y[:, 0] >= 0.0, 1.0, -1.0)
+            del y, alt
+            z, x = self.solve(np.array([d * sign, rhs]).T).T
+            j = int(np.argmax(np.abs(z)))
+            for _ in range(4):  # at most 4 unit-vector solves, as in dlacn2 (ITMAX = 5)
+                y = self.solve(np.eye(1, n, j)[0], trans=1)
+                y *= d
+                est_old, est = est, np.abs(y).sum()
+                new_sign = np.where(y >= 0.0, 1.0, -1.0)
+                if np.array_equal(new_sign, sign) or est <= est_old:
+                    break
+                sign = new_sign
+                z = self.solve(d * sign)
+                j_last, j = j, int(np.argmax(np.abs(z)))
+                if z[j_last] == abs(z[j]):  # Hager's test ||z||_inf <= z^T e_j
+                    break
+        return float(alt_est if alt_est > est else est), x
 
 
 # ---------------------------------------------------------------------------

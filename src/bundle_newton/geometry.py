@@ -15,7 +15,6 @@ import numpy as np
 
 UNIT_NORM_TOL = 1e-12
 DEGENERATE_NORM = 1e-12
-CONDITION_LIMIT = 1e14
 
 
 class DegenerateUpdate(Exception):

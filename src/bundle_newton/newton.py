@@ -143,9 +143,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     for _ in range(cfg.max_outer):
         b = problem.assemble_residual(x)
         residual_inf = float(np.max(np.abs(b)))
-        A = problem.assemble_jacobian(x)
-        fact = A.factorize()
-        dx = fact.solve(-b)
+        fact, dx = problem.assemble_jacobian(x).factorize(-b)
         norm_dx = problem.norm_inf(dx)
 
         if norm_dx <= cfg.tol:

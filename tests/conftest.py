@@ -134,6 +134,12 @@ def block_tridiag(diag, lower, upper):
     return A
 
 
+def skeel_condition(dense) -> float:
+    """Skeel's condition number ``|| |A^-1| |A| ||_inf`` of the dense matrix ``A``."""
+    dense = np.asarray(dense, dtype=float)
+    return float(np.max(np.abs(np.linalg.inv(dense)) @ np.abs(dense).sum(axis=1)))
+
+
 def banded_from_dense(dense, lower_bw=None, upper_bw=None):
     """The square matrix ``dense`` in band storage, with full bandwidths unless
     given; entries outside the band must be zero."""

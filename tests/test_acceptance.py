@@ -263,7 +263,7 @@ def test_criterion_7_solver_oracles():
         m = int(rng.choice([2, 3]))
         A = random_block_tridiag(rng, n, m)
         b = rng.standard_normal(n * m)
-        xi = A.factorize().solve(-b)
+        xi = A.factorize(-b)[1]
         oracle = np.linalg.solve(to_dense(A), -b)
         worst = max(worst, np.abs(xi - oracle).max() / (1.0 + np.abs(oracle).max()))
     for _ in range(200):
@@ -272,7 +272,7 @@ def test_criterion_7_solver_oracles():
         ku = int(rng.integers(1, 6))
         A = random_banded(rng, dim, kl, ku)
         b = rng.standard_normal(dim)
-        xi = A.factorize().solve(-b)
+        xi = A.factorize(-b)[1]
         oracle = np.linalg.solve(to_dense(A), -b)
         worst = max(worst, np.abs(xi - oracle).max() / (1.0 + np.abs(oracle).max()))
     report(
@@ -334,7 +334,8 @@ class _ScaledProblem(ProblemInterface):
 
     def assemble_jacobian(self, state):
         A = self.inner.assemble_jacobian(state)
-        return banded_from_dense(self.scale * to_dense(A), A.lower_bw, A.upper_bw)
+        rows = np.reshape(self.scale, (-1, 1))  # a scalar scales all rows alike
+        return banded_from_dense(rows * to_dense(A), A.lower_bw, A.upper_bw)
 
     def retract(self, state, xi, alpha):
         self.directions.append(np.asarray(xi).copy())
@@ -376,6 +377,45 @@ def test_criterion_9_affine_covariance():
         ok,
         f"scales 1e-6/1e6: identical iteration counts, alphas and thetas; "
         f"worst direction difference {worst_xi:.2e} (<= 1e-12 relative)",
+    )
+
+
+@pytest.mark.parametrize(
+    "inner, span",
+    [(GeodesicForceProblem(Grid(1.0, 50)), 1e12), (RodProblem(Grid(1.0, 20)), 1e8)],
+    ids=["geodesic-n50-span1e12", "rod-n20-span1e8"],
+)
+def test_criterion_9_twin_row_scaling(inner, span):
+    # one log-uniform factor per row of residual and Jacobian: the iteration,
+    # including its near-singularity check (Skeel's, row scaling invariant),
+    # must not see the scaling
+    x0 = inner.initial_state()
+    dim = len(inner.assemble_residual(x0))
+    runs = []
+    for scale in (1.0, 10.0 ** np.random.default_rng(9).uniform(0.0, math.log10(span), dim)):
+        wrapped = _ScaledProblem(inner, scale)
+        _, trace = damped_newton(wrapped, x0, NewtonConfig())
+        assert trace.terminated is Termination.CONVERGED
+        runs.append((wrapped, trace))
+    (ref_problem, ref_trace), (problem, trace) = runs
+    ok = len(trace.iterations) == len(ref_trace.iterations)
+    for a, b in zip(ref_trace.iterations, trace.iterations):
+        ok = ok and a.inner_trials == b.inner_trials
+        ok = ok and abs(a.accepted_alpha - b.accepted_alpha) <= 1e-12
+        for ta, tb in zip(a.thetas, b.thetas):
+            # below a simplified step |dx_bar| = theta alpha |dx| of 1e-13,
+            # theta is the round-off of the transported residual
+            if ta * a.accepted_alpha * a.norm_dx >= 1e-13:
+                ok = ok and abs(ta - tb) <= 1e-10 + 1e-12 * abs(ta)
+    worst_xi = max(
+        np.abs(xa - xb).max() / (1.0 + np.abs(xa).max())
+        for xa, xb in zip(ref_problem.directions, problem.directions, strict=True)
+    )
+    report(
+        9,
+        ok and worst_xi <= 1e-12,
+        f"row scaling of span {span:.0e}: identical iteration counts and alphas, thetas "
+        f"above the round-off floor; worst direction difference {worst_xi:.2e} (<= 1e-12)",
     )
 
 

@@ -11,12 +11,12 @@ from bundle_newton import (
     tangent_basis,
 )
 from bundle_newton.fem1d import (
+    CONDITION_LIMIT,
     assemble_intervals,
     assemble_intervals_vector,
     p1_covectors,
     sphere_field_blocks,
 )
-from bundle_newton.geometry import CONDITION_LIMIT
 from conftest import (
     band_add,
     banded_from_dense,
@@ -24,6 +24,7 @@ from conftest import (
     random_banded,
     random_block_tridiag,
     random_unit,
+    skeel_condition,
     to_dense,
 )
 from oracles import constrained_hessian_apply, normal_multiplier
@@ -190,7 +191,7 @@ def test_sphere_field_blocks_match_constrained_hessian_oracle():
 def test_block_identity_solve():
     A = block_tridiag(np.tile(np.eye(2), (4, 1, 1)), np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
     b = np.arange(8.0)
-    assert np.allclose(A.factorize().solve(-b), -b, atol=1e-15)
+    assert np.allclose(A.factorize(-b)[1], -b, atol=1e-15)
 
 
 def test_block_solver_matches_dense_oracle():
@@ -200,7 +201,7 @@ def test_block_solver_matches_dense_oracle():
         m = int(rng.choice([2, 3]))
         A = random_block_tridiag(rng, n, m)
         b = rng.standard_normal(n * m)
-        xi = A.factorize().solve(-b)
+        xi = A.factorize(-b)[1]
         dense = to_dense(A)
         oracle = np.linalg.solve(dense, -b)
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
@@ -210,20 +211,20 @@ def test_block_solver_matches_dense_oracle():
 def test_block_solver_zero_rhs():
     rng = np.random.default_rng(11)
     A = random_block_tridiag(rng, 6, 2)
-    assert np.array_equal(A.factorize().solve(-np.zeros(12)), np.zeros(12))
+    assert np.array_equal(A.factorize(-np.zeros(12))[1], np.zeros(12))
 
 
 def test_block_solver_singular_pivot():
     diag = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])  # exactly singular block row
     A = block_tridiag(diag, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(SingularSystem):
-        A.factorize().solve(-np.ones(6))
+        A.factorize(-np.ones(6))
 
 
 def test_block_factorization_reuse():
     rng = np.random.default_rng(13)
     A = random_block_tridiag(rng, 7, 2)
-    fact = A.factorize()
+    fact, _ = A.factorize(np.zeros(14))
     dense = to_dense(A)
     for _ in range(3):
         rhs = rng.standard_normal(14)
@@ -239,7 +240,7 @@ def test_banded_diagonal_solve():
     for i in range(5):
         band_add(A, i, i, d[i])
     b = np.arange(5.0) + 1.0
-    assert np.allclose(A.factorize().solve(-b), -b / d, atol=1e-14)
+    assert np.allclose(A.factorize(-b)[1], -b / d, atol=1e-14)
 
 
 def test_banded_matches_dense_oracle():
@@ -250,7 +251,7 @@ def test_banded_matches_dense_oracle():
         ku = int(rng.integers(1, 6))
         A = random_banded(rng, dim, kl, ku)
         b = rng.standard_normal(dim)
-        xi = A.factorize().solve(-b)
+        xi = A.factorize(-b)[1]
         oracle = np.linalg.solve(to_dense(A), -b)
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
 
@@ -265,7 +266,7 @@ def test_banded_saddle_point_pattern():
         band_add(A, k + 1, k, 1.0)
     rng = np.random.default_rng(15)
     b = rng.standard_normal(dim)
-    xi = A.factorize().solve(-b)
+    xi = A.factorize(-b)[1]
     oracle = np.linalg.solve(to_dense(A), -b)
     assert np.abs(xi - oracle).max() < 1e-10 * (1 + np.abs(oracle).max())
 
@@ -295,19 +296,19 @@ def test_banded_singular_raises():
     band_add(A, 0, 0, 1.0)
     band_add(A, 2, 2, 1.0)  # middle row entirely zero
     with pytest.raises(SingularSystem):
-        A.factorize().solve(-np.ones(3))
+        A.factorize(-np.ones(3))
 
 
 def test_banded_near_singular_bidiagonal_raises():
-    # unit diagonal, -2 above it: every pivot is 1, yet the 1-norm condition
-    # number is 3 * (2^60 - 1) = 3.46e18
+    # unit diagonal, -2 above it: every pivot is 1, yet Skeel's condition
+    # number || |A^-1| |A| ||_inf is 2.31e18 (the 1-norm one is 3.46e18)
     n = 60
     A = BandedMatrix(n, 0, 1)
     band_add(A, np.arange(n), np.arange(n), 1.0)
     band_add(A, np.arange(n - 1), np.arange(1, n), -2.0)
-    assert np.linalg.cond(to_dense(A), 1) > 1e18
-    with pytest.raises(SingularSystem, match="3.46e"):
-        A.factorize()
+    assert f"{skeel_condition(to_dense(A)):.2e}" == "2.31e+18"
+    with pytest.raises(SingularSystem, match="2.31e"):
+        A.factorize(np.ones(n))
 
 
 def test_banded_overflowing_inverse_raises_with_inf():
@@ -317,7 +318,7 @@ def test_banded_overflowing_inverse_raises_with_inf():
     band_add(A, np.arange(n), np.arange(n), 1.0)
     band_add(A, np.arange(n - 1), np.arange(1, n), -4.0)
     with pytest.raises(SingularSystem, match="inf"):
-        A.factorize()
+        A.factorize(np.ones(n))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -326,7 +327,7 @@ def test_banded_non_finite_entry_raises(bad):
     band_add(A, np.arange(5), np.arange(5), 4.0)
     band_add(A, 2, 3, bad)
     with pytest.raises(SingularSystem):
-        A.factorize()
+        A.factorize(np.ones(5))
 
 
 def test_condition_estimate_bounds_exact_condition_from_below():
@@ -341,28 +342,57 @@ def test_condition_estimate_bounds_exact_condition_from_below():
         in_band = (i - j <= kl) & (j - i <= ku)
         band_add(A, i[in_band], j[in_band], scale * rng.standard_normal(np.count_nonzero(in_band)))
         band_add(A, np.arange(dim), np.arange(dim), scale * rng.uniform(0.0, 2.0) * (kl + ku + 1))
-        exact = np.linalg.cond(to_dense(A), 1)
+        exact = skeel_condition(to_dense(A))
         try:
-            estimate = A.norm1() * A.factorize().inverse_norm1()
+            fact, _ = A.factorize(np.zeros(dim))
         except SingularSystem:
             # the estimate reached the limit, and it never exceeds the exact value
             assert exact >= 0.3 * CONDITION_LIMIT
             continue
+        estimate, _ = fact.condition(np.zeros(dim))
         assert estimate >= 0.3 * exact
 
 
+def _hager_norm1(M) -> float:
+    """Hager's ``dlacn2`` iteration for ``||M||_1`` on a dense ``M``, without
+    Higham's alternating-sign vector."""
+    n = len(M)
+    y = M @ np.full(n, 1.0 / n)
+    est = np.abs(y).sum()
+    sign = np.where(y >= 0.0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(M.T @ sign)))
+    for _ in range(4):
+        y = M[:, j]
+        est_old, est = est, np.abs(y).sum()
+        new_sign = np.where(y >= 0.0, 1.0, -1.0)
+        if np.array_equal(new_sign, sign) or est <= est_old:
+            break
+        sign = new_sign
+        z = M.T @ sign
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if z[j_last] == abs(z[j]):
+            break
+    return float(est)
+
+
 def test_condition_estimate_alternating_sign_safeguard():
-    # A = B^-1 where the rows of B sum to about zero: Hager's iteration alone
-    # stops at 0.17 ||A^-1||_1, Higham's alternating-sign vector reaches 0.54
+    # A = B^-T where the rows of B sum to about zero: Skeel's condition number
+    # is ||D B||_1 with D = diag(|A| e), and Hager's start vector e / n nearly
+    # lies in the kernel of D B.  Hager's iteration alone stops at 0.12 of the
+    # exact value, Higham's alternating-sign vector reaches 0.63
     B = np.array([
-        [1.311566, -0.228539, -1.530263, 0.445692],
-        [-0.953816, 0.275581, 0.640484, 0.038656],
-        [0.004213, -0.115955, 1.811726, -1.700214],
-        [2.120065, 0.105539, -0.245973, -1.978773],
+        [0.065933, -0.162963, 1.023806, -0.912389],
+        [-1.140824, 1.021987, -0.287504, 0.395327],
+        [-0.652954, -0.702504, 0.298956, 1.045774],
+        [-0.035493, -0.034602, 0.760743, -0.700678],
     ])
-    A = banded_from_dense(np.linalg.inv(B))
-    exact = np.linalg.norm(np.linalg.inv(to_dense(A)), 1)
-    assert A.factorize().inverse_norm1() >= 0.3 * exact
+    A = banded_from_dense(np.linalg.inv(B.T))
+    dense = to_dense(A)
+    exact = skeel_condition(dense)
+    row_sums = np.abs(dense).sum(axis=1)
+    assert _hager_norm1(row_sums[:, None] * np.linalg.inv(dense).T) < 0.3 * exact
+    fact, _ = A.factorize(np.zeros(4))
+    assert fact.condition(np.zeros(4))[0] >= 0.3 * exact
 
 
 def test_assemble_intervals_equals_add_scatter_bitwise():

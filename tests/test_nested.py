@@ -1,10 +1,14 @@
 """Nested iteration: the grid ladder, the nested solve against the direct
 one, and the artifacts the command line writes for its levels."""
 
+import math
+
 import numpy as np
 import pytest
 
-from bundle_newton import Grid, NewtonConfig, Termination, cli, damped_newton
+from bundle_newton import (
+    BandedMatrix, Grid, NewtonConfig, SingularSystem, Termination, cli, damped_newton,
+)
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_OK, main
 from bundle_newton.problems import (
     Continuation,
@@ -14,6 +18,7 @@ from bundle_newton.problems import (
     grid_ladder,
     nested_iteration,
 )
+from conftest import skeel_condition, to_dense
 
 
 def read_rows(path):
@@ -117,3 +122,19 @@ def test_a_failed_level_ends_the_continuation_with_its_termination(n, levels, pr
     assert result.stages == result.attempts  # a failing level keeps its rows
     assert result.message.startswith(prefix + "step size collapsed")
     assert result.state.grid == Grid(1.0, levels[0])
+
+
+def test_plain_newton_on_the_rod_ladder_ends_at_a_genuinely_singular_matrix(monkeypatch):
+    # rod --n 100 --theta-acc inf: the undamped steps grow to 1e9-3e10, and the
+    # run stops at a matrix that no row scaling makes well conditioned
+    matrices = []
+    factorize = BandedMatrix.factorize
+
+    def spy(A, *args):
+        matrices.append(A)
+        return factorize(A, *args)
+
+    monkeypatch.setattr(BandedMatrix, "factorize", spy)
+    with pytest.raises(SingularSystem):
+        nested_iteration(RodProblem(Grid(1.0, 100)), NewtonConfig(theta_acc=math.inf))
+    assert skeel_condition(to_dense(matrices[-1])) >= 1e14
