@@ -3,29 +3,26 @@
 Runs one of the named benchmark problems with the damped Newton driver and
 writes four artifacts into the output directory:
 
-- ``iterates.csv``: one row per outer iteration, the rows of the obstacle's
-  accepted penalty stages or of the nested iteration's grid levels
-  concatenated,
+- ``iterates.csv``: one row per outer iteration, the rows of the accepted
+  stage solves concatenated,
 - ``curve.csv``: the final nodal data, on the grid of the final state,
-- ``stages.csv``: one row per stage solve of the obstacle's penalty path,
-  rejected attempts included, or per grid level of the nested iteration,
-  with its Newton counts and termination,
+- ``stages.csv``: one row per stage solve, rejected penalty stages included,
+  with its grid size, the obstacle's penalty and violation, its Newton
+  counts and termination, and the obstacle's acceptance,
 - ``meta.txt``: every resolved parameter plus ``result_*`` summary keys; the
   file doubles as a ``--config`` input that reproduces the run.
 
-The obstacle follows its penalty path on the ``--n`` grid, from the
-connecting geodesic, with its first stage at ``--p0``; ``--p-growth`` caps
-the per-stage factor of the penalty weight, which the path adapts
-(``problems.obstacle_path_follow``).  Geodesic-force
-and the rod are solved by nested iteration on the grid ladder ``n //
+Every problem is solved by nested iteration on the grid ladder ``n //
 10**k``, coarsest first, for every ``k`` that leaves at least 10 interior
 nodes (``problems.grid_ladder``): ``--n 1000`` solves on 10, 100 and 1000
-nodes, and any ``n`` below 100 is the single direct solve.  ``meta.txt``
-records the levels run as ``result_levels``.  A level that does not
-converge ends the run; on a coarse level its message is prefixed
-``level n=<its n>:`` and ``curve.csv`` holds that level's state.  Both
-loops return a ``problems.Continuation``: ``iterates.csv`` holds the rows
-of its ``stages``, ``stages.csv`` one row per entry of its ``attempts``.
+nodes, and any ``n`` below 100 is the single direct solve.  A level is one
+damped Newton solve or, for the obstacle, its penalty path
+(``problems.obstacle_path_follow``): from the connecting geodesic at
+``--p0`` on the coarsest level, resumed at the last penalty on each finer
+one; ``--p-growth`` caps the per-stage factor of the penalty weight, which
+the path adapts.  ``meta.txt`` records the levels run as ``result_levels``.
+A level that does not converge ends the run; on a coarse level its message
+is prefixed ``level n=<its n>:`` and ``curve.csv`` holds that level's state.
 
 The fields of :class:`RunConfig` are the one list of run parameters: each
 field is a flag (``t_end`` is ``--t-end``), a ``key = value`` line of a
@@ -34,8 +31,8 @@ Newton parameters are the fields that share a name with ``NewtonConfig``.
 
 Exit codes: 0 converged, 2 damping failed, 3 iteration limit (also the
 obstacle's penalty stage limit), 4 configuration or usage error (bad flag or
-file values, unknown flags or keys, invalid boundary data), 1 unexpected
-runtime failure.
+file values, unknown flags or keys, invalid boundary data, an obstacle end
+point above the cap), 1 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ from .problems import (
     ObstacleProblem,
     RodProblem,
     nested_iteration,
+    newton_stage,
     obstacle_path_follow,
 )
 from .problems import geodesic as _geodesic_defaults
@@ -217,8 +215,8 @@ def _write_meta(path, cfg: RunConfig, results: dict) -> None:
 def _build(cfg: RunConfig) -> tuple:
     """Newton parameters and problem of ``cfg``.
 
-    The constructors check their arguments; a ``ValueError`` from them is a
-    configuration error.
+    The constructors check their arguments, and a fixed obstacle end point
+    above the band is refused; a ``ValueError`` is a configuration error.
     """
     try:
         grid = Grid(cfg.t_end, cfg.n)
@@ -232,6 +230,9 @@ def _build(cfg: RunConfig) -> tuple:
                 grid, cfg.gamma0, cfg.gammaT, h_ref=cfg.h_ref, p=cfg.p0,
                 p_growth=cfg.p_growth, violation_tol=cfg.violation_tol,
             )
+            if max(problem.gap(problem.gamma0), problem.gap(problem.gammaT)) > cfg.violation_tol:
+                raise ValueError(f"a boundary point lies above the cap z <= {1 - cfg.h_ref:g} "
+                                 f"by more than violation_tol = {cfg.violation_tol:g}")
         else:
             problem = RodProblem(grid, cfg.y0, cfg.y1, cfg.v0, cfg.v1, sigma=cfg.sigma)
     except ValueError as exc:
@@ -239,38 +240,33 @@ def _build(cfg: RunConfig) -> tuple:
     return newton_cfg, problem
 
 
-# ``stages.csv`` of the obstacle's penalty path and of the nested iteration:
-# (header, row format); every row ends with its trace's counts
-_PATH_STAGES = ("penalty,violation,outer_iterations,inner_trials,termination,accepted",
-                "%.17g,%.17g,%d,%d,%s,%d\n")
+# ``stages.csv`` of the obstacle's penalty stages and of the other problems'
+# Newton solves: (header, row format); every row starts with its grid size
+_PATH_STAGES = ("n,penalty,violation,outer_iterations,inner_trials,termination,accepted",
+                "%d,%.17g,%.17g,%d,%d,%s,%d\n")
 _GRID_LEVELS = ("n,outer_iterations,inner_trials,termination", "%d,%d,%d,%s\n")
 
 
-def _counts(trace) -> tuple:
-    """``(outer iterations, inner trials, termination)`` of a Newton trace."""
-    trials = sum(it.inner_trials for it in trace.iterations)
-    return len(trace.iterations), trials, trace.terminated.value
-
-
 def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
-    """``(continuation, extra results, stage table, curve columns)``: the
-    obstacle follows its penalty path, the other problems run the nested
-    iteration.  The stage table is ``(header, row format, rows)``, and the
-    curve columns start with ``t``, the nodes of the final state's grid."""
-    if isinstance(problem, ObstacleProblem):
-        result = obstacle_path_follow(problem, newton_cfg)
-        stages = result.stages
-        extra = {"stage_count": str(len(stages))}
+    """``(continuation, extra results, stage table, curve columns)`` of the
+    nested iteration.  The stage table is ``(header, row format, rows)``, and
+    the curve columns start with ``t``, the nodes of the final state's grid."""
+    obstacle = isinstance(problem, ObstacleProblem)
+    solve = obstacle_path_follow if obstacle else newton_stage
+    result = nested_iteration(problem, newton_cfg, solve)
+    stages, rows = result.stages, []
+    for s in result.attempts:
+        n, trials = s.problem.grid.n_interior, sum(it.inner_trials for it in s.trace.iterations)
+        counts = (len(s.trace.iterations), trials, s.trace.terminated.value)
+        rows.append((n, s.problem.p, s.violation, *counts, int(s.accepted)) if obstacle
+                    else (n, *counts))
+    extra = {"levels": ",".join(dict.fromkeys(str(row[0]) for row in rows))}
+    if obstacle:
+        extra["stage_count"] = str(len(stages))
         if stages:  # empty only when the first stage failed
-            extra["final_p"] = _fmt(stages[-1].penalty)
-            extra["violation"] = _fmt(stages[-1].violation)
+            extra.update(final_p=_fmt(stages[-1].problem.p), violation=_fmt(stages[-1].violation))
         extra["rejected_stages"] = str(len(result.attempts) - len(stages))
-        table = (*_PATH_STAGES, [(s.penalty, s.violation, *_counts(s.trace), int(s.accepted))
-                                 for s in result.attempts])
-    else:
-        result = nested_iteration(problem, newton_cfg)
-        extra = {"levels": ",".join(str(level.n) for level in result.attempts)}
-        table = (*_GRID_LEVELS, [(level.n, *_counts(level.trace)) for level in result.attempts])
+    table = (*(_PATH_STAGES if obstacle else _GRID_LEVELS), rows)
     state = result.state
     if isinstance(problem, RodProblem):
         # the P0 multiplier, scaled from unit rigidity to sigma, is repeated at

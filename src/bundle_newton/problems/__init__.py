@@ -9,11 +9,11 @@ from .geodesic import (
 )
 from .obstacle import (
     Continuation,
-    GridLevel,
     ObstacleProblem,
-    PenaltyStage,
+    Stage,
     grid_ladder,
     nested_iteration,
+    newton_stage,
     obstacle_path_follow,
     penalty_activation,
     penalty_activation_slope,
@@ -27,11 +27,11 @@ __all__ = [
     "winding_force",
     "winding_force_jacobian",
     "Continuation",
-    "GridLevel",
     "ObstacleProblem",
-    "PenaltyStage",
+    "Stage",
     "grid_ladder",
     "nested_iteration",
+    "newton_stage",
     "obstacle_path_follow",
     "penalty_activation",
     "penalty_activation_slope",

@@ -1,20 +1,20 @@
 """Obstacle-avoiding geodesics via a quadratic (Moreau-Yosida) penalty, and
-the two continuation loops around the damped Newton driver.
+the continuation loops around the damped Newton driver.
 
 The curve must stay below the polar cap ``y3 <= 1 - h_ref``.  Violations
 are penalized quadratically; the resulting stationarity condition is only
 Newton-differentiable, and :func:`obstacle_path_follow` drives the penalty
-weight up along a path of warm-started stages, starting from the connecting
-geodesic.  The growth factor per stage
+weight up along a path of warm-started stages.  The growth factor per stage
 is step-controlled in ``log p``: it shrinks after a stage that needed
 damping, grows back to its cap ``p_growth`` after an easy one, and a stage
 that fails or lets the violation rise is retried from the last accepted
 curve with a smaller factor.
 
-:func:`nested_iteration` solves the geodesic-force and rod problems on a
-ladder of grids, coarse to fine, each level started from the previous
-level's solution moved to its grid by ``prolong``.  Both loops return a
-:class:`Continuation` of :class:`PenaltyStage` or :class:`GridLevel` solves.
+:func:`nested_iteration` solves every problem on a ladder of grids, coarse
+to fine, each level started from the previous level's solution moved to its
+grid by ``prolong``.  A level is solved by :func:`newton_stage` or, for the
+obstacle, by the penalty path.  Every loop returns a :class:`Continuation`
+of :class:`Stage` solves.
 """
 
 from __future__ import annotations
@@ -121,42 +121,52 @@ class Continuation:
 
 
 @dataclass(frozen=True)
-class PenaltyStage:
-    """One stage solve of the penalty path; ``accepted`` is False for a
-    rejected attempt, which the path retried with a smaller step."""
+class Stage:
+    """One Newton solve of a continuation: the problem it solved, with its grid
+    and the obstacle's ``p``, and its trace.  A rejected penalty stage has
+    ``accepted`` False; ``violation`` is the obstacle's cap violation."""
 
-    penalty: float
-    violation: float
+    problem: object
     trace: NewtonTrace
-    accepted: bool
+    accepted: bool = True
+    violation: float | None = None
 
 
-def obstacle_path_follow(problem: ObstacleProblem,
-                         cfg: NewtonConfig = NewtonConfig()) -> Continuation:
+def newton_stage(problem, cfg: NewtonConfig = NewtonConfig(), start=None) -> Continuation:
+    """One :func:`damped_newton` solve of ``problem`` from ``start`` (by default
+    ``problem.initial_state()``), as a one-stage :class:`Continuation`."""
+    start = problem.initial_state() if start is None else start
+    state, trace = damped_newton(problem, start, cfg)
+    return Continuation(state, [Stage(problem, trace)], trace.terminated, trace.message)
+
+
+def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonConfig(),
+                         start=None) -> Continuation:
     """Penalty path following for the obstacle problem, with the per-stage
     growth of the penalty weight under step-size control.
 
-    The path starts from the connecting geodesic ``problem.initial_state()``,
-    the penalty-free solution, and its first stage solves the penalized
-    problem at ``problem.p``.  While the last accepted curve still violates
-    the cap by more than ``problem.violation_tol``, the next stage's weight
-    is the last accepted one times a factor ``growth``, warm started from
-    its curve.  The factor starts at its cap ``problem.p_growth``.  Its
-    logarithm, the step in ``log p``, halves after a stage that needed a
-    damped Newton step and doubles, up to the cap, after one that converged
-    in at most ``FAST_STAGE_STEPS`` full steps (continuation step-size
-    control, Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 5).
+    The path starts from ``start``, by default the connecting geodesic
+    ``problem.initial_state()``, the penalty-free solution, and its first
+    stage solves the penalized problem at ``problem.p``.  While the last
+    accepted curve still violates the cap by more than
+    ``problem.violation_tol``, the next stage's weight is the last accepted
+    one times a factor ``growth``, warm started from its curve.  The factor
+    starts at its cap ``problem.p_growth``.  Its logarithm, the step in
+    ``log p``, halves after a stage that needed a damped Newton step and
+    doubles, up to the cap, after one that converged in at most
+    ``FAST_STAGE_STEPS`` full steps (continuation step-size control,
+    Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 5).
 
     An attempt is rejected when its Newton solve does not converge or its
-    violation exceeds the last accepted curve's (the warm start jumped to
-    another branch); it is retried from the last accepted curve with half
-    the step.  A rejected first stage ends the path with its termination
-    (``DAMPING_FAILED`` for a rising violation); a factor below
+    violation exceeds the last accepted (or the start) curve's: the warm
+    start jumped to another branch.  It is retried from the last accepted
+    curve with half the step.  A rejected first stage ends the path with its
+    termination (``DAMPING_FAILED`` for a rising violation); a factor below
     ``MIN_GROWTH`` ends it as ``DAMPING_FAILED``; ``MAX_STAGES`` stage
     solves, rejected ones included, end it as ``MAX_ITERATIONS``.  The
     result's state is the last accepted curve.
     """
-    result = Continuation(problem.initial_state())
+    result = Continuation(problem.initial_state() if start is None else start)
     growth, p = problem.p_growth, 0.0
     violation = problem.violation(result.state)
     while not result.stages or violation > problem.violation_tol:
@@ -167,14 +177,14 @@ def obstacle_path_follow(problem: ObstacleProblem,
                 f"({len(result.attempts) - len(result.stages)} rejected)"
             )
             return result
-        trial = p * growth if p > 0.0 else problem.p
-        curve, trace = damped_newton(problem.replace(p=trial), result.state, cfg)
+        trial = problem.replace(p=p * growth if p > 0.0 else problem.p)
+        curve, trace = damped_newton(trial, result.state, cfg)
         trial_violation = problem.violation(curve)
         converged = trace.terminated is Termination.CONVERGED
         accepted = converged and trial_violation <= violation
-        result.attempts.append(PenaltyStage(trial, trial_violation, trace, accepted))
+        result.attempts.append(Stage(trial, trace, accepted, trial_violation))
         if accepted:
-            result.state, p, violation = curve, trial, trial_violation
+            result.state, p, violation = curve, trial.p, trial_violation
             alphas = [it.accepted_alpha for it in trace.iterations if it.inner_trials]
             if min(alphas, default=1.0) < 1.0:
                 growth = math.sqrt(growth)
@@ -194,21 +204,14 @@ def obstacle_path_follow(problem: ObstacleProblem,
             result.message = (
                 f"penalty growth fell below {MIN_GROWTH:g} after "
                 f"{len(result.attempts) - len(result.stages)} rejected attempts: "
-                f"last accepted penalty {p:g}, attempted {trial:g} ({reason})"
+                f"last accepted penalty {p:g}, attempted {trial.p:g} ({reason})"
             )
         else:  # the first stage has the fixed penalty problem.p
             result.terminated = Termination.DAMPING_FAILED if converged else trace.terminated
-            result.message = f"stage with penalty {trial:g} failed ({reason})"
+            result.message = f"stage with penalty {trial.p:g} failed ({reason})"
         return result
     result.terminated = Termination.CONVERGED
     return result
-
-
-@dataclass(frozen=True)
-class GridLevel:
-    n: int  # interior nodes
-    trace: NewtonTrace
-    accepted = True  # a failing level ends the ladder, but its rows count
 
 
 def grid_ladder(n: int) -> list:
@@ -221,29 +224,30 @@ def grid_ladder(n: int) -> list:
     return ladder
 
 
-def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig()) -> Continuation:
-    """Damped Newton on the grids of :func:`grid_ladder`, ending on ``problem.grid``.
-
-    The coarsest level starts from ``initial_state()`` of the problem on its
-    grid, every finer one from the previous solution prolonged to its grid
-    (Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 8).  The
-    iteration counts are mesh independent, so the damped phase runs on the
-    coarsest grid and the finer levels start in the fast local phase.
-    ``cfg`` applies to each level.  A level that does not converge ends the
-    ladder with its termination; on a coarse level its message is prefixed
-    ``level n=<its n>: ``.  The result's state is the last level's final
-    state, and it holds one :class:`GridLevel` per level run.
+def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig(),
+                     solve=newton_stage) -> Continuation:
+    """``solve(level, cfg, start)`` on the grids of :func:`grid_ladder`, ending
+    on ``problem.grid`` (Deuflhard, *Newton Methods for Nonlinear Problems*,
+    2004, ch. 8).  The coarsest level is ``problem`` on its grid, started
+    from its ``initial_state()`` (``start`` None); each finer one is the
+    problem of the last accepted stage, so the obstacle keeps its last
+    penalty, started from the previous state prolonged to its grid.  The
+    damped phase runs on the coarsest grid.  A level that does not converge
+    ends the ladder with its termination; on a coarse level its message is
+    prefixed ``level n=<its n>: ``.  The result holds the last level's state
+    and every level's attempts.
     """
     fine = problem.grid
     result = Continuation(None)
     for n in grid_ladder(fine.n_interior):
         grid = Grid(fine.t_end, n)
-        level = problem.replace(grid=grid)
-        start = level.initial_state() if result.state is None else result.state.prolong(grid)
-        result.state, trace = damped_newton(level, start, cfg)
-        result.attempts.append(GridLevel(n, trace))
+        level = (result.stages[-1].problem if result.stages else problem).replace(grid=grid)
+        start = None if result.state is None else result.state.prolong(grid)
+        solved = solve(level, cfg, start)
+        result.state = solved.state
+        result.attempts += solved.attempts
         prefix = "" if n == fine.n_interior else f"level n={n}: "
-        result.terminated, result.message = trace.terminated, prefix + trace.message
-        if trace.terminated is not Termination.CONVERGED:
+        result.terminated, result.message = solved.terminated, prefix + solved.message
+        if solved.terminated is not Termination.CONVERGED:
             break
     return result

@@ -204,6 +204,9 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         # a zero weight would never grow along the penalty path
         (["obstacle", "--n", "20", "--p0", "0"], "0.0"),
         (["obstacle", "--p-growth", "1.0"], "1.0"),
+        # the default end points (z = 0.6) above the band: no penalty reaches it
+        (["obstacle", "--n", "50", "--h-ref", "0.45"], "cap z <= 0.55 "),
+        (["obstacle", "--n", "100", "--h-ref", "0.5"], "cap z <= 0.5 "),
         (["geodesic-force", "--n", "abc"], "'abc'"),
         # NaN and inf fail every range check
         (["obstacle", "--n", "10", "--violation-tol", "nan"], "nan"),
@@ -229,6 +232,8 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
     for argv, bad in cases:
         assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG, argv
         assert bad in capsys.readouterr().err, argv
+    # end points on the cap are inside the band
+    assert main(["obstacle", "--n", "20", "--h-ref", "0.4", "--out-dir", str(tmp_path)]) == EXIT_OK
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):

@@ -11,12 +11,12 @@ from bundle_newton import (
 )
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_OK, main
 from bundle_newton.problems import (
-    Continuation,
     GeodesicForceProblem,
-    GridLevel,
+    ObstacleProblem,
     RodProblem,
     grid_ladder,
     nested_iteration,
+    obstacle_path_follow,
 )
 from conftest import skeel_condition, to_dense
 
@@ -49,7 +49,7 @@ def test_nested_solution_matches_the_direct_one(make):
     result = nested_iteration(problem, cfg)
     nested, levels = result.state, result.attempts
     assert trace.terminated is Termination.CONVERGED
-    assert [level.n for level in levels] == [10, 100, 1000]
+    assert [level.problem.grid.n_interior for level in levels] == [10, 100, 1000]
     assert all(level.trace.terminated is Termination.CONVERGED for level in levels)
     assert nested.grid == problem.grid
     assert np.abs(flat(nested) - flat(direct)).max() <= 10 * cfg.tol
@@ -60,15 +60,19 @@ def test_nested_solution_matches_the_direct_one(make):
 
 
 @pytest.mark.parametrize(
-    "argv", [["geodesic-force", "--n", "30"], ["rod", "--n", "20"]], ids=["geodesic-force", "rod"]
+    "argv",
+    [
+        ["geodesic-force", "--n", "30"],
+        ["rod", "--n", "20"],
+        ["obstacle", "--n", "50", "--h-ref", "0.1"],
+    ],
+    ids=["geodesic-force", "rod", "obstacle"],
 )
 def test_one_level_ladder_writes_the_direct_run(tmp_path, monkeypatch, argv):
     assert main([*argv, "--out-dir", str(tmp_path / "nested")]) == EXIT_OK
 
-    def direct_run(problem, cfg):
-        state, trace = damped_newton(problem, problem.initial_state(), cfg)
-        return Continuation(state, [GridLevel(problem.grid.n_interior, trace)],
-                            trace.terminated, trace.message)
+    def direct_run(problem, cfg, solve):
+        return solve(problem, cfg, None)
 
     monkeypatch.setattr(cli, "nested_iteration", direct_run)
     assert main([*argv, "--out-dir", str(tmp_path / "direct")]) == EXIT_OK
@@ -76,6 +80,30 @@ def test_one_level_ladder_writes_the_direct_run(tmp_path, monkeypatch, argv):
     for name in ("iterates.csv", "curve.csv"):
         assert (nested / name).read_bytes() == (direct / name).read_bytes()
     assert f"result_levels = {argv[2]}\n" in (nested / "meta.txt").read_text()
+
+
+@pytest.mark.parametrize("h_ref", [0.1, 0.2])
+def test_obstacle_ladder_resumes_the_penalty_path_on_each_finer_grid(tmp_path, h_ref):
+    cfg = NewtonConfig()
+    problem = ObstacleProblem(Grid(1.0, 100), h_ref=h_ref)
+    direct = obstacle_path_follow(problem, cfg)
+    result = nested_iteration(problem, cfg, obstacle_path_follow)
+    assert result.terminated is Termination.CONVERGED
+    grids = [stage.problem.grid.n_interior for stage in result.attempts]
+    assert grids == sorted(grids) and set(grids) == {10, 100}
+    assert result.stages[-1].violation <= problem.violation_tol
+    # the coarse path ends at the direct path's penalty; the fine grid only finishes it
+    assert result.stages[-1].problem.p == direct.stages[-1].problem.p
+    assert result.state.grid == problem.grid
+    assert np.abs(result.state.points - direct.state.points).max() <= 1e-10
+
+    out = tmp_path / "o"
+    argv = ["obstacle", "--n", "100", "--h-ref", str(h_ref), "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "result_levels = 10,100\n" in (out / "meta.txt").read_text()
+    header, *rows = (out / "stages.csv").read_text().splitlines()
+    assert header.startswith("n,penalty,")
+    assert [int(row.split(",")[0]) for row in rows] == grids
 
 
 def test_levels_concatenate_their_rows_and_round_trip(tmp_path):
@@ -94,7 +122,7 @@ def test_levels_concatenate_their_rows_and_round_trip(tmp_path):
     assert f"result_outer_iterations = {len(norms)}\n" in meta
     # stages.csv: one row per level with its trace's counts
     rows = [
-        f"{level.n},{len(level.trace.iterations)},"
+        f"{level.problem.grid.n_interior},{len(level.trace.iterations)},"
         f"{sum(it.inner_trials for it in level.trace.iterations)},converged"
         for level in levels
     ]
@@ -118,7 +146,7 @@ def test_a_failed_level_ends_the_continuation_with_its_termination(n, levels, pr
     # only a coarse level's message names the level; a one-level ladder is the direct solve
     result = nested_iteration(GeodesicForceProblem(Grid(1.0, n), force_scale=10.0))
     assert result.terminated is Termination.DAMPING_FAILED
-    assert [level.n for level in result.attempts] == levels
+    assert [level.problem.grid.n_interior for level in result.attempts] == levels
     assert result.stages == result.attempts  # a failing level keeps its rows
     assert result.message.startswith(prefix + "step size collapsed")
     assert result.state.grid == Grid(1.0, levels[0])

@@ -9,6 +9,7 @@ from bundle_newton.newton import NewtonTrace
 from bundle_newton.problems import (
     GeodesicForceProblem,
     ObstacleProblem,
+    nested_iteration,
     obstacle_path_follow,
     penalty_activation,
     penalty_activation_slope,
@@ -176,7 +177,7 @@ def test_path_following_trivial_when_cap_unreachable():
     )
     result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.CONVERGED
-    assert all(stage.penalty == obs.p for stage in result.stages)
+    assert all(stage.problem.p == obs.p for stage in result.stages)
     assert result.stages[-1].violation == 0.0
     assert [len(stage.trace.iterations) for stage in result.attempts] == [1]
     assert np.array_equal(result.state.points, obs.initial_state().points)
@@ -200,7 +201,7 @@ def test_path_following_reaches_cap_band():
     viols = [s.violation for s in result.stages]
     assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
     # the penalty grows by at most the configured cap per stage
-    ps = [s.penalty for s in result.stages]
+    ps = [s.problem.p for s in result.stages]
     assert ps[0] == obs.p
     for a, b in zip(ps, ps[1:]):
         assert 1.0 < b / a <= obs.p_growth
@@ -249,8 +250,8 @@ def read_table(path):
 
 
 def test_rising_violation_is_retried_with_a_smaller_factor(tmp_path):
-    # at p = 64 the warm start jumps to a curve that violates the cap more
-    # than the p = 16 stage did; the attempt is rejected and retried at p = 32
+    # on the coarse level, at p = 64 the warm start jumps to a curve that violates
+    # the cap more than the p = 16 stage did; the attempt is rejected and retried at p = 32
     out = tmp_path / "o"
     argv = ["obstacle", "--n", "100", "--h-ref", "0.3", "--p-growth", "4"]
     assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
@@ -267,10 +268,13 @@ def test_rising_violation_is_retried_with_a_smaller_factor(tmp_path):
     z = [float(line.split(",")[3]) for line in (out / "curve.csv").read_text().splitlines()[1:]]
     assert 0.7 - 1e-3 <= max(z) <= 0.7 + 1e-3
 
-    result = obstacle_path_follow(ObstacleProblem(Grid(1.0, 100), h_ref=0.3, p_growth=4.0))
+    problem = ObstacleProblem(Grid(1.0, 100), h_ref=0.3, p_growth=4.0)
+    result = nested_iteration(problem, NewtonConfig(), obstacle_path_follow)
     assert all(s.accepted for s in result.stages)
     assert len(result.attempts) - len(result.stages) == len(rejected)
-    assert [s.penalty for s in result.stages] == [float(row["penalty"]) for row in accepted]
+    assert [(s.problem.grid.n_interior, s.problem.p) for s in result.stages] == [
+        (int(row["n"]), float(row["penalty"])) for row in accepted
+    ]
 
 
 def record_solves(monkeypatch, fail_above=np.inf, failures=np.inf):
@@ -296,7 +300,7 @@ def test_failed_stage_is_retried_with_a_smaller_factor(monkeypatch):
     # the step in log p halves: factor 2 instead of 4 from the accepted p = 16
     assert solves[:5] == [1.0, 4.0, 16.0, 64.0, 32.0]
     rejected = [s for s in result.attempts if not s.accepted]
-    assert [s.penalty for s in rejected] == [64.0]
+    assert [s.problem.p for s in rejected] == [64.0]
     assert rejected[0].trace.terminated is Termination.DAMPING_FAILED
     assert all(s.accepted for s in result.stages)
     assert result.stages[-1].violation <= obs.violation_tol
@@ -307,7 +311,7 @@ def test_step_floor_ends_the_path_as_damping_failed(monkeypatch):
     obs = ObstacleProblem(Grid(1.0, 40), h_ref=0.2)
     result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.DAMPING_FAILED
-    assert result.stages[-1].penalty == 16.0
+    assert result.stages[-1].problem.p == 16.0
     # every retry takes the square root of the last factor, until the next
     # one would drop below the floor
     tried = solves[3:]
