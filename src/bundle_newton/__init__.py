@@ -14,12 +14,15 @@ from .geometry import (
     unit_vector,
 )
 from .newton import (
+    Continuation,
     NewtonConfig,
     NewtonIteration,
-    NewtonTrace,
     ProblemInterface,
+    Stage,
     Termination,
     damped_newton,
+    grid_ladder,
+    nested_iteration,
     update_alpha,
 )
 from . import problems
@@ -34,12 +37,15 @@ __all__ = [
     "tangent_basis",
     "tangent_project",
     "unit_vector",
+    "Continuation",
     "NewtonConfig",
     "NewtonIteration",
-    "NewtonTrace",
     "ProblemInterface",
+    "Stage",
     "Termination",
     "damped_newton",
+    "grid_ladder",
+    "nested_iteration",
     "update_alpha",
     "problems",
 ]

@@ -10,17 +10,19 @@ writes four artifacts into the output directory:
   with its grid size, the obstacle's penalty and violation, its Newton
   counts and termination, and the obstacle's acceptance,
 - ``meta.txt``: every resolved parameter plus ``result_*`` summary keys; the
-  file doubles as a ``--config`` input that reproduces the run.
+  file doubles as a ``--config`` input that reproduces the run.  A run that
+  raises writes only ``meta.txt``, with ``result_status = error`` and the
+  exception as ``result_message``.
 
 Every problem is solved by nested iteration on the grid ladder ``n //
 10**k``, coarsest first, for every ``k`` that leaves at least 10 interior
-nodes (``problems.grid_ladder``): ``--n 1000`` solves on 10, 100 and 1000
-nodes, and any ``n`` below 100 is the single direct solve.  A level is one
-damped Newton solve or, for the obstacle, its penalty path
-(``problems.obstacle_path_follow``): from the connecting geodesic at
-``--p0`` on the coarsest level, resumed at the last penalty on each finer
-one; ``--p-growth`` caps the per-stage factor of the penalty weight, which
-the path adapts.  ``meta.txt`` records the levels run as ``result_levels``.
+nodes (``newton.grid_ladder``): ``--n 1000`` solves on 10, 100 and 1000
+nodes, and any ``n`` below 100 is the single direct solve.  A level is the
+problem's own ``solve``: one damped Newton solve or, for the obstacle, its
+penalty path from the connecting geodesic at ``--p0`` on the coarsest level,
+resumed at the last penalty on each finer one; ``--p-growth`` caps the
+per-stage factor of the penalty weight, which the path adapts.
+``meta.txt`` records the levels run as ``result_levels``.
 A level that does not converge ends the run; on a coarse level its message
 is prefixed ``level n=<its n>:`` and ``curve.csv`` holds that level's state.
 
@@ -45,15 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .fem1d import Grid
-from .newton import NewtonConfig, Termination
-from .problems import (
-    GeodesicForceProblem,
-    ObstacleProblem,
-    RodProblem,
-    nested_iteration,
-    newton_stage,
-    obstacle_path_follow,
-)
+from .newton import NewtonConfig, Termination, nested_iteration
+from .problems import GeodesicForceProblem, ObstacleProblem, RodProblem
 from .problems import geodesic as _geodesic_defaults
 from .problems import obstacle as _obstacle_defaults
 from .problems import rod as _rod_defaults
@@ -252,12 +247,11 @@ def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
     nested iteration.  The stage table is ``(header, row format, rows)``, and
     the curve columns start with ``t``, the nodes of the final state's grid."""
     obstacle = isinstance(problem, ObstacleProblem)
-    solve = obstacle_path_follow if obstacle else newton_stage
-    result = nested_iteration(problem, newton_cfg, solve)
+    result = nested_iteration(problem, newton_cfg)
     stages, rows = result.stages, []
     for s in result.attempts:
-        n, trials = s.problem.grid.n_interior, sum(it.inner_trials for it in s.trace.iterations)
-        counts = (len(s.trace.iterations), trials, s.trace.terminated.value)
+        n, trials = s.problem.grid.n_interior, sum(it.inner_trials for it in s.iterations)
+        counts = (len(s.iterations), trials, s.terminated.value)
         rows.append((n, s.problem.p, s.violation, *counts, int(s.accepted)) if obstacle
                     else (n, *counts))
     extra = {"levels": ",".join(dict.fromkeys(str(row[0]) for row in rows))}
@@ -294,8 +288,13 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory {cfg.out_dir!r} is not writable: {exc}") from exc
 
-    result, results, stages, columns = _solve(problem, newton_cfg)
-    iterations = [it for stage in result.stages for it in stage.trace.iterations]
+    try:
+        result, results, stages, columns = _solve(problem, newton_cfg)
+    except Exception as exc:
+        _write_meta(out_dir / "meta.txt", cfg,
+                    {"status": "error", "message": f"{type(exc).__name__}: {exc}"})
+        raise
+    iterations = [it for stage in result.stages for it in stage.iterations]
     results["status"] = result.terminated.value
     results["outer_iterations"] = str(len(iterations))
     if iterations:

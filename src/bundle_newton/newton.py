@@ -1,5 +1,5 @@
 """Damped Newton driver for root problems whose residual lives in a moving
-dual fibre.
+dual fibre, and the continuation loop around it.
 
 The driver only talks to a problem through coefficient vectors: residuals
 and Jacobians are assembled with respect to per-iterate bases, trial
@@ -7,6 +7,10 @@ residuals are back-transported onto the bases of the current iterate, and
 the step-size control is driven by norm ratios of coefficient vectors.
 Scaling residual and Jacobian jointly therefore leaves the whole iteration
 unchanged (affine covariance).
+
+Every solve is one :class:`Stage`, and every continuation loop returns a
+:class:`Continuation` of them.  :func:`nested_iteration` solves a problem on
+a ladder of grids, coarse to fine, by each level problem's own ``solve``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fem1d import BandedMatrix
+from .fem1d import BandedMatrix, Grid
 
 
 @dataclass(frozen=True)
@@ -58,13 +62,18 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class NewtonIteration:
-    """Record of one accepted outer iteration."""
+    """Record of one accepted outer iteration; ``norm_dx`` and ``residual_inf``
+    are the problem's ``norm_inf`` of the Newton step and the residual."""
 
     norm_dx: float
     accepted_alpha: float
     thetas: tuple
-    inner_trials: int
     residual_inf: float
+
+    @property
+    def inner_trials(self) -> int:
+        """Trial steps tried, one theta each; 0 on the convergence row."""
+        return len(self.thetas)
 
     @property
     def theta_final(self) -> float:
@@ -72,10 +81,34 @@ class NewtonIteration:
 
 
 @dataclass
-class NewtonTrace:
+class Stage:
+    """One damped Newton solve: the problem it solved, with its grid and the
+    obstacle's ``p``, its outer iterations and how it ended.  The penalty path
+    marks a rejected attempt ``accepted`` False and records the obstacle's cap
+    ``violation``."""
+
+    problem: object
     iterations: list = field(default_factory=list)
     terminated: Termination = Termination.MAX_ITERATIONS
     message: str = ""
+    accepted: bool = True
+    violation: float | None = None
+
+
+@dataclass
+class Continuation:
+    """Result of a continuation loop around :func:`damped_newton`: the final
+    state, every stage solve in order, and how the loop ended."""
+
+    state: object
+    attempts: list = field(default_factory=list)
+    terminated: Termination = Termination.MAX_ITERATIONS
+    message: str = ""
+
+    @property
+    def stages(self) -> list:
+        """The accepted stage solves, in order: the run's outer iterations."""
+        return [stage for stage in self.attempts if stage.accepted]
 
 
 class ProblemInterface(ABC):
@@ -108,6 +141,12 @@ class ProblemInterface(ABC):
         vars(problem).update(changes)
         return problem
 
+    def solve(self, cfg: NewtonConfig, start) -> Continuation:
+        """The level solve of :func:`nested_iteration`: one :func:`damped_newton`
+        solve from ``start``, as a one-stage :class:`Continuation`."""
+        state, stage = damped_newton(self, start, cfg)
+        return Continuation(state, [stage], stage.terminated, stage.message)
+
 
 def update_alpha(alpha: float, theta: float, theta_des: float) -> float:
     """Step-size update ``min(1, alpha * theta_des / theta)``, 1 at ``theta = 0``.
@@ -130,27 +169,27 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     ``alpha`` is accepted when the contraction estimate ``theta`` stays below
     ``cfg.theta_acc``; ``alpha`` is adapted towards ``cfg.theta_des``.
 
-    Returns ``(state, trace)``.  Convergence is certified at the start of an
+    Returns ``(state, stage)``.  Convergence is certified at the start of an
     outer iteration once the Newton step drops below ``cfg.tol`` (a zero step
     occurs exactly at a root); damping failures and iteration limits are
-    reported through ``trace.terminated`` rather than raised.
+    reported through ``stage.terminated`` rather than raised.
     """
     x = x0
     alpha = cfg.alpha0
     pin_alpha = math.isinf(cfg.theta_acc)
-    trace = NewtonTrace()
+    stage = Stage(problem)
 
     for _ in range(cfg.max_outer):
         b = problem.assemble_residual(x)
-        residual_inf = float(np.max(np.abs(b)))
+        residual_inf = problem.norm_inf(b)
         fact, dx = problem.assemble_jacobian(x).factorize(-b)
         norm_dx = problem.norm_inf(dx)
 
         if norm_dx <= cfg.tol:
-            trace.iterations.append(NewtonIteration(norm_dx, 1.0, (), 0, residual_inf))
-            trace.terminated = Termination.CONVERGED
-            trace.message = "stationary within tolerance"
-            return x, trace
+            stage.iterations.append(NewtonIteration(norm_dx, 1.0, (), residual_inf))
+            stage.terminated = Termination.CONVERGED
+            stage.message = "stationary within tolerance"
+            return x, stage
 
         thetas = []
         for _trial in range(cfg.max_inner):
@@ -164,27 +203,68 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
             if not pin_alpha:
                 alpha = update_alpha(alpha, theta, cfg.theta_des)
                 if alpha < cfg.alpha_fail:
-                    trace.terminated = Termination.DAMPING_FAILED
-                    trace.message = (
+                    stage.terminated = Termination.DAMPING_FAILED
+                    stage.message = (
                         f"step size collapsed below {cfg.alpha_fail:g} "
                         f"after {len(thetas)} trials (last theta {theta:.3g})"
                     )
-                    return x, trace
+                    return x, stage
             if theta <= cfg.theta_acc:
                 break
         else:
-            trace.terminated = Termination.DAMPING_FAILED
-            trace.message = (
+            stage.terminated = Termination.DAMPING_FAILED
+            stage.message = (
                 f"no acceptable step within {cfg.max_inner} trials "
                 f"(last theta {theta:.3g}, alpha {alpha:.3g})"
             )
-            return x, trace
+            return x, stage
 
         x = x_plus
-        trace.iterations.append(
-            NewtonIteration(norm_dx, alpha_used, tuple(thetas), len(thetas), residual_inf)
-        )
+        stage.iterations.append(NewtonIteration(norm_dx, alpha_used, tuple(thetas), residual_inf))
 
-    trace.terminated = Termination.MAX_ITERATIONS
-    trace.message = f"no convergence within {cfg.max_outer} outer iterations"
-    return x, trace
+    stage.message = f"no convergence within {cfg.max_outer} outer iterations"
+    return x, stage
+
+
+# grid ladder of the nested iteration: each coarse level has 1/COARSENING of
+# the next level's interior nodes, and none has fewer than COARSEST_N
+COARSENING = 10
+COARSEST_N = 10
+
+
+def grid_ladder(n: int) -> list:
+    """Interior node counts of the nested iteration on ``n`` nodes, coarsest
+    first: ``n // COARSENING**k`` for every ``k`` that leaves at least
+    ``COARSEST_N`` nodes.  Below ``COARSENING * COARSEST_N`` it is ``[n]``."""
+    ladder = [n]
+    while ladder[0] // COARSENING >= COARSEST_N:
+        ladder.insert(0, ladder[0] // COARSENING)
+    return ladder
+
+
+def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig()) -> Continuation:
+    """``level.solve(cfg, start)`` on the grids of :func:`grid_ladder`, ending
+    on ``problem.grid`` (Deuflhard, *Newton Methods for Nonlinear Problems*,
+    2004, ch. 8).  The coarsest level is ``problem`` on its grid,
+    started from its ``initial_state()``; each finer one is the problem of the
+    last accepted stage, so the obstacle keeps its last penalty, started from
+    the previous state prolonged to its grid.  The damped phase runs on the
+    coarsest grid.  A level that does not converge ends the ladder with its
+    termination; on a coarse level its message is prefixed ``level n=<its
+    n>: ``.  The result holds the last level's state and every level's
+    attempts.
+    """
+    fine = problem.grid
+    result = Continuation(None)
+    for n in grid_ladder(fine.n_interior):
+        grid = Grid(fine.t_end, n)
+        level = (result.stages[-1].problem if result.stages else problem).replace(grid=grid)
+        start = level.initial_state() if result.state is None else result.state.prolong(grid)
+        solved = level.solve(cfg, start)
+        result.state = solved.state
+        result.attempts += solved.attempts
+        prefix = "" if n == fine.n_interior else f"level n={n}: "
+        result.terminated, result.message = solved.terminated, prefix + solved.message
+        if solved.terminated is not Termination.CONVERGED:
+            break
+    return result

@@ -8,12 +8,7 @@ from .geodesic import (
     winding_force_jacobian,
 )
 from .obstacle import (
-    Continuation,
     ObstacleProblem,
-    Stage,
-    grid_ladder,
-    nested_iteration,
-    newton_stage,
     obstacle_path_follow,
     penalty_activation,
     penalty_activation_slope,
@@ -26,12 +21,7 @@ __all__ = [
     "PoleSingularity",
     "winding_force",
     "winding_force_jacobian",
-    "Continuation",
     "ObstacleProblem",
-    "Stage",
-    "grid_ladder",
-    "nested_iteration",
-    "newton_stage",
     "obstacle_path_follow",
     "penalty_activation",
     "penalty_activation_slope",

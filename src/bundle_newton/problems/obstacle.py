@@ -1,5 +1,4 @@
-"""Obstacle-avoiding geodesics via a quadratic (Moreau-Yosida) penalty, and
-the continuation loops around the damped Newton driver.
+"""Obstacle-avoiding geodesics via a quadratic (Moreau-Yosida) penalty.
 
 The curve must stay below the polar cap ``y3 <= 1 - h_ref``.  Violations
 are penalized quadratically; the resulting stationarity condition is only
@@ -8,24 +7,18 @@ weight up along a path of warm-started stages.  The growth factor per stage
 is step-controlled in ``log p``: it shrinks after a stage that needed
 damping, grows back to its cap ``p_growth`` after an easy one, and a stage
 that fails or lets the violation rise is retried from the last accepted
-curve with a smaller factor.
-
-:func:`nested_iteration` solves every problem on a ladder of grids, coarse
-to fine, each level started from the previous level's solution moved to its
-grid by ``prolong``.  A level is solved by :func:`newton_stage` or, for the
-obstacle, by the penalty path.  Every loop returns a :class:`Continuation`
-of :class:`Stage` solves.
+curve with a smaller factor.  The path is the obstacle's level solve in
+:func:`~bundle_newton.newton.nested_iteration`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..fem1d import Grid, NodalCurve
-from ..newton import NewtonConfig, NewtonTrace, Termination, damped_newton
+from ..newton import Continuation, NewtonConfig, Termination, damped_newton
 from .curve import SphereCurveProblem
 
 # feasible defaults whose connecting geodesic crosses the default caps
@@ -38,11 +31,6 @@ DEFAULT_GAMMAT = (-0.8 * np.cos(0.2), 0.8 * np.sin(0.2), 0.6)
 MAX_STAGES = 500
 FAST_STAGE_STEPS = 4
 MIN_GROWTH = 1.001
-
-# grid ladder of the nested iteration: each coarse level has 1/COARSENING of
-# the next level's interior nodes, and none has fewer than COARSEST_N
-COARSENING = 10
-COARSEST_N = 10
 
 _E3 = np.array([0.0, 0.0, 1.0])
 _E33 = np.outer(_E3, _E3)
@@ -103,41 +91,9 @@ class ObstacleProblem(SphereCurveProblem):
     def force_jacobian_at(self, y) -> np.ndarray:
         return self.p * penalty_activation_slope(self.gap(y))[..., None, None] * _E33
 
-
-@dataclass
-class Continuation:
-    """Result of a continuation loop around :func:`damped_newton`: the final
-    state, every stage solve in order, and how the loop ended."""
-
-    state: object
-    attempts: list = field(default_factory=list)
-    terminated: Termination = Termination.MAX_ITERATIONS
-    message: str = ""
-
-    @property
-    def stages(self) -> list:
-        """The accepted stage solves, in order: the run's outer iterations."""
-        return [stage for stage in self.attempts if stage.accepted]
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One Newton solve of a continuation: the problem it solved, with its grid
-    and the obstacle's ``p``, and its trace.  A rejected penalty stage has
-    ``accepted`` False; ``violation`` is the obstacle's cap violation."""
-
-    problem: object
-    trace: NewtonTrace
-    accepted: bool = True
-    violation: float | None = None
-
-
-def newton_stage(problem, cfg: NewtonConfig = NewtonConfig(), start=None) -> Continuation:
-    """One :func:`damped_newton` solve of ``problem`` from ``start`` (by default
-    ``problem.initial_state()``), as a one-stage :class:`Continuation`."""
-    start = problem.initial_state() if start is None else start
-    state, trace = damped_newton(problem, start, cfg)
-    return Continuation(state, [Stage(problem, trace)], trace.terminated, trace.message)
+    def solve(self, cfg: NewtonConfig, start) -> Continuation:
+        """The level solve of the nested iteration: the penalty path from ``start``."""
+        return obstacle_path_follow(self, cfg, start)
 
 
 def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonConfig(),
@@ -163,11 +119,12 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
     curve with half the step.  A rejected first stage ends the path with its
     termination (``DAMPING_FAILED`` for a rising violation); a factor below
     ``MIN_GROWTH`` ends it as ``DAMPING_FAILED``; ``MAX_STAGES`` stage
-    solves, rejected ones included, end it as ``MAX_ITERATIONS``.  The
-    result's state is the last accepted curve.
+    solves, rejected ones included, end it as ``MAX_ITERATIONS``.  Each
+    attempt is its solve's ``Stage`` with ``accepted`` and ``violation`` set;
+    the result's state is the last accepted curve.
     """
     result = Continuation(problem.initial_state() if start is None else start)
-    growth, p = problem.p_growth, 0.0
+    growth = problem.p_growth
     violation = problem.violation(result.state)
     while not result.stages or violation > problem.violation_tol:
         if len(result.attempts) == MAX_STAGES:
@@ -177,77 +134,38 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
                 f"({len(result.attempts) - len(result.stages)} rejected)"
             )
             return result
-        trial = problem.replace(p=p * growth if p > 0.0 else problem.p)
-        curve, trace = damped_newton(trial, result.state, cfg)
-        trial_violation = problem.violation(curve)
-        converged = trace.terminated is Termination.CONVERGED
-        accepted = converged and trial_violation <= violation
-        result.attempts.append(Stage(trial, trace, accepted, trial_violation))
-        if accepted:
-            result.state, p, violation = curve, trial.p, trial_violation
-            alphas = [it.accepted_alpha for it in trace.iterations if it.inner_trials]
+        p = result.stages[-1].problem.p * growth if result.stages else problem.p
+        curve, stage = damped_newton(problem.replace(p=p), result.state, cfg)
+        stage.violation = problem.violation(curve)
+        converged = stage.terminated is Termination.CONVERGED
+        stage.accepted = converged and stage.violation <= violation
+        result.attempts.append(stage)
+        if stage.accepted:
+            result.state, violation = curve, stage.violation
+            alphas = [it.accepted_alpha for it in stage.iterations if it.inner_trials]
             if min(alphas, default=1.0) < 1.0:
                 growth = math.sqrt(growth)
             elif len(alphas) <= FAST_STAGE_STEPS:
                 growth = min(growth * growth, problem.p_growth)
             continue
         growth = math.sqrt(growth)
-        if p > 0.0 and growth >= MIN_GROWTH:
+        if result.stages and growth >= MIN_GROWTH:
             continue
         # no smaller step left: the path ends here
         reason = (
-            f"violation rose from {violation:.3g} to {trial_violation:.3g}" if converged
-            else f"{trace.terminated.value}: {trace.message}"
+            f"violation rose from {violation:.3g} to {stage.violation:.3g}" if converged
+            else f"{stage.terminated.value}: {stage.message}"
         )
-        if p > 0.0:
+        if result.stages:
             result.terminated = Termination.DAMPING_FAILED
             result.message = (
                 f"penalty growth fell below {MIN_GROWTH:g} after "
                 f"{len(result.attempts) - len(result.stages)} rejected attempts: "
-                f"last accepted penalty {p:g}, attempted {trial.p:g} ({reason})"
+                f"last accepted penalty {result.stages[-1].problem.p:g}, attempted {p:g} ({reason})"
             )
         else:  # the first stage has the fixed penalty problem.p
-            result.terminated = Termination.DAMPING_FAILED if converged else trace.terminated
-            result.message = f"stage with penalty {trial.p:g} failed ({reason})"
+            result.terminated = Termination.DAMPING_FAILED if converged else stage.terminated
+            result.message = f"stage with penalty {p:g} failed ({reason})"
         return result
     result.terminated = Termination.CONVERGED
-    return result
-
-
-def grid_ladder(n: int) -> list:
-    """Interior node counts of the nested iteration on ``n`` nodes, coarsest
-    first: ``n // COARSENING**k`` for every ``k`` that leaves at least
-    ``COARSEST_N`` nodes.  Below ``COARSENING * COARSEST_N`` it is ``[n]``."""
-    ladder = [n]
-    while ladder[0] // COARSENING >= COARSEST_N:
-        ladder.insert(0, ladder[0] // COARSENING)
-    return ladder
-
-
-def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig(),
-                     solve=newton_stage) -> Continuation:
-    """``solve(level, cfg, start)`` on the grids of :func:`grid_ladder`, ending
-    on ``problem.grid`` (Deuflhard, *Newton Methods for Nonlinear Problems*,
-    2004, ch. 8).  The coarsest level is ``problem`` on its grid, started
-    from its ``initial_state()`` (``start`` None); each finer one is the
-    problem of the last accepted stage, so the obstacle keeps its last
-    penalty, started from the previous state prolonged to its grid.  The
-    damped phase runs on the coarsest grid.  A level that does not converge
-    ends the ladder with its termination; on a coarse level its message is
-    prefixed ``level n=<its n>: ``.  The result holds the last level's state
-    and every level's attempts.
-    """
-    fine = problem.grid
-    result = Continuation(None)
-    for n in grid_ladder(fine.n_interior):
-        grid = Grid(fine.t_end, n)
-        level = (result.stages[-1].problem if result.stages else problem).replace(grid=grid)
-        start = None if result.state is None else result.state.prolong(grid)
-        solved = solve(level, cfg, start)
-        result.state = solved.state
-        result.attempts += solved.attempts
-        prefix = "" if n == fine.n_interior else f"level n={n}: "
-        result.terminated, result.message = solved.terminated, prefix + solved.message
-        if solved.terminated is not Termination.CONVERGED:
-            break
     return result

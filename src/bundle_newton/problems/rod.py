@@ -203,4 +203,8 @@ class RodProblem(ProblemInterface):
         return RodState(y, state.v.retract(dv, alpha), state.lam + alpha * dlam)
 
     def norm_inf(self, xi) -> float:
-        return max(float(np.max(np.linalg.norm(part, axis=1))) for part in self._split(xi))
+        # largest nodal length of y, v or lam; squares summed in np.linalg.norm's order
+        sq = np.square(np.asarray(xi, dtype=float))
+        g = sq[3:].reshape(self.grid.n_interior, 8).T
+        lengths2 = (g[0] + g[1] + g[2], g[3] + g[4], sq[:1] + sq[1] + sq[2], g[5] + g[6] + g[7])
+        return float(np.sqrt(np.max([part.max() for part in lengths2])))

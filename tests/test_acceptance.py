@@ -15,6 +15,7 @@ from bundle_newton import (
     NodalCurve,
     Termination,
     damped_newton,
+    fem1d,
     tangent_basis,
 )
 from bundle_newton.newton import ProblemInterface
@@ -200,7 +201,7 @@ def test_criterion_5_obstacle_path_following():
         result = obstacle_path_follow(problem, NewtonConfig())
         zmax = float(result.state.points[:, 2].max())
         stage_ok = all(
-            s.trace.terminated is Termination.CONVERGED for s in result.stages
+            s.terminated is Termination.CONVERGED for s in result.stages
         )
         endpoints_ok = np.array_equal(
             result.state.points[0], problem.gamma0
@@ -419,6 +420,7 @@ def test_criterion_9_twin_row_scaling(inner, span):
     )
 
 
+
 # -- criterion 10: constrained Hessian on the sphere toy ------------------------------------------
 
 
@@ -450,4 +452,63 @@ def test_criterion_10_constrained_hessian_sphere():
         worst <= 1e-8,
         f"100 random sphere instances, worst relative deviation from the "
         f"projection-derivative form {worst:.2e} (<= 1e-8)",
+    )
+
+
+# -- criterion 11: independence of the tangent basis -------------------------------------------
+
+
+def _flat(state):
+    if isinstance(state, NodalCurve):
+        return state.points.ravel()
+    return np.concatenate([state.y.ravel(), state.v.points.ravel(), state.lam.ravel()])
+
+
+def _close(a, b, rel):
+    # agreement to round-off above an absolute floor of 1e-12
+    return abs(a - b) <= 1e-12 + rel * abs(a)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [GeodesicForceProblem(Grid(1.0, 50)), RodProblem(Grid(1.0, 20)),
+     ObstacleProblem(Grid(1.0, 20), h_ref=0.1)],
+    ids=["geodesic-n50", "rod-n20", "obstacle-path-n20"],
+)
+def test_criterion_11_tangent_basis_independence(problem, monkeypatch):
+    # compose every node's frame with its own seeded rotation or reflection:
+    # the coefficients change, the iterates and their norms must not
+    frames = fem1d.tangent_basis
+
+    def turned(y):
+        rng = np.random.default_rng(11)
+        phi = rng.uniform(0.0, 2.0 * np.pi, len(y))
+        flip = rng.choice([-1.0, 1.0], len(y))
+        c, s = np.cos(phi), np.sin(phi)
+        return frames(y) @ np.stack([np.stack([c, -flip * s], -1), np.stack([s, flip * c], -1)], -2)
+
+    cfg = NewtonConfig()
+    ref = problem.solve(cfg, problem.initial_state())
+    monkeypatch.setattr(fem1d, "tangent_basis", turned)
+    run = problem.solve(cfg, problem.initial_state())
+    assert ref.terminated is run.terminated is Termination.CONVERGED
+    rows = [(a, b) for sa, sb in zip(ref.attempts, run.attempts, strict=True)
+            for a, b in zip(sa.iterations, sb.iterations, strict=True)]
+    # theta enters through the simplified step theta * alpha * |dx|, whose
+    # round-off the penalty weight amplifies
+    differing = [k for k, (a, b) in enumerate(rows, start=1) if not (
+        a.inner_trials == b.inner_trials
+        and abs(a.accepted_alpha - b.accepted_alpha) <= 1e-12
+        and _close(a.norm_dx, b.norm_dx, 1e-9)
+        and _close(a.residual_inf, b.residual_inf, 1e-9)
+        and all(_close(ta * a.accepted_alpha * a.norm_dx, tb * b.accepted_alpha * b.norm_dx, 1e-6)
+                for ta, tb in zip(a.thetas, b.thetas))
+    )]
+    worst = np.abs(_flat(ref.state) - _flat(run.state)).max()
+    report(
+        11,
+        not differing and worst <= 1e-12,
+        f"{len(rows)} rows under per-node frame rotations and reflections, rows beyond "
+        f"round-off {differing}: equal counts, alphas within 1e-12, norms and thetas to "
+        f"round-off; final states differ by {worst:.1e} (<= 1e-12)",
     )

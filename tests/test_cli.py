@@ -1,10 +1,15 @@
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bundle_newton import NewtonConfig
+import bundle_newton
+from bundle_newton import NewtonConfig, problems
 from bundle_newton.cli import (
     EXIT_CONFIG,
     EXIT_MAX_ITERATIONS,
@@ -356,3 +361,16 @@ def test_flags_override_config_file(tmp_path):
     )
     meta = (out / "meta.txt").read_text()
     assert "n = 8" in meta.splitlines()[1]
+
+
+def test_exports_resolve_and_the_module_entry_point_runs():
+    for package in (bundle_newton, problems):
+        assert len(package.__all__) == len(set(package.__all__)), package.__name__
+        for name in package.__all__:
+            assert hasattr(package, name), f"{package.__name__}.{name}"
+    src = str(Path(bundle_newton.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "bundle_newton.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: bundle-newton")

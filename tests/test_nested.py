@@ -8,14 +8,13 @@ import pytest
 
 from bundle_newton import (
     BandedMatrix, Grid, NewtonConfig, SingularSystem, Termination, cli, damped_newton,
+    grid_ladder, nested_iteration,
 )
-from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_OK, main
+from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_INTERNAL, EXIT_OK, main
 from bundle_newton.problems import (
     GeodesicForceProblem,
     ObstacleProblem,
     RodProblem,
-    grid_ladder,
-    nested_iteration,
     obstacle_path_follow,
 )
 from conftest import skeel_condition, to_dense
@@ -50,11 +49,11 @@ def test_nested_solution_matches_the_direct_one(make):
     nested, levels = result.state, result.attempts
     assert trace.terminated is Termination.CONVERGED
     assert [level.problem.grid.n_interior for level in levels] == [10, 100, 1000]
-    assert all(level.trace.terminated is Termination.CONVERGED for level in levels)
+    assert all(level.terminated is Termination.CONVERGED for level in levels)
     assert nested.grid == problem.grid
     assert np.abs(flat(nested) - flat(direct)).max() <= 10 * cfg.tol
     # the fine level starts in the fast local phase: few full steps
-    fine = levels[-1].trace.iterations
+    fine = levels[-1].iterations
     assert len(fine) <= 4
     assert all(it.accepted_alpha == 1.0 for it in fine)
 
@@ -71,8 +70,8 @@ def test_nested_solution_matches_the_direct_one(make):
 def test_one_level_ladder_writes_the_direct_run(tmp_path, monkeypatch, argv):
     assert main([*argv, "--out-dir", str(tmp_path / "nested")]) == EXIT_OK
 
-    def direct_run(problem, cfg, solve):
-        return solve(problem, cfg, None)
+    def direct_run(problem, cfg):
+        return problem.solve(cfg, problem.initial_state())
 
     monkeypatch.setattr(cli, "nested_iteration", direct_run)
     assert main([*argv, "--out-dir", str(tmp_path / "direct")]) == EXIT_OK
@@ -87,7 +86,7 @@ def test_obstacle_ladder_resumes_the_penalty_path_on_each_finer_grid(tmp_path, h
     cfg = NewtonConfig()
     problem = ObstacleProblem(Grid(1.0, 100), h_ref=h_ref)
     direct = obstacle_path_follow(problem, cfg)
-    result = nested_iteration(problem, cfg, obstacle_path_follow)
+    result = nested_iteration(problem, cfg)
     assert result.terminated is Termination.CONVERGED
     grids = [stage.problem.grid.n_interior for stage in result.attempts]
     assert grids == sorted(grids) and set(grids) == {10, 100}
@@ -113,7 +112,7 @@ def test_levels_concatenate_their_rows_and_round_trip(tmp_path):
     for name in ("iterates.csv", "curve.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     levels = nested_iteration(RodProblem(Grid(1.0, 100))).attempts
-    norms = [it.norm_dx for level in levels for it in level.trace.iterations]
+    norms = [it.norm_dx for level in levels for it in level.iterations]
     rows = read_rows(out1 / "iterates.csv")
     assert np.array_equal(rows[:, 0], np.arange(1, len(norms) + 1))
     assert np.array_equal(rows[:, 1], norms)
@@ -122,8 +121,8 @@ def test_levels_concatenate_their_rows_and_round_trip(tmp_path):
     assert f"result_outer_iterations = {len(norms)}\n" in meta
     # stages.csv: one row per level with its trace's counts
     rows = [
-        f"{level.problem.grid.n_interior},{len(level.trace.iterations)},"
-        f"{sum(it.inner_trials for it in level.trace.iterations)},converged"
+        f"{level.problem.grid.n_interior},{len(level.iterations)},"
+        f"{sum(it.inner_trials for it in level.iterations)},converged"
         for level in levels
     ]
     stages = (out1 / "stages.csv").read_text().splitlines()
@@ -166,3 +165,18 @@ def test_plain_newton_on_the_rod_ladder_ends_at_a_genuinely_singular_matrix(monk
     with pytest.raises(SingularSystem):
         nested_iteration(RodProblem(Grid(1.0, 100)), NewtonConfig(theta_acc=math.inf))
     assert skeel_condition(to_dense(matrices[-1])) >= 1e14
+
+
+def test_a_raising_run_writes_a_replayable_meta(tmp_path, capsys):
+    # the run above from the command line: it exits 1 and writes only meta.txt,
+    # which names the exception and reproduces the failure
+    out, replay = tmp_path / "a", tmp_path / "b"
+    argv = ["rod", "--n", "100", "--theta-acc", "inf", "--out-dir", str(out)]
+    assert main(argv) == EXIT_INTERNAL
+    assert "run failed (SingularSystem): " in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["meta.txt"]
+    meta = (out / "meta.txt").read_text()
+    assert "result_status = error\n" in meta
+    assert "result_message = SingularSystem: " in meta
+    argv = ["rod", "--config", str(out / "meta.txt"), "--out-dir", str(replay)]
+    assert main(argv) == EXIT_INTERNAL

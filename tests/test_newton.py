@@ -112,6 +112,27 @@ def test_norm_inf_nodal_basis_invariance():
         assert abs(a - b) < 1e-12 * (1 + a)
 
 
+@pytest.mark.parametrize("make", [GeodesicForceProblem, RodProblem], ids=["curve", "rod"])
+def test_norm_inf_is_bitwise_the_largest_linalg_norm_of_a_block(make):
+    # reference: np.linalg.norm per nodal block (curve: 2 coefficients; rod: the
+    # 3 + 2 + 3 of y, v and lam per node, after the first interval's 3 of lam)
+    problem = make(Grid(1.0, 30))
+    n = problem.grid.n_interior
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        xi = rng.standard_normal(len(problem.assemble_residual(problem.initial_state())))
+        xi *= 10.0 ** rng.uniform(-14.0, 5.0, xi.size)
+        if make is RodProblem:
+            groups = xi[3:].reshape(n, 8)
+            blocks = [xi[None, :3], groups[:, :3], groups[:, 3:5], groups[:, 5:]]
+        else:
+            blocks = [xi.reshape(n, 2)]
+        want = max(np.max(np.linalg.norm(block, axis=1)) for block in blocks)
+        assert problem.norm_inf(xi) == want
+    xi[-1] = np.nan  # a NaN in any block is not masked by the others
+    assert math.isnan(problem.norm_inf(xi))
+
+
 # -- test problems for the driver ----------------------------------------------------
 
 

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundle_newton import Grid, NewtonConfig, NodalCurve, Termination, tangent_basis
+from bundle_newton import (
+    Grid, NewtonConfig, NodalCurve, Stage, Termination, nested_iteration, tangent_basis,
+)
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_OK, main
-from bundle_newton.newton import NewtonTrace
 from bundle_newton.problems import (
     GeodesicForceProblem,
     ObstacleProblem,
-    nested_iteration,
     obstacle_path_follow,
     penalty_activation,
     penalty_activation_slope,
@@ -179,7 +179,7 @@ def test_path_following_trivial_when_cap_unreachable():
     assert result.terminated is Termination.CONVERGED
     assert all(stage.problem.p == obs.p for stage in result.stages)
     assert result.stages[-1].violation == 0.0
-    assert [len(stage.trace.iterations) for stage in result.attempts] == [1]
+    assert [len(stage.iterations) for stage in result.attempts] == [1]
     assert np.array_equal(result.state.points, obs.initial_state().points)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     assert np.abs(geo.assemble_residual(result.state)).max() < 1e-10
@@ -197,7 +197,7 @@ def test_path_following_reaches_cap_band():
     assert np.array_equal(result.state.points[0], obs.gamma0)
     assert np.array_equal(result.state.points[-1], obs.gammaT)
     # all stages converged, violations never increase
-    assert all(s.trace.terminated is Termination.CONVERGED for s in result.stages)
+    assert all(s.terminated is Termination.CONVERGED for s in result.stages)
     viols = [s.violation for s in result.stages]
     assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
     # the penalty grows by at most the configured cap per stage
@@ -212,7 +212,7 @@ def test_path_following_warm_start_cheaper_than_cold():
     obs = ObstacleProblem(grid, h_ref=0.2)
     result = obstacle_path_follow(obs, NewtonConfig())
     # warm-started penalty stages settle in a few iterations each
-    late = [len(s.trace.iterations) for s in result.stages[5:]]
+    late = [len(s.iterations) for s in result.stages[5:]]
     assert max(late) <= 6
 
 
@@ -237,7 +237,7 @@ def test_path_following_takes_few_stages(n, h_ref):
     result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.CONVERGED
     assert len(result.stages) <= 15
-    assert sum(len(s.trace.iterations) for s in result.stages) <= 60
+    assert sum(len(s.iterations) for s in result.stages) <= 60
     zmax = result.state.points[:, 2].max()
     assert 1.0 - h_ref - 1e-3 <= zmax <= 1.0 - h_ref + 1e-3
     viols = [s.violation for s in result.stages]
@@ -269,7 +269,7 @@ def test_rising_violation_is_retried_with_a_smaller_factor(tmp_path):
     assert 0.7 - 1e-3 <= max(z) <= 0.7 + 1e-3
 
     problem = ObstacleProblem(Grid(1.0, 100), h_ref=0.3, p_growth=4.0)
-    result = nested_iteration(problem, NewtonConfig(), obstacle_path_follow)
+    result = nested_iteration(problem, NewtonConfig())
     assert all(s.accepted for s in result.stages)
     assert len(result.attempts) - len(result.stages) == len(rejected)
     assert [(s.problem.grid.n_interior, s.problem.p) for s in result.stages] == [
@@ -285,7 +285,7 @@ def record_solves(monkeypatch, fail_above=np.inf, failures=np.inf):
     def solve(problem, x0, cfg):
         solves.append(problem.p)
         if problem.p > fail_above and sum(p > fail_above for p in solves) <= failures:
-            return x0, NewtonTrace([], Termination.DAMPING_FAILED, "forced failure")
+            return x0, Stage(problem, [], Termination.DAMPING_FAILED, "forced failure")
         return damped_newton(problem, x0, cfg)
 
     monkeypatch.setattr(obstacle, "damped_newton", solve)
@@ -301,7 +301,7 @@ def test_failed_stage_is_retried_with_a_smaller_factor(monkeypatch):
     assert solves[:5] == [1.0, 4.0, 16.0, 64.0, 32.0]
     rejected = [s for s in result.attempts if not s.accepted]
     assert [s.problem.p for s in rejected] == [64.0]
-    assert rejected[0].trace.terminated is Termination.DAMPING_FAILED
+    assert rejected[0].terminated is Termination.DAMPING_FAILED
     assert all(s.accepted for s in result.stages)
     assert result.stages[-1].violation <= obs.violation_tol
 
@@ -358,7 +358,7 @@ def test_first_stage_raising_the_violation_ends_the_path(monkeypatch):
 
     def solve(problem, x0, cfg):
         solves.append(problem.p)
-        return higher, NewtonTrace([], Termination.CONVERGED, "forced")
+        return higher, Stage(problem, [], Termination.CONVERGED, "forced")
 
     monkeypatch.setattr(obstacle, "damped_newton", solve)
     result = obstacle_path_follow(obs, NewtonConfig())
