@@ -14,21 +14,71 @@ with partial pivoting.
 Nested iteration moves a solution to a finer grid of the same interval:
 :func:`interpolate_rows` is the piecewise-linear interpolation it is made
 of, and :meth:`NodalCurve.prolong` adds the step back onto the sphere.
+
+The three BLAS/LAPACK routines the solver calls, ``dgbtrf``, ``dgbtrs`` and
+``dgbmv``, come from scipy's compiled LAPACK and BLAS modules
+(``scipy.linalg._flapack``/``_fblas``), loaded without ``scipy.linalg``'s
+package, whose import would cost more than most runs; where scipy's layout
+differs they come from ``scipy.linalg.lapack``/``blas``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .geometry import UNIT_NORM_TOL, dot, normalized, retract_sphere, tangent_basis, tangent_project
 
 CONDITION_LIMIT = 1e14
+
+
+def _load_scipy_linalg_extension(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded without running
+    the ``__init__`` of ``scipy`` or ``scipy.linalg``; None when it cannot be
+    found or loaded.  It is registered in ``sys.modules`` under its real
+    name, so a later ``import scipy.linalg`` reuses it."""
+    qualname = f"scipy.linalg.{name}"
+    if qualname in sys.modules:
+        return sys.modules[qualname]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return None
+    path = [os.path.join(location, "linalg") for location in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(qualname, path)
+    if spec is None or spec.loader is None:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualname] = module
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(qualname, None)
+        return None
+    return module
+
+
+def _band_routines():
+    """LAPACK ``dgbtrf``/``dgbtrs`` and BLAS ``dgbmv``, the same objects that
+    ``scipy.linalg.lapack``/``blas`` export."""
+    flapack = _load_scipy_linalg_extension("_flapack")
+    fblas = _load_scipy_linalg_extension("_fblas")
+    try:
+        return flapack.dgbtrf, flapack.dgbtrs, fblas.dgbmv
+    except AttributeError:  # a module that was not loaded is None
+        from scipy.linalg.blas import dgbmv
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+        return dgbtrf, dgbtrs, dgbmv
+
+
+dgbtrf, dgbtrs, dgbmv = _band_routines()
 
 
 class SingularSystem(Exception):

@@ -18,7 +18,8 @@ DEGENERATE_NORM = 1e-12
 
 
 class DegenerateUpdate(Exception):
-    """Raised when a point update collapses to (nearly) the zero vector."""
+    """A point the problem cannot be evaluated at, such as a point update that
+    collapses to (nearly) the zero vector."""
 
 
 def dot(a, b) -> np.ndarray:

@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .fem1d import BandedMatrix, Grid
+from .geometry import DegenerateUpdate
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,11 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     Returns ``(state, stage)``.  Convergence is certified at the start of an
     outer iteration once the Newton step drops below ``cfg.tol`` (a zero step
     occurs exactly at a root); damping failures and iteration limits are
-    reported through ``stage.terminated`` rather than raised.
+    reported through ``stage.terminated`` rather than raised.  A trial point
+    that raises :class:`~bundle_newton.geometry.DegenerateUpdate`, in the
+    retraction or the trial residual, counts as a non-finite ``theta``; with
+    ``alpha`` pinned (``theta_acc = inf``) the exception propagates, as do
+    exceptions at the iterate itself.
     """
     x = x0
     alpha = cfg.alpha0
@@ -193,11 +198,17 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
 
         thetas = []
         for _trial in range(cfg.max_inner):
-            x_plus = problem.retract(x, dx, alpha)
-            r_bar = problem.assemble_residual(x, x_plus)
-            # simplified Newton step: its right-hand side vanishes along the exact Newton path
-            dx_bar = fact.solve((1.0 - alpha) * b - r_bar)
-            theta = problem.norm_inf(dx_bar) / problem.norm_inf(alpha * dx)
+            try:
+                x_plus = problem.retract(x, dx, alpha)
+                r_bar = problem.assemble_residual(x, x_plus)
+            except DegenerateUpdate:
+                if pin_alpha:  # no damping to fall back on
+                    raise
+                theta = math.inf
+            else:
+                # simplified Newton step: its right-hand side vanishes along the exact Newton path
+                dx_bar = fact.solve((1.0 - alpha) * b - r_bar)
+                theta = problem.norm_inf(dx_bar) / problem.norm_inf(alpha * dx)
             thetas.append(theta)
             alpha_used = alpha
             if not pin_alpha:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fem1d import Grid
+from ..geometry import DegenerateUpdate
 from .curve import SphereCurveProblem
 
 POLE_MARGIN = 1e-12
@@ -24,7 +25,7 @@ DEFAULT_GAMMAT = (
 )
 
 
-class PoleSingularity(Exception):
+class PoleSingularity(DegenerateUpdate):
     """Winding force evaluated too close to a pole."""
 
 

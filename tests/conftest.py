@@ -1,10 +1,25 @@
 """Shared helpers for the test suite: random points, states, FD oracles, and
 the reference scatter and dense view of band matrices."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import bundle_newton
 from bundle_newton import Grid, NodalCurve
 from bundle_newton.problems import RodState
+
+
+def run_isolated_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh ``python -I`` interpreter, with the source tree
+    of the tested ``bundle_newton`` first on ``sys.path`` and ``args`` in
+    ``sys.argv[1:]``."""
+    src = str(Path(bundle_newton.__file__).resolve().parents[1])
+    prelude = f"import sys; sys.path.insert(0, {src!r})\n"
+    return subprocess.run([sys.executable, "-I", "-c", prelude + code, *args],
+                          capture_output=True, text=True, timeout=120)
 
 
 def _first_entry(i, j, flagged) -> str:

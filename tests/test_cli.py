@@ -25,6 +25,7 @@ from bundle_newton.cli import (
     run,
 )
 from bundle_newton.problems import GeodesicForceProblem, ObstacleProblem, RodProblem
+from conftest import run_isolated_python
 
 
 def read_csv(path):
@@ -374,3 +375,20 @@ def test_exports_resolve_and_the_module_entry_point_runs():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: bundle-newton")
+
+
+def test_a_run_leaves_scipy_linalg_unimported(tmp_path):
+    # fem1d loads its LAPACK/BLAS routines without scipy.linalg's package, and
+    # registers their modules so that a later import of it reuses them
+    code = """
+from bundle_newton import cli, fem1d
+assert cli.main(["geodesic-force", "--n", "20", "--out-dir", sys.argv[1]]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert "scipy.linalg" not in sys.modules and "scipy" not in sys.modules, loaded
+import scipy.linalg.lapack
+assert fem1d.dgbtrf is scipy.linalg.lapack.dgbtrf
+assert scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"]
+"""
+    done = run_isolated_python(code, str(tmp_path / "run"))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "iterates.csv").is_file()

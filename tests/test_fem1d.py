@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from bundle_newton import (
     SingularSystem,
     tangent_basis,
 )
+from bundle_newton import fem1d
 from bundle_newton.fem1d import (
     CONDITION_LIMIT,
     assemble_intervals,
@@ -24,6 +27,7 @@ from conftest import (
     random_banded,
     random_block_tridiag,
     random_unit,
+    run_isolated_python,
     skeel_condition,
     to_dense,
 )
@@ -289,6 +293,65 @@ def test_banded_array_add_accumulates_and_checks_band():
     with pytest.raises(IndexError):
         band_add(A, np.array([0, 4]), np.array([0, 4]), 1.0)
     assert np.array_equal(to_dense(A), expected)  # a rejected add writes nothing
+
+
+def test_band_routines_are_bitwise_scipys():
+    from scipy.linalg import blas, lapack
+
+    n, kl, ku = 50, 3, 3
+    rng = np.random.default_rng(19)
+    ab = random_banded(rng, n, kl, ku)._ab
+    rhs = rng.standard_normal((n, 2))
+    y = rng.standard_normal(n)
+    ours, theirs = fem1d.dgbtrf(ab.copy(), kl, ku), lapack.dgbtrf(ab.copy(), kl, ku)
+    assert ours[2] == theirs[2] == 0
+    for ours_out, theirs_out in zip(ours[:2], theirs[:2]):
+        assert np.array_equal(ours_out, theirs_out)
+    lu, ipiv, _ = theirs
+    for trans in (0, 1):
+        x, info = fem1d.dgbtrs(lu, kl, ku, rhs, ipiv, trans=trans)
+        x_ref, info_ref = lapack.dgbtrs(lu, kl, ku, rhs, ipiv, trans=trans)
+        assert info == info_ref == 0
+        assert np.array_equal(x, x_ref)
+    assert np.array_equal(fem1d.dgbmv(len(ab), n, kl, kl + ku, 1.5, ab, y),
+                          blas.dgbmv(len(ab), n, kl, kl + ku, 1.5, ab, y))
+
+
+def test_scipy_extension_loader_returns_none_for_a_missing_module():
+    assert fem1d._load_scipy_linalg_extension("_no_such_module") is None
+    assert "scipy.linalg._no_such_module" not in sys.modules
+
+
+_LOAD_AND_SOLVE = """
+import importlib.util
+if sys.argv[1] == "fallback":  # scipy's directory cannot be found
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, package=None: (
+        None if name == "scipy" else find_spec(name, package))
+import numpy as np
+from bundle_newton import BandedMatrix, fem1d
+A = BandedMatrix(4, 1, 1)
+A._ab[1:] = [[0.0, 1.0, 1.0, 1.0], [4.0, 4.0, 4.0, 4.0], [1.0, 1.0, 1.0, 0.0]]
+dense = 4.0 * np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
+_, x = A.factorize(np.arange(4.0))
+assert np.allclose(dense @ x, np.arange(4.0), rtol=0.0, atol=1e-14), x
+print(sorted(name for name in ("scipy", "scipy.linalg", "scipy.linalg.lapack") if name in sys.modules))
+if "scipy.linalg.lapack" in sys.modules:
+    from scipy.linalg import blas, lapack
+    assert (fem1d.dgbtrf, fem1d.dgbtrs, fem1d.dgbmv) == (lapack.dgbtrf, lapack.dgbtrs, blas.dgbmv)
+"""
+
+
+@pytest.mark.parametrize("path, imported", [
+    ("fast", "[]"),
+    ("fallback", "['scipy', 'scipy.linalg', 'scipy.linalg.lapack']"),
+])
+def test_band_routines_load_without_scipy_linalg_and_through_the_fallback(path, imported):
+    # the fast path is the one taken with this scipy; the fallback imports
+    # scipy.linalg.lapack/blas and solves all the same
+    done = run_isolated_python(_LOAD_AND_SOLVE, path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == imported
 
 
 def test_banded_singular_raises():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundle_newton import (
+    DegenerateUpdate,
     Grid,
     NewtonConfig,
     Termination,
@@ -15,7 +16,12 @@ from bundle_newton import (
 )
 import bundle_newton.fem1d as fem1d
 from bundle_newton.newton import ProblemInterface
-from bundle_newton.problems import GeodesicForceProblem, ObstacleProblem, RodProblem
+from bundle_newton.problems import (
+    GeodesicForceProblem,
+    ObstacleProblem,
+    PoleSingularity,
+    RodProblem,
+)
 from conftest import (
     banded_from_dense,
     random_block_tridiag,
@@ -193,6 +199,76 @@ def test_driver_nan_trial_shrinks_the_step(max_inner):
     assert x == 1.0
     assert problem.alphas[:2] == [1.0, 0.5]
     assert all(b < a for a, b in zip(problem.alphas, problem.alphas[1:]))
+
+
+class RaisingTrialProblem(ScalarLinearProblem):
+    """The first ``n_raising`` trial points raise ``error`` (a point the
+    problem cannot be evaluated at) from ``retract`` or from the trial
+    residual, as ``where`` says; records the damping factor of each trial."""
+
+    def __init__(self, error, where, n_raising=math.inf):
+        self.error, self.where, self.n_raising = error, where, n_raising
+        self.alphas = []
+
+    def _trial_point(self, where):
+        if where == self.where and len(self.alphas) <= self.n_raising:
+            raise self.error("cannot evaluate the trial point")
+
+    def assemble_residual(self, state, trial=None):
+        if trial is not None:
+            self._trial_point("residual")
+        return super().assemble_residual(state, trial)
+
+    def retract(self, state, xi, alpha):
+        self.alphas.append(alpha)
+        self._trial_point("retract")
+        return super().retract(state, xi, alpha)
+
+
+RAISING_TRIALS = [(DegenerateUpdate, "retract"), (PoleSingularity, "residual")]
+
+
+@pytest.mark.parametrize("error, where", RAISING_TRIALS)
+@pytest.mark.parametrize("max_inner", [20, 100])
+def test_driver_raising_trial_shrinks_the_step_as_a_nan_one(error, where, max_inner):
+    cfg = NewtonConfig(max_inner=max_inner)
+    nan, raising = NaNTrialProblem(), RaisingTrialProblem(error, where)
+    nan_x, nan_trace = damped_newton(nan, 1.0, cfg)
+    x, trace = damped_newton(raising, 1.0, cfg)
+    assert trace.terminated is nan_trace.terminated is Termination.DAMPING_FAILED
+    assert trace.message == nan_trace.message.replace("nan", "inf")
+    assert x == nan_x == 1.0
+    assert raising.alphas[:2] == [1.0, 0.5]
+    assert raising.alphas == nan.alphas
+
+
+@pytest.mark.parametrize("error, where", RAISING_TRIALS)
+def test_driver_raising_trial_is_recorded_as_an_infinite_theta(error, where):
+    x, trace = damped_newton(RaisingTrialProblem(error, where, n_raising=1), 1.0, NewtonConfig())
+    assert trace.terminated is Termination.CONVERGED
+    assert x == 0.0
+    assert trace.iterations[0].thetas == (math.inf, 0.0)
+    assert trace.iterations[0].accepted_alpha == 0.5
+
+
+@pytest.mark.parametrize("error, where", RAISING_TRIALS)
+def test_driver_plain_newton_propagates_a_raising_trial(error, where):
+    # with alpha pinned no smaller step is tried, so there is nothing to reject
+    problem = RaisingTrialProblem(error, where, n_raising=1)
+    with pytest.raises(error):
+        damped_newton(problem, 1.0, NewtonConfig(theta_acc=math.inf))
+    assert problem.alphas == [1.0]
+
+
+def test_driver_propagates_a_raising_iterate():
+    class RaisingIterate(ScalarLinearProblem):
+        def assemble_residual(self, state, trial=None):
+            if trial is None:
+                raise DegenerateUpdate("cannot evaluate the iterate")
+            return super().assemble_residual(state, trial)
+
+    with pytest.raises(DegenerateUpdate):
+        damped_newton(RaisingIterate(), 1.0, NewtonConfig())
 
 
 def test_driver_root_at_start():
