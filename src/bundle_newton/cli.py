@@ -10,7 +10,8 @@ writes four artifacts into the output directory:
   with its grid size, the obstacle's penalty and violation, its Newton
   counts and termination, and the obstacle's acceptance,
 - ``meta.txt``: every resolved parameter plus ``result_*`` summary keys; the
-  file doubles as a ``--config`` input that reproduces the run.  A run that
+  file doubles as a ``--config`` input that reproduces the run, and its
+  ``problem`` line stands in for the positional argument.  A run that
   raises writes only ``meta.txt``, with ``result_status = error`` and the
   exception as ``result_message``.
 
@@ -337,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bundle-newton",
         description="Damped Newton solver for the built-in manifold variational problems.",
     )
-    parser.add_argument("problem", choices=PROBLEMS)
+    parser.add_argument("problem", nargs="?", choices=PROBLEMS,
+                        help="default: the --config file's problem line")
     parser.add_argument("--config", help="flat key=value file; flags override it")
     for f in fields(RunConfig):
         if f.name != "problem":
@@ -351,7 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     values = parse_config_file(args.config) if args.config is not None else {}
-    if values.get("problem", args.problem) != args.problem:
+    if args.problem is None:
+        if "problem" not in values:
+            raise ConfigError("no problem given: name it on the command line "
+                              "or in a --config file's problem line")
+    elif values.get("problem", args.problem) != args.problem:
         raise ConfigError(
             f"config file names problem {values['problem']!r}, "
             f"command line says {args.problem!r}"

@@ -64,7 +64,9 @@ class Termination(Enum):
 @dataclass(frozen=True)
 class NewtonIteration:
     """Record of one accepted outer iteration; ``norm_dx`` and ``residual_inf``
-    are the problem's ``norm_inf`` of the Newton step and the residual."""
+    are the problem's ``norm_inf`` of the Newton step and the residual.  A
+    convergence row that ends the solve on the simplified step's estimate
+    holds that step and the transported trial residual instead."""
 
     norm_dx: float
     accepted_alpha: float
@@ -73,7 +75,8 @@ class NewtonIteration:
 
     @property
     def inner_trials(self) -> int:
-        """Trial steps tried, one theta each; 0 on the convergence row."""
+        """Trial steps tried, one theta each; 0 on the convergence row, be it
+        the simplified step's estimate or the factorized check."""
         return len(self.thetas)
 
     @property
@@ -161,6 +164,19 @@ def update_alpha(alpha: float, theta: float, theta_des: float) -> float:
     return min(1.0, alpha * theta_des / theta)
 
 
+# largest contraction of a full step whose simplified step may stop the solve:
+# then |x_plus - x*| <= |dx_bar| / (1 - theta) <= 2 |dx_bar|
+THETA_STOP = 0.5
+
+
+def _converged(x, stage: Stage, norm_dx: float, residual_inf: float):
+    """End ``stage`` as converged at ``x`` with the convergence row."""
+    stage.iterations.append(NewtonIteration(norm_dx, 1.0, (), residual_inf))
+    stage.terminated = Termination.CONVERGED
+    stage.message = "stationary within tolerance"
+    return x, stage
+
+
 def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfig()):
     """Affine covariant damped Newton iteration.
 
@@ -170,14 +186,18 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     ``alpha`` is accepted when the contraction estimate ``theta`` stays below
     ``cfg.theta_acc``; ``alpha`` is adapted towards ``cfg.theta_des``.
 
-    Returns ``(state, stage)``.  Convergence is certified at the start of an
-    outer iteration once the Newton step drops below ``cfg.tol`` (a zero step
-    occurs exactly at a root); damping failures and iteration limits are
-    reported through ``stage.terminated`` rather than raised.  A trial point
-    that raises :class:`~bundle_newton.geometry.DegenerateUpdate`, in the
-    retraction or the trial residual, counts as a non-finite ``theta``; with
-    ``alpha`` pinned (``theta_acc = inf``) the exception propagates, as do
-    exceptions at the iterate itself.
+    Returns ``(state, stage)``.  The solve converges at the accepted trial
+    point of a full step with ``theta <= THETA_STOP`` whose simplified Newton
+    step, the estimate of the next Newton step, is within ``cfg.tol``
+    (NLEQ-ERR, Deuflhard, *Newton Methods for Nonlinear Problems*, 2004,
+    ch. 3); otherwise at the start of an outer iteration once the Newton step
+    drops below ``cfg.tol`` (a zero step occurs exactly at a root).  Damping
+    failures and iteration limits are reported through ``stage.terminated``
+    rather than raised.  A trial point that raises
+    :class:`~bundle_newton.geometry.DegenerateUpdate`, in the retraction or
+    the trial residual, counts as a non-finite ``theta``; with ``alpha``
+    pinned (``theta_acc = inf``) the exception propagates, as do exceptions
+    at the iterate itself.
     """
     x = x0
     alpha = cfg.alpha0
@@ -191,10 +211,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         norm_dx = problem.norm_inf(dx)
 
         if norm_dx <= cfg.tol:
-            stage.iterations.append(NewtonIteration(norm_dx, 1.0, (), residual_inf))
-            stage.terminated = Termination.CONVERGED
-            stage.message = "stationary within tolerance"
-            return x, stage
+            return _converged(x, stage, norm_dx, residual_inf)
 
         thetas = []
         for _trial in range(cfg.max_inner):
@@ -207,8 +224,8 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
                 theta = math.inf
             else:
                 # simplified Newton step: its right-hand side vanishes along the exact Newton path
-                dx_bar = fact.solve((1.0 - alpha) * b - r_bar)
-                theta = problem.norm_inf(dx_bar) / problem.norm_inf(alpha * dx)
+                norm_dx_bar = problem.norm_inf(fact.solve((1.0 - alpha) * b - r_bar))
+                theta = norm_dx_bar / problem.norm_inf(alpha * dx)
             thetas.append(theta)
             alpha_used = alpha
             if not pin_alpha:
@@ -232,6 +249,9 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
 
         x = x_plus
         stage.iterations.append(NewtonIteration(norm_dx, alpha_used, tuple(thetas), residual_inf))
+        # a NaN or infinite theta fails the comparison, so no stale norm_dx_bar or r_bar is read
+        if alpha_used == 1.0 and theta <= THETA_STOP and norm_dx_bar <= cfg.tol:
+            return _converged(x, stage, norm_dx_bar, problem.norm_inf(r_bar))
 
     stage.message = f"no convergence within {cfg.max_outer} outer iterations"
     return x, stage

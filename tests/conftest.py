@@ -155,6 +155,21 @@ def skeel_condition(dense) -> float:
     return float(np.max(np.abs(np.linalg.inv(dense)) @ np.abs(dense).sum(axis=1)))
 
 
+def spy_factorize(monkeypatch) -> list:
+    """Record every matrix ``BandedMatrix.factorize`` is called on, in order."""
+    from bundle_newton import BandedMatrix
+
+    matrices = []
+    factorize = BandedMatrix.factorize
+
+    def spy(A, *args):
+        matrices.append(A)
+        return factorize(A, *args)
+
+    monkeypatch.setattr(BandedMatrix, "factorize", spy)
+    return matrices
+
+
 def banded_from_dense(dense, lower_bw=None, upper_bw=None):
     """The square matrix ``dense`` in band storage, with full bandwidths unless
     given; entries outside the band must be zero."""

@@ -227,8 +227,8 @@ def test_criterion_6_rod():
     problem = RodProblem(grid)  # reference boundary data, sigma = 1, no force
     state, trace = damped_newton(problem, problem.initial_state(), NewtonConfig())
     alphas = [it.accepted_alpha for it in trace.iterations if it.inner_trials > 0]
-    # Newton steps move the iterate; the trailing row is the zero-step
-    # stationarity certificate
+    # Newton steps move the iterate; the trailing row, with no trials, is the
+    # convergence row
     steps = len(alphas)
     first_full = alphas.index(1.0) if 1.0 in alphas else None
     damped_early = any(a < 1.0 for a in alphas[: first_full or len(alphas)])
@@ -247,7 +247,7 @@ def test_criterion_6_rod():
     report(
         6,
         ok,
-        f"{steps} Newton steps (<= 15; {len(trace.iterations)} outer rows incl. certificate), "
+        f"{steps} Newton steps (<= 15; {len(trace.iterations)} outer rows incl. convergence row), "
         f"final |dx| {trace.iterations[-1].norm_dx:.1e}, damped early then full steps, "
         f"constraint residual {constraint:.1e} (<= 1e-8), |v| error {vnorm_err:.1e}",
     )

@@ -96,6 +96,32 @@ def test_meta_round_trip_reproduces_trace(tmp_path):
     assert (out1 / "curve.csv").read_text() == (out2 / "curve.csv").read_text()
 
 
+def test_meta_alone_replays_the_run(tmp_path):
+    # meta.txt names the problem, so --config needs no positional argument
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["rod", "--n", "20", "--out-dir", str(out1)]) == EXIT_OK
+    assert main(["--config", str(out1 / "meta.txt"), "--out-dir", str(out2)]) == EXIT_OK
+    for name in ("iterates.csv", "curve.csv", "stages.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_the_problem_comes_from_the_command_line_or_the_config_file(tmp_path, capsys):
+    config = tmp_path / "c.txt"
+    config.write_text("n = 8\n")
+    for argv in ([], ["--config", str(config)]):
+        assert main([*argv, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "on the command line or in a --config file's problem line" in (
+            capsys.readouterr().err
+        )
+    config.write_text("problem = rod\nn = 8\n")
+    argv = ["geodesic-force", "--config", str(config), "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert "config file names problem 'rod', command line says 'geodesic-force'" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_numbers_round_trip_losslessly(tmp_path):
     out = tmp_path / "g"
     assert main(["geodesic-force", "--n", "20", "--out-dir", str(out)]) == EXIT_OK

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bundle_newton import (
-    BandedMatrix, Grid, NewtonConfig, SingularSystem, Termination, cli, damped_newton,
+    Grid, NewtonConfig, SingularSystem, Termination, cli, damped_newton,
     grid_ladder, nested_iteration,
 )
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_INTERNAL, EXIT_OK, main
@@ -17,7 +17,7 @@ from bundle_newton.problems import (
     RodProblem,
     obstacle_path_follow,
 )
-from conftest import skeel_condition, to_dense
+from conftest import skeel_condition, spy_factorize, to_dense
 
 
 def read_rows(path):
@@ -151,17 +151,30 @@ def test_a_failed_level_ends_the_continuation_with_its_termination(n, levels, pr
     assert result.state.grid == Grid(1.0, levels[0])
 
 
+@pytest.mark.parametrize(
+    "argv, factorizations, rows",
+    [
+        (["geodesic-force", "--n", "10000"], 8, 12),
+        (["obstacle", "--n", "100", "--h-ref", "0.1"], 35, 45),
+        (["rod", "--n", "1000"], 20, 23),
+    ],
+    ids=["geodesic-n10000", "obstacle-href0.1", "rod-n1000"],
+)
+def test_bench_runs_factorize_once_per_row_but_the_convergence_rows(
+    tmp_path, monkeypatch, argv, factorizations, rows
+):
+    # the benchmark's runs: each of their 4, 10 and 3 solves ends on its last
+    # full step's simplified step, so its convergence row costs no factorization
+    matrices = spy_factorize(monkeypatch)
+    assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert len(read_rows(tmp_path / "iterates.csv")) == rows
+    assert len(matrices) == factorizations
+
+
 def test_plain_newton_on_the_rod_ladder_ends_at_a_genuinely_singular_matrix(monkeypatch):
     # rod --n 100 --theta-acc inf: the undamped steps grow to 1e9-3e10, and the
     # run stops at a matrix that no row scaling makes well conditioned
-    matrices = []
-    factorize = BandedMatrix.factorize
-
-    def spy(A, *args):
-        matrices.append(A)
-        return factorize(A, *args)
-
-    monkeypatch.setattr(BandedMatrix, "factorize", spy)
+    matrices = spy_factorize(monkeypatch)
     with pytest.raises(SingularSystem):
         nested_iteration(RodProblem(Grid(1.0, 100)), NewtonConfig(theta_acc=math.inf))
     assert skeel_condition(to_dense(matrices[-1])) >= 1e14

@@ -29,6 +29,7 @@ from conftest import (
     random_rod_state,
     random_sphere_curve,
     random_unit,
+    spy_factorize,
     to_dense,
 )
 
@@ -165,13 +166,19 @@ class StubbornProblem(ScalarLinearProblem):
         return np.array([state if trial is None else 1e3])
 
 
-def test_driver_scalar_linear_problem():
+def test_driver_scalar_linear_problem(monkeypatch):
+    matrices = spy_factorize(monkeypatch)
     x, trace = damped_newton(ScalarLinearProblem(), 1.0, NewtonConfig())
     assert trace.terminated is Termination.CONVERGED
     assert abs(x) <= 1e-10
-    assert len(trace.iterations) == 2  # one full step plus the stationarity certificate
+    assert len(trace.iterations) == 2  # one full step plus the convergence row
     assert trace.iterations[0].thetas == (0.0,)
     assert trace.iterations[0].accepted_alpha == 1.0
+    # the full step lands on the root, its simplified step is 0 and ends the
+    # solve: no second factorization confirms it
+    assert trace.iterations[-1].norm_dx == 0.0
+    assert trace.iterations[-1].thetas == ()
+    assert len(matrices) == 1
 
 
 class NaNTrialProblem(ScalarLinearProblem):
@@ -271,6 +278,86 @@ def test_driver_propagates_a_raising_iterate():
         damped_newton(RaisingIterate(), 1.0, NewtonConfig())
 
 
+# -- stopping on the simplified Newton step ---------------------------------------------
+
+
+def test_driver_does_not_stop_after_a_damped_step(monkeypatch):
+    # the damped step has theta = 0 and a zero simplified step, yet only a
+    # full step may stop the solve
+    matrices = spy_factorize(monkeypatch)
+    x, trace = damped_newton(ScalarLinearProblem(), 1.0, NewtonConfig(alpha0=0.5))
+    assert trace.terminated is Termination.CONVERGED
+    assert x == 0.0
+    assert [it.accepted_alpha for it in trace.iterations] == [0.5, 1.0, 1.0]
+    assert trace.iterations[0].thetas == (0.0,)
+    assert len(matrices) == 2
+
+
+class ContractingTrialProblem(ScalarLinearProblem):
+    """F(x) = x, with the trial residual rigged so that the full step from 1
+    has contraction ``theta`` and simplified step ``-theta``."""
+
+    def __init__(self, theta):
+        self.theta = theta
+
+    def assemble_residual(self, state, trial=None):
+        return np.array([state if trial is None else self.theta * (state - trial)])
+
+
+@pytest.mark.parametrize(
+    "theta, tol, stops",
+    [(0.4, 0.7, True), (0.5, 0.7, True), (0.6, 0.7, False), (0.9, 0.95, False), (0.4, 0.3, False)],
+)
+def test_driver_stops_only_on_a_contracting_step_within_tolerance(monkeypatch, theta, tol, stops):
+    # theta > 0.5 (but accepted) or a simplified step above tol falls through
+    # to the factorized check at the full step's point, the root 0
+    matrices = spy_factorize(monkeypatch)
+    x, trace = damped_newton(ContractingTrialProblem(theta), 1.0, NewtonConfig(tol=tol))
+    assert trace.terminated is Termination.CONVERGED
+    assert x == 0.0
+    assert trace.iterations[0].thetas == (theta,)
+    assert trace.iterations[0].accepted_alpha == 1.0
+    assert len(trace.iterations) == 2
+    assert trace.iterations[-1].norm_dx == (theta if stops else 0.0)
+    assert len(matrices) == (1 if stops else 2)
+
+
+class BadFirstTrialProblem(ScalarLinearProblem):
+    """F(x) = x, whose first trial residual is ``value`` (NaN or infinite)."""
+
+    def __init__(self, value):
+        self.value, self.trials = value, 0
+
+    def assemble_residual(self, state, trial=None):
+        if trial is None:
+            return super().assemble_residual(state)
+        self.trials += 1
+        return np.array([self.value if self.trials == 1 else trial])
+
+
+@pytest.mark.parametrize(
+    "make, cfg, alphas",
+    [
+        (lambda: BadFirstTrialProblem(math.nan), NewtonConfig(), [0.5, 1.0, 1.0]),
+        (lambda: RaisingTrialProblem(DegenerateUpdate, "retract", n_raising=1), NewtonConfig(),
+         [0.5, 1.0, 1.0]),
+        (lambda: RaisingTrialProblem(PoleSingularity, "residual", n_raising=1), NewtonConfig(),
+         [0.5, 1.0, 1.0]),
+        # plain Newton accepts the full step of infinite theta
+        (lambda: BadFirstTrialProblem(math.inf), NewtonConfig(theta_acc=math.inf), [1.0, 1.0]),
+    ],
+    ids=["nan", "raising-retract", "raising-residual", "infinite-plain"],
+)
+def test_driver_does_not_stop_after_a_non_finite_trial(monkeypatch, make, cfg, alphas):
+    matrices = spy_factorize(monkeypatch)
+    x, trace = damped_newton(make(), 1.0, cfg)
+    assert trace.terminated is Termination.CONVERGED
+    assert x == 0.0
+    assert not math.isfinite(trace.iterations[0].thetas[0])
+    assert [it.accepted_alpha for it in trace.iterations] == alphas
+    assert len(matrices) == 2  # the step after the non-finite trial is factorized
+
+
 def test_driver_root_at_start():
     x, trace = damped_newton(ScalarLinearProblem(), 0.0, NewtonConfig())
     assert trace.terminated is Termination.CONVERGED
@@ -303,14 +390,21 @@ def test_driver_max_iterations():
     assert trace.terminated is Termination.MAX_ITERATIONS
 
 
-def test_driver_undamped_mode_pins_alpha():
+def test_driver_undamped_mode_pins_alpha(monkeypatch):
     # theta_acc = inf accepts every trial and freezes alpha at alpha0
     grid = Grid(1.0, 20)
     problem = GeodesicForceProblem(grid)
     cfg = NewtonConfig(theta_acc=math.inf)
+    matrices = spy_factorize(monkeypatch)
     x, trace = damped_newton(problem, problem.initial_state(), cfg)
     assert trace.terminated is Termination.CONVERGED
     assert all(it.accepted_alpha == 1.0 for it in trace.iterations)
+    # plain Newton stops on the last step's simplified step too, and the
+    # estimate holds: the Newton step at the final state is within tol
+    assert trace.iterations[-1].thetas == () and trace.iterations[-1].norm_dx <= cfg.tol
+    assert len(matrices) == len(trace.iterations) - 1
+    _, dx = problem.assemble_jacobian(x).factorize(-problem.assemble_residual(x))
+    assert problem.norm_inf(dx) <= cfg.tol
 
 
 # -- interface consistency over the built-in problems ---------------------------------
