@@ -20,10 +20,9 @@ Every problem is solved by nested iteration on the grid ladder ``n //
 nodes (``newton.grid_ladder``): ``--n 1000`` solves on 10, 100 and 1000
 nodes, and any ``n`` below 100 is the single direct solve.  A level is the
 problem's own ``solve``: one damped Newton solve or, for the obstacle, its
-penalty path from the connecting geodesic at ``--p0`` on the coarsest level,
-resumed at the last penalty on each finer one; ``--p-growth`` caps the
-per-stage factor of the penalty weight, which the path adapts.
-``meta.txt`` records the levels run as ``result_levels``.
+penalty path (:func:`~bundle_newton.problems.obstacle_path_follow`), resumed
+at the last penalty on each finer level.  ``meta.txt`` records the levels
+run as ``result_levels``.
 A level that does not converge ends the run; on a coarse level its message
 is prefixed ``level n=<its n>:`` and ``curve.csv`` holds that level's state.
 
@@ -31,6 +30,9 @@ The fields of :class:`RunConfig` are the one list of run parameters: each
 field is a flag (``t_end`` is ``--t-end``), a ``key = value`` line of a
 ``--config`` file and, in declaration order, a line of ``meta.txt``.  The
 Newton parameters are the fields that share a name with ``NewtonConfig``.
+This module knows no problem class: ``problems.PROBLEMS`` names it, it is
+built from the grid and the same-named fields as keywords, and it names its
+``curve.csv`` columns after ``t``, its ``stages.csv`` row and ``result_*`` numbers.
 
 Exit codes: 0 converged, 2 damping failed, 3 iteration limit (also the
 obstacle's penalty stage limit), 4 configuration or usage error (bad flag or
@@ -41,6 +43,7 @@ point above the cap), 1 unexpected runtime failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -49,10 +52,7 @@ import numpy as np
 
 from .fem1d import Grid
 from .newton import NewtonConfig, Termination, nested_iteration
-from .problems import GeodesicForceProblem, ObstacleProblem, RodProblem
-from .problems import geodesic as _geodesic_defaults
-from .problems import obstacle as _obstacle_defaults
-from .problems import rod as _rod_defaults
+from .problems import PROBLEMS
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -65,8 +65,6 @@ _EXIT_BY_TERMINATION = {
     Termination.DAMPING_FAILED: EXIT_DAMPING_FAILED,
     Termination.MAX_ITERATIONS: EXIT_MAX_ITERATIONS,
 }
-
-PROBLEMS = ("geodesic-force", "obstacle", "rod")
 
 
 class ConfigError(Exception):
@@ -103,14 +101,10 @@ class RunConfig:
     v1: tuple | None = None
     out_dir: str = "out"
 
-    def validate(self):
-        """Checks that no constructor of :func:`_build` makes."""
-        if self.problem not in PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(value) -> str:
+    """A number in 17 significant digits, which round-trip; text as it is."""
+    return format(float(value), ".17g") if hasattr(value, "__float__") else value
 
 
 def number(text: str) -> float:
@@ -144,6 +138,8 @@ _CODECS = {
     "tuple | None": (triple, lambda value: ",".join(_fmt(c) for c in value)),
 }
 _FIELDS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
+_TRIPLE_FLAGS = {"--" + name.replace("_", "-") for name, (parse, _) in _FIELDS.items()
+                 if parse is triple}
 
 
 def parse_config_file(path) -> dict:
@@ -172,114 +168,51 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _with_default_boundary(cfg: RunConfig) -> RunConfig:
-    """``cfg`` with every unset boundary triple replaced by its default."""
-    curve = _geodesic_defaults if cfg.problem == "geodesic-force" else _obstacle_defaults
-    defaults = {
-        "gamma0": curve.DEFAULT_GAMMA0,
-        "gammaT": curve.DEFAULT_GAMMAT,
-        "y0": _rod_defaults.DEFAULT_Y0,
-        "y1": _rod_defaults.DEFAULT_Y1,
-        "v0": _rod_defaults.DEFAULT_V0,
-        "v1": _rod_defaults.DEFAULT_V1,
-    }
-    return replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
+def _keyword_defaults(cls) -> dict:
+    return {name: param.default for name, param in inspect.signature(cls).parameters.items()
+            if param.default is not param.empty}
 
 
-def _write_csv(path, header: str, rows, row: str | None = None) -> None:
-    """Write ``rows`` below ``header``, each through the ``%`` format ``row``.
-
-    ``rows`` is a 2-D float array, written with ``"%.17g"`` per column, or
-    a list of tuples with their own ``row`` format.  The whole table is one
-    C-level ``%`` format: ``"%.17g" % v`` is ``_fmt(v)`` for every double,
-    so numbers round-trip and small integers print exactly.
-    """
-    if row is None:
-        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        values = tuple(rows.ravel().tolist())
-    else:
-        values = tuple(value for r in rows for value in r)
-    Path(path).write_text(header + "\n" + (row * len(rows)) % values)
+def _write_csv(path, header: str, rows) -> None:
+    """Write the 2-D float array ``rows`` below ``header`` in one C-level ``%``
+    format: ``"%.17g" % v`` is ``_fmt(v)`` for every double, so numbers
+    round-trip and small integers print exactly."""
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    Path(path).write_text(header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _write_meta(path, cfg: RunConfig, results: dict) -> None:
     lines = [f"{name} = {fmt(getattr(cfg, name))}" for name, (_, fmt) in _FIELDS.items()]
-    lines.extend(f"result_{key} = {value}" for key, value in results.items())
+    lines.extend(f"result_{key} = {_fmt(value)}" for key, value in results.items())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _build(cfg: RunConfig) -> tuple:
-    """Newton parameters and problem of ``cfg``.
+    """``cfg`` with its unset triples filled, its Newton parameters and its
+    problem; a constructor's ``ValueError`` is a configuration error.
 
-    The constructors check their arguments, and a fixed obstacle end point
-    above the band is refused; a ``ValueError`` is a configuration error.
+    An unset triple takes the default of the run's problem or, for one it does
+    not take, of the last problem in ``PROBLEMS`` that does.
     """
+    if cfg.problem not in PROBLEMS:
+        raise ConfigError(f"unknown problem {cfg.problem!r}; expected one of {tuple(PROBLEMS)}")
+    cls = PROBLEMS[cfg.problem]
+    defaults = {}
+    for other in (*PROBLEMS.values(), cls):
+        defaults.update(_keyword_defaults(other))
+    cfg = replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
     try:
         grid = Grid(cfg.t_end, cfg.n)
         newton_cfg = NewtonConfig(**{f.name: getattr(cfg, f.name) for f in fields(NewtonConfig)})
-        if cfg.problem == "geodesic-force":
-            problem = GeodesicForceProblem(
-                grid, cfg.gamma0, cfg.gammaT, force_scale=cfg.force_scale
-            )
-        elif cfg.problem == "obstacle":
-            problem = ObstacleProblem(
-                grid, cfg.gamma0, cfg.gammaT, h_ref=cfg.h_ref, p=cfg.p0,
-                p_growth=cfg.p_growth, violation_tol=cfg.violation_tol,
-            )
-            if max(problem.gap(problem.gamma0), problem.gap(problem.gammaT)) > cfg.violation_tol:
-                raise ValueError(f"a boundary point lies above the cap z <= {1 - cfg.h_ref:g} "
-                                 f"by more than violation_tol = {cfg.violation_tol:g}")
-        else:
-            problem = RodProblem(grid, cfg.y0, cfg.y1, cfg.v0, cfg.v1, sigma=cfg.sigma)
+        problem = cls(grid, **{name: getattr(cfg, name) for name in _keyword_defaults(cls)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return newton_cfg, problem
-
-
-# ``stages.csv`` of the obstacle's penalty stages and of the other problems'
-# Newton solves: (header, row format); every row starts with its grid size
-_PATH_STAGES = ("n,penalty,violation,outer_iterations,inner_trials,termination,accepted",
-                "%d,%.17g,%.17g,%d,%d,%s,%d\n")
-_GRID_LEVELS = ("n,outer_iterations,inner_trials,termination", "%d,%d,%d,%s\n")
-
-
-def _solve(problem, newton_cfg: NewtonConfig) -> tuple:
-    """``(continuation, extra results, stage table, curve columns)`` of the
-    nested iteration.  The stage table is ``(header, row format, rows)``, and
-    the curve columns start with ``t``, the nodes of the final state's grid."""
-    obstacle = isinstance(problem, ObstacleProblem)
-    result = nested_iteration(problem, newton_cfg)
-    stages, rows = result.stages, []
-    for s in result.attempts:
-        n, trials = s.problem.grid.n_interior, sum(it.inner_trials for it in s.iterations)
-        counts = (len(s.iterations), trials, s.terminated.value)
-        rows.append((n, s.problem.p, s.violation, *counts, int(s.accepted)) if obstacle
-                    else (n, *counts))
-    extra = {"levels": ",".join(dict.fromkeys(str(row[0]) for row in rows))}
-    if obstacle:
-        extra["stage_count"] = str(len(stages))
-        if stages:  # empty only when the first stage failed
-            extra.update(final_p=_fmt(stages[-1].problem.p), violation=_fmt(stages[-1].violation))
-        extra["rejected_stages"] = str(len(result.attempts) - len(stages))
-    table = (*(_PATH_STAGES if obstacle else _GRID_LEVELS), rows)
-    state = result.state
-    if isinstance(problem, RodProblem):
-        # the P0 multiplier, scaled from unit rigidity to sigma, is repeated at
-        # the right node of its interval; node 0 repeats the first interval
-        lam_at_nodes = problem.sigma * np.vstack([state.lam[:1], state.lam])
-        names = ("x", "y", "z", "vx", "vy", "vz", "lx", "ly", "lz")
-        columns = dict(zip(names, np.hstack([state.y, state.v.points, lam_at_nodes]).T))
-        extra["constraint_inf"] = _fmt(np.abs(state.constraint_residuals()).max())
-    else:
-        columns = dict(zip("xyz", state.points.T))
-    return result, extra, table, {"t": state.grid.nodes, **columns}
+    return cfg, newton_cfg, problem
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configured solver run and write the output artifacts."""
-    cfg.validate()
-    cfg = _with_default_boundary(cfg)
-    newton_cfg, problem = _build(cfg)
+    cfg, newton_cfg, problem = _build(cfg)
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,17 +223,22 @@ def run(cfg: RunConfig) -> int:
         raise ConfigError(f"output directory {cfg.out_dir!r} is not writable: {exc}") from exc
 
     try:
-        result, results, stages, columns = _solve(problem, newton_cfg)
+        result = nested_iteration(problem, newton_cfg)
+        # every level solve records at least one stage, so there is a first row
+        rows = [problem.stage_row(stage) for stage in result.attempts]
+        levels = dict.fromkeys(str(stage.problem.grid.n_interior) for stage in result.attempts)
+        results = {"levels": ",".join(levels), **problem.results(result)}
+        columns = {"t": result.state.grid.nodes, **problem.columns(result.state)}
     except Exception as exc:
         _write_meta(out_dir / "meta.txt", cfg,
                     {"status": "error", "message": f"{type(exc).__name__}: {exc}"})
         raise
     iterations = [it for stage in result.stages for it in stage.iterations]
     results["status"] = result.terminated.value
-    results["outer_iterations"] = str(len(iterations))
+    results["outer_iterations"] = len(iterations)
     if iterations:
-        results["final_norm_dx"] = _fmt(iterations[-1].norm_dx)
-        results["final_residual_inf"] = _fmt(iterations[-1].residual_inf)
+        results["final_norm_dx"] = iterations[-1].norm_dx
+        results["final_residual_inf"] = iterations[-1].residual_inf
     if result.message:
         results["message"] = result.message
 
@@ -314,8 +252,8 @@ def run(cfg: RunConfig) -> int:
         ).reshape(-1, 6),
     )
     _write_csv(out_dir / "curve.csv", ",".join(columns), np.column_stack(list(columns.values())))
-    header, row, table = stages
-    _write_csv(out_dir / "stages.csv", header, table, row)
+    lines = [",".join(rows[0]), *(",".join(map(_fmt, row.values())) for row in rows)]
+    (out_dir / "stages.csv").write_text("\n".join(lines) + "\n")
     _write_meta(out_dir / "meta.txt", cfg, results)
 
     print(
@@ -327,7 +265,17 @@ def run(cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports usage errors as :class:`ConfigError`."""
+    """Argument parser that reports usage errors as :class:`ConfigError`; a
+    triple flag takes ``-0.6,0,-0.8`` as its value, where argparse sees a flag."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in _TRIPLE_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
     def error(self, message):
         raise ConfigError(message)

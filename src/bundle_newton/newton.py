@@ -151,6 +151,16 @@ class ProblemInterface(ABC):
         state, stage = damped_newton(self, start, cfg)
         return Continuation(state, [stage], stage.terminated, stage.message)
 
+    def stage_row(self, stage: Stage) -> dict:
+        """The ``stages.csv`` columns of ``stage``, by name."""
+        return {"n": stage.problem.grid.n_interior, "outer_iterations": len(stage.iterations),
+                "inner_trials": sum(it.inner_trials for it in stage.iterations),
+                "termination": stage.terminated.value}
+
+    def results(self, continuation: Continuation) -> dict:
+        """Summary numbers of a run of this problem, by name; none by default."""
+        return {}
+
 
 def update_alpha(alpha: float, theta: float, theta_des: float) -> float:
     """Step-size update ``min(1, alpha * theta_des / theta)``, 1 at ``theta = 0``.

@@ -15,7 +15,11 @@ from .obstacle import (
 )
 from .rod import RodProblem, RodState, rod_initial_guess
 
+# the command line's problem names, in its help order
+PROBLEMS = {"geodesic-force": GeodesicForceProblem, "obstacle": ObstacleProblem, "rod": RodProblem}
+
 __all__ = [
+    "PROBLEMS",
     "SphereCurveProblem",
     "GeodesicForceProblem",
     "PoleSingularity",

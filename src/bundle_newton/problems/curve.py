@@ -68,6 +68,10 @@ class SphereCurveProblem(ProblemInterface):
         """Connecting geodesic between the boundary points."""
         return NodalCurve(self.grid, connecting_geodesic_points(self.grid, self.gamma0, self.gammaT))
 
+    def columns(self, curve: NodalCurve) -> dict:
+        """The ``curve.csv`` columns after ``t``: the nodal points."""
+        return dict(zip("xyz", curve.points.T))
+
     def _covectors(self, curve: NodalCurve) -> np.ndarray:
         """Euclidean residual covectors at the interior nodes."""
         return p1_covectors(curve.points, self.grid.h, self.force_at(curve.interior))

@@ -47,7 +47,11 @@ def penalty_activation_slope(x):
 
 
 class ObstacleProblem(SphereCurveProblem):
-    """Penalized geodesic problem below the polar cap ``y3 <= 1 - h_ref``."""
+    """Penalized geodesic problem below the polar cap ``y3 <= 1 - h_ref``.
+
+    ``p0`` is the first stage's penalty weight ``p``.  End points above the
+    cap by more than ``violation_tol`` are refused (``ValueError``).
+    """
 
     def __init__(
         self,
@@ -55,15 +59,15 @@ class ObstacleProblem(SphereCurveProblem):
         gamma0=DEFAULT_GAMMA0,
         gammaT=DEFAULT_GAMMAT,
         h_ref: float = 0.1,
-        p: float = 1.0,
+        p0: float = 1.0,
         p_growth: float = 4.0,
         violation_tol: float = 1e-3,
     ):
         super().__init__(grid, gamma0, gammaT)
         if not 0.0 < h_ref < 1.0:
             raise ValueError(f"h_ref must lie in (0, 1), got {h_ref!r}")
-        if not 0.0 < p < np.inf:
-            raise ValueError(f"penalty weight must be positive and finite, got {p!r}")
+        if not 0.0 < p0 < np.inf:
+            raise ValueError(f"penalty weight must be positive and finite, got {p0!r}")
         if not 1.0 < p_growth < np.inf:
             raise ValueError(f"penalty growth factor must exceed 1 and be finite, got {p_growth!r}")
         if not 0.0 <= violation_tol < np.inf:
@@ -71,9 +75,13 @@ class ObstacleProblem(SphereCurveProblem):
                 f"violation tolerance must be nonnegative and finite, got {violation_tol!r}"
             )
         self.h_ref = float(h_ref)
-        self.p = float(p)
+        self.p = float(p0)
         self.p_growth = float(p_growth)
         self.violation_tol = float(violation_tol)
+        # no penalty moves a fixed end point, so the path could never reach the band
+        if max(self.gap(self.gamma0), self.gap(self.gammaT)) > self.violation_tol:
+            raise ValueError(f"a boundary point lies above the cap z <= {1 - self.h_ref:g} "
+                             f"by more than violation_tol = {self.violation_tol:g}")
 
     def gap(self, y):
         """Constraint values ``y3 - 1 + h_ref`` per point; positive above the cap."""
@@ -94,6 +102,20 @@ class ObstacleProblem(SphereCurveProblem):
     def solve(self, cfg: NewtonConfig, start) -> Continuation:
         """The level solve of the nested iteration: the penalty path from ``start``."""
         return obstacle_path_follow(self, cfg, start)
+
+    def stage_row(self, stage) -> dict:
+        """The solve's columns with penalty and violation after ``n``, acceptance last."""
+        row = super().stage_row(stage)
+        return {"n": row.pop("n"), "penalty": stage.problem.p, "violation": stage.violation,
+                **row, "accepted": int(stage.accepted)}
+
+    def results(self, continuation: Continuation) -> dict:
+        stages = continuation.stages
+        out = {"stage_count": len(stages)}
+        if stages:  # empty only when the first stage failed
+            out.update(final_p=stages[-1].problem.p, violation=stages[-1].violation)
+        out["rejected_stages"] = len(continuation.attempts) - len(stages)
+        return out
 
 
 def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonConfig(),

@@ -142,6 +142,16 @@ class RodProblem(ProblemInterface):
     def initial_state(self) -> RodState:
         return rod_initial_guess(self.grid, self.y0, self.y1, self.v0, self.v1)
 
+    def columns(self, state: RodState) -> dict:
+        """The ``curve.csv`` columns after ``t``; the P0 multiplier, scaled to
+        ``sigma``, is repeated at its interval's right node and at node 0."""
+        lam_at_nodes = self.sigma * np.vstack([state.lam[:1], state.lam])
+        names = ("x", "y", "z", "vx", "vy", "vz", "lx", "ly", "lz")
+        return dict(zip(names, np.hstack([state.y, state.v.points, lam_at_nodes]).T))
+
+    def results(self, continuation) -> dict:
+        return {"constraint_inf": np.abs(continuation.state.constraint_residuals()).max()}
+
     # -- nodal residual covectors ---------------------------------------------
 
     def _v_covectors(self, state: RodState) -> np.ndarray:

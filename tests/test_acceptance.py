@@ -56,7 +56,7 @@ def test_criterion_1_jacobian_consistency():
 
     def states():
         geo = GeodesicForceProblem(grid)
-        obs = ObstacleProblem(grid, h_ref=0.3, p=2.0)
+        obs = ObstacleProblem(grid, h_ref=0.3, p0=2.0)
         rod = RodProblem(grid)
         for _ in range(20):
             yield geo, random_sphere_curve(grid, rng, z_margin=0.05)

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -16,7 +17,7 @@ from bundle_newton.cli import (
     EXIT_OK,
     ConfigError,
     RunConfig,
-    _with_default_boundary,
+    _build,
     _write_csv,
     build_parser,
     config_from_args,
@@ -185,6 +186,40 @@ def test_rod_curve_columns(tmp_path):
     assert alphas[0] < 1.0 and alphas[-1] == 1.0
 
 
+# per problem at --n 20: the stages.csv header, the curve.csv header and the
+# result_* keys of meta.txt in order (a converged path writes no message)
+_LAYOUTS = {
+    "geodesic-force": (
+        "n,outer_iterations,inner_trials,termination",
+        "t,x,y,z",
+        ["levels", "status", "outer_iterations", "final_norm_dx", "final_residual_inf",
+         "message"],
+    ),
+    "obstacle": (
+        "n,penalty,violation,outer_iterations,inner_trials,termination,accepted",
+        "t,x,y,z",
+        ["levels", "stage_count", "final_p", "violation", "rejected_stages", "status",
+         "outer_iterations", "final_norm_dx", "final_residual_inf"],
+    ),
+    "rod": (
+        "n,outer_iterations,inner_trials,termination",
+        "t,x,y,z,vx,vy,vz,lx,ly,lz",
+        ["levels", "constraint_inf", "status", "outer_iterations", "final_norm_dx",
+         "final_residual_inf", "message"],
+    ),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_LAYOUTS))
+def test_artifact_layout_per_problem(tmp_path, problem):
+    stages_header, curve_header, result_keys = _LAYOUTS[problem]
+    assert main([problem, "--n", "20", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "stages.csv").read_text().splitlines()[0] == stages_header
+    assert (tmp_path / "curve.csv").read_text().splitlines()[0] == curve_header
+    keys = [line.split(" = ", 1)[0] for line in (tmp_path / "meta.txt").read_text().splitlines()]
+    assert [key[len("result_"):] for key in keys if key.startswith("result_")] == result_keys
+
+
 def test_rod_sigma_only_scales_the_written_multiplier(tmp_path):
     # with no external load the rigidity scales the multiplier and nothing
     # else: the Newton iterates are those of sigma = 1 whatever sigma is
@@ -328,19 +363,89 @@ def test_run_config_defaults_are_the_library_defaults():
     newton = NewtonConfig()
     for f in fields(NewtonConfig):
         assert getattr(cfg, f.name) == getattr(newton, f.name), f.name
-    geodesic = keyword_defaults(GeodesicForceProblem)
-    obstacle = keyword_defaults(ObstacleProblem)
+    # every keyword of every problem is a field, and its default the field's
+    # or, for an unset triple, the filled one
+    for problem, cls in problems.PROBLEMS.items():
+        filled = _build(RunConfig(problem=problem))[0]
+        for name, default in keyword_defaults(cls).items():
+            assert getattr(filled, name) == default, (problem, name)
+    # meta.txt records all six triples: one a problem does not take is the
+    # default of the last problem that does
     rod = keyword_defaults(RodProblem)
-    assert cfg.force_scale == geodesic["force_scale"]
-    assert (cfg.h_ref, cfg.p0, cfg.p_growth, cfg.violation_tol) == (
-        obstacle["h_ref"], obstacle["p"], obstacle["p_growth"], obstacle["violation_tol"]
-    )
-    assert cfg.sigma == rod["sigma"]
-    for problem, defaults in [("geodesic-force", geodesic), ("obstacle", obstacle), ("rod", rod)]:
-        filled = _with_default_boundary(RunConfig(problem=problem))
-        names = ("y0", "y1", "v0", "v1") if problem == "rod" else ("gamma0", "gammaT")
-        for name in names:
-            assert getattr(filled, name) == defaults[name], (problem, name)
+    obstacle = keyword_defaults(ObstacleProblem)
+    for problem in ("geodesic-force", "obstacle"):
+        filled = _build(RunConfig(problem=problem))[0]
+        for name in ("y0", "y1", "v0", "v1"):
+            assert getattr(filled, name) == rod[name], (problem, name)
+    filled = _build(RunConfig(problem="rod"))[0]
+    assert (filled.gamma0, filled.gammaT) == (obstacle["gamma0"], obstacle["gammaT"])
+    assert filled.gamma0 != keyword_defaults(GeodesicForceProblem)["gamma0"]
+
+
+def test_negative_triples_parse_after_a_space(tmp_path):
+    # argparse reads "-0.6,0,-0.8" as a flag; after a triple flag it is its value
+    for space, equals in [
+        (["geodesic-force", "--n", "20", "--gamma0", "-0.6,0,-0.8"],
+         ["geodesic-force", "--n", "20", "--gamma0=-0.6,0,-0.8"]),
+        (["rod", "--n", "20", "--y1", "-0.8,0,0",
+          "--v0", "-0.4472135954999579,0,0.8944271909999159",
+          "--v1", "-0.6246950475544243,0,0.7808688094430304"],
+         ["rod", "--n", "20", "--y1=-0.8,0,0", "--v0=-0.4472135954999579,0,0.8944271909999159",
+          "--v1=-0.6246950475544243,0,0.7808688094430304"]),
+    ]:
+        assert (config_from_args(build_parser().parse_args(space))
+                == config_from_args(build_parser().parse_args(equals)))
+        outs = [tmp_path / space[0] / form for form in ("space", "equals")]
+        for argv, out in zip((space, equals), outs):
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_OK, argv
+        for name in ("iterates.csv", "curve.csv", "stages.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (space, name)
+        meta = [(out / "meta.txt").read_text() for out in outs]
+        assert meta[0].replace(str(outs[0]), str(outs[1])) == meta[1]
+
+
+def _problem_branches(source: str) -> list:
+    """The lines of ``source`` that know a problem class: an import from
+    ``.problems`` other than ``PROBLEMS``, a problem class or ``DEFAULT_*``
+    name, an ``isinstance`` call, or a ``.problem`` compared with a string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("problems"):
+            names = [alias.name for alias in node.names]
+            if node.module != "problems" or names != ["PROBLEMS"]:
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            if "problems" in [alias.name for alias in node.names]:
+                found.append(node.lineno)
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in ("GeodesicForceProblem", "ObstacleProblem", "RodProblem", "isinstance") or (
+            name or ""
+        ).startswith("DEFAULT_"):
+            found.append(node.lineno)
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            literals = [c for o in operands for c in [o, *getattr(o, "elts", [])]
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            if literals and any(getattr(o, "attr", None) == "problem" for o in operands):
+                found.append(node.lineno)
+    return found
+
+
+def test_the_command_line_knows_no_problem_class():
+    # the command line reaches the problems through problems.PROBLEMS alone
+    assert _problem_branches(Path(inspect.getfile(bundle_newton.cli)).read_text()) == []
+    # and the check sees each kind of branch
+    for source in (
+        "from .problems import PROBLEMS, RodProblem",
+        "from .problems.rod import DEFAULT_Y0",
+        "from . import problems",
+        "problem = problems.ObstacleProblem(grid)",
+        "obstacle = isinstance(problem, type(problem))",
+        "defaults = rod.DEFAULT_Y0",
+        "rod = cfg.problem == 'rod'",
+        "curve = cfg.problem in ('geodesic-force', 'obstacle')",
+    ):
+        assert _problem_branches(source) == [1], source
 
 
 def test_config_file_parsing(tmp_path):

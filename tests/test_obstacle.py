@@ -52,7 +52,7 @@ def test_penalty_slope_at_kink_is_zero():
 
 def test_inactive_curve_reduces_to_geodesic():
     grid = Grid(1.0, 8)
-    obs = ObstacleProblem(grid, h_ref=0.1, p=7.0)
+    obs = ObstacleProblem(grid, h_ref=0.1, p0=7.0)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     curve = low_curve(grid, z_top=0.5)
     assert obs.violation(curve) == 0.0
@@ -65,7 +65,7 @@ def test_inactive_curve_reduces_to_geodesic():
 def test_single_violating_node_penalty_contribution():
     grid = Grid(1.0, 6)
     p = 3.5
-    obs = ObstacleProblem(grid, h_ref=0.3, p=p)
+    obs = ObstacleProblem(grid, h_ref=0.3, p0=p)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     pts = low_curve(grid, z_top=0.2, seed=1).points.copy()
     delta = 0.04
@@ -85,7 +85,7 @@ def test_single_violating_node_penalty_contribution():
 def test_penalty_part_linear_in_p():
     grid = Grid(1.0, 8)
     rng_curve = random_obstacle_curve(grid, np.random.default_rng(2), ObstacleProblem(grid, h_ref=0.4))
-    obs1 = ObstacleProblem(grid, h_ref=0.4, p=1.3)
+    obs1 = ObstacleProblem(grid, h_ref=0.4, p0=1.3)
     obs2 = obs1.replace(p=2.6)
     geo = GeodesicForceProblem(grid, gamma0=obs1.gamma0, gammaT=obs1.gammaT, force_scale=0.0)
     pen1 = obs1.assemble_residual(rng_curve) - geo.assemble_residual(rng_curve)
@@ -104,7 +104,24 @@ def test_replace_copies_without_the_constructor_checks():
     assert coarse.h_ref == obs.h_ref and coarse.gamma0 is obs.gamma0
 
 
+def test_constructor_refuses_end_points_above_the_band():
+    # no penalty moves a fixed end point, so none could bring it into the band
+    # z <= 1 - h_ref + violation_tol; the default end points lie at z = 0.6
+    grid = Grid(1.0, 8)
+    for h_ref in (0.45, 0.95):
+        with pytest.raises(ValueError, match=f"above the cap z <= {1 - h_ref:g} "):
+            ObstacleProblem(grid, h_ref=h_ref)
+    with pytest.raises(ValueError, match="by more than violation_tol = 0.001"):
+        ObstacleProblem(grid, (0.8, 0.0, -0.6), (0.0, 0.0, 1.0))  # the second end point
+    # on the cap, or above it by at most violation_tol, is inside the band
+    ObstacleProblem(grid, h_ref=0.4)
+    ObstacleProblem(grid, h_ref=0.45, violation_tol=0.06)
+
+
 # -- Jacobian ----------------------------------------------------------------------
+
+# end points on the equator, below every cap; the Jacobian does not read them
+EQUATOR = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
 def test_fully_active_jacobian_difference():
@@ -112,7 +129,8 @@ def test_fully_active_jacobian_difference():
     # the nodal penalty stiffness plus the penalty part of the connection term
     grid = Grid(1.0, 5)
     p = 2.0
-    obs = ObstacleProblem(grid, h_ref=0.95, p=p)  # cap at z = 0.05
+    # cap at z = 0.05, equatorial end points below it
+    obs = ObstacleProblem(grid, *EQUATOR, h_ref=0.95, p0=p)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     rng = np.random.default_rng(3)
     pts = []
@@ -144,7 +162,7 @@ def test_fully_active_jacobian_difference():
 
 def test_node_exactly_on_cap_uses_zero_slope():
     grid = Grid(1.0, 4)
-    obs = ObstacleProblem(grid, h_ref=0.5, p=10.0)
+    obs = ObstacleProblem(grid, *EQUATOR, h_ref=0.5, p0=10.0)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     pts = low_curve(grid, z_top=0.1, seed=4).points.copy()
     z = 1.0 - obs.h_ref
@@ -159,7 +177,7 @@ def test_node_exactly_on_cap_uses_zero_slope():
 def test_jacobian_fd_consistency_away_from_kink():
     rng = np.random.default_rng(5)
     grid = Grid(1.0, 8)
-    obs = ObstacleProblem(grid, h_ref=0.3, p=2.5)
+    obs = ObstacleProblem(grid, h_ref=0.3, p0=2.5)
     for _ in range(3):
         curve = random_obstacle_curve(grid, rng, obs)
         assert jacobian_fd_error(obs, curve, rng) < 1e-6
