@@ -26,13 +26,17 @@ run as ``result_levels``.
 A level that does not converge ends the run; on a coarse level its message
 is prefixed ``level n=<its n>:`` and ``curve.csv`` holds that level's state.
 
-The fields of :class:`RunConfig` are the one list of run parameters: each
-field is a flag (``t_end`` is ``--t-end``), a ``key = value`` line of a
-``--config`` file and, in declaration order, a line of ``meta.txt``.  The
-Newton parameters are the fields that share a name with ``NewtonConfig``.
-This module knows no problem class: ``problems.PROBLEMS`` names it, it is
-built from the grid and the same-named fields as keywords, and it names its
-``curve.csv`` columns after ``t``, its ``stages.csv`` row and ``result_*`` numbers.
+The problem's constructor and ``NewtonConfig`` are the one list of run
+parameters: :func:`parameters` gives those of a problem at their defaults,
+in ``meta.txt`` order (the problem, the grid's ``n`` and ``t_end``, the
+``NewtonConfig`` fields, the keywords of the problem's class and
+``out_dir``).  Each parameter is a flag (``t_end`` is ``--t-end``), a ``key =
+value`` line of a ``--config`` file and a line of ``meta.txt``, parsed and
+formatted by the type of its default; the flags are those of all problems,
+and one the run's problem does not take is a configuration error.  This
+module knows no problem class: ``problems.PROBLEMS`` names it, it is built
+from the grid and its keywords, and it names its ``curve.csv`` columns
+after ``t``, its ``stages.csv`` row and ``result_*`` numbers.
 
 Exit codes: 0 converged, 2 damping failed, 3 iteration limit (also the
 obstacle's penalty stage limit), 4 configuration or usage error (bad flag or
@@ -43,9 +47,10 @@ point above the cap), 1 unexpected runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -69,37 +74,6 @@ _EXIT_BY_TERMINATION = {
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Run parameters in ``meta.txt`` order; a ``None`` triple takes the problem default."""
-
-    problem: str = ""
-    n: int = 100
-    max_outer: int = 50
-    max_inner: int = 20
-    t_end: float = 1.0
-    tol: float = 1e-10
-    theta_des: float = 0.5
-    theta_acc: float = 0.9
-    alpha0: float = 1.0
-    alpha_fail: float = 1e-8
-    force_scale: float = 3.0
-    h_ref: float = 0.1
-    p0: float = 1.0
-    p_growth: float = field(
-        default=4.0, metadata={"help": "cap on the obstacle's per-stage penalty factor"}
-    )
-    violation_tol: float = 1e-3
-    sigma: float = 1.0
-    gamma0: tuple | None = None
-    gammaT: tuple | None = None
-    y0: tuple | None = None
-    y1: tuple | None = None
-    v0: tuple | None = None
-    v1: tuple | None = None
-    out_dir: str = "out"
 
 
 def _fmt(value) -> str:
@@ -129,17 +103,32 @@ def triple(text: str) -> tuple:
     return tuple(number(p) for p in parts)
 
 
-# field annotation (a string under the __future__ import) -> (parse, format);
-# the parsers reject NaN for every field, whichever problem reads it
+@functools.cache  # a signature is read on every call of main
+def _keyword_defaults(cls) -> dict:
+    return {name: param.default for name, param in inspect.signature(cls).parameters.items()
+            if param.default is not param.empty}
+
+
+def parameters(problem: str) -> dict:
+    """Every run parameter of ``problem`` at its default, in ``meta.txt`` order."""
+    if problem not in PROBLEMS:
+        raise ConfigError(f"unknown problem {problem!r}; expected one of {tuple(PROBLEMS)}")
+    return {"problem": problem, "n": 100, "t_end": 1.0,
+            **{f.name: f.default for f in fields(NewtonConfig)},
+            **_keyword_defaults(PROBLEMS[problem]), "out_dir": "out"}
+
+
+# the type of a parameter's default -> (parse, format); the parsers reject NaN
+# for every parameter, whichever problem reads it
 _CODECS = {
-    "str": (str, str),
-    "int": (int, str),
-    "float": (number, _fmt),
-    "tuple | None": (triple, lambda value: ",".join(_fmt(c) for c in value)),
+    str: (str, str),
+    int: (int, str),
+    float: (number, _fmt),
+    tuple: (triple, lambda value: ",".join(_fmt(c) for c in value)),
 }
-_FIELDS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
-_TRIPLE_FLAGS = {"--" + name.replace("_", "-") for name, (parse, _) in _FIELDS.items()
-                 if parse is triple}
+# the parameters of all problems, each with its codec: the flags and --config keys
+_KEYS = {key: _CODECS[type(default)]
+         for name in PROBLEMS for key, default in parameters(name).items()}
 
 
 def parse_config_file(path) -> dict:
@@ -159,18 +148,13 @@ def parse_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("result_"):
             continue
-        if key not in _FIELDS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
         try:
-            out[key] = _FIELDS[key][0](value)
+            out[key] = _KEYS[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: invalid value {value!r} for {key}") from exc
     return out
-
-
-def _keyword_defaults(cls) -> dict:
-    return {name: param.default for name, param in inspect.signature(cls).parameters.items()
-            if param.default is not param.empty}
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -181,46 +165,30 @@ def _write_csv(path, header: str, rows) -> None:
     Path(path).write_text(header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def _write_meta(path, cfg: RunConfig, results: dict) -> None:
-    lines = [f"{name} = {fmt(getattr(cfg, name))}" for name, (_, fmt) in _FIELDS.items()]
+def _write_meta(path, cfg: dict, results: dict) -> None:
+    lines = [f"{key} = {_KEYS[key][1](value)}" for key, value in cfg.items()]
     lines.extend(f"result_{key} = {_fmt(value)}" for key, value in results.items())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _build(cfg: RunConfig) -> tuple:
-    """``cfg`` with its unset triples filled, its Newton parameters and its
-    problem; a constructor's ``ValueError`` is a configuration error.
-
-    An unset triple takes the default of the run's problem or, for one it does
-    not take, of the last problem in ``PROBLEMS`` that does.
-    """
-    if cfg.problem not in PROBLEMS:
-        raise ConfigError(f"unknown problem {cfg.problem!r}; expected one of {tuple(PROBLEMS)}")
-    cls = PROBLEMS[cfg.problem]
-    defaults = {}
-    for other in (*PROBLEMS.values(), cls):
-        defaults.update(_keyword_defaults(other))
-    cfg = replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
+def run(cfg: dict) -> int:
+    """Execute the run of ``cfg``, a :func:`parameters` dict, and write the
+    output artifacts; a constructor's ``ValueError`` is a configuration error."""
+    cls = PROBLEMS[cfg["problem"]]
     try:
-        grid = Grid(cfg.t_end, cfg.n)
-        newton_cfg = NewtonConfig(**{f.name: getattr(cfg, f.name) for f in fields(NewtonConfig)})
-        problem = cls(grid, **{name: getattr(cfg, name) for name in _keyword_defaults(cls)})
+        grid = Grid(cfg["t_end"], cfg["n"])
+        newton_cfg = NewtonConfig(**{f.name: cfg[f.name] for f in fields(NewtonConfig)})
+        problem = cls(grid, **{name: cfg[name] for name in _keyword_defaults(cls)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg, newton_cfg, problem
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one configured solver run and write the output artifacts."""
-    cfg, newton_cfg, problem = _build(cfg)
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg["out_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         probe = out_dir / ".write_probe"
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        raise ConfigError(f"output directory {cfg.out_dir!r} is not writable: {exc}") from exc
+        raise ConfigError(f"output directory {cfg['out_dir']!r} is not writable: {exc}") from exc
 
     try:
         result = nested_iteration(problem, newton_cfg)
@@ -257,7 +225,7 @@ def run(cfg: RunConfig) -> int:
     _write_meta(out_dir / "meta.txt", cfg, results)
 
     print(
-        f"{cfg.problem}: {result.terminated.value} after {len(iterations)} outer iterations"
+        f"{cfg['problem']}: {result.terminated.value} after {len(iterations)} outer iterations"
         + (f" ({result.message})" if result.message else "")
     )
     print(f"artifacts written to {out_dir}")
@@ -265,13 +233,16 @@ def run(cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports usage errors as :class:`ConfigError`; a
-    triple flag takes ``-0.6,0,-0.8`` as its value, where argparse sees a flag."""
+    """Argument parser that reports usage errors as :class:`ConfigError`.
+    Every flag but ``--help`` takes a value, so a flag without ``=`` takes a
+    following ``-1e-3`` or ``-0.6,0,-0.8``, where argparse sees a flag."""
 
     def parse_known_args(self, args=None, namespace=None):
         joined = []
         for arg in sys.argv[1:] if args is None else args:
-            if joined and joined[-1] in _TRIPLE_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+            flag = joined[-1] if joined else ""
+            if (flag[:2] == "--" and "=" not in flag and flag != "--help"
+                    and arg[:1] == "-" and arg[:2] != "--"):
                 joined[-1] += "=" + arg
             else:
                 joined.append(arg)
@@ -289,17 +260,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("problem", nargs="?", choices=PROBLEMS,
                         help="default: the --config file's problem line")
     parser.add_argument("--config", help="flat key=value file; flags override it")
-    for f in fields(RunConfig):
-        if f.name != "problem":
-            default = "per problem" if f.default is None else f.default
-            parser.add_argument(
-                "--" + f.name.replace("_", "-"), dest=f.name, type=_FIELDS[f.name][0],
-                help="; ".join([*f.metadata.values(), f"default: {default}"]),
-            )
+    defaults = [parameters(name) for name in PROBLEMS]
+    for key, (parse, fmt) in _KEYS.items():
+        if key == "problem":
+            continue
+        # a problem-only flag names the problems that take it
+        taken = {params["problem"]: fmt(params[key]) for params in defaults if key in params}
+        if len(taken) == len(PROBLEMS):
+            text = f"default: {taken.popitem()[1]}"
+        else:
+            text = ", ".join(f"{name} (default: {value})" for name, value in taken.items())
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, help=text)
     return parser
 
 
-def config_from_args(args) -> RunConfig:
+def config_from_args(args) -> dict:
+    """The problem's parameters, updated by the ``--config`` file, then by the
+    flags; a parameter the problem does not take is a :class:`ConfigError`."""
     values = parse_config_file(args.config) if args.config is not None else {}
     if args.problem is None:
         if "problem" not in values:
@@ -310,8 +287,13 @@ def config_from_args(args) -> RunConfig:
             f"config file names problem {values['problem']!r}, "
             f"command line says {args.problem!r}"
         )
-    values.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
-    return RunConfig(**values)
+    values.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
+    cfg = parameters(values["problem"])
+    foreign = [key for key in values if key not in cfg]
+    if foreign:
+        raise ConfigError(f"{cfg['problem']} takes no {', '.join(foreign)}")
+    cfg.update(values)
+    return cfg
 
 
 def main(argv=None) -> int:

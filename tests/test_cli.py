@@ -3,29 +3,24 @@ import inspect
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bundle_newton
-from bundle_newton import NewtonConfig, problems
+from bundle_newton import Grid, NewtonConfig, nested_iteration, problems
 from bundle_newton.cli import (
     EXIT_CONFIG,
     EXIT_MAX_ITERATIONS,
     EXIT_OK,
-    ConfigError,
-    RunConfig,
-    _build,
     _write_csv,
     build_parser,
     config_from_args,
     main,
+    parameters,
     parse_config_file,
-    run,
 )
-from bundle_newton.problems import GeodesicForceProblem, ObstacleProblem, RodProblem
 from conftest import run_isolated_python
 
 
@@ -97,10 +92,11 @@ def test_meta_round_trip_reproduces_trace(tmp_path):
     assert (out1 / "curve.csv").read_text() == (out2 / "curve.csv").read_text()
 
 
-def test_meta_alone_replays_the_run(tmp_path):
+@pytest.mark.parametrize("problem", problems.PROBLEMS)
+def test_meta_alone_replays_the_run(tmp_path, problem):
     # meta.txt names the problem, so --config needs no positional argument
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["rod", "--n", "20", "--out-dir", str(out1)]) == EXIT_OK
+    assert main([problem, "--n", "20", "--out-dir", str(out1)]) == EXIT_OK
     assert main(["--config", str(out1 / "meta.txt"), "--out-dir", str(out2)]) == EXIT_OK
     for name in ("iterates.csv", "curve.csv", "stages.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -186,38 +182,47 @@ def test_rod_curve_columns(tmp_path):
     assert alphas[0] < 1.0 and alphas[-1] == 1.0
 
 
-# per problem at --n 20: the stages.csv header, the curve.csv header and the
-# result_* keys of meta.txt in order (a converged path writes no message)
+# the parameter keys of meta.txt that every problem writes, in order
+_RUN_KEYS = ["problem", "n", "t_end", "tol", "theta_des", "theta_acc", "alpha0", "alpha_fail",
+             "max_outer", "max_inner"]
+
+# per problem at --n 20: the stages.csv header, the curve.csv header, the
+# result_* keys of meta.txt in order (a converged path writes no message) and
+# its parameter keys in order
 _LAYOUTS = {
     "geodesic-force": (
         "n,outer_iterations,inner_trials,termination",
         "t,x,y,z",
         ["levels", "status", "outer_iterations", "final_norm_dx", "final_residual_inf",
          "message"],
+        [*_RUN_KEYS, "gamma0", "gammaT", "force_scale", "out_dir"],
     ),
     "obstacle": (
         "n,penalty,violation,outer_iterations,inner_trials,termination,accepted",
         "t,x,y,z",
         ["levels", "stage_count", "final_p", "violation", "rejected_stages", "status",
          "outer_iterations", "final_norm_dx", "final_residual_inf"],
+        [*_RUN_KEYS, "gamma0", "gammaT", "h_ref", "p0", "p_growth", "violation_tol", "out_dir"],
     ),
     "rod": (
         "n,outer_iterations,inner_trials,termination",
         "t,x,y,z,vx,vy,vz,lx,ly,lz",
         ["levels", "constraint_inf", "status", "outer_iterations", "final_norm_dx",
          "final_residual_inf", "message"],
+        [*_RUN_KEYS, "y0", "y1", "v0", "v1", "sigma", "out_dir"],
     ),
 }
 
 
 @pytest.mark.parametrize("problem", sorted(_LAYOUTS))
 def test_artifact_layout_per_problem(tmp_path, problem):
-    stages_header, curve_header, result_keys = _LAYOUTS[problem]
+    stages_header, curve_header, result_keys, parameter_keys = _LAYOUTS[problem]
     assert main([problem, "--n", "20", "--out-dir", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / "stages.csv").read_text().splitlines()[0] == stages_header
     assert (tmp_path / "curve.csv").read_text().splitlines()[0] == curve_header
     keys = [line.split(" = ", 1)[0] for line in (tmp_path / "meta.txt").read_text().splitlines()]
     assert [key[len("result_"):] for key in keys if key.startswith("result_")] == result_keys
+    assert [key for key in keys if not key.startswith("result_")] == parameter_keys
 
 
 def test_rod_sigma_only_scales_the_written_multiplier(tmp_path):
@@ -239,10 +244,27 @@ def test_rod_sigma_only_scales_the_written_multiplier(tmp_path):
         assert curve[:, 7:].tobytes() == (sigma * ref_curve[:, 7:]).tobytes(), sigma
 
 
-def test_unknown_problem_is_config_error(capsys):
-    # argparse rejects the positional before our validation, so call run()
-    with pytest.raises(ConfigError):
-        run(RunConfig(problem="nonsense"))
+def test_unknown_problem_is_config_error(tmp_path, capsys):
+    # argparse rejects an unknown positional, a config file's problem line is checked
+    config = tmp_path / "c.txt"
+    config.write_text("problem = nonsense\n")
+    assert main(["--config", str(config), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "unknown problem 'nonsense'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_parameter_the_problem_does_not_take_is_refused(tmp_path, capsys):
+    config = tmp_path / "c.txt"
+    config.write_text("problem = rod\nn = 20\ngamma0 = 0.8,0,0.6\n")
+    out = tmp_path / "o"
+    for argv, message in [
+        (["geodesic-force", "--n", "20", "--sigma", "-1"], "geodesic-force takes no sigma"),
+        (["rod", "--n", "20", "--h-ref", "0.2"], "rod takes no h_ref"),
+        (["--config", str(config)], "rod takes no gamma0"),
+    ]:
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_CONFIG, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
@@ -325,65 +347,55 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
         assert bad in capsys.readouterr().err, argv
 
 
-def test_every_field_round_trips_through_flags_and_meta(tmp_path):
-    # one non-default value per RunConfig field, some needing all 17 digits;
-    # a field missing from the flags, the converters or meta.txt breaks the
-    # round trip
+# per problem, one non-default value for each constructor keyword
+_OWN_VALUES = {
+    "geodesic-force": {"gamma0": (0.6, 0.0, -0.8), "gammaT": (0.0, 0.6, -0.8),
+                       "force_scale": 2.5},
+    "obstacle": {"gamma0": (0.0, 0.8, 0.6), "gammaT": (0.0, -0.8, 0.6), "h_ref": 0.3,
+                 "p0": 2.0, "p_growth": 1.5, "violation_tol": 1e-4},
+    "rod": {"y0": (0.1, 0.2, 0.30000000000000004), "y1": (1.0, 0.0, 0.5), "v0": (0.0, 1.0, 0.0),
+            "v1": (0.0, 0.0, 1.0), "sigma": 0.10000000000000002},
+}
+
+
+@pytest.mark.parametrize("problem", problems.PROBLEMS)
+def test_every_field_round_trips_through_flags_and_meta(tmp_path, problem):
+    # one non-default value per parameter of the problem, some needing all 17
+    # digits; a parameter missing from the flags, the parsers or meta.txt
+    # breaks the round trip
     values = {
-        "n": 7, "max_outer": 1, "max_inner": 7, "t_end": 2.5000000000000004, "tol": 3e-9,
-        "theta_des": 0.375, "theta_acc": 0.95, "alpha0": 0.75, "alpha_fail": 1e-7,
-        "force_scale": 2.5, "h_ref": 0.3, "p0": 2.0, "p_growth": 1.5,
-        "violation_tol": 1e-4, "sigma": 0.10000000000000002, "gamma0": (0.6, 0.0, -0.8),
-        "gammaT": (0.0, 0.6, -0.8), "y0": (0.1, 0.2, 0.30000000000000004),
-        "y1": (1.0, 0.0, 0.5), "v0": (0.0, 1.0, 0.0), "v1": (0.0, 0.0, 1.0),
-        "out_dir": str(tmp_path / "out"),
+        "n": 7, "t_end": 2.5000000000000004, "tol": 3e-9, "theta_des": 0.375,
+        "theta_acc": 0.95, "alpha0": 0.75, "alpha_fail": 1e-7, "max_outer": 1, "max_inner": 7,
+        **_OWN_VALUES[problem], "out_dir": str(tmp_path / "out"),
     }
-    assert set(values) == {f.name for f in fields(RunConfig)} - {"problem"}
-    expected = RunConfig(problem="geodesic-force", **values)
-    default = RunConfig()
-    assert all(getattr(expected, name) != getattr(default, name) for name in values)
-    argv = ["geodesic-force"]
+    expected = {"problem": problem, **values}
+    default = parameters(problem)
+    assert list(expected) == list(default)
+    assert all(value != default[name] for name, value in values.items())
+    argv = [problem]
     for name, value in values.items():
         text = ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
         argv.append(f"--{name.replace('_', '-')}={text}")
     assert config_from_args(build_parser().parse_args(argv)) == expected
     assert main(argv) == EXIT_MAX_ITERATIONS  # max_outer = 1
-    assert RunConfig(**parse_config_file(tmp_path / "out" / "meta.txt")) == expected
+    assert list(parse_config_file(tmp_path / "out" / "meta.txt").items()) == list(expected.items())
 
 
-def keyword_defaults(cls) -> dict:
-    return {name: param.default for name, param in inspect.signature(cls).parameters.items()
-            if param.default is not inspect.Parameter.empty}
-
-
-def test_run_config_defaults_are_the_library_defaults():
-    # the command line with no flags solves the problems the constructors
-    # build with no keywords, under the default NewtonConfig
-    cfg = RunConfig()
-    newton = NewtonConfig()
-    for f in fields(NewtonConfig):
-        assert getattr(cfg, f.name) == getattr(newton, f.name), f.name
-    # every keyword of every problem is a field, and its default the field's
-    # or, for an unset triple, the filled one
-    for problem, cls in problems.PROBLEMS.items():
-        filled = _build(RunConfig(problem=problem))[0]
-        for name, default in keyword_defaults(cls).items():
-            assert getattr(filled, name) == default, (problem, name)
-    # meta.txt records all six triples: one a problem does not take is the
-    # default of the last problem that does
-    rod = keyword_defaults(RodProblem)
-    obstacle = keyword_defaults(ObstacleProblem)
-    for problem in ("geodesic-force", "obstacle"):
-        filled = _build(RunConfig(problem=problem))[0]
-        for name in ("y0", "y1", "v0", "v1"):
-            assert getattr(filled, name) == rod[name], (problem, name)
-    filled = _build(RunConfig(problem="rod"))[0]
-    assert (filled.gamma0, filled.gammaT) == (obstacle["gamma0"], obstacle["gammaT"])
-    assert filled.gamma0 != keyword_defaults(GeodesicForceProblem)["gamma0"]
+@pytest.mark.parametrize("problem", problems.PROBLEMS)
+def test_a_flagless_run_solves_the_library_defaults(tmp_path, problem):
+    # the command line with no flags but --n solves the problem its class
+    # builds with no keywords, under the default NewtonConfig
+    assert main([problem, "--n", "20", "--out-dir", str(tmp_path)]) == EXIT_OK
+    result = nested_iteration(problems.PROBLEMS[problem](Grid(1.0, 20)), NewtonConfig())
+    rows = [(k, it.norm_dx, it.accepted_alpha, it.inner_trials, it.theta_final, it.residual_inf)
+            for k, it in enumerate((it for stage in result.stages for it in stage.iterations),
+                                   start=1)]
+    header = "outer_iter,norm_dx_inf,accepted_alpha,inner_trials,theta_final,residual_inf"
+    assert (tmp_path / "iterates.csv").read_text() == per_value_csv(header, rows)
 
 
 def test_negative_triples_parse_after_a_space(tmp_path):
-    # argparse reads "-0.6,0,-0.8" as a flag; after a triple flag it is its value
+    # argparse reads "-0.6,0,-0.8" and "-1e-3" as flags; after a flag they are its value
     for space, equals in [
         (["geodesic-force", "--n", "20", "--gamma0", "-0.6,0,-0.8"],
          ["geodesic-force", "--n", "20", "--gamma0=-0.6,0,-0.8"]),
@@ -392,6 +404,8 @@ def test_negative_triples_parse_after_a_space(tmp_path):
           "--v1", "-0.6246950475544243,0,0.7808688094430304"],
          ["rod", "--n", "20", "--y1=-0.8,0,0", "--v0=-0.4472135954999579,0,0.8944271909999159",
           "--v1=-0.6246950475544243,0,0.7808688094430304"]),
+        (["geodesic-force", "--n", "20", "--force-scale", "-1e-3"],
+         ["geodesic-force", "--n", "20", "--force-scale=-1e-3"]),
     ]:
         assert (config_from_args(build_parser().parse_args(space))
                 == config_from_args(build_parser().parse_args(equals)))
@@ -404,12 +418,24 @@ def test_negative_triples_parse_after_a_space(tmp_path):
         assert meta[0].replace(str(outs[0]), str(outs[1])) == meta[1]
 
 
+# the problem constructors' keywords: run parameters that only the problems name
+_PROBLEM_KEYWORDS = {name for cls in problems.PROBLEMS.values()
+                     for name in inspect.signature(cls).parameters} - {"grid"}
+
+
 def _problem_branches(source: str) -> list:
     """The lines of ``source`` that know a problem class: an import from
     ``.problems`` other than ``PROBLEMS``, a problem class or ``DEFAULT_*``
-    name, an ``isinstance`` call, or a ``.problem`` compared with a string."""
+    name, an ``isinstance`` call, a ``.problem`` compared with a string, or an
+    identifier, keyword argument or string other than a docstring that equals
+    a problem constructor keyword."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("problems"):
             names = [alias.name for alias in node.names]
             if node.module != "problems" or names != ["PROBLEMS"]:
@@ -421,6 +447,12 @@ def _problem_branches(source: str) -> list:
         if name in ("GeodesicForceProblem", "ObstacleProblem", "RodProblem", "isinstance") or (
             name or ""
         ).startswith("DEFAULT_"):
+            found.append(node.lineno)
+        # Name, Attribute, function argument, keyword argument, definition
+        identifier = name or getattr(node, "arg", None) or getattr(node, "name", None)
+        if isinstance(node, ast.Constant) and id(node) not in docstrings:
+            identifier = node.value
+        if isinstance(identifier, str) and identifier in _PROBLEM_KEYWORDS:
             found.append(node.lineno)
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
@@ -434,6 +466,7 @@ def _problem_branches(source: str) -> list:
 def test_the_command_line_knows_no_problem_class():
     # the command line reaches the problems through problems.PROBLEMS alone
     assert _problem_branches(Path(inspect.getfile(bundle_newton.cli)).read_text()) == []
+    assert _PROBLEM_KEYWORDS >= {"gamma0", "force_scale", "p_growth", "sigma", "v1"}
     # and the check sees each kind of branch
     for source in (
         "from .problems import PROBLEMS, RodProblem",
@@ -444,8 +477,15 @@ def test_the_command_line_knows_no_problem_class():
         "defaults = rod.DEFAULT_Y0",
         "rod = cfg.problem == 'rod'",
         "curve = cfg.problem in ('geodesic-force', 'obstacle')",
+        "scale = cfg.force_scale",
+        "sigma = 1.0",
+        "problem = cls(grid, p_growth=4.0)",
+        "def build(grid, gamma0): pass",
+        "value = cfg['h_ref']",
     ):
         assert _problem_branches(source) == [1], source
+    # a docstring may name a keyword
+    assert _problem_branches('"""Reads sigma."""\ndef f():\n    """gammaT"""') == []
 
 
 def test_config_file_parsing(tmp_path):
