@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Seeded robustness sweep over random boundary data, checked by the oracle.
+
+    python scripts/sweep.py
+
+Runs ``bundle_newton.cli.main`` on ``CASES`` random cases per problem and
+prints, per problem, the count of each exit code and the runs' messages
+grouped, with every number masked as ``#``.  Every run that exits 0 is
+checked by ``bench/oracle.py::check_run``; a failed check and a run that
+exits 1 (an unexpected runtime failure) are listed with their arguments.
+Exits 1 if any exit-0 run fails the oracle, else 0.
+
+Each problem draws its cases from its own ``numpy.random.default_rng(1)``,
+the values of a case in the order below, so the first cases of a stream do
+not depend on how many are drawn.  A point "at height z" is ``z ~ U(lo,
+hi)``, then an azimuth ``~ U(0, 2 pi)``; a direction is a normalized
+standard normal 3-vector.
+
+- geodesic-force: ``gamma0`` and ``gammaT`` at heights in (-0.95, 0.95),
+  ``force_scale`` from {0.5, 1, 3, 10, 30}, ``n`` from {100, 1000};
+- rod: a length ``L ~ U(0.05, 0.99)``, the directions ``d``, ``v0`` and
+  ``v1``, ``y0 = 0``, ``y1 = L d``, ``n`` from {100, 1000};
+- obstacle: ``h_ref`` from {0.05, 0.1, 0.2, 0.3, 0.4}, ``gamma0`` and
+  ``gammaT`` at heights in (-0.3, 0.99 - h_ref), ``n`` from {50, 100, 200}.
+
+Keep the sampler and the seed fixed, so that the counts compare from one
+version of the solver to the next.
+"""
+
+from __future__ import annotations
+
+import collections
+import contextlib
+import importlib.util
+import io
+import math
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from bundle_newton.cli import main
+
+# bench/oracle.py, which imports nothing of bundle_newton, loaded by its path
+_spec = importlib.util.spec_from_file_location(
+    "oracle", Path(__file__).resolve().parent.parent / "bench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+SEED = 1
+CASES = 150
+NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _point(rng, z_low: float, z_high: float) -> tuple:
+    """A unit vector at height ``z ~ U(z_low, z_high)`` and a uniform azimuth."""
+    z = rng.uniform(z_low, z_high)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    r = math.sqrt(1.0 - z * z)
+    return (r * math.cos(phi), r * math.sin(phi), z)
+
+
+def _direction(rng) -> np.ndarray:
+    d = rng.standard_normal(3)
+    return d / np.linalg.norm(d)
+
+
+def _geodesic_force(rng) -> dict:
+    return {"gamma0": _point(rng, -0.95, 0.95), "gammaT": _point(rng, -0.95, 0.95),
+            "force_scale": float(rng.choice([0.5, 1.0, 3.0, 10.0, 30.0])),
+            "n": int(rng.choice([100, 1000]))}
+
+
+def _rod(rng) -> dict:
+    length = rng.uniform(0.05, 0.99)
+    d, v0, v1 = _direction(rng), _direction(rng), _direction(rng)
+    return {"y0": (0.0, 0.0, 0.0), "y1": tuple((length * d).tolist()),
+            "v0": tuple(v0.tolist()), "v1": tuple(v1.tolist()),
+            "n": int(rng.choice([100, 1000]))}
+
+
+def _obstacle(rng) -> dict:
+    h_ref = float(rng.choice([0.05, 0.1, 0.2, 0.3, 0.4]))
+    return {"h_ref": h_ref, "gamma0": _point(rng, -0.3, 0.99 - h_ref),
+            "gammaT": _point(rng, -0.3, 0.99 - h_ref), "n": int(rng.choice([50, 100, 200]))}
+
+
+SAMPLERS = {"geodesic-force": _geodesic_force, "rod": _rod, "obstacle": _obstacle}
+
+
+def cases(problem: str, count: int) -> list:
+    """The first ``count`` cases of ``problem``'s stream, each the dict of
+    the run parameters it sets."""
+    rng = np.random.default_rng(SEED)
+    return [{"problem": problem, **SAMPLERS[problem](rng)} for _ in range(count)]
+
+
+def argv(case: dict) -> list:
+    """The command line of ``case``; a triple is its comma-joined ``repr``s
+    after a space."""
+    args = [case["problem"]]
+    for key, value in case.items():
+        if key != "problem":
+            text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+            args += ["--" + key.replace("_", "-"), text]
+    return args
+
+
+def run_case(case: dict, out_dir) -> tuple:
+    """Run ``case`` into ``out_dir``: ``(exit code, message, oracle error)``.
+
+    The message is the run's termination message or error line; the oracle
+    error is ``None`` unless the run exited 0 and failed ``check_run``.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv(case), "--out-dir", str(out_dir)])
+    lines = (stdout.getvalue() + stderr.getvalue()).splitlines()
+    message = lines[0] if lines else ""
+    error = None
+    if code == 0:
+        try:
+            oracle.check_run(out_dir, case)
+        except oracle.OracleError as exc:
+            error = str(exc)
+    return code, message, error
+
+
+def sweep(count: int) -> bool:
+    """Run and report the sweep; True when every exit-0 run passed the oracle."""
+    passed = True
+    with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
+        for problem in SAMPLERS:
+            codes, messages, defects = collections.Counter(), collections.Counter(), []
+            for k, case in enumerate(cases(problem, count)):
+                code, message, error = run_case(case, Path(tmp) / f"{problem}-{k}")
+                codes[code] += 1
+                messages[code, NUMBER.sub("#", message)] += 1
+                if code == 1 or error is not None:
+                    defects.append(f"case {k}: exit {code}"
+                                   + (f", oracle: {error}" if error else "")
+                                   + f": {' '.join(argv(case))}")
+                passed = passed and error is None
+            print(f"{problem}: {count} runs, exit codes "
+                  + ", ".join(f"{code}: {codes[code]}" for code in range(5)))
+            for (code, message), n in sorted(messages.items(), key=lambda item: -item[1]):
+                print(f"  {n:4d} x exit {code}: {message}")
+            for line in defects:
+                print(f"  defect, {line}")
+    return passed
+
+
+if __name__ == "__main__":
+    sys.exit(0 if sweep(CASES) else 1)

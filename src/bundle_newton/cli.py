@@ -252,6 +252,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # built on the first call of main, and once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bundle-newton",

@@ -31,9 +31,9 @@ from .geometry import DegenerateUpdate
 class NewtonConfig:
     """Parameters of the damped Newton iteration.
 
-    ``theta_acc = math.inf`` accepts every trial step and freezes the
-    damping factor at ``alpha0``, which recovers the plain (undamped)
-    Newton method for ``alpha0 = 1``.
+    ``theta_acc = math.inf`` accepts every trial step whose ``theta`` is not
+    NaN and freezes the damping factor at ``alpha0``, which recovers the
+    plain (undamped) Newton method for ``alpha0 = 1``.
     """
 
     tol: float = 1e-10
@@ -42,7 +42,6 @@ class NewtonConfig:
     alpha0: float = 1.0
     alpha_fail: float = 1e-8
     max_outer: int = 50
-    max_inner: int = 20
 
     def __post_init__(self):
         if not 0.0 < self.theta_des < self.theta_acc:
@@ -51,8 +50,8 @@ class NewtonConfig:
             raise ValueError("need 0 < alpha_fail < alpha0 <= 1")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("invalid iteration limits")
+        if self.max_outer < 1:
+            raise ValueError(f"need max_outer >= 1, got {self.max_outer!r}")
 
 
 class Termination(Enum):
@@ -194,7 +193,9 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     every inner trial re-solves only the right-hand side of the simplified
     Newton equation with the stored factorization.  A trial step of damping
     ``alpha`` is accepted when the contraction estimate ``theta`` stays below
-    ``cfg.theta_acc``; ``alpha`` is adapted towards ``cfg.theta_des``.
+    ``cfg.theta_acc``; ``alpha`` is adapted towards ``cfg.theta_des``.  No cap
+    counts the trials: each rejected one shrinks ``alpha`` by a factor of at
+    most ``max(1/2, theta_des / theta_acc)``, until ``alpha < cfg.alpha_fail``.
 
     Returns ``(state, stage)``.  The solve converges at the accepted trial
     point of a full step with ``theta <= THETA_STOP`` whose simplified Newton
@@ -207,7 +208,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     :class:`~bundle_newton.geometry.DegenerateUpdate`, in the retraction or
     the trial residual, counts as a non-finite ``theta``; with ``alpha``
     pinned (``theta_acc = inf``) the exception propagates, as do exceptions
-    at the iterate itself.
+    at the iterate itself, and a NaN ``theta`` fails the solve.
     """
     x = x0
     alpha = cfg.alpha0
@@ -224,7 +225,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
             return _converged(x, stage, norm_dx, residual_inf)
 
         thetas = []
-        for _trial in range(cfg.max_inner):
+        while True:
             try:
                 x_plus = problem.retract(x, dx, alpha)
                 r_bar = problem.assemble_residual(x, x_plus)
@@ -249,13 +250,10 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
                     return x, stage
             if theta <= cfg.theta_acc:
                 break
-        else:
-            stage.terminated = Termination.DAMPING_FAILED
-            stage.message = (
-                f"no acceptable step within {cfg.max_inner} trials "
-                f"(last theta {theta:.3g}, alpha {alpha:.3g})"
-            )
-            return x, stage
+            if pin_alpha:  # a NaN theta: the same trial would come back
+                stage.terminated = Termination.DAMPING_FAILED
+                stage.message = f"plain Newton step rejected (theta {theta:.3g})"
+                return x, stage
 
         x = x_plus
         stage.iterations.append(NewtonIteration(norm_dx, alpha_used, tuple(thetas), residual_inf))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bundle_newton
-from bundle_newton import Grid, NewtonConfig, nested_iteration, problems
+from bundle_newton import Grid, NewtonConfig, cli, nested_iteration, problems
 from bundle_newton.cli import (
     EXIT_CONFIG,
     EXIT_MAX_ITERATIONS,
@@ -184,7 +184,7 @@ def test_rod_curve_columns(tmp_path):
 
 # the parameter keys of meta.txt that every problem writes, in order
 _RUN_KEYS = ["problem", "n", "t_end", "tol", "theta_des", "theta_acc", "alpha0", "alpha_fail",
-             "max_outer", "max_inner"]
+             "max_outer"]
 
 # per problem at --n 20: the stages.csv header, the curve.csv header, the
 # result_* keys of meta.txt in order (a converged path writes no message) and
@@ -309,6 +309,7 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         (["obstacle", "--h-ref", "nan"], "nan"),
         (["geodesic-force", "--tol", "nan"], "nan"),
         (["geodesic-force", "--n", "5", "--tol", "inf"], "inf"),
+        (["geodesic-force", "--n", "5", "--max-outer", "0"], "need max_outer >= 1, got 0"),
         (["geodesic-force", "--n", "10", "--gamma0", "nan,0,1"], "'nan,0,1'"),
         (["rod", "--n", "10", "--y0", "nan,0,0"], "'nan,0,0'"),
         (["rod", "--n", "10", "--y1", "inf,0,0"], "[inf, 0.0, 0.0]"),
@@ -333,12 +334,16 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     (tmp_path / "frac.cfg").write_text("n = 12.5\n")
     (tmp_path / "word.cfg").write_text("tol = abc\n")
     (tmp_path / "nan.cfg").write_text("sigma = nan\n")
+    # max_inner is no parameter: alpha_fail alone bounds the trial steps
+    (tmp_path / "inner.cfg").write_text("max_inner = 20\n")
     cases = [
         (["--config", str(tmp_path / "frac.cfg")], "'12.5'"),
         (["--config", str(tmp_path / "word.cfg")], "'abc'"),
         (["--config", str(tmp_path / "nan.cfg")], "'nan'"),
         (["--wibble", "3"], "--wibble"),
         (["--seed", "3"], "--seed"),
+        (["--max-inner", "7"], "--max-inner"),
+        (["--config", str(tmp_path / "inner.cfg")], "'max_inner'"),
         (["--config", str(tmp_path / "missing.cfg")], "missing.cfg"),
     ]
     capsys.readouterr()
@@ -365,7 +370,7 @@ def test_every_field_round_trips_through_flags_and_meta(tmp_path, problem):
     # breaks the round trip
     values = {
         "n": 7, "t_end": 2.5000000000000004, "tol": 3e-9, "theta_des": 0.375,
-        "theta_acc": 0.95, "alpha0": 0.75, "alpha_fail": 1e-7, "max_outer": 1, "max_inner": 7,
+        "theta_acc": 0.95, "alpha0": 0.75, "alpha_fail": 1e-7, "max_outer": 1,
         **_OWN_VALUES[problem], "out_dir": str(tmp_path / "out"),
     }
     expected = {"problem": problem, **values}
@@ -416,6 +421,22 @@ def test_negative_triples_parse_after_a_space(tmp_path):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (space, name)
         meta = [(out / "meta.txt").read_text() for out in outs]
         assert meta[0].replace(str(outs[0]), str(outs[1])) == meta[1]
+
+
+def test_two_runs_build_one_parser(tmp_path, monkeypatch):
+    # the parser is built on the first call of main and kept for the process
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for k in range(2):
+        assert main(["geodesic-force", "--n", "5", "--out-dir", str(tmp_path / str(k))]) == EXIT_OK
+    assert len(built) == 1
 
 
 # the problem constructors' keywords: run parameters that only the problems name

@@ -196,16 +196,31 @@ class NaNTrialProblem(ScalarLinearProblem):
         return super().retract(state, xi, alpha)
 
 
-@pytest.mark.parametrize("max_inner", [20, 100])
-def test_driver_nan_trial_shrinks_the_step(max_inner):
+@pytest.mark.parametrize("alpha_fail, trials", [(1e-8, 27), (1e-3, 10)])
+def test_driver_nan_trial_shrinks_the_step(alpha_fail, trials):
     # a NaN theta rejects the trial and halves alpha; retrying the same full
-    # step would never get anywhere
+    # step would never get anywhere.  alpha_fail alone ends the trials, after
+    # ceil(log2(1 / alpha_fail)) halvings
+    assert trials == math.ceil(math.log2(1.0 / alpha_fail))
     problem = NaNTrialProblem()
-    x, trace = damped_newton(problem, 1.0, NewtonConfig(max_inner=max_inner))
+    x, trace = damped_newton(problem, 1.0, NewtonConfig(alpha_fail=alpha_fail))
     assert trace.terminated is Termination.DAMPING_FAILED
+    assert trace.message == (f"step size collapsed below {alpha_fail:g} "
+                             f"after {trials} trials (last theta nan)")
     assert x == 1.0
-    assert problem.alphas[:2] == [1.0, 0.5]
-    assert all(b < a for a, b in zip(problem.alphas, problem.alphas[1:]))
+    assert problem.alphas == [0.5**k for k in range(trials)]
+    assert trace.iterations == []
+
+
+def test_driver_plain_newton_ends_on_a_nan_trial():
+    # with alpha pinned a NaN theta is the one rejected trial, and the same
+    # trial would come back: the solve fails at once
+    problem = NaNTrialProblem()
+    x, trace = damped_newton(problem, 1.0, NewtonConfig(theta_acc=math.inf))
+    assert trace.terminated is Termination.DAMPING_FAILED
+    assert trace.message == "plain Newton step rejected (theta nan)"
+    assert x == 1.0
+    assert problem.alphas == [1.0]
 
 
 class RaisingTrialProblem(ScalarLinearProblem):
@@ -236,17 +251,16 @@ RAISING_TRIALS = [(DegenerateUpdate, "retract"), (PoleSingularity, "residual")]
 
 
 @pytest.mark.parametrize("error, where", RAISING_TRIALS)
-@pytest.mark.parametrize("max_inner", [20, 100])
-def test_driver_raising_trial_shrinks_the_step_as_a_nan_one(error, where, max_inner):
-    cfg = NewtonConfig(max_inner=max_inner)
+@pytest.mark.parametrize("alpha_fail, trials", [(1e-8, 27), (1e-3, 10)])
+def test_driver_raising_trial_shrinks_the_step_as_a_nan_one(error, where, alpha_fail, trials):
+    cfg = NewtonConfig(alpha_fail=alpha_fail)
     nan, raising = NaNTrialProblem(), RaisingTrialProblem(error, where)
     nan_x, nan_trace = damped_newton(nan, 1.0, cfg)
     x, trace = damped_newton(raising, 1.0, cfg)
     assert trace.terminated is nan_trace.terminated is Termination.DAMPING_FAILED
     assert trace.message == nan_trace.message.replace("nan", "inf")
     assert x == nan_x == 1.0
-    assert raising.alphas[:2] == [1.0, 0.5]
-    assert raising.alphas == nan.alphas
+    assert raising.alphas == nan.alphas == [0.5**k for k in range(trials)]
 
 
 @pytest.mark.parametrize("error, where", RAISING_TRIALS)
@@ -367,14 +381,9 @@ def test_driver_root_at_start():
 
 
 def test_driver_damping_failure():
-    x, trace = damped_newton(StubbornProblem(), 1.0, NewtonConfig(max_inner=100))
+    x, trace = damped_newton(StubbornProblem(), 1.0, NewtonConfig())
     assert trace.terminated is Termination.DAMPING_FAILED
     assert x == 1.0  # iterate unchanged on failure
-
-
-def test_driver_inner_exhaustion_reported_as_damping_failure():
-    _, trace = damped_newton(StubbornProblem(), 1.0, NewtonConfig(max_inner=3))
-    assert trace.terminated is Termination.DAMPING_FAILED
 
 
 def test_driver_max_iterations():

@@ -27,3 +27,18 @@ def test_experiment_script_writes_every_case(tmp_path, monkeypatch, script, case
     assert sorted(path.name for path in (tmp_path / "out").iterdir()) == sorted(cases)
     for case in cases:
         assert {path.name for path in (tmp_path / "out" / case).iterdir()} == ARTIFACTS
+
+
+# the first cases of each problem's sweep stream, fixed before their outcomes were seen
+SWEEP_SUBSET = 10
+
+
+@pytest.mark.parametrize("problem", ["geodesic-force", "rod", "obstacle"])
+def test_every_converged_sweep_run_passes_the_oracle(tmp_path, problem):
+    sweep = runpy.run_path(str(SCRIPTS / "sweep.py"))
+    outcomes = [sweep["run_case"](case, tmp_path / str(k))
+                for k, case in enumerate(sweep["cases"](problem, SWEEP_SUBSET))]
+    # the sampler draws valid boundary data, so no run is a configuration error
+    assert all(code != 4 for code, _, _ in outcomes)
+    assert any(code == 0 for code, _, _ in outcomes)
+    assert [error for code, _, error in outcomes if code == 0 and error is not None] == []
