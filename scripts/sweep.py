@@ -4,10 +4,13 @@
     python scripts/sweep.py
 
 Runs ``bundle_newton.cli.main`` on ``CASES`` random cases per problem and
-prints, per problem, the count of each exit code and the runs' messages
-grouped, with every number masked as ``#``.  Every run that exits 0 is
-checked by ``bench/oracle.py::check_run``; a failed check and a run that
-exits 1 (an unexpected runtime failure) are listed with their arguments.
+prints, per problem, the count of each exit code, the outer iterations of
+all runs (the sum of ``stages.csv``'s ``outer_iterations``, rejected
+attempts included, so a change to a path or a ladder shows its cost) and
+the runs' messages grouped, with every number masked as ``#``.  Every run
+that exits 0 is checked by ``bench/oracle.py::check_run``; a failed check
+and a run that exits 1 (an unexpected runtime failure) are listed with
+their arguments.
 Exits 1 if any exit-0 run fails the oracle, else 0.
 
 Each problem draws its cases from its own ``numpy.random.default_rng(1)``,
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import csv
 import importlib.util
 import io
 import math
@@ -109,10 +113,13 @@ def argv(case: dict) -> list:
 
 
 def run_case(case: dict, out_dir) -> tuple:
-    """Run ``case`` into ``out_dir``: ``(exit code, message, oracle error)``.
+    """Run ``case`` into ``out_dir``: ``(exit code, message, oracle error,
+    outer iterations)``.
 
     The message is the run's termination message or error line; the oracle
-    error is ``None`` unless the run exited 0 and failed ``check_run``.
+    error is ``None`` unless the run exited 0 and failed ``check_run``; the
+    outer iterations are summed over the rows of ``stages.csv``, rejected
+    attempts included, and are 0 for a run that wrote none.
     """
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -125,7 +132,31 @@ def run_case(case: dict, out_dir) -> tuple:
             oracle.check_run(out_dir, case)
         except oracle.OracleError as exc:
             error = str(exc)
-    return code, message, error
+    outer = 0
+    stages = Path(out_dir) / "stages.csv"
+    if stages.exists():
+        with stages.open(newline="") as file:
+            outer = sum(int(row["outer_iterations"]) for row in csv.DictReader(file))
+    return code, message, error, outer
+
+
+def report(problem: str, runs: list, outcomes: list) -> list:
+    """The sweep's lines for the cases ``runs`` of ``problem`` and their
+    :func:`run_case` outcomes."""
+    codes, messages, defects = collections.Counter(), collections.Counter(), []
+    for k, (case, (code, message, error, _)) in enumerate(zip(runs, outcomes)):
+        codes[code] += 1
+        messages[code, NUMBER.sub("#", message)] += 1
+        if code == 1 or error is not None:
+            defects.append(f"  defect, case {k}: exit {code}"
+                           + (f", oracle: {error}" if error else "")
+                           + f": {' '.join(argv(case))}")
+    lines = [f"{problem}: {len(runs)} runs, exit codes "
+             + ", ".join(f"{code}: {codes[code]}" for code in range(5)),
+             f"  outer iterations over all attempts: {sum(outcome[3] for outcome in outcomes)}"]
+    for (code, message), n in sorted(messages.items(), key=lambda item: -item[1]):
+        lines.append(f"  {n:4d} x exit {code}: {message}")
+    return lines + defects
 
 
 def sweep(count: int) -> bool:
@@ -133,22 +164,10 @@ def sweep(count: int) -> bool:
     passed = True
     with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
         for problem in SAMPLERS:
-            codes, messages, defects = collections.Counter(), collections.Counter(), []
-            for k, case in enumerate(cases(problem, count)):
-                code, message, error = run_case(case, Path(tmp) / f"{problem}-{k}")
-                codes[code] += 1
-                messages[code, NUMBER.sub("#", message)] += 1
-                if code == 1 or error is not None:
-                    defects.append(f"case {k}: exit {code}"
-                                   + (f", oracle: {error}" if error else "")
-                                   + f": {' '.join(argv(case))}")
-                passed = passed and error is None
-            print(f"{problem}: {count} runs, exit codes "
-                  + ", ".join(f"{code}: {codes[code]}" for code in range(5)))
-            for (code, message), n in sorted(messages.items(), key=lambda item: -item[1]):
-                print(f"  {n:4d} x exit {code}: {message}")
-            for line in defects:
-                print(f"  defect, {line}")
+            runs = cases(problem, count)
+            outcomes = [run_case(case, Path(tmp) / f"{problem}-{k}") for k, case in enumerate(runs)]
+            print("\n".join(report(problem, runs, outcomes)))
+            passed = passed and all(outcome[2] is None for outcome in outcomes)
     return passed
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -186,7 +187,8 @@ def _converged(x, stage: Stage, norm_dx: float, residual_inf: float):
     return x, stage
 
 
-def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfig()):
+def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfig(),
+                  stops_early: Callable[[object, float], bool] | None = None):
     """Affine covariant damped Newton iteration.
 
     Per outer iteration the Newton system is assembled and factorized once;
@@ -202,7 +204,13 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     step, the estimate of the next Newton step, is within ``cfg.tol``
     (NLEQ-ERR, Deuflhard, *Newton Methods for Nonlinear Problems*, 2004,
     ch. 3); otherwise at the start of an outer iteration once the Newton step
-    drops below ``cfg.tol`` (a zero step occurs exactly at a root).  Damping
+    drops below ``cfg.tol`` (a zero step occurs exactly at a root).  Both
+    tests may also pass at a larger step: ``stops_early(x, norm)``, if given,
+    is asked whenever the step norm ``norm`` at the point ``x`` (the trial
+    point for the estimate) exceeds ``cfg.tol``, and a true answer ends the
+    solve there as converged too; this lets the tolerance depend on the
+    iterate, as the obstacle's penalty path does for a stage it will follow
+    with another one.  Damping
     failures and iteration limits are reported through ``stage.terminated``
     rather than raised.  A trial point that raises
     :class:`~bundle_newton.geometry.DegenerateUpdate`, in the retraction or
@@ -210,6 +218,9 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     pinned (``theta_acc = inf``) the exception propagates, as do exceptions
     at the iterate itself, and a NaN ``theta`` fails the solve.
     """
+    def within_tol(x, norm: float) -> bool:
+        return norm <= cfg.tol or (stops_early is not None and stops_early(x, norm))
+
     x = x0
     alpha = cfg.alpha0
     pin_alpha = math.isinf(cfg.theta_acc)
@@ -221,7 +232,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         fact, dx = problem.assemble_jacobian(x).factorize(-b)
         norm_dx = problem.norm_inf(dx)
 
-        if norm_dx <= cfg.tol:
+        if within_tol(x, norm_dx):
             return _converged(x, stage, norm_dx, residual_inf)
 
         thetas = []
@@ -258,7 +269,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         x = x_plus
         stage.iterations.append(NewtonIteration(norm_dx, alpha_used, tuple(thetas), residual_inf))
         # a NaN or infinite theta fails the comparison, so no stale norm_dx_bar or r_bar is read
-        if alpha_used == 1.0 and theta <= THETA_STOP and norm_dx_bar <= cfg.tol:
+        if alpha_used == 1.0 and theta <= THETA_STOP and within_tol(x, norm_dx_bar):
             return _converged(x, stage, norm_dx_bar, problem.norm_inf(r_bar))
 
     stage.message = f"no convergence within {cfg.max_outer} outer iterations"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fem1d import Grid
-from ..geometry import DegenerateUpdate
+from ..geometry import DegenerateUpdate, arc_angle
 from .curve import SphereCurveProblem
 
 POLE_MARGIN = 1e-12
@@ -70,11 +70,29 @@ def winding_force_jacobian(y, scale: float = 3.0) -> np.ndarray:
     return outer + prefactor[..., None, None] * d_azimuthal
 
 
+def arc_point_nearest_pole(a, b) -> np.ndarray:
+    """The point of the great-circle arc from ``a`` to ``b`` (unit vectors, not
+    antipodal) with the largest ``|y3|``, the one nearest a pole."""
+    omega = arc_angle(a, b)
+    if np.sin(omega) <= 1e-12:  # coincident end points
+        return a
+    # the arc is cos(t) a + sin(t) u for 0 <= t <= omega, and its height
+    # a3 cos(t) + u3 sin(t) peaks in absolute value at t = atan2(u3, a3) mod pi,
+    # or past the arc's end, where the end point is the candidate
+    u = (b - np.cos(omega) * a) / np.sin(omega)
+    peak = np.arctan2(u[2], a[2]) % np.pi
+    points = [np.cos(t) * a + np.sin(t) * u for t in (0.0, omega, min(peak, omega))]
+    return max(points, key=lambda y: abs(y[2]))
+
+
 class GeodesicForceProblem(SphereCurveProblem):
     """Elastic geodesic between two boundary points in the winding field.
 
     ``force_scale = 0`` turns the force off entirely (plain geodesic), in
-    which case curves may pass through the poles.
+    which case curves may pass through the poles.  Otherwise boundary points
+    whose connecting great-circle arc comes within ``y1^2 + y2^2 <=
+    POLE_MARGIN`` of a pole, where the force is undefined, are refused
+    (``ValueError``): the arc is the start of every solve.
     """
 
     def __init__(self, grid: Grid, gamma0=DEFAULT_GAMMA0, gammaT=DEFAULT_GAMMAT,
@@ -83,6 +101,15 @@ class GeodesicForceProblem(SphereCurveProblem):
         if not np.isfinite(force_scale):
             raise ValueError(f"force scale must be finite, got {force_scale!r}")
         self.force_scale = float(force_scale)
+        if self.force_scale != 0.0:
+            y = arc_point_nearest_pole(self.gamma0, self.gammaT)
+            rho2 = y[0] * y[0] + y[1] * y[1]
+            if rho2 <= POLE_MARGIN:
+                pole = "north pole (0, 0, 1)" if y[2] > 0.0 else "south pole (0, 0, -1)"
+                raise ValueError(
+                    f"the great-circle arc between the boundary points comes within "
+                    f"y1^2+y2^2 = {rho2:.2e} of the {pole}, where the winding force is undefined"
+                )
 
     def force_at(self, y) -> np.ndarray:
         if self.force_scale == 0.0:

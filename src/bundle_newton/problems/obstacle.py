@@ -31,6 +31,10 @@ DEFAULT_GAMMAT = (-0.8 * np.cos(0.2), 0.8 * np.sin(0.2), 0.6)
 MAX_STAGES = 500
 FAST_STAGE_STEPS = 4
 MIN_GROWTH = 1.001
+# a stage whose curve is still above the band only warm starts the next one,
+# so it stops at a step of STAGE_TOL_FACTOR * violation_tol: by NLEQ-ERR's
+# bound 2 |dx_bar| its curve is then within violation_tol / 5 of its solution
+STAGE_TOL_FACTOR = 0.1
 
 _E3 = np.array([0.0, 0.0, 1.0])
 _E33 = np.outer(_E3, _E3)
@@ -50,7 +54,10 @@ class ObstacleProblem(SphereCurveProblem):
     """Penalized geodesic problem below the polar cap ``y3 <= 1 - h_ref``.
 
     ``p0`` is the first stage's penalty weight ``p``.  End points above the
-    cap by more than ``violation_tol`` are refused (``ValueError``).
+    cap by more than ``violation_tol`` are refused (``ValueError``).  The
+    band ``violation_tol`` also sets the looser step tolerance of the
+    penalty path's stages (:func:`obstacle_path_follow`); a direct
+    :func:`~bundle_newton.newton.damped_newton` solve stops at ``cfg.tol``.
     """
 
     def __init__(
@@ -144,10 +151,22 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
     solves, rejected ones included, end it as ``MAX_ITERATIONS``.  Each
     attempt is its solve's ``Stage`` with ``accepted`` and ``violation`` set;
     the result's state is the last accepted curve.
+
+    The stages are solved inexactly (Hintermüller and Kunisch, SIAM J.
+    Optim. 17, 2006): a stage stops at a step of ``max(cfg.tol,
+    STAGE_TOL_FACTOR * problem.violation_tol)`` at a curve still above the
+    band, which always makes the path run another stage, and at ``cfg.tol``
+    inside it.  So a converged path ends on a curve solved to ``cfg.tol``; a
+    path that ends otherwise may end on one solved to the looser tolerance.
     """
     result = Continuation(problem.initial_state() if start is None else start)
     growth = problem.p_growth
     violation = problem.violation(result.state)
+    stage_tol = max(cfg.tol, STAGE_TOL_FACTOR * problem.violation_tol)
+
+    def above_band(curve, norm: float) -> bool:
+        return norm <= stage_tol and problem.violation(curve) > problem.violation_tol
+
     while not result.stages or violation > problem.violation_tol:
         if len(result.attempts) == MAX_STAGES:
             result.terminated = Termination.MAX_ITERATIONS
@@ -157,7 +176,7 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
             )
             return result
         p = result.stages[-1].problem.p * growth if result.stages else problem.p
-        curve, stage = damped_newton(problem.replace(p=p), result.state, cfg)
+        curve, stage = damped_newton(problem.replace(p=p), result.state, cfg, above_band)
         stage.violation = problem.violation(curve)
         converged = stage.terminated is Termination.CONVERGED
         stage.accepted = converged and stage.violation <= violation

@@ -267,6 +267,18 @@ def test_a_parameter_the_problem_does_not_take_is_refused(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+@pytest.mark.parametrize("n", [5, 10, 200])
+def test_boundary_points_joined_across_a_pole_are_refused(tmp_path, capsys, n):
+    # the connecting arc, every solve's start, passes the north pole, where
+    # the winding force is undefined; without the force the run is a plain geodesic
+    argv = ["geodesic-force", "--n", str(n), "--gamma0", "0.6,0,0.8", "--gammaT=-0.6,0,0.8"]
+    out = tmp_path / "o"
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "of the north pole (0, 0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--force-scale", "0", "--out-dir", str(out)]) == EXIT_OK
+
+
 def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
     assert main(["geodesic-force", "--n", "0", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert main(["obstacle", "--h-ref", "1.5", "--out-dir", str(tmp_path)]) == EXIT_CONFIG

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from bundle_newton.problems import (
     winding_force,
     winding_force_jacobian,
 )
+from bundle_newton.problems.curve import connecting_geodesic_points
+from bundle_newton.problems.geodesic import arc_point_nearest_pole
 from conftest import jacobian_fd_error, random_sphere_curve, random_tangent, random_unit, to_dense
 
 
@@ -244,6 +248,39 @@ def test_rejects_antipodal_boundary():
     grid = Grid(1.0, 4)
     with pytest.raises(ValueError):
         GeodesicForceProblem(grid, gamma0=[1, 0, 0], gammaT=[-1, 0, 0])
+
+
+def test_arc_point_nearest_pole_is_the_highest_of_a_dense_sample():
+    rng = np.random.default_rng(6)
+    grid = Grid(1.0, 9999)
+    for _ in range(50):
+        a, b = random_unit(rng), random_unit(rng)
+        y = arc_point_nearest_pole(a, b)
+        sample = connecting_geodesic_points(grid, a, b)
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-14
+        # on the arc: in the plane of a and b, between them
+        assert abs(np.cross(a, b) @ y) <= 1e-14
+        assert np.linalg.norm(sample - y, axis=1).min() <= np.pi / grid.n_intervals
+        assert np.abs(sample[:, 2]).max() <= abs(y[2]) + 1e-14
+        assert abs(y[2]) - np.abs(sample[:, 2]).max() <= (np.pi / grid.n_intervals) ** 2
+
+
+@pytest.mark.parametrize(
+    "gamma0, gammaT, pole",
+    [((0.6, 0.0, 0.8), (-0.6, 0.0, 0.8), "north pole (0, 0, 1)"),
+     ((0.0, 0.6, -0.8), (0.0, -0.6, -0.8), "south pole (0, 0, -1)"),
+     ((0.0, 0.0, 1.0), (0.6, 0.0, -0.8), "north pole (0, 0, 1)")],
+)
+def test_rejects_boundary_points_joined_across_a_pole(gamma0, gammaT, pole):
+    grid = Grid(1.0, 4)
+    with pytest.raises(ValueError, match=rf"of the {re.escape(pole)}, where the winding"):
+        GeodesicForceProblem(grid, gamma0=gamma0, gammaT=gammaT)
+    plain = GeodesicForceProblem(grid, gamma0=gamma0, gammaT=gammaT, force_scale=0.0)
+    # a plain geodesic may pass the pole; an arc near it, but off it, is kept
+    assert np.abs(plain.initial_state().points[:, 2]).max() > 0.99
+    normal = np.cross(gamma0, gammaT)
+    tilted = np.array(gamma0) + 1e-5 * normal / np.linalg.norm(normal)
+    GeodesicForceProblem(grid, gamma0=tilted / np.linalg.norm(tilted), gammaT=gammaT)
 
 
 def test_solution_mesh_convergence_second_order():

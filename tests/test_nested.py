@@ -155,7 +155,7 @@ def test_a_failed_level_ends_the_continuation_with_its_termination(n, levels, pr
     "argv, factorizations, rows",
     [
         (["geodesic-force", "--n", "10000"], 8, 12),
-        (["obstacle", "--n", "100", "--h-ref", "0.1"], 35, 45),
+        (["obstacle", "--n", "100", "--h-ref", "0.1"], 24, 34),
         (["rod", "--n", "1000"], 20, 23),
     ],
     ids=["geodesic-n10000", "obstacle-href0.1", "rod-n1000"],

@@ -336,6 +336,34 @@ def test_driver_stops_only_on_a_contracting_step_within_tolerance(monkeypatch, t
     assert len(matrices) == (1 if stops else 2)
 
 
+@pytest.mark.parametrize(
+    "loose_at, x_end, norm_end, questions",
+    [(lambda x: False, 0.0, 0.0, [(1.0, 1.0), (0.0, 0.4)]),  # nowhere: the check at the root
+     (lambda x: x == 0.0, 0.0, 0.4, [(1.0, 1.0), (0.0, 0.4)]),  # at the full step: its estimate
+     (lambda x: x == 1.0, 1.0, 1.0, [(1.0, 1.0)])],  # at the start: its factorized check
+    ids=["nowhere", "at-the-step", "at-the-start"],
+)
+def test_driver_stops_early_only_where_the_rule_says(
+    monkeypatch, loose_at, x_end, norm_end, questions
+):
+    # the full step from 1 lands on the root 0 with theta 0.4 and a simplified
+    # step of 0.4; only norms above cfg.tol are put to the rule, so the root's
+    # factorized check (norm 0) is not
+    asked = []
+
+    def stops_early(x, norm):
+        asked.append((x, norm))
+        return loose_at(x)
+
+    matrices = spy_factorize(monkeypatch)
+    x, trace = damped_newton(ContractingTrialProblem(0.4), 1.0, NewtonConfig(), stops_early)
+    assert trace.terminated is Termination.CONVERGED
+    assert x == x_end
+    assert trace.iterations[-1].norm_dx == norm_end and trace.iterations[-1].thetas == ()
+    assert len(matrices) == (2 if norm_end == 0.0 else 1)
+    assert asked == questions
+
+
 class BadFirstTrialProblem(ScalarLinearProblem):
     """F(x) = x, whose first trial residual is ``value`` (NaN or infinite)."""
 

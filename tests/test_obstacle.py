@@ -262,6 +262,66 @@ def test_path_following_takes_few_stages(n, h_ref):
     assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
 
 
+@pytest.mark.parametrize("h_ref", [0.1, 0.2])
+def test_only_a_stage_that_ends_above_the_band_stops_early(h_ref):
+    # a stage stops at the looser step tolerance only at a curve above the
+    # band, which the path always follows with another stage
+    cfg = NewtonConfig()
+    problem = ObstacleProblem(Grid(1.0, 100), h_ref=h_ref)
+    result = nested_iteration(problem, cfg)
+    assert result.terminated is Termination.CONVERGED
+    loose_tol = obstacle.STAGE_TOL_FACTOR * problem.violation_tol
+    early = [stage for stage in result.attempts if stage.iterations[-1].norm_dx > cfg.tol]
+    assert early
+    for stage in early:
+        assert stage.violation > problem.violation_tol
+        assert stage.iterations[-1].norm_dx <= loose_tol
+    inside = [stage for stage in result.attempts if stage.violation <= problem.violation_tol]
+    assert inside and all(stage.iterations[-1].norm_dx <= cfg.tol for stage in inside)
+    assert result.stages[-1] in inside
+
+
+def outer_rows(result):
+    return [it for stage in result.attempts for it in stage.iterations]
+
+
+@pytest.mark.parametrize("h_ref, final_p, exact_final_p", [(0.1, 32768, 32768), (0.2, 32768, 16384)])
+def test_inexact_stages_end_on_a_curve_solved_to_the_tolerance(
+    monkeypatch, h_ref, final_p, exact_final_p
+):
+    cfg = NewtonConfig()
+    problem = ObstacleProblem(Grid(1.0, 100), h_ref=h_ref)
+    inexact = nested_iteration(problem, cfg)
+    # a new solve of the final stage's problem from its curve stops at once
+    _, again = obstacle.damped_newton(inexact.stages[-1].problem, inexact.state, cfg)
+    assert [it.norm_dx <= cfg.tol for it in again.iterations] == [True]
+    monkeypatch.setattr(obstacle, "STAGE_TOL_FACTOR", 0.0)  # every stage solved to cfg.tol
+    exact = nested_iteration(problem, cfg)
+    assert inexact.terminated is exact.terminated is Termination.CONVERGED
+    assert len(inexact.stages) == len(exact.stages)
+    assert len(outer_rows(inexact)) < len(outer_rows(exact))
+    # at h_ref 0.2 the p = 128 stage takes 3 full steps instead of 5, so the
+    # step in log p doubles there and the path enters the band at twice the
+    # exact path's final penalty; at h_ref 0.1 both take the same penalties
+    assert (inexact.stages[-1].problem.p, exact.stages[-1].problem.p) == (final_p, exact_final_p)
+    if final_p == exact_final_p:
+        assert np.abs(inexact.state.points - exact.state.points).max() <= 1e-12
+
+
+def test_without_a_band_every_stage_is_solved_to_the_tolerance(monkeypatch):
+    # violation_tol = 0 leaves no room for a looser stage: the rows of the exact path
+    monkeypatch.setattr(obstacle, "MAX_STAGES", 20)
+    cfg = NewtonConfig()
+    problem = ObstacleProblem(Grid(1.0, 20), h_ref=0.1, violation_tol=0.0)
+    inexact = obstacle_path_follow(problem, cfg)
+    monkeypatch.setattr(obstacle, "STAGE_TOL_FACTOR", 0.0)
+    exact = obstacle_path_follow(problem, cfg)
+    assert inexact.terminated is exact.terminated is Termination.MAX_ITERATIONS
+    assert outer_rows(inexact) == outer_rows(exact)
+    assert all(stage.iterations[-1].norm_dx <= cfg.tol for stage in inexact.attempts)
+    assert np.array_equal(inexact.state.points, exact.state.points)
+
+
 def read_table(path):
     header, *lines = path.read_text().splitlines()
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
@@ -300,11 +360,11 @@ def record_solves(monkeypatch, fail_above=np.inf, failures=np.inf):
     above ``fail_above`` end as damping failures without iterating."""
     solves, damped_newton = [], obstacle.damped_newton
 
-    def solve(problem, x0, cfg):
+    def solve(problem, x0, cfg, stops_early=None):
         solves.append(problem.p)
         if problem.p > fail_above and sum(p > fail_above for p in solves) <= failures:
             return x0, Stage(problem, [], Termination.DAMPING_FAILED, "forced failure")
-        return damped_newton(problem, x0, cfg)
+        return damped_newton(problem, x0, cfg, stops_early)
 
     monkeypatch.setattr(obstacle, "damped_newton", solve)
     return solves
@@ -374,7 +434,7 @@ def test_first_stage_raising_the_violation_ends_the_path(monkeypatch):
     higher = NodalCurve(start.grid, points)
     solves = []
 
-    def solve(problem, x0, cfg):
+    def solve(problem, x0, cfg, stops_early=None):
         solves.append(problem.p)
         return higher, Stage(problem, [], Termination.CONVERGED, "forced")
 

@@ -36,9 +36,19 @@ SWEEP_SUBSET = 10
 @pytest.mark.parametrize("problem", ["geodesic-force", "rod", "obstacle"])
 def test_every_converged_sweep_run_passes_the_oracle(tmp_path, problem):
     sweep = runpy.run_path(str(SCRIPTS / "sweep.py"))
-    outcomes = [sweep["run_case"](case, tmp_path / str(k))
-                for k, case in enumerate(sweep["cases"](problem, SWEEP_SUBSET))]
+    runs = sweep["cases"](problem, SWEEP_SUBSET)
+    outcomes = [sweep["run_case"](case, tmp_path / str(k)) for k, case in enumerate(runs)]
     # the sampler draws valid boundary data, so no run is a configuration error
-    assert all(code != 4 for code, _, _ in outcomes)
-    assert any(code == 0 for code, _, _ in outcomes)
-    assert [error for code, _, error in outcomes if code == 0 and error is not None] == []
+    assert all(code != 4 for code, _, _, _ in outcomes)
+    assert any(code == 0 for code, _, _, _ in outcomes)
+    assert [error for code, _, error, _ in outcomes if code == 0 and error is not None] == []
+    # the cost line sums stages.csv's outer_iterations over every run, rejected attempts included
+    outer = 0
+    for k in range(SWEEP_SUBSET):
+        if (tmp_path / str(k) / "stages.csv").exists():
+            header, *rows = (tmp_path / str(k) / "stages.csv").read_text().splitlines()
+            column = header.split(",").index("outer_iterations")
+            outer += sum(int(row.split(",")[column]) for row in rows)
+    assert outer == sum(outcome[3] for outcome in outcomes) > 0
+    lines = sweep["report"](problem, runs, outcomes)
+    assert lines[1] == f"  outer iterations over all attempts: {outer}"
