@@ -145,7 +145,7 @@ class NodalCurve:
             raise ValueError(
                 f"expected {self.grid.n_nodes} nodal points, got shape {pts.shape}"
             )
-        err = np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0))
+        err = np.abs(np.sqrt(dot(pts, pts)) - 1.0).max()
         if not err <= UNIT_NORM_TOL:  # also rejects NaN
             raise ValueError(f"nodal points leave the sphere by {err:.2e}")
 
@@ -228,12 +228,13 @@ class BandedMatrix:
                 f"(bandwidths {self.lower_bw}/{self.upper_bw})"
             )
         ab = self._ab
+        entries = blocks.transpose(1, 2, 0)  # entries[a, b]: entry (a, b) of every block
         mid = self.lower_bw + self.upper_bw + row0 - col0  # storage row of entry (0, 0)
         stop = col0 + span + 1
         for a in range(p - 1, -1, -1):
             for b in range(q):
                 band = ab[mid + a - b, col0 + b : stop + b : stride]
-                np.add(band, blocks[:, a, b], out=band)
+                band += entries[a, b]
 
     def factorize(self, rhs) -> tuple["BandedFactorization", np.ndarray]:
         """The banded LU of the matrix and the solution ``x`` of ``A x = rhs``.
@@ -241,9 +242,12 @@ class BandedMatrix:
         Skeel's condition number (:meth:`BandedFactorization.condition`) is not
         below ``CONDITION_LIMIT``; no row scaling of the system changes it."""
         fact = BandedFactorization(self)
-        cond, x = fact.condition(rhs)
+        cond, x, peak = fact.condition(rhs)
         if not cond < CONDITION_LIMIT:  # also rejects inf and NaN
-            raise SingularSystem(f"banded LU is near singular (condition estimate {cond:.2e})")
+            raise SingularSystem(
+                f"banded LU is near singular (condition estimate {cond:.2e}, "
+                f"largest at unknown {peak})"
+            )
         return fact, x
 
 
@@ -272,40 +276,52 @@ class BandedFactorization:
             raise SingularSystem(f"banded back substitution failed (info={info})")
         return x
 
-    def condition(self, rhs) -> tuple[float, np.ndarray]:
+    def condition(self, rhs) -> tuple[float, np.ndarray, int]:
         """Lower estimate of Skeel's condition number ``|| |A^-1| |A| ||_inf``
-        (Skeel, J. ACM 26, 1979) and the solution ``x`` of ``A x = rhs``.
+        (Skeel, J. ACM 26, 1979), the solution ``x`` of ``A x = rhs`` and the
+        0-based unknown at which the estimate's last forward solve ``z`` peaks.
 
         The condition number is ``||D A^-T||_1`` with ``D = diag(|A| e)``, estimated
         as LAPACK's ``dla_gbrcond`` does: the ``dlacn2`` iteration of Hager, SIAM J.
         Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign safeguard, ACM
-        TOMS 14 (1988).  ``rhs`` rides in the first forward solve; overflow gives ``inf``."""
+        TOMS 14 (1988).  ``rhs`` rides in the first forward solve; overflow gives
+        ``inf``.  Near a singular matrix ``z`` approximates a null vector, so its
+        peak typically names one of the nearly dependent columns.  Signs are
+        kept as masks ``y >= 0``; the stacked right-hand sides and the unit
+        vectors are written into two buffers that every step reuses."""
         d = self._row_sums
         n = d.size
-        alt = 1.0 + np.arange(n) / max(n - 1, 1)
-        alt[1::2] *= -1.0
+        neg_d = -d
+        b = np.empty((2, n))  # b.T: the two columns of the first solves
+        b[0] = 1.0 / n
+        b[1] = 1.0 + np.arange(n) / max(n - 1, 1)
+        b[1, 1::2] *= -1.0  # Higham's alternating-sign vector
+        e = np.zeros(n)  # the unit vector e_j of each transposed solve
         with np.errstate(over="ignore", invalid="ignore"):
-            y = self.solve(np.array([np.full(n, 1.0 / n), alt]).T, trans=1)
+            y = self.solve(b.T, trans=1)
             y *= d[:, None]
             alt_est = 2.0 * np.abs(y[:, 1]).sum() / (3.0 * n)
             est = np.abs(y[:, 0]).sum()
-            sign = np.where(y[:, 0] >= 0.0, 1.0, -1.0)
-            del y, alt
-            z, x = self.solve(np.array([d * sign, rhs]).T).T
-            j = int(np.argmax(np.abs(z)))
+            positive = y[:, 0] >= 0.0
+            b[0] = np.where(positive, d, neg_d)  # d * sign(y)
+            b[1] = rhs
+            z, x = self.solve(b.T).T
+            j = int(np.abs(z).argmax())
             for _ in range(4):  # at most 4 unit-vector solves, as in dlacn2 (ITMAX = 5)
-                y = self.solve(np.eye(1, n, j)[0], trans=1)
+                e[j] = 1.0
+                y = self.solve(e, trans=1)
+                e[j] = 0.0
                 y *= d
                 est_old, est = est, np.abs(y).sum()
-                new_sign = np.where(y >= 0.0, 1.0, -1.0)
-                if np.array_equal(new_sign, sign) or est <= est_old:
+                new_positive = y >= 0.0
+                if est <= est_old or (new_positive == positive).all():
                     break
-                sign = new_sign
-                z = self.solve(d * sign)
-                j_last, j = j, int(np.argmax(np.abs(z)))
+                positive = new_positive
+                z = self.solve(np.where(positive, d, neg_d))
+                j_last, j = j, int(np.abs(z).argmax())
                 if z[j_last] == abs(z[j]):  # Hager's test ||z||_inf <= z^T e_j
                     break
-        return float(alt_est if alt_est > est else est), x
+        return float(alt_est if alt_est > est else est), x, j
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,14 @@ def tangent_project(y, h) -> np.ndarray:
 
 def retract_sphere(y, d) -> np.ndarray:
     """Move from ``y`` along ``d`` and renormalize back onto the sphere."""
-    y, d = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(d, dtype=float))
+    y = np.asarray(y, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if y.shape != d.shape:
+        y, d = np.broadcast_arrays(y, d)
     moved = d.any(axis=-1, keepdims=True)
     w = y + d
-    nrm = np.linalg.norm(w, axis=-1, keepdims=True)
-    if np.any(moved & (nrm <= DEGENERATE_NORM)):
+    nrm = np.sqrt(dot(w, w))
+    if (moved & (nrm <= DEGENERATE_NORM)).any():
         i = np.argmin(np.where(moved, nrm, np.inf))
         raise DegenerateUpdate(
             f"update direction collapses the point to norm {nrm.flat[i]:.2e} at row {i}"
@@ -91,16 +94,26 @@ def tangent_basis(y) -> np.ndarray:
     """Deterministic orthonormal tangent frames at each unit vector ``y``.
 
     Returns ``(..., 3, 2)`` frames ``V`` with columns ``v1, v2``; ``V @ c`` is
-    the tangent vector of coefficients ``c``.  The two coordinate axes least
-    aligned with ``y`` are orthogonalized against ``y`` (and against each
-    other) by a single Gram-Schmidt sweep.  No continuity across nearby base
-    points is promised, or needed.
+    the tangent vector of coefficients ``c``.  The frame is the closed-form
+    basis of Duff et al., "Building an Orthonormal Basis, Revisited", JCGT
+    6(1), 2017: with ``s = copysign(1, y3)`` and ``a = -1 / (s + y3)``,
+
+        v1 = (1 + s a y1^2, s a y1 y2, -s y1),   v2 = (a y1 y2, s + a y2^2, -y2),
+
+    so ``(v1, v2, y)`` is right handed.  ``s + y3`` is at least 1 in size, so
+    no base point is singular; ``y3 = -0.0`` takes the ``s = -1`` branch.  No
+    continuity across nearby base points is promised, or needed.
     """
     y = np.asarray(y, dtype=float)
-    order = np.argsort(np.abs(y), axis=-1, kind="stable")
-    axes = np.eye(3)
-    e_a = axes[order[..., 0]]
-    e_b = axes[order[..., 1]]
-    v1 = normalized(e_a - y * dot(y, e_a))
-    v2 = normalized(e_b - y * dot(y, e_b) - v1 * dot(v1, e_b))
-    return np.stack((v1, v2), axis=-1)
+    y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
+    s = np.copysign(1.0, y3)
+    a = -1.0 / (s + y3)
+    b = y1 * y2 * a
+    V = np.empty(y.shape + (2,))
+    V[..., 0, 0] = 1.0 + s * y1 * y1 * a
+    V[..., 1, 0] = s * b
+    V[..., 2, 0] = -s * y1
+    V[..., 0, 1] = b
+    V[..., 1, 1] = s + y2 * y2 * a
+    V[..., 2, 1] = -y2
+    return V

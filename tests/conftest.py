@@ -205,3 +205,35 @@ def random_banded(rng, dim, kl, ku):
     band_add(A, i[in_band], j[in_band], rng.standard_normal(np.count_nonzero(in_band)))
     band_add(A, np.arange(dim), np.arange(dim), 4.0 * (kl + ku + 1))
     return A
+
+
+def reference_condition(fact, rhs) -> tuple[float, np.ndarray]:
+    """``BandedFactorization.condition``'s estimate and solution as first
+    written: the same Hager/Higham iteration with a fresh sign array, a fresh
+    unit vector and stacked right-hand sides in every step.  The oracle of
+    the estimator's bit-for-bit behaviour."""
+    d = fact._row_sums
+    n = d.size
+    alt = 1.0 + np.arange(n) / max(n - 1, 1)
+    alt[1::2] *= -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = fact.solve(np.array([np.full(n, 1.0 / n), alt]).T, trans=1)
+        y *= d[:, None]
+        alt_est = 2.0 * np.abs(y[:, 1]).sum() / (3.0 * n)
+        est = np.abs(y[:, 0]).sum()
+        sign = np.where(y[:, 0] >= 0.0, 1.0, -1.0)
+        z, x = fact.solve(np.array([d * sign, rhs]).T).T
+        j = int(np.argmax(np.abs(z)))
+        for _ in range(4):
+            y = fact.solve(np.eye(1, n, j)[0], trans=1)
+            y *= d
+            est_old, est = est, np.abs(y).sum()
+            new_sign = np.where(y >= 0.0, 1.0, -1.0)
+            if np.array_equal(new_sign, sign) or est <= est_old:
+                break
+            sign = new_sign
+            z = fact.solve(d * sign)
+            j_last, j = j, int(np.argmax(np.abs(z)))
+            if z[j_last] == abs(z[j]):
+                break
+    return float(alt_est if alt_est > est else est), x

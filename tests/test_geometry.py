@@ -177,6 +177,51 @@ def test_basis_deterministic():
     assert np.array_equal(tangent_basis(y), tangent_basis(y))
 
 
+EPS = np.finfo(float).eps
+
+
+def _frame_errors(y, V):
+    """Worst orthonormality, tangency and right-handedness (``v1 x v2 = y``)
+    deviations of the stacked frames ``V`` at the points ``y``."""
+    gram = np.swapaxes(V, -1, -2) @ V
+    return (np.abs(gram - np.eye(2)).max(),
+            np.abs(np.einsum("...ij,...i->...j", V, y)).max(),
+            np.abs(np.cross(V[..., 0], V[..., 1]) - y).max())
+
+
+def _edge_points():
+    t = np.linspace(0.0, 2.0 * np.pi, 13)
+    z = -1.0 + 1e-16  # rounds to the float just above -1
+    equator = np.column_stack((np.cos(t), np.sin(t), np.zeros_like(t)))
+    return np.vstack([
+        E3, -E3, [-0.0, -0.0, 1.0], [-0.0, -0.0, -1.0],
+        equator, equator * [1.0, 1.0, -1.0],  # y3 = +0.0, then y3 = -0.0
+        [np.sqrt(1.0 - z * z), 0.0, z], [0.0, np.sqrt(1.0 - z * z), z],
+        [np.sqrt(1.0 - z * z), 0.0, -z],
+    ])
+
+
+def test_closed_form_frames_at_edge_points():
+    y = _edge_points()
+    V = tangent_basis(y)
+    assert max(_frame_errors(y, V)) <= 4 * EPS
+    # the branch is s = copysign(1, y3), which shows as v2's y2 entry s + a y2^2
+    # wherever y2 = 0: +0.0 takes s = +1, -0.0 takes s = -1
+    flat = y[:, 1] == 0.0
+    assert np.array_equal(V[flat, 1, 1], np.copysign(1.0, y[flat, 2]))
+    assert np.array_equal(tangent_basis(E3), np.eye(3)[:, :2])
+    assert np.array_equal(tangent_basis(-E3), [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
+    for k in range(len(y)):
+        assert np.array_equal(V[k], tangent_basis(y[k])), y[k]
+
+
+def test_closed_form_frames_are_orthonormal_and_right_handed():
+    rng = np.random.default_rng(25)
+    y = rng.standard_normal((100_000, 3))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    assert max(_frame_errors(y, tangent_basis(y))) <= 4 * EPS
+
+
 def test_stacked_points_match_one_node_calls():
     # a (3,) point is the one-node case of the same code: stacking nodes
     # must not change a single bit, zero steps included
