@@ -7,8 +7,7 @@ writes four artifacts into the output directory:
   stage solves concatenated,
 - ``curve.csv``: the final nodal data, on the grid of the final state,
 - ``stages.csv``: one row per stage solve, rejected penalty stages included,
-  with its grid size, the obstacle's penalty and violation, its Newton
-  counts and termination, and the obstacle's acceptance,
+  with the columns of the problem's ``stage_row``,
 - ``meta.txt``: every resolved parameter plus ``result_*`` summary keys; the
   file doubles as a ``--config`` input that reproduces the run, and its
   ``problem`` line stands in for the positional argument.  A run that

@@ -30,7 +30,7 @@ from .geometry import DegenerateUpdate
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Parameters of the damped Newton iteration.
+    """Parameters of the damped Newton iteration that a run may vary.
 
     ``theta_acc = math.inf`` accepts every trial step whose ``theta`` is not
     NaN and freezes the damping factor at ``alpha0``, which recovers the
@@ -38,17 +38,15 @@ class NewtonConfig:
     """
 
     tol: float = 1e-10
-    theta_des: float = 0.5
     theta_acc: float = 0.9
     alpha0: float = 1.0
-    alpha_fail: float = 1e-8
     max_outer: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.theta_des < self.theta_acc:
-            raise ValueError("need 0 < theta_des < theta_acc")
-        if not 0.0 < self.alpha_fail < self.alpha0 <= 1.0:
-            raise ValueError("need 0 < alpha_fail < alpha0 <= 1")
+        if not THETA_DES < self.theta_acc:
+            raise ValueError(f"need theta_acc > {THETA_DES:g}, got {self.theta_acc!r}")
+        if not ALPHA_FAIL < self.alpha0 <= 1.0:
+            raise ValueError(f"need {ALPHA_FAIL:g} < alpha0 <= 1, got {self.alpha0!r}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
         if self.max_outer < 1:
@@ -87,16 +85,15 @@ class NewtonIteration:
 @dataclass
 class Stage:
     """One damped Newton solve: the problem it solved, with its grid and the
-    obstacle's ``p``, its outer iterations and how it ended.  The penalty path
-    marks a rejected attempt ``accepted`` False and records the obstacle's cap
-    ``violation``."""
+    obstacle's ``p``, its outer iterations, how it ended and the ``state`` it
+    ended at.  The penalty path marks a rejected attempt ``accepted`` False."""
 
     problem: object
     iterations: list = field(default_factory=list)
     terminated: Termination = Termination.MAX_ITERATIONS
     message: str = ""
     accepted: bool = True
-    violation: float | None = None
+    state: object = None
 
 
 @dataclass
@@ -174,17 +171,20 @@ def update_alpha(alpha: float, theta: float, theta_des: float) -> float:
     return min(1.0, alpha * theta_des / theta)
 
 
+# no run parameters: no value of either one helps all three problems
+THETA_DES = 0.5  # the contraction the step-size update aims at
+ALPHA_FAIL = 1e-8  # the step size below which a solve gives up
 # largest contraction of a full step whose simplified step may stop the solve:
 # then |x_plus - x*| <= |dx_bar| / (1 - theta) <= 2 |dx_bar|
 THETA_STOP = 0.5
 
 
-def _converged(x, stage: Stage, norm_dx: float, residual_inf: float):
-    """End ``stage`` as converged at ``x`` with the convergence row."""
+def _converged(stage: Stage, norm_dx: float, residual_inf: float):
+    """End ``stage`` as converged at its state with the convergence row."""
     stage.iterations.append(NewtonIteration(norm_dx, 1.0, (), residual_inf))
     stage.terminated = Termination.CONVERGED
     stage.message = "stationary within tolerance"
-    return x, stage
+    return stage.state, stage
 
 
 def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfig(),
@@ -195,28 +195,28 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     every inner trial re-solves only the right-hand side of the simplified
     Newton equation with the stored factorization.  A trial step of damping
     ``alpha`` is accepted when the contraction estimate ``theta`` stays below
-    ``cfg.theta_acc``; ``alpha`` is adapted towards ``cfg.theta_des``.  No cap
+    ``cfg.theta_acc``; ``alpha`` is adapted towards ``THETA_DES``.  No cap
     counts the trials: each rejected one shrinks ``alpha`` by a factor of at
-    most ``max(1/2, theta_des / theta_acc)``, until ``alpha < cfg.alpha_fail``.
+    most ``max(1/2, THETA_DES / theta_acc)``, until ``alpha < ALPHA_FAIL``.
 
-    Returns ``(state, stage)``.  The solve converges at the accepted trial
-    point of a full step with ``theta <= THETA_STOP`` whose simplified Newton
-    step, the estimate of the next Newton step, is within ``cfg.tol``
-    (NLEQ-ERR, Deuflhard, *Newton Methods for Nonlinear Problems*, 2004,
-    ch. 3); otherwise at the start of an outer iteration once the Newton step
-    drops below ``cfg.tol`` (a zero step occurs exactly at a root).  Both
-    tests may also pass at a larger step: ``stops_early(x, norm)``, if given,
-    is asked whenever the step norm ``norm`` at the point ``x`` (the trial
-    point for the estimate) exceeds ``cfg.tol``, and a true answer ends the
-    solve there as converged too; this lets the tolerance depend on the
-    iterate, as the obstacle's penalty path does for a stage it will follow
-    with another one.  Damping
-    failures and iteration limits are reported through ``stage.terminated``
-    rather than raised.  A trial point that raises
+    Returns ``(state, stage)``, with ``stage.state`` the same state.  The
+    solve converges at the accepted trial point of a full step with ``theta <=
+    THETA_STOP`` whose simplified Newton step, the estimate of the next Newton
+    step, is within ``cfg.tol`` (NLEQ-ERR, Deuflhard, *Newton Methods for
+    Nonlinear Problems*, 2004, ch. 3); otherwise at the start of an outer
+    iteration once the Newton step drops below ``cfg.tol`` (a zero step occurs
+    exactly at a root).  Both tests may also pass at a larger step:
+    ``stops_early(x, norm)``, if given, is asked whenever the step norm
+    ``norm`` at the point ``x`` (the trial point for the estimate) exceeds
+    ``cfg.tol``, and a true answer ends the solve there as converged too; this
+    lets the tolerance depend on the iterate, as the obstacle's penalty path
+    does for a stage it will follow with another one.  Damping failures and
+    iteration limits are reported through ``stage.terminated`` rather than
+    raised.  A trial point that raises
     :class:`~bundle_newton.geometry.DegenerateUpdate`, in the retraction or
     the trial residual, counts as a non-finite ``theta``; with ``alpha``
-    pinned (``theta_acc = inf``) the exception propagates, as do exceptions
-    at the iterate itself, and a NaN ``theta`` fails the solve.
+    pinned (``theta_acc = inf``) the exception propagates, as do exceptions at
+    the iterate itself, and a NaN ``theta`` fails the solve.
     """
     def within_tol(x, norm: float) -> bool:
         return norm <= cfg.tol or (stops_early is not None and stops_early(x, norm))
@@ -224,7 +224,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     x = x0
     alpha = cfg.alpha0
     pin_alpha = math.isinf(cfg.theta_acc)
-    stage = Stage(problem)
+    stage = Stage(problem, state=x0)
 
     for _ in range(cfg.max_outer):
         b = problem.assemble_residual(x)
@@ -233,7 +233,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         norm_dx = problem.norm_inf(dx)
 
         if within_tol(x, norm_dx):
-            return _converged(x, stage, norm_dx, residual_inf)
+            return _converged(stage, norm_dx, residual_inf)
 
         thetas = []
         while True:
@@ -251,11 +251,11 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
             thetas.append(theta)
             alpha_used = alpha
             if not pin_alpha:
-                alpha = update_alpha(alpha, theta, cfg.theta_des)
-                if alpha < cfg.alpha_fail:
+                alpha = update_alpha(alpha, theta, THETA_DES)
+                if alpha < ALPHA_FAIL:
                     stage.terminated = Termination.DAMPING_FAILED
                     stage.message = (
-                        f"step size collapsed below {cfg.alpha_fail:g} "
+                        f"step size collapsed below {ALPHA_FAIL:g} "
                         f"after {len(thetas)} trials (last theta {theta:.3g})"
                     )
                     return x, stage
@@ -266,11 +266,11 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
                 stage.message = f"plain Newton step rejected (theta {theta:.3g})"
                 return x, stage
 
-        x = x_plus
+        x = stage.state = x_plus
         stage.iterations.append(NewtonIteration(norm_dx, alpha_used, tuple(thetas), residual_inf))
         # a NaN or infinite theta fails the comparison, so no stale norm_dx_bar or r_bar is read
         if alpha_used == 1.0 and theta <= THETA_STOP and within_tol(x, norm_dx_bar):
-            return _converged(x, stage, norm_dx_bar, problem.norm_inf(r_bar))
+            return _converged(stage, norm_dx_bar, problem.norm_inf(r_bar))
 
     stage.message = f"no convergence within {cfg.max_outer} outer iterations"
     return x, stage

@@ -27,7 +27,8 @@ DEFAULT_GAMMAT = (-0.8 * np.cos(0.2), 0.8 * np.sin(0.2), 0.6)
 
 # penalty path: at most MAX_STAGES stage solves; the step in log p doubles
 # after a stage of at most FAST_STAGE_STEPS full Newton steps, and the path
-# fails once rejections shrink the per-stage factor below MIN_GROWTH
+# fails once rejections or damped stages shrink the per-stage factor below
+# MIN_GROWTH
 MAX_STAGES = 500
 FAST_STAGE_STEPS = 4
 MIN_GROWTH = 1.001
@@ -113,14 +114,14 @@ class ObstacleProblem(SphereCurveProblem):
     def stage_row(self, stage) -> dict:
         """The solve's columns with penalty and violation after ``n``, acceptance last."""
         row = super().stage_row(stage)
-        return {"n": row.pop("n"), "penalty": stage.problem.p, "violation": stage.violation,
-                **row, "accepted": int(stage.accepted)}
+        return {"n": row.pop("n"), "penalty": stage.problem.p,
+                "violation": self.violation(stage.state), **row, "accepted": int(stage.accepted)}
 
     def results(self, continuation: Continuation) -> dict:
         stages = continuation.stages
         out = {"stage_count": len(stages)}
         if stages:  # empty only when the first stage failed
-            out.update(final_p=stages[-1].problem.p, violation=stages[-1].violation)
+            out.update(final_p=stages[-1].problem.p, violation=self.violation(stages[-1].state))
         out["rejected_stages"] = len(continuation.attempts) - len(stages)
         return out
 
@@ -146,11 +147,14 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
     violation exceeds the last accepted (or the start) curve's: the warm
     start jumped to another branch.  It is retried from the last accepted
     curve with half the step.  A rejected first stage ends the path with its
-    termination (``DAMPING_FAILED`` for a rising violation); a factor below
-    ``MIN_GROWTH`` ends it as ``DAMPING_FAILED``; ``MAX_STAGES`` stage
-    solves, rejected ones included, end it as ``MAX_ITERATIONS``.  Each
-    attempt is its solve's ``Stage`` with ``accepted`` and ``violation`` set;
-    the result's state is the last accepted curve.
+    termination (``DAMPING_FAILED`` for a rising violation).  These end it as
+    ``DAMPING_FAILED`` too: a factor below ``MIN_GROWTH``, shrunk by a
+    rejection or by an accepted stage that needed damping; and an accepted
+    stage after the path's first that leaves the violation, still above the
+    band, exactly where the last one did, so that the penalty no longer
+    moves the curve.  ``MAX_STAGES`` stage solves, rejected ones included,
+    end it as ``MAX_ITERATIONS``.  Each attempt is its solve's ``Stage``
+    with ``accepted`` set; the result's state is the last accepted curve.
 
     The stages are solved inexactly (Hintermüller and Kunisch, SIAM J.
     Optim. 17, 2006): a stage stops at a step of ``max(cfg.tol,
@@ -177,28 +181,42 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
             return result
         p = result.stages[-1].problem.p * growth if result.stages else problem.p
         curve, stage = damped_newton(problem.replace(p=p), result.state, cfg, above_band)
-        stage.violation = problem.violation(curve)
+        reached = problem.violation(curve)
         converged = stage.terminated is Termination.CONVERGED
-        stage.accepted = converged and stage.violation <= violation
+        stage.accepted = converged and reached <= violation
         result.attempts.append(stage)
         if stage.accepted:
-            result.state, violation = curve, stage.violation
+            result.state = curve
+            # after the first stage, a larger penalty that left the violation where it was
+            if reached == violation > problem.violation_tol and len(result.stages) > 1:
+                result.terminated = Termination.DAMPING_FAILED
+                result.message = (
+                    f"penalty {p:g} no longer moves the curve: violation {reached:.3g} "
+                    f"stays above violation_tol = {problem.violation_tol:g}"
+                )
+                return result
+            violation = reached
             alphas = [it.accepted_alpha for it in stage.iterations if it.inner_trials]
-            if min(alphas, default=1.0) < 1.0:
-                growth = math.sqrt(growth)
-            elif len(alphas) <= FAST_STAGE_STEPS:
-                growth = min(growth * growth, problem.p_growth)
-            continue
+            if min(alphas, default=1.0) == 1.0:
+                if len(alphas) <= FAST_STAGE_STEPS:
+                    growth = min(growth * growth, problem.p_growth)
+                continue
         growth = math.sqrt(growth)
         if result.stages and growth >= MIN_GROWTH:
             continue
         # no smaller step left: the path ends here
+        result.terminated = Termination.DAMPING_FAILED
+        if stage.accepted:
+            result.message = (
+                f"penalty growth fell below {MIN_GROWTH:g} through damped stages: "
+                f"last accepted penalty {p:g}"
+            )
+            return result
         reason = (
-            f"violation rose from {violation:.3g} to {stage.violation:.3g}" if converged
+            f"violation rose from {violation:.3g} to {reached:.3g}" if converged
             else f"{stage.terminated.value}: {stage.message}"
         )
         if result.stages:
-            result.terminated = Termination.DAMPING_FAILED
             result.message = (
                 f"penalty growth fell below {MIN_GROWTH:g} after "
                 f"{len(result.attempts) - len(result.stages)} rejected attempts: "

@@ -206,7 +206,7 @@ def test_criterion_5_obstacle_path_following():
         endpoints_ok = np.array_equal(
             result.state.points[0], problem.gamma0
         ) and np.array_equal(result.state.points[-1], problem.gammaT)
-        violations = [s.violation for s in result.stages]
+        violations = [s.problem.violation(s.state) for s in result.stages]
         monotone = all(b <= a + 1e-15 for a, b in zip(violations, violations[1:]))
         converged = result.terminated is Termination.CONVERGED
         ok = ok and converged and stage_ok and endpoints_ok and monotone

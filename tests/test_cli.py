@@ -1,6 +1,7 @@
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,8 +184,7 @@ def test_rod_curve_columns(tmp_path):
 
 
 # the parameter keys of meta.txt that every problem writes, in order
-_RUN_KEYS = ["problem", "n", "t_end", "tol", "theta_des", "theta_acc", "alpha0", "alpha_fail",
-             "max_outer"]
+_RUN_KEYS = ["problem", "n", "t_end", "tol", "theta_acc", "alpha0", "max_outer"]
 
 # per problem at --n 20: the stages.csv header, the curve.csv header, the
 # result_* keys of meta.txt in order (a converged path writes no message) and
@@ -322,6 +322,11 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         (["geodesic-force", "--tol", "nan"], "nan"),
         (["geodesic-force", "--n", "5", "--tol", "inf"], "inf"),
         (["geodesic-force", "--n", "5", "--max-outer", "0"], "need max_outer >= 1, got 0"),
+        # the damping's bounds name the constants THETA_DES and ALPHA_FAIL
+        (["geodesic-force", "--n", "5", "--theta-acc", "0.5"], "need theta_acc > 0.5, got 0.5"),
+        (["geodesic-force", "--n", "5", "--alpha0", "1e-9"],
+         "need 1e-08 < alpha0 <= 1, got 1e-09"),
+        (["geodesic-force", "--n", "5", "--alpha0", "1.5"], "need 1e-08 < alpha0 <= 1, got 1.5"),
         (["geodesic-force", "--n", "10", "--gamma0", "nan,0,1"], "'nan,0,1'"),
         (["rod", "--n", "10", "--y0", "nan,0,0"], "'nan,0,0'"),
         (["rod", "--n", "10", "--y1", "inf,0,0"], "[inf, 0.0, 0.0]"),
@@ -346,8 +351,11 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     (tmp_path / "frac.cfg").write_text("n = 12.5\n")
     (tmp_path / "word.cfg").write_text("tol = abc\n")
     (tmp_path / "nan.cfg").write_text("sigma = nan\n")
-    # max_inner is no parameter: alpha_fail alone bounds the trial steps
+    # max_inner is no parameter: ALPHA_FAIL alone bounds the trial steps;
+    # theta_des and alpha_fail are the constants THETA_DES and ALPHA_FAIL
     (tmp_path / "inner.cfg").write_text("max_inner = 20\n")
+    (tmp_path / "des.cfg").write_text("theta_des = 0.5\n")
+    (tmp_path / "fail.cfg").write_text("alpha_fail = 1e-8\n")
     cases = [
         (["--config", str(tmp_path / "frac.cfg")], "'12.5'"),
         (["--config", str(tmp_path / "word.cfg")], "'abc'"),
@@ -356,6 +364,10 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
         (["--seed", "3"], "--seed"),
         (["--max-inner", "7"], "--max-inner"),
         (["--config", str(tmp_path / "inner.cfg")], "'max_inner'"),
+        (["--theta-des", "0.3"], "--theta-des"),
+        (["--alpha-fail", "1e-3"], "--alpha-fail"),
+        (["--config", str(tmp_path / "des.cfg")], "'theta_des'"),
+        (["--config", str(tmp_path / "fail.cfg")], "'alpha_fail'"),
         (["--config", str(tmp_path / "missing.cfg")], "missing.cfg"),
     ]
     capsys.readouterr()
@@ -381,8 +393,8 @@ def test_every_field_round_trips_through_flags_and_meta(tmp_path, problem):
     # digits; a parameter missing from the flags, the parsers or meta.txt
     # breaks the round trip
     values = {
-        "n": 7, "t_end": 2.5000000000000004, "tol": 3e-9, "theta_des": 0.375,
-        "theta_acc": 0.95, "alpha0": 0.75, "alpha_fail": 1e-7, "max_outer": 1,
+        "n": 7, "t_end": 2.5000000000000004, "tol": 3e-9, "theta_acc": 0.95, "alpha0": 0.75,
+        "max_outer": 1,
         **_OWN_VALUES[problem], "out_dir": str(tmp_path / "out"),
     }
     expected = {"problem": problem, **values}
@@ -519,6 +531,16 @@ def test_the_command_line_knows_no_problem_class():
         assert _problem_branches(source) == [1], source
     # a docstring may name a keyword
     assert _problem_branches('"""Reads sigma."""\ndef f():\n    """gammaT"""') == []
+
+
+def test_the_readme_names_exactly_the_flags_of_the_command_line():
+    # a flag the parser drops must leave README's "Command line" section, and a new one enter it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    options = {flag for flag in build_parser()._option_string_actions if flag.startswith("--")}
+    assert {"--help", "--config", "--gammaT", "--violation-tol"} <= options
+    assert named == options
 
 
 def test_config_file_parsing(tmp_path):

@@ -90,7 +90,8 @@ def test_obstacle_ladder_resumes_the_penalty_path_on_each_finer_grid(tmp_path, h
     assert result.terminated is Termination.CONVERGED
     grids = [stage.problem.grid.n_interior for stage in result.attempts]
     assert grids == sorted(grids) and set(grids) == {10, 100}
-    assert result.stages[-1].violation <= problem.violation_tol
+    last = result.stages[-1]
+    assert last.problem.violation(last.state) <= problem.violation_tol
     # the coarse path ends at the direct path's penalty; the fine grid only finishes it
     assert result.stages[-1].problem.p == direct.stages[-1].problem.p
     assert result.state.grid == problem.grid

@@ -15,6 +15,7 @@ from bundle_newton import (
     update_alpha,
 )
 import bundle_newton.fem1d as fem1d
+import bundle_newton.newton as newton
 from bundle_newton.newton import ProblemInterface
 from bundle_newton.problems import (
     GeodesicForceProblem,
@@ -196,14 +197,19 @@ class NaNTrialProblem(ScalarLinearProblem):
         return super().retract(state, xi, alpha)
 
 
-@pytest.mark.parametrize("alpha_fail, trials", [(1e-8, 27), (1e-3, 10)])
-def test_driver_nan_trial_shrinks_the_step(alpha_fail, trials):
+# the step size floor ALPHA_FAIL and the trials a stream of NaN thetas takes to pass it
+FLOOR_TRIALS = [(1e-8, 27), (1e-3, 10)]
+
+
+@pytest.mark.parametrize("alpha_fail, trials", FLOOR_TRIALS)
+def test_driver_nan_trial_shrinks_the_step(monkeypatch, alpha_fail, trials):
     # a NaN theta rejects the trial and halves alpha; retrying the same full
-    # step would never get anywhere.  alpha_fail alone ends the trials, after
-    # ceil(log2(1 / alpha_fail)) halvings
+    # step would never get anywhere.  ALPHA_FAIL alone ends the trials, after
+    # ceil(log2(1 / ALPHA_FAIL)) halvings
     assert trials == math.ceil(math.log2(1.0 / alpha_fail))
+    monkeypatch.setattr(newton, "ALPHA_FAIL", alpha_fail)
     problem = NaNTrialProblem()
-    x, trace = damped_newton(problem, 1.0, NewtonConfig(alpha_fail=alpha_fail))
+    x, trace = damped_newton(problem, 1.0, NewtonConfig())
     assert trace.terminated is Termination.DAMPING_FAILED
     assert trace.message == (f"step size collapsed below {alpha_fail:g} "
                              f"after {trials} trials (last theta nan)")
@@ -251,9 +257,12 @@ RAISING_TRIALS = [(DegenerateUpdate, "retract"), (PoleSingularity, "residual")]
 
 
 @pytest.mark.parametrize("error, where", RAISING_TRIALS)
-@pytest.mark.parametrize("alpha_fail, trials", [(1e-8, 27), (1e-3, 10)])
-def test_driver_raising_trial_shrinks_the_step_as_a_nan_one(error, where, alpha_fail, trials):
-    cfg = NewtonConfig(alpha_fail=alpha_fail)
+@pytest.mark.parametrize("alpha_fail, trials", FLOOR_TRIALS)
+def test_driver_raising_trial_shrinks_the_step_as_a_nan_one(
+    monkeypatch, error, where, alpha_fail, trials
+):
+    monkeypatch.setattr(newton, "ALPHA_FAIL", alpha_fail)
+    cfg = NewtonConfig()
     nan, raising = NaNTrialProblem(), RaisingTrialProblem(error, where)
     nan_x, nan_trace = damped_newton(nan, 1.0, cfg)
     x, trace = damped_newton(raising, 1.0, cfg)
@@ -427,6 +436,24 @@ def test_driver_max_iterations():
     assert trace.terminated is Termination.MAX_ITERATIONS
 
 
+def test_a_solve_records_the_state_it_returns():
+    # however a solve ends, its stage holds the state damped_newton returns:
+    # a trial point, the start, an iterate
+    geo = GeodesicForceProblem(Grid(1.0, 20))
+    cases = [
+        (ScalarLinearProblem(), 1.0, NewtonConfig(), Termination.CONVERGED),
+        (ScalarLinearProblem(), 0.0, NewtonConfig(), Termination.CONVERGED),
+        (StubbornProblem(), 1.0, NewtonConfig(), Termination.DAMPING_FAILED),
+        (NaNTrialProblem(), 1.0, NewtonConfig(theta_acc=math.inf), Termination.DAMPING_FAILED),
+        (geo, geo.initial_state(), NewtonConfig(), Termination.CONVERGED),
+        (geo, geo.initial_state(), NewtonConfig(max_outer=1), Termination.MAX_ITERATIONS),
+    ]
+    for problem, x0, cfg, terminated in cases:
+        x, stage = damped_newton(problem, x0, cfg)
+        assert stage.terminated is terminated
+        assert stage.state is x
+
+
 def test_driver_undamped_mode_pins_alpha(monkeypatch):
     # theta_acc = inf accepts every trial and freezes alpha at alpha0
     grid = Grid(1.0, 20)
@@ -503,7 +530,7 @@ def test_monotone_acceptance_on_traces():
         for it in trace.iterations:
             if it.thetas:
                 assert it.thetas[-1] <= cfg.theta_acc
-            assert cfg.alpha_fail <= it.accepted_alpha <= 1.0
+            assert newton.ALPHA_FAIL <= it.accepted_alpha <= 1.0
 
 
 # -- affine covariance -----------------------------------------------------------------

@@ -186,6 +186,11 @@ def test_jacobian_fd_consistency_away_from_kink():
 # -- path following -----------------------------------------------------------------
 
 
+def stage_violation(stage):
+    """The cap violation of the state a stage solve ended at."""
+    return stage.problem.violation(stage.state)
+
+
 def test_path_following_trivial_when_cap_unreachable():
     # both boundary points in the southern hemisphere: the geodesic never
     # gets close to the cap, so the first stage is stationary at its start
@@ -196,7 +201,7 @@ def test_path_following_trivial_when_cap_unreachable():
     result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.CONVERGED
     assert all(stage.problem.p == obs.p for stage in result.stages)
-    assert result.stages[-1].violation == 0.0
+    assert stage_violation(result.stages[-1]) == 0.0
     assert [len(stage.iterations) for stage in result.attempts] == [1]
     assert np.array_equal(result.state.points, obs.initial_state().points)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
@@ -216,7 +221,7 @@ def test_path_following_reaches_cap_band():
     assert np.array_equal(result.state.points[-1], obs.gammaT)
     # all stages converged, violations never increase
     assert all(s.terminated is Termination.CONVERGED for s in result.stages)
-    viols = [s.violation for s in result.stages]
+    viols = [stage_violation(s) for s in result.stages]
     assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
     # the penalty grows by at most the configured cap per stage
     ps = [s.problem.p for s in result.stages]
@@ -245,7 +250,7 @@ def test_path_following_stage_limit_is_iteration_limit(monkeypatch):
     assert solves == [1.0, 4.0]
     assert len(result.attempts) == 2
     assert result.message == "no convergence within 2 penalty stage solves (0 rejected)"
-    assert result.stages[-1].violation > obs.violation_tol
+    assert stage_violation(result.stages[-1]) > obs.violation_tol
 
 
 @pytest.mark.parametrize("h_ref", [0.1, 0.2])
@@ -258,7 +263,7 @@ def test_path_following_takes_few_stages(n, h_ref):
     assert sum(len(s.iterations) for s in result.stages) <= 60
     zmax = result.state.points[:, 2].max()
     assert 1.0 - h_ref - 1e-3 <= zmax <= 1.0 - h_ref + 1e-3
-    viols = [s.violation for s in result.stages]
+    viols = [stage_violation(s) for s in result.stages]
     assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
 
 
@@ -274,9 +279,9 @@ def test_only_a_stage_that_ends_above_the_band_stops_early(h_ref):
     early = [stage for stage in result.attempts if stage.iterations[-1].norm_dx > cfg.tol]
     assert early
     for stage in early:
-        assert stage.violation > problem.violation_tol
+        assert stage_violation(stage) > problem.violation_tol
         assert stage.iterations[-1].norm_dx <= loose_tol
-    inside = [stage for stage in result.attempts if stage.violation <= problem.violation_tol]
+    inside = [stage for stage in result.attempts if stage_violation(stage) <= problem.violation_tol]
     assert inside and all(stage.iterations[-1].norm_dx <= cfg.tol for stage in inside)
     assert result.stages[-1] in inside
 
@@ -363,7 +368,7 @@ def record_solves(monkeypatch, fail_above=np.inf, failures=np.inf):
     def solve(problem, x0, cfg, stops_early=None):
         solves.append(problem.p)
         if problem.p > fail_above and sum(p > fail_above for p in solves) <= failures:
-            return x0, Stage(problem, [], Termination.DAMPING_FAILED, "forced failure")
+            return x0, Stage(problem, [], Termination.DAMPING_FAILED, "forced failure", state=x0)
         return damped_newton(problem, x0, cfg, stops_early)
 
     monkeypatch.setattr(obstacle, "damped_newton", solve)
@@ -381,7 +386,7 @@ def test_failed_stage_is_retried_with_a_smaller_factor(monkeypatch):
     assert [s.problem.p for s in rejected] == [64.0]
     assert rejected[0].terminated is Termination.DAMPING_FAILED
     assert all(s.accepted for s in result.stages)
-    assert result.stages[-1].violation <= obs.violation_tol
+    assert stage_violation(result.stages[-1]) <= obs.violation_tol
 
 
 def test_step_floor_ends_the_path_as_damping_failed(monkeypatch):
@@ -403,6 +408,57 @@ def test_step_floor_ends_the_path_as_damping_failed(monkeypatch):
         f"penalty growth fell below {obstacle.MIN_GROWTH:g} after {len(tried)} rejected "
         f"attempts: last accepted penalty 16, attempted {tried[-1]:g} "
         "(damping_failed: forced failure)"
+    )
+
+
+def test_growth_collapsing_through_damped_stages_ends_the_path(monkeypatch):
+    # alpha0 = 0.5 damps the first step of every stage, so every accepted
+    # stage halves the step in log p, and after the 11th the factor is below
+    # the floor.  Every stage is solved to cfg.tol here, so each one moves the
+    # curve; at the default stage tolerance the 9th stops at its start instead
+    # (test_a_penalty_that_no_longer_moves_the_curve_ends_the_path)
+    monkeypatch.setattr(obstacle, "STAGE_TOL_FACTOR", 0.0)
+    obs = ObstacleProblem(Grid(1.0, 10))
+    result = obstacle_path_follow(obs, NewtonConfig(alpha0=0.5))
+    assert result.terminated is Termination.DAMPING_FAILED
+    assert len(result.attempts) == len(result.stages) == 11
+    ps = [s.problem.p for s in result.stages]
+    factors = [b / a for a, b in zip(ps, ps[1:])]
+    assert factors[0] == 2.0
+    for a, b in zip(factors, factors[1:]):
+        assert b == pytest.approx(np.sqrt(a), rel=1e-12)
+    assert factors[-1] >= obstacle.MIN_GROWTH > np.sqrt(factors[-1])
+    assert result.state is result.stages[-1].state
+    assert stage_violation(result.stages[-1]) > obs.violation_tol
+    assert result.message == (f"penalty growth fell below {obstacle.MIN_GROWTH:g} through "
+                              f"damped stages: last accepted penalty {ps[-1]:g}")
+
+
+def test_a_penalty_that_no_longer_moves_the_curve_ends_the_path(tmp_path):
+    # with no band, from the 22nd stage (p = 2.2e12) on, the Newton step at
+    # the warm start is within tol: the curve, and its violation, stay where
+    # the 21st stage left them, however large p grows
+    out = tmp_path / "o"
+    argv = ["obstacle", "--n", "20", "--h-ref", "0.1", "--violation-tol", "0"]
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_DAMPING_FAILED
+    rows = read_table(out / "stages.csv")
+    assert len(rows) == 22 and all(row["accepted"] == "1" for row in rows)
+    assert rows[-1]["violation"] == rows[-2]["violation"] != rows[-3]["violation"]
+    assert rows[-1]["outer_iterations"] == "1" and float(rows[-1]["violation"]) > 0.0
+    message = ("penalty 2.19902e+12 no longer moves the curve: violation 3.19e-11 stays "
+               "above violation_tol = 0")
+    assert f"result_message = {message}\n" in (out / "meta.txt").read_text()
+    # a step in log p shrunk by damped stages: the 9th stage at alpha0 = 0.5
+    # stops at its start, at the stage tolerance
+    obs = ObstacleProblem(Grid(1.0, 10))
+    result = obstacle_path_follow(obs, NewtonConfig(alpha0=0.5))
+    assert result.terminated is Termination.DAMPING_FAILED
+    assert [len(s.iterations) for s in result.attempts] == [3, 3, 3, 3, 3, 2, 2, 2, 1]
+    last, before = result.stages[-1], result.stages[-2]
+    assert stage_violation(last) == stage_violation(before) > obs.violation_tol
+    assert result.message == (
+        f"penalty {last.problem.p:g} no longer moves the curve: violation "
+        f"{stage_violation(last):.3g} stays above violation_tol = 0.001"
     )
 
 
@@ -436,7 +492,7 @@ def test_first_stage_raising_the_violation_ends_the_path(monkeypatch):
 
     def solve(problem, x0, cfg, stops_early=None):
         solves.append(problem.p)
-        return higher, Stage(problem, [], Termination.CONVERGED, "forced")
+        return higher, Stage(problem, [], Termination.CONVERGED, "forced", state=higher)
 
     monkeypatch.setattr(obstacle, "damped_newton", solve)
     result = obstacle_path_follow(obs, NewtonConfig())
