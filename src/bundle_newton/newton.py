@@ -19,7 +19,7 @@ import copy
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -32,9 +32,10 @@ from .geometry import DegenerateUpdate
 class NewtonConfig:
     """Parameters of the damped Newton iteration that a run may vary.
 
-    ``theta_acc = math.inf`` accepts every trial step whose ``theta`` is not
-    NaN and freezes the damping factor at ``alpha0``, which recovers the
-    plain (undamped) Newton method for ``alpha0 = 1``.
+    ``alpha0`` damps only a cold start, from ``initial_state()``; a warm-started
+    solve runs with ``warm``, this config at ``alpha0 = 1``.  ``theta_acc = inf``
+    accepts every trial step whose ``theta`` is not NaN and freezes the damping
+    factor at its start, which is plain Newton for ``alpha0 = 1``.
     """
 
     tol: float = 1e-10
@@ -51,6 +52,8 @@ class NewtonConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
         if self.max_outer < 1:
             raise ValueError(f"need max_outer >= 1, got {self.max_outer!r}")
+        # built once here, not per solve; not a field, so no run parameter
+        object.__setattr__(self, "warm", self if self.alpha0 == 1.0 else replace(self, alpha0=1.0))
 
 
 class Termination(Enum):
@@ -298,11 +301,11 @@ def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig()) -> Continuatio
     2004, ch. 8).  The coarsest level is ``problem`` on its grid,
     started from its ``initial_state()``; each finer one is the problem of the
     last accepted stage, so the obstacle keeps its last penalty, started from
-    the previous state prolonged to its grid.  The damped phase runs on the
-    coarsest grid.  A level that does not converge ends the ladder with its
-    termination; on a coarse level its message is prefixed ``level n=<its
-    n>: ``.  The result holds the last level's state and every level's
-    attempts.
+    the previous state prolonged to its grid, with ``cfg.warm``.  The damped
+    phase runs on the coarsest grid.  A level that does not converge ends the
+    ladder with its termination; on a coarse level its message is prefixed
+    ``level n=<its n>: ``.  The result holds the last level's state and every
+    level's attempts.
     """
     fine = problem.grid
     result = Continuation(None)
@@ -310,7 +313,7 @@ def nested_iteration(problem, cfg: NewtonConfig = NewtonConfig()) -> Continuatio
         grid = Grid(fine.t_end, n)
         level = (result.stages[-1].problem if result.stages else problem).replace(grid=grid)
         start = level.initial_state() if result.state is None else result.state.prolong(grid)
-        solved = level.solve(cfg, start)
+        solved = level.solve(cfg if result.state is None else cfg.warm, start)
         result.state = solved.state
         result.attempts += solved.attempts
         prefix = "" if n == fine.n_interior else f"level n={n}: "

@@ -3,12 +3,12 @@
 The curve must stay below the polar cap ``y3 <= 1 - h_ref``.  Violations
 are penalized quadratically; the resulting stationarity condition is only
 Newton-differentiable, and :func:`obstacle_path_follow` drives the penalty
-weight up along a path of warm-started stages.  The growth factor per stage
-is step-controlled in ``log p``: it shrinks after a stage that needed
-damping, grows back to its cap ``p_growth`` after an easy one, and a stage
-that fails or lets the violation rise is retried from the last accepted
-curve with a smaller factor.  The path is the obstacle's level solve in
-:func:`~bundle_newton.newton.nested_iteration`.
+weight up from ``P0`` along a path of warm-started stages.  The growth
+factor per stage is step-controlled in ``log p``: it shrinks after a stage
+that needed damping, grows back to its cap ``MAX_GROWTH`` after an easy one,
+and a stage that fails or lets the violation rise is retried from the last
+accepted curve with a smaller factor.  The path is the obstacle's level
+solve in :func:`~bundle_newton.newton.nested_iteration`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from .curve import SphereCurveProblem
 DEFAULT_GAMMA0 = (0.8, 0.0, 0.6)
 DEFAULT_GAMMAT = (-0.8 * np.cos(0.2), 0.8 * np.sin(0.2), 0.6)
 
-# penalty path: at most MAX_STAGES stage solves; the step in log p doubles
-# after a stage of at most FAST_STAGE_STEPS full Newton steps, and the path
-# fails once rejections or damped stages shrink the per-stage factor below
-# MIN_GROWTH
+# penalty path: the first stage's penalty is P0; the per-stage factor starts at
+# its cap MAX_GROWTH (of 2, 4, 8 and 16 the fewest outer iterations on the
+# sweep), its log doubles after a stage of at most FAST_STAGE_STEPS full Newton
+# steps, and the path fails below MIN_GROWTH; at most MAX_STAGES stage solves
+P0 = 1.0
+MAX_GROWTH = 4.0
 MAX_STAGES = 500
 FAST_STAGE_STEPS = 4
 MIN_GROWTH = 1.001
@@ -54,11 +56,11 @@ def penalty_activation_slope(x):
 class ObstacleProblem(SphereCurveProblem):
     """Penalized geodesic problem below the polar cap ``y3 <= 1 - h_ref``.
 
-    ``p0`` is the first stage's penalty weight ``p``.  End points above the
-    cap by more than ``violation_tol`` are refused (``ValueError``).  The
-    band ``violation_tol`` also sets the looser step tolerance of the
-    penalty path's stages (:func:`obstacle_path_follow`); a direct
-    :func:`~bundle_newton.newton.damped_newton` solve stops at ``cfg.tol``.
+    Its penalty weight ``p`` is ``P0``; ``replace(p=...)`` sets another.  End
+    points above the cap by more than ``violation_tol`` are refused
+    (``ValueError``).  The band ``violation_tol`` also sets the looser step
+    tolerance of the penalty path's stages (:func:`obstacle_path_follow`); a
+    direct :func:`~bundle_newton.newton.damped_newton` solve stops at ``cfg.tol``.
     """
 
     def __init__(
@@ -67,24 +69,17 @@ class ObstacleProblem(SphereCurveProblem):
         gamma0=DEFAULT_GAMMA0,
         gammaT=DEFAULT_GAMMAT,
         h_ref: float = 0.1,
-        p0: float = 1.0,
-        p_growth: float = 4.0,
         violation_tol: float = 1e-3,
     ):
         super().__init__(grid, gamma0, gammaT)
         if not 0.0 < h_ref < 1.0:
             raise ValueError(f"h_ref must lie in (0, 1), got {h_ref!r}")
-        if not 0.0 < p0 < np.inf:
-            raise ValueError(f"penalty weight must be positive and finite, got {p0!r}")
-        if not 1.0 < p_growth < np.inf:
-            raise ValueError(f"penalty growth factor must exceed 1 and be finite, got {p_growth!r}")
         if not 0.0 <= violation_tol < np.inf:
             raise ValueError(
                 f"violation tolerance must be nonnegative and finite, got {violation_tol!r}"
             )
         self.h_ref = float(h_ref)
-        self.p = float(p0)
-        self.p_growth = float(p_growth)
+        self.p = P0
         self.violation_tol = float(violation_tol)
         # no penalty moves a fixed end point, so the path could never reach the band
         if max(self.gap(self.gamma0), self.gap(self.gammaT)) > self.violation_tol:
@@ -133,13 +128,13 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
 
     The path starts from ``start``, by default the connecting geodesic
     ``problem.initial_state()``, the penalty-free solution, and its first
-    stage solves the penalized problem at ``problem.p``.  While the last
-    accepted curve still violates the cap by more than
+    stage solves the penalized problem at ``problem.p`` with ``cfg``.  While
+    the last accepted curve still violates the cap by more than
     ``problem.violation_tol``, the next stage's weight is the last accepted
-    one times a factor ``growth``, warm started from its curve.  The factor
-    starts at its cap ``problem.p_growth``.  Its logarithm, the step in
-    ``log p``, halves after a stage that needed a damped Newton step and
-    doubles, up to the cap, after one that converged in at most
+    one times a factor ``growth``, warm started from its curve with
+    ``cfg.warm``.  The factor starts at its cap ``MAX_GROWTH``.  Its log, the
+    step in ``log p``, halves after a stage that needed a damped Newton step
+    and doubles, up to the cap, after one that converged in at most
     ``FAST_STAGE_STEPS`` full steps (continuation step-size control,
     Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 5).
 
@@ -164,7 +159,7 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
     path that ends otherwise may end on one solved to the looser tolerance.
     """
     result = Continuation(problem.initial_state() if start is None else start)
-    growth = problem.p_growth
+    growth = MAX_GROWTH
     violation = problem.violation(result.state)
     stage_tol = max(cfg.tol, STAGE_TOL_FACTOR * problem.violation_tol)
 
@@ -180,7 +175,8 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
             )
             return result
         p = result.stages[-1].problem.p * growth if result.stages else problem.p
-        curve, stage = damped_newton(problem.replace(p=p), result.state, cfg, above_band)
+        stage_cfg = cfg.warm if result.attempts else cfg
+        curve, stage = damped_newton(problem.replace(p=p), result.state, stage_cfg, above_band)
         reached = problem.violation(curve)
         converged = stage.terminated is Termination.CONVERGED
         stage.accepted = converged and reached <= violation
@@ -199,7 +195,7 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
             alphas = [it.accepted_alpha for it in stage.iterations if it.inner_trials]
             if min(alphas, default=1.0) == 1.0:
                 if len(alphas) <= FAST_STAGE_STEPS:
-                    growth = min(growth * growth, problem.p_growth)
+                    growth = min(growth * growth, MAX_GROWTH)
                 continue
         growth = math.sqrt(growth)
         if result.stages and growth >= MIN_GROWTH:

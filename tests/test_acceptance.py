@@ -56,7 +56,7 @@ def test_criterion_1_jacobian_consistency():
 
     def states():
         geo = GeodesicForceProblem(grid)
-        obs = ObstacleProblem(grid, h_ref=0.3, p0=2.0)
+        obs = ObstacleProblem(grid, h_ref=0.3).replace(p=2.0)
         rod = RodProblem(grid)
         for _ in range(20):
             yield geo, random_sphere_curve(grid, rng, z_margin=0.05)
@@ -197,7 +197,7 @@ def test_criterion_5_obstacle_path_following():
     ok = True
     for h_ref in (0.1, 0.2):
         grid = Grid(1.0, 100)
-        problem = ObstacleProblem(grid, h_ref=h_ref)  # p0 = 1, growth cap 4
+        problem = ObstacleProblem(grid, h_ref=h_ref)  # p = P0 = 1, growth cap 4
         result = obstacle_path_follow(problem, NewtonConfig())
         zmax = float(result.state.points[:, 2].max())
         stage_ok = all(

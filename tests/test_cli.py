@@ -202,7 +202,7 @@ _LAYOUTS = {
         "t,x,y,z",
         ["levels", "stage_count", "final_p", "violation", "rejected_stages", "status",
          "outer_iterations", "final_norm_dx", "final_residual_inf"],
-        [*_RUN_KEYS, "gamma0", "gammaT", "h_ref", "p0", "p_growth", "violation_tol", "out_dir"],
+        [*_RUN_KEYS, "gamma0", "gammaT", "h_ref", "violation_tol", "out_dir"],
     ),
     "rod": (
         "n,outer_iterations,inner_trials,termination",
@@ -301,10 +301,6 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
          "[1.0, 0.0, 0.0] and [-1.0, 0.0, 0.0]"),
         (["rod", "--n", "5", "--v0", "1,0,0", "--v1=-1,0,0"],
          "[1.0, 0.0, 0.0] and [-1.0, 0.0, 0.0]"),
-        (["obstacle", "--p0", "-1"], "-1.0"),
-        # a zero weight would never grow along the penalty path
-        (["obstacle", "--n", "20", "--p0", "0"], "0.0"),
-        (["obstacle", "--p-growth", "1.0"], "1.0"),
         # the default end points (z = 0.6) above the band: no penalty reaches it
         (["obstacle", "--n", "50", "--h-ref", "0.45"], "cap z <= 0.55 "),
         (["obstacle", "--n", "100", "--h-ref", "0.5"], "cap z <= 0.5 "),
@@ -315,9 +311,6 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         (["rod", "--sigma", "nan"], "nan"),
         (["geodesic-force", "--force-scale", "nan"], "nan"),
         (["geodesic-force", "--force-scale", "inf"], "inf"),
-        (["obstacle", "--p0", "nan"], "nan"),
-        (["obstacle", "--p0", "inf"], "inf"),
-        (["obstacle", "--p-growth", "nan"], "nan"),
         (["obstacle", "--h-ref", "nan"], "nan"),
         (["geodesic-force", "--tol", "nan"], "nan"),
         (["geodesic-force", "--n", "5", "--tol", "inf"], "inf"),
@@ -332,7 +325,7 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         (["rod", "--n", "10", "--y1", "inf,0,0"], "[inf, 0.0, 0.0]"),
         # NaN is refused for every field, also one the problem does not read
         (["rod", "--force-scale", "nan"], "nan"),
-        (["rod", "--p-growth", "nan"], "nan"),
+        (["rod", "--h-ref", "nan"], "nan"),
         (["obstacle", "--sigma", "nan"], "nan"),
     ]
     capsys.readouterr()
@@ -374,6 +367,17 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     for argv, bad in cases:
         assert main(["geodesic-force", *argv, "--out-dir", str(tmp_path)]) == EXIT_CONFIG, argv
         assert bad in capsys.readouterr().err, argv
+    # p0 and p_growth are the penalty path's constants P0 and MAX_GROWTH
+    (tmp_path / "p0.cfg").write_text("p0 = 2\n")
+    (tmp_path / "growth.cfg").write_text("p_growth = 4\n")
+    for argv, bad in [
+        (["--p0", "2"], "--p0"),
+        (["--p-growth", "4"], "--p-growth"),
+        (["--config", str(tmp_path / "p0.cfg")], "'p0'"),
+        (["--config", str(tmp_path / "growth.cfg")], "'p_growth'"),
+    ]:
+        assert main(["obstacle", *argv, "--out-dir", str(tmp_path)]) == EXIT_CONFIG, argv
+        assert bad in capsys.readouterr().err, argv
 
 
 # per problem, one non-default value for each constructor keyword
@@ -381,7 +385,7 @@ _OWN_VALUES = {
     "geodesic-force": {"gamma0": (0.6, 0.0, -0.8), "gammaT": (0.0, 0.6, -0.8),
                        "force_scale": 2.5},
     "obstacle": {"gamma0": (0.0, 0.8, 0.6), "gammaT": (0.0, -0.8, 0.6), "h_ref": 0.3,
-                 "p0": 2.0, "p_growth": 1.5, "violation_tol": 1e-4},
+                 "violation_tol": 1e-4},
     "rod": {"y0": (0.1, 0.2, 0.30000000000000004), "y1": (1.0, 0.0, 0.5), "v0": (0.0, 1.0, 0.0),
             "v1": (0.0, 0.0, 1.0), "sigma": 0.10000000000000002},
 }
@@ -511,7 +515,7 @@ def _problem_branches(source: str) -> list:
 def test_the_command_line_knows_no_problem_class():
     # the command line reaches the problems through problems.PROBLEMS alone
     assert _problem_branches(Path(inspect.getfile(bundle_newton.cli)).read_text()) == []
-    assert _PROBLEM_KEYWORDS >= {"gamma0", "force_scale", "p_growth", "sigma", "v1"}
+    assert _PROBLEM_KEYWORDS >= {"gamma0", "force_scale", "h_ref", "sigma", "v1"}
     # and the check sees each kind of branch
     for source in (
         "from .problems import PROBLEMS, RodProblem",
@@ -524,7 +528,7 @@ def test_the_command_line_knows_no_problem_class():
         "curve = cfg.problem in ('geodesic-force', 'obstacle')",
         "scale = cfg.force_scale",
         "sigma = 1.0",
-        "problem = cls(grid, p_growth=4.0)",
+        "problem = cls(grid, h_ref=0.2)",
         "def build(grid, gamma0): pass",
         "value = cfg['h_ref']",
     ):

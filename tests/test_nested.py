@@ -8,13 +8,14 @@ import pytest
 
 from bundle_newton import (
     Grid, NewtonConfig, SingularSystem, Termination, cli, damped_newton,
-    grid_ladder, nested_iteration,
+    grid_ladder, nested_iteration, newton,
 )
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_INTERNAL, EXIT_OK, main
 from bundle_newton.problems import (
     GeodesicForceProblem,
     ObstacleProblem,
     RodProblem,
+    obstacle,
     obstacle_path_follow,
 )
 from conftest import skeel_condition, spy_factorize, to_dense
@@ -179,6 +180,26 @@ def test_plain_newton_on_the_rod_ladder_ends_at_a_genuinely_singular_matrix(monk
     with pytest.raises(SingularSystem):
         nested_iteration(RodProblem(Grid(1.0, 100)), NewtonConfig(theta_acc=math.inf))
     assert skeel_condition(to_dense(matrices[-1])) >= 1e14
+
+
+def test_alpha0_damps_only_the_cold_start(monkeypatch):
+    # the coarsest level's first solve starts from initial_state() at alpha0;
+    # finer levels and later penalty stages are warm started with the one
+    # config cfg.warm, at alpha0 = 1
+    configs = []
+
+    def solve(problem, x0, cfg, stops_early=None):
+        configs.append(cfg)
+        return damped_newton(problem, x0, cfg, stops_early)
+
+    monkeypatch.setattr(newton, "damped_newton", solve)
+    monkeypatch.setattr(obstacle, "damped_newton", solve)
+    cfg = NewtonConfig(alpha0=0.5)
+    assert cfg.warm == NewtonConfig() and cfg.warm.warm is cfg.warm
+    for problem in (GeodesicForceProblem(Grid(1.0, 100)), ObstacleProblem(Grid(1.0, 100))):
+        configs.clear()
+        assert nested_iteration(problem, cfg).terminated is Termination.CONVERGED
+        assert configs[0] is cfg and configs[1:] and all(c is cfg.warm for c in configs[1:])
 
 
 def test_a_raising_run_writes_a_replayable_meta(tmp_path, capsys):

@@ -478,7 +478,7 @@ def _builtin_problem_states(seed=5):
     rng = np.random.default_rng(seed)
     grid = Grid(1.0, 8)
     geo = GeodesicForceProblem(grid)
-    obs = ObstacleProblem(grid, h_ref=0.3, p0=2.0)
+    obs = ObstacleProblem(grid, h_ref=0.3).replace(p=2.0)
     rod = RodProblem(grid)
     yield geo, random_sphere_curve(grid, rng, z_margin=0.05)
     yield obs, random_obstacle_curve(grid, rng, obs)

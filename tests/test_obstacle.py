@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,7 +54,7 @@ def test_penalty_slope_at_kink_is_zero():
 
 def test_inactive_curve_reduces_to_geodesic():
     grid = Grid(1.0, 8)
-    obs = ObstacleProblem(grid, h_ref=0.1, p0=7.0)
+    obs = ObstacleProblem(grid, h_ref=0.1).replace(p=7.0)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     curve = low_curve(grid, z_top=0.5)
     assert obs.violation(curve) == 0.0
@@ -65,7 +67,7 @@ def test_inactive_curve_reduces_to_geodesic():
 def test_single_violating_node_penalty_contribution():
     grid = Grid(1.0, 6)
     p = 3.5
-    obs = ObstacleProblem(grid, h_ref=0.3, p0=p)
+    obs = ObstacleProblem(grid, h_ref=0.3).replace(p=p)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     pts = low_curve(grid, z_top=0.2, seed=1).points.copy()
     delta = 0.04
@@ -85,7 +87,7 @@ def test_single_violating_node_penalty_contribution():
 def test_penalty_part_linear_in_p():
     grid = Grid(1.0, 8)
     rng_curve = random_obstacle_curve(grid, np.random.default_rng(2), ObstacleProblem(grid, h_ref=0.4))
-    obs1 = ObstacleProblem(grid, h_ref=0.4, p0=1.3)
+    obs1 = ObstacleProblem(grid, h_ref=0.4).replace(p=1.3)
     obs2 = obs1.replace(p=2.6)
     geo = GeodesicForceProblem(grid, gamma0=obs1.gamma0, gammaT=obs1.gammaT, force_scale=0.0)
     pen1 = obs1.assemble_residual(rng_curve) - geo.assemble_residual(rng_curve)
@@ -130,7 +132,7 @@ def test_fully_active_jacobian_difference():
     grid = Grid(1.0, 5)
     p = 2.0
     # cap at z = 0.05, equatorial end points below it
-    obs = ObstacleProblem(grid, *EQUATOR, h_ref=0.95, p0=p)
+    obs = ObstacleProblem(grid, *EQUATOR, h_ref=0.95).replace(p=p)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     rng = np.random.default_rng(3)
     pts = []
@@ -162,7 +164,7 @@ def test_fully_active_jacobian_difference():
 
 def test_node_exactly_on_cap_uses_zero_slope():
     grid = Grid(1.0, 4)
-    obs = ObstacleProblem(grid, *EQUATOR, h_ref=0.5, p0=10.0)
+    obs = ObstacleProblem(grid, *EQUATOR, h_ref=0.5).replace(p=10.0)
     geo = GeodesicForceProblem(grid, gamma0=obs.gamma0, gammaT=obs.gammaT, force_scale=0.0)
     pts = low_curve(grid, z_top=0.1, seed=4).points.copy()
     z = 1.0 - obs.h_ref
@@ -177,7 +179,7 @@ def test_node_exactly_on_cap_uses_zero_slope():
 def test_jacobian_fd_consistency_away_from_kink():
     rng = np.random.default_rng(5)
     grid = Grid(1.0, 8)
-    obs = ObstacleProblem(grid, h_ref=0.3, p0=2.5)
+    obs = ObstacleProblem(grid, h_ref=0.3).replace(p=2.5)
     for _ in range(3):
         curve = random_obstacle_curve(grid, rng, obs)
         assert jacobian_fd_error(obs, curve, rng) < 1e-6
@@ -223,11 +225,11 @@ def test_path_following_reaches_cap_band():
     assert all(s.terminated is Termination.CONVERGED for s in result.stages)
     viols = [stage_violation(s) for s in result.stages]
     assert all(b <= a + 1e-15 for a, b in zip(viols, viols[1:]))
-    # the penalty grows by at most the configured cap per stage
+    # the penalty starts at P0 and grows by at most the cap per stage
     ps = [s.problem.p for s in result.stages]
-    assert ps[0] == obs.p
+    assert ps[0] == obs.p == obstacle.P0
     for a, b in zip(ps, ps[1:]):
-        assert 1.0 < b / a <= obs.p_growth
+        assert 1.0 < b / a <= obstacle.MAX_GROWTH
 
 
 def test_path_following_warm_start_cheaper_than_cold():
@@ -336,7 +338,7 @@ def test_rising_violation_is_retried_with_a_smaller_factor(tmp_path):
     # on the coarse level, at p = 64 the warm start jumps to a curve that violates
     # the cap more than the p = 16 stage did; the attempt is rejected and retried at p = 32
     out = tmp_path / "o"
-    argv = ["obstacle", "--n", "100", "--h-ref", "0.3", "--p-growth", "4"]
+    argv = ["obstacle", "--n", "100", "--h-ref", "0.3"]
     assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
     rows = read_table(out / "stages.csv")
     rejected = [row for row in rows if row["accepted"] == "0"]
@@ -351,7 +353,7 @@ def test_rising_violation_is_retried_with_a_smaller_factor(tmp_path):
     z = [float(line.split(",")[3]) for line in (out / "curve.csv").read_text().splitlines()[1:]]
     assert 0.7 - 1e-3 <= max(z) <= 0.7 + 1e-3
 
-    problem = ObstacleProblem(Grid(1.0, 100), h_ref=0.3, p_growth=4.0)
+    problem = ObstacleProblem(Grid(1.0, 100), h_ref=0.3)
     result = nested_iteration(problem, NewtonConfig())
     assert all(s.accepted for s in result.stages)
     assert len(result.attempts) - len(result.stages) == len(rejected)
@@ -411,15 +413,29 @@ def test_step_floor_ends_the_path_as_damping_failed(monkeypatch):
     )
 
 
+def report_every_stage_damped(monkeypatch):
+    """Solve every stage for real, but report its first row as a damped step."""
+    damped_newton = obstacle.damped_newton
+
+    def solve(problem, x0, cfg, stops_early=None):
+        state, stage = damped_newton(problem, x0, cfg, stops_early)
+        first, *rest = stage.iterations
+        stage.iterations = [dataclasses.replace(first, accepted_alpha=0.5), *rest]
+        return state, stage
+
+    monkeypatch.setattr(obstacle, "damped_newton", solve)
+
+
 def test_growth_collapsing_through_damped_stages_ends_the_path(monkeypatch):
-    # alpha0 = 0.5 damps the first step of every stage, so every accepted
-    # stage halves the step in log p, and after the 11th the factor is below
-    # the floor.  Every stage is solved to cfg.tol here, so each one moves the
-    # curve; at the default stage tolerance the 9th stops at its start instead
+    # every accepted stage reads as damped, so each one halves the step in
+    # log p, and after the 11th the factor is below the floor.  Every stage is
+    # solved to cfg.tol here, so each one moves the curve; at the default stage
+    # tolerance the 7th stops at its start instead
     # (test_a_penalty_that_no_longer_moves_the_curve_ends_the_path)
+    report_every_stage_damped(monkeypatch)
     monkeypatch.setattr(obstacle, "STAGE_TOL_FACTOR", 0.0)
     obs = ObstacleProblem(Grid(1.0, 10))
-    result = obstacle_path_follow(obs, NewtonConfig(alpha0=0.5))
+    result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.DAMPING_FAILED
     assert len(result.attempts) == len(result.stages) == 11
     ps = [s.problem.p for s in result.stages]
@@ -434,7 +450,7 @@ def test_growth_collapsing_through_damped_stages_ends_the_path(monkeypatch):
                               f"damped stages: last accepted penalty {ps[-1]:g}")
 
 
-def test_a_penalty_that_no_longer_moves_the_curve_ends_the_path(tmp_path):
+def test_a_penalty_that_no_longer_moves_the_curve_ends_the_path(tmp_path, monkeypatch):
     # with no band, from the 22nd stage (p = 2.2e12) on, the Newton step at
     # the warm start is within tol: the curve, and its violation, stay where
     # the 21st stage left them, however large p grows
@@ -448,12 +464,13 @@ def test_a_penalty_that_no_longer_moves_the_curve_ends_the_path(tmp_path):
     message = ("penalty 2.19902e+12 no longer moves the curve: violation 3.19e-11 stays "
                "above violation_tol = 0")
     assert f"result_message = {message}\n" in (out / "meta.txt").read_text()
-    # a step in log p shrunk by damped stages: the 9th stage at alpha0 = 0.5
-    # stops at its start, at the stage tolerance
+    # a step in log p shrunk by stages that read as damped: the 7th stops at
+    # its start, at the stage tolerance
+    report_every_stage_damped(monkeypatch)
     obs = ObstacleProblem(Grid(1.0, 10))
-    result = obstacle_path_follow(obs, NewtonConfig(alpha0=0.5))
+    result = obstacle_path_follow(obs, NewtonConfig())
     assert result.terminated is Termination.DAMPING_FAILED
-    assert [len(s.iterations) for s in result.attempts] == [3, 3, 3, 3, 3, 2, 2, 2, 1]
+    assert [len(s.iterations) for s in result.attempts] == [2, 2, 2, 2, 2, 2, 1]
     last, before = result.stages[-1], result.stages[-2]
     assert stage_violation(last) == stage_violation(before) > obs.violation_tol
     assert result.message == (
@@ -462,8 +479,28 @@ def test_a_penalty_that_no_longer_moves_the_curve_ends_the_path(tmp_path):
     )
 
 
+# the length of the polyline through the nodes of the curve that the default
+# path (growth cap 4) ends on, at n = 100 and h_ref = 0.2
+CAP_4_LENGTH = 2.04194
+
+
+@pytest.mark.parametrize("max_growth", [4.0, 1000.0, 100.0])
+def test_a_larger_growth_cap_ends_off_the_cap_4_curve_only_as_a_failure(monkeypatch, max_growth):
+    # with caps of 1000 and 100 the path once exited 0 on the long great-circle
+    # arc and on a curve winding round the cap; on the ladder they end as
+    # damping_failed and max_iterations, though by accident of the step
+    # control rather than by a rule that detects a wrong branch
+    monkeypatch.setattr(obstacle, "MAX_GROWTH", max_growth)
+    result = nested_iteration(ObstacleProblem(Grid(1.0, 100), h_ref=0.2))
+    length = np.linalg.norm(np.diff(result.state.points, axis=0), axis=1).sum()
+    if max_growth == 4.0:
+        assert result.terminated is Termination.CONVERGED
+        assert length == pytest.approx(CAP_4_LENGTH, abs=1e-5)
+    assert result.terminated is not Termination.CONVERGED or abs(length - CAP_4_LENGTH) <= 1e-3
+
+
 def test_failed_first_stage_ends_the_path(monkeypatch, tmp_path):
-    # the first stage has the fixed penalty p0, so there is no step to shrink
+    # the first stage has the fixed penalty P0, so there is no step to shrink
     record_solves(monkeypatch, fail_above=0.5, failures=1)
     out = tmp_path / "o"
     assert main(["obstacle", "--n", "10", "--out-dir", str(out)]) == EXIT_DAMPING_FAILED
@@ -506,8 +543,3 @@ def test_first_stage_raising_the_violation_ends_the_path(monkeypatch):
         f"to {obs.violation(higher):.3g})"
     )
 
-
-@pytest.mark.parametrize("p_growth", [1.0, 0.5])
-def test_penalty_growth_must_exceed_one(p_growth):
-    with pytest.raises(ValueError, match="growth"):
-        ObstacleProblem(Grid(1.0, 5), p_growth=p_growth)
