@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Seeded robustness sweep over random boundary data, checked by the oracle.
 
-    python scripts/sweep.py
+    python scripts/sweep.py [--record FILE]
+    python scripts/sweep.py --compare OLD NEW
 
 Runs ``bundle_newton.cli.main`` on ``CASES`` random cases per problem and
 prints, per problem, the count of each exit code, the outer iterations of
@@ -12,6 +13,14 @@ that exits 0 is checked by ``bench/oracle.py::check_run``; a failed check
 and a run that exits 1 (an unexpected runtime failure) are listed with
 their arguments.
 Exits 1 if any exit-0 run fails the oracle, else 0.
+
+``--record FILE`` also writes one CSV row per case: the problem, the case
+index, the exit code, the outer iterations and the masked message.
+``--compare OLD NEW`` runs nothing: it reads two such records and prints,
+per problem, the cases whose exit code changed and the outer iterations
+summed over the cases that exit 0 in both; it exits 1 if an exit code
+changed, else 0.  Equal tables can hide cases that flip both ways; the
+comparison shows them.
 
 Each problem draws its cases from its own ``numpy.random.default_rng(1)``,
 the values of a case in the order below, so the first cases of a stream do
@@ -32,6 +41,7 @@ version of the solver to the next.
 
 from __future__ import annotations
 
+import argparse
 import collections
 import contextlib
 import csv
@@ -56,6 +66,7 @@ _spec.loader.exec_module(oracle)
 SEED = 1
 CASES = 150
 NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+RECORD_FIELDS = ("problem", "case", "exit_code", "outer_iterations", "message")
 
 
 def _point(rng, z_low: float, z_high: float) -> tuple:
@@ -159,17 +170,73 @@ def report(problem: str, runs: list, outcomes: list) -> list:
     return lines + defects
 
 
-def sweep(count: int) -> bool:
-    """Run and report the sweep; True when every exit-0 run passed the oracle."""
-    passed = True
+def record_rows(problem: str, outcomes: list) -> list:
+    """The per-case record rows of ``problem``'s :func:`run_case` outcomes."""
+    return [{"problem": problem, "case": k, "exit_code": code, "outer_iterations": outer,
+             "message": NUMBER.sub("#", message)}
+            for k, (code, message, _, outer) in enumerate(outcomes)]
+
+
+def write_record(path, rows: list) -> None:
+    """Write the rows of :func:`record_rows` as the CSV record of ``--record``."""
+    with open(path, "w", newline="") as file:
+        writer = csv.DictWriter(file, RECORD_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def read_record(path) -> dict:
+    """A record written by ``--record``: its rows by ``(problem, case)``."""
+    with open(path, newline="") as file:
+        return {(row["problem"], int(row["case"])): row for row in csv.DictReader(file)}
+
+
+def compare(old: dict, new: dict) -> tuple:
+    """``(lines, changed)`` for two records from :func:`read_record`: per
+    problem, the cases whose exit code changed, then the outer iterations
+    summed over the cases that exit 0 in both; ``changed`` counts the first."""
+    lines, changed_total = [], 0
+    for problem in dict.fromkeys(problem for problem, _ in [*old, *new]):
+        keys = sorted(key for key in old.keys() & new.keys() if key[0] == problem)
+        changed = [key for key in keys if old[key]["exit_code"] != new[key]["exit_code"]]
+        both = [key for key in keys if old[key]["exit_code"] == new[key]["exit_code"] == "0"]
+        changed_total += len(changed)
+        lines.append(f"{problem}: {len(keys)} cases in both records, "
+                     f"{len(changed)} changed exit code")
+        for key in changed:
+            a, b = old[key], new[key]
+            lines.append(f"  case {key[1]}: exit {a['exit_code']} -> {b['exit_code']}: "
+                         f"{a['message']} -> {b['message']}")
+        outer = [sum(int(record[key]["outer_iterations"]) for key in both) for record in (old, new)]
+        lines.append(f"  outer iterations over the {len(both)} cases converged in both: "
+                     f"{outer[0]} -> {outer[1]}")
+    return lines, changed_total
+
+
+def sweep(count: int, record=None) -> bool:
+    """Run and report the sweep, and write its per-case record to ``record``
+    if given; True when every exit-0 run passed the oracle."""
+    passed, rows = True, []
     with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
         for problem in SAMPLERS:
             runs = cases(problem, count)
             outcomes = [run_case(case, Path(tmp) / f"{problem}-{k}") for k, case in enumerate(runs)]
             print("\n".join(report(problem, runs, outcomes)))
             passed = passed and all(outcome[2] is None for outcome in outcomes)
+            rows += record_rows(problem, outcomes)
+    if record is not None:
+        write_record(record, rows)
     return passed
 
 
 if __name__ == "__main__":
-    sys.exit(0 if sweep(CASES) else 1)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--record", metavar="FILE", help="write the per-case record to FILE")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two records instead of running the sweep")
+    args = parser.parse_args()
+    if args.compare:
+        lines, changed = compare(*map(read_record, args.compare))
+        print("\n".join(lines))
+        sys.exit(1 if changed else 0)
+    sys.exit(0 if sweep(CASES, args.record) else 1)

@@ -37,6 +37,11 @@ import numpy as np
 from .geometry import UNIT_NORM_TOL, dot, normalized, retract_sphere, tangent_basis, tangent_project
 
 CONDITION_LIMIT = 1e14
+# at or below this dimension the check computes Skeel's number exactly: one solve
+# of n + 1 right-hand sides costs less than the estimate's 2 to 10 sequential solves
+# (timeit minimum, one thread: dim 20: 22 against 55 us, dim 40: 31 against 36,
+# dim 50: 44 against 38, dim 83: 122 against 64)
+EXACT_CONDITION_DIM = 40
 
 
 def _load_scipy_linalg_extension(name: str):
@@ -238,11 +243,16 @@ class BandedMatrix:
 
     def factorize(self, rhs) -> tuple["BandedFactorization", np.ndarray]:
         """The banded LU of the matrix and the solution ``x`` of ``A x = rhs``.
-        Raises :class:`SingularSystem` at a zero pivot, or when the estimate of
-        Skeel's condition number (:meth:`BandedFactorization.condition`) is not
-        below ``CONDITION_LIMIT``; no row scaling of the system changes it."""
+        Raises :class:`SingularSystem` at a zero pivot, or when Skeel's
+        condition number is not below ``CONDITION_LIMIT``; no row scaling of
+        the system changes it.  Up to ``EXACT_CONDITION_DIM`` unknowns the
+        number is exact (:meth:`BandedFactorization.exact_condition`), above
+        that its lower estimate (:meth:`BandedFactorization.condition`), so a
+        small system is checked at least as strictly.  Either way ``x`` is
+        the same to the bit."""
         fact = BandedFactorization(self)
-        cond, x, peak = fact.condition(rhs)
+        check = fact.exact_condition if self.dim <= EXACT_CONDITION_DIM else fact.condition
+        cond, x, peak = check(rhs)
         if not cond < CONDITION_LIMIT:  # also rejects inf and NaN
             raise SingularSystem(
                 f"banded LU is near singular (condition estimate {cond:.2e}, "
@@ -275,6 +285,26 @@ class BandedFactorization:
         if info != 0:
             raise SingularSystem(f"banded back substitution failed (info={info})")
         return x
+
+    def exact_condition(self, rhs) -> tuple[float, np.ndarray, int]:
+        """Skeel's condition number ``max(|A^-1| (|A| e))``, the solution ``x`` of
+        ``A x = rhs`` and the 0-based unknown, the row of ``A^-1``, of the maximum.
+
+        One ``gbtrs`` call, O(n^2) work, solves the stacked right-hand side
+        ``[I | rhs]``; it treats each column on its own, so ``x`` is bitwise
+        that of a solve of ``rhs`` alone.  Near a singular matrix the largest
+        rows of ``A^-1`` are those of a null vector's large entries, typically
+        the nearly dependent columns.  Overflow gives ``inf``."""
+        d = self._row_sums
+        n = d.size
+        b = np.zeros((n + 1, n))  # b.T: the columns of I, then rhs
+        b[:n].flat[:: n + 1] = 1.0
+        b[n] = rhs
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = self.solve(b.T)
+            rows = np.abs(sol[:, :n]) @ d
+        j = int(rows.argmax())
+        return float(rows[j]), sol[:, n], j
 
     def condition(self, rhs) -> tuple[float, np.ndarray, int]:
         """Lower estimate of Skeel's condition number ``|| |A^-1| |A| ||_inf``

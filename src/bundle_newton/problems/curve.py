@@ -44,13 +44,24 @@ def connecting_geodesic_points(grid: Grid, a, b) -> np.ndarray:
 
 
 class SphereCurveProblem(ProblemInterface):
-    """Base class implementing the Newton driver contract for curve problems."""
+    """Base class implementing the Newton driver contract for curve problems.
+
+    The problem keeps the covectors of the last curve it evaluated, read-only:
+    the driver evaluates an iterate's residual and Jacobian, then its trials,
+    and the accepted trial is the next iterate, so each state's covectors are
+    computed once.  A copy made by :meth:`replace` starts without them.
+    """
 
     def __init__(self, grid: Grid, gamma0, gammaT):
         self.grid = grid
         self.gamma0 = unit_vector(gamma0)
         self.gammaT = unit_vector(gammaT)
         check_not_antipodal(self.gamma0, self.gammaT, "boundary points")
+        self._last_covectors = (None, None)
+
+    def replace(self, **changes):
+        # another p or grid gives other covectors, even on the same curve
+        return super().replace(_last_covectors=(None, None), **changes)
 
     # -- force interface, provided by subclasses ---------------------------
 
@@ -73,8 +84,13 @@ class SphereCurveProblem(ProblemInterface):
         return dict(zip("xyz", curve.points.T))
 
     def _covectors(self, curve: NodalCurve) -> np.ndarray:
-        """Euclidean residual covectors at the interior nodes."""
-        return p1_covectors(curve.points, self.grid.h, self.force_at(curve.interior))
+        """Euclidean residual covectors at the interior nodes, read-only."""
+        last, g = self._last_covectors
+        if last is not curve:
+            g = p1_covectors(curve.points, self.grid.h, self.force_at(curve.interior))
+            g.flags.writeable = False
+            self._last_covectors = (curve, g)
+        return g
 
     # -- driver contract ----------------------------------------------------
 

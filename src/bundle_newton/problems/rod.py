@@ -109,10 +109,18 @@ class RodProblem(ProblemInterface):
 
     ``sigma`` is the flexural rigidity; unloaded, it only scales the multiplier,
     so the system is that of ``sigma = 1`` and ``sigma * lam`` the multiplier.
+    A grid needs at least 2 interior nodes (``ValueError`` otherwise): with one,
+    the 6 constraint rows outnumber the 5 primal unknowns and every Newton
+    matrix is singular.
     """
 
     def __init__(self, grid: Grid, y0=DEFAULT_Y0, y1=DEFAULT_Y1, v0=DEFAULT_V0, v1=DEFAULT_V1,
                  sigma: float = 1.0):
+        if grid.n_interior < 2:
+            raise ValueError(
+                f"the rod needs at least 2 interior nodes, got {grid.n_interior}: with one, "
+                f"its 6 constraint rows outnumber its 5 primal unknowns"
+            )
         self.grid = grid
         self.y0 = np.asarray(y0, dtype=float)
         self.y1 = np.asarray(y1, dtype=float)

@@ -301,6 +301,8 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
          "[1.0, 0.0, 0.0] and [-1.0, 0.0, 0.0]"),
         (["rod", "--n", "5", "--v0", "1,0,0", "--v1=-1,0,0"],
          "[1.0, 0.0, 0.0] and [-1.0, 0.0, 0.0]"),
+        # one interior node: more constraint rows than primal unknowns
+        (["rod", "--n", "1"], "the rod needs at least 2 interior nodes, got 1"),
         # the default end points (z = 0.6) above the band: no penalty reaches it
         (["obstacle", "--n", "50", "--h-ref", "0.45"], "cap z <= 0.55 "),
         (["obstacle", "--n", "100", "--h-ref", "0.5"], "cap z <= 0.5 "),
@@ -334,6 +336,7 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         assert bad in capsys.readouterr().err, argv
     # end points on the cap are inside the band
     assert main(["obstacle", "--n", "20", "--h-ref", "0.4", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert main(["rod", "--n", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):

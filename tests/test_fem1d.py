@@ -443,24 +443,66 @@ def _hager_norm1(M) -> float:
     return float(est)
 
 
-def test_condition_estimate_alternating_sign_safeguard():
-    # A = B^-T where the rows of B sum to about zero: Skeel's condition number
-    # is ||D B||_1 with D = diag(|A| e), and Hager's start vector e / n nearly
-    # lies in the kernel of D B.  Hager's iteration alone stops at 0.12 of the
-    # exact value, Higham's alternating-sign vector reaches 0.63
+def _alternating_sign_case() -> BandedMatrix:
+    """A = B^-T where the rows of B sum to about zero: Skeel's condition number
+    is ||D B||_1 with D = diag(|A| e), and Hager's start vector e / n nearly
+    lies in the kernel of D B."""
     B = np.array([
         [0.065933, -0.162963, 1.023806, -0.912389],
         [-1.140824, 1.021987, -0.287504, 0.395327],
         [-0.652954, -0.702504, 0.298956, 1.045774],
         [-0.035493, -0.034602, 0.760743, -0.700678],
     ])
-    A = banded_from_dense(np.linalg.inv(B.T))
+    return banded_from_dense(np.linalg.inv(B.T))
+
+
+def test_condition_estimate_alternating_sign_safeguard():
+    # Hager's iteration alone stops at 0.12 of the exact value, Higham's
+    # alternating-sign vector reaches 0.63
+    A = _alternating_sign_case()
     dense = to_dense(A)
     exact = skeel_condition(dense)
     row_sums = np.abs(dense).sum(axis=1)
     assert _hager_norm1(row_sums[:, None] * np.linalg.inv(dense).T) < 0.3 * exact
     fact, _ = A.factorize(np.zeros(4))
     assert fact.condition(np.zeros(4))[0] >= 0.3 * exact
+
+
+def test_a_small_system_is_checked_on_the_exact_condition_number(monkeypatch):
+    # a limit between the estimate (0.63 of the exact value) and the exact
+    # value: the estimate passes the matrix, the exact check refuses it
+    A = _alternating_sign_case()
+    fact = BandedFactorization(A)
+    estimate, _, _ = fact.condition(np.zeros(4))
+    exact = skeel_condition(to_dense(A))
+    assert estimate < 0.7 * exact and A.dim <= fem1d.EXACT_CONDITION_DIM
+    monkeypatch.setattr(fem1d, "CONDITION_LIMIT", 0.5 * (estimate + exact))
+    with pytest.raises(SingularSystem, match=r"condition estimate 3\.09e\+02, largest at unknown"):
+        A.factorize(np.zeros(4))
+
+
+def test_the_exact_condition_number_keeps_the_solution_bitwise():
+    # every small case: the solution is the estimate path's to the bit, and the
+    # number is Skeel's to half of float64's digits, a tolerance fixed by the
+    # dtype alone
+    rtol = np.sqrt(np.finfo(np.float64).eps)
+    checked = 0
+    for A, rhs in _estimator_cases():
+        if A.dim > fem1d.EXACT_CONDITION_DIM:
+            continue
+        try:
+            fact = BandedFactorization(A)
+        except SingularSystem:  # a zero pivot: no number to compare
+            continue
+        cond, x, peak = fact.exact_condition(rhs)
+        assert x.tobytes() == fact.condition(rhs)[1].tobytes()
+        exact = skeel_condition(to_dense(A))
+        assert abs(cond - exact) <= rtol * exact, (cond, exact)
+        assert 0 <= peak < A.dim
+        if cond < CONDITION_LIMIT:
+            assert A.factorize(rhs)[1].tobytes() == x.tobytes()
+        checked += 1
+    assert checked >= 40
 
 
 def _estimator_cases():
@@ -534,6 +576,7 @@ def test_near_singular_message_names_a_dependent_unknown():
     dense[12:16, 14] = dense[12:16, 13] * (1.0 + 1e-15 * rng.standard_normal(4))
     A = banded_from_dense(dense, kl, ku)
     assert skeel_condition(to_dense(A)) >= CONDITION_LIMIT
+    assert n <= fem1d.EXACT_CONDITION_DIM  # the exact number's row names the unknown
     with pytest.raises(SingularSystem, match=r"largest at unknown (\d+)\)$") as raised:
         A.factorize(np.ones(n))
     assert int(raised.value.args[0].rsplit(" ", 1)[1][:-1]) in (13, 14)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundle_newton import (
-    Grid, NewtonConfig, NodalCurve, Stage, Termination, nested_iteration, tangent_basis,
+    Grid, NewtonConfig, NodalCurve, Stage, Termination, damped_newton, nested_iteration,
+    tangent_basis,
 )
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_OK, main
 from bundle_newton.problems import (
@@ -104,6 +105,45 @@ def test_replace_copies_without_the_constructor_checks():
     coarse = obs.replace(grid=Grid(1.0, 10))
     assert coarse.grid == Grid(1.0, 10) and obs.grid == Grid(1.0, 8)
     assert coarse.h_ref == obs.h_ref and coarse.gamma0 is obs.gamma0
+
+
+@pytest.mark.parametrize("p", [obstacle.P0, 1e6])
+def test_a_solve_evaluates_the_covectors_once_per_state(monkeypatch, p):
+    # the start and every trial point are new states; the residual and the
+    # Jacobian at an iterate share its covectors, and an accepted trial's are
+    # the next iterate's.  At p = 1e6 the solve rejects trials
+    calls = []
+    force_at = ObstacleProblem.force_at
+
+    def counted(problem, y):
+        calls.append(y)
+        return force_at(problem, y)
+
+    monkeypatch.setattr(ObstacleProblem, "force_at", counted)
+    problem = ObstacleProblem(Grid(1.0, 10)).replace(p=p)
+    _, stage = damped_newton(problem, problem.initial_state())
+    trials = sum(it.inner_trials for it in stage.iterations)
+    rejected = trials - sum(1 for it in stage.iterations if it.inner_trials)
+    assert trials >= 2 and (rejected > 0) == (p > obstacle.P0)
+    assert len(calls) == 1 + trials
+
+
+def test_a_replaced_problem_reads_none_of_the_original_covectors():
+    grid = Grid(1.0, 10)
+    obs = ObstacleProblem(grid, h_ref=0.4)
+    curve = random_obstacle_curve(grid, np.random.default_rng(3), obs)
+    assert obs.violation(curve) > 0.0
+    before = obs.assemble_residual(curve)
+    stage = obs.replace(p=4 * obs.p)
+    fresh = NodalCurve(grid, curve.points.copy())
+    got = stage.assemble_residual(curve)
+    assert got.tobytes() == stage.assemble_residual(fresh).tobytes()
+    assert not np.array_equal(got, before)
+    assert (stage.assemble_jacobian(curve)._ab.tobytes()
+            == stage.assemble_jacobian(fresh)._ab.tobytes())
+    # the kept covectors are read-only
+    with pytest.raises(ValueError, match="read-only"):
+        stage._covectors(curve)[0, 0] = 1.0
 
 
 def test_constructor_refuses_end_points_above_the_band():

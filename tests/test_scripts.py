@@ -59,3 +59,35 @@ def test_every_converged_sweep_run_passes_the_oracle(tmp_path, problem, settings
     assert outer == sum(outcome[3] for outcome in outcomes) > 0
     lines = sweep["report"](problem, runs, outcomes)
     assert lines[1] == f"  outer iterations over all attempts: {outer}"
+
+
+def test_sweep_compare_lists_changed_exit_codes_and_sums_cost_over_cases_converged_in_both(
+        tmp_path):
+    sweep = runpy.run_path(str(SCRIPTS / "sweep.py"))
+    header = "problem,case,exit_code,outer_iterations,message\n"
+    old = tmp_path / "old.csv"
+    new = tmp_path / "new.csv"
+    old.write_text(header + "rod,0,0,10,converged\n" + "rod,1,2,30,damping failed (#)\n"
+                   + "rod,2,0,5,converged\n" + "obstacle,0,0,7,converged\n")
+    new.write_text(header + "rod,0,0,12,converged\n" + "rod,1,0,20,converged\n"
+                   + "rod,2,1,4,\"run failed, at #\"\n" + "obstacle,0,0,7,converged\n")
+    lines, changed = sweep["compare"](sweep["read_record"](old), sweep["read_record"](new))
+    assert changed == 2
+    assert lines == [
+        "rod: 3 cases in both records, 2 changed exit code",
+        "  case 1: exit 2 -> 0: damping failed (#) -> converged",
+        "  case 2: exit 0 -> 1: converged -> run failed, at #",
+        "  outer iterations over the 1 cases converged in both: 10 -> 12",
+        "obstacle: 1 cases in both records, 0 changed exit code",
+        "  outer iterations over the 1 cases converged in both: 7 -> 7",
+    ]
+    # the sweep writes what compare reads: one row per case, numbers masked
+    outcomes = [(0, "converged after 3 steps", None, 3), (2, "theta 1.5e3, at 0.2", None, 40)]
+    sweep["write_record"](tmp_path / "sweep.csv", sweep["record_rows"]("rod", outcomes))
+    record = sweep["read_record"](tmp_path / "sweep.csv")
+    assert [(key, row["exit_code"], row["outer_iterations"], row["message"])
+            for key, row in record.items()] == [
+        (("rod", 0), "0", "3", "converged after # steps"),
+        (("rod", 1), "2", "40", "theta #, at #"),
+    ]
+    assert sweep["compare"](record, record)[1] == 0
