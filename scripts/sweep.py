@@ -15,12 +15,16 @@ their arguments.
 Exits 1 if any exit-0 run fails the oracle, else 0.
 
 ``--record FILE`` also writes one CSV row per case: the problem, the case
-index, the exit code, the outer iterations and the masked message.
+index, the exit code, the outer iterations, the masked message and the
+SHA-256 digest of the case's ``iterates.csv`` and ``curve.csv`` (empty for
+a run that wrote neither).
 ``--compare OLD NEW`` runs nothing: it reads two such records and prints,
-per problem, the cases whose exit code changed and the outer iterations
-summed over the cases that exit 0 in both; it exits 1 if an exit code
-changed, else 0.  Equal tables can hide cases that flip both ways; the
-comparison shows them.
+per problem, the cases whose exit code changed, the cases whose digest
+changed, and the outer iterations summed over the cases that exit 0 in
+both; it exits 1 if an exit code or a digest changed, else 0.  Equal tables
+can hide cases that flip both ways; the comparison shows them, and the
+digests show a change that leaves every number of the tables as it was.
+A record written without the digest column compares on exit codes alone.
 
 Each problem draws its cases from its own ``numpy.random.default_rng(1)``,
 the values of a case in the order below, so the first cases of a stream do
@@ -45,6 +49,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import math
@@ -66,7 +71,7 @@ _spec.loader.exec_module(oracle)
 SEED = 1
 CASES = 150
 NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
-RECORD_FIELDS = ("problem", "case", "exit_code", "outer_iterations", "message")
+RECORD_FIELDS = ("problem", "case", "exit_code", "outer_iterations", "message", "digest")
 
 
 def _point(rng, z_low: float, z_high: float) -> tuple:
@@ -125,12 +130,14 @@ def argv(case: dict) -> list:
 
 def run_case(case: dict, out_dir) -> tuple:
     """Run ``case`` into ``out_dir``: ``(exit code, message, oracle error,
-    outer iterations)``.
+    outer iterations, digest)``.
 
     The message is the run's termination message or error line; the oracle
     error is ``None`` unless the run exited 0 and failed ``check_run``; the
     outer iterations are summed over the rows of ``stages.csv``, rejected
-    attempts included, and are 0 for a run that wrote none.
+    attempts included, and are 0 for a run that wrote none; the digest is
+    the SHA-256 of ``iterates.csv`` then ``curve.csv``, empty for a run that
+    wrote neither.
     """
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -148,14 +155,17 @@ def run_case(case: dict, out_dir) -> tuple:
     if stages.exists():
         with stages.open(newline="") as file:
             outer = sum(int(row["outer_iterations"]) for row in csv.DictReader(file))
-    return code, message, error, outer
+    paths = [Path(out_dir) / name for name in ("iterates.csv", "curve.csv")]
+    texts = [path.read_bytes() for path in paths if path.exists()]
+    digest = hashlib.sha256(b"".join(texts)).hexdigest() if texts else ""
+    return code, message, error, outer, digest
 
 
 def report(problem: str, runs: list, outcomes: list) -> list:
     """The sweep's lines for the cases ``runs`` of ``problem`` and their
     :func:`run_case` outcomes."""
     codes, messages, defects = collections.Counter(), collections.Counter(), []
-    for k, (case, (code, message, error, _)) in enumerate(zip(runs, outcomes)):
+    for k, (case, (code, message, error, _, _)) in enumerate(zip(runs, outcomes)):
         codes[code] += 1
         messages[code, NUMBER.sub("#", message)] += 1
         if code == 1 or error is not None:
@@ -173,8 +183,8 @@ def report(problem: str, runs: list, outcomes: list) -> list:
 def record_rows(problem: str, outcomes: list) -> list:
     """The per-case record rows of ``problem``'s :func:`run_case` outcomes."""
     return [{"problem": problem, "case": k, "exit_code": code, "outer_iterations": outer,
-             "message": NUMBER.sub("#", message)}
-            for k, (code, message, _, outer) in enumerate(outcomes)]
+             "message": NUMBER.sub("#", message), "digest": digest}
+            for k, (code, message, _, outer, digest) in enumerate(outcomes)]
 
 
 def write_record(path, rows: list) -> None:
@@ -193,20 +203,27 @@ def read_record(path) -> dict:
 
 def compare(old: dict, new: dict) -> tuple:
     """``(lines, changed)`` for two records from :func:`read_record`: per
-    problem, the cases whose exit code changed, then the outer iterations
-    summed over the cases that exit 0 in both; ``changed`` counts the first."""
+    problem, the cases whose exit code changed, the cases whose digest
+    changed (when both records have digests), then the outer iterations
+    summed over the cases that exit 0 in both; ``changed`` counts the cases
+    of the first two lists."""
     lines, changed_total = [], 0
+    digests = all("digest" in row for row in [*old.values(), *new.values()])
     for problem in dict.fromkeys(problem for problem, _ in [*old, *new]):
         keys = sorted(key for key in old.keys() & new.keys() if key[0] == problem)
         changed = [key for key in keys if old[key]["exit_code"] != new[key]["exit_code"]]
+        moved = [key for key in keys if digests and old[key]["digest"] != new[key]["digest"]]
         both = [key for key in keys if old[key]["exit_code"] == new[key]["exit_code"] == "0"]
-        changed_total += len(changed)
+        changed_total += len(set(changed) | set(moved))
         lines.append(f"{problem}: {len(keys)} cases in both records, "
-                     f"{len(changed)} changed exit code")
+                     f"{len(changed)} changed exit code"
+                     + (f", {len(moved)} changed digest" if digests else ""))
         for key in changed:
             a, b = old[key], new[key]
             lines.append(f"  case {key[1]}: exit {a['exit_code']} -> {b['exit_code']}: "
                          f"{a['message']} -> {b['message']}")
+        lines.extend(f"  case {key[1]}: digest changed, exit {new[key]['exit_code']}"
+                     for key in moved if key not in changed)
         outer = [sum(int(record[key]["outer_iterations"]) for key in both) for record in (old, new)]
         lines.append(f"  outer iterations over the {len(both)} cases converged in both: "
                      f"{outer[0]} -> {outer[1]}")

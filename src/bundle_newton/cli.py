@@ -14,6 +14,10 @@ writes four artifacts into the output directory:
   raises writes only ``meta.txt``, with ``result_status = error`` and the
   exception as ``result_message``.
 
+Every number in them is the text of ``"%.17g" % v``; an ``iterates.csv`` or
+``curve.csv`` table of ``CSV_VECTOR_MIN_VALUES`` values or more is written
+by a numpy kernel with the same bytes (:func:`_write_csv`).
+
 Every problem is solved by nested iteration on the grid ladder ``n //
 10**k``, coarsest first, for every ``k`` that leaves at least 10 interior
 nodes (``newton.grid_ladder``): ``--n 1000`` solves on 10, 100 and 1000
@@ -156,12 +160,158 @@ def parse_config_file(path) -> dict:
     return out
 
 
+# A table of fewer values is one C-level ``%`` format of all its values, a
+# larger one the numpy writer, whose tables take about 1.2 ms to build once per
+# process.  _write_csv, timeit minimum, 2-CPU host: 300 values 235 against
+# 225 us, 400 245/280, 600 280/460, 1000 310/580; so the obstacle's 408-value
+# curve.csv stays where one run would not win back the build.
+CSV_VECTOR_MIN_VALUES = 500
+# values per numpy pass, in whole rows.  A pass holds about 290 bytes a value,
+# so the writer's peak stays near the ``%`` format's on rod n = 1000's curve.csv
+# (10020 values) and a quarter of it on geodesic n = 10000's (40008).  Timeit
+# minimum, 2-CPU host, at 1024/2048/4096/8192 values: geodesic 6.8/5.5/5.1/5.2
+# ms, rod 2.1/1.6/1.7/2.4 ms, tracemalloc peak 0.29/0.57/1.13/2.26 MiB; the
+# ``%`` format takes 16.3 ms and 2.32 MiB on geodesic, 3.1 ms and 0.54 on rod.
+CSV_CHUNK_VALUES = 2048
+
+# A value's text is laid out in a 32-byte slot and NUL marks a byte not
+# written: the sign in column 1, the "0." and zeros of 0.000ddd in columns 2-6,
+# the 17 digits from column 7 (one column further right behind a point), the
+# "e-0X" of e-notation in columns 25-28 and the separator in column 29.
+_SLOT = 32
+
+
+@functools.cache  # built on the first large table, so an import builds nothing
+def _g17_tables() -> tuple:
+    """The tables of :func:`_g17_text`: ``10**k`` for ``k <= 22`` (exact
+    doubles) with their Veltkamp halves, the four ASCII digits of 0..9999 as
+    one ``uint32`` each, their lengths without trailing zeros, and per class
+    (the sign, the decimal exponent -6..15, the digits kept 1..17; row
+    ``((negative * 22) + exponent + 6) * 17 + kept - 1``) the slot's kept
+    unshifted and shifted digit columns (``0xff`` bytes) and its constant
+    characters."""
+    pow10 = np.array([float(10**k) for k in range(23)])
+    group = np.arange(10000, dtype=np.uint16)
+    digits = (group[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8)
+    length = 4 - sum(group % 10**k == 0 for k in range(1, 5)).astype(np.uint8)
+    # int8 grids and uint8 characters keep the class tables' temporaries small
+    sign, e, keep, col = np.ix_(*(np.arange(lo, hi, dtype=np.int8)
+                                  for lo, hi in ((0, 2), (-6, 16), (1, 18), (0, _SLOT))))
+    fixed, sci = (e >= -4) & (e < 0), e < -4
+    point = np.where(sci, 0, np.where(fixed, 16, e))  # the digit the point follows
+    dot = keep > point + 1
+    low = (col >= 7) & (col < 8 + np.minimum(point, keep - 1))
+    high = dot & (col >= 9 + point) & (col < 8 + keep)
+    chars = [(sign.astype(bool) & (col == 1), "-"), (dot & (col == 8 + point), "."),
+             (fixed & ((col == 6 + e) | (col >= 8 + e) & (col <= 6)), "0"),
+             (fixed & (col == 7 + e), "."), (sci & (col == 25), "e"), (sci & (col == 26), "-"),
+             (sci & (col == 27), "0")]
+    const = (sum(np.uint8(ord(char)) * mask for mask, char in chars)
+             + (sci & (col == 28)) * (ord("0") - e).astype(np.uint8))
+
+    def slots(table):
+        return np.broadcast_to(table, const.shape).astype(np.uint8).reshape(-1, _SLOT)
+
+    return (pow10, *_split(pow10), (digits + ord("0")).view(np.uint32).ravel(), length,
+            *(slots(t).view(np.uint64) for t in (np.uint8(255) * low, np.uint8(255) * high, const)))
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of 26 bits, ``a = hi + lo``."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _g17_text(rows) -> bytes:
+    """The CSV text of the 2-D float array ``rows``, byte for byte that of
+    ``"%.17g" % v`` for each value.
+
+    A value ``1e-6 < |x| < 1e16`` takes the numpy path: with ``e`` the floor
+    of ``log10 |x|``, the product ``|x| 10**(16 - e)``, exact as ``hi + lo``
+    (Dekker's two-product), rounds to the 17 digits ``D = hi + rint(lo)``
+    (``hi >= 2**53`` is an even integer, so ties go to even).  ``log10``
+    can miss by one, so ``e`` moves until ``1e16 <= hi + lo < 1e17``; no
+    double in the range lies within half a unit of the 17th digit below a
+    power of ten, so ``D`` never carries to ``10**17``.  ``D`` is written
+    by 4-digit groups into the value's slot (see ``_SLOT``), its trailing
+    zeros dropped, in fixed notation for ``-4 <= e < 17``, else as
+    ``d.ddde-0X``.  ``±0`` is ``0`` or ``-0``; any other value (NaN, ±inf,
+    ``|x| <= 1e-6`` or ``>= 1e16``) is its own ``b"%.17g" % v``."""
+    pow10, pow10_hi, pow10_lo, groups, length, low, high, const = _g17_tables()
+    x = rows.ravel()
+    a = np.abs(x)
+    main = (a > 1e-6) & (a < 1e16)
+    a[~main] = 1.0
+    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -6, 15)
+    a_hi, a_lo = _split(a)
+    while True:
+        k = 16 - e
+        p_hi, p_lo = pow10_hi[k], pow10_lo[k]
+        hi = a * pow10[k]
+        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+        up = (hi > 1e17) | (hi == 1e17) & (lo >= 0)
+        down = (hi < 1e16) | (hi == 1e16) & (lo < 0)
+        if not (up.any() or down.any()):
+            break
+        e += up
+        e -= down
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top = d // 10**8
+    bottom = (d - top * 10**8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    lead = top // 10**8
+    q = top - lead * 10**8
+    upper, lower = q // 10**4, bottom // 10**4
+    g = [upper, q - upper * 10**4, lower, bottom - lower * 10**4]  # the 4-digit groups
+    # the digits up to the last nonzero one, and in fixed notation all before the point
+    lens = [length[gk] for gk in g]
+    kept = np.where(lens[3], 13 + lens[3],
+                    np.where(lens[2], 9 + lens[2], np.where(lens[1], 5 + lens[1], 1 + lens[0])))
+    kept = np.where(e < 0, kept, np.maximum(kept, e + 1))
+    cls = ((x < 0) * 22 + e + 6) * 17 + kept - 1
+
+    placed = np.zeros((x.size, _SLOT // 8), np.uint64)
+    placed32 = placed.view(np.uint32)
+    for column, group in enumerate(g, start=2):
+        placed32[:, column] = groups[group]
+    placed.view(np.uint8)[:, 7] = lead + ord("0")
+    shifted = np.zeros_like(placed)  # every digit one column on, for those behind a point
+    shifted.view(np.uint8).ravel()[1:] = placed.view(np.uint8).ravel()[:-1]
+    out = np.take(const, cls, axis=0)
+    out |= placed & np.take(low, cls, axis=0)
+    out |= shifted & np.take(high, cls, axis=0)
+
+    slots = out.view(np.uint8)
+    if not main.all():
+        zero = x == 0
+        slots[zero] = 0
+        slots[zero, 0] = np.where(np.signbit(x[zero]), ord("-"), 0)
+        slots[zero, 1] = ord("0")
+        for i in np.flatnonzero(~main & ~zero):
+            text = b"%.17g" % x[i]
+            slots[i] = 0
+            slots[i, :len(text)] = np.frombuffer(text, np.uint8)
+    slots[:, 29] = ord(",")
+    slots.reshape(len(rows), -1)[:, -3] = ord("\n")
+    return slots.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path, header: str, rows) -> None:
-    """Write the 2-D float array ``rows`` below ``header`` in one C-level ``%``
-    format: ``"%.17g" % v`` is ``_fmt(v)`` for every double, so numbers
-    round-trip and small integers print exactly."""
-    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    Path(path).write_text(header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
+    """Write the 2-D float array ``rows`` below ``header``, each value as
+    ``"%.17g" % v``, which is ``_fmt(v)`` for every double, so numbers
+    round-trip and small integers print exactly: a table of fewer than
+    ``CSV_VECTOR_MIN_VALUES`` values in one C-level ``%`` format, a larger
+    one by :func:`_g17_text`, ``CSV_CHUNK_VALUES`` values at a time."""
+    if rows.size < CSV_VECTOR_MIN_VALUES:
+        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        Path(path).write_text(header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
+        return
+    step = max(1, CSV_CHUNK_VALUES // rows.shape[1])
+    with open(path, "wb") as file:
+        file.write(header.encode() + b"\n")
+        for start in range(0, len(rows), step):
+            file.write(_g17_text(rows[start:start + step]))
 
 
 def _write_meta(path, cfg: dict, results: dict) -> None:

@@ -249,14 +249,15 @@ class BandedMatrix:
         number is exact (:meth:`BandedFactorization.exact_condition`), above
         that its lower estimate (:meth:`BandedFactorization.condition`), so a
         small system is checked at least as strictly.  Either way ``x`` is
-        the same to the bit."""
+        the same to the bit, and the error's message says which of the two
+        it checked ("condition number" or "condition estimate")."""
         fact = BandedFactorization(self)
-        check = fact.exact_condition if self.dim <= EXACT_CONDITION_DIM else fact.condition
-        cond, x, peak = check(rhs)
+        exact = self.dim <= EXACT_CONDITION_DIM
+        cond, x, peak = (fact.exact_condition if exact else fact.condition)(rhs)
         if not cond < CONDITION_LIMIT:  # also rejects inf and NaN
             raise SingularSystem(
-                f"banded LU is near singular (condition estimate {cond:.2e}, "
-                f"largest at unknown {peak})"
+                f"banded LU is near singular (condition {'number' if exact else 'estimate'} "
+                f"{cond:.2e}, largest at unknown {peak})"
             )
         return fact, x
 

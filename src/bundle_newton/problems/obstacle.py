@@ -160,11 +160,19 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
     """
     result = Continuation(problem.initial_state() if start is None else start)
     growth = MAX_GROWTH
-    violation = problem.violation(result.state)
     stage_tol = max(cfg.tol, STAGE_TOL_FACTOR * problem.violation_tol)
+    last = [None, None]  # the curve last measured and its violation
+
+    def measured(curve) -> float:
+        # a stage that stops early ends on the curve its stop test measured
+        if curve is not last[0]:
+            last[:] = curve, problem.violation(curve)
+        return last[1]
 
     def above_band(curve, norm: float) -> bool:
-        return norm <= stage_tol and problem.violation(curve) > problem.violation_tol
+        return norm <= stage_tol and measured(curve) > problem.violation_tol
+
+    violation = measured(result.state)
 
     while not result.stages or violation > problem.violation_tol:
         if len(result.attempts) == MAX_STAGES:
@@ -177,7 +185,7 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
         p = result.stages[-1].problem.p * growth if result.stages else problem.p
         stage_cfg = cfg.warm if result.attempts else cfg
         curve, stage = damped_newton(problem.replace(p=p), result.state, stage_cfg, above_band)
-        reached = problem.violation(curve)
+        reached = measured(curve)
         converged = stage.terminated is Termination.CONVERGED
         stage.accepted = converged and reached <= violation
         result.attempts.append(stage)

@@ -121,15 +121,18 @@ def test_the_problem_comes_from_the_command_line_or_the_config_file(tmp_path, ca
 
 
 def test_numbers_round_trip_losslessly(tmp_path):
-    out = tmp_path / "g"
-    assert main(["geodesic-force", "--n", "20", "--out-dir", str(out)]) == EXIT_OK
-    # 17 significant digits: parsing and re-formatting is the identity
-    for name in ("curve.csv", "iterates.csv"):
-        lines = (out / name).read_text().splitlines()[1:]
-        assert lines, name
-        for line in lines:
-            for token in line.split(","):
-                assert format(float(token), ".17g") == token
+    # curve.csv at n = 20 is 88 values, the one-shot % format; at n = 1000
+    # 4008, the numpy writer
+    for n in ("20", "1000"):
+        out = tmp_path / n
+        assert main(["geodesic-force", "--n", n, "--out-dir", str(out)]) == EXIT_OK
+        # 17 significant digits: parsing and re-formatting is the identity
+        for name in ("curve.csv", "iterates.csv"):
+            lines = (out / name).read_text().splitlines()[1:]
+            assert lines, name
+            for line in lines:
+                for token in line.split(","):
+                    assert format(float(token), ".17g") == token
 
 
 def per_value_csv(header, rows):
@@ -142,6 +145,32 @@ _SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
             1.0, 3.0, 199.0, 2.0**53, 0.1, 1 / 3, 2.2250738585072014e-308]
 
 
+def _scattered_specials():
+    rng = np.random.default_rng(29)
+    block = rng.standard_normal((1500, 4)) * 10.0 ** rng.integers(-9, 19, (1500, 4))
+    block.ravel()[rng.choice(block.size, 200, replace=False)] = rng.choice(_SPECIAL, 200)
+    return block
+
+
+def _near_boundaries():
+    # ties of the 17th digit, powers of ten and the numpy writer's range ends, +- 1 ulp
+    exact = [1234567890123456.25, 1234567890123456.75, 123456789012345.625,
+             123456789012345.875, 1e-6, 1e16, *(10.0**k for k in range(-8, 19))]
+    values = np.array(exact + [-v for v in exact])
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    return np.resize(values, (200, 3))
+
+
+def _planar_rod_columns():
+    t = np.linspace(0.0, 1.0, 300)
+    return np.column_stack([t, np.zeros_like(t), np.full_like(t, -0.0), -t])
+
+
+def _rows(count):
+    # three columns: a pass takes CSV_CHUNK_VALUES // 3 whole rows, not all its values
+    return np.random.default_rng(count).standard_normal((count, 3))
+
+
 @pytest.mark.parametrize(
     "block",
     [
@@ -149,13 +178,38 @@ _SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
         np.random.default_rng(8).standard_normal((50, 3)) * 10.0 ** np.arange(-6, 9, 7),
         np.array([_SPECIAL[:6]]),  # a single row
         np.empty((0, 6)),  # no rows: the header alone
+        # above CSV_VECTOR_MIN_VALUES, so written by the numpy writer
+        _scattered_specials(),
+        _near_boundaries(),
+        _planar_rod_columns(),
+        _rows(cli.CSV_CHUNK_VALUES // 3 - 1),
+        _rows(cli.CSV_CHUNK_VALUES // 3),
+        _rows(cli.CSV_CHUNK_VALUES // 3 + 1),
     ],
-    ids=["special", "random", "one-row", "no-rows"],
+    ids=["special", "random", "one-row", "no-rows", "scattered-specials", "near-boundaries",
+         "zero-columns", "chunk-minus-1", "one-chunk", "chunk-plus-1"],
 )
 def test_write_csv_matches_per_value_format(tmp_path, block):
     header = ",".join(f"c{k}" for k in range(block.shape[1]))
     _write_csv(tmp_path / "t.csv", header, block)
     assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, block).encode()
+
+
+def test_the_numpy_writer_is_exact_on_a_million_values(tmp_path):
+    # random bit patterns (every exponent, NaNs and infinities included) and
+    # log-uniform magnitudes over 1e-8..1e18, against one "%.17g" per value
+    rng = np.random.default_rng(17)
+    on_numpy_path = 0
+    while on_numpy_path < 10**6:
+        bits = rng.integers(0, 2**64, 2**15, dtype=np.uint64).view(np.float64)
+        scales = 10.0 ** rng.uniform(-8.0, 18.0, 2**17) * rng.choice([-1.0, 1.0], 2**17)
+        block = np.concatenate([bits, scales]).reshape(-1, 4)
+        _write_csv(tmp_path / "t.csv", "h", block)
+        row = "%.17g,%.17g,%.17g,%.17g\n"
+        expected = "h\n" + (row * len(block)) % tuple(block.ravel().tolist())
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+        magnitude = np.abs(block)
+        on_numpy_path += np.count_nonzero((magnitude > 1e-6) & (magnitude < 1e16))
 
 
 def test_obstacle_meta_records_penalty(tmp_path):

@@ -477,7 +477,7 @@ def test_a_small_system_is_checked_on_the_exact_condition_number(monkeypatch):
     exact = skeel_condition(to_dense(A))
     assert estimate < 0.7 * exact and A.dim <= fem1d.EXACT_CONDITION_DIM
     monkeypatch.setattr(fem1d, "CONDITION_LIMIT", 0.5 * (estimate + exact))
-    with pytest.raises(SingularSystem, match=r"condition estimate 3\.09e\+02, largest at unknown"):
+    with pytest.raises(SingularSystem, match=r"condition number 3\.09e\+02, largest at unknown"):
         A.factorize(np.zeros(4))
 
 

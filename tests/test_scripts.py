@@ -1,6 +1,7 @@
 """Smoke test of the experiment scripts: each runs in-process from a fresh
 working directory, exits 0 and leaves the four artifacts of every case."""
 
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -45,10 +46,10 @@ def test_every_converged_sweep_run_passes_the_oracle(tmp_path, problem, settings
     runs = [{**case, **settings} for case in sweep["cases"](problem, SWEEP_SUBSET)]
     outcomes = [sweep["run_case"](case, tmp_path / str(k)) for k, case in enumerate(runs)]
     # the sampler draws valid boundary data, so no run is a configuration error
-    assert all(code != 4 for code, _, _, _ in outcomes)
+    assert all(code != 4 for code, *_ in outcomes)
     # at least ``converged`` of the runs exit 0
-    assert sum(code == 0 for code, _, _, _ in outcomes) >= converged
-    assert [error for code, _, error, _ in outcomes if code == 0 and error is not None] == []
+    assert sum(code == 0 for code, *_ in outcomes) >= converged
+    assert [error for code, _, error, *_ in outcomes if code == 0 and error is not None] == []
     # the cost line sums stages.csv's outer_iterations over every run, rejected attempts included
     outer = 0
     for k in range(SWEEP_SUBSET):
@@ -59,6 +60,14 @@ def test_every_converged_sweep_run_passes_the_oracle(tmp_path, problem, settings
     assert outer == sum(outcome[3] for outcome in outcomes) > 0
     lines = sweep["report"](problem, runs, outcomes)
     assert lines[1] == f"  outer iterations over all attempts: {outer}"
+    # the digest is that of the run's iterates.csv then curve.csv
+    for k, outcome in enumerate(outcomes):
+        files = [tmp_path / str(k) / name for name in ("iterates.csv", "curve.csv")]
+        if files[0].exists():
+            text = b"".join(path.read_bytes() for path in files)
+            assert outcome[4] == hashlib.sha256(text).hexdigest()
+        else:
+            assert outcome[4] == ""
 
 
 def test_sweep_compare_lists_changed_exit_codes_and_sums_cost_over_cases_converged_in_both(
@@ -82,12 +91,31 @@ def test_sweep_compare_lists_changed_exit_codes_and_sums_cost_over_cases_converg
         "  outer iterations over the 1 cases converged in both: 7 -> 7",
     ]
     # the sweep writes what compare reads: one row per case, numbers masked
-    outcomes = [(0, "converged after 3 steps", None, 3), (2, "theta 1.5e3, at 0.2", None, 40)]
+    outcomes = [(0, "converged after 3 steps", None, 3, "ab"),
+                (2, "theta 1.5e3, at 0.2", None, 40, "")]
     sweep["write_record"](tmp_path / "sweep.csv", sweep["record_rows"]("rod", outcomes))
     record = sweep["read_record"](tmp_path / "sweep.csv")
-    assert [(key, row["exit_code"], row["outer_iterations"], row["message"])
+    assert [(key, row["exit_code"], row["outer_iterations"], row["message"], row["digest"])
             for key, row in record.items()] == [
-        (("rod", 0), "0", "3", "converged after # steps"),
-        (("rod", 1), "2", "40", "theta #, at #"),
+        (("rod", 0), "0", "3", "converged after # steps", "ab"),
+        (("rod", 1), "2", "40", "theta #, at #", ""),
     ]
     assert sweep["compare"](record, record)[1] == 0
+    # with digests in both records, compare also lists the cases whose artifacts changed
+    outcomes = [(0, "converged after 3 steps", None, 3, "cd"), (0, "converged", None, 9, "ef")]
+    sweep["write_record"](tmp_path / "new.csv", sweep["record_rows"]("rod", outcomes))
+    lines, changed = sweep["compare"](record, sweep["read_record"](tmp_path / "new.csv"))
+    assert changed == 2
+    assert lines == [
+        "rod: 2 cases in both records, 1 changed exit code, 2 changed digest",
+        "  case 1: exit 2 -> 0: theta #, at # -> converged",
+        "  case 0: digest changed, exit 0",
+        "  outer iterations over the 1 cases converged in both: 3 -> 3",
+    ]
+    # a record without the digest column compares on exit codes alone
+    assert sweep["compare"](sweep["read_record"](old), record) == ([
+        "rod: 2 cases in both records, 0 changed exit code",
+        "  outer iterations over the 1 cases converged in both: 10 -> 3",
+        "obstacle: 0 cases in both records, 0 changed exit code",
+        "  outer iterations over the 0 cases converged in both: 0 -> 0",
+    ], 0)
