@@ -15,16 +15,21 @@ their arguments.
 Exits 1 if any exit-0 run fails the oracle, else 0.
 
 ``--record FILE`` also writes one CSV row per case: the problem, the case
-index, the exit code, the outer iterations, the masked message and the
-SHA-256 digest of the case's ``iterates.csv`` and ``curve.csv`` (empty for
-a run that wrote neither).
-``--compare OLD NEW`` runs nothing: it reads two such records and prints,
+index, the exit code, the outer iterations, the masked message, the SHA-256
+digest of the case's ``iterates.csv`` and ``curve.csv`` (empty for a run
+that wrote neither), the rows of its ``iterates.csv`` (the lines below the
+header; empty for a run that wrote none) and the levels it ran, ``meta.txt``'s
+``result_levels`` (empty for a run that recorded none).
+``--compare OLD NEW`` runs nothing, so it needs no ``bundle_newton`` on the
+path: it reads two such records and prints,
 per problem, the cases whose exit code changed, the cases whose digest
 changed, and the outer iterations summed over the cases that exit 0 in
 both; it exits 1 if an exit code or a digest changed, else 0.  Equal tables
 can hide cases that flip both ways; the comparison shows them, and the
 digests show a change that leaves every number of the tables as it was.
-A record written without the digest column compares on exit codes alone.
+A record written without the digest column compares on exit codes alone;
+the rows and levels are for reading, and a record without them compares as
+one with them.
 
 Each problem draws its cases from its own ``numpy.random.default_rng(1)``,
 the values of a case in the order below, so the first cases of a stream do
@@ -60,8 +65,6 @@ from pathlib import Path
 
 import numpy as np
 
-from bundle_newton.cli import main
-
 # bench/oracle.py, which imports nothing of bundle_newton, loaded by its path
 _spec = importlib.util.spec_from_file_location(
     "oracle", Path(__file__).resolve().parent.parent / "bench" / "oracle.py")
@@ -71,7 +74,8 @@ _spec.loader.exec_module(oracle)
 SEED = 1
 CASES = 150
 NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
-RECORD_FIELDS = ("problem", "case", "exit_code", "outer_iterations", "message", "digest")
+RECORD_FIELDS = ("problem", "case", "exit_code", "outer_iterations", "message", "digest",
+                 "rows", "levels")
 
 
 def _point(rng, z_low: float, z_high: float) -> tuple:
@@ -130,15 +134,19 @@ def argv(case: dict) -> list:
 
 def run_case(case: dict, out_dir) -> tuple:
     """Run ``case`` into ``out_dir``: ``(exit code, message, oracle error,
-    outer iterations, digest)``.
+    outer iterations, digest, rows, levels)``.
 
     The message is the run's termination message or error line; the oracle
     error is ``None`` unless the run exited 0 and failed ``check_run``; the
     outer iterations are summed over the rows of ``stages.csv``, rejected
     attempts included, and are 0 for a run that wrote none; the digest is
     the SHA-256 of ``iterates.csv`` then ``curve.csv``, empty for a run that
-    wrote neither.
+    wrote neither; the rows are the lines of ``iterates.csv`` below its
+    header and the levels ``meta.txt``'s ``result_levels``, each empty for a
+    run that wrote none.
     """
+    from bundle_newton.cli import main  # here, so that --compare runs without it
+
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main([*argv(case), "--out-dir", str(out_dir)])
@@ -156,16 +164,21 @@ def run_case(case: dict, out_dir) -> tuple:
         with stages.open(newline="") as file:
             outer = sum(int(row["outer_iterations"]) for row in csv.DictReader(file))
     paths = [Path(out_dir) / name for name in ("iterates.csv", "curve.csv")]
-    texts = [path.read_bytes() for path in paths if path.exists()]
-    digest = hashlib.sha256(b"".join(texts)).hexdigest() if texts else ""
-    return code, message, error, outer, digest
+    texts = {path.name: path.read_bytes() for path in paths if path.exists()}
+    digest = hashlib.sha256(b"".join(texts.values())).hexdigest() if texts else ""
+    rows = texts["iterates.csv"].count(b"\n") - 1 if "iterates.csv" in texts else ""
+    meta = Path(out_dir) / "meta.txt"
+    lines = meta.read_text().splitlines() if meta.exists() else []
+    levels = next((line.split(" = ", 1)[1] for line in lines
+                   if line.startswith("result_levels = ")), "")
+    return code, message, error, outer, digest, rows, levels
 
 
 def report(problem: str, runs: list, outcomes: list) -> list:
     """The sweep's lines for the cases ``runs`` of ``problem`` and their
     :func:`run_case` outcomes."""
     codes, messages, defects = collections.Counter(), collections.Counter(), []
-    for k, (case, (code, message, error, _, _)) in enumerate(zip(runs, outcomes)):
+    for k, (case, (code, message, error, *_)) in enumerate(zip(runs, outcomes)):
         codes[code] += 1
         messages[code, NUMBER.sub("#", message)] += 1
         if code == 1 or error is not None:
@@ -183,8 +196,9 @@ def report(problem: str, runs: list, outcomes: list) -> list:
 def record_rows(problem: str, outcomes: list) -> list:
     """The per-case record rows of ``problem``'s :func:`run_case` outcomes."""
     return [{"problem": problem, "case": k, "exit_code": code, "outer_iterations": outer,
-             "message": NUMBER.sub("#", message), "digest": digest}
-            for k, (code, message, _, outer, digest) in enumerate(outcomes)]
+             "message": NUMBER.sub("#", message), "digest": digest, "rows": rows,
+             "levels": levels}
+            for k, (code, message, _, outer, digest, rows, levels) in enumerate(outcomes)]
 
 
 def write_record(path, rows: list) -> None:

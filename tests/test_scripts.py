@@ -2,7 +2,10 @@
 working directory, exits 0 and leaves the four artifacts of every case."""
 
 import hashlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,14 +63,19 @@ def test_every_converged_sweep_run_passes_the_oracle(tmp_path, problem, settings
     assert outer == sum(outcome[3] for outcome in outcomes) > 0
     lines = sweep["report"](problem, runs, outcomes)
     assert lines[1] == f"  outer iterations over all attempts: {outer}"
-    # the digest is that of the run's iterates.csv then curve.csv
+    # the digest is that of the run's iterates.csv then curve.csv, the rows those
+    # of its iterates.csv and the levels its meta.txt's result_levels
     for k, outcome in enumerate(outcomes):
         files = [tmp_path / str(k) / name for name in ("iterates.csv", "curve.csv")]
         if files[0].exists():
             text = b"".join(path.read_bytes() for path in files)
             assert outcome[4] == hashlib.sha256(text).hexdigest()
+            assert outcome[5] == len(files[0].read_text().splitlines()) - 1
+            meta = dict(line.split(" = ", 1)
+                        for line in (tmp_path / str(k) / "meta.txt").read_text().splitlines())
+            assert outcome[6] == meta["result_levels"] != ""
         else:
-            assert outcome[4] == ""
+            assert outcome[4:] == ("", "", "")
 
 
 def test_sweep_compare_lists_changed_exit_codes_and_sums_cost_over_cases_converged_in_both(
@@ -91,18 +99,19 @@ def test_sweep_compare_lists_changed_exit_codes_and_sums_cost_over_cases_converg
         "  outer iterations over the 1 cases converged in both: 7 -> 7",
     ]
     # the sweep writes what compare reads: one row per case, numbers masked
-    outcomes = [(0, "converged after 3 steps", None, 3, "ab"),
-                (2, "theta 1.5e3, at 0.2", None, 40, "")]
+    outcomes = [(0, "converged after 3 steps", None, 3, "ab", 3, "10,100"),
+                (2, "theta 1.5e3, at 0.2", None, 40, "", "", "")]
     sweep["write_record"](tmp_path / "sweep.csv", sweep["record_rows"]("rod", outcomes))
     record = sweep["read_record"](tmp_path / "sweep.csv")
-    assert [(key, row["exit_code"], row["outer_iterations"], row["message"], row["digest"])
-            for key, row in record.items()] == [
-        (("rod", 0), "0", "3", "converged after # steps", "ab"),
-        (("rod", 1), "2", "40", "theta #, at #", ""),
+    assert [(key, row["exit_code"], row["outer_iterations"], row["message"], row["digest"],
+             row["rows"], row["levels"]) for key, row in record.items()] == [
+        (("rod", 0), "0", "3", "converged after # steps", "ab", "3", "10,100"),
+        (("rod", 1), "2", "40", "theta #, at #", "", "", ""),
     ]
     assert sweep["compare"](record, record)[1] == 0
     # with digests in both records, compare also lists the cases whose artifacts changed
-    outcomes = [(0, "converged after 3 steps", None, 3, "cd"), (0, "converged", None, 9, "ef")]
+    outcomes = [(0, "converged after 3 steps", None, 3, "cd", 3, "10,100"),
+                (0, "converged", None, 9, "ef", 9, "10,100")]
     sweep["write_record"](tmp_path / "new.csv", sweep["record_rows"]("rod", outcomes))
     lines, changed = sweep["compare"](record, sweep["read_record"](tmp_path / "new.csv"))
     assert changed == 2
@@ -119,3 +128,26 @@ def test_sweep_compare_lists_changed_exit_codes_and_sums_cost_over_cases_converg
         "obstacle: 0 cases in both records, 0 changed exit code",
         "  outer iterations over the 0 cases converged in both: 0 -> 0",
     ], 0)
+    # a record with digests but without rows and levels compares as one with them
+    digests = tmp_path / "digests.csv"
+    digests.write_text("problem,case,exit_code,outer_iterations,message,digest\n"
+                       "rod,0,0,3,converged after # steps,ab\n"
+                       "rod,1,2,40,\"theta #, at #\",\n")
+    assert sweep["compare"](sweep["read_record"](digests), record) == ([
+        "rod: 2 cases in both records, 0 changed exit code, 0 changed digest",
+        "  outer iterations over the 1 cases converged in both: 3 -> 3",
+    ], 0)
+
+
+def test_sweep_compare_runs_without_the_package_on_the_path(tmp_path):
+    # --compare reads two records and runs no case, so it imports no bundle_newton
+    header = "problem,case,exit_code,outer_iterations,message,digest\n"
+    (tmp_path / "old.csv").write_text(header + "rod,0,0,10,converged,ab\n")
+    (tmp_path / "new.csv").write_text(header + "rod,0,0,10,converged,ab\n")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(SCRIPTS / "sweep.py"), "--compare", "old.csv",
+                           "new.csv"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == (
+        "rod: 1 cases in both records, 0 changed exit code, 0 changed digest")
