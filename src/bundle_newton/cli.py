@@ -44,7 +44,9 @@ after ``t``, its ``stages.csv`` row and ``result_*`` numbers.
 Exit codes: 0 converged, 2 damping failed, 3 iteration limit (also the
 obstacle's penalty stage limit), 4 configuration or usage error (bad flag or
 file values, unknown flags or keys, invalid boundary data, an obstacle end
-point above the cap), 1 unexpected runtime failure.
+point above the cap), 1 unexpected runtime failure (a bug, a zero pivot, a
+non-finite Newton step).  A near-singular Newton matrix ends a run as 2 or 3,
+with its condition estimate in the message.
 
 The first call of :func:`main` in a process sets glibc's allocator policy
 (:func:`keep_freed_pages`): arrays up to ``MMAP_THRESHOLD`` (32 MiB) come
@@ -507,7 +509,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # solver-level failures: singular systems etc.
+    except Exception as exc:  # bugs, a zero pivot, a non-finite Newton step
         print(f"run failed ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

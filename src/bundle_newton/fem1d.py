@@ -37,11 +37,6 @@ import numpy as np
 from .geometry import UNIT_NORM_TOL, dot, normalized, retract_sphere, tangent_basis, tangent_project
 
 CONDITION_LIMIT = 1e14
-# at or below this dimension the check computes Skeel's number exactly: one solve
-# of n + 1 right-hand sides costs less than the estimate's 2 to 10 sequential solves
-# (timeit minimum, one thread: dim 20: 22 against 55 us, dim 40: 31 against 36,
-# dim 50: 44 against 38, dim 83: 122 against 64)
-EXACT_CONDITION_DIM = 40
 
 
 def _load_scipy_linalg_extension(name: str):
@@ -243,36 +238,76 @@ class BandedMatrix:
 
     def factorize(self, rhs) -> tuple["BandedFactorization", np.ndarray]:
         """The banded LU of the matrix and the solution ``x`` of ``A x = rhs``.
-        Raises :class:`SingularSystem` at a zero pivot, or when Skeel's
-        condition number is not below ``CONDITION_LIMIT``; no row scaling of
-        the system changes it.  Up to ``EXACT_CONDITION_DIM`` unknowns the
-        number is exact (:meth:`BandedFactorization.exact_condition`), above
-        that its lower estimate (:meth:`BandedFactorization.condition`), so a
-        small system is checked at least as strictly.  Either way ``x`` is
-        the same to the bit, and the error's message says which of the two
-        it checked ("condition number" or "condition estimate")."""
+        Raises :class:`SingularSystem` at a zero pivot, or when ``x`` is not
+        finite, naming the first such value and its 0-based unknown.  How
+        well conditioned the matrix is goes unchecked here: the damping
+        rejects the long, non-contracting steps of a near-singular matrix,
+        and :meth:`condition` explains a solve that fails."""
         fact = BandedFactorization(self)
-        exact = self.dim <= EXACT_CONDITION_DIM
-        cond, x, peak = (fact.exact_condition if exact else fact.condition)(rhs)
-        if not cond < CONDITION_LIMIT:  # also rejects inf and NaN
-            raise SingularSystem(
-                f"banded LU is near singular (condition {'number' if exact else 'estimate'} "
-                f"{cond:.2e}, largest at unknown {peak})"
-            )
+        x = fact.solve(rhs)
+        if not np.isfinite(x).all():  # inf from overflow, NaN from a NaN or inf entry
+            j = int(np.isfinite(x).argmin())
+            raise SingularSystem(f"banded LU solution is not finite: {x[j]} at unknown {j}")
         return fact, x
+
+    def condition(self) -> tuple[float, int]:
+        """Lower estimate of Skeel's condition number ``|| |A^-1| |A| ||_inf``
+        (Skeel, J. ACM 26, 1979), which no row scaling of the system changes,
+        and the 0-based unknown at which the estimate's last forward solve
+        ``z`` peaks.  Factorizes the matrix itself, so a zero pivot raises
+        :class:`SingularSystem`.
+
+        The condition number is ``||D A^-T||_1`` with ``D = diag(|A| e)``, estimated
+        as LAPACK's ``dla_gbrcond`` does: the ``dlacn2`` iteration of Hager, SIAM J.
+        Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign safeguard, ACM
+        TOMS 14 (1988); 3 to 10 ``gbtrs`` solves.  Overflow gives ``inf``.  Near a
+        singular matrix ``z`` approximates a null vector, so its peak typically
+        names one of the nearly dependent columns.  Signs are kept as masks ``y
+        >= 0``; the unit vectors are written into one buffer that every step
+        reuses."""
+        fact = BandedFactorization(self)
+        n, kl, ku = self.dim, self.lower_bw, self.upper_bw
+        # |A| e: dgbmv reads the kl zero rows as more upper band, and scipy asks
+        # for at least len(ab) result rows, those past n being 0
+        ab = np.abs(self._ab, order="F")
+        d = dgbmv(max(n, len(ab)), n, kl, kl + ku, 1.0, ab, np.ones(n))[:n]
+        neg_d = -d
+        b = np.empty((2, n))  # b.T: the two columns of the first solve
+        b[0] = 1.0 / n
+        b[1] = 1.0 + np.arange(n) / max(n - 1, 1)
+        b[1, 1::2] *= -1.0  # Higham's alternating-sign vector
+        e = np.zeros(n)  # the unit vector e_j of each transposed solve
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = fact.solve(b.T, trans=1)
+            y *= d[:, None]
+            alt_est = 2.0 * np.abs(y[:, 1]).sum() / (3.0 * n)
+            est = np.abs(y[:, 0]).sum()
+            positive = y[:, 0] >= 0.0
+            z = fact.solve(np.where(positive, d, neg_d))  # D sign(y)
+            j = int(np.abs(z).argmax())
+            for _ in range(4):  # at most 4 unit-vector solves, as in dlacn2 (ITMAX = 5)
+                e[j] = 1.0
+                y = fact.solve(e, trans=1)
+                e[j] = 0.0
+                y *= d
+                est_old, est = est, np.abs(y).sum()
+                new_positive = y >= 0.0
+                if est <= est_old or (new_positive == positive).all():
+                    break
+                positive = new_positive
+                z = fact.solve(np.where(positive, d, neg_d))
+                j_last, j = j, int(np.abs(z).argmax())
+                if z[j_last] == abs(z[j]):  # Hager's test ||z||_inf <= z^T e_j
+                    break
+        return float(alt_est if alt_est > est else est), j
 
 
 class BandedFactorization:
     """Banded LU with partial pivoting (LAPACK ``gbtrf``/``gbtrs``)."""
 
     def __init__(self, A: BandedMatrix):
-        n, kl, ku = A.dim, A.lower_bw, A.upper_bw
-        # |A| e in the LU's buffer: dgbmv reads its kl zero rows as more upper band,
-        # and scipy asks for at least len(ab) result rows, those past n being 0
-        ab = np.abs(A._ab, order="F")
-        self._row_sums = dgbmv(max(n, len(ab)), n, kl, kl + ku, 1.0, ab, np.ones(n))[:n]
-        np.copyto(ab, A._ab)
-        self._lu, self._ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        kl, ku = A.lower_bw, A.upper_bw
+        self._lu, self._ipiv, info = dgbtrf(A._ab, kl, ku)
         if info > 0:
             raise SingularSystem(f"zero pivot at column {info} in banded LU")
         if info < 0:
@@ -286,73 +321,6 @@ class BandedFactorization:
         if info != 0:
             raise SingularSystem(f"banded back substitution failed (info={info})")
         return x
-
-    def exact_condition(self, rhs) -> tuple[float, np.ndarray, int]:
-        """Skeel's condition number ``max(|A^-1| (|A| e))``, the solution ``x`` of
-        ``A x = rhs`` and the 0-based unknown, the row of ``A^-1``, of the maximum.
-
-        One ``gbtrs`` call, O(n^2) work, solves the stacked right-hand side
-        ``[I | rhs]``; it treats each column on its own, so ``x`` is bitwise
-        that of a solve of ``rhs`` alone.  Near a singular matrix the largest
-        rows of ``A^-1`` are those of a null vector's large entries, typically
-        the nearly dependent columns.  Overflow gives ``inf``."""
-        d = self._row_sums
-        n = d.size
-        b = np.zeros((n + 1, n))  # b.T: the columns of I, then rhs
-        b[:n].flat[:: n + 1] = 1.0
-        b[n] = rhs
-        with np.errstate(over="ignore", invalid="ignore"):
-            sol = self.solve(b.T)
-            rows = np.abs(sol[:, :n]) @ d
-        j = int(rows.argmax())
-        return float(rows[j]), sol[:, n], j
-
-    def condition(self, rhs) -> tuple[float, np.ndarray, int]:
-        """Lower estimate of Skeel's condition number ``|| |A^-1| |A| ||_inf``
-        (Skeel, J. ACM 26, 1979), the solution ``x`` of ``A x = rhs`` and the
-        0-based unknown at which the estimate's last forward solve ``z`` peaks.
-
-        The condition number is ``||D A^-T||_1`` with ``D = diag(|A| e)``, estimated
-        as LAPACK's ``dla_gbrcond`` does: the ``dlacn2`` iteration of Hager, SIAM J.
-        Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign safeguard, ACM
-        TOMS 14 (1988).  ``rhs`` rides in the first forward solve; overflow gives
-        ``inf``.  Near a singular matrix ``z`` approximates a null vector, so its
-        peak typically names one of the nearly dependent columns.  Signs are
-        kept as masks ``y >= 0``; the stacked right-hand sides and the unit
-        vectors are written into two buffers that every step reuses."""
-        d = self._row_sums
-        n = d.size
-        neg_d = -d
-        b = np.empty((2, n))  # b.T: the two columns of the first solves
-        b[0] = 1.0 / n
-        b[1] = 1.0 + np.arange(n) / max(n - 1, 1)
-        b[1, 1::2] *= -1.0  # Higham's alternating-sign vector
-        e = np.zeros(n)  # the unit vector e_j of each transposed solve
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = self.solve(b.T, trans=1)
-            y *= d[:, None]
-            alt_est = 2.0 * np.abs(y[:, 1]).sum() / (3.0 * n)
-            est = np.abs(y[:, 0]).sum()
-            positive = y[:, 0] >= 0.0
-            b[0] = np.where(positive, d, neg_d)  # d * sign(y)
-            b[1] = rhs
-            z, x = self.solve(b.T).T
-            j = int(np.abs(z).argmax())
-            for _ in range(4):  # at most 4 unit-vector solves, as in dlacn2 (ITMAX = 5)
-                e[j] = 1.0
-                y = self.solve(e, trans=1)
-                e[j] = 0.0
-                y *= d
-                est_old, est = est, np.abs(y).sum()
-                new_positive = y >= 0.0
-                if est <= est_old or (new_positive == positive).all():
-                    break
-                positive = new_positive
-                z = self.solve(np.where(positive, d, neg_d))
-                j_last, j = j, int(np.abs(z).argmax())
-                if z[j_last] == abs(z[j]):  # Hager's test ||z||_inf <= z^T e_j
-                    break
-        return float(alt_est if alt_est > est else est), x, j
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fem1d import BandedMatrix, Grid
+from .fem1d import CONDITION_LIMIT, BandedMatrix, Grid, SingularSystem
 from .geometry import DegenerateUpdate
 
 
@@ -190,6 +190,24 @@ def _converged(stage: Stage, norm_dx: float, residual_inf: float):
     return stage.state, stage
 
 
+def _failed(stage: Stage, terminated: Termination, message: str):
+    """End ``stage`` unconverged at its state.  The Newton matrix there is
+    assembled again and its condition estimated, and the message names a
+    matrix that is singular or whose estimate is not below
+    ``CONDITION_LIMIT``: near such a matrix the damping has no step left."""
+    stage.terminated = terminated
+    stage.message = message
+    try:
+        cond, unknown = stage.problem.assemble_jacobian(stage.state).condition()
+    except SingularSystem as exc:  # a zero pivot
+        stage.message += f" (Newton matrix: {exc})"
+    else:
+        if not cond < CONDITION_LIMIT:  # also inf and NaN
+            stage.message += (f" (Newton matrix condition estimate {cond:.2e}, "
+                              f"largest at unknown {unknown})")
+    return stage.state, stage
+
+
 def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfig(),
                   stops_early: Callable[[object, float], bool] | None = None):
     """Affine covariant damped Newton iteration.
@@ -215,7 +233,9 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     lets the tolerance depend on the iterate, as the obstacle's penalty path
     does for a stage it will follow with another one.  Damping failures and
     iteration limits are reported through ``stage.terminated`` rather than
-    raised.  A trial point that raises
+    raised; the message of either one names the Newton matrix at the state
+    the solve ends at when its condition estimate is not below
+    ``CONDITION_LIMIT`` or its LU meets a zero pivot.  A trial point that raises
     :class:`~bundle_newton.geometry.DegenerateUpdate`, in the retraction or
     the trial residual, counts as a non-finite ``theta``; with ``alpha``
     pinned (``theta_acc = inf``) the exception propagates, as do exceptions at
@@ -256,18 +276,14 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
             if not pin_alpha:
                 alpha = update_alpha(alpha, theta, THETA_DES)
                 if alpha < ALPHA_FAIL:
-                    stage.terminated = Termination.DAMPING_FAILED
-                    stage.message = (
-                        f"step size collapsed below {ALPHA_FAIL:g} "
-                        f"after {len(thetas)} trials (last theta {theta:.3g})"
-                    )
-                    return x, stage
+                    return _failed(stage, Termination.DAMPING_FAILED,
+                                   f"step size collapsed below {ALPHA_FAIL:g} "
+                                   f"after {len(thetas)} trials (last theta {theta:.3g})")
             if theta <= cfg.theta_acc:
                 break
             if pin_alpha:  # a NaN theta: the same trial would come back
-                stage.terminated = Termination.DAMPING_FAILED
-                stage.message = f"plain Newton step rejected (theta {theta:.3g})"
-                return x, stage
+                return _failed(stage, Termination.DAMPING_FAILED,
+                               f"plain Newton step rejected (theta {theta:.3g})")
 
         x = stage.state = x_plus
         stage.iterations.append(NewtonIteration(norm_dx, alpha_used, tuple(thetas), residual_inf))
@@ -275,8 +291,8 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         if alpha_used == 1.0 and theta <= THETA_STOP and within_tol(x, norm_dx_bar):
             return _converged(stage, norm_dx_bar, problem.norm_inf(r_bar))
 
-    stage.message = f"no convergence within {cfg.max_outer} outer iterations"
-    return x, stage
+    return _failed(stage, Termination.MAX_ITERATIONS,
+                   f"no convergence within {cfg.max_outer} outer iterations")
 
 
 # grid ladder of the nested iteration: each coarse level has 1/COARSENING of

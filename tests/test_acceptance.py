@@ -387,8 +387,7 @@ def test_criterion_9_affine_covariance():
     ids=["geodesic-n50-span1e12", "rod-n20-span1e8"],
 )
 def test_criterion_9_twin_row_scaling(inner, span):
-    # one log-uniform factor per row of residual and Jacobian: the iteration,
-    # including its near-singularity check (Skeel's, row scaling invariant),
+    # one log-uniform factor per row of residual and Jacobian: the iteration
     # must not see the scaling
     x0 = inner.initial_state()
     dim = len(inner.assemble_residual(x0))

@@ -369,14 +369,16 @@ def test_banded_singular_raises():
 
 def test_banded_near_singular_bidiagonal_raises():
     # unit diagonal, -2 above it: every pivot is 1, yet Skeel's condition
-    # number || |A^-1| |A| ||_inf is 2.31e18 (the 1-norm one is 3.46e18)
+    # number || |A^-1| |A| ||_inf is 2.31e18 (the 1-norm one is 3.46e18),
+    # and the estimate finds it
     n = 60
     A = BandedMatrix(n, 0, 1)
     band_add(A, np.arange(n), np.arange(n), 1.0)
     band_add(A, np.arange(n - 1), np.arange(1, n), -2.0)
     assert f"{skeel_condition(to_dense(A)):.2e}" == "2.31e+18"
-    with pytest.raises(SingularSystem, match="2.31e"):
-        A.factorize(np.ones(n))
+    estimate, unknown = A.condition()
+    assert f"{estimate:.2e}" == "2.31e+18"
+    assert 0 <= unknown < n
 
 
 def test_banded_overflowing_inverse_raises_with_inf():
@@ -411,13 +413,7 @@ def test_condition_estimate_bounds_exact_condition_from_below():
         band_add(A, i[in_band], j[in_band], scale * rng.standard_normal(np.count_nonzero(in_band)))
         band_add(A, np.arange(dim), np.arange(dim), scale * rng.uniform(0.0, 2.0) * (kl + ku + 1))
         exact = skeel_condition(to_dense(A))
-        try:
-            fact, _ = A.factorize(np.zeros(dim))
-        except SingularSystem:
-            # the estimate reached the limit, and it never exceeds the exact value
-            assert exact >= 0.3 * CONDITION_LIMIT
-            continue
-        estimate, _, _ = fact.condition(np.zeros(dim))
+        estimate, _ = A.condition()
         assert estimate >= 0.3 * exact
 
 
@@ -464,51 +460,13 @@ def test_condition_estimate_alternating_sign_safeguard():
     exact = skeel_condition(dense)
     row_sums = np.abs(dense).sum(axis=1)
     assert _hager_norm1(row_sums[:, None] * np.linalg.inv(dense).T) < 0.3 * exact
-    fact, _ = A.factorize(np.zeros(4))
-    assert fact.condition(np.zeros(4))[0] >= 0.3 * exact
-
-
-def test_a_small_system_is_checked_on_the_exact_condition_number(monkeypatch):
-    # a limit between the estimate (0.63 of the exact value) and the exact
-    # value: the estimate passes the matrix, the exact check refuses it
-    A = _alternating_sign_case()
-    fact = BandedFactorization(A)
-    estimate, _, _ = fact.condition(np.zeros(4))
-    exact = skeel_condition(to_dense(A))
-    assert estimate < 0.7 * exact and A.dim <= fem1d.EXACT_CONDITION_DIM
-    monkeypatch.setattr(fem1d, "CONDITION_LIMIT", 0.5 * (estimate + exact))
-    with pytest.raises(SingularSystem, match=r"condition number 3\.09e\+02, largest at unknown"):
-        A.factorize(np.zeros(4))
-
-
-def test_the_exact_condition_number_keeps_the_solution_bitwise():
-    # every small case: the solution is the estimate path's to the bit, and the
-    # number is Skeel's to half of float64's digits, a tolerance fixed by the
-    # dtype alone
-    rtol = np.sqrt(np.finfo(np.float64).eps)
-    checked = 0
-    for A, rhs in _estimator_cases():
-        if A.dim > fem1d.EXACT_CONDITION_DIM:
-            continue
-        try:
-            fact = BandedFactorization(A)
-        except SingularSystem:  # a zero pivot: no number to compare
-            continue
-        cond, x, peak = fact.exact_condition(rhs)
-        assert x.tobytes() == fact.condition(rhs)[1].tobytes()
-        exact = skeel_condition(to_dense(A))
-        assert abs(cond - exact) <= rtol * exact, (cond, exact)
-        assert 0 <= peak < A.dim
-        if cond < CONDITION_LIMIT:
-            assert A.factorize(rhs)[1].tobytes() == x.tobytes()
-        checked += 1
-    assert checked >= 40
+    assert A.condition()[0] >= 0.3 * exact
 
 
 def _estimator_cases():
-    """``(matrix, rhs)`` pairs for the estimator's reference test: seeded random
-    band matrices, some of them past ``CONDITION_LIMIT``, and the three
-    problems' Jacobians with their Newton right-hand sides."""
+    """Matrices for the estimator's reference test: seeded random band
+    matrices, some of them past ``CONDITION_LIMIT``, and the three problems'
+    Jacobians."""
     rng = np.random.default_rng(25)
     for _ in range(300):
         dim = int(rng.integers(1, 301))
@@ -520,7 +478,7 @@ def _estimator_cases():
         # without a diagonal boost most larger matrices are past the limit
         boost = rng.choice([0.0, 0.5, 4.0]) * (kl + ku + 1)
         band_add(A, np.arange(dim), np.arange(dim), boost)
-        yield A, rng.standard_normal(dim)
+        yield A
     for n in (10, 100):
         grid = Grid(1.0, n)
         for problem, state in (
@@ -529,12 +487,12 @@ def _estimator_cases():
             (RodProblem(grid), random_rod_state(grid, rng)),
         ):
             for x in (problem.initial_state(), state):
-                yield problem.assemble_jacobian(x), -problem.assemble_residual(x)
+                yield problem.assemble_jacobian(x)
 
 
 def test_condition_estimate_is_bitwise_the_reference_iteration(monkeypatch):
     # conftest.reference_condition is the estimator before its loop reused
-    # buffers and sign masks: the estimate, the solution and the number of
+    # buffers and sign masks: the estimate, its unknown and the number of
     # solves must not change by a bit
     solves = []
     solve = BandedFactorization.solve
@@ -545,18 +503,17 @@ def test_condition_estimate_is_bitwise_the_reference_iteration(monkeypatch):
 
     monkeypatch.setattr(BandedFactorization, "solve", counted)
     past_limit = 0
-    for A, rhs in _estimator_cases():
+    for A in _estimator_cases():
+        solves.clear()
         try:
-            fact = BandedFactorization(A)
+            want, want_unknown = reference_condition(A)
         except SingularSystem:  # a zero pivot: no estimate to compare
             continue
-        solves.clear()
-        want, want_x = reference_condition(fact, rhs)
         want_solves = len(solves)
         solves.clear()
-        got, got_x, _ = fact.condition(rhs)
+        got, got_unknown = A.condition()
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
-        assert got_x.tobytes() == want_x.tobytes()
+        assert got_unknown == want_unknown
         assert len(solves) == want_solves
         past_limit += not want < CONDITION_LIMIT
     assert past_limit >= 20
@@ -576,10 +533,9 @@ def test_near_singular_message_names_a_dependent_unknown():
     dense[12:16, 14] = dense[12:16, 13] * (1.0 + 1e-15 * rng.standard_normal(4))
     A = banded_from_dense(dense, kl, ku)
     assert skeel_condition(to_dense(A)) >= CONDITION_LIMIT
-    assert n <= fem1d.EXACT_CONDITION_DIM  # the exact number's row names the unknown
-    with pytest.raises(SingularSystem, match=r"largest at unknown (\d+)\)$") as raised:
-        A.factorize(np.ones(n))
-    assert int(raised.value.args[0].rsplit(" ", 1)[1][:-1]) in (13, 14)
+    estimate, unknown = A.condition()
+    assert estimate >= CONDITION_LIMIT
+    assert unknown in (13, 14)
 
 
 def test_traced_layers_exist(monkeypatch):

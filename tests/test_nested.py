@@ -2,13 +2,14 @@
 one, and the artifacts the command line writes for its levels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bundle_newton import (
-    Grid, NewtonConfig, SingularSystem, Termination, cli, damped_newton,
-    grid_ladder, nested_iteration, newton,
+    Grid, NewtonConfig, Termination, cli, damped_newton, fem1d, grid_ladder,
+    nested_iteration, newton,
 )
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_INTERNAL, EXIT_OK, main
 from bundle_newton.problems import (
@@ -173,13 +174,37 @@ def test_bench_runs_factorize_once_per_row_but_the_convergence_rows(
     assert len(matrices) == factorizations
 
 
-def test_plain_newton_on_the_rod_ladder_ends_at_a_genuinely_singular_matrix(monkeypatch):
+DIAGNOSIS = re.compile(r" \(Newton matrix condition estimate (\S+), largest at unknown \d+\)$")
+
+
+def test_plain_newton_on_the_rod_ladder_ends_at_a_genuinely_singular_matrix():
     # rod --n 100 --theta-acc inf: the undamped steps grow to 1e9-3e10, and the
-    # run stops at a matrix that no row scaling makes well conditioned
-    matrices = spy_factorize(monkeypatch)
-    with pytest.raises(SingularSystem):
-        nested_iteration(RodProblem(Grid(1.0, 100)), NewtonConfig(theta_acc=math.inf))
-    assert skeel_condition(to_dense(matrices[-1])) >= 1e14
+    # coarsest level runs out of iterations at a matrix that no row scaling
+    # makes well conditioned; the message says so
+    result = nested_iteration(RodProblem(Grid(1.0, 100)), NewtonConfig(theta_acc=math.inf))
+    assert result.terminated is Termination.MAX_ITERATIONS
+    assert result.message.startswith("level n=10: no convergence within 50 outer iterations (")
+    assert float(DIAGNOSIS.search(result.message)[1]) >= 1e14
+    level = result.attempts[-1].problem
+    assert level.grid == Grid(1.0, 10)
+    assert skeel_condition(to_dense(level.assemble_jacobian(result.state))) >= 1e14
+
+
+def test_a_damping_failure_at_a_near_singular_matrix_exits_2_with_its_diagnosis(tmp_path):
+    # sweep rod case 15: the coarsest level's step size collapses next to a
+    # matrix past CONDITION_LIMIT; the run ends as a damping failure, writes
+    # its artifacts and names the matrix in its message
+    argv = ["rod", "--n", "100",
+            "--y1", "-0.0016276324413633035,0.9344134998567042,-0.24583110124946037",
+            "--v0", "-0.6491654454001294,0.2387984542764557,0.7221907800115058",
+            "--v1", "0.3172946085666753,0.9430395232758364,0.10000294452766682",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_DAMPING_FAILED
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "curve.csv", "iterates.csv", "meta.txt", "stages.csv"]
+    meta = (tmp_path / "meta.txt").read_text()
+    message = re.search(r"^result_message = (.*)$", meta, re.MULTILINE)[1]
+    assert float(DIAGNOSIS.search(message)[1]) >= 1e14
 
 
 def test_alpha0_damps_only_the_cold_start(monkeypatch):
@@ -202,11 +227,18 @@ def test_alpha0_damps_only_the_cold_start(monkeypatch):
         assert configs[0] is cfg and configs[1:] and all(c is cfg.warm for c in configs[1:])
 
 
-def test_a_raising_run_writes_a_replayable_meta(tmp_path, capsys):
-    # the run above from the command line: it exits 1 and writes only meta.txt,
+def test_a_raising_run_writes_a_replayable_meta(tmp_path, capsys, monkeypatch):
+    # a run whose LU meets a zero pivot: it exits 1 and writes only meta.txt,
     # which names the exception and reproduces the failure
+    dgbtrf = fem1d.dgbtrf
+
+    def zero_pivot(*args, **kwargs):
+        lu, ipiv, _ = dgbtrf(*args, **kwargs)
+        return lu, ipiv, 1
+
+    monkeypatch.setattr(fem1d, "dgbtrf", zero_pivot)
     out, replay = tmp_path / "a", tmp_path / "b"
-    argv = ["rod", "--n", "100", "--theta-acc", "inf", "--out-dir", str(out)]
+    argv = ["rod", "--n", "100", "--out-dir", str(out)]
     assert main(argv) == EXIT_INTERNAL
     assert "run failed (SingularSystem): " in capsys.readouterr().err
     assert [path.name for path in out.iterdir()] == ["meta.txt"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -434,6 +435,35 @@ def test_driver_max_iterations():
 
     _, trace = damped_newton(Cubic(), 10.0, NewtonConfig(max_outer=2))
     assert trace.terminated is Termination.MAX_ITERATIONS
+
+
+class HalfStepProblem(ScalarLinearProblem):
+    """F(x) = (x, 0) with the Newton matrix diag(2, 1), so that every full step
+    halves x at theta = 1/2; at x = 1/2 the matrix is ``at_half``."""
+
+    def __init__(self, at_half):
+        self.at_half = at_half
+
+    def assemble_residual(self, state, trial=None):
+        return np.array([state if trial is None else trial, 0.0])
+
+    def assemble_jacobian(self, state):
+        return banded_from_dense(self.at_half if state == 0.5 else np.diag([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("at_half, diagnosis", [
+    (np.diag([2.0, 1.0]), r"$"),
+    ([[2.0, 2.0], [2.0, 2.0 + 1e-15]],
+     r" \(Newton matrix condition estimate (\d\.\d\de\+1[4-9]), largest at unknown [01]\)$"),
+    ([[2.0, 0.0], [0.0, 0.0]], r" \(Newton matrix: zero pivot at column 2 in banded LU\)$"),
+], ids=["well-conditioned", "near-singular", "zero-pivot"])
+def test_a_failed_solve_names_a_singular_newton_matrix_at_the_state_it_ends_at(at_half, diagnosis):
+    # the one step ends at x = 1/2 without converging: only there is the
+    # matrix assembled again and its condition estimated, and a zero pivot
+    # is reported, not raised
+    x, stage = damped_newton(HalfStepProblem(at_half), 1.0, NewtonConfig(max_outer=1))
+    assert x == 0.5 and stage.terminated is Termination.MAX_ITERATIONS
+    assert re.fullmatch("no convergence within 1 outer iterations" + diagnosis, stage.message)
 
 
 def test_a_solve_records_the_state_it_returns():
