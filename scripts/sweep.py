@@ -18,8 +18,12 @@ Exits 1 if any exit-0 run fails the oracle, else 0.
 index, the exit code, the outer iterations, the masked message, the SHA-256
 digest of the case's ``iterates.csv`` and ``curve.csv`` (empty for a run
 that wrote neither), the rows of its ``iterates.csv`` (the lines below the
-header; empty for a run that wrote none) and the levels it ran, ``meta.txt``'s
-``result_levels`` (empty for a run that recorded none).
+header; empty for a run that wrote none), the levels it ran, ``meta.txt``'s
+``result_levels`` (empty for a run that recorded none), its termination,
+``meta.txt``'s ``result_status`` (empty without a ``meta.txt``), the Newton
+matrices it factorized (calls of ``BandedMatrix.factorize``, counted in the
+process) and the obstacle's final penalty, ``meta.txt``'s ``result_final_p``
+(empty for the other problems and for a run that recorded none).
 ``--compare OLD NEW`` runs nothing, so it needs no ``bundle_newton`` on the
 path: it reads two such records and prints,
 per problem, the cases whose exit code changed, the cases whose digest
@@ -29,7 +33,10 @@ can hide cases that flip both ways; the comparison shows them, and the
 digests show a change that leaves every number of the tables as it was.
 A record written without the digest column compares on exit codes alone;
 the rows and levels are for reading, and a record without them compares as
-one with them.
+one with them.  When both records have the termination, factorizations and
+final penalty, the comparison also prints, for reading only, the cases whose
+termination or final penalty changed and the factorizations summed over the
+cases that exit 0 in both.
 
 Each problem draws its cases from its own ``numpy.random.default_rng(1)``,
 the values of a case in the order below, so the first cases of a stream do
@@ -75,7 +82,7 @@ SEED = 1
 CASES = 150
 NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 RECORD_FIELDS = ("problem", "case", "exit_code", "outer_iterations", "message", "digest",
-                 "rows", "levels")
+                 "rows", "levels", "termination", "factorizations", "final_p")
 
 
 def _point(rng, z_low: float, z_high: float) -> tuple:
@@ -132,9 +139,29 @@ def argv(case: dict) -> list:
     return args
 
 
+@contextlib.contextmanager
+def counting_factorizations():
+    """A one-item list that counts the calls of ``BandedMatrix.factorize``
+    made inside the ``with`` block."""
+    from bundle_newton.fem1d import BandedMatrix
+
+    factorize, count = BandedMatrix.factorize, [0]
+
+    def counted(matrix, rhs):
+        count[0] += 1
+        return factorize(matrix, rhs)
+
+    BandedMatrix.factorize = counted
+    try:
+        yield count
+    finally:
+        BandedMatrix.factorize = factorize
+
+
 def run_case(case: dict, out_dir) -> tuple:
     """Run ``case`` into ``out_dir``: ``(exit code, message, oracle error,
-    outer iterations, digest, rows, levels)``.
+    outer iterations, digest, rows, levels, termination, factorizations,
+    final penalty)``.
 
     The message is the run's termination message or error line; the oracle
     error is ``None`` unless the run exited 0 and failed ``check_run``; the
@@ -143,12 +170,16 @@ def run_case(case: dict, out_dir) -> tuple:
     the SHA-256 of ``iterates.csv`` then ``curve.csv``, empty for a run that
     wrote neither; the rows are the lines of ``iterates.csv`` below its
     header and the levels ``meta.txt``'s ``result_levels``, each empty for a
-    run that wrote none.
+    run that wrote none; the termination and the final penalty are
+    ``meta.txt``'s ``result_status`` and ``result_final_p``, each empty for a
+    run that recorded none, and the factorizations the calls of
+    ``BandedMatrix.factorize`` during the run.
     """
     from bundle_newton.cli import main  # here, so that --compare runs without it
 
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+          counting_factorizations() as factorizations):
         code = main([*argv(case), "--out-dir", str(out_dir)])
     lines = (stdout.getvalue() + stderr.getvalue()).splitlines()
     message = lines[0] if lines else ""
@@ -169,9 +200,10 @@ def run_case(case: dict, out_dir) -> tuple:
     rows = texts["iterates.csv"].count(b"\n") - 1 if "iterates.csv" in texts else ""
     meta = Path(out_dir) / "meta.txt"
     lines = meta.read_text().splitlines() if meta.exists() else []
-    levels = next((line.split(" = ", 1)[1] for line in lines
-                   if line.startswith("result_levels = ")), "")
-    return code, message, error, outer, digest, rows, levels
+    results = dict(line.split(" = ", 1) for line in lines if line.startswith("result_"))
+    return (code, message, error, outer, digest, rows, results.get("result_levels", ""),
+            results.get("result_status", ""), factorizations[0],
+            results.get("result_final_p", ""))
 
 
 def report(problem: str, runs: list, outcomes: list) -> list:
@@ -194,11 +226,13 @@ def report(problem: str, runs: list, outcomes: list) -> list:
 
 
 def record_rows(problem: str, outcomes: list) -> list:
-    """The per-case record rows of ``problem``'s :func:`run_case` outcomes."""
+    """The per-case record rows of ``problem``'s :func:`run_case` outcomes;
+    an outcome without the last fields leaves their columns empty."""
     return [{"problem": problem, "case": k, "exit_code": code, "outer_iterations": outer,
              "message": NUMBER.sub("#", message), "digest": digest, "rows": rows,
-             "levels": levels}
-            for k, (code, message, _, outer, digest, rows, levels) in enumerate(outcomes)]
+             "levels": levels, **dict(zip(RECORD_FIELDS[8:], rest))}
+            for k, (code, message, _, outer, digest, rows, levels, *rest)
+            in enumerate(outcomes)]
 
 
 def write_record(path, rows: list) -> None:
@@ -220,9 +254,13 @@ def compare(old: dict, new: dict) -> tuple:
     problem, the cases whose exit code changed, the cases whose digest
     changed (when both records have digests), then the outer iterations
     summed over the cases that exit 0 in both; ``changed`` counts the cases
-    of the first two lists."""
+    of the first two lists.  When both records have the termination,
+    factorizations and final penalty, the cases whose termination or final
+    penalty changed and the factorizations summed over the cases that exit
+    0 in both follow, for reading: they count in no ``changed``."""
     lines, changed_total = [], 0
     digests = all("digest" in row for row in [*old.values(), *new.values()])
+    extra = all(row.get("factorizations") for row in [*old.values(), *new.values()])
     for problem in dict.fromkeys(problem for problem, _ in [*old, *new]):
         keys = sorted(key for key in old.keys() & new.keys() if key[0] == problem)
         changed = [key for key in keys if old[key]["exit_code"] != new[key]["exit_code"]]
@@ -241,6 +279,15 @@ def compare(old: dict, new: dict) -> tuple:
         outer = [sum(int(record[key]["outer_iterations"]) for key in both) for record in (old, new)]
         lines.append(f"  outer iterations over the {len(both)} cases converged in both: "
                      f"{outer[0]} -> {outer[1]}")
+        if extra:
+            for key in keys:
+                lines.extend(f"  case {key[1]}: {field} {old[key][field]} -> {new[key][field]}"
+                             for field in ("termination", "final_p")
+                             if old[key][field] != new[key][field])
+            counts = [sum(int(record[key]["factorizations"]) for key in both)
+                      for record in (old, new)]
+            lines.append(f"  factorizations over the {len(both)} cases converged in both: "
+                         f"{counts[0]} -> {counts[1]}")
     return lines, changed_total
 
 

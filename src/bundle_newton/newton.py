@@ -124,7 +124,17 @@ class ProblemInterface(ABC):
     onto the tangent planes at ``trial`` (the vector transport), so that its
     output is comparable with ``assemble_residual(state)``; at coincident
     states the two agree up to round-off.
+
+    The nodal data of a state that the residual and the Jacobian share, such
+    as its residual covectors, come from :meth:`_evaluate` through
+    :meth:`_evaluated`, which keeps those of the last state it evaluated,
+    read-only, in ``_last_covectors``.  The driver evaluates an iterate's
+    residual and Jacobian, then its trials, and the accepted trial is the
+    next iterate, so each state is evaluated once.  A copy made by
+    :meth:`replace` starts without them.
     """
+
+    _last_covectors = (None, None)  # (state, its arrays from _evaluate)
 
     @abstractmethod
     def assemble_residual(self, state, trial=None) -> np.ndarray: ...
@@ -138,11 +148,29 @@ class ProblemInterface(ABC):
     @abstractmethod
     def norm_inf(self, xi) -> float: ...
 
+    def _evaluate(self, state) -> tuple:
+        """The arrays of nodal data that the residual and the Jacobian at
+        ``state`` share, for :meth:`_evaluated`."""
+        raise NotImplementedError
+
+    def _evaluated(self, state) -> tuple:
+        """:meth:`_evaluate` at ``state``, read-only, computed once while
+        ``state`` is the last state evaluated."""
+        last, arrays = self._last_covectors
+        if last is not state:
+            arrays = self._evaluate(state)
+            for array in arrays:
+                array.flags.writeable = False
+            self._last_covectors = (state, arrays)
+        return arrays
+
     def replace(self, **changes):
         """A copy of this problem with the attributes ``changes`` set, such as
-        ``grid`` or the obstacle's ``p``; no constructor check runs on them."""
+        ``grid`` or the obstacle's ``p``; no constructor check runs on them.
+        The copy has evaluated no state: another ``p`` or grid gives other
+        nodal data, even on the same state."""
         problem = copy.copy(self)
-        vars(problem).update(changes)
+        vars(problem).update(_last_covectors=(None, None), **changes)
         return problem
 
     def solve(self, cfg: NewtonConfig, start) -> Continuation:

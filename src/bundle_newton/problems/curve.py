@@ -46,10 +46,8 @@ def connecting_geodesic_points(grid: Grid, a, b) -> np.ndarray:
 class SphereCurveProblem(ProblemInterface):
     """Base class implementing the Newton driver contract for curve problems.
 
-    The problem keeps the covectors of the last curve it evaluated, read-only:
-    the driver evaluates an iterate's residual and Jacobian, then its trials,
-    and the accepted trial is the next iterate, so each state's covectors are
-    computed once.  A copy made by :meth:`replace` starts without them.
+    A curve's evaluated nodal data are its residual covectors, computed once
+    per curve (:meth:`~bundle_newton.newton.ProblemInterface._evaluated`).
     """
 
     def __init__(self, grid: Grid, gamma0, gammaT):
@@ -57,11 +55,6 @@ class SphereCurveProblem(ProblemInterface):
         self.gamma0 = unit_vector(gamma0)
         self.gammaT = unit_vector(gammaT)
         check_not_antipodal(self.gamma0, self.gammaT, "boundary points")
-        self._last_covectors = (None, None)
-
-    def replace(self, **changes):
-        # another p or grid gives other covectors, even on the same curve
-        return super().replace(_last_covectors=(None, None), **changes)
 
     # -- force interface, provided by subclasses ---------------------------
 
@@ -83,14 +76,12 @@ class SphereCurveProblem(ProblemInterface):
         """The ``curve.csv`` columns after ``t``: the nodal points."""
         return dict(zip("xyz", curve.points.T))
 
+    def _evaluate(self, curve: NodalCurve) -> tuple:
+        return (p1_covectors(curve.points, self.grid.h, self.force_at(curve.interior)),)
+
     def _covectors(self, curve: NodalCurve) -> np.ndarray:
         """Euclidean residual covectors at the interior nodes, read-only."""
-        last, g = self._last_covectors
-        if last is not curve:
-            g = p1_covectors(curve.points, self.grid.h, self.force_at(curve.interior))
-            g.flags.writeable = False
-            self._last_covectors = (curve, g)
-        return g
+        return self._evaluated(curve)[0]
 
     # -- driver contract ----------------------------------------------------
 

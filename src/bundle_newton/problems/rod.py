@@ -15,7 +15,10 @@ node with stride 8, and the Jacobian is assembled as 11 block runs of
 The directions are a :class:`~bundle_newton.fem1d.NodalCurve` as in the curve
 problems, framed and retracted by it, and their rows are assembled by
 :mod:`fem1d` as there: a unit-vector field loaded by the multiplier.  ``y``
-and ``mu`` retract linearly.
+and ``mu`` retract linearly.  A state is evaluated once, as in the curve
+problems: its direction covectors and constraint rows, all of the residual
+but the frame contraction, serve its residual, its Jacobian and the trial
+residual that accepted it.
 :meth:`RodState.prolong` moves a state to a finer grid for nested
 iteration: ``y`` and ``v`` as P1 interpolants, ``mu`` between interval
 midpoints.
@@ -23,6 +26,7 @@ midpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,10 +166,16 @@ class RodProblem(ProblemInterface):
 
     # -- nodal residual covectors ---------------------------------------------
 
-    def _v_covectors(self, state: RodState) -> np.ndarray:
-        """Euclidean covectors paired with the interior direction tests."""
+    def _evaluate(self, state: RodState) -> tuple:
+        """The direction covectors and the constraint rows ``h (y' - v)`` per
+        interval: all of the residual but the frame contraction."""
         load = -0.5 * (state.lam[:-1] + state.lam[1:])
-        return p1_covectors(state.v.points, self.grid.h, load)
+        h = self.grid.h
+        return p1_covectors(state.v.points, h, load), h * state.constraint_residuals()
+
+    def _v_covectors(self, state: RodState) -> np.ndarray:
+        """Euclidean covectors paired with the interior direction tests, read-only."""
+        return self._evaluated(state)[0]
 
     # -- driver contract -------------------------------------------------------
 
@@ -173,11 +183,14 @@ class RodProblem(ProblemInterface):
         # position and multiplier tests live in fixed linear spaces; only the
         # direction tests follow a trial, by projection onto its tangents
         at, v = (state, None) if trial is None else (trial, trial.v.interior)
-        r_v = assemble_intervals_vector(state.v.basis, self._v_covectors(at), v)
-        r_lam = self.grid.h * at.constraint_residuals()
-        r_y = at.lam[:-1] - at.lam[1:]
-        groups = np.hstack((r_y, r_v.reshape(-1, 2), r_lam[1:]))
-        return np.concatenate((r_lam[0], groups.ravel()))
+        g, r_lam = self._evaluated(at)
+        r = np.empty(self.dof_count)
+        r[:3] = r_lam[0]
+        groups = r[3:].reshape(-1, 8)
+        np.subtract(at.lam[:-1], at.lam[1:], out=groups[:, :3])
+        groups[:, 3:5] = assemble_intervals_vector(state.v.basis, g, v).reshape(-1, 2)
+        groups[:, 5:] = r_lam[1:]
+        return r
 
     def assemble_jacobian(self, state: RodState) -> BandedMatrix:
         n = self.grid.n_interior
@@ -185,6 +198,7 @@ class RodProblem(ProblemInterface):
         A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
         V = state.v.basis  # (n, 3, 2)
         eye3 = np.broadcast_to(np.eye(3), (n, 3, 3))
+        neg_eye3 = np.broadcast_to(-np.eye(3), (n, 3, 3))
 
         def add(row0, col0, blocks):
             A.add_blocks(row0, col0, blocks, 8)
@@ -195,7 +209,7 @@ class RodProblem(ProblemInterface):
 
         # position rows: multiplier difference
         add(y, lam_left, eye3)
-        add(y, lam_right, -eye3)
+        add(y, lam_right, neg_eye3)
 
         # direction rows: the unit-vector field's blocks, multiplier
         diag, upper = sphere_field_blocks(state.v.interior, V, self._v_covectors(state), h)
@@ -208,7 +222,7 @@ class RodProblem(ProblemInterface):
 
         # constraint rows: position difference minus interval mean direction
         mean_V = -0.5 * h * V
-        add(lam_right, y, -eye3)
+        add(lam_right, y, neg_eye3)
         add(lam_right, v, mean_V)
         add(lam_left, y, eye3)
         add(lam_left, v, mean_V)
@@ -221,8 +235,15 @@ class RodProblem(ProblemInterface):
         return RodState(y, state.v.retract(dv, alpha), state.lam + alpha * dlam)
 
     def norm_inf(self, xi) -> float:
-        # largest nodal length of y, v or lam; squares summed in np.linalg.norm's order
+        # largest nodal length of y, v or lam; squares summed in np.linalg.norm's
+        # order, one row per dof kind, with the leading multiplier group in a
+        # last column (y and v have none there, and a zero never wins the max)
         sq = np.square(np.asarray(xi, dtype=float))
         g = sq[3:].reshape(self.grid.n_interior, 8).T
-        lengths2 = (g[0] + g[1] + g[2], g[3] + g[4], sq[:1] + sq[1] + sq[2], g[5] + g[6] + g[7])
-        return float(np.sqrt(np.max([part.max() for part in lengths2])))
+        lengths2 = np.empty((3, self.grid.n_interior + 1))
+        y, v, lam = lengths2[:, :-1]
+        np.add(np.add(g[0], g[1], out=y), g[2], out=y)
+        np.add(g[3], g[4], out=v)
+        np.add(np.add(g[5], g[6], out=lam), g[7], out=lam)
+        lengths2[:, -1] = 0.0, 0.0, sq[0] + sq[1] + sq[2]
+        return math.sqrt(lengths2.max())

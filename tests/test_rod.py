@@ -11,7 +11,7 @@ from bundle_newton import (
     damped_newton,
 )
 from bundle_newton.fem1d import sphere_field_blocks
-from bundle_newton.problems import RodProblem, RodState, rod_initial_guess
+from bundle_newton.problems import RodProblem, RodState, rod, rod_initial_guess
 from conftest import band_add, jacobian_fd_error, random_rod_state, to_dense
 
 SQRT5 = np.sqrt(5.0)
@@ -141,6 +141,55 @@ def test_multiplier_enters_linearly():
     # constraint rows do not depend on the multiplier
     for j in range(grid.n_intervals):
         assert np.abs(diff[lam_dofs(j)]).max() == 0.0
+
+
+def test_a_solve_evaluates_each_state_once(monkeypatch):
+    # the start and every trial point are new states; the residual and the
+    # Jacobian at an iterate share its covectors and constraint rows, and an
+    # accepted trial's are the next iterate's.  The damped solve rejects trials
+    calls = {"covectors": 0, "constraints": 0}
+    p1_covectors, constraint_residuals = rod.p1_covectors, RodState.constraint_residuals
+
+    def counted_covectors(*args):
+        calls["covectors"] += 1
+        return p1_covectors(*args)
+
+    def counted_constraints(state):
+        calls["constraints"] += 1
+        return constraint_residuals(state)
+
+    monkeypatch.setattr(rod, "p1_covectors", counted_covectors)
+    monkeypatch.setattr(RodState, "constraint_residuals", counted_constraints)
+    problem = RodProblem(Grid(1.0, 25))
+    _, stage = damped_newton(problem, problem.initial_state())
+    assert stage.terminated is Termination.CONVERGED
+    trials = sum(it.inner_trials for it in stage.iterations)
+    assert trials > sum(1 for it in stage.iterations if it.inner_trials)
+    assert calls == {"covectors": 1 + trials, "constraints": 1 + trials}
+
+
+def test_a_replaced_problem_starts_without_the_original_evaluation(monkeypatch):
+    grid = Grid(1.0, 10)
+    problem = RodProblem(grid)
+    state = random_rod_state(grid, np.random.default_rng(9))
+    before = problem.assemble_residual(state)
+    calls = []
+    p1_covectors = rod.p1_covectors
+    monkeypatch.setattr(rod, "p1_covectors", lambda *args: calls.append(args) or p1_covectors(*args))
+    stage = problem.replace(grid=Grid(1.0, 10))
+    got = stage.assemble_residual(state)
+    stage.assemble_jacobian(state)
+    assert len(calls) == 1 and got.tobytes() == before.tobytes()
+    # the original keeps its own; a grid of another length gives other values
+    problem.assemble_jacobian(state)
+    assert len(calls) == 1
+    longer = problem.replace(grid=Grid(2.0, 10))
+    assert not np.array_equal(longer.assemble_residual(state), before)
+    assert len(calls) == 2
+    # the kept arrays are read-only
+    for array in stage._evaluated(state):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
 
 
 # -- Jacobian -------------------------------------------------------------------------
@@ -328,6 +377,36 @@ def test_rod_solution_mesh_convergence_second_order():
     dv2 = np.linalg.norm(solutions[49].v.points - solutions[99].v.points[::2], axis=1).max()
     assert 3.2 <= dy1 / dy2 <= 4.8
     assert 3.2 <= dv1 / dv2 <= 4.8
+
+
+def group_maxima_norm_inf(problem, xi) -> float:
+    """The rod's nodal norm as the largest of four group maxima."""
+    sq = np.square(np.asarray(xi, dtype=float))
+    g = sq[3:].reshape(problem.grid.n_interior, 8).T
+    lengths2 = (g[0] + g[1] + g[2], g[3] + g[4], sq[:1] + sq[1] + sq[2], g[5] + g[6] + g[7])
+    return float(np.sqrt(np.max([part.max() for part in lengths2])))
+
+
+def test_norm_inf_equals_the_group_maxima_bitwise():
+    rng = np.random.default_rng(10)
+    for n in (2, 10, 100):
+        problem = RodProblem(Grid(1.0, n))
+        for scale in 10.0 ** np.arange(-12, 4):
+            node = rng.integers(1, n + 1)
+            # the largest group in each dof kind, the leading multiplier group
+            # included: its length is above 2, every other one below sqrt(3)
+            for largest in (y_dofs(node), v_dofs(node), lam_dofs(node), lam_dofs(0)):
+                xi = scale * rng.uniform(-1.0, 1.0, problem.dof_count)
+                size = len(largest)
+                xi[largest] = scale * rng.choice((-1.0, 1.0), size) * rng.uniform(1.5, 2.5, size)
+                got = problem.norm_inf(xi)
+                assert got.hex() == group_maxima_norm_inf(problem, xi).hex(), (n, scale, largest)
+                assert got == pytest.approx(np.linalg.norm(xi[largest]), rel=1e-15)
+        assert problem.norm_inf(np.zeros(problem.dof_count)).hex() == "0x0.0p+0"
+        for special in (np.inf, np.nan):
+            xi = rng.standard_normal(problem.dof_count)
+            xi[lam_dofs(0)[1]] = special
+            assert repr(problem.norm_inf(xi)) == repr(special)
 
 
 def test_rod_norm_groups():

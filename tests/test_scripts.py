@@ -64,18 +64,32 @@ def test_every_converged_sweep_run_passes_the_oracle(tmp_path, problem, settings
     lines = sweep["report"](problem, runs, outcomes)
     assert lines[1] == f"  outer iterations over all attempts: {outer}"
     # the digest is that of the run's iterates.csv then curve.csv, the rows those
-    # of its iterates.csv and the levels its meta.txt's result_levels
+    # of its iterates.csv and the levels its meta.txt's result_levels; the
+    # termination and the final penalty are meta.txt's result_status and result_final_p
     for k, outcome in enumerate(outcomes):
         files = [tmp_path / str(k) / name for name in ("iterates.csv", "curve.csv")]
+        meta_path = tmp_path / str(k) / "meta.txt"
+        meta = (dict(line.split(" = ", 1) for line in meta_path.read_text().splitlines())
+                if meta_path.exists() else {})
+        assert outcome[7] == meta.get("result_status", "")
+        assert outcome[9] == meta.get("result_final_p", "")
+        if problem != "obstacle":
+            assert outcome[9] == ""
+        elif outcome[0] == 0:
+            assert float(outcome[9]) >= 1.0  # obstacle.P0
         if files[0].exists():
             text = b"".join(path.read_bytes() for path in files)
             assert outcome[4] == hashlib.sha256(text).hexdigest()
             assert outcome[5] == len(files[0].read_text().splitlines()) - 1
-            meta = dict(line.split(" = ", 1)
-                        for line in (tmp_path / str(k) / "meta.txt").read_text().splitlines())
             assert outcome[6] == meta["result_levels"] != ""
+            assert outcome[7] != ""
+            # each of a stage's outer iterations factorized once, but for a last
+            # one that converged on its trial's step, and a failed stage's last
+            # iteration factorized without a row
+            stages = len((tmp_path / str(k) / "stages.csv").read_text().splitlines()) - 1
+            assert outcome[3] - stages <= outcome[8] <= outcome[3] + stages
         else:
-            assert outcome[4:] == ("", "", "")
+            assert outcome[4:7] == ("", "", "")
 
 
 def test_sweep_compare_lists_changed_exit_codes_and_sums_cost_over_cases_converged_in_both(
@@ -137,6 +151,27 @@ def test_sweep_compare_lists_changed_exit_codes_and_sums_cost_over_cases_converg
         "rod: 2 cases in both records, 0 changed exit code, 0 changed digest",
         "  outer iterations over the 1 cases converged in both: 3 -> 3",
     ], 0)
+    # with the termination, factorizations and final penalty in both records,
+    # compare prints those that changed, for reading: they count as no change
+    outcomes = [(0, "converged", None, 3, "ab", 3, "10", "converged", 5, "4.0"),
+                (2, "failed", None, 9, "cd", 9, "10", "damping_failed", 11, "")]
+    sweep["write_record"](tmp_path / "a.csv", sweep["record_rows"]("obstacle", outcomes))
+    outcomes[0] = (*outcomes[0][:8], 6, "16.0")
+    outcomes[1] = (*outcomes[1][:7], "max_iterations", 11, "")
+    sweep["write_record"](tmp_path / "b.csv", sweep["record_rows"]("obstacle", outcomes))
+    a, b = (sweep["read_record"](tmp_path / name) for name in ("a.csv", "b.csv"))
+    assert [(row["termination"], row["factorizations"], row["final_p"])
+            for row in a.values()] == [("converged", "5", "4.0"), ("damping_failed", "11", "")]
+    assert sweep["compare"](a, b) == ([
+        "obstacle: 2 cases in both records, 0 changed exit code, 0 changed digest",
+        "  outer iterations over the 1 cases converged in both: 3 -> 3",
+        "  case 0: final_p 4.0 -> 16.0",
+        "  case 1: termination damping_failed -> max_iterations",
+        "  factorizations over the 1 cases converged in both: 5 -> 6",
+    ], 0)
+    # a record without them prints none of it
+    assert sweep["compare"](record, b)[0][-1] == (
+        "  outer iterations over the 0 cases converged in both: 0 -> 0")
 
 
 def test_sweep_compare_runs_without_the_package_on_the_path(tmp_path):
