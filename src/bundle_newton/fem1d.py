@@ -15,11 +15,11 @@ Nested iteration moves a solution to a finer grid of the same interval:
 :func:`interpolate_rows` is the piecewise-linear interpolation it is made
 of, and :meth:`NodalCurve.prolong` adds the step back onto the sphere.
 
-The three BLAS/LAPACK routines the solver calls, ``dgbtrf``, ``dgbtrs`` and
-``dgbmv``, come from scipy's compiled LAPACK and BLAS modules
-(``scipy.linalg._flapack``/``_fblas``), loaded without ``scipy.linalg``'s
-package, whose import would cost more than most runs; where scipy's layout
-differs they come from ``scipy.linalg.lapack``/``blas``.
+The two LAPACK routines the solver calls, ``dgbtrf`` and ``dgbtrs``, come
+from scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded
+without ``scipy.linalg``'s package, whose import would cost more than most
+runs; where scipy's layout differs they come from ``scipy.linalg.lapack``.
+No BLAS module is loaded.
 """
 
 from __future__ import annotations
@@ -65,20 +65,18 @@ def _load_scipy_linalg_extension(name: str):
 
 
 def _band_routines():
-    """LAPACK ``dgbtrf``/``dgbtrs`` and BLAS ``dgbmv``, the same objects that
-    ``scipy.linalg.lapack``/``blas`` export."""
+    """LAPACK ``dgbtrf``/``dgbtrs``, the same objects that
+    ``scipy.linalg.lapack`` exports."""
     flapack = _load_scipy_linalg_extension("_flapack")
-    fblas = _load_scipy_linalg_extension("_fblas")
     try:
-        return flapack.dgbtrf, flapack.dgbtrs, fblas.dgbmv
+        return flapack.dgbtrf, flapack.dgbtrs
     except AttributeError:  # a module that was not loaded is None
-        from scipy.linalg.blas import dgbmv
         from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-        return dgbtrf, dgbtrs, dgbmv
+        return dgbtrf, dgbtrs
 
 
-dgbtrf, dgbtrs, dgbmv = _band_routines()
+dgbtrf, dgbtrs = _band_routines()
 
 
 class SingularSystem(Exception):
@@ -257,20 +255,22 @@ class BandedMatrix:
         ``z`` peaks.  Factorizes the matrix itself, so a zero pivot raises
         :class:`SingularSystem`.
 
-        The condition number is ``||D A^-T||_1`` with ``D = diag(|A| e)``, estimated
-        as LAPACK's ``dla_gbrcond`` does: the ``dlacn2`` iteration of Hager, SIAM J.
-        Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign safeguard, ACM
-        TOMS 14 (1988); 3 to 10 ``gbtrs`` solves.  Overflow gives ``inf``.  Near a
+        The condition number is ``||D A^-T||_1`` with ``D = diag(|A| e)``, whose row
+        sums add one band diagonal at a time, so each row in column order.  It is
+        estimated as LAPACK's ``dla_gbrcond`` does: the ``dlacn2`` iteration of
+        Hager, SIAM J. Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign
+        safeguard, ACM TOMS 14 (1988); 3 to 10 ``gbtrs`` solves, so the work is
+        linear in ``n`` at a fixed bandwidth.  Overflow gives ``inf``.  Near a
         singular matrix ``z`` approximates a null vector, so its peak typically
         names one of the nearly dependent columns.  Signs are kept as masks ``y
         >= 0``; the unit vectors are written into one buffer that every step
         reuses."""
         fact = BandedFactorization(self)
         n, kl, ku = self.dim, self.lower_bw, self.upper_bw
-        # |A| e: dgbmv reads the kl zero rows as more upper band, and scipy asks
-        # for at least len(ab) result rows, those past n being 0
-        ab = np.abs(self._ab, order="F")
-        d = dgbmv(max(n, len(ab)), n, kl, kl + ku, 1.0, ab, np.ones(n))[:n]
+        ab = np.abs(self._ab[kl:])  # the band, without the rows the LU fills
+        d = np.zeros(n)
+        for k in range(-min(kl, n - 1), min(ku, n - 1) + 1):  # the entries A[i, i + k]
+            d[max(0, -k) : n - max(0, k)] += ab[ku - k, max(0, k) : n + min(0, k)]
         neg_d = -d
         b = np.empty((2, n))  # b.T: the two columns of the first solve
         b[0] = 1.0 / n

@@ -91,8 +91,9 @@ class ObstacleProblem(SphereCurveProblem):
         return np.asarray(y)[..., 2] - 1.0 + self.h_ref
 
     def violation(self, curve: NodalCurve) -> float:
-        """Largest nodal cap violation ``max_i max(0, gap(y_i))``."""
-        return float(np.max(penalty_activation(self.gap(curve.points))))
+        """Largest nodal cap violation ``max_i max(0, gap(y_i))``, the gap of the
+        highest node: rounding is monotone, so no node has a larger one."""
+        return max(0.0, float(curve.points[:, 2].max()) - 1.0 + self.h_ref)
 
     # -- force interface -----------------------------------------------------
 
@@ -161,18 +162,11 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
     result = Continuation(problem.initial_state() if start is None else start)
     growth = MAX_GROWTH
     stage_tol = max(cfg.tol, STAGE_TOL_FACTOR * problem.violation_tol)
-    last = [None, None]  # the curve last measured and its violation
-
-    def measured(curve) -> float:
-        # a stage that stops early ends on the curve its stop test measured
-        if curve is not last[0]:
-            last[:] = curve, problem.violation(curve)
-        return last[1]
 
     def above_band(curve, norm: float) -> bool:
-        return norm <= stage_tol and measured(curve) > problem.violation_tol
+        return norm <= stage_tol and problem.violation(curve) > problem.violation_tol
 
-    violation = measured(result.state)
+    violation = problem.violation(result.state)
 
     while not result.stages or violation > problem.violation_tol:
         if len(result.attempts) == MAX_STAGES:
@@ -185,7 +179,7 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
         p = result.stages[-1].problem.p * growth if result.stages else problem.p
         stage_cfg = cfg.warm if result.attempts else cfg
         curve, stage = damped_newton(problem.replace(p=p), result.state, stage_cfg, above_band)
-        reached = measured(curve)
+        reached = problem.violation(curve)
         converged = stage.terminated is Termination.CONVERGED
         stage.accepted = converged and reached <= violation
         result.attempts.append(stage)

@@ -301,13 +301,12 @@ def test_banded_array_add_accumulates_and_checks_band():
 
 
 def test_band_routines_are_bitwise_scipys():
-    from scipy.linalg import blas, lapack
+    from scipy.linalg import lapack
 
     n, kl, ku = 50, 3, 3
     rng = np.random.default_rng(19)
     ab = random_banded(rng, n, kl, ku)._ab
     rhs = rng.standard_normal((n, 2))
-    y = rng.standard_normal(n)
     ours, theirs = fem1d.dgbtrf(ab.copy(), kl, ku), lapack.dgbtrf(ab.copy(), kl, ku)
     assert ours[2] == theirs[2] == 0
     for ours_out, theirs_out in zip(ours[:2], theirs[:2]):
@@ -318,8 +317,6 @@ def test_band_routines_are_bitwise_scipys():
         x_ref, info_ref = lapack.dgbtrs(lu, kl, ku, rhs, ipiv, trans=trans)
         assert info == info_ref == 0
         assert np.array_equal(x, x_ref)
-    assert np.array_equal(fem1d.dgbmv(len(ab), n, kl, kl + ku, 1.5, ab, y),
-                          blas.dgbmv(len(ab), n, kl, kl + ku, 1.5, ab, y))
 
 
 def test_scipy_extension_loader_returns_none_for_a_missing_module():
@@ -342,8 +339,8 @@ _, x = A.factorize(np.arange(4.0))
 assert np.allclose(dense @ x, np.arange(4.0), rtol=0.0, atol=1e-14), x
 print(sorted(name for name in ("scipy", "scipy.linalg", "scipy.linalg.lapack") if name in sys.modules))
 if "scipy.linalg.lapack" in sys.modules:
-    from scipy.linalg import blas, lapack
-    assert (fem1d.dgbtrf, fem1d.dgbtrs, fem1d.dgbmv) == (lapack.dgbtrf, lapack.dgbtrs, blas.dgbmv)
+    from scipy.linalg import lapack
+    assert (fem1d.dgbtrf, fem1d.dgbtrs) == (lapack.dgbtrf, lapack.dgbtrs)
 """
 
 
@@ -353,7 +350,7 @@ if "scipy.linalg.lapack" in sys.modules:
 ])
 def test_band_routines_load_without_scipy_linalg_and_through_the_fallback(path, imported):
     # the fast path is the one taken with this scipy; the fallback imports
-    # scipy.linalg.lapack/blas and solves all the same
+    # scipy.linalg.lapack and solves all the same
     done = run_isolated_python(_LOAD_AND_SOLVE, path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == imported
@@ -379,6 +376,25 @@ def test_banded_near_singular_bidiagonal_raises():
     estimate, unknown = A.condition()
     assert f"{estimate:.2e}" == "2.31e+18"
     assert 0 <= unknown < n
+
+
+_CONDITION_WITHOUT_BLAS = """
+import bundle_newton.cli
+from bundle_newton import BandedMatrix
+n = 60
+A = BandedMatrix(n, 0, 1)  # the bidiagonal matrix of the test above
+A._ab[1] = 1.0
+A._ab[0, 1:] = -2.0
+print(f"{A.condition()[0]:.2e}", "scipy.linalg._fblas" in sys.modules)
+"""
+
+
+def test_a_run_and_its_failure_diagnosis_load_no_blas_module():
+    # the LU and the condition estimate need LAPACK alone; scipy's BLAS
+    # module would be loaded and mapped for nothing
+    done = run_isolated_python(_CONDITION_WITHOUT_BLAS)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2.31e+18", "False"]
 
 
 def test_banded_overflowing_inverse_raises_with_inf():

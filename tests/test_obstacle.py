@@ -160,6 +160,50 @@ def test_constructor_refuses_end_points_above_the_band():
     ObstacleProblem(grid, h_ref=0.45, violation_tol=0.06)
 
 
+def reference_violation(problem, curve) -> float:
+    """The violation as first written: the largest penalty activation of the
+    nodal gaps."""
+    return float(np.max(penalty_activation(problem.gap(curve.points))))
+
+
+def point_at_height(z, phi=0.0):
+    """The unit vector at height ``z`` and azimuth ``phi``."""
+    r = np.sqrt(1.0 - z * z)
+    return np.array([r * np.cos(phi), r * np.sin(phi), z])
+
+
+@pytest.mark.parametrize("h_ref", [0.05, 0.1, 0.2, 0.25, 0.3, 0.4])
+def test_violation_is_bitwise_the_largest_activation(h_ref):
+    # the gap of the highest node, bit for bit and sign of zero included
+    grid = Grid(1.0, 20)
+    obs = ObstacleProblem(grid, h_ref=h_ref)
+    cap = 1.0 - h_ref
+    rng = np.random.default_rng(31)
+
+    def same(curve) -> float:
+        got, want = obs.violation(curve), reference_violation(obs, curve)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+        return got
+
+    for _ in range(300):  # nodes spread over the sphere, or crowded about the cap
+        spread = 10.0 ** rng.uniform(-16.0, 0.0)
+        z = np.clip(cap + spread * rng.standard_normal(grid.n_nodes), -1.0, 1.0)
+        phi = rng.uniform(0.0, 2 * np.pi, z.size)
+        same(NodalCurve(grid, [point_at_height(*node) for node in zip(z, phi)]))
+    below = low_curve(grid, z_top=cap - 0.01)
+    assert np.float64(same(below)).tobytes() == np.float64(0.0).tobytes()  # +0.0
+    on_cap = below.points.copy()
+    on_cap[7] = point_at_height(cap)
+    same(NodalCurve(grid, on_cap))
+    # end points above the cap, inside the band the constructor accepts
+    ends = (point_at_height(cap + 0.6 * obs.violation_tol),
+            point_at_height(cap + 0.9 * obs.violation_tol, 1.0))
+    ObstacleProblem(grid, *ends, h_ref=h_ref)
+    lifted = below.points.copy()
+    lifted[0], lifted[-1] = ends
+    assert same(NodalCurve(grid, lifted)) > 0.0
+
+
 # -- Jacobian ----------------------------------------------------------------------
 
 # end points on the equator, below every cap; the Jacobian does not read them
