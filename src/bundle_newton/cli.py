@@ -52,17 +52,18 @@ The first call of :func:`main` in a process sets glibc's allocator policy
 (:func:`keep_freed_pages`): arrays up to ``MMAP_THRESHOLD`` (32 MiB) come
 from the heap, and freed heap pages stay mapped until more than
 ``TRIM_THRESHOLD`` (64 MiB) is free at its top.  Every Newton iteration
-assembles, factorizes and drops a band matrix and its LU, 1.6-1.8 MiB each
-at rod n = 1000 and geodesic n = 10000, which glibc otherwise maps afresh
-and trims again, so each iteration paid a minor page fault per 4 KiB page.
-Minor faults per repeated call in one process, glibc's default policy ->
-this one: rod n = 1000 1800-1900 -> 0, geodesic n = 10000 1100-1500 -> 0,
-obstacle n = 100 (small arrays) 0-2 -> 0.  A one-shot process saves only
-the re-faults, as its first call still maps every page once (rod n = 1000:
-2854 -> 1779 faults).  The cost is freed memory kept mapped until the
-process exits; the bench's peak resident size moved by 0.2 MiB at most.
-No arithmetic changes, and a C library without ``mallopt`` keeps its own
-policy.
+assembles, factorizes in place and drops a band matrix, 1.53 MiB at
+geodesic n = 10000 and 1.71 MiB at rod n = 1000, which glibc may otherwise
+map afresh and trim again, so that each iteration pays a minor page fault
+per 4 KiB page.  Minor faults per repeated call in one process, glibc's
+default policy -> this one: geodesic n = 10000 1106-1107 -> 0-1, rod n =
+1000 0-2 -> 0-2 (glibc's sliding mmap threshold already keeps its one band
+per iteration on the heap), obstacle n = 100 (small arrays) 0-1 -> 0-1.
+A one-shot process saves only the re-faults, as its first call still maps
+every page once (geodesic n = 10000: 2014 -> 1623 faults).  The cost is
+freed memory kept mapped until the process exits; the bench's peak
+resident size moved by 0.2 MiB at most.  No arithmetic changes, and a C
+library without ``mallopt`` keeps its own policy.
 """
 
 from __future__ import annotations
@@ -493,9 +494,9 @@ def keep_freed_pages() -> None:
     allocator then serves an array of up to ``MMAP_THRESHOLD`` bytes from
     its heap and gives the heap's free top back to the kernel only when it
     exceeds ``TRIM_THRESHOLD`` bytes, so the next Newton iteration, level
-    and run reuse the pages of the last one's band matrix, LU and
-    temporaries instead of faulting in fresh ones.  A C library without
-    ``mallopt`` is left as it is."""
+    and run reuse the pages of the last one's band matrix, whose storage
+    became its LU, and temporaries instead of faulting in fresh ones.  A C
+    library without ``mallopt`` is left as it is."""
     mallopt = _mallopt()
     if mallopt is not None:
         mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)

@@ -8,8 +8,8 @@ Array-first: nodal data are stacked ``(n, ...)`` arrays.  Every Newton
 matrix of the package, a block-tridiagonal curve Jacobian as much as the
 rod's saddle-point matrix, is a :class:`BandedMatrix`, filled by
 :meth:`BandedMatrix.add_blocks` (runs of equally spaced dense blocks, one
-strided band slice per block entry) and factorized by the same banded LU
-with partial pivoting.
+strided band slice per block entry) and factorized in its own column-major
+storage by the same banded LU with partial pivoting.
 
 Nested iteration moves a solution to a finer grid of the same interval:
 :func:`interpolate_rows` is the piecewise-linear interpolation it is made
@@ -181,13 +181,17 @@ class NodalCurve:
 
 
 class BandedMatrix:
-    """General banded matrix in LAPACK band storage.
+    """General banded matrix in LAPACK band storage, used once.
 
-    Column ``j`` of the matrix lives in column ``j`` of the storage array,
-    with entry ``A[i, j]`` at row ``lower_bw + upper_bw + i - j``.  The
-    leading ``lower_bw`` storage rows stay zero until factorization, where
-    partial pivoting may grow the upper bandwidth into them.  Entries outside
-    the band are identically zero by construction; writing one is an error.
+    Column ``j`` of the matrix lives in column ``j`` of the column-major
+    storage array, with entry ``A[i, j]`` at row ``lower_bw + upper_bw + i -
+    j``: LAPACK's band layout exactly, so ``gbtrf`` factorizes the storage in
+    place, with no copy.  The leading ``lower_bw`` storage rows stay zero
+    until then; partial pivoting may grow the upper bandwidth into them.
+    Entries outside the band are identically zero by construction; writing
+    one is an error.  A matrix is factorized once, by :meth:`factorize` or
+    :meth:`condition`; after that its storage is its LU, and any further use
+    raises ``ValueError``.
     """
 
     def __init__(self, dim: int, lower_bw: int, upper_bw: int):
@@ -196,7 +200,13 @@ class BandedMatrix:
         self.dim = dim
         self.lower_bw = lower_bw
         self.upper_bw = upper_bw
-        self._ab = np.zeros((2 * lower_bw + upper_bw + 1, dim))
+        self._ab = np.zeros((2 * lower_bw + upper_bw + 1, dim), order="F")
+
+    def _band(self) -> np.ndarray:
+        """The band storage; ``ValueError`` once the matrix was factorized."""
+        if self._ab is None:
+            raise ValueError("the banded matrix was factorized in place; its storage is its LU")
+        return self._ab
 
     def add_blocks(self, row0: int, col0: int, blocks: np.ndarray, stride: int) -> None:
         """Add the ``(K, p, q)`` array ``blocks``, block ``k`` at rows
@@ -225,7 +235,7 @@ class BandedMatrix:
                 f"blocks of shape {p}x{q} at ({row0}, {col0}) leave the stored band "
                 f"(bandwidths {self.lower_bw}/{self.upper_bw})"
             )
-        ab = self._ab
+        ab = self._band()
         entries = blocks.transpose(1, 2, 0)  # entries[a, b]: entry (a, b) of every block
         mid = self.lower_bw + self.upper_bw + row0 - col0  # storage row of entry (0, 0)
         stop = col0 + span + 1
@@ -235,7 +245,8 @@ class BandedMatrix:
                 band += entries[a, b]
 
     def factorize(self, rhs) -> tuple["BandedFactorization", np.ndarray]:
-        """The banded LU of the matrix and the solution ``x`` of ``A x = rhs``.
+        """The banded LU of the matrix, computed in its storage, and the
+        solution ``x`` of ``A x = rhs``; the matrix cannot be used again.
         Raises :class:`SingularSystem` at a zero pivot, or when ``x`` is not
         finite, naming the first such value and its 0-based unknown.  How
         well conditioned the matrix is goes unchecked here: the damping
@@ -252,8 +263,9 @@ class BandedMatrix:
         """Lower estimate of Skeel's condition number ``|| |A^-1| |A| ||_inf``
         (Skeel, J. ACM 26, 1979), which no row scaling of the system changes,
         and the 0-based unknown at which the estimate's last forward solve
-        ``z`` peaks.  Factorizes the matrix itself, so a zero pivot raises
-        :class:`SingularSystem`.
+        ``z`` peaks.  Factorizes the matrix in place, as :meth:`factorize`
+        does, after summing ``|A| e``, so the matrix cannot be used again; a
+        zero pivot raises :class:`SingularSystem`.
 
         The condition number is ``||D A^-T||_1`` with ``D = diag(|A| e)``, whose row
         sums add one band diagonal at a time, so each row in column order.  It is
@@ -265,12 +277,12 @@ class BandedMatrix:
         names one of the nearly dependent columns.  Signs are kept as masks ``y
         >= 0``; the unit vectors are written into one buffer that every step
         reuses."""
-        fact = BandedFactorization(self)
         n, kl, ku = self.dim, self.lower_bw, self.upper_bw
-        ab = np.abs(self._ab[kl:])  # the band, without the rows the LU fills
+        ab = np.abs(self._band()[kl:])  # the band, without the rows the LU fills
         d = np.zeros(n)
         for k in range(-min(kl, n - 1), min(ku, n - 1) + 1):  # the entries A[i, i + k]
             d[max(0, -k) : n - max(0, k)] += ab[ku - k, max(0, k) : n + min(0, k)]
+        fact = BandedFactorization(self)
         neg_d = -d
         b = np.empty((2, n))  # b.T: the two columns of the first solve
         b[0] = 1.0 / n
@@ -303,11 +315,14 @@ class BandedMatrix:
 
 
 class BandedFactorization:
-    """Banded LU with partial pivoting (LAPACK ``gbtrf``/``gbtrs``)."""
+    """Banded LU with partial pivoting (LAPACK ``gbtrf``/``gbtrs``), computed
+    in the storage of the matrix it factorizes, which it takes over."""
 
     def __init__(self, A: BandedMatrix):
         kl, ku = A.lower_bw, A.upper_bw
-        self._lu, self._ipiv, info = dgbtrf(A._ab, kl, ku)
+        ab = A._band()
+        A._ab = None
+        self._lu, self._ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
         if info > 0:
             raise SingularSystem(f"zero pivot at column {info} in banded LU")
         if info < 0:

@@ -240,13 +240,15 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
                   stops_early: Callable[[object, float], bool] | None = None):
     """Affine covariant damped Newton iteration.
 
-    Per outer iteration the Newton system is assembled and factorized once;
-    every inner trial re-solves only the right-hand side of the simplified
-    Newton equation with the stored factorization.  A trial step of damping
-    ``alpha`` is accepted when the contraction estimate ``theta`` stays below
-    ``cfg.theta_acc``; ``alpha`` is adapted towards ``THETA_DES``.  No cap
-    counts the trials: each rejected one shrinks ``alpha`` by a factor of at
-    most ``max(1/2, THETA_DES / theta_acc)``, until ``alpha < ALPHA_FAIL``.
+    Per outer iteration the Newton system is assembled and factorized once,
+    after the last iteration's LU is dropped, so one band-sized matrix is
+    alive at a time; every inner trial re-solves only the right-hand side of
+    the simplified Newton equation with the stored factorization.  A trial
+    step of damping ``alpha`` is accepted when the contraction estimate
+    ``theta`` stays below ``cfg.theta_acc``; ``alpha`` is adapted towards
+    ``THETA_DES``.  No cap counts the trials: each rejected one shrinks
+    ``alpha`` by a factor of at most ``max(1/2, THETA_DES / theta_acc)``,
+    until ``alpha < ALPHA_FAIL``.
 
     Returns ``(state, stage)``, with ``stage.state`` the same state.  The
     solve converges at the accepted trial point of a full step with ``theta <=
@@ -318,6 +320,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         # a NaN or infinite theta fails the comparison, so no stale norm_dx_bar or r_bar is read
         if alpha_used == 1.0 and theta <= THETA_STOP and within_tol(x, norm_dx_bar):
             return _converged(stage, norm_dx_bar, problem.norm_inf(r_bar))
+        del fact  # before the next Newton matrix is assembled
 
     return _failed(stage, Termination.MAX_ITERATIONS,
                    f"no convergence within {cfg.max_outer} outer iterations")

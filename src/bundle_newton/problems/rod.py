@@ -9,8 +9,9 @@ which keeps the assembled Newton matrix banded with bandwidths 9/9
 independent of the grid.  The group of node ``i`` occupies entries
 ``8 i - 5 .. 8 i + 2``, so that ``mu_j`` starts at entry ``8 j`` for every
 interval ``j``.  Every block of the Jacobian therefore repeats from node to
-node with stride 8, and the Jacobian is assembled as 11 block runs of
-:meth:`~bundle_newton.fem1d.BandedMatrix.add_blocks`.
+node with stride 8, and the Jacobian is assembled as block runs of
+:meth:`~bundle_newton.fem1d.BandedMatrix.add_blocks`: 7 runs, and the
+diagonals of the 4 runs of constant ``I`` and ``-I`` blocks.
 
 The directions are a :class:`~bundle_newton.fem1d.NodalCurve` as in the curve
 problems, framed and retracted by it, and their rows are assembled by
@@ -197,19 +198,24 @@ class RodProblem(ProblemInterface):
         h = self.grid.h
         A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
         V = state.v.basis  # (n, 3, 2)
-        eye3 = np.broadcast_to(np.eye(3), (n, 3, 3))
-        neg_eye3 = np.broadcast_to(-np.eye(3), (n, 3, 3))
+        one = np.ones((n, 1, 1))
 
         def add(row0, col0, blocks):
             A.add_blocks(row0, col0, blocks, 8)
+
+        def add_eye3(row0, col0, sign):
+            # a run of constant sign * I blocks: its 3 diagonals alone, as
+            # no other block writes to its off-diagonal zeros
+            for a in range(3):
+                add(row0 + a, col0 + a, sign)
 
         # first dofs of the node-1 groups: multipliers left and right of the
         # node, position, direction
         lam_left, y, v, lam_right = 0, 3, 6, 8
 
         # position rows: multiplier difference
-        add(y, lam_left, eye3)
-        add(y, lam_right, neg_eye3)
+        add_eye3(y, lam_left, one)
+        add_eye3(y, lam_right, -one)
 
         # direction rows: the unit-vector field's blocks, multiplier
         diag, upper = sphere_field_blocks(state.v.interior, V, self._v_covectors(state), h)
@@ -222,9 +228,9 @@ class RodProblem(ProblemInterface):
 
         # constraint rows: position difference minus interval mean direction
         mean_V = -0.5 * h * V
-        add(lam_right, y, neg_eye3)
+        add_eye3(lam_right, y, -one)
         add(lam_right, v, mean_V)
-        add(lam_left, y, eye3)
+        add_eye3(lam_left, y, one)
         add(lam_left, v, mean_V)
         return A
 

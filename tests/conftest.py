@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random points, states, FD oracles, and
 the reference scatter and dense view of band matrices."""
 
+import copy
 import subprocess
 import sys
 from pathlib import Path
@@ -48,7 +49,7 @@ def band_add(A, i, j, value) -> None:
     if row.min() < A.lower_bw or row.max() > row_hi:
         off_band = (row < A.lower_bw) | (row > row_hi)
         raise ValueError(f"entry {_first_entry(i, j, off_band)} lies outside the stored band")
-    np.add.at(A._ab, (row, j), value)
+    np.add.at(A._band(), (row, j), value)
 
 
 def to_dense(A) -> np.ndarray:
@@ -56,7 +57,8 @@ def to_dense(A) -> np.ndarray:
     i, j = np.indices((A.dim, A.dim))
     row = A.lower_bw + A.upper_bw + i - j
     in_band = (row >= A.lower_bw) & (row <= 2 * A.lower_bw + A.upper_bw)
-    return np.where(in_band, A._ab[np.clip(row, 0, len(A._ab) - 1), j], 0.0)
+    ab = A._band()
+    return np.where(in_band, ab[np.clip(row, 0, len(ab) - 1), j], 0.0)
 
 
 def random_unit(rng, z_margin=None):
@@ -212,15 +214,16 @@ def reference_condition(A) -> tuple[float, int]:
     same Hager/Higham iteration with a fresh sign array, a fresh unit vector
     and stacked right-hand sides in every step, on ``|A| e`` summed along the
     band diagonals in column order.  The oracle of the estimator's
-    bit-for-bit behaviour."""
+    bit-for-bit behaviour; it factorizes a copy, so ``A`` stays usable."""
     from bundle_newton.fem1d import BandedFactorization
 
-    fact = BandedFactorization(A)
+    A = copy.deepcopy(A)
     n, kl, ku = A.dim, A.lower_bw, A.upper_bw
     d = np.zeros(n)
     for k in range(-kl, ku + 1):  # entries A[i, i + k], column order in each row
         rows = np.arange(max(0, -k), min(n, n - k))
         d[rows] += np.abs(A._ab[kl + ku - k, rows + k])
+    fact = BandedFactorization(A)
     alt = 1.0 + np.arange(n) / max(n - 1, 1)
     alt[1::2] *= -1.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,9 +211,9 @@ def test_block_solver_matches_dense_oracle():
         m = int(rng.choice([2, 3]))
         A = random_block_tridiag(rng, n, m)
         b = rng.standard_normal(n * m)
-        xi = A.factorize(-b)[1]
         dense = to_dense(A)
         oracle = np.linalg.solve(dense, -b)
+        xi = A.factorize(-b)[1]
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
         assert np.abs(dense @ xi + b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
@@ -233,11 +234,42 @@ def test_block_solver_singular_pivot():
 def test_block_factorization_reuse():
     rng = np.random.default_rng(13)
     A = random_block_tridiag(rng, 7, 2)
-    fact, _ = A.factorize(np.zeros(14))
     dense = to_dense(A)
+    fact, _ = A.factorize(np.zeros(14))
     for _ in range(3):
         rhs = rng.standard_normal(14)
         assert np.abs(dense @ fact.solve(rhs) - rhs).max() < 1e-10
+
+
+def test_a_factorized_matrix_raises_when_used_again():
+    # factorize and condition compute the LU in the matrix's own storage, so
+    # a spent matrix must not hand out LU entries as matrix entries
+    rng = np.random.default_rng(16)
+    for spend in (lambda A: A.factorize(np.ones(12)), BandedMatrix.condition):
+        A = random_block_tridiag(rng, 6, 2)
+        spend(A)
+        for use in (lambda: A.factorize(np.ones(12)), A.condition, lambda: to_dense(A),
+                    lambda: A.add_blocks(0, 0, np.ones((1, 2, 2)), 2)):
+            with pytest.raises(ValueError, match="factorized in place"):
+                use()
+
+
+def test_factorize_allocates_no_copy_of_the_band():
+    # gbtrf overwrites the column-major band storage itself; what is left to
+    # allocate is the solution, the pivots and the finiteness check
+    problem = RodProblem(Grid(1.0, 1000))
+    state = problem.initial_state()
+    A = problem.assemble_jacobian(state)
+    band = A._ab.nbytes
+    rhs = -problem.assemble_residual(state)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        A.factorize(rhs)
+        allocated = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert allocated < 0.5 * band, allocated / band
 
 
 # -- banded solver ------------------------------------------------------------------
@@ -260,8 +292,8 @@ def test_banded_matches_dense_oracle():
         ku = int(rng.integers(1, 6))
         A = random_banded(rng, dim, kl, ku)
         b = rng.standard_normal(dim)
-        xi = A.factorize(-b)[1]
         oracle = np.linalg.solve(to_dense(A), -b)
+        xi = A.factorize(-b)[1]
         assert np.abs(xi - oracle).max() <= 1e-10 * (1.0 + np.abs(oracle).max())
 
 
@@ -275,8 +307,8 @@ def test_banded_saddle_point_pattern():
         band_add(A, k + 1, k, 1.0)
     rng = np.random.default_rng(15)
     b = rng.standard_normal(dim)
-    xi = A.factorize(-b)[1]
     oracle = np.linalg.solve(to_dense(A), -b)
+    xi = A.factorize(-b)[1]
     assert np.abs(xi - oracle).max() < 1e-10 * (1 + np.abs(oracle).max())
 
 

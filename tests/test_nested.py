@@ -3,6 +3,7 @@ one, and the artifacts the command line writes for its levels."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,23 @@ def test_bench_runs_factorize_once_per_row_but_the_convergence_rows(
     assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_OK
     assert len(read_rows(tmp_path / "iterates.csv")) == rows
     assert len(matrices) == factorizations
+
+
+def test_a_rod_solve_holds_less_than_two_band_matrices():
+    # an outer iteration drops the last LU before it assembles its matrix,
+    # whose storage then becomes its LU: rod n = 1000 (8003 unknowns,
+    # bandwidths 9/9) peaks at about 1.5 bands of traced memory
+    problem = RodProblem(Grid(1.0, 1000))
+    band = problem.assemble_jacobian(problem.initial_state())._ab.nbytes
+    nested_iteration(RodProblem(Grid(1.0, 100)))  # a first run's one-time allocations
+    tracemalloc.start()
+    try:
+        result = nested_iteration(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.terminated is Termination.CONVERGED
+    assert peak < 2 * band, peak / band
 
 
 DIAGNOSIS = re.compile(r" \(Newton matrix condition estimate (\S+), largest at unknown \d+\)$")
