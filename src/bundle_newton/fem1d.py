@@ -359,7 +359,8 @@ def sphere_field_blocks(y, V, g, h: float, nodal=None):
     The residual pairs the ``(n, 3)`` covectors ``g`` of :func:`p1_covectors`
     with test vectors that follow ``y`` by projection.  Its covariant
     derivative is the projected Euclidean Jacobian (``2 / h``, ``-1 / h`` and
-    the optional ``(n, 3, 3)`` Jacobian ``nodal`` of nodal terms) plus the
+    the optional ``(n, 2, 2)`` blocks ``nodal`` of nodal terms, already
+    projected: ``V^T J V`` for a nodal Euclidean Jacobian ``J``) plus the
     Weingarten term ``-<g, y> I``.  Returns the ``(n, 2, 2)`` diagonal and
     ``(n - 1, 2, 2)`` upper blocks; the lower blocks are their transposes.
     """
@@ -367,7 +368,7 @@ def sphere_field_blocks(y, V, g, h: float, nodal=None):
     scalar = 2 / h - dot(g, y)[:, 0]
     diag = scalar[:, None, None] * np.eye(2)
     if nodal is not None:
-        diag = diag + VT @ nodal @ V
+        diag += nodal
     upper = -(1 / h) * (VT[:-1] @ V[1:])
     return diag, upper
 

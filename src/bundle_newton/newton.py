@@ -131,7 +131,8 @@ class ProblemInterface(ABC):
     read-only, in ``_last_covectors``.  The driver evaluates an iterate's
     residual and Jacobian, then its trials, and the accepted trial is the
     next iterate, so each state is evaluated once.  A copy made by
-    :meth:`replace` starts without them.
+    :meth:`replace` starts without them, and :func:`damped_newton` drops
+    them when its solve ends.
     """
 
     _last_covectors = (None, None)  # (state, its arrays from _evaluate)
@@ -210,12 +211,20 @@ ALPHA_FAIL = 1e-8  # the step size below which a solve gives up
 THETA_STOP = 0.5
 
 
+def _ended(stage: Stage):
+    """``(state, stage)`` of a finished solve.  Its problem lets go of the
+    nodal data it kept of the last state it evaluated: nothing reads them
+    again, and a stage outlives its solve."""
+    stage.problem._last_covectors = (None, None)
+    return stage.state, stage
+
+
 def _converged(stage: Stage, norm_dx: float, residual_inf: float):
     """End ``stage`` as converged at its state with the convergence row."""
     stage.iterations.append(NewtonIteration(norm_dx, 1.0, (), residual_inf))
     stage.terminated = Termination.CONVERGED
     stage.message = "stationary within tolerance"
-    return stage.state, stage
+    return _ended(stage)
 
 
 def _failed(stage: Stage, terminated: Termination, message: str):
@@ -233,7 +242,7 @@ def _failed(stage: Stage, terminated: Termination, message: str):
         if not cond < CONDITION_LIMIT:  # also inf and NaN
             stage.message += (f" (Newton matrix condition estimate {cond:.2e}, "
                               f"largest at unknown {unknown})")
-    return stage.state, stage
+    return _ended(stage)
 
 
 def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfig(),

@@ -1,12 +1,7 @@
 """Built-in benchmark problems for the damped Newton driver."""
 
 from .curve import SphereCurveProblem
-from .geodesic import (
-    GeodesicForceProblem,
-    PoleSingularity,
-    winding_force,
-    winding_force_jacobian,
-)
+from .geodesic import GeodesicForceProblem, PoleSingularity, winding_force
 from .obstacle import (
     ObstacleProblem,
     obstacle_path_follow,
@@ -24,7 +19,6 @@ __all__ = [
     "GeodesicForceProblem",
     "PoleSingularity",
     "winding_force",
-    "winding_force_jacobian",
     "ObstacleProblem",
     "obstacle_path_follow",
     "penalty_activation",

@@ -2,11 +2,12 @@
 
 A curve problem looks for a piecewise-linear curve of unit vectors whose
 Dirichlet term balances a nodal force covector field.  Subclasses only
-provide the force field and its Euclidean Jacobian, evaluated on stacked
-``(n, 3)`` node arrays.  Per interior node the residual contracts the
+provide the force field, evaluated on stacked ``(n, 3)`` node arrays, and
+its nodal Jacobian term ``h V^T J V`` in the nodes' tangent frames ``V``,
+as ``(n, 2, 2)`` blocks.  Per interior node the residual contracts the
 covector ``slope[:-1] - slope[1:] + h f(y)`` with the node's tangent frame
 (projected onto the trial's tangent plane for a trial residual), and the
-Jacobian is :func:`fem1d.sphere_field_blocks`.
+Jacobian is :func:`fem1d.sphere_field_blocks` with those blocks.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ class SphereCurveProblem(ProblemInterface):
         """Coefficients of the force covectors at the points ``y`` (``(..., 3)``)."""
         raise NotImplementedError
 
-    def force_jacobian_at(self, y) -> np.ndarray:
-        """``(..., 3, 3)`` Euclidean Jacobians of the force covector field at ``y``."""
+    def force_blocks(self, y, V):
+        """``(n, 2, 2)`` blocks ``h V^T J V`` of the Euclidean Jacobian ``J`` of the
+        force covector field at the points ``y`` (``(n, 3)``) in their frames
+        ``V`` (``(n, 3, 2)``); None for a field that is identically zero."""
         raise NotImplementedError
 
     # -- states and nodal covectors -------------------------------------------
@@ -90,9 +93,9 @@ class SphereCurveProblem(ProblemInterface):
         return assemble_intervals_vector(curve.basis, self._covectors(at), y)
 
     def assemble_jacobian(self, curve: NodalCurve):
-        h, y = self.grid.h, curve.interior
-        nodal = h * self.force_jacobian_at(y)
-        blocks = sphere_field_blocks(y, curve.basis, self._covectors(curve), h, nodal=nodal)
+        y, V = curve.interior, curve.basis
+        nodal = self.force_blocks(y, V)
+        blocks = sphere_field_blocks(y, V, self._covectors(curve), self.grid.h, nodal)
         return assemble_intervals(*blocks)
 
     def retract(self, curve: NodalCurve, xi, alpha: float) -> NodalCurve:

@@ -53,21 +53,28 @@ def winding_force(y, scale: float = 3.0) -> np.ndarray:
     return prefactor[..., None] * _azimuthal(y)
 
 
-def winding_force_jacobian(y, scale: float = 3.0) -> np.ndarray:
-    """Euclidean ``(..., 3, 3)`` Jacobians of the winding force coefficients at ``y``."""
-    y = np.asarray(y, dtype=float)
+def winding_force_blocks(y, V, scale: float, h: float) -> np.ndarray:
+    """``(n, 2, 2)`` blocks ``h V^T J V`` of the winding force's Euclidean
+    Jacobian ``J`` at the points ``y`` in the frames ``V`` (``(n, 3, 2)``).
+
+    With ``pi = scale * y3 / rho^2`` and ``a = (-y2, y1, 0)``, ``J = a grad(pi)^T
+    + pi R`` with the constant ``R`` for which ``R y = a``; entry ``(i, j)``
+    is ``h [(v_i . a)(v_j . grad(pi)) + pi (v_i2 v_j1 - v_i1 v_j2)]`` for the
+    frame columns ``v_i``, whatever their orientation.
+    """
     prefactor, rho2 = _prefactor(y, scale)
-    grad_prefactor = scale * np.stack(
-        (
-            -2.0 * y[..., 0] * y[..., 2] / rho2**2,
-            -2.0 * y[..., 1] * y[..., 2] / rho2**2,
-            1.0 / rho2,
-        ),
-        axis=-1,
-    )
-    d_azimuthal = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    outer = _azimuthal(y)[..., :, None] * grad_prefactor[..., None, :]
-    return outer + prefactor[..., None, None] * d_azimuthal
+    # components as contiguous (n,) rows: numpy is several times slower on
+    # the strided columns of (n, 3) and (n, 3, 2) arrays
+    y1, y2 = np.ascontiguousarray(y[:, :2].T)
+    v1, v2, v3 = np.ascontiguousarray(V.transpose(1, 2, 0))  # (2, n): both columns
+    along = y1 * v2 - y2 * v1  # v_i . a
+    # v_j . grad(pi), by grad(pi) = (scale e3 - 2 pi (y1, y2, 0)) / rho^2
+    climb = (scale * v3 - 2.0 * prefactor * (y1 * v1 + y2 * v2)) / rho2
+    blocks = along[:, None, :] * climb[None, :, :]
+    turn = prefactor * (v2[0] * v1[1] - v1[0] * v2[1])
+    blocks[0, 1] += turn
+    blocks[1, 0] -= turn
+    return (h * blocks).transpose(2, 0, 1)
 
 
 def arc_point_nearest_pole(a, b) -> np.ndarray:
@@ -116,7 +123,7 @@ class GeodesicForceProblem(SphereCurveProblem):
             return np.zeros(np.shape(y))
         return winding_force(y, self.force_scale)
 
-    def force_jacobian_at(self, y) -> np.ndarray:
+    def force_blocks(self, y, V):
         if self.force_scale == 0.0:
-            return np.zeros(np.shape(y) + (3,))
-        return winding_force_jacobian(y, self.force_scale)
+            return None
+        return winding_force_blocks(y, V, self.force_scale, self.grid.h)

@@ -40,7 +40,6 @@ MIN_GROWTH = 1.001
 STAGE_TOL_FACTOR = 0.1
 
 _E3 = np.array([0.0, 0.0, 1.0])
-_E33 = np.outer(_E3, _E3)
 
 
 def penalty_activation(x):
@@ -100,8 +99,12 @@ class ObstacleProblem(SphereCurveProblem):
     def force_at(self, y) -> np.ndarray:
         return self.p * penalty_activation(self.gap(y))[..., None] * _E3
 
-    def force_jacobian_at(self, y) -> np.ndarray:
-        return self.p * penalty_activation_slope(self.gap(y))[..., None, None] * _E33
+    def force_blocks(self, y, V) -> np.ndarray:
+        # V^T (h p slope e3 e3^T) V bit for bit: (w_i m) w_j, with the frames'
+        # third rows w and m = h (p slope), rounded in that order
+        w = V[:, 2, :]
+        m = self.grid.h * (self.p * penalty_activation_slope(self.gap(y)))
+        return (w * m[:, None])[:, :, None] * w[:, None, :]
 
     def solve(self, cfg: NewtonConfig, start) -> Continuation:
         """The level solve of the nested iteration: the penalty path from ``start``."""

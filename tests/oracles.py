@@ -1,7 +1,8 @@
 """Reference formulas of constrained differential geometry, numpy only.
 
 The tests check the package's sphere-field assembly and the acceptance
-criterion on the constrained Hessian against these general formulas.  They
+criterion on the constrained Hessian against these general formulas, and
+the winding force's frame blocks against its Euclidean Jacobian.  They
 stay independent of the code they check: nothing here imports
 ``bundle_newton`` (``test_geometry.py`` guards this).
 """
@@ -89,3 +90,25 @@ def constrained_hessian_apply(fpp, cp, cpp, lam, dx) -> np.ndarray:
             f"dx is not tangent to the constraint set: |c'(y) dx| = {tangency:.2e}"
         )
     return fpp @ dx + np.einsum("k,kij,j->i", lam, cpp, dx)
+
+
+def winding_force_jacobian(y, scale: float = 3.0) -> np.ndarray:
+    """Euclidean ``(..., 3, 3)`` Jacobians of the winding force coefficients
+    ``scale * y3 / (y1^2 + y2^2) * (-y2, y1, 0)`` at the points ``y``: the
+    azimuthal direction times the prefactor's gradient, plus the prefactor
+    times the azimuthal direction's constant Jacobian.  Not finite at a pole."""
+    y = np.asarray(y, dtype=float)
+    rho2 = y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1]
+    prefactor = scale * y[..., 2] / rho2
+    grad_prefactor = scale * np.stack(
+        (
+            -2.0 * y[..., 0] * y[..., 2] / rho2**2,
+            -2.0 * y[..., 1] * y[..., 2] / rho2**2,
+            1.0 / rho2,
+        ),
+        axis=-1,
+    )
+    azimuthal = np.stack((-y[..., 1], y[..., 0], np.zeros_like(y[..., 0])), axis=-1)
+    d_azimuthal = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    outer = azimuthal[..., :, None] * grad_prefactor[..., None, :]
+    return outer + prefactor[..., None, None] * d_azimuthal

@@ -181,7 +181,8 @@ def test_sphere_field_blocks_match_constrained_hessian_oracle():
         nodal = rng.standard_normal((n, 3, 3))
         nodal = nodal + np.swapaxes(nodal, -1, -2)
         frames = tangent_basis(y)
-        diag, upper = sphere_field_blocks(y, frames, g, h, nodal)
+        projected = np.swapaxes(frames, -1, -2) @ nodal @ frames
+        diag, upper = sphere_field_blocks(y, frames, g, h, projected)
         assert upper.shape == (n - 1, 2, 2)
         for p in range(n):
             V = frames[p]

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from bundle_newton import Grid, NodalCurve, retract_sphere, tangent_basis
-from bundle_newton.problems import (
-    GeodesicForceProblem,
-    PoleSingularity,
-    winding_force,
-    winding_force_jacobian,
-)
+from bundle_newton.fem1d import assemble_intervals, sphere_field_blocks
+from bundle_newton.problems import GeodesicForceProblem, PoleSingularity, winding_force
 from bundle_newton.problems.curve import connecting_geodesic_points
 from bundle_newton.problems.geodesic import arc_point_nearest_pole
 from conftest import jacobian_fd_error, random_sphere_curve, random_tangent, random_unit, to_dense
+from oracles import winding_force_jacobian
 
 
 def great_circle_curve(grid, axis_angle=0.0, arc=2.0):
@@ -72,20 +69,28 @@ def test_winding_force_annihilates_radial():
 def test_winding_force_pole_singularity():
     with pytest.raises(PoleSingularity):
         winding_force([0.0, 0.0, 1.0])
+    y = np.array([[0.0, 0.0, -1.0]])
     with pytest.raises(PoleSingularity):
-        winding_force_jacobian([0.0, 0.0, -1.0]) @ [1.0, 0.0, 0.0]
+        GeodesicForceProblem(Grid(1.0, 1)).force_blocks(y, tangent_basis(y))
+    # where the Jacobian the blocks project is not finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(winding_force_jacobian(y)).all()
 
 
 def test_winding_force_stacked_points_match_one_node_calls():
     rng = np.random.default_rng(3)
+    problem = GeodesicForceProblem(Grid(1.0, 20))
     y = np.array([random_unit(rng, z_margin=0.05) for _ in range(20)])
-    forces, jacobians = winding_force(y), winding_force_jacobian(y)
+    V = tangent_basis(y)
+    forces, blocks = winding_force(y), problem.force_blocks(y, V)
     for k in range(len(y)):
         assert np.array_equal(forces[k], winding_force(y[k]))
-        assert np.array_equal(jacobians[k], winding_force_jacobian(y[k]))
+        assert np.array_equal(blocks[k], problem.force_blocks(y[k : k + 1], V[k : k + 1])[0])
     y[5] = [0.0, 0.0, 1.0]
     with pytest.raises(PoleSingularity):
         winding_force(y)
+    with pytest.raises(PoleSingularity):
+        problem.force_blocks(y, V)
 
 
 def test_winding_force_deriv_matches_fd():
@@ -111,6 +116,46 @@ def test_winding_force_deriv_on_equator():
     dy_up = np.array([0.0, 0.0, 1.0])
     expected = 3.0 * np.array([-y[1], y[0], 0.0])
     assert np.allclose(winding_force_jacobian(y) @ dy_up, expected, atol=1e-12)
+
+
+def turned_frames(frames, rng):
+    """``frames`` composed with a seeded rotation or reflection per node, as
+    acceptance criterion 11 composes them."""
+    phi = rng.uniform(0.0, 2.0 * np.pi, len(frames))
+    flip = rng.choice([-1.0, 1.0], len(frames))
+    c, s = np.cos(phi), np.sin(phi)
+    return frames @ np.stack([np.stack([c, -flip * s], -1), np.stack([s, flip * c], -1)], -2)
+
+
+@pytest.mark.parametrize("turn", [False, True], ids=["tangent_basis", "turned"])
+def test_force_blocks_are_the_projected_euclidean_jacobian(turn):
+    # h V^T J V in closed form, for frames of either orientation
+    rng = np.random.default_rng(12)
+    for n in (1, 7, 60):
+        grid = Grid(1.0, n)
+        for scale in (3.0, -0.7, 40.0):
+            y = random_sphere_curve(grid, rng, z_margin=0.02).interior
+            V = tangent_basis(y)
+            if turn:
+                V = turned_frames(V, rng)
+            blocks = GeodesicForceProblem(grid, force_scale=scale).force_blocks(y, V)
+            oracle = np.swapaxes(V, -1, -2) @ (grid.h * winding_force_jacobian(y, scale)) @ V
+            assert blocks.shape == (n, 2, 2)
+            assert np.abs(blocks - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_force_free_problem_adds_no_nodal_term():
+    # force_scale = 0 passes no blocks, even at a pole, where the field is undefined
+    rng = np.random.default_rng(13)
+    grid = Grid(1.0, 9)
+    problem = GeodesicForceProblem(grid, force_scale=0.0)
+    points = random_sphere_curve(grid, rng).points
+    points[4] = [0.0, 0.0, 1.0]
+    curve = NodalCurve(grid, points)
+    assert problem.force_blocks(curve.interior, curve.basis) is None
+    blocks = sphere_field_blocks(curve.interior, curve.basis, problem._covectors(curve), grid.h)
+    expected = assemble_intervals(*blocks)
+    assert problem.assemble_jacobian(curve)._ab.tobytes() == expected._ab.tobytes()
 
 
 # -- residual ---------------------------------------------------------------------

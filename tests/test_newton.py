@@ -485,6 +485,36 @@ def test_a_solve_records_the_state_it_returns():
         assert stage.state is x
 
 
+# the coarsest level of the rod run in test_nested.py that ends at a near-singular matrix
+NEAR_SINGULAR_ROD = dict(
+    y1=(-0.0016276324413633035, 0.9344134998567042, -0.24583110124946037),
+    v0=(-0.6491654454001294, 0.2387984542764557, 0.7221907800115058),
+    v1=(0.3172946085666753, 0.9430395232758364, 0.10000294452766682),
+)
+
+
+@pytest.mark.parametrize("problem, cfg, terminated, message", [
+    (GeodesicForceProblem(Grid(1.0, 20)), NewtonConfig(), Termination.CONVERGED,
+     r"stationary within tolerance"),
+    (GeodesicForceProblem(Grid(1.0, 50), force_scale=10.0), NewtonConfig(),
+     Termination.DAMPING_FAILED, r"step size collapsed below 1e-08 after 2 trials \(last theta \S+\)"),
+    (GeodesicForceProblem(Grid(1.0, 20)), NewtonConfig(max_outer=1), Termination.MAX_ITERATIONS,
+     r"no convergence within 1 outer iterations"),
+    (RodProblem(Grid(1.0, 10), **NEAR_SINGULAR_ROD), NewtonConfig(), Termination.DAMPING_FAILED,
+     r"step size collapsed .* \(Newton matrix condition estimate \S+, largest at unknown 1\)"),
+    (RodProblem(Grid(1.0, 10)), NewtonConfig(theta_acc=math.inf), Termination.MAX_ITERATIONS,
+     r"no convergence within 50 outer iterations \(Newton matrix condition estimate \S+, "
+     r"largest at unknown 0\)"),
+], ids=["converged", "damping_failed", "max_iterations", "rod-damping_failed", "rod-max_iterations"])
+def test_a_finished_solve_keeps_no_nodal_data(problem, cfg, terminated, message):
+    # the stage outlives the solve, so its problem drops the arrays of its
+    # last state; a failure's diagnosis reads them before that
+    _, stage = damped_newton(problem, problem.initial_state(), cfg)
+    assert stage.terminated is terminated
+    assert re.fullmatch(message, stage.message), stage.message
+    assert stage.problem._last_covectors == (None, None)
+
+
 def test_driver_undamped_mode_pins_alpha(monkeypatch):
     # theta_acc = inf accepts every trial and freezes alpha at alpha0
     grid = Grid(1.0, 20)

@@ -10,6 +10,7 @@ from bundle_newton import (
     tangent_basis,
 )
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_OK, main
+from bundle_newton.fem1d import assemble_intervals, sphere_field_blocks
 from bundle_newton.problems import (
     GeodesicForceProblem,
     ObstacleProblem,
@@ -258,6 +259,44 @@ def test_node_exactly_on_cap_uses_zero_slope():
     assert np.array_equal(
         to_dense(obs.assemble_jacobian(curve)), to_dense(geo.assemble_jacobian(curve))
     )
+
+
+def mixed_cap_curve(grid, rng, problem):
+    """Random curve whose nodes lie above the cap, below it, or on its
+    height ``1 - h_ref`` (a gap of exactly 0 wherever that float has one)."""
+    cap = 1.0 - problem.h_ref
+    z = np.choose(rng.integers(0, 3, grid.n_nodes),
+                  [rng.uniform(cap, 1.0, grid.n_nodes), rng.uniform(-1.0, cap, grid.n_nodes),
+                   np.full(grid.n_nodes, cap)])
+    phi = rng.uniform(0.0, 2.0 * np.pi, grid.n_nodes)
+    r = np.sqrt(1.0 - z * z)
+    return NodalCurve(grid, np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1))
+
+
+@pytest.mark.parametrize("h_ref", [0.1, 0.25, 0.5, 0.95])
+def test_jacobian_band_is_bytewise_the_projected_penalty_stiffness(h_ref):
+    # the rank-one frame blocks give the band of the projected Euclidean
+    # penalty stiffness V^T (h p slope e3 e3^T) V bit for bit
+    rng = np.random.default_rng(14)
+    e33 = np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+    gaps = []
+    for n in (1, 10, 77):
+        grid = Grid(1.0, n)
+        base = ObstacleProblem(grid, *EQUATOR, h_ref=h_ref)
+        for p in (1.0, 3.7, 1e4, 1e7):
+            problem = base.replace(p=p)
+            curve = mixed_cap_curve(grid, rng, problem)
+            y, V, h = curve.interior, curve.basis, grid.h
+            gaps.append(problem.gap(y))
+            slope = penalty_activation_slope(gaps[-1])
+            nodal = h * (p * slope[:, None, None] * e33)
+            diag, upper = sphere_field_blocks(y, V, problem._covectors(curve), h)
+            reference = assemble_intervals(diag + np.swapaxes(V, -1, -2) @ nodal @ V, upper)
+            assert problem.assemble_jacobian(curve)._ab.tobytes() == reference._ab.tobytes()
+    gaps = np.concatenate(gaps)
+    assert (gaps > 0.0).any() and (gaps < 0.0).any()
+    # at h_ref = 0.1 the height 1 - h_ref has a gap of 2.8e-17, not 0: its nodes are active
+    assert (gaps == 0.0).any() == (h_ref != 0.1)
 
 
 def test_jacobian_fd_consistency_away_from_kink():
