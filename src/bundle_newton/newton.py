@@ -1,8 +1,9 @@
 """Damped Newton driver for root problems whose residual lives in a moving
 dual fibre, and the continuation loop around it.
 
-The driver only talks to a problem through coefficient vectors: residuals
-and Jacobians are assembled with respect to per-iterate bases, trial
+The driver only talks to a problem through evaluations and coefficient
+vectors: it evaluates each state it visits once, residuals and Jacobians are
+assembled from an evaluation with respect to per-iterate bases, trial
 residuals are back-transported onto the bases of the current iterate, and
 the step-size control is driven by norm ratios of coefficient vectors.
 Scaling residual and Jacobian jointly therefore leaves the whole iteration
@@ -118,30 +119,31 @@ class Continuation:
 class ProblemInterface(ABC):
     """Operations a problem supplies to the Newton driver.
 
-    Coefficient vectors refer to the per-node tangent frames of the state
-    they were assembled at.  ``assemble_residual(state, trial)`` evaluates the
-    residual at ``trial`` against the test frames of ``state``, projected
-    onto the tangent planes at ``trial`` (the vector transport), so that its
-    output is comparable with ``assemble_residual(state)``; at coincident
-    states the two agree up to round-off.
+    ``evaluate(state)`` computes the nodal data of ``state`` that its residual
+    and its Jacobian share, such as its residual covectors, and returns them as
+    the value ``at`` that :meth:`assemble_residual` and
+    :meth:`assemble_jacobian` take; by default that is ``state`` itself.  The
+    driver evaluates each state it visits once and drops the evaluation when
+    it no longer needs it.
 
-    The nodal data of a state that the residual and the Jacobian share, such
-    as its residual covectors, come from :meth:`_evaluate` through
-    :meth:`_evaluated`, which keeps those of the last state it evaluated,
-    read-only, in ``_last_covectors``.  The driver evaluates an iterate's
-    residual and Jacobian, then its trials, and the accepted trial is the
-    next iterate, so each state is evaluated once.  A copy made by
-    :meth:`replace` starts without them, and :func:`damped_newton` drops
-    them when its solve ends.
+    Coefficient vectors refer to the per-node tangent frames of the state
+    they were assembled at.  ``assemble_residual(at, frames)`` is the residual
+    at ``at``'s state against the test frames of the state ``frames``,
+    projected onto the tangent planes at ``at``'s state (the vector
+    transport), so that a trial's residual is comparable with the iterate's
+    ``assemble_residual(at)``; at coincident states the two agree up to
+    round-off.
     """
 
-    _last_covectors = (None, None)  # (state, its arrays from _evaluate)
+    def evaluate(self, state):
+        """The value that the assembly at ``state`` takes: ``state`` itself."""
+        return state
 
     @abstractmethod
-    def assemble_residual(self, state, trial=None) -> np.ndarray: ...
+    def assemble_residual(self, at, frames=None) -> np.ndarray: ...
 
     @abstractmethod
-    def assemble_jacobian(self, state) -> BandedMatrix: ...
+    def assemble_jacobian(self, at) -> BandedMatrix: ...
 
     @abstractmethod
     def retract(self, state, xi, alpha: float): ...
@@ -149,29 +151,11 @@ class ProblemInterface(ABC):
     @abstractmethod
     def norm_inf(self, xi) -> float: ...
 
-    def _evaluate(self, state) -> tuple:
-        """The arrays of nodal data that the residual and the Jacobian at
-        ``state`` share, for :meth:`_evaluated`."""
-        raise NotImplementedError
-
-    def _evaluated(self, state) -> tuple:
-        """:meth:`_evaluate` at ``state``, read-only, computed once while
-        ``state`` is the last state evaluated."""
-        last, arrays = self._last_covectors
-        if last is not state:
-            arrays = self._evaluate(state)
-            for array in arrays:
-                array.flags.writeable = False
-            self._last_covectors = (state, arrays)
-        return arrays
-
     def replace(self, **changes):
         """A copy of this problem with the attributes ``changes`` set, such as
-        ``grid`` or the obstacle's ``p``; no constructor check runs on them.
-        The copy has evaluated no state: another ``p`` or grid gives other
-        nodal data, even on the same state."""
+        ``grid`` or the obstacle's ``p``; no constructor check runs on them."""
         problem = copy.copy(self)
-        vars(problem).update(_last_covectors=(None, None), **changes)
+        vars(problem).update(changes)
         return problem
 
     def solve(self, cfg: NewtonConfig, start) -> Continuation:
@@ -211,38 +195,33 @@ ALPHA_FAIL = 1e-8  # the step size below which a solve gives up
 THETA_STOP = 0.5
 
 
-def _ended(stage: Stage):
-    """``(state, stage)`` of a finished solve.  Its problem lets go of the
-    nodal data it kept of the last state it evaluated: nothing reads them
-    again, and a stage outlives its solve."""
-    stage.problem._last_covectors = (None, None)
-    return stage.state, stage
-
-
 def _converged(stage: Stage, norm_dx: float, residual_inf: float):
     """End ``stage`` as converged at its state with the convergence row."""
     stage.iterations.append(NewtonIteration(norm_dx, 1.0, (), residual_inf))
     stage.terminated = Termination.CONVERGED
     stage.message = "stationary within tolerance"
-    return _ended(stage)
+    return stage.state, stage
 
 
-def _failed(stage: Stage, terminated: Termination, message: str):
-    """End ``stage`` unconverged at its state.  The Newton matrix there is
+def _failed(stage: Stage, terminated: Termination, message: str, at=None):
+    """End ``stage`` unconverged at its state; ``at`` is that state's
+    evaluation, if the caller still holds it.  The Newton matrix there is
     assembled again and its condition estimated, and the message names a
     matrix that is singular or whose estimate is not below
     ``CONDITION_LIMIT``: near such a matrix the damping has no step left."""
     stage.terminated = terminated
     stage.message = message
+    if at is None:
+        at = stage.problem.evaluate(stage.state)
     try:
-        cond, unknown = stage.problem.assemble_jacobian(stage.state).condition()
+        cond, unknown = stage.problem.assemble_jacobian(at).condition()
     except SingularSystem as exc:  # a zero pivot
         stage.message += f" (Newton matrix: {exc})"
     else:
         if not cond < CONDITION_LIMIT:  # also inf and NaN
             stage.message += (f" (Newton matrix condition estimate {cond:.2e}, "
                               f"largest at unknown {unknown})")
-    return _ended(stage)
+    return stage.state, stage
 
 
 def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfig(),
@@ -252,9 +231,12 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     Per outer iteration the Newton system is assembled and factorized once,
     after the last iteration's LU is dropped, so one band-sized matrix is
     alive at a time; every inner trial re-solves only the right-hand side of
-    the simplified Newton equation with the stored factorization.  A trial
-    step of damping ``alpha`` is accepted when the contraction estimate
-    ``theta`` stays below ``cfg.theta_acc``; ``alpha`` is adapted towards
+    the simplified Newton equation with the stored factorization.  Each state
+    is evaluated once, ``x0`` and every trial point: the iterate's evaluation
+    is dropped once its residual and Jacobian are assembled, before the LU,
+    and the accepted trial's serves the next iteration.  A trial step of
+    damping ``alpha`` is accepted when the contraction estimate ``theta``
+    stays below ``cfg.theta_acc``; ``alpha`` is adapted towards
     ``THETA_DES``.  No cap counts the trials: each rejected one shrinks
     ``alpha`` by a factor of at most ``max(1/2, THETA_DES / theta_acc)``,
     until ``alpha < ALPHA_FAIL``.
@@ -275,23 +257,26 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     raised; the message of either one names the Newton matrix at the state
     the solve ends at when its condition estimate is not below
     ``CONDITION_LIMIT`` or its LU meets a zero pivot.  A trial point that raises
-    :class:`~bundle_newton.geometry.DegenerateUpdate`, in the retraction or
-    the trial residual, counts as a non-finite ``theta``; with ``alpha``
-    pinned (``theta_acc = inf``) the exception propagates, as do exceptions at
-    the iterate itself, and a NaN ``theta`` fails the solve.
+    :class:`~bundle_newton.geometry.DegenerateUpdate`, in the retraction, its
+    evaluation or the trial residual, counts as a non-finite ``theta``; with
+    ``alpha`` pinned (``theta_acc = inf``) the exception propagates, as do
+    exceptions at the iterate itself, and a NaN ``theta`` fails the solve.
     """
     def within_tol(x, norm: float) -> bool:
         return norm <= cfg.tol or (stops_early is not None and stops_early(x, norm))
 
     x = x0
+    at = problem.evaluate(x0)
     alpha = cfg.alpha0
     pin_alpha = math.isinf(cfg.theta_acc)
     stage = Stage(problem, state=x0)
 
     for _ in range(cfg.max_outer):
-        b = problem.assemble_residual(x)
+        b = problem.assemble_residual(at)
         residual_inf = problem.norm_inf(b)
-        fact, dx = problem.assemble_jacobian(x).factorize(-b)
+        matrix = problem.assemble_jacobian(at)
+        at = None  # assembled: the LU and the trial residuals need only x's frames
+        fact, dx = matrix.factorize(-b)
         norm_dx = problem.norm_inf(dx)
 
         if within_tol(x, norm_dx):
@@ -301,7 +286,8 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         while True:
             try:
                 x_plus = problem.retract(x, dx, alpha)
-                r_bar = problem.assemble_residual(x, x_plus)
+                at = problem.evaluate(x_plus)
+                r_bar = problem.assemble_residual(at, x)
             except DegenerateUpdate:
                 if pin_alpha:  # no damping to fall back on
                     raise
@@ -324,7 +310,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
                 return _failed(stage, Termination.DAMPING_FAILED,
                                f"plain Newton step rejected (theta {theta:.3g})")
 
-        x = stage.state = x_plus
+        x = stage.state = x_plus  # and at is its evaluation
         stage.iterations.append(NewtonIteration(norm_dx, alpha_used, tuple(thetas), residual_inf))
         # a NaN or infinite theta fails the comparison, so no stale norm_dx_bar or r_bar is read
         if alpha_used == 1.0 and theta <= THETA_STOP and within_tol(x, norm_dx_bar):
@@ -332,7 +318,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         del fact  # before the next Newton matrix is assembled
 
     return _failed(stage, Termination.MAX_ITERATIONS,
-                   f"no convergence within {cfg.max_outer} outer iterations")
+                   f"no convergence within {cfg.max_outer} outer iterations", at)
 
 
 # grid ladder of the nested iteration: each coarse level has 1/COARSENING of

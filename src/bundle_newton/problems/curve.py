@@ -4,9 +4,10 @@ A curve problem looks for a piecewise-linear curve of unit vectors whose
 Dirichlet term balances a nodal force covector field.  Subclasses only
 provide the force field, evaluated on stacked ``(n, 3)`` node arrays, and
 its nodal Jacobian term ``h V^T J V`` in the nodes' tangent frames ``V``,
-as ``(n, 2, 2)`` blocks.  Per interior node the residual contracts the
-covector ``slope[:-1] - slope[1:] + h f(y)`` with the node's tangent frame
-(projected onto the trial's tangent plane for a trial residual), and the
+as ``(n, 2, 2)`` blocks.  A curve's evaluation is the curve and its covectors
+``slope[:-1] - slope[1:] + h f(y)`` per interior node.  The residual
+contracts them with the node's tangent frame (another curve's frame,
+projected onto the curve's tangent plane, for a trial residual), and the
 Jacobian is :func:`fem1d.sphere_field_blocks` with those blocks.
 """
 
@@ -47,8 +48,9 @@ def connecting_geodesic_points(grid: Grid, a, b) -> np.ndarray:
 class SphereCurveProblem(ProblemInterface):
     """Base class implementing the Newton driver contract for curve problems.
 
-    A curve's evaluated nodal data are its residual covectors, computed once
-    per curve (:meth:`~bundle_newton.newton.ProblemInterface._evaluated`).
+    :meth:`evaluate` returns ``(curve, g)``, the curve and its Euclidean
+    residual covectors ``g`` at the interior nodes, which its residual, its
+    Jacobian and its trial residual share.
     """
 
     def __init__(self, grid: Grid, gamma0, gammaT):
@@ -69,7 +71,7 @@ class SphereCurveProblem(ProblemInterface):
         ``V`` (``(n, 3, 2)``); None for a field that is identically zero."""
         raise NotImplementedError
 
-    # -- states and nodal covectors -------------------------------------------
+    # -- states -----------------------------------------------------------------
 
     def initial_state(self) -> NodalCurve:
         """Connecting geodesic between the boundary points."""
@@ -79,23 +81,21 @@ class SphereCurveProblem(ProblemInterface):
         """The ``curve.csv`` columns after ``t``: the nodal points."""
         return dict(zip("xyz", curve.points.T))
 
-    def _evaluate(self, curve: NodalCurve) -> tuple:
-        return (p1_covectors(curve.points, self.grid.h, self.force_at(curve.interior)),)
-
-    def _covectors(self, curve: NodalCurve) -> np.ndarray:
-        """Euclidean residual covectors at the interior nodes, read-only."""
-        return self._evaluated(curve)[0]
-
     # -- driver contract ----------------------------------------------------
 
-    def assemble_residual(self, curve: NodalCurve, trial: NodalCurve | None = None) -> np.ndarray:
-        at, y = (curve, None) if trial is None else (trial, trial.interior)
-        return assemble_intervals_vector(curve.basis, self._covectors(at), y)
+    def evaluate(self, curve: NodalCurve) -> tuple:
+        return curve, p1_covectors(curve.points, self.grid.h, self.force_at(curve.interior))
 
-    def assemble_jacobian(self, curve: NodalCurve):
+    def assemble_residual(self, at: tuple, frames: NodalCurve | None = None) -> np.ndarray:
+        curve, g = at
+        V, y = (curve.basis, None) if frames is None else (frames.basis, curve.interior)
+        return assemble_intervals_vector(V, g, y)
+
+    def assemble_jacobian(self, at: tuple):
+        curve, g = at
         y, V = curve.interior, curve.basis
         nodal = self.force_blocks(y, V)
-        blocks = sphere_field_blocks(y, V, self._covectors(curve), self.grid.h, nodal)
+        blocks = sphere_field_blocks(y, V, g, self.grid.h, nodal)
         return assemble_intervals(*blocks)
 
     def retract(self, curve: NodalCurve, xi, alpha: float) -> NodalCurve:

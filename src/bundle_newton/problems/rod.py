@@ -16,10 +16,10 @@ diagonals of the 4 runs of constant ``I`` and ``-I`` blocks.
 The directions are a :class:`~bundle_newton.fem1d.NodalCurve` as in the curve
 problems, framed and retracted by it, and their rows are assembled by
 :mod:`fem1d` as there: a unit-vector field loaded by the multiplier.  ``y``
-and ``mu`` retract linearly.  A state is evaluated once, as in the curve
-problems: its direction covectors and constraint rows, all of the residual
-but the frame contraction, serve its residual, its Jacobian and the trial
-residual that accepted it.
+and ``mu`` retract linearly.  A state's evaluation, as in the curve
+problems, holds its direction covectors and constraint rows, all of the
+residual but the frame contraction; the driver evaluates each state once,
+and the evaluation serves its trial residual, its residual and its Jacobian.
 :meth:`RodState.prolong` moves a state to a finer grid for nested
 iteration: ``y`` and ``v`` as P1 interpolants, ``mu`` between interval
 midpoints.
@@ -165,35 +165,32 @@ class RodProblem(ProblemInterface):
     def results(self, continuation) -> dict:
         return {"constraint_inf": np.abs(continuation.state.constraint_residuals()).max()}
 
-    # -- nodal residual covectors ---------------------------------------------
-
-    def _evaluate(self, state: RodState) -> tuple:
-        """The direction covectors and the constraint rows ``h (y' - v)`` per
-        interval: all of the residual but the frame contraction."""
-        load = -0.5 * (state.lam[:-1] + state.lam[1:])
-        h = self.grid.h
-        return p1_covectors(state.v.points, h, load), h * state.constraint_residuals()
-
-    def _v_covectors(self, state: RodState) -> np.ndarray:
-        """Euclidean covectors paired with the interior direction tests, read-only."""
-        return self._evaluated(state)[0]
-
     # -- driver contract -------------------------------------------------------
 
-    def assemble_residual(self, state: RodState, trial: RodState | None = None) -> np.ndarray:
+    def evaluate(self, state: RodState) -> tuple:
+        """``(state, g, r_lam)``: the direction covectors ``g`` and the
+        constraint rows ``r_lam = h (y' - v)`` per interval, all of the
+        residual but the frame contraction."""
+        load = -0.5 * (state.lam[:-1] + state.lam[1:])
+        h = self.grid.h
+        return state, p1_covectors(state.v.points, h, load), h * state.constraint_residuals()
+
+    def assemble_residual(self, at: tuple, frames: RodState | None = None) -> np.ndarray:
         # position and multiplier tests live in fixed linear spaces; only the
-        # direction tests follow a trial, by projection onto its tangents
-        at, v = (state, None) if trial is None else (trial, trial.v.interior)
-        g, r_lam = self._evaluated(at)
+        # direction tests follow another state's frames, by projection onto
+        # this state's tangents
+        state, g, r_lam = at
+        V, v = (state.v.basis, None) if frames is None else (frames.v.basis, state.v.interior)
         r = np.empty(self.dof_count)
         r[:3] = r_lam[0]
         groups = r[3:].reshape(-1, 8)
-        np.subtract(at.lam[:-1], at.lam[1:], out=groups[:, :3])
-        groups[:, 3:5] = assemble_intervals_vector(state.v.basis, g, v).reshape(-1, 2)
+        np.subtract(state.lam[:-1], state.lam[1:], out=groups[:, :3])
+        groups[:, 3:5] = assemble_intervals_vector(V, g, v).reshape(-1, 2)
         groups[:, 5:] = r_lam[1:]
         return r
 
-    def assemble_jacobian(self, state: RodState) -> BandedMatrix:
+    def assemble_jacobian(self, at: tuple) -> BandedMatrix:
+        state, g, _ = at
         n = self.grid.n_interior
         h = self.grid.h
         A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
@@ -218,7 +215,7 @@ class RodProblem(ProblemInterface):
         add_eye3(y, lam_right, -one)
 
         # direction rows: the unit-vector field's blocks, multiplier
-        diag, upper = sphere_field_blocks(state.v.interior, V, self._v_covectors(state), h)
+        diag, upper = sphere_field_blocks(state.v.interior, V, g, h)
         add(v, v, diag)
         add(v, v + 8, upper)
         add(v + 8, v, upper.transpose(0, 2, 1))

@@ -120,18 +120,29 @@ def _straight_rod(grid):
                              (1 / np.sqrt(1.64), 0, 0.8 / np.sqrt(1.64)))
 
 
+def residual_at(problem, state, frames=None):
+    """``problem``'s residual at ``state``, from its evaluation: against the
+    test frames of the state ``frames`` if given (a trial residual)."""
+    return problem.assemble_residual(problem.evaluate(state), frames)
+
+
+def jacobian_at(problem, state):
+    """``problem``'s Newton matrix at ``state``, from its evaluation."""
+    return problem.assemble_jacobian(problem.evaluate(state))
+
+
 def jacobian_fd_error(problem, state, rng, n_directions=5, step=1e-5):
     """Worst relative error of the Jacobian action against a central
     difference of the transported residual along random directions."""
-    A = problem.assemble_jacobian(state)
+    A = jacobian_at(problem, state)
     dense = to_dense(A)
     worst = 0.0
     for _ in range(n_directions):
         xi = rng.standard_normal(A.dim)
         xi /= np.abs(xi).max()
         jxi = dense @ xi
-        plus = problem.assemble_residual(state, problem.retract(state, xi, step))
-        minus = problem.assemble_residual(state, problem.retract(state, xi, -step))
+        plus = residual_at(problem, problem.retract(state, xi, step), state)
+        minus = residual_at(problem, problem.retract(state, xi, -step), state)
         fd = (plus - minus) / (2.0 * step)
         worst = max(worst, np.abs(jxi - fd).max() / (1.0 + np.abs(jxi).max()))
     return worst

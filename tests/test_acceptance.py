@@ -27,6 +27,7 @@ from bundle_newton.problems import (
 )
 from conftest import (
     banded_from_dense,
+    jacobian_at,
     random_banded,
     random_block_tridiag,
     random_obstacle_curve,
@@ -34,6 +35,7 @@ from conftest import (
     random_sphere_curve,
     random_tangent,
     random_unit,
+    residual_at,
     to_dense,
 )
 from oracles import constrained_hessian_apply, normal_multiplier
@@ -66,14 +68,14 @@ def test_criterion_1_jacobian_consistency():
             yield rod, random_rod_state(grid, rng)
 
     for problem, state in states():
-        A = problem.assemble_jacobian(state)
+        A = jacobian_at(problem, state)
         dense = to_dense(A)
         for _ in range(10):
             xi = rng.standard_normal(A.dim)
             xi /= np.abs(xi).max()
             jxi = dense @ xi
-            plus = problem.assemble_residual(state, problem.retract(state, xi, step))
-            minus = problem.assemble_residual(state, problem.retract(state, xi, -step))
+            plus = residual_at(problem, problem.retract(state, xi, step), state)
+            minus = residual_at(problem, problem.retract(state, xi, -step), state)
             fd = (plus - minus) / (2.0 * step)
             worst = max(worst, np.abs(jxi - fd).max() / (1.0 + np.abs(jxi).max()))
     elapsed = time.monotonic() - t0
@@ -293,11 +295,11 @@ def test_criterion_8_structural_invariants():
     curve = random_sphere_curve(grid, rng, z_margin=0.1)
 
     free = GeodesicForceProblem(grid, force_scale=0.0)
-    A0 = to_dense(free.assemble_jacobian(curve))
+    A0 = to_dense(jacobian_at(free, curve))
     sym_err = np.abs(A0 - A0.T).max() / np.abs(A0).max()
 
     forced = GeodesicForceProblem(grid, force_scale=3.0)
-    A3 = to_dense(forced.assemble_jacobian(curve))
+    A3 = to_dense(jacobian_at(forced, curve))
     asym = np.abs(A3 - A3.T).max() / np.abs(A3).max()
 
     # an exactly stationary state: the connecting geodesic of the force-free
@@ -330,11 +332,14 @@ class _ScaledProblem(ProblemInterface):
         self.scale = scale
         self.directions = []
 
-    def assemble_residual(self, state, trial=None):
-        return self.scale * self.inner.assemble_residual(state, trial)
+    def evaluate(self, state):
+        return self.inner.evaluate(state)
 
-    def assemble_jacobian(self, state):
-        A = self.inner.assemble_jacobian(state)
+    def assemble_residual(self, at, frames=None):
+        return self.scale * self.inner.assemble_residual(at, frames)
+
+    def assemble_jacobian(self, at):
+        A = self.inner.assemble_jacobian(at)
         rows = np.reshape(self.scale, (-1, 1))  # a scalar scales all rows alike
         return banded_from_dense(rows * to_dense(A), A.lower_bw, A.upper_bw)
 
@@ -390,7 +395,7 @@ def test_criterion_9_twin_row_scaling(inner, span):
     # one log-uniform factor per row of residual and Jacobian: the iteration
     # must not see the scaling
     x0 = inner.initial_state()
-    dim = len(inner.assemble_residual(x0))
+    dim = len(residual_at(inner, x0))
     runs = []
     for scale in (1.0, 10.0 ** np.random.default_rng(9).uniform(0.0, math.log10(span), dim)):
         wrapped = _ScaledProblem(inner, scale)

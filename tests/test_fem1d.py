@@ -27,12 +27,14 @@ from conftest import (
     band_add,
     banded_from_dense,
     block_tridiag,
+    jacobian_at,
     random_banded,
     random_block_tridiag,
     random_rod_state,
     random_sphere_curve,
     random_unit,
     reference_condition,
+    residual_at,
     run_isolated_python,
     skeel_condition,
     to_dense,
@@ -260,9 +262,9 @@ def test_factorize_allocates_no_copy_of_the_band():
     # allocate is the solution, the pivots and the finiteness check
     problem = RodProblem(Grid(1.0, 1000))
     state = problem.initial_state()
-    A = problem.assemble_jacobian(state)
+    A = jacobian_at(problem, state)
     band = A._ab.nbytes
-    rhs = -problem.assemble_residual(state)
+    rhs = -residual_at(problem, state)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -536,7 +538,7 @@ def _estimator_cases():
             (RodProblem(grid), random_rod_state(grid, rng)),
         ):
             for x in (problem.initial_state(), state):
-                yield problem.assemble_jacobian(x)
+                yield jacobian_at(problem, x)
 
 
 def test_condition_estimate_is_bitwise_the_reference_iteration(monkeypatch):

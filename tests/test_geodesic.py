@@ -8,7 +8,15 @@ from bundle_newton.fem1d import assemble_intervals, sphere_field_blocks
 from bundle_newton.problems import GeodesicForceProblem, PoleSingularity, winding_force
 from bundle_newton.problems.curve import connecting_geodesic_points
 from bundle_newton.problems.geodesic import arc_point_nearest_pole
-from conftest import jacobian_fd_error, random_sphere_curve, random_tangent, random_unit, to_dense
+from conftest import (
+    jacobian_at,
+    jacobian_fd_error,
+    random_sphere_curve,
+    random_tangent,
+    random_unit,
+    residual_at,
+    to_dense,
+)
 from oracles import winding_force_jacobian
 
 
@@ -153,9 +161,9 @@ def test_force_free_problem_adds_no_nodal_term():
     points[4] = [0.0, 0.0, 1.0]
     curve = NodalCurve(grid, points)
     assert problem.force_blocks(curve.interior, curve.basis) is None
-    blocks = sphere_field_blocks(curve.interior, curve.basis, problem._covectors(curve), grid.h)
+    blocks = sphere_field_blocks(curve.interior, curve.basis, problem.evaluate(curve)[1], grid.h)
     expected = assemble_intervals(*blocks)
-    assert problem.assemble_jacobian(curve)._ab.tobytes() == expected._ab.tobytes()
+    assert jacobian_at(problem, curve)._ab.tobytes() == expected._ab.tobytes()
 
 
 # -- residual ---------------------------------------------------------------------
@@ -165,7 +173,7 @@ def test_residual_zero_on_discrete_great_circle():
     grid = Grid(1.0, 15)
     problem = GeodesicForceProblem(grid, force_scale=0.0)
     curve = great_circle_curve(grid, axis_angle=0.4)
-    b = problem.assemble_residual(curve)
+    b = residual_at(problem, curve)
     assert np.abs(b).max() < 1e-12
 
 
@@ -174,7 +182,7 @@ def test_residual_zero_on_constant_curve():
     y = random_unit(np.random.default_rng(2))
     problem = GeodesicForceProblem(grid, gamma0=y, gammaT=y, force_scale=0.0)
     curve = NodalCurve(grid, np.tile(y, (grid.n_nodes, 1)))
-    assert np.abs(problem.assemble_residual(curve)).max() == 0.0
+    assert np.abs(residual_at(problem, curve)).max() == 0.0
 
 
 def test_residual_matches_quadrature_oracle():
@@ -183,7 +191,7 @@ def test_residual_matches_quadrature_oracle():
     problem = GeodesicForceProblem(grid)
     for _ in range(5):
         curve = random_sphere_curve(grid, rng, z_margin=0.05)
-        b = problem.assemble_residual(curve)
+        b = residual_at(problem, curve)
         oracle = residual_quadrature_oracle(problem, curve)
         assert np.abs(b - oracle).max() < 1e-12 * (1.0 + np.abs(oracle).max())
 
@@ -196,7 +204,7 @@ def test_jacobian_symmetric_without_force():
     grid = Grid(1.0, 10)
     problem = GeodesicForceProblem(grid, force_scale=0.0)
     curve = random_sphere_curve(grid, rng)
-    A = to_dense(problem.assemble_jacobian(curve))
+    A = to_dense(jacobian_at(problem, curve))
     assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
 
 
@@ -205,7 +213,7 @@ def test_jacobian_asymmetric_with_winding_force():
     grid = Grid(1.0, 10)
     problem = GeodesicForceProblem(grid, force_scale=3.0)
     curve = random_sphere_curve(grid, rng, z_margin=0.1)
-    A = to_dense(problem.assemble_jacobian(curve))
+    A = to_dense(jacobian_at(problem, curve))
     assert np.abs(A - A.T).max() > 1e-8 * np.abs(A).max()
 
 
@@ -215,7 +223,7 @@ def test_jacobian_stiffness_only_on_constant_curve():
     y = random_unit(np.random.default_rng(6))
     problem = GeodesicForceProblem(grid, gamma0=y, gammaT=y, force_scale=0.0)
     curve = NodalCurve(grid, np.tile(y, (grid.n_nodes, 1)))
-    A = to_dense(problem.assemble_jacobian(curve))
+    A = to_dense(jacobian_at(problem, curve))
     h = grid.h
     V = tangent_basis(y)
     for i in range(grid.n_interior):
@@ -234,7 +242,7 @@ def test_jacobian_single_interior_node_formula():
     problem = GeodesicForceProblem(grid, force_scale=0.0)
     pts = np.array([random_unit(rng), random_unit(rng), random_unit(rng)])
     curve = NodalCurve(grid, pts)
-    A = problem.assemble_jacobian(curve)
+    A = jacobian_at(problem, curve)
     h = grid.h
     second_diff = pts[2] - 2.0 * pts[1] + pts[0]
     expected = (2.0 / h + (second_diff / h) @ pts[1]) * np.eye(2)
@@ -257,7 +265,7 @@ def test_jacobian_is_exactly_block_tridiagonal():
     grid = Grid(1.0, 8)
     problem = GeodesicForceProblem(grid)
     curve = random_sphere_curve(grid, rng, z_margin=0.1)
-    dense = to_dense(problem.assemble_jacobian(curve))
+    dense = to_dense(jacobian_at(problem, curve))
     n, m = grid.n_interior, 2
     for bi in range(n):
         for bj in range(n):

@@ -20,7 +20,7 @@ from bundle_newton.problems import (
     obstacle,
     obstacle_path_follow,
 )
-from conftest import skeel_condition, spy_factorize, to_dense
+from conftest import jacobian_at, skeel_condition, spy_factorize, to_dense
 
 
 def read_rows(path):
@@ -180,7 +180,7 @@ def test_a_rod_solve_holds_less_than_two_band_matrices():
     # whose storage then becomes its LU: rod n = 1000 (8003 unknowns,
     # bandwidths 9/9) peaks at about 1.5 bands of traced memory
     problem = RodProblem(Grid(1.0, 1000))
-    band = problem.assemble_jacobian(problem.initial_state())._ab.nbytes
+    band = jacobian_at(problem, problem.initial_state())._ab.nbytes
     nested_iteration(RodProblem(Grid(1.0, 100)))  # a first run's one-time allocations
     tracemalloc.start()
     try:
@@ -205,7 +205,7 @@ def test_plain_newton_on_the_rod_ladder_ends_at_a_genuinely_singular_matrix():
     assert float(DIAGNOSIS.search(result.message)[1]) >= 1e14
     level = result.attempts[-1].problem
     assert level.grid == Grid(1.0, 10)
-    assert skeel_condition(to_dense(level.assemble_jacobian(result.state))) >= 1e14
+    assert skeel_condition(to_dense(jacobian_at(level, result.state))) >= 1e14
 
 
 def test_a_damping_failure_at_a_near_singular_matrix_exits_2_with_its_diagnosis(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -26,11 +27,13 @@ from bundle_newton.problems import (
 )
 from conftest import (
     banded_from_dense,
+    jacobian_at,
     random_block_tridiag,
     random_obstacle_curve,
     random_rod_state,
     random_sphere_curve,
     random_unit,
+    residual_at,
     spy_factorize,
     to_dense,
 )
@@ -130,7 +133,7 @@ def test_norm_inf_is_bitwise_the_largest_linalg_norm_of_a_block(make):
     n = problem.grid.n_interior
     rng = np.random.default_rng(12)
     for _ in range(50):
-        xi = rng.standard_normal(len(problem.assemble_residual(problem.initial_state())))
+        xi = rng.standard_normal(len(residual_at(problem, problem.initial_state())))
         xi *= 10.0 ** rng.uniform(-14.0, 5.0, xi.size)
         if make is RodProblem:
             groups = xi[3:].reshape(n, 8)
@@ -147,10 +150,11 @@ def test_norm_inf_is_bitwise_the_largest_linalg_norm_of_a_block(make):
 
 
 class ScalarLinearProblem(ProblemInterface):
-    """F(x) = x on the real line (trivial bundle, identity transport)."""
+    """F(x) = x on the real line (trivial bundle, identity transport); a
+    state is its own evaluation."""
 
-    def assemble_residual(self, state, trial=None):
-        return np.array([state if trial is None else trial])
+    def assemble_residual(self, state, frames=None):
+        return np.array([state])
 
     def assemble_jacobian(self, state):
         return banded_from_dense([[1.0]])
@@ -165,8 +169,8 @@ class ScalarLinearProblem(ProblemInterface):
 class StubbornProblem(ScalarLinearProblem):
     """Trial residual rigged so no damping factor is ever acceptable."""
 
-    def assemble_residual(self, state, trial=None):
-        return np.array([state if trial is None else 1e3])
+    def assemble_residual(self, state, frames=None):
+        return np.array([state if frames is None else 1e3])
 
 
 def test_driver_scalar_linear_problem(monkeypatch):
@@ -191,8 +195,8 @@ class NaNTrialProblem(ScalarLinearProblem):
     def __init__(self):
         self.alphas = []
 
-    def assemble_residual(self, state, trial=None):
-        return np.array([state if trial is None else math.nan])
+    def assemble_residual(self, state, frames=None):
+        return np.array([state if frames is None else math.nan])
 
     def retract(self, state, xi, alpha):
         self.alphas.append(alpha)
@@ -233,29 +237,39 @@ def test_driver_plain_newton_ends_on_a_nan_trial():
 
 class RaisingTrialProblem(ScalarLinearProblem):
     """The first ``n_raising`` trial points raise ``error`` (a point the
-    problem cannot be evaluated at) from ``retract`` or from the trial
-    residual, as ``where`` says; records the damping factor of each trial."""
+    problem cannot be evaluated at) from ``retract``, from their evaluation or
+    from the trial residual, as ``where`` says; records the damping factor of
+    each trial."""
 
     def __init__(self, error, where, n_raising=math.inf):
         self.error, self.where, self.n_raising = error, where, n_raising
         self.alphas = []
+        self.retracted = False
 
     def _trial_point(self, where):
         if where == self.where and len(self.alphas) <= self.n_raising:
             raise self.error("cannot evaluate the trial point")
 
-    def assemble_residual(self, state, trial=None):
-        if trial is not None:
+    def evaluate(self, state):
+        if self.retracted:  # a trial point, not the start or the end state
+            self.retracted = False
+            self._trial_point("evaluate")
+        return state
+
+    def assemble_residual(self, state, frames=None):
+        if frames is not None:
             self._trial_point("residual")
-        return super().assemble_residual(state, trial)
+        return super().assemble_residual(state, frames)
 
     def retract(self, state, xi, alpha):
         self.alphas.append(alpha)
         self._trial_point("retract")
+        self.retracted = True
         return super().retract(state, xi, alpha)
 
 
-RAISING_TRIALS = [(DegenerateUpdate, "retract"), (PoleSingularity, "residual")]
+RAISING_TRIALS = [(DegenerateUpdate, "retract"), (PoleSingularity, "residual"),
+                  (PoleSingularity, "evaluate")]
 
 
 @pytest.mark.parametrize("error, where", RAISING_TRIALS)
@@ -294,10 +308,10 @@ def test_driver_plain_newton_propagates_a_raising_trial(error, where):
 
 def test_driver_propagates_a_raising_iterate():
     class RaisingIterate(ScalarLinearProblem):
-        def assemble_residual(self, state, trial=None):
-            if trial is None:
+        def assemble_residual(self, state, frames=None):
+            if frames is None:
                 raise DegenerateUpdate("cannot evaluate the iterate")
-            return super().assemble_residual(state, trial)
+            return super().assemble_residual(state, frames)
 
     with pytest.raises(DegenerateUpdate):
         damped_newton(RaisingIterate(), 1.0, NewtonConfig())
@@ -325,8 +339,8 @@ class ContractingTrialProblem(ScalarLinearProblem):
     def __init__(self, theta):
         self.theta = theta
 
-    def assemble_residual(self, state, trial=None):
-        return np.array([state if trial is None else self.theta * (state - trial)])
+    def assemble_residual(self, state, frames=None):
+        return np.array([state if frames is None else self.theta * (frames - state)])
 
 
 @pytest.mark.parametrize(
@@ -381,11 +395,11 @@ class BadFirstTrialProblem(ScalarLinearProblem):
     def __init__(self, value):
         self.value, self.trials = value, 0
 
-    def assemble_residual(self, state, trial=None):
-        if trial is None:
+    def assemble_residual(self, state, frames=None):
+        if frames is None:
             return super().assemble_residual(state)
         self.trials += 1
-        return np.array([self.value if self.trials == 1 else trial])
+        return np.array([self.value if self.trials == 1 else state])
 
 
 @pytest.mark.parametrize(
@@ -427,9 +441,8 @@ def test_driver_damping_failure():
 
 def test_driver_max_iterations():
     class Cubic(ScalarLinearProblem):
-        def assemble_residual(self, state, trial=None):
-            x = state if trial is None else trial
-            return np.array([x**3 + x])
+        def assemble_residual(self, state, frames=None):
+            return np.array([state**3 + state])
 
         def assemble_jacobian(self, state):
             return banded_from_dense([[3 * state**2 + 1.0]])
@@ -445,8 +458,8 @@ class HalfStepProblem(ScalarLinearProblem):
     def __init__(self, at_half):
         self.at_half = at_half
 
-    def assemble_residual(self, state, trial=None):
-        return np.array([state if trial is None else trial, 0.0])
+    def assemble_residual(self, state, frames=None):
+        return np.array([state, 0.0])
 
     def assemble_jacobian(self, state):
         return banded_from_dense(self.at_half if state == 0.5 else np.diag([2.0, 1.0]))
@@ -507,12 +520,43 @@ NEAR_SINGULAR_ROD = dict(
      r"largest at unknown 0\)"),
 ], ids=["converged", "damping_failed", "max_iterations", "rod-damping_failed", "rod-max_iterations"])
 def test_a_finished_solve_keeps_no_nodal_data(problem, cfg, terminated, message):
-    # the stage outlives the solve, so its problem drops the arrays of its
-    # last state; a failure's diagnosis reads them before that
+    # the stage outlives the solve, so the solve leaves nothing of its states'
+    # evaluations on its problem; a failure's diagnosis reads one before that
+    before = dict(vars(problem))
     _, stage = damped_newton(problem, problem.initial_state(), cfg)
     assert stage.terminated is terminated
     assert re.fullmatch(message, stage.message), stage.message
-    assert stage.problem._last_covectors == (None, None)
+    assert stage.problem is problem and vars(problem) == before
+
+
+@pytest.mark.parametrize("problem", [GeodesicForceProblem(Grid(1.0, 20)), RodProblem(Grid(1.0, 25))],
+                         ids=["geodesic", "rod-damped"])
+def test_an_iterate_drops_its_evaluation_before_its_trials(monkeypatch, problem):
+    # an evaluation is dropped once its residual and Jacobian are assembled:
+    # by the iterate's first trial, and by the end of the solve.  The rod
+    # solve rejects trials, so an iterate may have several
+    evaluations = []  # (state, weak references to the arrays of its evaluation)
+    evaluate, retract = problem.evaluate, problem.retract
+
+    def watched_evaluate(state):
+        at = evaluate(state)
+        evaluations.append((state, [weakref.ref(a) for a in at if isinstance(a, np.ndarray)]))
+        return at
+
+    def watched_retract(state, xi, alpha):
+        refs = [ref for evaluated, refs in evaluations if evaluated is state for ref in refs]
+        assert refs and all(ref() is None for ref in refs)
+        return retract(state, xi, alpha)
+
+    monkeypatch.setattr(problem, "evaluate", watched_evaluate)
+    monkeypatch.setattr(problem, "retract", watched_retract)
+    _, stage = damped_newton(problem, problem.initial_state())
+    assert stage.terminated is Termination.CONVERGED
+    trials = sum(it.inner_trials for it in stage.iterations)
+    if isinstance(problem, RodProblem):
+        assert trials > sum(1 for it in stage.iterations if it.inner_trials)
+    assert len(evaluations) == 1 + trials
+    assert all(ref() is None for _, refs in evaluations for ref in refs)
 
 
 def test_driver_undamped_mode_pins_alpha(monkeypatch):
@@ -528,7 +572,7 @@ def test_driver_undamped_mode_pins_alpha(monkeypatch):
     # estimate holds: the Newton step at the final state is within tol
     assert trace.iterations[-1].thetas == () and trace.iterations[-1].norm_dx <= cfg.tol
     assert len(matrices) == len(trace.iterations) - 1
-    _, dx = problem.assemble_jacobian(x).factorize(-problem.assemble_residual(x))
+    _, dx = jacobian_at(problem, x).factorize(-residual_at(problem, x))
     assert problem.norm_inf(dx) <= cfg.tol
 
 
@@ -548,8 +592,9 @@ def _builtin_problem_states(seed=5):
 
 def test_transport_consistency_at_coincident_states():
     for problem, state in _builtin_problem_states():
-        b = problem.assemble_residual(state)
-        bt = problem.assemble_residual(state, state)
+        at = problem.evaluate(state)
+        b = problem.assemble_residual(at)
+        bt = problem.assemble_residual(at, state)
         assert np.abs(b - bt).max() <= 1e-12 * (1.0 + np.abs(b).max())
 
 
@@ -558,13 +603,14 @@ def test_newton_path_theta_decays_with_alpha():
     grid = Grid(1.0, 12)
     problem = GeodesicForceProblem(grid)
     state = problem.initial_state()
-    b = problem.assemble_residual(state)
-    fact, dx = problem.assemble_jacobian(state).factorize(-b)
+    at = problem.evaluate(state)
+    b = problem.assemble_residual(at)
+    fact, dx = problem.assemble_jacobian(at).factorize(-b)
     thetas = []
     for alpha in (0.5, 0.05, 0.005):
         x_plus = problem.retract(state, dx, alpha)
         # the simplified Newton step of the driver, and its contraction ratio
-        dx_bar = fact.solve((1.0 - alpha) * b - problem.assemble_residual(state, x_plus))
+        dx_bar = fact.solve((1.0 - alpha) * b - residual_at(problem, x_plus, state))
         thetas.append(problem.norm_inf(dx_bar) / problem.norm_inf(alpha * dx))
     assert thetas[1] < thetas[0] and thetas[2] < thetas[1]
     assert thetas[2] < 0.01
@@ -577,8 +623,8 @@ def test_root_certificate_on_builtin_problems():
         x0 = problem.initial_state()
         final, trace = damped_newton(problem, x0, NewtonConfig())
         assert trace.terminated is Termination.CONVERGED
-        r0 = np.abs(problem.assemble_residual(x0)).max()
-        r_final = np.abs(problem.assemble_residual(final)).max()
+        r0 = np.abs(residual_at(problem, x0)).max()
+        r_final = np.abs(residual_at(problem, final)).max()
         assert r_final <= 1e-8 * (1.0 + r0)
 
 
@@ -605,11 +651,14 @@ class ScaledProblem(ProblemInterface):
         self.scale = scale
         self.retract_log = []
 
-    def assemble_residual(self, state, trial=None):
-        return self.scale * self.inner.assemble_residual(state, trial)
+    def evaluate(self, state):
+        return self.inner.evaluate(state)
 
-    def assemble_jacobian(self, state):
-        A = self.inner.assemble_jacobian(state)
+    def assemble_residual(self, at, frames=None):
+        return self.scale * self.inner.assemble_residual(at, frames)
+
+    def assemble_jacobian(self, at):
+        A = self.inner.assemble_jacobian(at)
         return banded_from_dense(self.scale * to_dense(A), A.lower_bw, A.upper_bw)
 
     def retract(self, state, xi, alpha):
