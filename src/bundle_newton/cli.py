@@ -16,7 +16,8 @@ writes four artifacts into the output directory:
 
 Every number in them is the text of ``"%.17g" % v``; an ``iterates.csv`` or
 ``curve.csv`` table of ``CSV_VECTOR_MIN_VALUES`` values or more is written
-by a numpy kernel with the same bytes (:func:`_write_csv`).
+by a numpy kernel with the same bytes, ``CSV_CHUNK_VALUES`` values a pass
+(:func:`_write_csv`).
 
 Every problem is solved by nested iteration on the grid ladder ``n //
 10**k``, coarsest first, for every ``k`` that leaves at least 10 interior
@@ -181,18 +182,32 @@ def parse_config_file(path) -> dict:
 
 
 # A table of fewer values is one C-level ``%`` format of all its values, a
-# larger one the numpy writer, whose tables take about 1.2 ms to build once per
-# process.  _write_csv, timeit minimum, 2-CPU host: 300 values 235 against
-# 225 us, 400 245/280, 600 280/460, 1000 310/580; so the obstacle's 408-value
-# curve.csv stays where one run would not win back the build.
+# larger one the numpy writer, whose tables take about 1.1 ms to build once per
+# process.  _write_csv once they exist, timeit minimum, 2-CPU host, numpy
+# against ``%``: 200 values 185/150 us, 300 185/187, 400 196/228, 600
+# 235/313, 1000 265/480; so the obstacle's 408-value curve.csv stays where one
+# run would not win back the build.
 CSV_VECTOR_MIN_VALUES = 500
-# values per numpy pass, in whole rows.  A pass holds about 290 bytes a value,
-# so the writer's peak stays near the ``%`` format's on rod n = 1000's curve.csv
-# (10020 values) and a quarter of it on geodesic n = 10000's (40008).  Timeit
-# minimum, 2-CPU host, at 1024/2048/4096/8192 values: geodesic 6.8/5.5/5.1/5.2
-# ms, rod 2.1/1.6/1.7/2.4 ms, tracemalloc peak 0.29/0.57/1.13/2.26 MiB; the
-# ``%`` format takes 16.3 ms and 2.32 MiB on geodesic, 3.1 ms and 0.54 on rod.
-CSV_CHUNK_VALUES = 2048
+# values per numpy pass, in whole rows.  :func:`_g17_text` over geodesic n =
+# 10000's curve.csv (40008 values) and rod n = 1000's (10020), timeit minimum,
+# 2-CPU host, and its tracemalloc peak:
+#
+#   values a pass   1024   2048   4096   8192  16384
+#   geodesic ms      5.3    4.0    3.4    3.2    3.2
+#   rod ms           1.6    1.3    1.1    1.1    1.0
+#   peak MiB        0.17   0.34   0.61   1.14   2.22
+#
+# Each cut at 8192 values, geodesic ms / peak MiB:
+#
+#   2048 values a pass, uint32 digit groups                 5.1 / 0.58
+#   8192 values a pass, every index np.intp                 3.7 / 2.57
+#   kept digits from per-group tables, no np.where          3.4 / 2.48
+#   shifted digits read through a view, not copied          3.3 / 2.23
+#   the float and layout temporaries freed per function     3.2 / 1.14
+#
+# _write_csv takes 4.0 ms on geodesic and 1.4 on rod; the ``%`` format 16.9 ms
+# and 2.32 MiB, and 3.3 ms and 0.54 MiB.
+CSV_CHUNK_VALUES = 8192
 
 # A value's text is laid out in a 32-byte slot and NUL marks a byte not
 # written: the sign in column 1, the "0." and zeros of 0.000ddd in columns 2-6,
@@ -205,18 +220,23 @@ _SLOT = 32
 def _g17_tables() -> tuple:
     """The tables of :func:`_g17_text`: ``10**k`` for ``k <= 22`` (exact
     doubles) with their Veltkamp halves, the four ASCII digits of 0..9999 as
-    one ``uint32`` each, their lengths without trailing zeros, and per class
-    (the sign, the decimal exponent -6..15, the digits kept 1..17; row
-    ``((negative * 22) + exponent + 6) * 17 + kept - 1``) the slot's kept
-    unshifted and shifted digit columns (``0xff`` bytes) and its constant
-    characters."""
+    one ``uint32`` each, per group ``j = 0..3`` behind the lead digit the
+    digits kept up to the group's last nonzero digit (``4 j + 1`` plus its
+    length without trailing zeros, 1 for ``0000``), and per class (the sign,
+    the decimal exponent -6..15, the digits kept 1..17; row ``((negative *
+    22) + exponent + 6) * 17 + kept - 1``) the slot's kept unshifted and
+    shifted digit columns (``0xff`` bytes) and its constant characters.  A
+    class in fixed notation keeps at least the ``exponent + 1`` digits before
+    its point."""
     pow10 = np.array([float(10**k) for k in range(23)])
     group = np.arange(10000, dtype=np.uint16)
     digits = (group[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8)
     length = 4 - sum(group % 10**k == 0 for k in range(1, 5)).astype(np.uint8)
+    kept = np.where(length, 4 * np.arange(4, dtype=np.uint8)[:, None] + 1 + length, 1)
     # int8 grids and uint8 characters keep the class tables' temporaries small
     sign, e, keep, col = np.ix_(*(np.arange(lo, hi, dtype=np.int8)
                                   for lo, hi in ((0, 2), (-6, 16), (1, 18), (0, _SLOT))))
+    keep = np.maximum(keep, e + 1)
     fixed, sci = (e >= -4) & (e < 0), e < -4
     point = np.where(sci, 0, np.where(fixed, 16, e))  # the digit the point follows
     dot = keep > point + 1
@@ -232,7 +252,7 @@ def _g17_tables() -> tuple:
     def slots(table):
         return np.broadcast_to(table, const.shape).astype(np.uint8).reshape(-1, _SLOT)
 
-    return (pow10, *_split(pow10), (digits + ord("0")).view(np.uint32).ravel(), length,
+    return (pow10, *_split(pow10), (digits + ord("0")).view(np.uint32).ravel(), kept,
             *(slots(t).view(np.uint64) for t in (np.uint8(255) * low, np.uint8(255) * high, const)))
 
 
@@ -243,27 +263,19 @@ def _split(a):
     return hi, a - hi
 
 
-def _g17_text(rows) -> bytes:
-    """The CSV text of the 2-D float array ``rows``, byte for byte that of
-    ``"%.17g" % v`` for each value.
+def _g17_decimal(a):
+    """The decimal exponent ``e`` of each ``1e-6 < a < 1e16`` and its 17
+    digits as the integer ``D = a 10**(16 - e)``, rounded half to even, both
+    ``np.intp`` (numpy casts any other index array on every lookup).
 
-    A value ``1e-6 < |x| < 1e16`` takes the numpy path: with ``e`` the floor
-    of ``log10 |x|``, the product ``|x| 10**(16 - e)``, exact as ``hi + lo``
-    (Dekker's two-product), rounds to the 17 digits ``D = hi + rint(lo)``
-    (``hi >= 2**53`` is an even integer, so ties go to even).  ``log10``
-    can miss by one, so ``e`` moves until ``1e16 <= hi + lo < 1e17``; no
+    The product ``a 10**(16 - e)``, exact as ``hi + lo`` (Dekker's
+    two-product), rounds to ``D = hi + rint(lo)`` (``hi >= 2**53`` is an even
+    integer, so ties go to even).  ``e`` starts as the floor of ``log10 a``,
+    which can miss by one, and moves until ``1e16 <= hi + lo < 1e17``; no
     double in the range lies within half a unit of the 17th digit below a
-    power of ten, so ``D`` never carries to ``10**17``.  ``D`` is written
-    by 4-digit groups into the value's slot (see ``_SLOT``), its trailing
-    zeros dropped, in fixed notation for ``-4 <= e < 17``, else as
-    ``d.ddde-0X``.  ``±0`` is ``0`` or ``-0``; any other value (NaN, ±inf,
-    ``|x| <= 1e-6`` or ``>= 1e16``) is its own ``b"%.17g" % v``."""
-    pow10, pow10_hi, pow10_lo, groups, length, low, high, const = _g17_tables()
-    x = rows.ravel()
-    a = np.abs(x)
-    main = (a > 1e-6) & (a < 1e16)
-    a[~main] = 1.0
-    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -6, 15)
+    power of ten, so ``D`` never carries to ``10**17``."""
+    pow10, pow10_hi, pow10_lo = _g17_tables()[:3]
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -6, 15)
     a_hi, a_lo = _split(a)
     while True:
         k = 16 - e
@@ -273,36 +285,57 @@ def _g17_text(rows) -> bytes:
         up = (hi > 1e17) | (hi == 1e17) & (lo >= 0)
         down = (hi < 1e16) | (hi == 1e16) & (lo < 0)
         if not (up.any() or down.any()):
-            break
+            return e, hi.astype(np.intp) + np.rint(lo).astype(np.intp)
         e += up
         e -= down
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    top = d // 10**8
-    bottom = (d - top * 10**8).astype(np.uint32)
-    top = top.astype(np.uint32)
-    lead = top // 10**8
-    q = top - lead * 10**8
-    upper, lower = q // 10**4, bottom // 10**4
-    g = [upper, q - upper * 10**4, lower, bottom - lower * 10**4]  # the 4-digit groups
-    # the digits up to the last nonzero one, and in fixed notation all before the point
-    lens = [length[gk] for gk in g]
-    kept = np.where(lens[3], 13 + lens[3],
-                    np.where(lens[2], 9 + lens[2], np.where(lens[1], 5 + lens[1], 1 + lens[0])))
-    kept = np.where(e < 0, kept, np.maximum(kept, e + 1))
-    cls = ((x < 0) * 22 + e + 6) * 17 + kept - 1
 
-    placed = np.zeros((x.size, _SLOT // 8), np.uint64)
-    placed32 = placed.view(np.uint32)
+
+def _g17_slots(e, d, negative):
+    """The ``(n, 4)`` ``uint64`` slots (see ``_SLOT``) of the values ``D
+    10**(e - 16)`` of :func:`_g17_decimal`, negative where ``negative``: their
+    digits written by 4-digit groups behind the lead digit, trailing zeros
+    dropped, in fixed notation for ``-4 <= e < 17``, else as ``d.ddde-0X``."""
+    _, _, _, groups, kept, low, high, const = _g17_tables()
+    lead = d // 10**16
+    d = d - lead * 10**16
+    g = []
+    for power in (10**12, 10**8, 10**4):
+        g.append(d // power)
+        d = d - g[-1] * power
+    g.append(d)
+    cls = (negative * 22 + e + 6) * 17 - 1
+    cls += functools.reduce(np.maximum, (kept[j][gj] for j, gj in enumerate(g)))
+
+    # the digits in place, and through a view one byte back one column on, for
+    # those behind a point; no mask keeps a byte that is not written here
+    buffer = np.empty(len(e) * _SLOT + 8, np.uint8)
+    placed = buffer[8:].view(np.uint64).reshape(-1, _SLOT // 8)
     for column, group in enumerate(g, start=2):
-        placed32[:, column] = groups[group]
+        placed.view(np.uint32)[:, column] = groups[group]
     placed.view(np.uint8)[:, 7] = lead + ord("0")
-    shifted = np.zeros_like(placed)  # every digit one column on, for those behind a point
-    shifted.view(np.uint8).ravel()[1:] = placed.view(np.uint8).ravel()[:-1]
+    del g, lead  # unused below, where a pass peaks
     out = np.take(const, cls, axis=0)
-    out |= placed & np.take(low, cls, axis=0)
-    out |= shifted & np.take(high, cls, axis=0)
+    kept_digits = np.empty_like(out)
+    for mask, digits in ((low, placed), (high, buffer[7:-1].view(np.uint64).reshape(placed.shape))):
+        np.take(mask, cls, axis=0, out=kept_digits, mode="clip")  # in range: const took cls
+        kept_digits &= digits
+        out |= kept_digits
+    return out
 
-    slots = out.view(np.uint8)
+
+def _g17_text(rows) -> bytes:
+    """The CSV text of the 2-D float array ``rows``, byte for byte that of
+    ``"%.17g" % v`` for each value.
+
+    A value ``1e-6 < |x| < 1e16`` takes the numpy path: its 17 digits are
+    :func:`_g17_decimal`'s and :func:`_g17_slots` lays them out.  ``±0`` is
+    ``0`` or ``-0``; any other value (NaN, ±inf, ``|x| <= 1e-6`` or ``>=
+    1e16``) is its own ``b"%.17g" % v``."""
+    x = rows.ravel()
+    a = np.abs(x)
+    main = (a > 1e-6) & (a < 1e16)
+    a[~main] = 1.0
+    slots = _g17_slots(*_g17_decimal(a), x < 0).view(np.uint8)
     if not main.all():
         zero = x == 0
         slots[zero] = 0

@@ -366,7 +366,8 @@ def sphere_field_blocks(y, V, g, h: float, nodal=None):
     """
     VT = np.swapaxes(V, -1, -2)
     scalar = 2 / h - dot(g, y)[:, 0]
-    diag = scalar[:, None, None] * np.eye(2)
+    diag = np.zeros((len(scalar), 2, 2))
+    diag[:, 0, 0] = diag[:, 1, 1] = scalar
     if nodal is not None:
         diag += nodal
     upper = -(1 / h) * (VT[:-1] @ V[1:])

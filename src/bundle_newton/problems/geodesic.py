@@ -38,11 +38,6 @@ def _prefactor(y, scale: float):
     return scale * y[..., 2] / rho2, rho2
 
 
-def _azimuthal(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    return np.stack((-y[..., 1], y[..., 0], np.zeros_like(y[..., 0])), axis=-1)
-
-
 def winding_force(y, scale: float = 3.0) -> np.ndarray:
     """Coefficients of the winding force covector at each point ``y``.
 
@@ -50,7 +45,9 @@ def winding_force(y, scale: float = 3.0) -> np.ndarray:
     ``(-y2, y1, 0)``; annihilates the radial direction by construction.
     """
     prefactor, _ = _prefactor(y, scale)
-    return prefactor[..., None] * _azimuthal(y)
+    y = np.asarray(y, dtype=float)
+    # one product per component, stacked once: faster than the (..., 3) product
+    return np.stack((prefactor * -y[..., 1], prefactor * y[..., 0], prefactor * 0.0), axis=-1)
 
 
 def winding_force_blocks(y, V, scale: float, h: float) -> np.ndarray:

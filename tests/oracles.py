@@ -2,9 +2,11 @@
 
 The tests check the package's sphere-field assembly and the acceptance
 criterion on the constrained Hessian against these general formulas, and
-the winding force's frame blocks against its Euclidean Jacobian.  They
-stay independent of the code they check: nothing here imports
-``bundle_newton`` (``test_geometry.py`` guards this).
+the winding force's frame blocks against its Euclidean Jacobian.  Two
+plain numpy forms, :func:`sphere_field_blocks` and :func:`winding_force`,
+pin the bytes of the package's faster ones.  They stay independent of the
+code they check: nothing here imports ``bundle_newton`` (``test_geometry.py``
+guards this).
 """
 
 import numpy as np
@@ -112,3 +114,26 @@ def winding_force_jacobian(y, scale: float = 3.0) -> np.ndarray:
     d_azimuthal = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     outer = azimuthal[..., :, None] * grad_prefactor[..., None, :]
     return outer + prefactor[..., None, None] * d_azimuthal
+
+
+def sphere_field_blocks(y, V, g, h: float, nodal=None):
+    """The ``(n, 2, 2)`` diagonal and ``(n - 1, 2, 2)`` upper blocks of a P1
+    unit-vector field, the diagonal ones as ``scalar * I`` with ``scalar = 2 /
+    h - <g, y>``: their off-diagonal zeros carry the sign of ``scalar``."""
+    VT = np.swapaxes(V, -1, -2)
+    scalar = 2 / h - np.einsum("...i,...i->...", g, y)
+    diag = scalar[:, None, None] * np.eye(2)
+    if nodal is not None:
+        diag += nodal
+    return diag, -(1 / h) * (VT[:-1] @ V[1:])
+
+
+def winding_force(y, scale: float = 3.0) -> np.ndarray:
+    """The winding force coefficients ``scale * y3 / (y1^2 + y2^2) * (-y2,
+    y1, 0)``, as one product of the prefactor and the stacked ``(..., 3)``
+    azimuthal direction."""
+    y = np.asarray(y, dtype=float)
+    rho2 = y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1]
+    prefactor = scale * y[..., 2] / rho2
+    azimuthal = np.stack((-y[..., 1], y[..., 0], np.zeros_like(y[..., 0])), axis=-1)
+    return prefactor[..., None] * azimuthal

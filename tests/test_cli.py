@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,24 @@ def test_the_numpy_writer_is_exact_on_a_million_values(tmp_path):
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
         magnitude = np.abs(block)
         on_numpy_path += np.count_nonzero((magnitude > 1e-6) & (magnitude < 1e16))
+
+
+def test_the_numpy_writer_holds_one_pass_of_slots(tmp_path):
+    # a curve.csv as geodesic n = 10000 writes it: a pass of 8192 values peaks
+    # at about 1.15 MiB of traced memory (140 bytes a value), and the bound
+    # leaves 30% over that; 16384 values a pass would hold about 2.2 MiB
+    rng = np.random.default_rng(10)
+    unit = rng.standard_normal((10002, 3))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    table = np.column_stack([np.linspace(0.0, 1.0, 10002), unit])
+    _write_csv(tmp_path / "t.csv", "t,x,y,z", table[:200])  # builds the lookup tables
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "t.csv", "t,x,y,z", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak / 2**20
 
 
 def test_obstacle_meta_records_penalty(tmp_path):

@@ -39,6 +39,7 @@ from conftest import (
     skeel_condition,
     to_dense,
 )
+import oracles
 from oracles import constrained_hessian_apply, normal_multiplier
 
 
@@ -196,6 +197,28 @@ def test_sphere_field_blocks_match_constrained_hessian_oracle():
                 axis=-1,
             )
             assert np.abs(diag[p] - V.T @ oracle).max() <= 1e-12
+
+
+def test_sphere_field_band_bytes_match_the_scaled_identity_blocks():
+    # the diagonal blocks start from zeros, not scalar * I, whose off-diagonal
+    # zeros are -0.0 where scalar < 0; adding onto the zero band storage turns
+    # every -0.0 into +0.0, so the bands agree byte for byte
+    rng = np.random.default_rng(37)
+    n, h = 60, 0.1
+    y = np.array([random_unit(rng) for _ in range(n)])
+    V = tangent_basis(y)
+    g = 40.0 * rng.standard_normal((n, 3))
+    nodal = rng.standard_normal((n, 2, 2))
+    nodal[::4] = -0.0
+    nodal[1::4, 0, 1] = nodal[2::4, 1, 0] = -0.0
+    scalar = 2 / h - np.einsum("ki,ki->k", g, y)
+    assert (scalar < 0).any() and (scalar > 0).any()
+    for blocks in (None, nodal):
+        ours = sphere_field_blocks(y, V, g, h, blocks)
+        reference = oracles.sphere_field_blocks(y, V, g, h, blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, reference))
+        band = assemble_intervals(*ours)._ab
+        assert band.tobytes() == assemble_intervals(*reference)._ab.tobytes()
 
 
 # -- block tridiagonal systems in band storage --------------------------------------

@@ -17,6 +17,7 @@ from conftest import (
     residual_at,
     to_dense,
 )
+import oracles
 from oracles import winding_force_jacobian
 
 
@@ -99,6 +100,19 @@ def test_winding_force_stacked_points_match_one_node_calls():
         winding_force(y)
     with pytest.raises(PoleSingularity):
         problem.force_blocks(y, V)
+
+
+def test_winding_force_bytes_match_the_azimuthal_product():
+    # one product per component changes no rounding: the same products in the
+    # same order, and prefactor * 0.0 is -0.0 where the prefactor is negative
+    rng = np.random.default_rng(37)
+    y = np.array([random_unit(rng, z_margin=0.05) for _ in range(40)] + [[0.6, 0.8, -0.0]])
+    expected = oracles.winding_force(y)
+    assert np.signbit(expected[:, 2]).any() and not np.signbit(expected[:, 2]).all()
+    for points in (y, *y[[0, 1, -1]]):
+        force = winding_force(points)
+        assert force.shape == points.shape
+        assert force.tobytes() == oracles.winding_force(points).tobytes()
 
 
 def test_winding_force_deriv_matches_fd():
