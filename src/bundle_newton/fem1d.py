@@ -159,7 +159,7 @@ class NodalCurve:
     def retract(self, xi, alpha: float) -> "NodalCurve":
         """The curve moved by ``alpha`` times the tangent step of frame
         coefficients ``xi`` (two per interior node); the end points stay fixed."""
-        step = np.einsum("nij,nj->ni", self.basis, np.reshape(xi, (-1, 2)))
+        step = np.einsum("nij,nj->ni", self.basis, np.asarray(xi).reshape(-1, 2))
         points = self.points.copy()
         points[1:-1] = retract_sphere(self.interior, alpha * step)
         return NodalCurve(self.grid, points)
@@ -236,13 +236,12 @@ class BandedMatrix:
                 f"(bandwidths {self.lower_bw}/{self.upper_bw})"
             )
         ab = self._band()
-        entries = blocks.transpose(1, 2, 0)  # entries[a, b]: entry (a, b) of every block
         mid = self.lower_bw + self.upper_bw + row0 - col0  # storage row of entry (0, 0)
         stop = col0 + span + 1
         for a in range(p - 1, -1, -1):
             for b in range(q):
                 band = ab[mid + a - b, col0 + b : stop + b : stride]
-                band += entries[a, b]
+                band += blocks[:, a, b]  # entry (a, b) of every block
 
     def factorize(self, rhs) -> tuple["BandedFactorization", np.ndarray]:
         """The banded LU of the matrix, computed in its storage, and the
@@ -349,7 +348,8 @@ def p1_covectors(u, h: float, load) -> np.ndarray:
     ``u`` holds all ``n + 2`` nodal values, ``load`` the interior ones of the
     load (trapezoidal rule).
     """
-    flux = np.diff(np.asarray(u, dtype=float), axis=0) / h
+    u = np.asarray(u, dtype=float)
+    flux = (u[1:] - u[:-1]) / h  # np.diff's subtraction, without its wrapper
     return flux[:-1] - flux[1:] + h * np.asarray(load, dtype=float)
 
 
@@ -364,7 +364,7 @@ def sphere_field_blocks(y, V, g, h: float, nodal=None):
     Weingarten term ``-<g, y> I``.  Returns the ``(n, 2, 2)`` diagonal and
     ``(n - 1, 2, 2)`` upper blocks; the lower blocks are their transposes.
     """
-    VT = np.swapaxes(V, -1, -2)
+    VT = V.swapaxes(-1, -2)
     scalar = 2 / h - dot(g, y)[:, 0]
     diag = np.zeros((len(scalar), 2, 2))
     diag[:, 0, 0] = diag[:, 1, 1] = scalar
@@ -380,7 +380,7 @@ def assemble_intervals_vector(V, g, y=None) -> np.ndarray:
     ``V`` holds ``(n, d, m)`` test frames.  Given trial points ``y``, the frame
     columns are first projected onto the tangent planes at ``y`` (vector transport).
     """
-    contract = np.swapaxes(V, -1, -2)
+    contract = V.swapaxes(-1, -2)
     if y is not None:
         contract = tangent_project(y[:, None], contract)
     return np.einsum("kmd,kd->km", contract, g).ravel()

@@ -109,11 +109,13 @@ def tangent_basis(y) -> np.ndarray:
     s = np.copysign(1.0, y3)
     a = -1.0 / (s + y3)
     b = y1 * y2 * a
+    sy1 = s * y1  # -s y1 is -(s y1) bit for bit
     V = np.empty(y.shape + (2,))
-    V[..., 0, 0] = 1.0 + s * y1 * y1 * a
-    V[..., 1, 0] = s * b
-    V[..., 2, 0] = -s * y1
+    # each entry computed into its place, in the order of the formulas above
+    np.add(1.0, sy1 * y1 * a, out=V[..., 0, 0])
+    np.multiply(s, b, out=V[..., 1, 0])
+    np.negative(sy1, out=V[..., 2, 0])
     V[..., 0, 1] = b
-    V[..., 1, 1] = s + y2 * y2 * a
-    V[..., 2, 1] = -y2
+    np.add(s, y2 * y2 * a, out=V[..., 1, 1])
+    np.negative(y2, out=V[..., 2, 1])
     return V

@@ -237,9 +237,12 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     and the accepted trial's serves the next iteration.  A trial step of
     damping ``alpha`` is accepted when the contraction estimate ``theta``
     stays below ``cfg.theta_acc``; ``alpha`` is adapted towards
-    ``THETA_DES``.  No cap counts the trials: each rejected one shrinks
-    ``alpha`` by a factor of at most ``max(1/2, THETA_DES / theta_acc)``,
-    until ``alpha < ALPHA_FAIL``.
+    ``THETA_DES``.  ``theta`` is the norm of the simplified Newton step
+    divided by that of the trial step ``alpha * dx``; a full-step trial
+    divides by ``norm_dx``, the norm of the Newton step itself, since
+    ``1.0 * dx`` is ``dx`` bit for bit.  No cap counts the trials: each
+    rejected one shrinks ``alpha`` by a factor of at most ``max(1/2,
+    THETA_DES / theta_acc)``, until ``alpha < ALPHA_FAIL``.
 
     Returns ``(state, stage)``, with ``stage.state`` the same state.  The
     solve converges at the accepted trial point of a full step with ``theta <=
@@ -295,7 +298,8 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
             else:
                 # simplified Newton step: its right-hand side vanishes along the exact Newton path
                 norm_dx_bar = problem.norm_inf(fact.solve((1.0 - alpha) * b - r_bar))
-                theta = norm_dx_bar / problem.norm_inf(alpha * dx)
+                # a full step is dx itself, bit for bit, so its norm is norm_dx
+                theta = norm_dx_bar / (norm_dx if alpha == 1.0 else problem.norm_inf(alpha * dx))
             thetas.append(theta)
             alpha_used = alpha
             if not pin_alpha:

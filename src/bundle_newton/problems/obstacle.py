@@ -49,7 +49,7 @@ def penalty_activation(x):
 
 def penalty_activation_slope(x):
     """Newton-derivative of ``max(0, x)`` elementwise; the kink value is fixed to 0."""
-    return np.where(x > 0.0, 1.0, 0.0)
+    return np.greater(x, 0.0).astype(float)
 
 
 class ObstacleProblem(SphereCurveProblem):
@@ -101,9 +101,10 @@ class ObstacleProblem(SphereCurveProblem):
 
     def force_blocks(self, y, V) -> np.ndarray:
         # V^T (h p slope e3 e3^T) V bit for bit: (w_i m) w_j, with the frames'
-        # third rows w and m = h (p slope), rounded in that order
+        # third rows w and m = h (p slope), which is slope (h p) bit for bit
+        # as slope is 0 or 1
         w = V[:, 2, :]
-        m = self.grid.h * (self.p * penalty_activation_slope(self.gap(y)))
+        m = penalty_activation_slope(self.gap(y)) * (self.grid.h * self.p)
         return (w * m[:, None])[:, :, None] * w[:, None, :]
 
     def solve(self, cfg: NewtonConfig, start) -> Continuation:

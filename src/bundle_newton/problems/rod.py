@@ -91,8 +91,8 @@ class RodState:
 
     def constraint_residuals(self) -> np.ndarray:
         """Per-interval values of ``(y_{i+1} - y_i)/h - (v_i + v_{i+1})/2``."""
-        v = self.v.points
-        return np.diff(self.y, axis=0) / self.grid.h - 0.5 * (v[:-1] + v[1:])
+        y, v = self.y, self.v.points
+        return (y[1:] - y[:-1]) / self.grid.h - 0.5 * (v[:-1] + v[1:])
 
 
 def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
@@ -239,14 +239,16 @@ class RodProblem(ProblemInterface):
 
     def norm_inf(self, xi) -> float:
         # largest nodal length of y, v or lam; squares summed in np.linalg.norm's
-        # order, one row per dof kind, with the leading multiplier group in a
-        # last column (y and v have none there, and a zero never wins the max)
-        sq = np.square(np.asarray(xi, dtype=float))
-        g = sq[3:].reshape(self.grid.n_interior, 8).T
-        lengths2 = np.empty((3, self.grid.n_interior + 1))
-        y, v, lam = lengths2[:, :-1]
+        # order into one buffer, the nodes' y, v and lam lengths and last the
+        # leading multiplier group's, summed as Python floats
+        n = self.grid.n_interior
+        sq = np.square(xi)
+        g = sq[3:].reshape(n, 8).T
+        lengths2 = np.empty(3 * n + 1)
+        y, v, lam = lengths2[:n], lengths2[n : 2 * n], lengths2[2 * n : 3 * n]
         np.add(np.add(g[0], g[1], out=y), g[2], out=y)
         np.add(g[3], g[4], out=v)
         np.add(np.add(g[5], g[6], out=lam), g[7], out=lam)
-        lengths2[:, -1] = 0.0, 0.0, sq[0] + sq[1] + sq[2]
+        a, b, c = sq[:3].tolist()
+        lengths2[-1] = a + b + c
         return math.sqrt(lengths2.max())

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: random points, states, FD oracles, and
-the reference scatter and dense view of band matrices."""
+the reference scatter and dense view of band matrices; and the
+``--frame-seeds`` option of acceptance criterion 11."""
 
 import copy
 import subprocess
@@ -7,10 +8,42 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bundle_newton
 from bundle_newton import Grid, NodalCurve
 from bundle_newton.problems import RodState
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--frame-seeds", default="11", metavar="SEEDS",
+        help="rotation seeds of the per-node frames in acceptance criterion 11: "
+             "seeds and ranges, comma separated, such as 0-39 (default: 11)",
+    )
+
+
+def _frame_seeds(config) -> list:
+    """The seeds of ``--frame-seeds``, ranges expanded, in order."""
+    seeds = []
+    for part in config.getoption("--frame-seeds").split(","):
+        first, _, last = part.partition("-")
+        seeds += range(int(first), int(last or first) + 1)
+    return seeds
+
+
+def pytest_generate_tests(metafunc):
+    # several seeds run one test per seed; one seed keeps the plain test ids
+    if "frame_seed" in metafunc.fixturenames:
+        seeds = _frame_seeds(metafunc.config)
+        if len(seeds) > 1:
+            metafunc.parametrize("frame_seed", seeds, ids=[f"seed{seed}" for seed in seeds])
+
+
+@pytest.fixture
+def frame_seed(request) -> int:
+    """The rotation seed of criterion 11's frames, when ``--frame-seeds`` names one."""
+    return _frame_seeds(request.config)[0]
 
 
 def run_isolated_python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -2,9 +2,9 @@
 
 The tests check the package's sphere-field assembly and the acceptance
 criterion on the constrained Hessian against these general formulas, and
-the winding force's frame blocks against its Euclidean Jacobian.  Two
-plain numpy forms, :func:`sphere_field_blocks` and :func:`winding_force`,
-pin the bytes of the package's faster ones.  They stay independent of the
+the winding force's frame blocks against its Euclidean Jacobian.  Plain
+numpy forms, from :func:`sphere_field_blocks` on, pin the bytes of the
+package's faster ones.  They stay independent of the
 code they check: nothing here imports ``bundle_newton`` (``test_geometry.py``
 guards this).
 """
@@ -137,3 +137,40 @@ def winding_force(y, scale: float = 3.0) -> np.ndarray:
     prefactor = scale * y[..., 2] / rho2
     azimuthal = np.stack((-y[..., 1], y[..., 0], np.zeros_like(y[..., 0])), axis=-1)
     return prefactor[..., None] * azimuthal
+
+
+def p1_covectors(u, h: float, load) -> np.ndarray:
+    """The P1 covectors ``flux[:-1] - flux[1:] + h load`` with the fluxes
+    taken by ``np.diff``."""
+    flux = np.diff(np.asarray(u, dtype=float), axis=0) / h
+    return flux[:-1] - flux[1:] + h * np.asarray(load, dtype=float)
+
+
+def constraint_residuals(y, v, h: float) -> np.ndarray:
+    """The rod's per-interval ``(y_{i+1} - y_i) / h - (v_i + v_{i+1}) / 2``,
+    with the differences taken by ``np.diff``."""
+    return np.diff(y, axis=0) / h - 0.5 * (v[:-1] + v[1:])
+
+
+def tangent_basis(y) -> np.ndarray:
+    """The closed-form frames of Duff et al. (JCGT 6(1), 2017), every entry
+    assigned from its formula as written: ``v1 = (1 + s a y1^2, s a y1 y2,
+    -s y1)``, ``v2 = (a y1 y2, s + a y2^2, -y2)``."""
+    y = np.asarray(y, dtype=float)
+    y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
+    s = np.copysign(1.0, y3)
+    a = -1.0 / (s + y3)
+    b = y1 * y2 * a
+    V = np.empty(y.shape + (2,))
+    V[..., 0, 0] = 1.0 + s * y1 * y1 * a
+    V[..., 1, 0] = s * b
+    V[..., 2, 0] = -s * y1
+    V[..., 0, 1] = b
+    V[..., 1, 1] = s + y2 * y2 * a
+    V[..., 2, 1] = -y2
+    return V
+
+
+def penalty_activation_slope(x):
+    """``1.0`` where ``x > 0``, else ``0.0``, selected by ``np.where``."""
+    return np.where(x > 0.0, 1.0, 0.0)

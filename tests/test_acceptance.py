@@ -479,13 +479,14 @@ def _close(a, b, rel):
      ObstacleProblem(Grid(1.0, 20), h_ref=0.1)],
     ids=["geodesic-n50", "rod-n20", "obstacle-path-n20"],
 )
-def test_criterion_11_tangent_basis_independence(problem, monkeypatch):
+def test_criterion_11_tangent_basis_independence(problem, frame_seed, monkeypatch):
     # compose every node's frame with its own seeded rotation or reflection:
-    # the coefficients change, the iterates and their norms must not
+    # the coefficients change, the iterates and their norms must not.  The
+    # seed is 11; pytest --frame-seeds 0-39 runs the comparison at 40 seeds
     frames = fem1d.tangent_basis
 
     def turned(y):
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(frame_seed)
         phi = rng.uniform(0.0, 2.0 * np.pi, len(y))
         flip = rng.choice([-1.0, 1.0], len(y))
         c, s = np.cos(phi), np.sin(phi)

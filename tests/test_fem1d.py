@@ -121,6 +121,26 @@ def trapezoid_load(f, h):
     return assemble_intervals_vector(np.ones((len(g), 1, 1)), g)
 
 
+def test_p1_covectors_bytes_match_the_np_diff_form():
+    # the fluxes are u[1:] - u[:-1], np.diff's subtraction without its
+    # wrapper: signed zeros, infinities and NaNs come out byte for byte
+    rng = np.random.default_rng(38)
+    u = rng.standard_normal((12, 3))
+    u[::3] = -0.0
+    u[1] = 0.0  # +0.0 between -0.0 rows: differences of either sign of zero
+    u[5] = u[4]  # equal rows: zero differences of nonzero values
+    u[7, 0], u[8, 1], u[10, 2], u[11, 1] = np.inf, -np.inf, np.nan, np.inf
+    load = rng.standard_normal((10, 3))
+    load[::4] = -0.0
+    load[5, 2] = np.inf
+    for h in (0.1, 1.0 / 3.0):
+        for field, force in ((u, load), (u, 0.0), (u[:, :1], load[:, :1]), (-u, -load)):
+            ours = p1_covectors(field, h, force)
+            reference = oracles.p1_covectors(field, h, force)
+            assert ours.shape == reference.shape
+            assert ours.tobytes() == reference.tobytes()
+
+
 def test_fd_slope_constant():
     a = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(stiffness_residual([a, a, a], 0.3), np.zeros(3))

@@ -15,6 +15,7 @@ from bundle_newton import (
 )
 from bundle_newton.geometry import normalized
 from conftest import random_tangent, random_unit
+import oracles
 from oracles import (
     SingularConstraint,
     constrained_hessian_apply,
@@ -213,6 +214,16 @@ def test_closed_form_frames_at_edge_points():
     assert np.array_equal(tangent_basis(-E3), [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
     for k in range(len(y)):
         assert np.array_equal(V[k], tangent_basis(y[k])), y[k]
+
+
+def test_closed_form_frame_bytes_match_the_formulas_as_written():
+    # each entry is computed into its place, -s y1 as -(s y1): the bytes are
+    # those of the formulas assigned entry by entry, signed zeros included
+    rng = np.random.default_rng(38)
+    y = rng.standard_normal((200, 3))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    for points in (_edge_points(), y, y[0], -y[:7], E3, -E3):
+        assert tangent_basis(points).tobytes() == oracles.tangent_basis(points).tobytes()
 
 
 def test_closed_form_frames_are_orthonormal_and_right_handed():

@@ -131,18 +131,42 @@ def test_norm_inf_is_bitwise_the_largest_linalg_norm_of_a_block(make):
     # 3 + 2 + 3 of y, v and lam per node, after the first interval's 3 of lam)
     problem = make(Grid(1.0, 30))
     n = problem.grid.n_interior
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        xi = rng.standard_normal(len(residual_at(problem, problem.initial_state())))
-        xi *= 10.0 ** rng.uniform(-14.0, 5.0, xi.size)
+
+    def want(xi):
         if make is RodProblem:
             groups = xi[3:].reshape(n, 8)
             blocks = [xi[None, :3], groups[:, :3], groups[:, 3:5], groups[:, 5:]]
         else:
             blocks = [xi.reshape(n, 2)]
-        want = max(np.max(np.linalg.norm(block, axis=1)) for block in blocks)
-        assert problem.norm_inf(xi) == want
+        return max(np.max(np.linalg.norm(block, axis=1)) for block in blocks)
+
+    rng = np.random.default_rng(12)
+    size = len(residual_at(problem, problem.initial_state()))
+    for _ in range(50):
+        xi = rng.standard_normal(size)
+        xi *= 10.0 ** rng.uniform(-14.0, 5.0, xi.size)
+        assert problem.norm_inf(xi) == want(xi)
+    for _ in range(200):  # the leading entries win the max, in their own order of sums
+        lead = rng.standard_normal(size)
+        lead[:3] *= 10.0 ** rng.uniform(3.0, 8.0, 3)
+        assert problem.norm_inf(lead) == want(lead)
+    # signed zeros: all of them, and in every third entry of a random vector
+    zeros = np.full(size, -0.0)
+    assert problem.norm_inf(zeros) == want(zeros) == 0.0
+    assert math.copysign(1.0, problem.norm_inf(zeros)) == 1.0
+    signed = xi.copy()
+    signed[::3] = -0.0
+    assert problem.norm_inf(signed) == want(signed)
+    # an infinite entry, of either sign, in the first, a middle and the last block
+    for k in (0, 1, 2, size // 2, size - 1):
+        for inf in (math.inf, -math.inf):
+            infinite = xi.copy()
+            infinite[k] = inf
+            assert problem.norm_inf(infinite) == want(infinite) == math.inf
     xi[-1] = np.nan  # a NaN in any block is not masked by the others
+    assert math.isnan(problem.norm_inf(xi))
+    xi[-1] = math.inf  # nor by an infinite entry
+    xi[0] = np.nan
     assert math.isnan(problem.norm_inf(xi))
 
 
@@ -614,6 +638,66 @@ def test_newton_path_theta_decays_with_alpha():
         thetas.append(problem.norm_inf(dx_bar) / problem.norm_inf(alpha * dx))
     assert thetas[1] < thetas[0] and thetas[2] < thetas[1]
     assert thetas[2] < 0.01
+
+
+class TrialRecorder:
+    """Delegates to a problem, logs every trial ``(state, xi, alpha)`` and
+    counts the calls of ``norm_inf``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.trials = []
+        self.norm_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def retract(self, state, xi, alpha):
+        self.trials.append((state, np.array(xi), alpha))
+        return self.inner.retract(state, xi, alpha)
+
+    def norm_inf(self, xi):
+        self.norm_calls += 1
+        return self.inner.norm_inf(xi)
+
+
+FULL_STEP_SOLVES = {
+    "geodesic": lambda: GeodesicForceProblem(Grid(1.0, 20)),
+    "rod": lambda: RodProblem(Grid(1.0, 10)),  # damped trials first, then full steps
+    "obstacle-stage": lambda: ObstacleProblem(Grid(1.0, 10), h_ref=0.1).replace(p=64.0),
+}
+
+
+@pytest.mark.parametrize("make", FULL_STEP_SOLVES.values(), ids=FULL_STEP_SOLVES.keys())
+def test_a_full_step_trial_divides_by_the_newton_step_norm(make, monkeypatch):
+    # the driver divides a full-step trial's simplified step by norm_dx, since
+    # 1.0 * dx is dx: every theta must still be bitwise the reference ratio
+    # |dx_bar| / |alpha dx|, and each full-step trial saves one norm_inf call
+    problem = make()
+    recorder = TrialRecorder(problem)
+    matrices = spy_factorize(monkeypatch)
+    _, stage = damped_newton(recorder, problem.initial_state(), NewtonConfig())
+    assert stage.terminated is Termination.CONVERGED
+    factorized = len(matrices)  # before the reference below factorizes more
+    thetas = [theta for it in stage.iterations for theta in it.thetas]
+    assert len(thetas) == len(recorder.trials)
+    full = sum(alpha == 1.0 for _, _, alpha in recorder.trials)
+    assert full > 0
+    for theta, (state, xi, alpha) in zip(thetas, recorder.trials):
+        at = problem.evaluate(state)
+        b = problem.assemble_residual(at)
+        fact, dx = problem.assemble_jacobian(at).factorize(-b)
+        assert dx.tobytes() == xi.tobytes()
+        x_plus = problem.retract(state, dx, alpha)
+        dx_bar = fact.solve((1.0 - alpha) * b - residual_at(problem, x_plus, state))
+        want = problem.norm_inf(dx_bar) / problem.norm_inf(alpha * dx)
+        assert theta == want and math.copysign(1.0, theta) == math.copysign(1.0, want)
+    # two norms per Newton matrix (residual and step), per trial one for the
+    # simplified step and one for alpha dx unless the step is full, and one
+    # for the trial residual of a solve that ends on the simplified step
+    ends_on_estimate = factorized == len(stage.iterations) - 1
+    assert recorder.norm_calls == (2 * factorized + 2 * len(recorder.trials) - full
+                                   + ends_on_estimate)
 
 
 def test_root_certificate_on_builtin_problems():

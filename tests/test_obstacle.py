@@ -19,6 +19,7 @@ from bundle_newton.problems import (
     penalty_activation_slope,
 )
 from bundle_newton.problems import obstacle
+import oracles
 from conftest import (
     jacobian_at,
     jacobian_fd_error,
@@ -56,6 +57,30 @@ def test_penalty_activation_product_identity(x):
 def test_penalty_slope_at_kink_is_zero():
     assert penalty_activation_slope(0.0) == 0.0
     assert penalty_activation(0.0) == 0.0
+
+
+def test_penalty_slope_bytes_match_the_where_form():
+    x = np.array([-0.0, 0.0, 1e-300, -1e-300, 2.5, -2.5, np.inf, -np.inf, np.nan])
+    for value in (x, x[::-1].reshape(3, 3), 0.0, -0.0, 1.0, np.nan):
+        ours, reference = penalty_activation_slope(value), oracles.penalty_activation_slope(value)
+        assert np.shape(ours) == np.shape(reference)
+        assert np.asarray(ours).tobytes() == np.asarray(reference).tobytes()
+
+
+def test_penalty_blocks_bytes_match_the_weight_times_slope_form():
+    # m = slope (h p) is h (p slope) bit for bit, as slope is 0 or 1
+    rng = np.random.default_rng(38)
+    grid = Grid(1.0, 40)
+    y = np.array([random_unit(rng) for _ in range(grid.n_interior)])
+    y[::5] = [0.0, np.sqrt(1.0 - 0.81), 0.9]  # at the cap of h_ref = 0.1, up to rounding
+    V = tangent_basis(y)
+    for p in (1.0, 3.0, 4.0**9, 1e300):
+        obs = ObstacleProblem(grid, h_ref=0.1).replace(p=p)
+        assert (obs.gap(y) > 0).any() and (obs.gap(y) <= 0).any()
+        w = V[:, 2, :]
+        m = grid.h * (p * oracles.penalty_activation_slope(obs.gap(y)))
+        reference = (w * m[:, None])[:, :, None] * w[:, None, :]
+        assert obs.force_blocks(y, V).tobytes() == reference.tobytes()
 
 
 # -- residual ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from bundle_newton import (
 )
 from bundle_newton.fem1d import sphere_field_blocks
 from bundle_newton.problems import RodProblem, RodState, rod, rod_initial_guess
+import oracles
 from conftest import (
     band_add,
     jacobian_at,
@@ -131,6 +132,26 @@ def test_constraint_rows_formula():
     for j in range(grid.n_intervals):
         expected = h * ((state.y[j + 1] - state.y[j]) / h - 0.5 * (v[j] + v[j + 1]))
         assert np.abs(b[lam_dofs(j)] - expected).max() < 1e-14
+
+
+def test_constraint_residuals_bytes_match_the_np_diff_form():
+    # the position differences are y[1:] - y[:-1], np.diff's subtraction
+    # without its wrapper: signed zeros, infinities and NaNs byte for byte
+    rng = np.random.default_rng(38)
+    grid = Grid(1.0, 9)
+    state = random_rod_state(grid, rng)
+    y = state.y.copy()
+    y[::3] = -0.0
+    y[1] = 0.0  # +0.0 between -0.0 rows: differences of either sign of zero
+    y[5] = y[4]  # equal rows: zero differences of nonzero values
+    y[2, 0], y[7, 1], y[8, 2] = np.inf, -np.inf, np.nan
+    v = state.v.points.copy()
+    v[3] = [-0.0, -0.0, -1.0]  # a unit direction with signed zeros
+    v[6] = [0.0, -0.0, 1.0]
+    for ys in (state.y, y):
+        probe = RodState(ys, NodalCurve(grid, v), state.lam)
+        reference = oracles.constraint_residuals(ys, v, grid.h)
+        assert probe.constraint_residuals().tobytes() == reference.tobytes()
 
 
 def test_multiplier_enters_linearly():
