@@ -31,12 +31,12 @@ changed, and the outer iterations summed over the cases that exit 0 in
 both; it exits 1 if an exit code or a digest changed, else 0.  Equal tables
 can hide cases that flip both ways; the comparison shows them, and the
 digests show a change that leaves every number of the tables as it was.
-A record written without the digest column compares on exit codes alone;
-the rows and levels are for reading, and a record without them compares as
-one with them.  When both records have the termination, factorizations and
-final penalty, the comparison also prints, for reading only, the cases whose
-termination or final penalty changed and the factorizations summed over the
-cases that exit 0 in both.
+The rows and levels are for reading.  So are the cases whose termination or
+final penalty changed and the factorizations summed over the cases that
+exit 0 in both, which the comparison prints last.  A file whose header is
+not a record's is refused: ``--compare`` names its columns and exits 2.
+To record another version of the solver, run this script with that
+version's ``src`` on ``PYTHONPATH``.
 
 Each problem draws its cases from its own ``numpy.random.default_rng(1)``,
 the values of a case in the order below, so the first cases of a stream do
@@ -158,21 +158,21 @@ def counting_factorizations():
         BandedMatrix.factorize = factorize
 
 
-def run_case(case: dict, out_dir) -> tuple:
-    """Run ``case`` into ``out_dir``: ``(exit code, message, oracle error,
-    outer iterations, digest, rows, levels, termination, factorizations,
-    final penalty)``.
+def run_case(case: dict, out_dir) -> dict:
+    """Run ``case`` into ``out_dir``: its outcome, a dict of the
+    ``RECORD_FIELDS`` from ``exit_code`` on and the oracle ``error``.
 
-    The message is the run's termination message or error line; the oracle
-    error is ``None`` unless the run exited 0 and failed ``check_run``; the
-    outer iterations are summed over the rows of ``stages.csv``, rejected
-    attempts included, and are 0 for a run that wrote none; the digest is
-    the SHA-256 of ``iterates.csv`` then ``curve.csv``, empty for a run that
-    wrote neither; the rows are the lines of ``iterates.csv`` below its
-    header and the levels ``meta.txt``'s ``result_levels``, each empty for a
-    run that wrote none; the termination and the final penalty are
-    ``meta.txt``'s ``result_status`` and ``result_final_p``, each empty for a
-    run that recorded none, and the factorizations the calls of
+    The message is the run's termination message or error line, unmasked;
+    the oracle error is ``None`` unless the run exited 0 and failed
+    ``check_run``; the outer iterations are summed over the rows of
+    ``stages.csv``, rejected attempts included, and are 0 for a run that
+    wrote none; the digest is the SHA-256 of ``iterates.csv`` then
+    ``curve.csv``, empty for a run that wrote neither; the rows are the
+    lines of ``iterates.csv`` below its header and the levels
+    ``meta.txt``'s ``result_levels``, each empty for a run that wrote none;
+    the termination and the final penalty are ``meta.txt``'s
+    ``result_status`` and ``result_final_p``, each empty for a run that
+    recorded none, and the factorizations the calls of
     ``BandedMatrix.factorize`` during the run.
     """
     from bundle_newton.cli import main  # here, so that --compare runs without it
@@ -201,38 +201,41 @@ def run_case(case: dict, out_dir) -> tuple:
     meta = Path(out_dir) / "meta.txt"
     lines = meta.read_text().splitlines() if meta.exists() else []
     results = dict(line.split(" = ", 1) for line in lines if line.startswith("result_"))
-    return (code, message, error, outer, digest, rows, results.get("result_levels", ""),
-            results.get("result_status", ""), factorizations[0],
-            results.get("result_final_p", ""))
+    return {"exit_code": code, "outer_iterations": outer, "message": message, "digest": digest,
+            "rows": rows, "levels": results.get("result_levels", ""),
+            "termination": results.get("result_status", ""),
+            "factorizations": factorizations[0], "final_p": results.get("result_final_p", ""),
+            "error": error}
 
 
 def report(problem: str, runs: list, outcomes: list) -> list:
     """The sweep's lines for the cases ``runs`` of ``problem`` and their
     :func:`run_case` outcomes."""
     codes, messages, defects = collections.Counter(), collections.Counter(), []
-    for k, (case, (code, message, error, *_)) in enumerate(zip(runs, outcomes)):
+    for k, (case, outcome) in enumerate(zip(runs, outcomes)):
+        code, error = outcome["exit_code"], outcome["error"]
         codes[code] += 1
-        messages[code, NUMBER.sub("#", message)] += 1
+        messages[code, NUMBER.sub("#", outcome["message"])] += 1
         if code == 1 or error is not None:
             defects.append(f"  defect, case {k}: exit {code}"
                            + (f", oracle: {error}" if error else "")
                            + f": {' '.join(argv(case))}")
     lines = [f"{problem}: {len(runs)} runs, exit codes "
              + ", ".join(f"{code}: {codes[code]}" for code in range(5)),
-             f"  outer iterations over all attempts: {sum(outcome[3] for outcome in outcomes)}"]
+             "  outer iterations over all attempts: "
+             f"{sum(outcome['outer_iterations'] for outcome in outcomes)}"]
     for (code, message), n in sorted(messages.items(), key=lambda item: -item[1]):
         lines.append(f"  {n:4d} x exit {code}: {message}")
     return lines + defects
 
 
 def record_rows(problem: str, outcomes: list) -> list:
-    """The per-case record rows of ``problem``'s :func:`run_case` outcomes;
-    an outcome without the last fields leaves their columns empty."""
-    return [{"problem": problem, "case": k, "exit_code": code, "outer_iterations": outer,
-             "message": NUMBER.sub("#", message), "digest": digest, "rows": rows,
-             "levels": levels, **dict(zip(RECORD_FIELDS[8:], rest))}
-            for k, (code, message, _, outer, digest, rows, levels, *rest)
-            in enumerate(outcomes)]
+    """The per-case record rows of ``problem``'s :func:`run_case` outcomes,
+    each message masked."""
+    return [{"problem": problem, "case": k,
+             **{field: outcome[field] for field in RECORD_FIELDS[2:]},
+             "message": NUMBER.sub("#", outcome["message"])}
+            for k, outcome in enumerate(outcomes)]
 
 
 def write_record(path, rows: list) -> None:
@@ -244,32 +247,34 @@ def write_record(path, rows: list) -> None:
 
 
 def read_record(path) -> dict:
-    """A record written by ``--record``: its rows by ``(problem, case)``."""
+    """A record written by ``--record``: its rows by ``(problem, case)``.
+    Raises ``ValueError``, naming the columns, for a file whose header is not
+    ``RECORD_FIELDS``."""
     with open(path, newline="") as file:
-        return {(row["problem"], int(row["case"])): row for row in csv.DictReader(file)}
+        reader = csv.DictReader(file)
+        if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
+            raise ValueError(f"{path} is not a sweep record: its columns are "
+                             f"{','.join(reader.fieldnames or ())}, not {','.join(RECORD_FIELDS)}")
+        return {(row["problem"], int(row["case"])): row for row in reader}
 
 
 def compare(old: dict, new: dict) -> tuple:
     """``(lines, changed)`` for two records from :func:`read_record`: per
     problem, the cases whose exit code changed, the cases whose digest
-    changed (when both records have digests), then the outer iterations
-    summed over the cases that exit 0 in both; ``changed`` counts the cases
-    of the first two lists.  When both records have the termination,
-    factorizations and final penalty, the cases whose termination or final
-    penalty changed and the factorizations summed over the cases that exit
-    0 in both follow, for reading: they count in no ``changed``."""
+    changed, then the outer iterations summed over the cases that exit 0 in
+    both; ``changed`` counts the cases of the first two lists.  The cases
+    whose termination or final penalty changed and the factorizations summed
+    over the cases that exit 0 in both follow, for reading: they count in no
+    ``changed``."""
     lines, changed_total = [], 0
-    digests = all("digest" in row for row in [*old.values(), *new.values()])
-    extra = all(row.get("factorizations") for row in [*old.values(), *new.values()])
     for problem in dict.fromkeys(problem for problem, _ in [*old, *new]):
         keys = sorted(key for key in old.keys() & new.keys() if key[0] == problem)
         changed = [key for key in keys if old[key]["exit_code"] != new[key]["exit_code"]]
-        moved = [key for key in keys if digests and old[key]["digest"] != new[key]["digest"]]
+        moved = [key for key in keys if old[key]["digest"] != new[key]["digest"]]
         both = [key for key in keys if old[key]["exit_code"] == new[key]["exit_code"] == "0"]
         changed_total += len(set(changed) | set(moved))
         lines.append(f"{problem}: {len(keys)} cases in both records, "
-                     f"{len(changed)} changed exit code"
-                     + (f", {len(moved)} changed digest" if digests else ""))
+                     f"{len(changed)} changed exit code, {len(moved)} changed digest")
         for key in changed:
             a, b = old[key], new[key]
             lines.append(f"  case {key[1]}: exit {a['exit_code']} -> {b['exit_code']}: "
@@ -279,15 +284,13 @@ def compare(old: dict, new: dict) -> tuple:
         outer = [sum(int(record[key]["outer_iterations"]) for key in both) for record in (old, new)]
         lines.append(f"  outer iterations over the {len(both)} cases converged in both: "
                      f"{outer[0]} -> {outer[1]}")
-        if extra:
-            for key in keys:
-                lines.extend(f"  case {key[1]}: {field} {old[key][field]} -> {new[key][field]}"
-                             for field in ("termination", "final_p")
-                             if old[key][field] != new[key][field])
-            counts = [sum(int(record[key]["factorizations"]) for key in both)
-                      for record in (old, new)]
-            lines.append(f"  factorizations over the {len(both)} cases converged in both: "
-                         f"{counts[0]} -> {counts[1]}")
+        for key in keys:
+            lines.extend(f"  case {key[1]}: {field} {old[key][field]} -> {new[key][field]}"
+                         for field in ("termination", "final_p")
+                         if old[key][field] != new[key][field])
+        counts = [sum(int(record[key]["factorizations"]) for key in both) for record in (old, new)]
+        lines.append(f"  factorizations over the {len(both)} cases converged in both: "
+                     f"{counts[0]} -> {counts[1]}")
     return lines, changed_total
 
 
@@ -300,7 +303,7 @@ def sweep(count: int, record=None) -> bool:
             runs = cases(problem, count)
             outcomes = [run_case(case, Path(tmp) / f"{problem}-{k}") for k, case in enumerate(runs)]
             print("\n".join(report(problem, runs, outcomes)))
-            passed = passed and all(outcome[2] is None for outcome in outcomes)
+            passed = passed and all(outcome["error"] is None for outcome in outcomes)
             rows += record_rows(problem, outcomes)
     if record is not None:
         write_record(record, rows)
@@ -314,7 +317,12 @@ if __name__ == "__main__":
                         help="compare two records instead of running the sweep")
     args = parser.parse_args()
     if args.compare:
-        lines, changed = compare(*map(read_record, args.compare))
+        try:
+            records = [read_record(path) for path in args.compare]
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            sys.exit(2)
+        lines, changed = compare(*records)
         print("\n".join(lines))
         sys.exit(1 if changed else 0)
     sys.exit(0 if sweep(CASES, args.record) else 1)

@@ -57,11 +57,11 @@ assembles, factorizes in place and drops a band matrix, 1.53 MiB at
 geodesic n = 10000 and 1.71 MiB at rod n = 1000, which glibc may otherwise
 map afresh and trim again, so that each iteration pays a minor page fault
 per 4 KiB page.  Minor faults per repeated call in one process, glibc's
-default policy -> this one: geodesic n = 10000 1106-1107 -> 0-1, rod n =
-1000 0-2 -> 0-2 (glibc's sliding mmap threshold already keeps its one band
-per iteration on the heap), obstacle n = 100 (small arrays) 0-1 -> 0-1.
-A one-shot process saves only the re-faults, as its first call still maps
-every page once (geodesic n = 10000: 2014 -> 1623 faults).  The cost is
+default policy -> this one: geodesic n = 10000 1164-1166 -> 0-2, rod n =
+1000 1341-1655 -> 0-2, obstacle n = 100 (small arrays) 0-1 -> 0-2; the
+rod's calls took 16.0-16.9 ms -> 13.1-14.7 ms.  A one-shot process saves
+only the re-faults, as its first call still maps every page once
+(geodesic n = 10000: 2622 -> 1728 faults).  The cost is
 freed memory kept mapped until the process exits; the bench's peak
 resident size moved by 0.2 MiB at most.  No arithmetic changes, and a C
 library without ``mallopt`` keeps its own policy.

@@ -73,16 +73,15 @@ def tangent_project(y, h) -> np.ndarray:
 
 
 def retract_sphere(y, d) -> np.ndarray:
-    """Move from ``y`` along ``d`` and renormalize back onto the sphere."""
+    """Move from ``y`` along ``d``, of the same shape, and renormalize back onto the sphere."""
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
-    if y.shape != d.shape:
-        y, d = np.broadcast_arrays(y, d)
     moved = d.any(axis=-1, keepdims=True)
     w = y + d
     nrm = np.sqrt(dot(w, w))
-    if (moved & (nrm <= DEGENERATE_NORM)).any():
-        i = np.argmin(np.where(moved, nrm, np.inf))
+    collapsed = moved & (nrm <= DEGENERATE_NORM)
+    if collapsed.any():
+        i = np.argmin(np.where(collapsed, nrm, np.inf))
         raise DegenerateUpdate(
             f"update direction collapses the point to norm {nrm.flat[i]:.2e} at row {i}"
         )

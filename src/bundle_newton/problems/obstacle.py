@@ -170,63 +170,52 @@ def obstacle_path_follow(problem: ObstacleProblem, cfg: NewtonConfig = NewtonCon
     def above_band(curve, norm: float) -> bool:
         return norm <= stage_tol and problem.violation(curve) > problem.violation_tol
 
-    violation = problem.violation(result.state)
+    def end(terminated: Termination, message: str = "") -> Continuation:
+        result.terminated, result.message = terminated, message
+        return result
 
-    while not result.stages or violation > problem.violation_tol:
+    violation = problem.violation(result.state)
+    last, rejected = None, 0  # the last accepted penalty, the rejected attempts
+
+    while last is None or violation > problem.violation_tol:
         if len(result.attempts) == MAX_STAGES:
-            result.terminated = Termination.MAX_ITERATIONS
-            result.message = (
-                f"no convergence within {MAX_STAGES} penalty stage solves "
-                f"({len(result.attempts) - len(result.stages)} rejected)"
-            )
-            return result
-        p = result.stages[-1].problem.p * growth if result.stages else problem.p
+            return end(Termination.MAX_ITERATIONS,
+                       f"no convergence within {MAX_STAGES} penalty stage solves ({rejected} rejected)")
+        p = problem.p if last is None else last * growth
         stage_cfg = cfg.warm if result.attempts else cfg
         curve, stage = damped_newton(problem.replace(p=p), result.state, stage_cfg, above_band)
         reached = problem.violation(curve)
         converged = stage.terminated is Termination.CONVERGED
         stage.accepted = converged and reached <= violation
         result.attempts.append(stage)
+        rejected += not stage.accepted
         if stage.accepted:
             result.state = curve
             # after the first stage, a larger penalty that left the violation where it was
-            if reached == violation > problem.violation_tol and len(result.stages) > 1:
-                result.terminated = Termination.DAMPING_FAILED
-                result.message = (
-                    f"penalty {p:g} no longer moves the curve: violation {reached:.3g} "
-                    f"stays above violation_tol = {problem.violation_tol:g}"
-                )
-                return result
-            violation = reached
+            if reached == violation > problem.violation_tol and last is not None:
+                return end(Termination.DAMPING_FAILED,
+                           f"penalty {p:g} no longer moves the curve: violation {reached:.3g} "
+                           f"stays above violation_tol = {problem.violation_tol:g}")
+            violation, last = reached, p
             alphas = [it.accepted_alpha for it in stage.iterations if it.inner_trials]
             if min(alphas, default=1.0) == 1.0:
                 if len(alphas) <= FAST_STAGE_STEPS:
                     growth = min(growth * growth, MAX_GROWTH)
                 continue
         growth = math.sqrt(growth)
-        if result.stages and growth >= MIN_GROWTH:
+        if last is not None and growth >= MIN_GROWTH:
             continue
         # no smaller step left: the path ends here
-        result.terminated = Termination.DAMPING_FAILED
         if stage.accepted:
-            result.message = (
-                f"penalty growth fell below {MIN_GROWTH:g} through damped stages: "
-                f"last accepted penalty {p:g}"
-            )
-            return result
-        reason = (
-            f"violation rose from {violation:.3g} to {reached:.3g}" if converged
-            else f"{stage.terminated.value}: {stage.message}"
-        )
-        if result.stages:
-            result.message = (
-                f"penalty growth fell below {MIN_GROWTH:g} after "
-                f"{len(result.attempts) - len(result.stages)} rejected attempts: "
-                f"last accepted penalty {result.stages[-1].problem.p:g}, attempted {p:g} ({reason})"
-            )
-        else:  # the first stage has the fixed penalty problem.p
-            result.terminated = Termination.DAMPING_FAILED if converged else stage.terminated
-            result.message = f"stage with penalty {p:g} failed ({reason})"
-        return result
-    result.terminated = Termination.CONVERGED
-    return result
+            return end(Termination.DAMPING_FAILED,
+                       f"penalty growth fell below {MIN_GROWTH:g} through damped stages: "
+                       f"last accepted penalty {last:g}")
+        reason = (f"violation rose from {violation:.3g} to {reached:.3g}" if converged
+                  else f"{stage.terminated.value}: {stage.message}")
+        if last is None:  # the first stage has the fixed penalty problem.p
+            return end(Termination.DAMPING_FAILED if converged else stage.terminated,
+                       f"stage with penalty {p:g} failed ({reason})")
+        return end(Termination.DAMPING_FAILED,
+                   f"penalty growth fell below {MIN_GROWTH:g} after {rejected} rejected attempts: "
+                   f"last accepted penalty {last:g}, attempted {p:g} ({reason})")
+    return end(Termination.CONVERGED)

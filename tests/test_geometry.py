@@ -269,6 +269,14 @@ def test_degenerate_update_names_the_row_of_smallest_norm():
         normalized(np.zeros(3))
 
 
+def test_degenerate_update_names_the_collapsing_row_not_a_nan_one():
+    # a NaN row fails no norm test, so only row 0 collapses
+    y = np.array([E1, E2])
+    d = np.array([-E1, [np.nan, 0.0, 0.0]])
+    with pytest.raises(DegenerateUpdate, match=r"norm 0\.00e\+00 at row 0$"):
+        retract_sphere(y, d)
+
+
 # -- product rule of the projection transport ----------------------------------
 
 

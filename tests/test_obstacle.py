@@ -407,6 +407,19 @@ def test_path_following_stage_limit_is_iteration_limit(monkeypatch):
     assert stage_violation(result.stages[-1]) > obs.violation_tol
 
 
+def test_stage_limit_counts_the_rejected_attempts(monkeypatch):
+    # every solve above p = 16 fails, so the limit falls on the retries of p = 64 and 32
+    monkeypatch.setattr(obstacle, "MAX_STAGES", 5)
+    solves = record_solves(monkeypatch, fail_above=16.0)
+    obs = ObstacleProblem(Grid(1.0, 40), h_ref=0.2)
+    result = obstacle_path_follow(obs, NewtonConfig())
+    assert result.terminated is Termination.MAX_ITERATIONS
+    assert solves == [1.0, 4.0, 16.0, 64.0, 32.0]
+    assert [s.problem.p for s in result.stages] == [1.0, 4.0, 16.0]
+    assert result.state is result.stages[-1].state
+    assert result.message == "no convergence within 5 penalty stage solves (2 rejected)"
+
+
 @pytest.mark.parametrize("h_ref", [0.1, 0.2])
 @pytest.mark.parametrize("n", [50, 100, 200])
 def test_path_following_takes_few_stages(n, h_ref):
