@@ -6,10 +6,14 @@ fields shared by the curve and rod problems.
 
 Array-first: nodal data are stacked ``(n, ...)`` arrays.  Every Newton
 matrix of the package, a block-tridiagonal curve Jacobian as much as the
-rod's saddle-point matrix, is a :class:`BandedMatrix`, filled by
-:meth:`BandedMatrix.add_blocks` (runs of equally spaced dense blocks, one
-strided band slice per block entry) and factorized in its own column-major
-storage by the same banded LU with partial pivoting.
+rod's saddle-point matrix, is a :class:`BandedMatrix`, factorized in its
+own column-major storage by the same banded LU with partial pivoting.  A
+curve Jacobian is filled by :meth:`BandedMatrix.add_blocks`, three runs of
+equally spaced dense blocks, one strided band slice per block entry.  The
+rod's is written through a :class:`BandLayout`, its storage cut into one
+tile per node, with one indexed store per block kind.  Curves keep the
+strided slices: at n = 10000 their 12 slices cost less than the same
+entries stored by index.
 
 Nested iteration moves a solution to a finer grid of the same interval:
 :func:`interpolate_rows` is the piecewise-linear interpolation it is made
@@ -194,13 +198,21 @@ class BandedMatrix:
     raises ``ValueError``.
     """
 
-    def __init__(self, dim: int, lower_bw: int, upper_bw: int):
+    def __init__(self, dim: int, lower_bw: int, upper_bw: int, band=None):
+        """``band``, if given, is the zero storage to fill: a column-major
+        ``(2 lower_bw + upper_bw + 1, dim)`` float array, such as a column
+        range of a larger one (see :class:`BandLayout`)."""
         if dim < 1 or lower_bw < 0 or upper_bw < 0:
             raise ValueError("invalid banded matrix shape")
         self.dim = dim
         self.lower_bw = lower_bw
         self.upper_bw = upper_bw
-        self._ab = np.zeros((2 * lower_bw + upper_bw + 1, dim), order="F")
+        shape = (2 * lower_bw + upper_bw + 1, dim)
+        if band is None:
+            band = np.zeros(shape, order="F")
+        elif band.shape != shape or band.dtype != float or not band.flags.f_contiguous:
+            raise ValueError(f"band storage must be a column-major {shape} float array")
+        self._ab = band
 
     def _band(self) -> np.ndarray:
         """The band storage; ``ValueError`` once the matrix was factorized."""
@@ -313,6 +325,81 @@ class BandedMatrix:
         return float(alt_est if alt_est > est else est), j
 
 
+class BandLayout:
+    """Where the block kinds of a banded matrix that repeats from node to node
+    lie in its storage, cut into one tile per node.
+
+    The storage is column-major, so the ``period`` columns of a node are one
+    contiguous tile of ``period * ldab`` values (``ldab = 2 lower_bw +
+    upper_bw + 1``; LAPACK Users' Guide, 3rd ed., section 5.3.3), and the
+    storage reshapes without a copy into an ``(n_tiles, period * ldab)``
+    array of tiles.  Tile ``t`` holds the matrix columns from ``first + t
+    period`` on; the ``-first`` columns before column 0 and the columns after
+    the last pad the first and the last tile, and stay zero.
+
+    A kind ``(i, j, count)`` is a run of ``count`` blocks: the entries at rows
+    ``i`` and columns ``j`` (integer arrays, broadcast against each other),
+    and the same entries shifted by ``k period`` rows and columns for ``0 < k
+    < count``.  Entry ``A[i, j]`` lies in storage row ``lower_bw + upper_bw +
+    i - j`` of column ``j``, so the entries of a block that lies in one tile
+    are positions in it, the same in every tile of the run, and the kind is
+    one indexed store into ``count`` consecutive tiles.  The table is
+    checked once, here: every entry lies inside the matrix (``IndexError``
+    otherwise), inside the stored band, and in the tile of its block's other
+    entries, and no two entries share a position (``ValueError``).
+    """
+
+    def __init__(self, dim: int, lower_bw: int, upper_bw: int, period: int, first: int, kinds):
+        if not -period < first <= 0:
+            raise ValueError(f"tiles of {period} columns must start at one of columns "
+                             f"{1 - period}..0, not at {first}")
+        self.dim, self.lower_bw, self.upper_bw = dim, lower_bw, upper_bw
+        self.period, self.first = period, first
+        self.ldab = 2 * lower_bw + upper_bw + 1
+        self.n_tiles = -((first - dim) // period)
+        self.stores = []  # (tiles, positions) of each kind
+        for i, j, count in kinds:
+            i, j = np.broadcast_arrays(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))
+            if count < 1:
+                raise ValueError(f"a kind needs at least one block, got {count}")
+            last = (count - 1) * period
+            if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) + last >= dim:
+                raise IndexError(f"{count} blocks at rows {i.ravel()} and columns {j.ravel()} "
+                                 f"+ k * {period} leave the {dim}x{dim} matrix")
+            if (i - j).max() > lower_bw or (j - i).max() > upper_bw:
+                raise ValueError(f"blocks at rows {i.ravel()} and columns {j.ravel()} leave "
+                                 f"the stored band (bandwidths {lower_bw}/{upper_bw})")
+            tile, column = np.divmod(j - first, period)
+            if (tile != tile.flat[0]).any():
+                raise ValueError(f"a block at columns {j.ravel()} leaves the tile of "
+                                 f"{period} columns from column {first + tile.flat[0] * period}")
+            t = int(tile.flat[0])
+            self.stores.append((slice(t, t + count), column * self.ldab + lower_bw + upper_bw + i - j))
+        # count the entries at each position of one tile per run of tiles
+        # that the same kinds write
+        bounds = sorted({end for tiles, _ in self.stores for end in (tiles.start, tiles.stop)})
+        written = np.zeros((len(bounds) - 1, period * self.ldab), dtype=np.intp)
+        for tiles, positions in self.stores:
+            runs = slice(*np.searchsorted(bounds, (tiles.start, tiles.stop)))
+            np.add.at(written[runs], (slice(None), positions.ravel()), 1)
+        if written.max(initial=0) > 1:
+            run, position = np.unravel_index(written.argmax(), written.shape)
+            raise ValueError(f"two entries at storage row {position % self.ldab} of column "
+                             f"{first + bounds[run] * period + position // self.ldab}")
+
+    def matrix(self, values) -> BandedMatrix:
+        """A new matrix holding ``values[k]`` at the entries of kind ``k``, each
+        broadcast against the kind's ``(count,) + i.shape``, and zeros
+        elsewhere.  Values are stored, not added: a ``-0.0`` stays ``-0.0``."""
+        storage = np.zeros((self.ldab, self.n_tiles * self.period), order="F")
+        A = BandedMatrix(self.dim, self.lower_bw, self.upper_bw,
+                         band=storage[:, -self.first : self.dim - self.first])
+        tiles = storage.T.reshape(self.n_tiles, -1)
+        for (run, positions), value in zip(self.stores, values, strict=True):
+            tiles[run, positions] = value
+        return A
+
+
 class BandedFactorization:
     """Banded LU with partial pivoting (LAPACK ``gbtrf``/``gbtrs``), computed
     in the storage of the matrix it factorizes, which it takes over."""
@@ -353,24 +440,31 @@ def p1_covectors(u, h: float, load) -> np.ndarray:
     return flux[:-1] - flux[1:] + h * np.asarray(load, dtype=float)
 
 
-def sphere_field_blocks(y, V, g, h: float, nodal=None):
-    """Jacobian blocks of a P1 unit-vector field ``y`` in its tangent frames ``V``.
+def sphere_field_terms(y, V, g, h: float):
+    """Jacobian terms of a P1 unit-vector field ``y`` in its tangent frames ``V``.
 
     The residual pairs the ``(n, 3)`` covectors ``g`` of :func:`p1_covectors`
     with test vectors that follow ``y`` by projection.  Its covariant
-    derivative is the projected Euclidean Jacobian (``2 / h``, ``-1 / h`` and
-    the optional ``(n, 2, 2)`` blocks ``nodal`` of nodal terms, already
-    projected: ``V^T J V`` for a nodal Euclidean Jacobian ``J``) plus the
-    Weingarten term ``-<g, y> I``.  Returns the ``(n, 2, 2)`` diagonal and
-    ``(n - 1, 2, 2)`` upper blocks; the lower blocks are their transposes.
+    derivative is the projected Euclidean Jacobian (``2 / h`` and ``-1 / h``)
+    plus the Weingarten term ``-<g, y> I``.  Returns the ``(n,)`` scalars
+    ``2 / h - <g, y>`` of the diagonal blocks and the ``(n - 1, 2, 2)`` upper
+    blocks; the lower blocks are their transposes.
     """
     VT = V.swapaxes(-1, -2)
-    scalar = 2 / h - dot(g, y)[:, 0]
+    return 2 / h - dot(g, y)[:, 0], -(1 / h) * (VT[:-1] @ V[1:])
+
+
+def sphere_field_blocks(y, V, g, h: float, nodal=None):
+    """The ``(n, 2, 2)`` diagonal and ``(n - 1, 2, 2)`` upper Jacobian blocks
+    of :func:`sphere_field_terms`, with the optional ``(n, 2, 2)`` blocks
+    ``nodal`` of nodal terms, already projected (``V^T J V`` for a nodal
+    Euclidean Jacobian ``J``), added to the diagonal ones.
+    """
+    scalar, upper = sphere_field_terms(y, V, g, h)
     diag = np.zeros((len(scalar), 2, 2))
     diag[:, 0, 0] = diag[:, 1, 1] = scalar
     if nodal is not None:
         diag += nodal
-    upper = -(1 / h) * (VT[:-1] @ V[1:])
     return diag, upper
 
 

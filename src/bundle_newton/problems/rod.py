@@ -9,9 +9,11 @@ which keeps the assembled Newton matrix banded with bandwidths 9/9
 independent of the grid.  The group of node ``i`` occupies entries
 ``8 i - 5 .. 8 i + 2``, so that ``mu_j`` starts at entry ``8 j`` for every
 interval ``j``.  Every block of the Jacobian therefore repeats from node to
-node with stride 8, and the Jacobian is assembled as block runs of
-:meth:`~bundle_newton.fem1d.BandedMatrix.add_blocks`: 7 runs, and the
-diagonals of the 4 runs of constant ``I`` and ``-I`` blocks.
+node with period 8, and the 8 columns of a node's group are one tile of
+the column-major band storage (:class:`~bundle_newton.fem1d.BandLayout`).
+The Jacobian is written as 7 indexed stores, one per block kind into the
+tiles of all nodes at once, at storage positions computed once per grid
+size.
 
 The directions are a :class:`~bundle_newton.fem1d.NodalCurve` as in the curve
 problems, framed and retracted by it, and their rows are assembled by
@@ -27,6 +29,7 @@ midpoints.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,12 +37,13 @@ import numpy as np
 
 from ..fem1d import (
     BandedMatrix,
+    BandLayout,
     Grid,
     NodalCurve,
     assemble_intervals_vector,
     interpolate_rows,
     p1_covectors,
-    sphere_field_blocks,
+    sphere_field_terms,
 )
 from ..geometry import check_not_antipodal, normalized, unit_vector
 from ..newton import ProblemInterface
@@ -109,6 +113,46 @@ def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
     return RodState(y, NodalCurve(grid, v), lam)
 
 
+@functools.cache
+def jacobian_layout(n: int) -> tuple[BandLayout, np.ndarray]:
+    """The band layout of the Jacobian of a rod with ``n`` interior nodes, and
+    the values of its first kind: ``-1`` six times, then ``+1`` three times.
+
+    Tile ``t`` holds the 8 columns of node ``t``'s group; tile 0 holds 5
+    padding columns and the leading multiplier group.  Each kind is given by
+    its blocks at node 1, whose group is tile 1, and runs over the nodes: the
+    constant ``-I`` and ``I`` blocks in tile 1; the ``I`` block of the
+    position rows in the columns of the multiplier left of the node (tile
+    0); the diagonal of the direction block; the upper and the lower
+    direction blocks, one fewer than nodes (the upper ones in the next
+    tile); the mean frame ``-h V / 2`` in the multiplier rows and its
+    transpose in the direction rows, in tile 1; and that transpose in the
+    columns of the multiplier left of the node (tile 0).
+    """
+    lam_left, y, v, lam_right = 0, 3, 6, 8  # first dofs of the node-1 groups
+    e = np.arange(3)  # the diagonal of a 3x3 block
+    p, q = np.indices((2, 2))  # the entries of a 2x2 block
+    c, a = np.indices((3, 2))  # the entries of a frame V: 3 coordinates, 2 columns
+    mean_rows = np.stack([v + a, lam_right + c, lam_left + c])
+    mean_cols = np.stack([lam_right + c, v + a, v + a])
+    kinds = [
+        # position and constraint rows: multiplier difference, position difference
+        (np.concatenate([y + e, lam_right + e, lam_left + e]),
+         np.concatenate([lam_right + e, y + e, y + e]), n),
+        (y + e, lam_left + e, n),
+        # direction rows: the unit-vector field's blocks
+        (v + e[:2], v + e[:2], n),
+        (v + p, v + 8 + q, n - 1),
+        (v + 8 + q, v + p, n - 1),
+        # the mean frame, in the multiplier rows and the direction rows
+        (mean_rows, mean_cols, n),
+        (v + a, lam_left + c, n),
+    ]
+    signs = np.repeat([-1.0, 1.0], [6, 3])
+    signs.flags.writeable = False  # cached, and shared by every caller
+    return BandLayout(8 * n + 3, BANDWIDTH, BANDWIDTH, 8, -5, kinds), signs
+
+
 class RodProblem(ProblemInterface):
     """Equilibrium system of the inextensible rod for the Newton driver.
 
@@ -145,12 +189,6 @@ class RodProblem(ProblemInterface):
     @property
     def dof_count(self) -> int:
         return 8 * self.grid.n_interior + 3
-
-    def _split(self, xi):
-        """``(y, v, lam)`` parts of a coefficient vector: ``(n, 3)``, ``(n, 2)``, ``(n + 1, 3)``."""
-        xi = np.asarray(xi, dtype=float)
-        groups = xi[3:].reshape(self.grid.n_interior, 8)
-        return groups[:, :3], groups[:, 3:5], np.vstack((xi[:3], groups[:, 5:]))
 
     def initial_state(self) -> RodState:
         return rod_initial_guess(self.grid, self.y0, self.y1, self.v0, self.v1)
@@ -191,51 +229,27 @@ class RodProblem(ProblemInterface):
 
     def assemble_jacobian(self, at: tuple) -> BandedMatrix:
         state, g, _ = at
-        n = self.grid.n_interior
         h = self.grid.h
-        A = BandedMatrix(self.dof_count, BANDWIDTH, BANDWIDTH)
         V = state.v.basis  # (n, 3, 2)
-        one = np.ones((n, 1, 1))
-
-        def add(row0, col0, blocks):
-            A.add_blocks(row0, col0, blocks, 8)
-
-        def add_eye3(row0, col0, sign):
-            # a run of constant sign * I blocks: its 3 diagonals alone, as
-            # no other block writes to its off-diagonal zeros
-            for a in range(3):
-                add(row0 + a, col0 + a, sign)
-
-        # first dofs of the node-1 groups: multipliers left and right of the
-        # node, position, direction
-        lam_left, y, v, lam_right = 0, 3, 6, 8
-
-        # position rows: multiplier difference
-        add_eye3(y, lam_left, one)
-        add_eye3(y, lam_right, -one)
-
-        # direction rows: the unit-vector field's blocks, multiplier
-        diag, upper = sphere_field_blocks(state.v.interior, V, g, h)
-        add(v, v, diag)
-        add(v, v + 8, upper)
-        add(v + 8, v, upper.transpose(0, 2, 1))
-        mean_VT = -0.5 * h * V.transpose(0, 2, 1)
-        add(v, lam_left, mean_VT)
-        add(v, lam_right, mean_VT)
-
-        # constraint rows: position difference minus interval mean direction
+        scalar, upper = sphere_field_terms(state.v.interior, V, g, h)
         mean_V = -0.5 * h * V
-        add_eye3(lam_right, y, -one)
-        add(lam_right, v, mean_V)
-        add_eye3(lam_left, y, one)
-        add(lam_left, v, mean_V)
-        return A
+        # -0.0 -> +0.0, as adding the blocks onto the zero storage gives; the
+        # scalars 2 / h - <g, y> are never -0.0
+        upper += 0.0
+        mean_V += 0.0
+        layout, signs = jacobian_layout(self.grid.n_interior)
+        return layout.matrix((signs, 1.0, scalar[:, None], upper, upper, mean_V[:, None], mean_V))
 
     def retract(self, state: RodState, xi, alpha: float) -> RodState:
-        dy, dv, dlam = self._split(xi)
+        xi = np.asarray(xi, dtype=float)
+        groups = xi[3:].reshape(self.grid.n_interior, 8)  # (y, v, lam) of each node
         y = state.y.copy()
-        y[1:-1] += alpha * dy
-        return RodState(y, state.v.retract(dv, alpha), state.lam + alpha * dlam)
+        y[1:-1] += alpha * groups[:, :3]
+        lam = np.empty_like(state.lam)  # alpha times the multiplier step, plus state.lam
+        np.multiply(alpha, xi[:3], out=lam[0])
+        np.multiply(alpha, groups[:, 5:], out=lam[1:])
+        lam += state.lam
+        return RodState(y, state.v.retract(groups[:, 3:5], alpha), lam)
 
     def norm_inf(self, xi) -> float:
         # largest nodal length of y, v or lam; squares summed in np.linalg.norm's

@@ -790,8 +790,9 @@ class StepRecorder:
 
     def retract(self, state, xi, alpha):
         if isinstance(self.inner, RodProblem):
-            dy, dv, dlam = self.inner._split(xi)
-            step = np.concatenate([dy, np.einsum("nij,nj->ni", state.v.basis, dv), dlam])
+            groups = xi[3:].reshape(-1, 8)  # (y, v, lam) of each node, behind lam_0
+            dv = np.einsum("nij,nj->ni", state.v.basis, groups[:, 3:5])
+            step = np.concatenate([groups[:, :3], dv, xi[None, :3], groups[:, 5:]])
         else:
             step = np.einsum("nij,nj->ni", state.basis, np.reshape(xi, (-1, 2)))
         self.steps.append(alpha * step)

@@ -304,18 +304,33 @@ def add_scatter_jacobian(problem, state):
     return A
 
 
+def x_z_plane_rod_state(grid, rng):
+    """A random rod state whose interior directions lie in the x-z plane, at
+    angles from pi / 4 to above pi / 2.  Their frames hold exact zeros of
+    either sign, so the mean frames ``-0.5 h V`` hold ``-0.0`` entries."""
+    state = random_rod_state(grid, rng)
+    angle = np.pi / 4 + np.pi * np.arange(grid.n_interior) / grid.n_interior
+    v = state.v.points.copy()
+    v[1:-1] = np.column_stack([np.cos(angle), np.zeros_like(angle), np.sin(angle)])
+    return RodState(state.y, NodalCurve(grid, v), state.lam)
+
+
 def test_jacobian_block_runs_equal_add_scatter_bitwise():
+    # the reference adds onto zero storage, which turns every -0.0 into +0.0
     rng = np.random.default_rng(5)
-    for n in (2, 7):
+    for n in (2, 3, 10):
         grid = Grid(1.0, n)
+        plane = x_z_plane_rod_state(grid, rng)
+        mean_V = -0.5 * grid.h * plane.v.basis
+        assert np.signbit(mean_V[mean_V == 0.0]).any()
         for sigma in (1.0, 2.5):
             problem = RodProblem(grid, sigma=sigma)
-            state = random_rod_state(grid, rng)
-            assert np.abs(state.lam).min() > 0.0
-            A = jacobian_at(problem, state)
-            B = add_scatter_jacobian(problem, state)
-            assert (A.dim, A.lower_bw, A.upper_bw) == (B.dim, B.lower_bw, B.upper_bw)
-            assert A._ab.tobytes() == B._ab.tobytes(), (n, sigma)
+            for state in (random_rod_state(grid, rng), plane):
+                assert np.abs(state.lam).min() > 0.0
+                A = jacobian_at(problem, state)
+                B = add_scatter_jacobian(problem, state)
+                assert (A.dim, A.lower_bw, A.upper_bw) == (B.dim, B.lower_bw, B.upper_bw)
+                assert A._ab.tobytes() == B._ab.tobytes(), (n, sigma)
 
 
 # -- retraction -----------------------------------------------------------------------

@@ -204,3 +204,19 @@ def test_sweep_compare_refuses_a_file_that_is_not_a_record(tmp_path):
     assert done.stderr == (
         "old.csv is not a sweep record: its columns are "
         "problem,case,exit_code,outer_iterations,message,digest, not " + HEADER)
+
+
+def test_artifact_digests_repeat_and_leave_out_the_output_directory():
+    # each run writes into its own temporary directory, which meta.txt names;
+    # equal output shows that the digests skip that line and nothing else varies
+    command = [sys.executable, str(SCRIPTS / "artifact_digests.py"),
+               "--workload", "obstacle-href0.1", "--seed", "0"]
+    runs = [subprocess.run(command, capture_output=True, text=True, timeout=120)
+            for _ in range(2)]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = [line.split() for line in runs[0].stdout.splitlines()]
+    assert lines[0] == ["obstacle-href0.1", "0", "exit", "0"]
+    assert [line[:3] for line in lines[1:]] == [
+        ["obstacle-href0.1", "0", name] for name in ("iterates.csv", "curve.csv", "stages.csv", "meta.txt")]
+    assert all(len(line[3]) == 64 and set(line[3]) <= set("0123456789abcdef") for line in lines[1:])
