@@ -31,9 +31,10 @@ changed, and the outer iterations summed over the cases that exit 0 in
 both; it exits 1 if an exit code or a digest changed, else 0.  Equal tables
 can hide cases that flip both ways; the comparison shows them, and the
 digests show a change that leaves every number of the tables as it was.
-The rows and levels are for reading.  So are the cases whose termination or
-final penalty changed and the factorizations summed over the cases that
-exit 0 in both, which the comparison prints last.  A file whose header is
+The rows and levels are for reading.  So are the cases whose masked message
+changed while their exit code did not, the cases whose termination or final
+penalty changed and the factorizations summed over the cases that exit 0 in
+both, which the comparison prints last.  A file whose header is
 not a record's is refused: ``--compare`` names its columns and exits 2.
 To record another version of the solver, run this script with that
 version's ``src`` on ``PYTHONPATH``.
@@ -263,9 +264,9 @@ def compare(old: dict, new: dict) -> tuple:
     problem, the cases whose exit code changed, the cases whose digest
     changed, then the outer iterations summed over the cases that exit 0 in
     both; ``changed`` counts the cases of the first two lists.  The cases
-    whose termination or final penalty changed and the factorizations summed
-    over the cases that exit 0 in both follow, for reading: they count in no
-    ``changed``."""
+    whose message changed with the same exit code, those whose termination or
+    final penalty changed and the factorizations summed over the cases that
+    exit 0 in both follow, for reading: they count in no ``changed``."""
     lines, changed_total = [], 0
     for problem in dict.fromkeys(problem for problem, _ in [*old, *new]):
         keys = sorted(key for key in old.keys() & new.keys() if key[0] == problem)
@@ -285,9 +286,11 @@ def compare(old: dict, new: dict) -> tuple:
         lines.append(f"  outer iterations over the {len(both)} cases converged in both: "
                      f"{outer[0]} -> {outer[1]}")
         for key in keys:
+            # a changed exit code lists its messages above already
+            fields = ("termination", "final_p") if key in changed else (
+                "message", "termination", "final_p")
             lines.extend(f"  case {key[1]}: {field} {old[key][field]} -> {new[key][field]}"
-                         for field in ("termination", "final_p")
-                         if old[key][field] != new[key][field])
+                         for field in fields if old[key][field] != new[key][field])
         counts = [sum(int(record[key]["factorizations"]) for key in both) for record in (old, new)]
         lines.append(f"  factorizations over the {len(both)} cases converged in both: "
                      f"{counts[0]} -> {counts[1]}")

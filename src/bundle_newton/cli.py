@@ -54,12 +54,14 @@ The first call of :func:`main` in a process sets glibc's allocator policy
 from the heap, and freed heap pages stay mapped until more than
 ``TRIM_THRESHOLD`` (64 MiB) is free at its top.  Every Newton iteration
 assembles, factorizes in place and drops a band matrix, 1.53 MiB at
-geodesic n = 10000 and 1.71 MiB at rod n = 1000, which glibc may otherwise
+geodesic n = 10000 and 0.15 MiB at rod n = 1000, which glibc may otherwise
 map afresh and trim again, so that each iteration pays a minor page fault
 per 4 KiB page.  Minor faults per repeated call in one process, glibc's
-default policy -> this one: geodesic n = 10000 1164-1166 -> 0-2, rod n =
-1000 1341-1655 -> 0-2, obstacle n = 100 (small arrays) 0-1 -> 0-2; the
-rod's calls took 16.0-16.9 ms -> 13.1-14.7 ms.  A one-shot process saves
+default policy -> this one (calls 3-60 of each process): geodesic n =
+10000 1164-1166 -> 0-2, rod n = 1000 295-452 -> 0-51 (median 360-412 -> 0
+in each of six processes), obstacle n = 100 (small arrays) 0-1 -> 0-2.
+The rod's call times, 11-18 ms on a noisy 2-CPU host, did not separate the
+two policies.  A one-shot process saves
 only the re-faults, as its first call still maps every page once
 (geodesic n = 10000: 2622 -> 1728 faults).  The cost is
 freed memory kept mapped until the process exits; the bench's peak

@@ -4,16 +4,16 @@ Uniform grids, nodal curves on the sphere, one banded matrix type with its
 LU solver (LAPACK ``gbtrf``/``gbtrs``), and the P1 assembly of unit-vector
 fields shared by the curve and rod problems.
 
-Array-first: nodal data are stacked ``(n, ...)`` arrays.  Every Newton
-matrix of the package, a block-tridiagonal curve Jacobian as much as the
-rod's saddle-point matrix, is a :class:`BandedMatrix`, factorized in its
-own column-major storage by the same banded LU with partial pivoting.  A
-curve Jacobian is filled by :meth:`BandedMatrix.add_blocks`, three runs of
-equally spaced dense blocks, one strided band slice per block entry.  The
-rod's is written through a :class:`BandLayout`, its storage cut into one
-tile per node, with one indexed store per block kind.  Curves keep the
-strided slices: at n = 10000 their 12 slices cost less than the same
-entries stored by index.
+Array-first: nodal data are stacked ``(n, ...)`` arrays.  The Jacobian of a
+unit-vector field, :func:`sphere_field_blocks` assembled by
+:func:`assemble_intervals`, is a block tridiagonal :class:`BandedMatrix` of
+2x2 blocks, filled by :meth:`BandedMatrix.add_blocks` (three runs of
+equally spaced dense blocks, one strided band slice per block entry) and
+factorized in its own column-major storage by the banded LU with partial
+pivoting.  It is a curve problem's Newton matrix, and the rod's Newton
+matrix is it plus a 3-column border, eliminated by prefix sums (see
+:mod:`~bundle_newton.problems.rod`).  :func:`condition_estimate` explains a
+failed solve by either matrix's Skeel condition number.
 
 Nested iteration moves a solution to a finer grid of the same interval:
 :func:`interpolate_rows` is the piecewise-linear interpolation it is made
@@ -34,7 +34,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -198,21 +198,13 @@ class BandedMatrix:
     raises ``ValueError``.
     """
 
-    def __init__(self, dim: int, lower_bw: int, upper_bw: int, band=None):
-        """``band``, if given, is the zero storage to fill: a column-major
-        ``(2 lower_bw + upper_bw + 1, dim)`` float array, such as a column
-        range of a larger one (see :class:`BandLayout`)."""
+    def __init__(self, dim: int, lower_bw: int, upper_bw: int):
         if dim < 1 or lower_bw < 0 or upper_bw < 0:
             raise ValueError("invalid banded matrix shape")
         self.dim = dim
         self.lower_bw = lower_bw
         self.upper_bw = upper_bw
-        shape = (2 * lower_bw + upper_bw + 1, dim)
-        if band is None:
-            band = np.zeros(shape, order="F")
-        elif band.shape != shape or band.dtype != float or not band.flags.f_contiguous:
-            raise ValueError(f"band storage must be a column-major {shape} float array")
-        self._ab = band
+        self._ab = np.zeros((2 * lower_bw + upper_bw + 1, dim), order="F")
 
     def _band(self) -> np.ndarray:
         """The band storage; ``ValueError`` once the matrix was factorized."""
@@ -259,145 +251,84 @@ class BandedMatrix:
         """The banded LU of the matrix, computed in its storage, and the
         solution ``x`` of ``A x = rhs``; the matrix cannot be used again.
         Raises :class:`SingularSystem` at a zero pivot, or when ``x`` is not
-        finite, naming the first such value and its 0-based unknown.  How
+        finite, naming the first unknown (0-based) with such a value and its
+        value, or its row of values for several right-hand sides.  How
         well conditioned the matrix is goes unchecked here: the damping
         rejects the long, non-contracting steps of a near-singular matrix,
         and :meth:`condition` explains a solve that fails."""
         fact = BandedFactorization(self)
         x = fact.solve(rhs)
         if not np.isfinite(x).all():  # inf from overflow, NaN from a NaN or inf entry
-            j = int(np.isfinite(x).argmin())
+            j = int(np.isfinite(x).reshape(len(x), -1).all(axis=1).argmin())
             raise SingularSystem(f"banded LU solution is not finite: {x[j]} at unknown {j}")
         return fact, x
 
-    def condition(self) -> tuple[float, int]:
-        """Lower estimate of Skeel's condition number ``|| |A^-1| |A| ||_inf``
-        (Skeel, J. ACM 26, 1979), which no row scaling of the system changes,
-        and the 0-based unknown at which the estimate's last forward solve
-        ``z`` peaks.  Factorizes the matrix in place, as :meth:`factorize`
-        does, after summing ``|A| e``, so the matrix cannot be used again; a
-        zero pivot raises :class:`SingularSystem`.
-
-        The condition number is ``||D A^-T||_1`` with ``D = diag(|A| e)``, whose row
-        sums add one band diagonal at a time, so each row in column order.  It is
-        estimated as LAPACK's ``dla_gbrcond`` does: the ``dlacn2`` iteration of
-        Hager, SIAM J. Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign
-        safeguard, ACM TOMS 14 (1988); 3 to 10 ``gbtrs`` solves, so the work is
-        linear in ``n`` at a fixed bandwidth.  Overflow gives ``inf``.  Near a
-        singular matrix ``z`` approximates a null vector, so its peak typically
-        names one of the nearly dependent columns.  Signs are kept as masks ``y
-        >= 0``; the unit vectors are written into one buffer that every step
-        reuses."""
+    def abs_row_sums(self) -> np.ndarray:
+        """The row sums ``|A| e``, one band diagonal at a time, so each row in
+        column order."""
         n, kl, ku = self.dim, self.lower_bw, self.upper_bw
         ab = np.abs(self._band()[kl:])  # the band, without the rows the LU fills
         d = np.zeros(n)
         for k in range(-min(kl, n - 1), min(ku, n - 1) + 1):  # the entries A[i, i + k]
             d[max(0, -k) : n - max(0, k)] += ab[ku - k, max(0, k) : n + min(0, k)]
+        return d
+
+    def condition(self) -> tuple[float, int]:
+        """:func:`condition_estimate` of the matrix, from its :meth:`abs_row_sums`
+        and its LU.  Factorizes the matrix in place, as :meth:`factorize` does,
+        so the matrix cannot be used again; a zero pivot raises
+        :class:`SingularSystem`."""
+        d = self.abs_row_sums()
         fact = BandedFactorization(self)
-        neg_d = -d
-        b = np.empty((2, n))  # b.T: the two columns of the first solve
-        b[0] = 1.0 / n
-        b[1] = 1.0 + np.arange(n) / max(n - 1, 1)
-        b[1, 1::2] *= -1.0  # Higham's alternating-sign vector
-        e = np.zeros(n)  # the unit vector e_j of each transposed solve
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = fact.solve(b.T, trans=1)
-            y *= d[:, None]
-            alt_est = 2.0 * np.abs(y[:, 1]).sum() / (3.0 * n)
-            est = np.abs(y[:, 0]).sum()
-            positive = y[:, 0] >= 0.0
-            z = fact.solve(np.where(positive, d, neg_d))  # D sign(y)
-            j = int(np.abs(z).argmax())
-            for _ in range(4):  # at most 4 unit-vector solves, as in dlacn2 (ITMAX = 5)
-                e[j] = 1.0
-                y = fact.solve(e, trans=1)
-                e[j] = 0.0
-                y *= d
-                est_old, est = est, np.abs(y).sum()
-                new_positive = y >= 0.0
-                if est <= est_old or (new_positive == positive).all():
-                    break
-                positive = new_positive
-                z = fact.solve(np.where(positive, d, neg_d))
-                j_last, j = j, int(np.abs(z).argmax())
-                if z[j_last] == abs(z[j]):  # Hager's test ||z||_inf <= z^T e_j
-                    break
-        return float(alt_est if alt_est > est else est), j
+        return condition_estimate(d, fact.solve, partial(fact.solve, trans=1))
 
 
-class BandLayout:
-    """Where the block kinds of a banded matrix that repeats from node to node
-    lie in its storage, cut into one tile per node.
+def condition_estimate(d, solve, solve_transposed) -> tuple[float, int]:
+    """Lower estimate of Skeel's condition number ``|| |J^-1| |J| ||_inf`` of a
+    matrix ``J`` (Skeel, J. ACM 26, 1979), which no row scaling of the system
+    changes, and the 0-based unknown at which the estimate's last forward
+    solve ``z`` peaks.  ``d`` holds the row sums ``|J| e``; ``solve(b)`` and
+    ``solve_transposed(b)`` return ``J^-1 b`` and ``J^-T b``, for ``b`` of
+    one or two columns, and do not write to ``b``.
 
-    The storage is column-major, so the ``period`` columns of a node are one
-    contiguous tile of ``period * ldab`` values (``ldab = 2 lower_bw +
-    upper_bw + 1``; LAPACK Users' Guide, 3rd ed., section 5.3.3), and the
-    storage reshapes without a copy into an ``(n_tiles, period * ldab)``
-    array of tiles.  Tile ``t`` holds the matrix columns from ``first + t
-    period`` on; the ``-first`` columns before column 0 and the columns after
-    the last pad the first and the last tile, and stay zero.
-
-    A kind ``(i, j, count)`` is a run of ``count`` blocks: the entries at rows
-    ``i`` and columns ``j`` (integer arrays, broadcast against each other),
-    and the same entries shifted by ``k period`` rows and columns for ``0 < k
-    < count``.  Entry ``A[i, j]`` lies in storage row ``lower_bw + upper_bw +
-    i - j`` of column ``j``, so the entries of a block that lies in one tile
-    are positions in it, the same in every tile of the run, and the kind is
-    one indexed store into ``count`` consecutive tiles.  The table is
-    checked once, here: every entry lies inside the matrix (``IndexError``
-    otherwise), inside the stored band, and in the tile of its block's other
-    entries, and no two entries share a position (``ValueError``).
-    """
-
-    def __init__(self, dim: int, lower_bw: int, upper_bw: int, period: int, first: int, kinds):
-        if not -period < first <= 0:
-            raise ValueError(f"tiles of {period} columns must start at one of columns "
-                             f"{1 - period}..0, not at {first}")
-        self.dim, self.lower_bw, self.upper_bw = dim, lower_bw, upper_bw
-        self.period, self.first = period, first
-        self.ldab = 2 * lower_bw + upper_bw + 1
-        self.n_tiles = -((first - dim) // period)
-        self.stores = []  # (tiles, positions) of each kind
-        for i, j, count in kinds:
-            i, j = np.broadcast_arrays(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))
-            if count < 1:
-                raise ValueError(f"a kind needs at least one block, got {count}")
-            last = (count - 1) * period
-            if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) + last >= dim:
-                raise IndexError(f"{count} blocks at rows {i.ravel()} and columns {j.ravel()} "
-                                 f"+ k * {period} leave the {dim}x{dim} matrix")
-            if (i - j).max() > lower_bw or (j - i).max() > upper_bw:
-                raise ValueError(f"blocks at rows {i.ravel()} and columns {j.ravel()} leave "
-                                 f"the stored band (bandwidths {lower_bw}/{upper_bw})")
-            tile, column = np.divmod(j - first, period)
-            if (tile != tile.flat[0]).any():
-                raise ValueError(f"a block at columns {j.ravel()} leaves the tile of "
-                                 f"{period} columns from column {first + tile.flat[0] * period}")
-            t = int(tile.flat[0])
-            self.stores.append((slice(t, t + count), column * self.ldab + lower_bw + upper_bw + i - j))
-        # count the entries at each position of one tile per run of tiles
-        # that the same kinds write
-        bounds = sorted({end for tiles, _ in self.stores for end in (tiles.start, tiles.stop)})
-        written = np.zeros((len(bounds) - 1, period * self.ldab), dtype=np.intp)
-        for tiles, positions in self.stores:
-            runs = slice(*np.searchsorted(bounds, (tiles.start, tiles.stop)))
-            np.add.at(written[runs], (slice(None), positions.ravel()), 1)
-        if written.max(initial=0) > 1:
-            run, position = np.unravel_index(written.argmax(), written.shape)
-            raise ValueError(f"two entries at storage row {position % self.ldab} of column "
-                             f"{first + bounds[run] * period + position // self.ldab}")
-
-    def matrix(self, values) -> BandedMatrix:
-        """A new matrix holding ``values[k]`` at the entries of kind ``k``, each
-        broadcast against the kind's ``(count,) + i.shape``, and zeros
-        elsewhere.  Values are stored, not added: a ``-0.0`` stays ``-0.0``."""
-        storage = np.zeros((self.ldab, self.n_tiles * self.period), order="F")
-        A = BandedMatrix(self.dim, self.lower_bw, self.upper_bw,
-                         band=storage[:, -self.first : self.dim - self.first])
-        tiles = storage.T.reshape(self.n_tiles, -1)
-        for (run, positions), value in zip(self.stores, values, strict=True):
-            tiles[run, positions] = value
-        return A
+    The condition number is ``||D J^-T||_1`` with ``D = diag(d)``.  It is
+    estimated as LAPACK's ``dla_gbrcond`` does: the ``dlacn2`` iteration of
+    Hager, SIAM J. Sci. Stat. Comput. 5 (1984), with Higham's alternating-sign
+    safeguard, ACM TOMS 14 (1988); 3 to 10 solves, so the work is linear in
+    ``n`` for a banded ``J``.  Overflow gives ``inf``.  Near a singular matrix
+    ``z`` approximates a null vector, so its peak typically names one of the
+    nearly dependent columns.  Signs are kept as masks ``y >= 0``; the unit
+    vectors are written into one buffer that every step reuses."""
+    n = len(d)
+    neg_d = -d
+    b = np.empty((2, n))  # b.T: the two columns of the first solve
+    b[0] = 1.0 / n
+    b[1] = 1.0 + np.arange(n) / max(n - 1, 1)
+    b[1, 1::2] *= -1.0  # Higham's alternating-sign vector
+    e = np.zeros(n)  # the unit vector e_j of each transposed solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = solve_transposed(b.T)
+        y *= d[:, None]
+        alt_est = 2.0 * np.abs(y[:, 1]).sum() / (3.0 * n)
+        est = np.abs(y[:, 0]).sum()
+        positive = y[:, 0] >= 0.0
+        z = solve(np.where(positive, d, neg_d))  # D sign(y)
+        j = int(np.abs(z).argmax())
+        for _ in range(4):  # at most 4 unit-vector solves, as in dlacn2 (ITMAX = 5)
+            e[j] = 1.0
+            y = solve_transposed(e)
+            e[j] = 0.0
+            y *= d
+            est_old, est = est, np.abs(y).sum()
+            new_positive = y >= 0.0
+            if est <= est_old or (new_positive == positive).all():
+                break
+            positive = new_positive
+            z = solve(np.where(positive, d, neg_d))
+            j_last, j = j, int(np.abs(z).argmax())
+            if z[j_last] == abs(z[j]):  # Hager's test ||z||_inf <= z^T e_j
+                break
+    return float(alt_est if alt_est > est else est), j
 
 
 class BandedFactorization:
@@ -440,32 +371,24 @@ def p1_covectors(u, h: float, load) -> np.ndarray:
     return flux[:-1] - flux[1:] + h * np.asarray(load, dtype=float)
 
 
-def sphere_field_terms(y, V, g, h: float):
-    """Jacobian terms of a P1 unit-vector field ``y`` in its tangent frames ``V``.
+def sphere_field_blocks(y, V, g, h: float, nodal=None):
+    """Jacobian blocks of a P1 unit-vector field ``y`` in its tangent frames ``V``.
 
     The residual pairs the ``(n, 3)`` covectors ``g`` of :func:`p1_covectors`
     with test vectors that follow ``y`` by projection.  Its covariant
     derivative is the projected Euclidean Jacobian (``2 / h`` and ``-1 / h``)
-    plus the Weingarten term ``-<g, y> I``.  Returns the ``(n,)`` scalars
-    ``2 / h - <g, y>`` of the diagonal blocks and the ``(n - 1, 2, 2)`` upper
-    blocks; the lower blocks are their transposes.
+    plus the Weingarten term ``-<g, y> I``.  Returns the ``(n, 2, 2)``
+    diagonal blocks, ``2 / h - <g, y>`` times the identity plus the optional
+    ``(n, 2, 2)`` blocks ``nodal`` of nodal terms, already projected (``V^T J
+    V`` for a nodal Euclidean Jacobian ``J``), and the ``(n - 1, 2, 2)``
+    upper blocks; the lower blocks are their transposes.
     """
     VT = V.swapaxes(-1, -2)
-    return 2 / h - dot(g, y)[:, 0], -(1 / h) * (VT[:-1] @ V[1:])
-
-
-def sphere_field_blocks(y, V, g, h: float, nodal=None):
-    """The ``(n, 2, 2)`` diagonal and ``(n - 1, 2, 2)`` upper Jacobian blocks
-    of :func:`sphere_field_terms`, with the optional ``(n, 2, 2)`` blocks
-    ``nodal`` of nodal terms, already projected (``V^T J V`` for a nodal
-    Euclidean Jacobian ``J``), added to the diagonal ones.
-    """
-    scalar, upper = sphere_field_terms(y, V, g, h)
-    diag = np.zeros((len(scalar), 2, 2))
-    diag[:, 0, 0] = diag[:, 1, 1] = scalar
+    diag = np.zeros((len(V), 2, 2))
+    diag[:, 0, 0] = diag[:, 1, 1] = 2 / h - dot(g, y)[:, 0]
     if nodal is not None:
         diag += nodal
-    return diag, upper
+    return diag, -(1 / h) * (VT[:-1] @ V[1:])
 
 
 def assemble_intervals_vector(V, g, y=None) -> np.ndarray:

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fem1d import CONDITION_LIMIT, BandedMatrix, Grid, SingularSystem
+from .fem1d import CONDITION_LIMIT, Grid, SingularSystem
 from .geometry import DegenerateUpdate
 
 
@@ -133,6 +133,11 @@ class ProblemInterface(ABC):
     transport), so that a trial's residual is comparable with the iterate's
     ``assemble_residual(at)``; at coincident states the two agree up to
     round-off.
+
+    ``assemble_jacobian(at)`` returns the Newton matrix at ``at``'s state, used
+    once, as a :class:`~bundle_newton.fem1d.BandedMatrix` is:
+    ``factorize(rhs)`` returns its factorization, whose ``solve(rhs)`` re-solves,
+    and the solution, and ``condition()`` its condition estimate and unknown.
     """
 
     def evaluate(self, state):
@@ -143,7 +148,7 @@ class ProblemInterface(ABC):
     def assemble_residual(self, at, frames=None) -> np.ndarray: ...
 
     @abstractmethod
-    def assemble_jacobian(self, at) -> BandedMatrix: ...
+    def assemble_jacobian(self, at): ...
 
     @abstractmethod
     def retract(self, state, xi, alpha: float): ...
@@ -229,12 +234,13 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
     """Affine covariant damped Newton iteration.
 
     Per outer iteration the Newton system is assembled and factorized once,
-    after the last iteration's LU is dropped, so one band-sized matrix is
-    alive at a time; every inner trial re-solves only the right-hand side of
-    the simplified Newton equation with the stored factorization.  Each state
-    is evaluated once, ``x0`` and every trial point: the iterate's evaluation
-    is dropped once its residual and Jacobian are assembled, before the LU,
-    and the accepted trial's serves the next iteration.  A trial step of
+    after the last iteration's matrix and LU are dropped, so one Newton
+    matrix is alive at a time; every inner trial re-solves only the
+    right-hand side of the simplified Newton equation with the stored
+    factorization.  Each state is evaluated once, ``x0`` and every trial
+    point: the iterate's evaluation is dropped once its residual and
+    Jacobian are assembled, before the LU, and the accepted trial's serves
+    the next iteration.  A trial step of
     damping ``alpha`` is accepted when the contraction estimate ``theta``
     stays below ``cfg.theta_acc``; ``alpha`` is adapted towards
     ``THETA_DES``.  ``theta`` is the norm of the simplified Newton step
@@ -319,7 +325,7 @@ def damped_newton(problem: ProblemInterface, x0, cfg: NewtonConfig = NewtonConfi
         # a NaN or infinite theta fails the comparison, so no stale norm_dx_bar or r_bar is read
         if alpha_used == 1.0 and theta <= THETA_STOP and within_tol(x, norm_dx_bar):
             return _converged(stage, norm_dx_bar, problem.norm_inf(r_bar))
-        del fact  # before the next Newton matrix is assembled
+        del matrix, fact  # before the next Newton matrix is assembled
 
     return _failed(stage, Termination.MAX_ITERATIONS,
                    f"no convergence within {cfg.max_outer} outer iterations", at)

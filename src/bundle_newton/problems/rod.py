@@ -3,17 +3,26 @@
 Unknowns are the rod position ``y`` (P1 in R^3), its unit direction field
 ``v`` (P1 on the sphere) and the multiplier ``mu`` (P0 per interval) of the
 constraint ``y' = v``, at unit flexural rigidity (see :class:`RodProblem`).
-Boundary values of ``y`` and ``v`` are prescribed.  Per interior node the
-dofs are interleaved as ``(y_i, v_i, mu_i)`` behind a leading ``mu_0`` group,
-which keeps the assembled Newton matrix banded with bandwidths 9/9
-independent of the grid.  The group of node ``i`` occupies entries
-``8 i - 5 .. 8 i + 2``, so that ``mu_j`` starts at entry ``8 j`` for every
-interval ``j``.  Every block of the Jacobian therefore repeats from node to
-node with period 8, and the 8 columns of a node's group are one tile of
-the column-major band storage (:class:`~bundle_newton.fem1d.BandLayout`).
-The Jacobian is written as 7 indexed stores, one per block kind into the
-tiles of all nodes at once, at storage positions computed once per grid
-size.
+Boundary values of ``y`` and ``v`` are prescribed.  The residual and the
+Newton step interleave their ``8 n + 3`` entries as ``(y_i, v_i, mu_i)`` per
+interior node behind a leading ``mu_0`` group; the group of node ``i``
+occupies entries ``8 i - 5 .. 8 i + 2``, so that ``mu_j`` starts at entry
+``8 j`` for every interval ``j``.  The rows are the position rows ``f_y``,
+the direction rows ``f_v`` and the constraint rows ``f_c`` of each interval.
+
+No matrix of that size is formed.  The position rows say ``dmu_{i-1} -
+dmu_i = f_y,i`` and the constraint rows ``dy_{j+1} - dy_j - (h / 2) (V_j
+dv_j + V_{j+1} dv_{j+1}) = f_c,j``, so with ``P_i = sum_{k <= i} f_y,k``
+the Newton system is (:class:`RodNewtonMatrix`):
+
+- position rows: ``dmu_i = dmu_0 - P_i``;
+- the constraint rows summed, the closure rows: ``-h W^T dv = sum_j f_c,j``;
+- direction rows: ``A dv - h W dmu_0 = f_v - (h / 2) V_i^T (P_{i-1} + P_i)``,
+
+where ``A`` is the curve problems' Jacobian of the direction field, loaded
+by the multiplier (:func:`~bundle_newton.fem1d.sphere_field_blocks`, 2n
+unknowns, bandwidths 3/3), and ``W`` stacks the frames ``V_i^T``.  Once
+``dv`` is known, ``dy`` is a prefix sum of the constraint rows.
 
 The directions are a :class:`~bundle_newton.fem1d.NodalCurve` as in the curve
 problems, framed and retracted by it, and their rows are assembled by
@@ -29,26 +38,25 @@ midpoints.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..fem1d import (
-    BandedMatrix,
-    BandLayout,
+    BandedFactorization,
     Grid,
     NodalCurve,
+    SingularSystem,
+    assemble_intervals,
     assemble_intervals_vector,
+    condition_estimate,
     interpolate_rows,
     p1_covectors,
-    sphere_field_terms,
+    sphere_field_blocks,
 )
 from ..geometry import check_not_antipodal, normalized, unit_vector
 from ..newton import ProblemInterface
-
-BANDWIDTH = 9
 
 # reference boundary data: slightly incompatible chord (length 0.8 for a
 # unit-length rod) with upward pointing end directions
@@ -113,44 +121,102 @@ def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
     return RodState(y, NodalCurve(grid, v), lam)
 
 
-@functools.cache
-def jacobian_layout(n: int) -> tuple[BandLayout, np.ndarray]:
-    """The band layout of the Jacobian of a rod with ``n`` interior nodes, and
-    the values of its first kind: ``-1`` six times, then ``+1`` three times.
+class RodNewtonMatrix:
+    """The rod's Newton matrix ``J`` at a state, symmetric: the Jacobian ``A``
+    of its direction field and the border ``-h W``, with ``W`` the ``(2n,
+    3)`` stack of the frames ``V_i^T`` (see the module docstring).
 
-    Tile ``t`` holds the 8 columns of node ``t``'s group; tile 0 holds 5
-    padding columns and the leading multiplier group.  Each kind is given by
-    its blocks at node 1, whose group is tile 1, and runs over the nodes: the
-    constant ``-I`` and ``I`` blocks in tile 1; the ``I`` block of the
-    position rows in the columns of the multiplier left of the node (tile
-    0); the diagonal of the direction block; the upper and the lower
-    direction blocks, one fewer than nodes (the upper ones in the next
-    tile); the mean frame ``-h V / 2`` in the multiplier rows and its
-    transpose in the direction rows, in tile 1; and that transpose in the
-    columns of the multiplier left of the node (tile 0).
+    Used once, as a :class:`~bundle_newton.fem1d.BandedMatrix` is:
+    :meth:`factorize` and :meth:`condition` factorize ``A`` in place and keep
+    the block elimination, the LU of ``A``, ``Z = A^-1 W`` and the inverse of
+    the 3x3 Schur complement ``W^T Z``, by which :meth:`solve` solves.  A zero
+    pivot of either raises :class:`SingularSystem`.
     """
-    lam_left, y, v, lam_right = 0, 3, 6, 8  # first dofs of the node-1 groups
-    e = np.arange(3)  # the diagonal of a 3x3 block
-    p, q = np.indices((2, 2))  # the entries of a 2x2 block
-    c, a = np.indices((3, 2))  # the entries of a frame V: 3 coordinates, 2 columns
-    mean_rows = np.stack([v + a, lam_right + c, lam_left + c])
-    mean_cols = np.stack([lam_right + c, v + a, v + a])
-    kinds = [
-        # position and constraint rows: multiplier difference, position difference
-        (np.concatenate([y + e, lam_right + e, lam_left + e]),
-         np.concatenate([lam_right + e, y + e, y + e]), n),
-        (y + e, lam_left + e, n),
-        # direction rows: the unit-vector field's blocks
-        (v + e[:2], v + e[:2], n),
-        (v + p, v + 8 + q, n - 1),
-        (v + 8 + q, v + p, n - 1),
-        # the mean frame, in the multiplier rows and the direction rows
-        (mean_rows, mean_cols, n),
-        (v + a, lam_left + c, n),
-    ]
-    signs = np.repeat([-1.0, 1.0], [6, 3])
-    signs.flags.writeable = False  # cached, and shared by every caller
-    return BandLayout(8 * n + 3, BANDWIDTH, BANDWIDTH, 8, -5, kinds), signs
+
+    def __init__(self, v: NodalCurve, g, h: float):
+        self.V, self.h = v.basis, h
+        self.W = self.V.swapaxes(1, 2).reshape(-1, 3)
+        self.A = assemble_intervals(*sphere_field_blocks(v.interior, self.V, g, h))
+
+    def factorize(self, rhs) -> tuple["RodNewtonMatrix", np.ndarray]:
+        """The matrix, now its own factorization, and the solution ``x`` of
+        ``J x = rhs``: one LU of ``A``, solved for the reduced direction rows
+        and ``W`` at once.  Raises :class:`SingularSystem` also when ``x`` is
+        not finite, naming the first such unknown."""
+        with np.errstate(over="ignore", invalid="ignore"):  # as LAPACK's arithmetic
+            g, P, C = self._reduce(rhs)
+            self.lu, X = self.A.factorize(np.column_stack([g, self.W]))
+            self._eliminate(X[:, -3:])
+            x = self._back_substitute(X[:, :-3], P, C, np.shape(rhs))
+        if not np.isfinite(x).all():
+            j = int(np.isfinite(x).reshape(len(x), -1).all(axis=1).argmin())
+            raise SingularSystem(f"rod Newton step is not finite: {x[j]} at unknown {j}")
+        return self, x
+
+    def solve(self, rhs) -> np.ndarray:
+        """Solve ``J x = rhs`` for ``rhs`` of shape ``(8 n + 3,)`` or ``(8 n + 3,
+        k)`` with the factorization: one ``gbtrs`` solve and prefix sums."""
+        g, P, C = self._reduce(rhs)
+        return self._back_substitute(self.lu.solve(g), P, C, np.shape(rhs))
+
+    def condition(self) -> tuple[float, int]:
+        """:func:`~bundle_newton.fem1d.condition_estimate` of the ``8 n + 3``
+        matrix ``J``, with its row sums ``|J| e`` from ``A`` and the frames;
+        ``J`` is symmetric, so its transposed solve is its solve."""
+        n, h, abs_V = len(self.V), self.h, np.abs(self.V)
+        d = np.empty(8 * n + 3)
+        groups = d[3:].reshape(n, 8)
+        groups[:, :3] = 2.0  # the multipliers' I and -I
+        groups[:, 3:5] = self.A.abs_row_sums().reshape(n, 2) + h * abs_V.sum(axis=1)
+        # constraint row j: -I at y_j and I at y_{j+1}, -h V / 2 at v_j and v_{j+1}
+        frames = np.zeros((n + 2, 3))
+        frames[1:-1] = 0.5 * h * abs_V.sum(axis=2)
+        constraint = frames[:-1] + frames[1:] + 2.0
+        constraint[[0, -1]] -= 1.0
+        d[:3], groups[:, 5:] = constraint[0], constraint[1:]
+        self.lu = BandedFactorization(self.A)
+        self._eliminate(self.lu.solve(self.W))
+        return condition_estimate(d, self.solve, self.solve)
+
+    def _eliminate(self, Z) -> None:
+        self.Z = Z
+        try:
+            self.S_inv = np.linalg.inv(self.W.T @ Z)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"zero pivot in the 3x3 Schur complement ({exc})") from None
+
+    def _reduce(self, rhs) -> tuple:
+        """The reduced direction rows ``f_v - (h / 2) V_i^T (P_{i-1} + P_i)``,
+        ``(2n, k)``, and the prefix sums ``P_0 = 0, ..., P_n`` of the position
+        rows and ``C_0, ..., C_n`` of the constraint rows, each ``(n + 1, 3,
+        k)``, of the right-hand sides ``rhs``."""
+        n = len(self.V)
+        r = np.asarray(rhs).reshape(8 * n + 3, -1)
+        # five zeros make the leading constraint rows the group of a node 0,
+        # so that one prefix sum over the groups gives both P and C
+        S = np.add.accumulate(np.concatenate([np.zeros((5, r.shape[1])), r]).reshape(n + 1, 8, -1))
+        P, C = S[:, :3], S[:, 5:]
+        g = r[3:].reshape(n, 8, -1)[:, 3:5] - (0.5 * self.h) * (
+            self.W.reshape(n, 2, 3) @ (P[:-1] + P[1:]))
+        return g.reshape(2 * n, -1), P, C
+
+    def _back_substitute(self, Ag, P, C, shape) -> np.ndarray:
+        """The solution of shape ``shape`` from ``Ag = A^-1 g`` and the prefix
+        sums of :meth:`_reduce`: ``h dmu_0`` from the closure rows, then ``dv``,
+        ``dmu`` and, by the constraint rows, ``dy``."""
+        n, k, h = len(self.V), Ag.shape[1], self.h
+        # W^T dv = -C_n / h, with dv = Ag + Z (h dmu_0)
+        h_dmu0 = self.S_inv @ -(C[-1] / h + self.W.T @ Ag)
+        dv = (Ag + self.Z @ h_dmu0).reshape(n, 2, k)
+        u = np.zeros((n + 1, 3, k))  # V_i dv_i, behind a zero row
+        np.matmul(self.V, dv, out=u[1:])
+        x = np.empty((8 * n + 3, k))
+        x[:3] = h_dmu0 / h
+        groups = x[3:].reshape(n, 8, k)
+        groups[:, :3] = C[:-1] + (0.5 * h) * np.add.accumulate(u[:-1] + u[1:])
+        groups[:, 3:5] = dv
+        np.subtract(x[:3], P[1:], out=groups[:, 5:])
+        return x.reshape(shape)
 
 
 class RodProblem(ProblemInterface):
@@ -227,18 +293,9 @@ class RodProblem(ProblemInterface):
         groups[:, 5:] = r_lam[1:]
         return r
 
-    def assemble_jacobian(self, at: tuple) -> BandedMatrix:
+    def assemble_jacobian(self, at: tuple) -> RodNewtonMatrix:
         state, g, _ = at
-        h = self.grid.h
-        V = state.v.basis  # (n, 3, 2)
-        scalar, upper = sphere_field_terms(state.v.interior, V, g, h)
-        mean_V = -0.5 * h * V
-        # -0.0 -> +0.0, as adding the blocks onto the zero storage gives; the
-        # scalars 2 / h - <g, y> are never -0.0
-        upper += 0.0
-        mean_V += 0.0
-        layout, signs = jacobian_layout(self.grid.n_interior)
-        return layout.matrix((signs, 1.0, scalar[:, None], upper, upper, mean_V[:, None], mean_V))
+        return RodNewtonMatrix(state.v, g, self.grid.h)
 
     def retract(self, state: RodState, xi, alpha: float) -> RodState:
         xi = np.asarray(xi, dtype=float)

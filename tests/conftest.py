@@ -1,6 +1,7 @@
-"""Shared helpers for the test suite: random points, states, FD oracles, and
-the reference scatter and dense view of band matrices; and the
-``--frame-seeds`` option of acceptance criterion 11."""
+"""Shared helpers for the test suite: random points, states, FD oracles, the
+reference scatter and dense view of band matrices, and the full reference
+of the rod's Newton matrix; and the ``--frame-seeds`` option of acceptance
+criterion 11."""
 
 import copy
 import subprocess
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 import bundle_newton
-from bundle_newton import Grid, NodalCurve
+from bundle_newton import BandedMatrix, Grid, NodalCurve
+from bundle_newton.fem1d import sphere_field_blocks
 from bundle_newton.problems import RodState
+from bundle_newton.problems.rod import RodNewtonMatrix
 
 
 def pytest_addoption(parser):
@@ -85,8 +88,63 @@ def band_add(A, i, j, value) -> None:
     np.add.at(A._band(), (row, j), value)
 
 
+def add_scatter_jacobian(V, h: float, diag, upper) -> BandedMatrix:
+    """Reference assembly of the rod's Newton matrix: the full ``8 n + 3``
+    matrix in the interleaved order of its residual and its step, at
+    bandwidths 9/9, as 11 ``band_add`` scatters over per-node dof index
+    arrays, from the frames ``V``, the mesh size ``h`` and the direction
+    field's ``(n, 2, 2)`` diagonal and ``(n - 1, 2, 2)`` upper blocks."""
+    n = len(V)
+    A = BandedMatrix(8 * n + 3, 9, 9)
+    VT = np.swapaxes(V, -1, -2)
+    eye3 = np.eye(3)
+    nodes = np.arange(1, n + 1)
+    y = 8 * nodes[:, None] - 5 + np.arange(3)
+    v = 8 * nodes[:, None] - 2 + np.arange(2)
+    lam_left = 8 * (nodes[:, None] - 1) + np.arange(3)
+    lam_right = 8 * nodes[:, None] + np.arange(3)
+
+    def add(rows, cols, blocks):
+        band_add(A, rows[..., :, None], cols[..., None, :], blocks)
+
+    add(y, lam_left, eye3)
+    add(y, lam_right, -eye3)
+    add(v, v, diag)
+    add(v[:-1], v[1:], upper)
+    add(v[1:], v[:-1], np.swapaxes(upper, -1, -2))
+    add(v, lam_left, -0.5 * h * VT)
+    add(v, lam_right, -0.5 * h * VT)
+    add(lam_right, y, -eye3)
+    add(lam_right, v, -0.5 * h * V)
+    add(lam_left, y, eye3)
+    add(lam_left, v, -0.5 * h * V)
+    return A
+
+
+def rod_reference(problem, state) -> BandedMatrix:
+    """:func:`add_scatter_jacobian` of ``problem``, a rod, at ``state``, with
+    the direction blocks computed from the state."""
+    V, h = state.v.basis, problem.grid.h
+    blocks = sphere_field_blocks(state.v.interior, V, problem.evaluate(state)[1], h)
+    return add_scatter_jacobian(V, h, *blocks)
+
+
+def as_banded(A) -> BandedMatrix:
+    """The ``BandedMatrix`` ``A`` itself; a rod's Newton matrix as
+    :func:`add_scatter_jacobian` of its parts: its frames, its ``h`` and the
+    blocks of its direction Jacobian ``A.A``, which stays unfactorized."""
+    if not isinstance(A, RodNewtonMatrix):
+        return A
+    n = len(A.V)
+    blocks = to_dense(A.A).reshape(n, 2, n, 2)
+    k = np.arange(n)
+    return add_scatter_jacobian(A.V, A.h, blocks[k, :, k], blocks[k[:-1], :, k[1:]])
+
+
 def to_dense(A) -> np.ndarray:
-    """The ``BandedMatrix`` ``A`` as a dense ``(dim, dim)`` array."""
+    """The ``BandedMatrix`` ``A``, or a rod's Newton matrix by
+    :func:`as_banded`, as a dense ``(dim, dim)`` array."""
+    A = as_banded(A)
     i, j = np.indices((A.dim, A.dim))
     row = A.lower_bw + A.upper_bw + i - j
     in_band = (row >= A.lower_bw) & (row <= 2 * A.lower_bw + A.upper_bw)
@@ -167,11 +225,10 @@ def jacobian_at(problem, state):
 def jacobian_fd_error(problem, state, rng, n_directions=5, step=1e-5):
     """Worst relative error of the Jacobian action against a central
     difference of the transported residual along random directions."""
-    A = jacobian_at(problem, state)
-    dense = to_dense(A)
+    dense = to_dense(jacobian_at(problem, state))
     worst = 0.0
     for _ in range(n_directions):
-        xi = rng.standard_normal(A.dim)
+        xi = rng.standard_normal(len(dense))
         xi /= np.abs(xi).max()
         jxi = dense @ xi
         plus = residual_at(problem, problem.retract(state, xi, step), state)
@@ -184,8 +241,6 @@ def jacobian_fd_error(problem, state, rng, n_directions=5, step=1e-5):
 def block_tridiag(diag, lower, upper):
     """Band storage of the block tridiagonal matrix with the given
     ``(n, m, m)`` diagonal and ``(n - 1, m, m)`` off-diagonal blocks."""
-    from bundle_newton import BandedMatrix
-
     n, m, _ = diag.shape
     A = BandedMatrix(n * m, 2 * m - 1, 2 * m - 1)
     dofs = np.arange(n * m).reshape(n, m)
@@ -203,8 +258,6 @@ def skeel_condition(dense) -> float:
 
 def spy_factorize(monkeypatch) -> list:
     """Record every matrix ``BandedMatrix.factorize`` is called on, in order."""
-    from bundle_newton import BandedMatrix
-
     matrices = []
     factorize = BandedMatrix.factorize
 
@@ -219,8 +272,6 @@ def spy_factorize(monkeypatch) -> list:
 def banded_from_dense(dense, lower_bw=None, upper_bw=None):
     """The square matrix ``dense`` in band storage, with full bandwidths unless
     given; entries outside the band must be zero."""
-    from bundle_newton import BandedMatrix
-
     dense = np.asarray(dense, dtype=float)
     n = len(dense)
     kl = n - 1 if lower_bw is None else lower_bw
@@ -243,8 +294,6 @@ def random_block_tridiag(rng, n_blocks, m):
 
 def random_banded(rng, dim, kl, ku):
     """Random banded matrix, diagonally boosted; entries drawn column by column."""
-    from bundle_newton import BandedMatrix
-
     A = BandedMatrix(dim, kl, ku)
     j, i = np.indices((dim, dim))  # row-major order runs j-major, i-minor
     in_band = (i - j <= kl) & (j - i <= ku)

@@ -17,7 +17,6 @@ from bundle_newton import fem1d, geometry
 from bundle_newton.fem1d import (
     CONDITION_LIMIT,
     BandedFactorization,
-    BandLayout,
     assemble_intervals,
     assemble_intervals_vector,
     p1_covectors,
@@ -25,6 +24,7 @@ from bundle_newton.fem1d import (
 )
 from bundle_newton.problems import GeodesicForceProblem, ObstacleProblem, RodProblem
 from conftest import (
+    as_banded,
     band_add,
     banded_from_dense,
     block_tridiag,
@@ -304,7 +304,7 @@ def test_a_factorized_matrix_raises_when_used_again():
 def test_factorize_allocates_no_copy_of_the_band():
     # gbtrf overwrites the column-major band storage itself; what is left to
     # allocate is the solution, the pivots and the finiteness check
-    problem = RodProblem(Grid(1.0, 1000))
+    problem = GeodesicForceProblem(Grid(1.0, 10000))
     state = problem.initial_state()
     A = jacobian_at(problem, state)
     band = A._ab.nbytes
@@ -495,6 +495,15 @@ def test_banded_non_finite_entry_raises(bad):
         A.factorize(np.ones(5))
 
 
+def test_banded_non_finite_solution_names_its_row_for_several_right_hand_sides():
+    # a NaN pivot in the last row leaves only that row of the solution NaN
+    A = BandedMatrix(5, 0, 0)
+    band_add(A, np.arange(4), np.arange(4), 4.0)
+    band_add(A, 4, 4, np.nan)
+    with pytest.raises(SingularSystem, match=r"not finite: \[nan nan nan\] at unknown 4$"):
+        A.factorize(np.ones((5, 3)))
+
+
 def test_condition_estimate_bounds_exact_condition_from_below():
     rng = np.random.default_rng(18)
     for _ in range(300):
@@ -561,7 +570,7 @@ def test_condition_estimate_alternating_sign_safeguard():
 def _estimator_cases():
     """Matrices for the estimator's reference test: seeded random band
     matrices, some of them past ``CONDITION_LIMIT``, and the three problems'
-    Jacobians."""
+    Jacobians, the rod's as its full reference."""
     rng = np.random.default_rng(25)
     for _ in range(300):
         dim = int(rng.integers(1, 301))
@@ -582,7 +591,7 @@ def _estimator_cases():
             (RodProblem(grid), random_rod_state(grid, rng)),
         ):
             for x in (problem.initial_state(), state):
-                yield jacobian_at(problem, x)
+                yield as_banded(jacobian_at(problem, x))  # the rod's by its reference
 
 
 def test_condition_estimate_is_bitwise_the_reference_iteration(monkeypatch):
@@ -690,56 +699,6 @@ def test_curve_jacobian_band_bytes_on_an_arc_in_a_coordinate_plane():
         B = block_tridiag(diag, np.swapaxes(upper, -1, -2), upper)
         assert (A.dim, A.lower_bw, A.upper_bw) == (B.dim, B.lower_bw, B.upper_bw)
         assert A._ab.tobytes() == B._ab.tobytes(), n
-
-
-def small_layout(*kinds):
-    """A layout of a 12x12 matrix of bandwidths 2/1, in tiles of 4 columns
-    from column -1: columns -1..2, 3..6, 7..10 and 11..14."""
-    return BandLayout(12, 2, 1, 4, -1, kinds)
-
-
-def test_band_layout_stores_each_kind_where_band_add_adds_it():
-    # kinds in the padded first and last tiles, runs that cross into the next
-    # tile, and a block whose column lies in a later tile than its row;
-    # a stored -0.0 keeps its sign
-    rng = np.random.default_rng(23)
-    e = np.arange(2)
-    kinds = [(0, 0, 3), (1 + e[:, None], 1 + e, 2), ([3, 4], 2, 2), (11, 11, 1),
-             ([10, 11], 9, 1), (2, 3, 1)]
-    values = [rng.standard_normal(3), rng.standard_normal((2, 2, 2)), -0.0, 7.0,
-              rng.standard_normal((1, 2)), rng.standard_normal()]
-    A = small_layout(*kinds).matrix(values)
-    B = BandedMatrix(12, 2, 1)
-    for (i, j, count), value in zip(kinds, values):
-        i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
-        shift = 4 * np.arange(count).reshape((count,) + (1,) * i.ndim)
-        band_add(B, shift + i, shift + j, value)
-    assert A._ab.shape == B._ab.shape and A._ab.flags.f_contiguous
-    assert np.array_equal(A._ab, B._ab)
-    assert np.signbit(A._ab[A.lower_bw + A.upper_bw + np.array([1, 2, 1, 2]), [2, 2, 6, 6]]).all()
-
-
-def test_band_layout_refuses_entries_outside_the_matrix_the_band_or_the_tile():
-    refused = [
-        (IndexError, [(0, 12, 1)]),  # column 12
-        (IndexError, [(-1, 0, 1)]),  # row -1
-        (IndexError, [(9, 8, 2)]),  # the second block at row 13
-        (ValueError, [(0, 0, 0)]),  # no block
-        (ValueError, [(3, 0, 1)]),  # 3 below the diagonal, lower bandwidth 2
-        (ValueError, [(1, 3, 2)]),  # 2 above the diagonal, upper bandwidth 1
-        (ValueError, [([2, 3], [2, 3], 1)]),  # columns 2 and 3 lie in tiles 0 and 1
-        (ValueError, [((5, 5), (5, 5), 1)]),  # one kind writes entry (5, 5) twice
-        (ValueError, [(1, 1, 3), (5, 5, 1)]),  # two kinds write entry (5, 5)
-    ]
-    for error, kinds in refused:
-        with pytest.raises(error):
-            small_layout(*kinds)
-    with pytest.raises(ValueError, match="two entries at storage row 3 of column 5"):
-        small_layout((1, 1, 3), (5, 5, 1))
-    with pytest.raises(ValueError, match="tiles of 4 columns"):
-        BandLayout(12, 2, 1, 4, -4, [(0, 0, 1)])
-    # entries at the edges of the matrix, the band and the tiles are admissible
-    small_layout((0, 0, 3), (11, 11, 1), (4, 2, 1), (2, 3, 1), ([3, 6], [3, 6], 1))
 
 
 def add_scatter_blocks(A, row0, col0, blocks, stride):

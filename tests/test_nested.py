@@ -1,9 +1,10 @@
 """Nested iteration: the grid ladder, the nested solve against the direct
 one, and the artifacts the command line writes for its levels."""
 
+import gc
 import math
 import re
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -175,21 +176,37 @@ def test_bench_runs_factorize_once_per_row_but_the_convergence_rows(
     assert len(matrices) == factorizations
 
 
-def test_a_rod_solve_holds_less_than_two_band_matrices():
-    # an outer iteration drops the last LU before it assembles its matrix,
-    # whose storage then becomes its LU: rod n = 1000 (8003 unknowns,
-    # bandwidths 9/9) peaks at about 1.5 bands of traced memory
-    problem = RodProblem(Grid(1.0, 1000))
-    band = jacobian_at(problem, problem.initial_state())._ab.nbytes
-    nested_iteration(RodProblem(Grid(1.0, 100)))  # a first run's one-time allocations
-    tracemalloc.start()
+@pytest.mark.parametrize("problem", [GeodesicForceProblem(Grid(1.0, 1000)),
+                                     RodProblem(Grid(1.0, 1000))], ids=["geodesic-force", "rod"])
+def test_a_solve_drops_the_last_newton_matrix_and_lu_before_it_assembles_the_next(
+        monkeypatch, problem):
+    # one Newton matrix and its LU are alive at a time: when an outer
+    # iteration assembles its matrix, the last matrix and LU are gone.  The
+    # garbage collector is off, so a reference cycle would keep them
+    alive, assembled = [], []  # weak references to every matrix and banded LU made so far
+    assemble, factorize = type(problem).assemble_jacobian, fem1d.BandedMatrix.factorize
+
+    def tracked_assemble(self, at):
+        assert [ref for ref in alive if ref() is not None] == []
+        matrix = assemble(self, at)
+        alive.append(weakref.ref(matrix))
+        assembled.append(self.grid.n_interior)
+        return matrix
+
+    def tracked_factorize(self, rhs):
+        fact, x = factorize(self, rhs)
+        alive.append(weakref.ref(fact))
+        return fact, x
+
+    monkeypatch.setattr(type(problem), "assemble_jacobian", tracked_assemble)
+    monkeypatch.setattr(fem1d.BandedMatrix, "factorize", tracked_factorize)
+    gc.disable()
     try:
         result = nested_iteration(problem)
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        tracemalloc.stop()
+        gc.enable()
     assert result.terminated is Termination.CONVERGED
-    assert peak < 2 * band, peak / band
+    assert assembled.count(1000) >= 2
 
 
 DIAGNOSIS = re.compile(r" \(Newton matrix condition estimate (\S+), largest at unknown \d+\)$")

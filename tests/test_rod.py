@@ -2,23 +2,24 @@ import numpy as np
 import pytest
 
 from bundle_newton import (
-    BandedMatrix,
     DegenerateUpdate,
     Grid,
     NewtonConfig,
     NodalCurve,
+    SingularSystem,
     Termination,
     damped_newton,
 )
-from bundle_newton.fem1d import sphere_field_blocks
 from bundle_newton.problems import RodProblem, RodState, rod, rod_initial_guess
 import oracles
 from conftest import (
-    band_add,
+    as_banded,
     jacobian_at,
     jacobian_fd_error,
     random_rod_state,
     residual_at,
+    rod_reference,
+    skeel_condition,
     to_dense,
 )
 
@@ -274,36 +275,6 @@ def test_jacobian_respects_declared_bandwidth():
                 assert dense[i, j] == 0.0
 
 
-def add_scatter_jacobian(problem, state):
-    """Reference assembly: the rod Jacobian as 11 ``band_add`` scatters
-    over per-node dof index arrays."""
-    n, h = problem.grid.n_interior, problem.grid.h
-    A = BandedMatrix(problem.dof_count, 9, 9)
-    V = state.v.basis
-    VT = np.swapaxes(V, -1, -2)
-    eye3 = np.eye(3)
-    nodes = np.arange(1, n + 1)
-    y, v = y_dofs(nodes), v_dofs(nodes)
-    lam_left, lam_right = lam_dofs(nodes - 1), lam_dofs(nodes)
-
-    def add(rows, cols, blocks):
-        band_add(A, rows[..., :, None], cols[..., None, :], blocks)
-
-    add(y, lam_left, eye3)
-    add(y, lam_right, -eye3)
-    diag, upper = sphere_field_blocks(state.v.interior, V, problem.evaluate(state)[1], h)
-    add(v, v, diag)
-    add(v[:-1], v[1:], upper)
-    add(v[1:], v[:-1], np.swapaxes(upper, -1, -2))
-    add(v, lam_left, -0.5 * h * VT)
-    add(v, lam_right, -0.5 * h * VT)
-    add(lam_right, y, -eye3)
-    add(lam_right, v, -0.5 * h * V)
-    add(lam_left, y, eye3)
-    add(lam_left, v, -0.5 * h * V)
-    return A
-
-
 def x_z_plane_rod_state(grid, rng):
     """A random rod state whose interior directions lie in the x-z plane, at
     angles from pi / 4 to above pi / 2.  Their frames hold exact zeros of
@@ -316,7 +287,8 @@ def x_z_plane_rod_state(grid, rng):
 
 
 def test_jacobian_block_runs_equal_add_scatter_bitwise():
-    # the reference adds onto zero storage, which turns every -0.0 into +0.0
+    # the reference adds onto zero storage, which turns every -0.0 into +0.0;
+    # the rod's matrix, read through its parts, is the reference at the state
     rng = np.random.default_rng(5)
     for n in (2, 3, 10):
         grid = Grid(1.0, n)
@@ -327,10 +299,44 @@ def test_jacobian_block_runs_equal_add_scatter_bitwise():
             problem = RodProblem(grid, sigma=sigma)
             for state in (random_rod_state(grid, rng), plane):
                 assert np.abs(state.lam).min() > 0.0
-                A = jacobian_at(problem, state)
-                B = add_scatter_jacobian(problem, state)
+                A = as_banded(jacobian_at(problem, state))
+                B = rod_reference(problem, state)
                 assert (A.dim, A.lower_bw, A.upper_bw) == (B.dim, B.lower_bw, B.upper_bw)
                 assert A._ab.tobytes() == B._ab.tobytes(), (n, sigma)
+
+
+def test_newton_matrix_solves_and_estimates_as_the_dense_reference():
+    # block elimination against np.linalg.solve on the full 8n + 3 reference,
+    # for one and two right-hand sides; the condition estimate is a lower
+    # estimate of the reference's Skeel condition number
+    rng = np.random.default_rng(24)
+    for n in (2, 3, 10, 100):
+        grid = Grid(1.0, n)
+        problem = RodProblem(grid)
+        for state in (problem.initial_state(), random_rod_state(grid, rng),
+                      random_rod_state(grid, rng)):
+            dense = to_dense(rod_reference(problem, state))
+            for shape in ((problem.dof_count,), (problem.dof_count, 1), (problem.dof_count, 2)):
+                rhs, again = rng.standard_normal(shape), rng.standard_normal(shape)
+                fact, x = jacobian_at(problem, state).factorize(rhs)
+                for b, got in ((rhs, x), (again, fact.solve(again))):
+                    want = np.linalg.solve(dense, b)
+                    assert got.shape == b.shape
+                    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (n, shape)
+            estimate, unknown = jacobian_at(problem, state).condition()
+            exact = skeel_condition(dense)
+            assert 0.3 * exact <= estimate <= exact * (1.0 + 1e-10), (n, estimate / exact)
+            assert 0 <= unknown < problem.dof_count
+
+
+def test_a_non_finite_newton_step_raises_naming_its_unknown():
+    # the constraint rows' sum overflows: the step is not finite from the
+    # leading multiplier group on, and no overflow warning is raised
+    problem = RodProblem(Grid(1.0, 5))
+    rhs = np.zeros(problem.dof_count)
+    rhs[lam_dofs(np.arange(6))] = 1e308
+    with pytest.raises(SingularSystem, match=r"rod Newton step is not finite: \S+ at unknown 0$"):
+        jacobian_at(problem, problem.initial_state()).factorize(rhs)
 
 
 # -- retraction -----------------------------------------------------------------------

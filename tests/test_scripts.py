@@ -153,21 +153,25 @@ def test_sweep_compare_lists_changed_exit_codes_and_sums_cost_over_cases_converg
         "  outer iterations over the 1 cases converged in both: 3 -> 3",
         "  factorizations over the 1 cases converged in both: 0 -> 0",
     ]
-    # compare prints the changed terminations and final penalties, for
-    # reading: they count as no change
+    # compare prints the changed terminations, final penalties and, with the
+    # same exit code, masked messages, for reading: they count as no change
     a = recorded(sweep, tmp_path / "a.csv", {"obstacle": [
         outcome(0, 3, "converged", "ab", 3, "10", "converged", 5, "4.0"),
-        outcome(2, 9, "failed", "cd", 9, "10", "damping_failed", 11)]})
+        outcome(2, 9, "failed", "cd", 9, "10", "damping_failed", 11),
+        outcome(2, 7, "failed at 0.5", "ef", 7, "10", "damping_failed", 8)]})
     b = recorded(sweep, tmp_path / "b.csv", {"obstacle": [
         outcome(0, 3, "converged", "ab", 3, "10", "converged", 6, "16.0"),
-        outcome(2, 9, "failed", "cd", 9, "10", "max_iterations", 11)]})
+        outcome(2, 9, "failed", "cd", 9, "10", "max_iterations", 11),
+        outcome(2, 7, "failed at 0.25 (estimate 1e16)", "ef", 7, "10", "damping_failed", 8)]})
     assert [(row["termination"], row["factorizations"], row["final_p"])
-            for row in a.values()] == [("converged", "5", "4.0"), ("damping_failed", "11", "")]
+            for row in a.values()] == [("converged", "5", "4.0"), ("damping_failed", "11", ""),
+                                       ("damping_failed", "8", "")]
     assert sweep["compare"](a, b) == ([
-        "obstacle: 2 cases in both records, 0 changed exit code, 0 changed digest",
+        "obstacle: 3 cases in both records, 0 changed exit code, 0 changed digest",
         "  outer iterations over the 1 cases converged in both: 3 -> 3",
         "  case 0: final_p 4.0 -> 16.0",
         "  case 1: termination damping_failed -> max_iterations",
+        "  case 2: message failed at # -> failed at # (estimate #)",
         "  factorizations over the 1 cases converged in both: 5 -> 6",
     ], 0)
 
