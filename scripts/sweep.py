@@ -21,9 +21,10 @@ that wrote neither), the rows of its ``iterates.csv`` (the lines below the
 header; empty for a run that wrote none), the levels it ran, ``meta.txt``'s
 ``result_levels`` (empty for a run that recorded none), its termination,
 ``meta.txt``'s ``result_status`` (empty without a ``meta.txt``), the Newton
-matrices it factorized (calls of ``BandedMatrix.factorize``, counted in the
-process) and the obstacle's final penalty, ``meta.txt``'s ``result_final_p``
-(empty for the other problems and for a run that recorded none).
+matrices it factorized (the outermost calls of ``BandedMatrix.factorize``
+and ``RodNewtonMatrix.factorize``, counted in the process) and the
+obstacle's final penalty, ``meta.txt``'s ``result_final_p`` (empty for the
+other problems and for a run that recorded none).
 ``--compare OLD NEW`` runs nothing, so it needs no ``bundle_newton`` on the
 path: it reads two such records and prints,
 per problem, the cases whose exit code changed, the cases whose digest
@@ -142,21 +143,35 @@ def argv(case: dict) -> list:
 
 @contextlib.contextmanager
 def counting_factorizations():
-    """A one-item list that counts the calls of ``BandedMatrix.factorize``
-    made inside the ``with`` block."""
+    """A one-item list that counts the Newton matrices factorized inside the
+    ``with`` block: the calls of ``BandedMatrix.factorize`` (a curve
+    problem's matrix) and ``RodNewtonMatrix.factorize`` (the rod's) made
+    outside another such call, so a rod matrix counts once whether or not
+    it factorizes its band by the former."""
     from bundle_newton.fem1d import BandedMatrix
+    from bundle_newton.problems.rod import RodNewtonMatrix
 
-    factorize, count = BandedMatrix.factorize, [0]
+    originals = {cls: cls.factorize for cls in (BandedMatrix, RodNewtonMatrix)}
+    count, depth = [0], [0]
 
-    def counted(matrix, rhs):
-        count[0] += 1
-        return factorize(matrix, rhs)
+    def counting(factorize):
+        def counted(matrix, rhs):
+            count[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return factorize(matrix, rhs)
+            finally:
+                depth[0] -= 1
 
-    BandedMatrix.factorize = counted
+        return counted
+
+    for cls, factorize in originals.items():
+        cls.factorize = counting(factorize)
     try:
         yield count
     finally:
-        BandedMatrix.factorize = factorize
+        for cls, factorize in originals.items():
+            cls.factorize = factorize
 
 
 def run_case(case: dict, out_dir) -> dict:
@@ -173,8 +188,8 @@ def run_case(case: dict, out_dir) -> dict:
     ``meta.txt``'s ``result_levels``, each empty for a run that wrote none;
     the termination and the final penalty are ``meta.txt``'s
     ``result_status`` and ``result_final_p``, each empty for a run that
-    recorded none, and the factorizations the calls of
-    ``BandedMatrix.factorize`` during the run.
+    recorded none, and the factorizations those of
+    :func:`counting_factorizations` during the run.
     """
     from bundle_newton.cli import main  # here, so that --compare runs without it
 

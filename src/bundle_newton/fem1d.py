@@ -371,8 +371,9 @@ def p1_covectors(u, h: float, load) -> np.ndarray:
     return flux[:-1] - flux[1:] + h * np.asarray(load, dtype=float)
 
 
-def sphere_field_blocks(y, V, g, h: float, nodal=None):
-    """Jacobian blocks of a P1 unit-vector field ``y`` in its tangent frames ``V``.
+def sphere_field_blocks(y, rows, g, h: float, nodal=None):
+    """Jacobian blocks of a P1 unit-vector field ``y`` in its tangent frames,
+    given as their :func:`~bundle_newton.geometry.frame_rows` ``rows``.
 
     The residual pairs the ``(n, 3)`` covectors ``g`` of :func:`p1_covectors`
     with test vectors that follow ``y`` by projection.  Its covariant
@@ -381,26 +382,31 @@ def sphere_field_blocks(y, V, g, h: float, nodal=None):
     diagonal blocks, ``2 / h - <g, y>`` times the identity plus the optional
     ``(n, 2, 2)`` blocks ``nodal`` of nodal terms, already projected (``V^T J
     V`` for a nodal Euclidean Jacobian ``J``), and the ``(n - 1, 2, 2)``
-    upper blocks; the lower blocks are their transposes.
+    upper blocks ``-(1 / h) V_i^T V_{i+1}``, each entry a sum over the three
+    components in order, on the contiguous rows; the lower blocks are their
+    transposes.
     """
-    VT = V.swapaxes(-1, -2)
-    diag = np.zeros((len(V), 2, 2))
+    diag = np.zeros((len(y), 2, 2))
     diag[:, 0, 0] = diag[:, 1, 1] = 2 / h - dot(g, y)[:, 0]
     if nodal is not None:
         diag += nodal
-    return diag, -(1 / h) * (VT[:-1] @ V[1:])
+    upper = np.einsum("kan,kbn->abn", rows[:, :, :-1], rows[:, :, 1:])
+    upper *= -(1 / h)
+    return diag, upper.transpose(2, 0, 1)
 
 
 def assemble_intervals_vector(V, g, y=None) -> np.ndarray:
     """Residual vector ``V[p]^T g[p]`` of the ``(n, d)`` nodal covectors ``g``.
 
-    ``V`` holds ``(n, d, m)`` test frames.  Given trial points ``y``, the frame
-    columns are first projected onto the tangent planes at ``y`` (vector transport).
+    ``V`` holds ``(n, d, m)`` test frames.  Given trial points ``y``, the
+    covectors are first projected onto the tangent planes at ``y``, and the
+    frames are not: ``V^T (P_y g)`` equals the transported residual ``(P_y
+    V)^T g`` because the projection is symmetric, and projects one ``(n,
+    3)`` array in place of both frame columns.
     """
-    contract = V.swapaxes(-1, -2)
     if y is not None:
-        contract = tangent_project(y[:, None], contract)
-    return np.einsum("kmd,kd->km", contract, g).ravel()
+        g = tangent_project(y, g)
+    return np.einsum("kmd,kd->km", V.swapaxes(-1, -2), g).ravel()
 
 
 def assemble_intervals(diag, upper) -> BandedMatrix:

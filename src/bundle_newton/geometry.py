@@ -85,8 +85,9 @@ def retract_sphere(y, d) -> np.ndarray:
         raise DegenerateUpdate(
             f"update direction collapses the point to norm {nrm.flat[i]:.2e} at row {i}"
         )
+    w /= nrm
     # retraction at a zero step is the exact identity
-    return np.where(moved, w / nrm, y)
+    return w if moved.all() else np.where(moved, w, y)
 
 
 def tangent_basis(y) -> np.ndarray:
@@ -118,3 +119,11 @@ def tangent_basis(y) -> np.ndarray:
     np.add(s, y2 * y2 * a, out=V[..., 1, 1])
     np.negative(y2, out=V[..., 2, 1])
     return V
+
+
+def frame_rows(V) -> np.ndarray:
+    """The components of the ``(n, 3, 2)`` frames ``V`` as contiguous ``(n,)``
+    rows: a ``(3, 2, n)`` array with ``V[i, k, a]`` at ``[k, a, i]``.  numpy
+    runs elementwise work on these rows several times faster than on the
+    strided columns of ``V``."""
+    return np.ascontiguousarray(V.transpose(1, 2, 0))

@@ -4,11 +4,13 @@ A curve problem looks for a piecewise-linear curve of unit vectors whose
 Dirichlet term balances a nodal force covector field.  Subclasses only
 provide the force field, evaluated on stacked ``(n, 3)`` node arrays, and
 its nodal Jacobian term ``h V^T J V`` in the nodes' tangent frames ``V``,
-as ``(n, 2, 2)`` blocks.  A curve's evaluation is the curve and its covectors
-``slope[:-1] - slope[1:] + h f(y)`` per interior node.  The residual
-contracts them with the node's tangent frame (another curve's frame,
-projected onto the curve's tangent plane, for a trial residual), and the
-Jacobian is :func:`fem1d.sphere_field_blocks` with those blocks.
+as ``(n, 2, 2)`` blocks computed from the frames' components as contiguous
+rows.  A curve's evaluation is the curve and its covectors ``slope[:-1] -
+slope[1:] + h f(y)`` per interior node.  The residual
+contracts them with the node's tangent frame (for a trial residual, they
+are projected onto the curve's tangent plane and contracted with another
+curve's frame), and the Jacobian is :func:`fem1d.sphere_field_blocks` with
+those blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..fem1d import (
     p1_covectors,
     sphere_field_blocks,
 )
-from ..geometry import arc_angle, check_not_antipodal, unit_vector
+from ..geometry import arc_angle, check_not_antipodal, frame_rows, unit_vector
 from ..newton import ProblemInterface
 
 
@@ -67,10 +69,11 @@ class SphereCurveProblem(ProblemInterface):
         """Coefficients of the force covectors at the points ``y`` (``(..., 3)``)."""
         raise NotImplementedError
 
-    def force_blocks(self, y, V):
+    def force_blocks(self, y, rows):
         """``(n, 2, 2)`` blocks ``h V^T J V`` of the Euclidean Jacobian ``J`` of the
         force covector field at the points ``y`` (``(n, 3)``) in their frames
-        ``V`` (``(n, 3, 2)``); None for a field that is identically zero."""
+        ``V``, given as their ``(3, 2, n)`` :func:`~bundle_newton.geometry.frame_rows`
+        ``rows``; None for a field that is identically zero."""
         raise NotImplementedError
 
     # -- states -----------------------------------------------------------------
@@ -95,9 +98,9 @@ class SphereCurveProblem(ProblemInterface):
 
     def assemble_jacobian(self, at: tuple):
         curve, g = at
-        y, V = curve.interior, curve.basis
-        nodal = self.force_blocks(y, V)
-        blocks = sphere_field_blocks(y, V, g, self.grid.h, nodal)
+        y, rows = curve.interior, frame_rows(curve.basis)  # one copy for both block sets
+        nodal = self.force_blocks(y, rows)
+        blocks = sphere_field_blocks(y, rows, g, self.grid.h, nodal)
         return assemble_intervals(*blocks)
 
     def retract(self, curve: NodalCurve, xi, alpha: float) -> NodalCurve:

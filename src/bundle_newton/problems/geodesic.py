@@ -50,9 +50,10 @@ def winding_force(y, scale: float = 3.0) -> np.ndarray:
     return np.stack((prefactor * -y[..., 1], prefactor * y[..., 0], prefactor * 0.0), axis=-1)
 
 
-def winding_force_blocks(y, V, scale: float, h: float) -> np.ndarray:
+def winding_force_blocks(y, rows, scale: float, h: float) -> np.ndarray:
     """``(n, 2, 2)`` blocks ``h V^T J V`` of the winding force's Euclidean
-    Jacobian ``J`` at the points ``y`` in the frames ``V`` (``(n, 3, 2)``).
+    Jacobian ``J`` at the points ``y`` in the frames ``V``, given as their
+    ``(3, 2, n)`` :func:`~bundle_newton.geometry.frame_rows` ``rows``.
 
     With ``pi = scale * y3 / rho^2`` and ``a = (-y2, y1, 0)``, ``J = a grad(pi)^T
     + pi R`` with the constant ``R`` for which ``R y = a``; entry ``(i, j)``
@@ -63,7 +64,7 @@ def winding_force_blocks(y, V, scale: float, h: float) -> np.ndarray:
     # components as contiguous (n,) rows: numpy is several times slower on
     # the strided columns of (n, 3) and (n, 3, 2) arrays
     y1, y2 = np.ascontiguousarray(y[:, :2].T)
-    v1, v2, v3 = np.ascontiguousarray(V.transpose(1, 2, 0))  # (2, n): both columns
+    v1, v2, v3 = rows  # (2, n): both columns
     along = y1 * v2 - y2 * v1  # v_i . a
     # v_j . grad(pi), by grad(pi) = (scale e3 - 2 pi (y1, y2, 0)) / rho^2
     climb = (scale * v3 - 2.0 * prefactor * (y1 * v1 + y2 * v2)) / rho2
@@ -120,7 +121,7 @@ class GeodesicForceProblem(SphereCurveProblem):
             return np.zeros(np.shape(y))
         return winding_force(y, self.force_scale)
 
-    def force_blocks(self, y, V):
+    def force_blocks(self, y, rows):
         if self.force_scale == 0.0:
             return None
-        return winding_force_blocks(y, V, self.force_scale, self.grid.h)
+        return winding_force_blocks(y, rows, self.force_scale, self.grid.h)

@@ -99,13 +99,13 @@ class ObstacleProblem(SphereCurveProblem):
     def force_at(self, y) -> np.ndarray:
         return self.p * penalty_activation(self.gap(y))[..., None] * _E3
 
-    def force_blocks(self, y, V) -> np.ndarray:
+    def force_blocks(self, y, rows) -> np.ndarray:
         # V^T (h p slope e3 e3^T) V bit for bit: (w_i m) w_j, with the frames'
         # third rows w and m = h (p slope), which is slope (h p) bit for bit
         # as slope is 0 or 1
-        w = V[:, 2, :]
+        w = rows[2]  # (2, n): both columns
         m = penalty_activation_slope(self.gap(y)) * (self.grid.h * self.p)
-        return (w * m[:, None])[:, :, None] * w[:, None, :]
+        return ((w * m)[:, None, :] * w[None, :, :]).transpose(2, 0, 1)
 
     def solve(self, cfg: NewtonConfig, start) -> Continuation:
         """The level solve of the nested iteration: the penalty path from ``start``."""

@@ -55,7 +55,7 @@ from ..fem1d import (
     p1_covectors,
     sphere_field_blocks,
 )
-from ..geometry import check_not_antipodal, normalized, unit_vector
+from ..geometry import check_not_antipodal, frame_rows, normalized, unit_vector
 from ..newton import ProblemInterface
 
 # reference boundary data: slightly incompatible chord (length 0.8 for a
@@ -136,7 +136,7 @@ class RodNewtonMatrix:
     def __init__(self, v: NodalCurve, g, h: float):
         self.V, self.h = v.basis, h
         self.W = self.V.swapaxes(1, 2).reshape(-1, 3)
-        self.A = assemble_intervals(*sphere_field_blocks(v.interior, self.V, g, h))
+        self.A = assemble_intervals(*sphere_field_blocks(v.interior, frame_rows(self.V), g, h))
 
     def factorize(self, rhs) -> tuple["RodNewtonMatrix", np.ndarray]:
         """The matrix, now its own factorization, and the solution ``x`` of
@@ -145,7 +145,8 @@ class RodNewtonMatrix:
         not finite, naming the first such unknown."""
         with np.errstate(over="ignore", invalid="ignore"):  # as LAPACK's arithmetic
             g, P, C = self._reduce(rhs)
-            self.lu, X = self.A.factorize(np.column_stack([g, self.W]))
+            self.lu = BandedFactorization(self.A)
+            X = self.lu.solve(np.column_stack([g, self.W]))
             self._eliminate(X[:, -3:])
             x = self._back_substitute(X[:, :-3], P, C, np.shape(rhs))
         if not np.isfinite(x).all():

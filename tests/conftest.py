@@ -14,6 +14,7 @@ import pytest
 import bundle_newton
 from bundle_newton import BandedMatrix, Grid, NodalCurve
 from bundle_newton.fem1d import sphere_field_blocks
+from bundle_newton.geometry import frame_rows
 from bundle_newton.problems import RodState
 from bundle_newton.problems.rod import RodNewtonMatrix
 
@@ -125,7 +126,7 @@ def rod_reference(problem, state) -> BandedMatrix:
     """:func:`add_scatter_jacobian` of ``problem``, a rod, at ``state``, with
     the direction blocks computed from the state."""
     V, h = state.v.basis, problem.grid.h
-    blocks = sphere_field_blocks(state.v.interior, V, problem.evaluate(state)[1], h)
+    blocks = sphere_field_blocks(state.v.interior, frame_rows(V), problem.evaluate(state)[1], h)
     return add_scatter_jacobian(V, h, *blocks)
 
 
@@ -257,15 +258,18 @@ def skeel_condition(dense) -> float:
 
 
 def spy_factorize(monkeypatch) -> list:
-    """Record every matrix ``BandedMatrix.factorize`` is called on, in order."""
+    """Record every Newton matrix factorized, in order: each matrix that
+    ``BandedMatrix.factorize`` (a curve problem's) or
+    ``RodNewtonMatrix.factorize`` (the rod's, which factorizes its ``A``
+    without the former) is called on."""
     matrices = []
-    factorize = BandedMatrix.factorize
+    for cls in (BandedMatrix, RodNewtonMatrix):
 
-    def spy(A, *args):
-        matrices.append(A)
-        return factorize(A, *args)
+        def spy(A, *args, factorize=cls.factorize):
+            matrices.append(A)
+            return factorize(A, *args)
 
-    monkeypatch.setattr(BandedMatrix, "factorize", spy)
+        monkeypatch.setattr(cls, "factorize", spy)
     return matrices
 
 

@@ -118,14 +118,15 @@ def winding_force_jacobian(y, scale: float = 3.0) -> np.ndarray:
 
 def sphere_field_blocks(y, V, g, h: float, nodal=None):
     """The ``(n, 2, 2)`` diagonal and ``(n - 1, 2, 2)`` upper blocks of a P1
-    unit-vector field, the diagonal ones as ``scalar * I`` with ``scalar = 2 /
-    h - <g, y>``: their off-diagonal zeros carry the sign of ``scalar``."""
-    VT = np.swapaxes(V, -1, -2)
+    unit-vector field in its ``(n, 3, 2)`` frames ``V``, the diagonal ones as
+    ``scalar * I`` with ``scalar = 2 / h - <g, y>``: their off-diagonal zeros
+    carry the sign of ``scalar``.  The upper blocks ``-(1 / h) V_i^T
+    V_{i+1}`` are the plain sums of the three componentwise products."""
     scalar = 2 / h - np.einsum("...i,...i->...", g, y)
     diag = scalar[:, None, None] * np.eye(2)
     if nodal is not None:
         diag += nodal
-    return diag, -(1 / h) * (VT[:-1] @ V[1:])
+    return diag, -(1 / h) * (V[:-1, :, :, None] * V[1:, :, None, :]).sum(axis=1)
 
 
 def winding_force(y, scale: float = 3.0) -> np.ndarray:
@@ -174,3 +175,21 @@ def tangent_basis(y) -> np.ndarray:
 def penalty_activation_slope(x):
     """``1.0`` where ``x > 0``, else ``0.0``, selected by ``np.where``."""
     return np.where(x > 0.0, 1.0, 0.0)
+
+
+def transported_residual(V, g, y) -> np.ndarray:
+    """The trial residual ``(P_y V)^T g`` with the frame columns projected:
+    the ``(n, 3, m)`` frames ``V`` moved onto the tangent planes at the
+    points ``y``, then paired with the ``(n, 3)`` covectors ``g``."""
+    PV = V - y[:, :, None] * np.einsum("ki,kim->km", y, V)[:, None, :]
+    return np.einsum("kdm,kd->km", PV, g).ravel()
+
+
+def retract_sphere(y, d) -> np.ndarray:
+    """``(y + d) / |y + d|`` per row where the step ``d`` has a nonzero
+    entry, and ``y`` where it has none, selected by ``np.where``; the norm
+    is the square root of the einsum pairing, whose sums numpy may order
+    differently from ``(w * w).sum``."""
+    w = y + d
+    moved = d.any(axis=-1, keepdims=True)
+    return np.where(moved, w / np.sqrt(_dot(w, w)), y)

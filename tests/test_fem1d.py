@@ -14,6 +14,7 @@ from bundle_newton import (
     tangent_basis,
 )
 from bundle_newton import fem1d, geometry
+from bundle_newton.geometry import frame_rows
 from bundle_newton.fem1d import (
     CONDITION_LIMIT,
     BandedFactorization,
@@ -122,6 +123,20 @@ def trapezoid_load(f, h):
     return assemble_intervals_vector(np.ones((len(g), 1, 1)), g)
 
 
+def test_trial_residual_projects_the_covectors_as_the_frames_would_be():
+    # V^T (P_y g) is (P_y V)^T g, as the projection is symmetric: the two
+    # agree to round-off on random frames, points and covectors
+    rng = np.random.default_rng(42)
+    for n in range(1, 51):
+        y = np.array([random_unit(rng) for _ in range(n)])
+        V = tangent_basis(np.array([random_unit(rng) for _ in range(n)]))
+        g = rng.standard_normal((n, 3)) * rng.uniform(0.1, 100.0, (n, 1))
+        ours = assemble_intervals_vector(V, g, y)
+        want = oracles.transported_residual(V, g, y)
+        assert ours.shape == (2 * n,)
+        assert np.abs(ours - want).max() <= 1e-15 * np.abs(g).max(), n
+
+
 def test_p1_covectors_bytes_match_the_np_diff_form():
     # the fluxes are u[1:] - u[:-1], np.diff's subtraction without its
     # wrapper: signed zeros, infinities and NaNs come out byte for byte
@@ -206,7 +221,7 @@ def test_sphere_field_blocks_match_constrained_hessian_oracle():
         nodal = nodal + np.swapaxes(nodal, -1, -2)
         frames = tangent_basis(y)
         projected = np.swapaxes(frames, -1, -2) @ nodal @ frames
-        diag, upper = sphere_field_blocks(y, frames, g, h, projected)
+        diag, upper = sphere_field_blocks(y, frame_rows(frames), g, h, projected)
         assert upper.shape == (n - 1, 2, 2)
         for p in range(n):
             V = frames[p]
@@ -235,7 +250,7 @@ def test_sphere_field_band_bytes_match_the_scaled_identity_blocks():
     scalar = 2 / h - np.einsum("ki,ki->k", g, y)
     assert (scalar < 0).any() and (scalar > 0).any()
     for blocks in (None, nodal):
-        ours = sphere_field_blocks(y, V, g, h, blocks)
+        ours = sphere_field_blocks(y, frame_rows(V), g, h, blocks)
         reference = oracles.sphere_field_blocks(y, V, g, h, blocks)
         assert all(np.array_equal(a, b) for a, b in zip(ours, reference))
         band = assemble_intervals(*ours)._ab
@@ -692,7 +707,8 @@ def test_curve_jacobian_band_bytes_on_an_arc_in_a_coordinate_plane():
         curve = NodalCurve(grid, points)
         y, V = curve.interior, curve.basis
         g = problem.evaluate(curve)[1]
-        diag, upper = sphere_field_blocks(y, V, g, grid.h, problem.force_blocks(y, V))
+        rows = frame_rows(V)
+        diag, upper = sphere_field_blocks(y, rows, g, grid.h, problem.force_blocks(y, rows))
         assert len(upper) == n - 1
         assert n == 1 or np.signbit(upper[upper == 0.0]).any()
         A = jacobian_at(problem, curve)

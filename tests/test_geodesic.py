@@ -5,6 +5,7 @@ import pytest
 
 from bundle_newton import Grid, NodalCurve, retract_sphere, tangent_basis
 from bundle_newton.fem1d import assemble_intervals, sphere_field_blocks
+from bundle_newton.geometry import frame_rows
 from bundle_newton.problems import GeodesicForceProblem, PoleSingularity, winding_force
 from bundle_newton.problems.curve import connecting_geodesic_points
 from bundle_newton.problems.geodesic import arc_point_nearest_pole
@@ -80,7 +81,7 @@ def test_winding_force_pole_singularity():
         winding_force([0.0, 0.0, 1.0])
     y = np.array([[0.0, 0.0, -1.0]])
     with pytest.raises(PoleSingularity):
-        GeodesicForceProblem(Grid(1.0, 1)).force_blocks(y, tangent_basis(y))
+        GeodesicForceProblem(Grid(1.0, 1)).force_blocks(y, frame_rows(tangent_basis(y)))
     # where the Jacobian the blocks project is not finite
     with np.errstate(divide="ignore", invalid="ignore"):
         assert not np.isfinite(winding_force_jacobian(y)).all()
@@ -91,15 +92,16 @@ def test_winding_force_stacked_points_match_one_node_calls():
     problem = GeodesicForceProblem(Grid(1.0, 20))
     y = np.array([random_unit(rng, z_margin=0.05) for _ in range(20)])
     V = tangent_basis(y)
-    forces, blocks = winding_force(y), problem.force_blocks(y, V)
+    forces, blocks = winding_force(y), problem.force_blocks(y, frame_rows(V))
     for k in range(len(y)):
         assert np.array_equal(forces[k], winding_force(y[k]))
-        assert np.array_equal(blocks[k], problem.force_blocks(y[k : k + 1], V[k : k + 1])[0])
+        one = problem.force_blocks(y[k : k + 1], frame_rows(V[k : k + 1]))[0]
+        assert np.array_equal(blocks[k], one)
     y[5] = [0.0, 0.0, 1.0]
     with pytest.raises(PoleSingularity):
         winding_force(y)
     with pytest.raises(PoleSingularity):
-        problem.force_blocks(y, V)
+        problem.force_blocks(y, frame_rows(V))
 
 
 def test_winding_force_bytes_match_the_azimuthal_product():
@@ -160,7 +162,7 @@ def test_force_blocks_are_the_projected_euclidean_jacobian(turn):
             V = tangent_basis(y)
             if turn:
                 V = turned_frames(V, rng)
-            blocks = GeodesicForceProblem(grid, force_scale=scale).force_blocks(y, V)
+            blocks = GeodesicForceProblem(grid, force_scale=scale).force_blocks(y, frame_rows(V))
             oracle = np.swapaxes(V, -1, -2) @ (grid.h * winding_force_jacobian(y, scale)) @ V
             assert blocks.shape == (n, 2, 2)
             assert np.abs(blocks - oracle).max() <= 1e-14 * np.abs(oracle).max()
@@ -174,8 +176,9 @@ def test_force_free_problem_adds_no_nodal_term():
     points = random_sphere_curve(grid, rng).points
     points[4] = [0.0, 0.0, 1.0]
     curve = NodalCurve(grid, points)
-    assert problem.force_blocks(curve.interior, curve.basis) is None
-    blocks = sphere_field_blocks(curve.interior, curve.basis, problem.evaluate(curve)[1], grid.h)
+    rows = frame_rows(curve.basis)
+    assert problem.force_blocks(curve.interior, rows) is None
+    blocks = sphere_field_blocks(curve.interior, rows, problem.evaluate(curve)[1], grid.h)
     expected = assemble_intervals(*blocks)
     assert jacobian_at(problem, curve)._ab.tobytes() == expected._ab.tobytes()
 

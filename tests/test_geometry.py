@@ -249,6 +249,24 @@ def test_stacked_points_match_one_node_calls():
     assert np.array_equal(moved[::7], y[::7])
 
 
+def test_retract_bytes_match_the_masked_quotient():
+    # the quotient is taken in place, and np.where runs only when a row has
+    # a zero step: every row moved, some rows moved (a -0.0 step is no
+    # move), and one point
+    rng = np.random.default_rng(42)
+    for n in (1, 2, 7, 1000):
+        y = np.array([random_unit(rng) for _ in range(n)])
+        d = rng.standard_normal((n, 3))
+        assert retract_sphere(y, d).tobytes() == oracles.retract_sphere(y, d).tobytes()
+        d[::3] = 0.0
+        d[1::5] = -0.0
+        assert retract_sphere(y, d).tobytes() == oracles.retract_sphere(y, d).tobytes()
+        assert np.array_equal(retract_sphere(y, d)[::3], y[::3])
+    y, d = random_unit(rng), rng.standard_normal(3)
+    for step in (d, np.zeros(3)):
+        assert retract_sphere(y, step).tobytes() == oracles.retract_sphere(y, step).tobytes()
+
+
 def test_stacked_retract_rejects_one_collapsing_row():
     y = np.array([E1, E2, E3])
     d = np.array([E2, -E2, np.zeros(3)])

@@ -11,6 +11,7 @@ from bundle_newton import (
 )
 from bundle_newton.cli import EXIT_DAMPING_FAILED, EXIT_OK, main
 from bundle_newton.fem1d import assemble_intervals, sphere_field_blocks
+from bundle_newton.geometry import frame_rows
 from bundle_newton.problems import (
     GeodesicForceProblem,
     ObstacleProblem,
@@ -80,7 +81,7 @@ def test_penalty_blocks_bytes_match_the_weight_times_slope_form():
         w = V[:, 2, :]
         m = grid.h * (p * oracles.penalty_activation_slope(obs.gap(y)))
         reference = (w * m[:, None])[:, :, None] * w[:, None, :]
-        assert obs.force_blocks(y, V).tobytes() == reference.tobytes()
+        assert obs.force_blocks(y, frame_rows(V)).tobytes() == reference.tobytes()
 
 
 # -- residual ----------------------------------------------------------------------
@@ -319,7 +320,7 @@ def test_jacobian_band_is_bytewise_the_projected_penalty_stiffness(h_ref):
             gaps.append(problem.gap(y))
             slope = penalty_activation_slope(gaps[-1])
             nodal = h * (p * slope[:, None, None] * e33)
-            diag, upper = sphere_field_blocks(y, V, problem.evaluate(curve)[1], h)
+            diag, upper = sphere_field_blocks(y, frame_rows(V), problem.evaluate(curve)[1], h)
             reference = assemble_intervals(diag + np.swapaxes(V, -1, -2) @ nodal @ V, upper)
             assert jacobian_at(problem, curve)._ab.tobytes() == reference._ab.tobytes()
     gaps = np.concatenate(gaps)

@@ -339,6 +339,18 @@ def test_a_non_finite_newton_step_raises_naming_its_unknown():
         jacobian_at(problem, problem.initial_state()).factorize(rhs)
 
 
+@pytest.mark.parametrize("row", [y_dofs(1)[1], v_dofs(5)[0], y_dofs(5)[1], v_dofs(2)[1]])
+def test_a_nan_position_or_direction_row_is_named_as_a_rod_unknown(row):
+    # such a row reaches the band LU's right-hand side, yet the message is
+    # the rod's, in the numbering of the 8n + 3 step, not the band's
+    problem = RodProblem(Grid(1.0, 5))
+    rhs = np.zeros(problem.dof_count)
+    rhs[row] = np.nan
+    matrix = jacobian_at(problem, problem.initial_state())
+    with pytest.raises(SingularSystem, match=r"^rod Newton step is not finite: \S+ at unknown \d+$"):
+        matrix.factorize(rhs)
+
+
 # -- retraction -----------------------------------------------------------------------
 
 

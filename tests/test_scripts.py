@@ -2,6 +2,7 @@
 working directory, exits 0 and leaves the four artifacts of every case."""
 
 import hashlib
+import json
 import os
 import runpy
 import subprocess
@@ -224,3 +225,40 @@ def test_artifact_digests_repeat_and_leave_out_the_output_directory():
     assert [line[:3] for line in lines[1:]] == [
         ["obstacle-href0.1", "0", name] for name in ("iterates.csv", "curve.csv", "stages.csv", "meta.txt")]
     assert all(len(line[3]) == 64 and set(line[3]) <= set("0123456789abcdef") for line in lines[1:])
+
+
+def test_bench_pairs_runs_a_control_pair_and_summarizes_every_end_to_end_metric():
+    # one short A/A pair: the base against a copy of itself, base first
+    root = SCRIPTS.parent
+    command = [sys.executable, str(SCRIPTS / "bench_pairs.py"), "--base", str(root), "--control",
+               "--workload", "obstacle-href0.1", "--pairs", "1", "--seconds", "0.2"]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("pair 1 (base first): base run_s ")
+    result = json.loads(lines[-1])
+    assert (result["workload"], result["seed"], result["control"]) == ("obstacle-href0.1", 0, True)
+    assert Path(result["checkouts"]["base"]) == root.resolve()
+    assert not Path(result["checkouts"]["change"]).exists()  # the copy is removed
+    names = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert list(result["summary"]) == names
+    [pair] = result["pairs"]
+    assert (pair["pair"], pair["first"]) == (1, "base")
+    for side in ("base", "change"):
+        assert pair[side]["correct"] and pair[side]["failed"] == 0
+        assert pair[side]["success_rate"] == 1.0 and pair[side]["run_s"] > 0.0
+    for name, s in result["summary"].items():
+        for side in ("base", "change"):
+            assert s[side] == {"median": pair[side][name], "q1": pair[side][name],
+                               "q3": pair[side][name]}
+        assert s["pairs"] == 1 and s["change_wins"] in (0, 1)
+        assert s["median_difference"] == pair["change"][name] - pair["base"][name]
+        assert s["base_quartile_spread"] == 0.0
+        assert s["resolved"] == (s["median_difference"] != 0.0)
+    # the table has a row per metric
+    assert [line.split()[0] for line in lines[-1 - len(names):-1]] == names
+    # one of --change and --control, not both or neither
+    for flags in ([], ["--control", "--change", str(root)]):
+        refused = subprocess.run([*command[:4], *flags, "--workload", "obstacle-href0.1"],
+                                 capture_output=True, text=True, timeout=60)
+        assert refused.returncode == 2 and "either --change PATH or --control" in refused.stderr
