@@ -2,7 +2,7 @@
 """Alternating pairs of benchmark runs of two checkouts, and their summary.
 
     python scripts/bench_pairs.py --base PATH --change PATH --workload W
-        [--seed S] [--pairs N] [--seconds T]
+        [--seed S] [--pairs N] [--seconds T | --calls K]
     python scripts/bench_pairs.py --base PATH --control --workload W ...
 
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
@@ -12,6 +12,12 @@ change in even-numbered ones, so a drift of the machine's speed falls on
 both sides alike.  ``--control`` pairs the base with a byte-identical copy
 of itself in a temporary directory (an A/A run): any difference it shows is
 the machine's noise and that of where the files lie, not a change.
+
+``--calls K`` runs each side's ``bench/run.py`` as above, imported into a
+fresh interpreter in the checkout's directory, but with exactly ``K`` timed
+calls after its warm-up in place of as many as fit in ``T`` seconds; it
+reads the peak resident memory after them, so ``peak_rss_mb``, which grows
+with the number of calls, compares equal work on both sides.
 
 For every end-to-end metric of the base's ``BENCHMARK.json`` it prints the
 median and quartiles of each side's runs, in how many pairs the change was
@@ -51,25 +57,47 @@ def parse_args(argv=None):
     parser.add_argument("--workload", required=True, help="a workload of bench/run.py")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=5.0, help="--seconds of each run")
+    length = parser.add_mutually_exclusive_group()
+    length.add_argument("--seconds", type=float, default=5.0, help="--seconds of each run")
+    length.add_argument("--calls", type=int,
+                        help="make exactly this many timed calls per run instead of --seconds")
     args = parser.parse_args(argv)
     if (args.change is None) == (not args.control):
         parser.error("give either --change PATH or --control")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.calls is not None and args.calls < 1:
+        parser.error("--calls must be at least 1")
     return args
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``bench/run.py`` run in ``checkout``; raises
-    ``RuntimeError`` with the run's error output when it has none."""
+# A --calls run: bench/run.py itself, with exactly K timed calls in place of
+# as many as fit in its --seconds
+FIXED_CALLS = """
+import sys
+sys.path.insert(0, "bench")
+import run
+calls = int(sys.argv[1])
+run.run_for = lambda seconds, min_calls, step: [step() for _ in range(calls)]
+sys.exit(run.main(sys.argv[2:]))
+"""
+
+
+def run_bench(checkout: Path, args) -> dict:
+    """The result line of one run in ``checkout``, of its ``bench/run.py`` or,
+    with ``--calls``, of :data:`FIXED_CALLS`; raises ``RuntimeError`` with the
+    run's error output when it has none."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", repr(seconds), "--trace", "0"]
+    bench = ["--workload", args.workload, "--seed", str(args.seed), "--seconds",
+             repr(args.seconds), "--trace", "0"]
+    if args.calls is None:
+        command = [sys.executable, "bench/run.py", *bench]
+    else:
+        command = [sys.executable, "-c", FIXED_CALLS, str(args.calls), *bench]
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines or not lines[-1].startswith("{"):
-        raise RuntimeError(f"{checkout}: bench/run.py exited {done.returncode}\n{done.stderr[-2000:]}")
+        raise RuntimeError(f"{checkout}: the run exited {done.returncode}\n{done.stderr[-2000:]}")
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
@@ -120,7 +148,7 @@ def measure(args, checkouts: dict) -> int:
         pair = {"pair": k + 1, "first": order[0]}
         for side in order:
             try:
-                pair[side] = run_bench(checkouts[side], args.workload, args.seed, args.seconds)
+                pair[side] = run_bench(checkouts[side], args)
             except RuntimeError as exc:
                 print(f"pair {k + 1}, {side}: {exc}", file=sys.stderr)
                 return 1
@@ -130,8 +158,9 @@ def measure(args, checkouts: dict) -> int:
             for side in SIDES), flush=True)
     summary = summarize(runs, metrics)
     print("\n".join(report(summary)))
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "control": args.control,
+    seconds = None if args.calls else args.seconds
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": seconds,
+                      "calls": args.calls, "control": args.control,
                       "checkouts": {side: str(path) for side, path in checkouts.items()},
                       "summary": summary, "pairs": runs}))
     return 0

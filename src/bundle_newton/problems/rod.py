@@ -3,12 +3,13 @@
 Unknowns are the rod position ``y`` (P1 in R^3), its unit direction field
 ``v`` (P1 on the sphere) and the multiplier ``mu`` (P0 per interval) of the
 constraint ``y' = v``, at unit flexural rigidity (see :class:`RodProblem`).
-Boundary values of ``y`` and ``v`` are prescribed.  The residual and the
-Newton step interleave their ``8 n + 3`` entries as ``(y_i, v_i, mu_i)`` per
-interior node behind a leading ``mu_0`` group; the group of node ``i``
-occupies entries ``8 i - 5 .. 8 i + 2``, so that ``mu_j`` starts at entry
-``8 j`` for every interval ``j``.  The rows are the position rows ``f_y``,
-the direction rows ``f_v`` and the constraint rows ``f_c`` of each interval.
+Boundary values of ``y`` and ``v`` are prescribed.  The Newton step holds
+``8 n + 3`` entries in three blocks, ``[v (2 n) | y (3 n) | mu (3 (n +
+1))]``: the directions' frame coefficients and the positions per interior
+node, then the multiplier per interval; the residual holds their rows in the
+same blocks, the direction rows ``f_v``, the position rows ``f_y`` and the
+constraint rows ``f_c`` of each interval.  :func:`blocks` gives their views
+and is the one place that knows this order.
 
 No matrix of that size is formed.  The position rows say ``dmu_{i-1} -
 dmu_i = f_y,i`` and the constraint rows ``dy_{j+1} - dy_j - (h / 2) (V_j
@@ -121,6 +122,16 @@ def rod_initial_guess(grid: Grid, y0, y1, v0, v1) -> RodState:
     return RodState(y, NodalCurve(grid, v), lam)
 
 
+def blocks(x: np.ndarray, n: int) -> tuple:
+    """Views ``(y, v, mu)`` of the positions ``(n, 3, ...)``, the directions'
+    frame coefficients ``(n, 2, ...)`` and the multipliers ``(n + 1, 3, ...)``
+    in ``x``, a residual or step of ``8 n + 3`` entries, or ``8 n + 3`` rows
+    of right-hand sides, stored as ``[v | y | mu]``."""
+    rest = x.shape[1:]
+    return (x[2 * n : 5 * n].reshape(n, 3, *rest), x[: 2 * n].reshape(n, 2, *rest),
+            x[5 * n :].reshape(n + 1, 3, *rest))
+
+
 class RodNewtonMatrix:
     """The rod's Newton matrix ``J`` at a state, symmetric: the Jacobian ``A``
     of its direction field and the border ``-h W``, with ``W`` the ``(2n,
@@ -156,7 +167,8 @@ class RodNewtonMatrix:
 
     def solve(self, rhs) -> np.ndarray:
         """Solve ``J x = rhs`` for ``rhs`` of shape ``(8 n + 3,)`` or ``(8 n + 3,
-        k)`` with the factorization: one ``gbtrs`` solve and prefix sums."""
+        k)``, in the blocks of :func:`blocks`, with the factorization: one
+        ``gbtrs`` solve and prefix sums."""
         g, P, C = self._reduce(rhs)
         return self._back_substitute(self.lu.solve(g), P, C, np.shape(rhs))
 
@@ -166,15 +178,14 @@ class RodNewtonMatrix:
         ``J`` is symmetric, so its transposed solve is its solve."""
         n, h, abs_V = len(self.V), self.h, np.abs(self.V)
         d = np.empty(8 * n + 3)
-        groups = d[3:].reshape(n, 8)
-        groups[:, :3] = 2.0  # the multipliers' I and -I
-        groups[:, 3:5] = self.A.abs_row_sums().reshape(n, 2) + h * abs_V.sum(axis=1)
+        position, direction, constraint = blocks(d, n)
+        position[:] = 2.0  # the multipliers' I and -I
+        np.add(self.A.abs_row_sums().reshape(n, 2), h * abs_V.sum(axis=1), out=direction)
         # constraint row j: -I at y_j and I at y_{j+1}, -h V / 2 at v_j and v_{j+1}
         frames = np.zeros((n + 2, 3))
         frames[1:-1] = 0.5 * h * abs_V.sum(axis=2)
-        constraint = frames[:-1] + frames[1:] + 2.0
+        np.add(frames[:-1] + frames[1:], 2.0, out=constraint)
         constraint[[0, -1]] -= 1.0
-        d[:3], groups[:, 5:] = constraint[0], constraint[1:]
         self.lu = BandedFactorization(self.A)
         self._eliminate(self.lu.solve(self.W))
         return condition_estimate(d, self.solve, self.solve)
@@ -193,30 +204,27 @@ class RodNewtonMatrix:
         k)``, of the right-hand sides ``rhs``."""
         n = len(self.V)
         r = np.asarray(rhs).reshape(8 * n + 3, -1)
-        # five zeros make the leading constraint rows the group of a node 0,
-        # so that one prefix sum over the groups gives both P and C
-        S = np.add.accumulate(np.concatenate([np.zeros((5, r.shape[1])), r]).reshape(n + 1, 8, -1))
-        P, C = S[:, :3], S[:, 5:]
-        g = r[3:].reshape(n, 8, -1)[:, 3:5] - (0.5 * self.h) * (
-            self.W.reshape(n, 2, 3) @ (P[:-1] + P[1:]))
+        position, direction, constraint = blocks(r, n)
+        P = np.add.accumulate(np.concatenate([np.zeros((1, 3, r.shape[1])), position]))
+        C = np.add.accumulate(constraint)
+        g = direction - (0.5 * self.h) * (self.W.reshape(n, 2, 3) @ (P[:-1] + P[1:]))
         return g.reshape(2 * n, -1), P, C
 
     def _back_substitute(self, Ag, P, C, shape) -> np.ndarray:
         """The solution of shape ``shape`` from ``Ag = A^-1 g`` and the prefix
         sums of :meth:`_reduce`: ``h dmu_0`` from the closure rows, then ``dv``,
-        ``dmu`` and, by the constraint rows, ``dy``."""
+        by the constraint rows ``dy``, and ``dmu``."""
         n, k, h = len(self.V), Ag.shape[1], self.h
         # W^T dv = -C_n / h, with dv = Ag + Z (h dmu_0)
         h_dmu0 = self.S_inv @ -(C[-1] / h + self.W.T @ Ag)
-        dv = (Ag + self.Z @ h_dmu0).reshape(n, 2, k)
+        x = np.empty((8 * n + 3, k))
+        dy, dv, dmu = blocks(x, n)
+        np.add(Ag, self.Z @ h_dmu0, out=dv.reshape(2 * n, k))
         u = np.zeros((n + 1, 3, k))  # V_i dv_i, behind a zero row
         np.matmul(self.V, dv, out=u[1:])
-        x = np.empty((8 * n + 3, k))
-        x[:3] = h_dmu0 / h
-        groups = x[3:].reshape(n, 8, k)
-        groups[:, :3] = C[:-1] + (0.5 * h) * np.add.accumulate(u[:-1] + u[1:])
-        groups[:, 3:5] = dv
-        np.subtract(x[:3], P[1:], out=groups[:, 5:])
+        np.add(C[:-1], (0.5 * h) * np.add.accumulate(u[:-1] + u[1:]), out=dy)
+        dmu[0] = h_dmu0 / h
+        np.subtract(dmu[0], P[1:], out=dmu[1:])
         return x.reshape(shape)
 
 
@@ -227,7 +235,8 @@ class RodProblem(ProblemInterface):
     so the system is that of ``sigma = 1`` and ``sigma * lam`` the multiplier.
     A grid needs at least 2 interior nodes (``ValueError`` otherwise): with one,
     the 6 constraint rows outnumber the 5 primal unknowns and every Newton
-    matrix is singular.
+    matrix is singular.  A chord ``|y1 - y0|`` longer than the rod is a
+    ``ValueError`` as well: no discrete rod joins its end positions.
     """
 
     def __init__(self, grid: Grid, y0=DEFAULT_Y0, y1=DEFAULT_Y1, v0=DEFAULT_V0, v1=DEFAULT_V1,
@@ -243,6 +252,13 @@ class RodProblem(ProblemInterface):
         if not np.all(np.isfinite([self.y0, self.y1])):
             raise ValueError(
                 f"end positions must be finite, got {self.y0.tolist()} and {self.y1.tolist()}"
+            )
+        # the constraint rows sum to y1 - y0 = h sum_j (v_j + v_{j+1}) / 2, a sum
+        # of n + 1 vectors no longer than h: no rod joins a longer chord
+        chord = float(np.linalg.norm(self.y1 - self.y0))
+        if chord > grid.t_end:
+            raise ValueError(
+                f"the chord |y1 - y0| = {chord!r} exceeds the rod's length {grid.t_end!r}"
             )
         self.v0 = unit_vector(v0)
         self.v1 = unit_vector(v1)
@@ -287,11 +303,10 @@ class RodProblem(ProblemInterface):
         state, g, r_lam = at
         V, v = (state.v.basis, None) if frames is None else (frames.v.basis, state.v.interior)
         r = np.empty(self.dof_count)
-        r[:3] = r_lam[0]
-        groups = r[3:].reshape(-1, 8)
-        np.subtract(state.lam[:-1], state.lam[1:], out=groups[:, :3])
-        groups[:, 3:5] = assemble_intervals_vector(V, g, v).reshape(-1, 2)
-        groups[:, 5:] = r_lam[1:]
+        position, direction, constraint = blocks(r, self.grid.n_interior)
+        np.subtract(state.lam[:-1], state.lam[1:], out=position)
+        direction[:] = assemble_intervals_vector(V, g, v).reshape(-1, 2)
+        constraint[:] = r_lam
         return r
 
     def assemble_jacobian(self, at: tuple) -> RodNewtonMatrix:
@@ -299,28 +314,21 @@ class RodProblem(ProblemInterface):
         return RodNewtonMatrix(state.v, g, self.grid.h)
 
     def retract(self, state: RodState, xi, alpha: float) -> RodState:
-        xi = np.asarray(xi, dtype=float)
-        groups = xi[3:].reshape(self.grid.n_interior, 8)  # (y, v, lam) of each node
+        dy, dv, dmu = blocks(np.asarray(xi, dtype=float), self.grid.n_interior)
         y = state.y.copy()
-        y[1:-1] += alpha * groups[:, :3]
-        lam = np.empty_like(state.lam)  # alpha times the multiplier step, plus state.lam
-        np.multiply(alpha, xi[:3], out=lam[0])
-        np.multiply(alpha, groups[:, 5:], out=lam[1:])
+        y[1:-1] += alpha * dy
+        lam = np.multiply(alpha, dmu)  # alpha times the multiplier step, plus state.lam
         lam += state.lam
-        return RodState(y, state.v.retract(groups[:, 3:5], alpha), lam)
+        return RodState(y, state.v.retract(dv, alpha), lam)
 
     def norm_inf(self, xi) -> float:
-        # largest nodal length of y, v or lam; squares summed in np.linalg.norm's
-        # order into one buffer, the nodes' y, v and lam lengths and last the
-        # leading multiplier group's, summed as Python floats
+        # largest nodal length of y, v or mu, each one's squares summed in
+        # np.linalg.norm's order into one buffer
         n = self.grid.n_interior
-        sq = np.square(xi)
-        g = sq[3:].reshape(n, 8).T
+        y, v, mu = blocks(np.square(xi), n)
         lengths2 = np.empty(3 * n + 1)
-        y, v, lam = lengths2[:n], lengths2[n : 2 * n], lengths2[2 * n : 3 * n]
-        np.add(np.add(g[0], g[1], out=y), g[2], out=y)
-        np.add(g[3], g[4], out=v)
-        np.add(np.add(g[5], g[6], out=lam), g[7], out=lam)
-        a, b, c = sq[:3].tolist()
-        lengths2[-1] = a + b + c
+        y2, v2, mu2 = lengths2[:n], lengths2[n : 2 * n], lengths2[2 * n :]
+        np.add(np.add(y[:, 0], y[:, 1], out=y2), y[:, 2], out=y2)
+        np.add(v[:, 0], v[:, 1], out=v2)
+        np.add(np.add(mu[:, 0], mu[:, 1], out=mu2), mu[:, 2], out=mu2)
         return math.sqrt(lengths2.max())

@@ -16,7 +16,7 @@ from bundle_newton import BandedMatrix, Grid, NodalCurve
 from bundle_newton.fem1d import sphere_field_blocks
 from bundle_newton.geometry import frame_rows
 from bundle_newton.problems import RodState
-from bundle_newton.problems.rod import RodNewtonMatrix
+from bundle_newton.problems.rod import RodNewtonMatrix, blocks
 
 
 def pytest_addoption(parser):
@@ -89,9 +89,29 @@ def band_add(A, i, j, value) -> None:
     np.add.at(A._band(), (row, j), value)
 
 
+def band_positions(n: int) -> np.ndarray:
+    """Entry ``k`` is the row and column of the rod's unknown ``k`` (numbered
+    as in its residual and its step, :func:`~bundle_newton.problems.rod.blocks`)
+    in the reference band, which interleaves the unknowns as ``mu_0``, then
+    ``(y_i, v_i, mu_i)`` per interior node, so that the matrix has
+    bandwidths 9/9."""
+    positions = np.empty(8 * n + 3, dtype=int)
+    y, v, mu = blocks(positions, n)
+    groups = 3 + np.arange(8 * n).reshape(n, 8)
+    mu[0], y[:], v[:], mu[1:] = np.arange(3), groups[:, :3], groups[:, 3:5], groups[:, 5:]
+    return positions
+
+
+def in_rod_order(dense) -> np.ndarray:
+    """The dense reference band ``dense`` of a rod, rows and columns in the
+    order of its residual and its step."""
+    k = band_positions((len(dense) - 3) // 8)
+    return dense[np.ix_(k, k)]
+
+
 def add_scatter_jacobian(V, h: float, diag, upper) -> BandedMatrix:
     """Reference assembly of the rod's Newton matrix: the full ``8 n + 3``
-    matrix in the interleaved order of its residual and its step, at
+    matrix in the reference band's order (:func:`band_positions`), at
     bandwidths 9/9, as 11 ``band_add`` scatters over per-node dof index
     arrays, from the frames ``V``, the mesh size ``h`` and the direction
     field's ``(n, 2, 2)`` diagonal and ``(n - 1, 2, 2)`` upper blocks."""
@@ -99,11 +119,8 @@ def add_scatter_jacobian(V, h: float, diag, upper) -> BandedMatrix:
     A = BandedMatrix(8 * n + 3, 9, 9)
     VT = np.swapaxes(V, -1, -2)
     eye3 = np.eye(3)
-    nodes = np.arange(1, n + 1)
-    y = 8 * nodes[:, None] - 5 + np.arange(3)
-    v = 8 * nodes[:, None] - 2 + np.arange(2)
-    lam_left = 8 * (nodes[:, None] - 1) + np.arange(3)
-    lam_right = 8 * nodes[:, None] + np.arange(3)
+    y, v, lam = blocks(band_positions(n), n)
+    lam_left, lam_right = lam[:-1], lam[1:]
 
     def add(rows, cols, blocks):
         band_add(A, rows[..., :, None], cols[..., None, :], blocks)
@@ -144,8 +161,10 @@ def as_banded(A) -> BandedMatrix:
 
 def to_dense(A) -> np.ndarray:
     """The ``BandedMatrix`` ``A``, or a rod's Newton matrix by
-    :func:`as_banded`, as a dense ``(dim, dim)`` array."""
-    A = as_banded(A)
+    :func:`as_banded` and :func:`in_rod_order`, as a dense ``(dim, dim)``
+    array."""
+    if isinstance(A, RodNewtonMatrix):
+        return in_rod_order(to_dense(as_banded(A)))
     i, j = np.indices((A.dim, A.dim))
     row = A.lower_bw + A.upper_bw + i - j
     in_band = (row >= A.lower_bw) & (row <= 2 * A.lower_bw + A.upper_bw)

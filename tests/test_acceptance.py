@@ -25,8 +25,10 @@ from bundle_newton.problems import (
     RodProblem,
     obstacle_path_follow,
 )
+from bundle_newton.problems.rod import RodNewtonMatrix
 from conftest import (
     as_banded,
+    band_positions,
     banded_from_dense,
     jacobian_at,
     random_banded,
@@ -326,6 +328,26 @@ def test_criterion_8_structural_invariants():
 # -- criterion 9: affine covariance --------------------------------------------------------------
 
 
+class InBandOrder:
+    """A matrix solved by the LU of ``B``, the same matrix with its unknowns
+    reordered: unknown ``q`` is unknown ``k[q]`` of ``B``."""
+
+    def __init__(self, B, k):
+        self.B, self.k, self.band = B, k, np.argsort(k)
+
+    def factorize(self, rhs):
+        fact, x = self.B.factorize(np.asarray(rhs)[self.band])
+        self.fact = fact
+        return self, x[self.k]
+
+    def solve(self, rhs):
+        return self.fact.solve(np.asarray(rhs)[self.band])[self.k]
+
+    def condition(self):
+        cond, unknown = self.B.condition()
+        return cond, int(self.band[unknown])
+
+
 class _ScaledProblem(ProblemInterface):
     def __init__(self, inner, scale):
         self.inner = inner
@@ -339,8 +361,14 @@ class _ScaledProblem(ProblemInterface):
         return self.scale * self.inner.assemble_residual(at, frames)
 
     def assemble_jacobian(self, at):
-        A = as_banded(self.inner.assemble_jacobian(at))  # the rod's by its reference
+        A = self.inner.assemble_jacobian(at)
         rows = np.reshape(self.scale, (-1, 1))  # a scalar scales all rows alike
+        if isinstance(A, RodNewtonMatrix):  # by its reference, solved in the band's order
+            k = band_positions(len(A.V))
+            band = np.argsort(k)
+            B = as_banded(A)
+            rows = np.broadcast_to(rows, (len(k), 1))[band]
+            return InBandOrder(banded_from_dense(rows * to_dense(B), B.lower_bw, B.upper_bw), k)
         return banded_from_dense(rows * to_dense(A), A.lower_bw, A.upper_bw)
 
     def retract(self, state, xi, alpha):

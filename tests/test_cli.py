@@ -398,6 +398,8 @@ def test_bad_flag_value_exits_with_config_code(tmp_path, capsys):
         (["geodesic-force", "--n", "10", "--gamma0", "nan,0,1"], "'nan,0,1'"),
         (["rod", "--n", "10", "--y0", "nan,0,0"], "'nan,0,0'"),
         (["rod", "--n", "10", "--y1", "inf,0,0"], "[inf, 0.0, 0.0]"),
+        # a chord longer than the rod: no inextensible rod joins the end points
+        (["rod", "--y1", "2,0,0"], "the chord |y1 - y0| = 2.0 exceeds the rod's length 1.0"),
         # NaN is refused for every field, also one the problem does not read
         (["rod", "--force-scale", "nan"], "nan"),
         (["rod", "--h-ref", "nan"], "nan"),

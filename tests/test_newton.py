@@ -24,6 +24,7 @@ from bundle_newton.problems import (
     ObstacleProblem,
     PoleSingularity,
     RodProblem,
+    rod,
 )
 from conftest import (
     banded_from_dense,
@@ -128,14 +129,13 @@ def test_norm_inf_nodal_basis_invariance():
 @pytest.mark.parametrize("make", [GeodesicForceProblem, RodProblem], ids=["curve", "rod"])
 def test_norm_inf_is_bitwise_the_largest_linalg_norm_of_a_block(make):
     # reference: np.linalg.norm per nodal block (curve: 2 coefficients; rod: the
-    # 3 + 2 + 3 of y, v and lam per node, after the first interval's 3 of lam)
+    # 3 of y and 2 of v per node and the 3 of lam per interval)
     problem = make(Grid(1.0, 30))
     n = problem.grid.n_interior
 
     def want(xi):
         if make is RodProblem:
-            groups = xi[3:].reshape(n, 8)
-            blocks = [xi[None, :3], groups[:, :3], groups[:, 3:5], groups[:, 5:]]
+            blocks = rod.blocks(xi, n)
         else:
             blocks = [xi.reshape(n, 2)]
         return max(np.max(np.linalg.norm(block, axis=1)) for block in blocks)
@@ -146,7 +146,7 @@ def test_norm_inf_is_bitwise_the_largest_linalg_norm_of_a_block(make):
         xi = rng.standard_normal(size)
         xi *= 10.0 ** rng.uniform(-14.0, 5.0, xi.size)
         assert problem.norm_inf(xi) == want(xi)
-    for _ in range(200):  # the leading entries win the max, in their own order of sums
+    for _ in range(200):  # the first entries win the max
         lead = rng.standard_normal(size)
         lead[:3] *= 10.0 ** rng.uniform(3.0, 8.0, 3)
         assert problem.norm_inf(lead) == want(lead)
@@ -538,10 +538,10 @@ NEAR_SINGULAR_ROD = dict(
     (GeodesicForceProblem(Grid(1.0, 20)), NewtonConfig(max_outer=1), Termination.MAX_ITERATIONS,
      r"no convergence within 1 outer iterations"),
     (RodProblem(Grid(1.0, 10), **NEAR_SINGULAR_ROD), NewtonConfig(), Termination.DAMPING_FAILED,
-     r"step size collapsed .* \(Newton matrix condition estimate \S+, largest at unknown 1\)"),
+     r"step size collapsed .* \(Newton matrix condition estimate \S+, largest at unknown 51\)"),
     (RodProblem(Grid(1.0, 10)), NewtonConfig(theta_acc=math.inf), Termination.MAX_ITERATIONS,
      r"no convergence within 50 outer iterations \(Newton matrix condition estimate \S+, "
-     r"largest at unknown 0\)"),
+     r"largest at unknown 50\)"),
 ], ids=["converged", "damping_failed", "max_iterations", "rod-damping_failed", "rod-max_iterations"])
 def test_a_finished_solve_keeps_no_nodal_data(problem, cfg, terminated, message):
     # the stage outlives the solve, so the solve leaves nothing of its states'
@@ -790,9 +790,8 @@ class StepRecorder:
 
     def retract(self, state, xi, alpha):
         if isinstance(self.inner, RodProblem):
-            groups = xi[3:].reshape(-1, 8)  # (y, v, lam) of each node, behind lam_0
-            dv = np.einsum("nij,nj->ni", state.v.basis, groups[:, 3:5])
-            step = np.concatenate([groups[:, :3], dv, xi[None, :3], groups[:, 5:]])
+            dy, dv, dlam = rod.blocks(np.asarray(xi), self.inner.grid.n_interior)
+            step = np.concatenate([dy, np.einsum("nij,nj->ni", state.v.basis, dv), dlam])
         else:
             step = np.einsum("nij,nj->ni", state.basis, np.reshape(xi, (-1, 2)))
         self.steps.append(alpha * step)

@@ -14,6 +14,8 @@ from bundle_newton.problems import RodProblem, RodState, rod, rod_initial_guess
 import oracles
 from conftest import (
     as_banded,
+    band_positions,
+    in_rod_order,
     jacobian_at,
     jacobian_fd_error,
     random_rod_state,
@@ -26,24 +28,48 @@ from conftest import (
 SQRT5 = np.sqrt(5.0)
 
 
-def y_dofs(i):
+def dofs(n):
+    """Dof indices of a rod of ``n`` interior nodes, as views ``(y, v, mu)``
+    of its numbering (:func:`rod.blocks`)."""
+    return rod.blocks(np.arange(8 * n + 3), n)
+
+
+def y_dofs(n, i):
     """Dof indices of the positions at interior node(s) ``i``, shape ``(..., 3)``."""
-    return 8 * np.asarray(i)[..., None] - 5 + np.arange(3)
+    return dofs(n)[0][np.asarray(i) - 1]
 
 
-def v_dofs(i):
+def v_dofs(n, i):
     """Dof indices of the direction at interior node(s) ``i``, shape ``(..., 2)``."""
-    return 8 * np.asarray(i)[..., None] - 2 + np.arange(2)
+    return dofs(n)[1][np.asarray(i) - 1]
 
 
-def lam_dofs(j):
+def lam_dofs(n, j):
     """Dof indices of the multiplier on interval(s) ``j``, shape ``(..., 3)``."""
-    return 8 * np.asarray(j)[..., None] + np.arange(3)
+    return dofs(n)[2][j]
 
 
 def straight_rod_problem(grid):
     e1 = np.array([1.0, 0.0, 0.0])
     return RodProblem(grid, y0=(0, 0, 0), y1=(1, 0, 0), v0=e1, v1=e1)
+
+
+# -- dof layout ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_blocks_partition_the_unknowns(n):
+    # every entry of a residual or step, or row of right-hand sides, lies in
+    # exactly one of the views, which write through to it
+    problem = RodProblem(Grid(1.0, n))
+    for shape in ((problem.dof_count,), (problem.dof_count, 2)):
+        counts = np.zeros(shape, dtype=int)
+        y, v, mu = rod.blocks(counts, n)
+        rest = shape[1:]
+        assert (y.shape, v.shape, mu.shape) == ((n, 3, *rest), (n, 2, *rest), (n + 1, 3, *rest))
+        for view in (y, v, mu):
+            view += 1
+        assert (counts == 1).all()
 
 
 # -- initial guess -----------------------------------------------------------------
@@ -96,6 +122,19 @@ def test_rod_needs_two_interior_nodes():
     assert stage.terminated is Termination.CONVERGED
 
 
+def test_rod_refuses_a_chord_longer_than_the_rod():
+    # the constraint rows sum to y1 - y0 = h sum_j (v_j + v_{j+1}) / 2, a sum of
+    # vectors no longer than h: no discrete rod joins a longer chord
+    for t_end, y1, chord in ((1.0, (2.0, 0.0, 0.0), "2.0"), (1.0, (1.0001, 0.0, 0.0), "1.0001"),
+                             (0.5, (0.0, 0.6, 0.8), "1.0")):
+        message = rf"the chord \|y1 - y0\| = {chord} exceeds the rod's length {t_end}$"
+        with pytest.raises(ValueError, match=message):
+            RodProblem(Grid(t_end, 4), y1=y1)
+    # a chord as long as the rod is allowed: the straight rod's
+    for problem in (straight_rod_problem(Grid(1.0, 4)), RodProblem(Grid(0.5, 4), y1=(0, 0.3, 0.4))):
+        assert np.linalg.norm(problem.y1 - problem.y0) == problem.grid.t_end
+
+
 def test_rod_state_validates_shapes_and_unit_directions():
     grid = Grid(1.0, 1)
     y = np.zeros((3, 3))
@@ -132,7 +171,7 @@ def test_constraint_rows_formula():
     h, v = grid.h, state.v.points
     for j in range(grid.n_intervals):
         expected = h * ((state.y[j + 1] - state.y[j]) / h - 0.5 * (v[j] + v[j + 1]))
-        assert np.abs(b[lam_dofs(j)] - expected).max() < 1e-14
+        assert np.abs(b[lam_dofs(grid.n_interior, j)] - expected).max() < 1e-14
 
 
 def test_constraint_residuals_bytes_match_the_np_diff_form():
@@ -169,7 +208,7 @@ def test_multiplier_enters_linearly():
     assert np.abs(diff - linear_part).max() < 1e-12
     # constraint rows do not depend on the multiplier
     for j in range(grid.n_intervals):
-        assert np.abs(diff[lam_dofs(j)]).max() == 0.0
+        assert np.abs(diff[lam_dofs(grid.n_interior, j)]).max() == 0.0
 
 
 def test_a_solve_evaluates_each_state_once(monkeypatch):
@@ -230,7 +269,7 @@ def test_jacobian_position_block_vanishes_without_force():
     dense = to_dense(jacobian_at(problem, state))
     for i in range(1, grid.n_interior + 1):
         for j in range(1, grid.n_interior + 1):
-            block = dense[np.ix_(y_dofs(i), y_dofs(j))]
+            block = dense[np.ix_(y_dofs(grid.n_interior, i), y_dofs(grid.n_interior, j))]
             assert np.abs(block).max() == 0.0
 
 
@@ -244,10 +283,10 @@ def test_jacobian_direction_block_is_pure_stiffness_at_straight_state():
 
     vmats = [tangent_basis(p) for p in state.v.interior]
     for i in range(1, grid.n_interior + 1):
-        diag = dense[np.ix_(v_dofs(i), v_dofs(i))]
+        diag = dense[np.ix_(v_dofs(grid.n_interior, i), v_dofs(grid.n_interior, i))]
         assert np.abs(diag - (2.0 / h) * np.eye(2)).max() < 1e-12 / h
         if i + 1 <= grid.n_interior:
-            off = dense[np.ix_(v_dofs(i), v_dofs(i + 1))]
+            off = dense[np.ix_(v_dofs(grid.n_interior, i), v_dofs(grid.n_interior, i + 1))]
             expected = -(1.0 / h) * vmats[i - 1].T @ vmats[i]
             assert np.abs(off - expected).max() < 1e-12 / h
 
@@ -267,12 +306,13 @@ def test_jacobian_respects_declared_bandwidth():
     grid = Grid(1.0, 6)
     problem = RodProblem(grid)
     state = random_rod_state(grid, rng)
+    # with its unknowns in the reference band's order, interleaved per node
     dense = to_dense(jacobian_at(problem, state))
-    n = problem.dof_count
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 9:
-                assert dense[i, j] == 0.0
+    k = band_positions(grid.n_interior)
+    interleaved = np.empty_like(dense)
+    interleaved[np.ix_(k, k)] = dense
+    i, j = np.indices(dense.shape)
+    assert not interleaved[np.abs(i - j) > 9].any()
 
 
 def x_z_plane_rod_state(grid, rng):
@@ -315,7 +355,7 @@ def test_newton_matrix_solves_and_estimates_as_the_dense_reference():
         problem = RodProblem(grid)
         for state in (problem.initial_state(), random_rod_state(grid, rng),
                       random_rod_state(grid, rng)):
-            dense = to_dense(rod_reference(problem, state))
+            dense = in_rod_order(to_dense(rod_reference(problem, state)))
             for shape in ((problem.dof_count,), (problem.dof_count, 1), (problem.dof_count, 2)):
                 rhs, again = rng.standard_normal(shape), rng.standard_normal(shape)
                 fact, x = jacobian_at(problem, state).factorize(rhs)
@@ -334,12 +374,13 @@ def test_a_non_finite_newton_step_raises_naming_its_unknown():
     # leading multiplier group on, and no overflow warning is raised
     problem = RodProblem(Grid(1.0, 5))
     rhs = np.zeros(problem.dof_count)
-    rhs[lam_dofs(np.arange(6))] = 1e308
+    rhs[lam_dofs(5, np.arange(6))] = 1e308
     with pytest.raises(SingularSystem, match=r"rod Newton step is not finite: \S+ at unknown 0$"):
         jacobian_at(problem, problem.initial_state()).factorize(rhs)
 
 
-@pytest.mark.parametrize("row", [y_dofs(1)[1], v_dofs(5)[0], y_dofs(5)[1], v_dofs(2)[1]])
+@pytest.mark.parametrize(
+    "row", [y_dofs(5, 1)[1], v_dofs(5, 5)[0], y_dofs(5, 5)[1], v_dofs(5, 2)[1]])
 def test_a_nan_position_or_direction_row_is_named_as_a_rod_unknown(row):
     # such a row reaches the band LU's right-hand side, yet the message is
     # the rod's, in the numbering of the 8n + 3 step, not the band's
@@ -439,10 +480,9 @@ def test_rod_solution_mesh_convergence_second_order():
 
 
 def group_maxima_norm_inf(problem, xi) -> float:
-    """The rod's nodal norm as the largest of four group maxima."""
-    sq = np.square(np.asarray(xi, dtype=float))
-    g = sq[3:].reshape(problem.grid.n_interior, 8).T
-    lengths2 = (g[0] + g[1] + g[2], g[3] + g[4], sq[:1] + sq[1] + sq[2], g[5] + g[6] + g[7])
+    """The rod's nodal norm as the largest of its three blocks' maxima."""
+    y, v, mu = rod.blocks(np.square(np.asarray(xi, dtype=float)), problem.grid.n_interior)
+    lengths2 = (y[:, 0] + y[:, 1] + y[:, 2], v[:, 0] + v[:, 1], mu[:, 0] + mu[:, 1] + mu[:, 2])
     return float(np.sqrt(np.max([part.max() for part in lengths2])))
 
 
@@ -454,7 +494,7 @@ def test_norm_inf_equals_the_group_maxima_bitwise():
             node = rng.integers(1, n + 1)
             # the largest group in each dof kind, the leading multiplier group
             # included: its length is above 2, every other one below sqrt(3)
-            for largest in (y_dofs(node), v_dofs(node), lam_dofs(node), lam_dofs(0)):
+            for largest in (y_dofs(n, node), v_dofs(n, node), lam_dofs(n, node), lam_dofs(n, 0)):
                 xi = scale * rng.uniform(-1.0, 1.0, problem.dof_count)
                 size = len(largest)
                 xi[largest] = scale * rng.choice((-1.0, 1.0), size) * rng.uniform(1.5, 2.5, size)
@@ -464,7 +504,7 @@ def test_norm_inf_equals_the_group_maxima_bitwise():
         assert problem.norm_inf(np.zeros(problem.dof_count)).hex() == "0x0.0p+0"
         for special in (np.inf, np.nan):
             xi = rng.standard_normal(problem.dof_count)
-            xi[lam_dofs(0)[1]] = special
+            xi[lam_dofs(n, 0)[1]] = special
             assert repr(problem.norm_inf(xi)) == repr(special)
 
 
@@ -472,7 +512,7 @@ def test_rod_norm_groups():
     grid = Grid(1.0, 4)
     problem = RodProblem(grid)
     xi = np.zeros(problem.dof_count)
-    xi[v_dofs(2)] = [3.0, 4.0]
+    xi[v_dofs(4, 2)] = [3.0, 4.0]
     assert problem.norm_inf(xi) == pytest.approx(5.0)
-    xi[lam_dofs(0)] = [0.0, 0.0, 7.0]
+    xi[lam_dofs(4, 0)] = [0.0, 0.0, 7.0]
     assert problem.norm_inf(xi) == pytest.approx(7.0)

@@ -262,3 +262,33 @@ def test_bench_pairs_runs_a_control_pair_and_summarizes_every_end_to_end_metric(
         refused = subprocess.run([*command[:4], *flags, "--workload", "obstacle-href0.1"],
                                  capture_output=True, text=True, timeout=60)
         assert refused.returncode == 2 and "either --change PATH or --control" in refused.stderr
+
+
+def test_bench_pairs_makes_a_fixed_number_of_calls_per_run():
+    # --calls: a fresh interpreter per run makes exactly K timed calls, so
+    # that peak_rss_mb compares equal work; the summary is the same
+    root = SCRIPTS.parent
+    command = [sys.executable, str(SCRIPTS / "bench_pairs.py"), "--base", str(root), "--control",
+               "--workload", "obstacle-href0.1", "--pairs", "1", "--calls", "20"]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("pair 1 (base first): base run_s ")
+    result = json.loads(lines[-1])
+    assert (result["calls"], result["seconds"], result["control"]) == (20, None, True)
+    names = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert list(result["summary"]) == names
+    [pair] = result["pairs"]
+    for side in ("base", "change"):
+        run = pair[side]
+        assert (run["correct"], run["attempted"], run["failed"]) == (True, 20, 0)
+        assert run["success_rate"] == 1.0 and run["run_s"] > 0.0 and run["setup_s"] > 0.0
+        assert run["peak_rss_mb"] > 0.0
+    for name, s in result["summary"].items():
+        assert s["pairs"] == 1
+        assert s["median_difference"] == pair["change"][name] - pair["base"][name]
+    assert [line.split()[0] for line in lines[-1 - len(names):-1]] == names
+    for flags in (["--calls", "0"], ["--calls", "3", "--seconds", "1"]):
+        refused = subprocess.run([*command[:-2], *flags], capture_output=True, text=True,
+                                 timeout=60)
+        assert refused.returncode == 2, flags
